@@ -79,7 +79,8 @@ def _check_bridge_zero():
                                      x, y, 0.15, McConfig(256, 16, seed=5))
     want = float(pb.density(x, 0.15, y))
     ok = est.value == want
-    return ("zero-drift representation returns the reference", ok, f"{est.value!r} vs {want!r}")
+    return ("zero-drift representation returns the reference", ok,
+            f"{float(est.value)!r} vs {want!r}")
 
 
 def _check_fit_affine():

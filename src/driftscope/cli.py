@@ -30,7 +30,6 @@ from .recover import (
     psi_from_u,
     run_pipeline,
     write_report_json,
-    ReconstructionReport,
 )
 from .elliptic import assemble_dirichlet_system, boundary_values_from_psi, solve_bvp
 from .kernels import kernel_from_config
@@ -75,6 +74,8 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "workers", None) is not None:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         updates["workers"] = args.workers
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
@@ -86,12 +87,11 @@ def _outdir(cfg: PipelineConfig) -> Path:
 
 
 def _aligned_fits(cfg: PipelineConfig, fits_path):
-    """Chord list rebuilt from the config geometry, with fits aligned to it."""
+    """Chord table rebuilt from the config geometry, with the fits read
+    row-aligned to it."""
     domain = cfg.resolved_domain()
     chords, _ = make_parallel_chords(domain, cfg.n_angles, cfg.n_offsets)
-    table = read_fits_csv(fits_path)
-    fits = [table.get((c.angle_index, c.offset_index)) for c in chords]
-    return domain, chords, fits
+    return domain, chords, read_fits_csv(fits_path, chords)
 
 
 def cmd_gen_data(cfg: PipelineConfig, args) -> int:
@@ -113,7 +113,7 @@ def cmd_fit(cfg: PipelineConfig, args) -> int:
     dataset = read_dataset_csv(data_path, floor=cfg.density_floor)
     fits, excluded = fit_dataset(dataset)
     write_fits_csv(out / "fits.csv", dataset.chords, fits)
-    print(f"wrote {out / 'fits.csv'} ({sum(f is not None for f in fits)} fits, "
+    print(f"wrote {out / 'fits.csv'} ({int(fits.ok.sum())} fits, "
           f"{len(excluded)} chords excluded)")
     return 0
 
@@ -174,15 +174,7 @@ def cmd_recover(cfg: PipelineConfig, args) -> int:
     if gt is not None:
         metrics = drift_metrics(c_hat, gt["c"], domain, cfg.metric_fraction)
         metrics["curl_norm"] = curl
-    try:
-        u = read_dgf(out / "u.dgf")
-        V_hat = read_dgf(out / "V_hat.dgf")
-    except (OSError, DataError):
-        u = V_hat = psi_hat
-    report = ReconstructionReport(psi_hat=psi_hat, V_hat=V_hat, c_hat=c_hat, u=u,
-                                  metrics=metrics, diagnostics=diagnostics,
-                                  config=cfg.echo())
-    write_report_json(out / "report.json", report)
+    write_report_json(out / "report.json", diagnostics, metrics, cfg.echo())
     print(f"wrote {out / 'c_hat_x.dgf'}, {out / 'c_hat_y.dgf'}, {out / 'report.json'}")
     return 0
 

@@ -245,7 +245,6 @@ def assemble_dirichlet_system(
     A.sum_duplicates()
 
     ii, jj = nodes[:, 0], nodes[:, 1]
-    amin = np.minimum(a11[ii, jj], a22[ii, jj])
     peclet = np.maximum(
         np.abs(b1[ii, jj]) * dx / np.maximum(0.5 * a11[ii, jj], 1e-300),
         np.abs(b2[ii, jj]) * dy / np.maximum(0.5 * a22[ii, jj], 1e-300),
@@ -257,7 +256,6 @@ def assemble_dirichlet_system(
             "of the first-order term may oscillate",
             stacklevel=2,
         )
-    del amin
 
     diff = A - A.T
     symmetric = diff.nnz == 0 or float(abs(diff).max()) == 0.0
@@ -377,6 +375,10 @@ class BoundaryPsi:
         return self.value_at_param(self.domain.boundary_param(points))
 
 
+# chords per np.add.at batch of boundary_psi_from_fits: bounds its memory
+_CHORDS_PER_CHUNK = 8192
+
+
 def boundary_psi_from_fits(
     chords,
     fits,
@@ -387,10 +389,13 @@ def boundary_psi_from_fits(
 ) -> BoundaryPsi:
     """Least-squares boundary potential from pairwise differences.
 
-    Each fitted chord contributes one equation psi(s_y) - psi(s_x) = dpsi in
-    the knot values (piecewise-linear interpolation along the boundary
-    parameter), weighted by the fit's precision.  Knots not touched by any
-    chord are an error above max_missing_fraction, otherwise interpolated
+    chords (ChordTable) and fits (FitTable) are row-aligned tables.  Each ok
+    fit contributes one equation psi(s_y) - psi(s_x) = dpsi in the knot
+    values (piecewise-linear interpolation along the boundary parameter),
+    weighted by the fit's precision.  The normal equations N = A^T W A are
+    accumulated with np.add.at, chord by chord in the order of the table,
+    so every entry sums in a fixed order.  Knots not touched by any chord
+    are an error above max_missing_fraction, otherwise interpolated
     periodically with a warning.  The result is gauged to vanish at
     gauge_param.
     """
@@ -400,32 +405,34 @@ def boundary_psi_from_fits(
     rhs = np.zeros(n_knots)
     touched = np.zeros(n_knots, dtype=bool)
 
-    def interp_row(s):
-        pos = (s % L) / (L / n_knots)
-        k0 = int(np.floor(pos)) % n_knots
-        t = pos - np.floor(pos)
-        return [(k0, 1.0 - t), ((k0 + 1) % n_knots, t)]
-
-    n_used = 0
-    for c, f in zip(chords, fits):
-        if f is None:
-            continue
-        sx = float(domain.boundary_param(c.x))
-        sy = float(domain.boundary_param(c.y))
-        se = max(f.se_delta_psi, 1e-9)
-        w = 1.0 / (se * se)
-        row = [(k, coef) for k, coef in interp_row(sy)] + [
-            (k, -coef) for k, coef in interp_row(sx)
-        ]
-        for k, coef in row:
-            if coef != 0.0:
-                touched[k] = True
-            rhs[k] += w * coef * f.delta_psi
-            for k2, coef2 in row:
-                N[k, k2] += w * coef * coef2
-        n_used += 1
+    ok = fits.ok
+    n_used = int(ok.sum())
     if n_used == 0:
         raise DataError("no usable chord fits for the boundary potential")
+    se = np.maximum(fits.se_delta_psi[ok], 1e-9)
+    w = 1.0 / (se * se)
+    dpsi = fits.delta_psi[ok]
+
+    def interp_rows(points):
+        pos = np.mod(domain.boundary_param(points), L) / (L / n_knots)
+        k0 = np.floor(pos).astype(np.int64) % n_knots
+        t = pos - np.floor(pos)
+        return k0, (k0 + 1) % n_knots, 1.0 - t, t
+
+    # per chord, the equation's four (knot, coefficient) terms: y's two
+    # with +, then x's two with -
+    ky0, ky1, cy0, cy1 = interp_rows(chords.y[ok])
+    kx0, kx1, cx0, cx1 = interp_rows(chords.x[ok])
+    idx = np.stack([ky0, ky1, kx0, kx1], axis=1)
+    coef = np.stack([cy0, cy1, -cx0, -cx1], axis=1)
+    touched[idx[coef != 0.0]] = True
+    wc = w[:, None] * coef
+    np.add.at(rhs, idx.ravel(), (wc * dpsi[:, None]).ravel())
+    flat = N.reshape(-1)
+    for lo in range(0, n_used, _CHORDS_PER_CHUNK):
+        hi = min(lo + _CHORDS_PER_CHUNK, n_used)
+        cells = idx[lo:hi, :, None] * n_knots + idx[lo:hi, None, :]
+        np.add.at(flat, cells.ravel(), (wc[lo:hi, :, None] * coef[lo:hi, None, :]).ravel())
 
     n_missing = int((~touched).sum())
     if n_missing > max_missing_fraction * n_knots:

@@ -203,8 +203,14 @@ class Domain:
     def project_to_boundary(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def chord_endpoints(self, omega: np.ndarray, z: float):
-        """Entry/exit points of the line {z*omega_perp + s*omega}, or None."""
+    def chord_endpoints(self, omega: np.ndarray, z):
+        """Entry and exit points of the lines {z*omega_perp + s*omega}.
+
+        omega (..., 2) holds unit directions and z (...) signed offsets from
+        the origin; the two broadcast together.  Returns (x, y, hit): entry
+        and exit points (..., 2), NaN where the line misses the domain, and
+        the mask of lines that cross it.
+        """
         raise NotImplementedError
 
     def boundary_crossing(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -255,6 +261,15 @@ class Domain:
         return cls
 
 
+def _line_origins(omega, z):
+    """Broadcast directions (..., 2) against offsets (...); returns the
+    directions and the lines' feet z * omega_perp, both (..., 2)."""
+    omega = np.asarray(omega, dtype=float)
+    perp = np.stack([-omega[..., 1], omega[..., 0]], axis=-1)
+    p0 = np.asarray(z, dtype=float)[..., None] * perp
+    return np.broadcast_to(omega, p0.shape), p0
+
+
 @dataclass(frozen=True)
 class DiscDomain(Domain):
     grid: Grid
@@ -301,19 +316,16 @@ class DiscDomain(Domain):
         r = np.maximum(np.hypot(d[..., 0], d[..., 1]), 1e-300)
         return self.center + d * (self.radius / r)[..., None]
 
-    def chord_endpoints(self, omega: np.ndarray, z: float):
-        # line: z*omega_perp + s*omega, offsets measured from the origin
-        perp = np.array([-omega[1], omega[0]])
-        p0 = z * perp
-        # solve |p0 + s*omega - c|^2 = R^2
+    def chord_endpoints(self, omega: np.ndarray, z):
+        omega, p0 = _line_origins(omega, z)
+        # solve |p0 + s*omega - c|^2 = R^2 (vecdot rounds like a 2-vector dot)
         d = p0 - self.center
-        b = float(d @ omega)
-        cterm = float(d @ d) - self.radius**2
+        b = np.vecdot(d, omega)
+        cterm = np.vecdot(d, d) - self.radius**2
         disc = b * b - cterm
-        if disc <= 0:
-            return None
-        s = np.sqrt(disc)
-        return p0 + (-b - s) * omega, p0 + (-b + s) * omega
+        hit = disc > 0
+        s = np.sqrt(np.where(hit, disc, np.nan))
+        return p0 + (-b - s)[..., None] * omega, p0 + (-b + s)[..., None] * omega, hit
 
     def boundary_crossing(self, p, q):
         p = np.asarray(p, dtype=float)
@@ -421,24 +433,29 @@ class RectangleDomain(Domain):
             p[k] = min(d, key=lambda e: e[0])[1]
         return p if np.asarray(points).ndim > 1 else p[0]
 
-    def chord_endpoints(self, omega: np.ndarray, z: float):
-        perp = np.array([-omega[1], omega[0]])
-        p0 = z * perp
-        # Liang-Barsky clip of the infinite line against the box
-        t_lo, t_hi = -np.inf, np.inf
+    def chord_endpoints(self, omega: np.ndarray, z):
+        omega, p0 = _line_origins(omega, z)
+        # Liang-Barsky clip of the infinite lines against the box
+        shape = p0.shape[:-1]
+        t_lo = np.full(shape, -np.inf)
+        t_hi = np.full(shape, np.inf)
+        hit = np.ones(shape, dtype=bool)
         for axis, (lo, hi) in enumerate([(self.xmin, self.xmax), (self.ymin, self.ymax)]):
-            d = omega[axis]
-            p = p0[axis]
-            if abs(d) < 1e-15:
-                if p <= lo or p >= hi:
-                    return None
-            else:
+            d = np.broadcast_to(omega[..., axis], shape)
+            p = p0[..., axis]
+            across = np.abs(d) >= 1e-15
+            hit &= across | ((p > lo) & (p < hi))
+            with np.errstate(divide="ignore", invalid="ignore"):
                 t1, t2 = (lo - p) / d, (hi - p) / d
-                t_lo = max(t_lo, min(t1, t2))
-                t_hi = min(t_hi, max(t1, t2))
-        if not (t_hi - t_lo > 1e-12):
-            return None
-        return p0 + t_lo * omega, p0 + t_hi * omega
+            # ties keep the first operand, as Python's min and max do
+            near = np.where(t2 < t1, t2, t1)
+            far = np.where(t2 > t1, t2, t1)
+            t_lo = np.where(across & (near > t_lo), near, t_lo)
+            t_hi = np.where(across & (far < t_hi), far, t_hi)
+        hit &= t_hi - t_lo > 1e-12
+        t_lo = np.where(hit, t_lo, np.nan)[..., None]
+        t_hi = np.where(hit, t_hi, np.nan)[..., None]
+        return p0 + t_lo * omega, p0 + t_hi * omega, hit
 
     def boundary_crossing(self, p, q):
         p = np.asarray(p, dtype=float)

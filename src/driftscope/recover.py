@@ -155,8 +155,33 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing required key {sorted(missing)[0]!r} in {where}")
 
 
+def _integer(value, where: str, minimum: int | None = None) -> int:
+    """An integral config value (integral floats and digit strings pass)."""
+    try:
+        out = int(value)
+        integral = not isinstance(value, bool) and out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"{where} must be at least {minimum}, got {out}")
+    return out
+
+
+def _finite(value, where: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = float("nan")
+    if isinstance(value, bool) or not np.isfinite(out):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return out
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Strict parse: unknown keys are rejected, defaults are filled."""
+    """Strict parse: unknown keys are rejected, numbers are checked to be
+    integral or finite and in range, defaults are filled."""
     _require_keys(raw, _CONFIG_KEYS, {"domain", "kernels"}, "config")
     dom = raw["domain"]
     _require_keys(dom, {"kind", "center", "radius", "corners"}, {"kind"}, "domain")
@@ -177,19 +202,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         )
     geometry = raw.get("geometry", {})
     _require_keys(geometry, {"n_angles", "n_offsets"}, set(), "geometry")
-    n_angles = int(geometry.get("n_angles", 180))
-    n_offsets = int(geometry.get("n_offsets", 181))
-    if n_angles < 2:
-        raise ConfigError("geometry.n_angles must be at least 2")
-    if n_offsets < 1:
-        raise ConfigError("geometry.n_offsets must be positive")
+    n_angles = _integer(geometry.get("n_angles", 180), "geometry.n_angles", 2)
+    n_offsets = _integer(geometry.get("n_offsets", 181), "geometry.n_offsets", 1)
     grid_spec = raw.get("grid")
     if grid_spec is not None:
         _require_keys(grid_spec, {"x0", "y0", "x1", "y1", "nx", "ny"},
                       {"x0", "y0", "x1", "y1", "nx", "ny"}, "grid")
     ladder = raw.get("ladder")
     if ladder is not None:
-        ladder = tuple(float(t) for t in ladder)
+        ladder = tuple(_finite(t, "ladder time") for t in ladder)
         if len(ladder) < 3:
             raise ConfigError("ladder must hold at least 3 times")
         if any(t <= 0 for t in ladder):
@@ -201,6 +222,16 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"unknown filter {filter_name!r}")
     solver = raw.get("solver", {})
     _require_keys(solver, {"tol", "max_iter"}, set(), "solver")
+    density_floor = _finite(raw.get("density_floor", 1e-30), "density_floor")
+    if density_floor < 0:
+        raise ConfigError(f"density_floor must be nonnegative, got {density_floor!r}")
+    metric_fraction = _finite(raw.get("metric_fraction", 0.8), "metric_fraction")
+    if not 0.0 < metric_fraction <= 1.0:
+        raise ConfigError(f"metric_fraction must lie in (0, 1], got {metric_fraction!r}")
+    solver_tol = _finite(solver.get("tol", 1e-10), "solver.tol")
+    if solver_tol <= 0:
+        raise ConfigError(f"solver.tol must be positive, got {solver_tol!r}")
+    workers = raw.get("workers")
     gt = raw.get("ground_truth")
     if gt is not None:
         _require_keys(gt, {"kind", "theta"}, {"kind"}, "ground_truth")
@@ -214,15 +245,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         n_offsets=n_offsets,
         ladder=ladder,
         filter_name=filter_name,
-        solver_tol=float(solver.get("tol", 1e-10)),
-        solver_max_iter=int(solver.get("max_iter", 20000)),
-        seed=int(raw.get("seed", 0)),
-        density_floor=float(raw.get("density_floor", 1e-30)),
-        boundary_knots=int(raw.get("boundary_knots", 256)),
-        gauge_param=float(raw.get("gauge_param", 0.0)),
-        metric_fraction=float(raw.get("metric_fraction", 0.8)),
+        solver_tol=solver_tol,
+        solver_max_iter=_integer(solver.get("max_iter", 20000), "solver.max_iter", 1),
+        seed=_integer(raw.get("seed", 0), "seed"),
+        density_floor=density_floor,
+        boundary_knots=_integer(raw.get("boundary_knots", 256), "boundary_knots", 1),
+        gauge_param=_finite(raw.get("gauge_param", 0.0), "gauge_param"),
+        metric_fraction=metric_fraction,
         output_dir=str(raw.get("output_dir", "out")),
-        workers=(None if raw.get("workers") in (None, "null") else int(raw["workers"])),
+        workers=None if workers in (None, "null") else _integer(workers, "workers", 1),
         ground_truth=gt,
     )
 
@@ -501,7 +532,7 @@ def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
         c_hat = drift_from_psi(psi_hat, a, domain)
         curl = gradient_consistency(c_hat, a, domain)
 
-    residuals = np.array([f.residual for f in fits if f is not None])
+    residuals = fits.residual[fits.ok]
     diagnostics = {
         "n_chords": dataset.n_chords,
         "n_chords_excluded": len(excluded),
@@ -549,14 +580,14 @@ def write_artifacts(out: Path, report: ReconstructionReport,
     g = report.c_hat.grid
     write_dgf(out / "c_hat_x.dgf", ScalarField(g, report.c_hat.values[..., 0]))
     write_dgf(out / "c_hat_y.dgf", ScalarField(g, report.c_hat.values[..., 1]))
-    write_report_json(out / "report.json", report)
+    write_report_json(out / "report.json", report.diagnostics, report.metrics, report.config)
 
 
-def write_report_json(path, report: ReconstructionReport) -> None:
-    payload: dict = dict(report.diagnostics)
-    if report.metrics is not None:
-        payload.update(report.metrics)
-    payload["config"] = report.config
+def write_report_json(path, diagnostics: dict, metrics: dict | None, config: dict) -> None:
+    payload: dict = dict(diagnostics)
+    if metrics is not None:
+        payload.update(metrics)
+    payload["config"] = config
     payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                        "version": __version__}
     with open(path, "w") as fh:

@@ -58,12 +58,56 @@ class Chord:
         om = self.omega
         return float(self.x[0] * (-om[1]) + self.x[1] * om[0])
 
-    def point_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return self.x + np.multiply.outer(s, self.y - self.x)
-
     def reversed(self) -> "Chord":
         return Chord(self.y, self.x, self.angle_index, self.offset_index)
+
+
+@dataclass(frozen=True, eq=False)
+class ChordTable:
+    """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths (n,).
+
+    The endpoint checks of Chord run once over the whole table.  An integer
+    index gives one Chord; a slice, mask or index array gives a sub-table.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    angle_index: np.ndarray | None = None
+    offset_index: np.ndarray | None = None
+    length: np.ndarray = dc_field(init=False)
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        if x.ndim != 2 or x.shape[1:] != (2,) or y.shape != x.shape:
+            raise DataError("chord endpoints must be planar points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DataError("chord endpoints must be finite")
+        if np.any(np.all(np.isclose(x, y), axis=1)):  # np.allclose per chord
+            raise GeometryError("chord endpoints coincide")
+        d = y - x
+        columns = {"x": x, "y": y, "length": np.hypot(d[:, 0], d[:, 1])}
+        for name in ("angle_index", "offset_index"):
+            v = getattr(self, name)
+            v = np.full(len(x), -1) if v is None else np.asarray(v, dtype=np.int64)
+            if v.shape != (len(x),):
+                raise DataError(f"{name} must hold one entry per chord")
+            columns[name] = v
+        for name, v in columns.items():
+            v = np.ascontiguousarray(v)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Chord(self.x[i], self.y[i], int(self.angle_index[i]), int(self.offset_index[i]))
+        return ChordTable(self.x[i], self.y[i], self.angle_index[i], self.offset_index[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def chord_offsets(radius: float, n_offsets: int) -> np.ndarray:
@@ -80,29 +124,30 @@ def chord_angles(n_angles: int) -> np.ndarray:
     return np.pi * np.arange(n_angles) / n_angles
 
 
+def chord_directions(angles: np.ndarray) -> np.ndarray:
+    """Unit directions (cos, sin) of the given angles, shape (n, 2)."""
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
 def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
-    """Chords of the domain on a parallel-beam (angle, offset) raster.
+    """Chord table of the domain on a parallel-beam (angle, offset) raster.
 
     Offsets are measured from the origin, so the domain must be centered there.
-    Returns (chords, skipped) where skipped records (angle_index, offset_index)
-    pairs whose line misses the domain.
+    Every line of the raster is clipped in one `Domain.chord_endpoints` call.
+    Returns (chords, skipped): the ChordTable of the lines that cross the
+    domain, in angle-major raster order, and the (angle_index, offset_index)
+    pairs of the lines that miss it.
     """
     if np.max(np.abs(domain.center)) > 1e-9:
         raise GeometryError(
             "parallel-beam sampling assumes the domain is centered at the origin"
         )
-    angles = chord_angles(n_angles)
+    omega = chord_directions(chord_angles(n_angles))
     offsets = chord_offsets(domain.circumradius, n_offsets)
-    chords, skipped = [], []
-    for ia, phi in enumerate(angles):
-        omega = np.array([np.cos(phi), np.sin(phi)])
-        for io, z in enumerate(offsets):
-            ends = domain.chord_endpoints(omega, float(z))
-            if ends is None:
-                skipped.append((ia, io))
-                continue
-            chords.append(Chord(ends[0], ends[1], ia, io))
-    return chords, skipped
+    x, y, hit = domain.chord_endpoints(omega[:, None, :], offsets[None, :])
+    ia, io = np.nonzero(hit)
+    skipped = list(zip(*(a.tolist() for a in np.nonzero(~hit))))
+    return ChordTable(x[ia, io], y[ia, io], ia, io), skipped
 
 
 @dataclass(frozen=True)
@@ -119,7 +164,7 @@ class ChordFit:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (2, 2):
             raise DataError("covariance must be 2x2")
-        if self.residual < 0 or not np.all(np.isfinite(cov)):
+        if self.residual < 0 or not np.isfinite(cov).all():
             raise DataError("fit results must be finite with nonnegative residual")
         object.__setattr__(self, "covariance", cov)
 
@@ -141,17 +186,100 @@ def log_ratio(p_obs: float, p_ref: float, floor: float = DEFAULT_DENSITY_FLOOR) 
     return float(np.log(p_obs) - np.log(p_ref))
 
 
-def _wls_moments(times: np.ndarray):
-    w = 1.0 / times
-    s0 = w.sum()
-    s1 = (w * times).sum()
-    s2 = (w * times * times).sum()
+@dataclass(frozen=True, eq=False)
+class FitTable:
+    """Per-chord affine fits as arrays, row-aligned with a ChordTable.
+
+    Rows with ok False (fewer than 3 surviving observations) hold NaN.  An
+    integer index gives a ChordFit, or None for such a row; iteration yields
+    one of these per chord.
+    """
+
+    delta_psi: np.ndarray
+    F: np.ndarray
+    residual: np.ndarray
+    var_delta_psi: np.ndarray
+    var_F: np.ndarray
+    cov_delta_psi_F: np.ndarray
+    n_times: np.ndarray
+    ok: np.ndarray
+
+    def __post_init__(self):
+        cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FIT_COLUMNS}
+        cols["n_times"] = np.asarray(self.n_times, dtype=np.int64)
+        cols["ok"] = np.asarray(self.ok, dtype=bool)
+        if any(v.shape != cols["ok"].shape or v.ndim != 1 for v in cols.values()):
+            raise DataError("fit table columns must be 1-D arrays of equal length")
+        ok = cols["ok"]
+        cov = np.stack([cols["var_delta_psi"], cols["var_F"], cols["cov_delta_psi_F"]])
+        if np.any(cols["residual"][ok] < 0) or not np.all(np.isfinite(cov[:, ok])):
+            raise DataError("fit results must be finite with nonnegative residual")
+        for name, v in cols.items():
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    @property
+    def se_delta_psi(self) -> np.ndarray:
+        return np.sqrt(np.maximum(self.var_delta_psi, 0.0))
+
+    @property
+    def se_F(self) -> np.ndarray:
+        return np.sqrt(np.maximum(self.var_F, 0.0))
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return next(iter(self[[i]]))
+        return FitTable(*(getattr(self, name)[i] for name in _FIT_COLUMNS),
+                        self.n_times[i], self.ok[i])
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, name).tolist() for name in _FIT_COLUMNS + ("n_times", "ok")))
+        for dpsi, F, resid, vd, vf, c, n_times, ok in rows:
+            yield ChordFit(dpsi, F, resid, np.array([[vd, c], [c, vf]]), n_times) if ok else None
+
+
+_FIT_COLUMNS = ("delta_psi", "F", "residual", "var_delta_psi", "var_F", "cov_delta_psi_F")
+
+
+def fit_ladder_batch(times, logratios) -> FitTable:
+    """Masked weighted least squares of r(t) ~ dpsi - F t, weights 1/t, for
+    many chords sharing one time ladder.
+
+    logratios has shape (n_chords, m); a non-finite entry is a dropped
+    observation and gets weight zero.  Each row yields the intercept dpsi,
+    the slope magnitude F, the weighted RMS residual and the covariance of
+    (dpsi, F); rows with fewer than 3 observations are marked not ok.
+    """
+    t = np.asarray(times, dtype=float)
+    r = np.asarray(logratios, dtype=float)
+    seen = np.isfinite(r)
+    n_obs = seen.sum(axis=1)
+    ok = n_obs >= 3
+    w = 1.0 / t
+    W = np.where(seen, w, 0.0)
+    r = np.where(seen, r, 0.0)
+    s0 = W.sum(axis=1)
+    s1 = (W * t).sum(axis=1)
+    s2 = (W * t * t).sum(axis=1)
     det = s0 * s2 - s1 * s1
-    return w, s0, s1, s2, det
+    b0 = r @ w
+    b1 = r @ (w * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpsi = (s2 * b0 - s1 * b1) / det
+        slope = (s0 * b1 - s1 * b0) / det
+        resid = np.where(seen, r - (dpsi[:, None] + slope[:, None] * t[None, :]), 0.0)
+        wss = (resid * resid) @ w
+        sigma2 = np.maximum(wss, 0.0) / (n_obs - 2)
+        cols = (dpsi, -slope, np.sqrt(sigma2), sigma2 * s2 / det, sigma2 * s0 / det,
+                sigma2 * s1 / det)
+    return FitTable(*(np.where(ok, c, np.nan) for c in cols), n_obs, ok)
 
 
 def fit_small_time(times, logratios) -> ChordFit:
-    """Weighted least squares of r(t) ~ dpsi - F t, weights 1/t.
+    """One chord's fit: the one-row case of `fit_ladder_batch`.
 
     Returns the intercept dpsi, the slope magnitude F, the weighted RMS
     residual, and the parameter covariance for (dpsi, F).
@@ -166,35 +294,7 @@ def fit_small_time(times, logratios) -> ChordFit:
         raise DataError("times must be positive and log ratios finite")
     if np.ptp(t) <= 1e-15 * t.max():
         raise DataError("time ladder is rank deficient (all times equal)")
-    w, s0, s1, s2, det = _wls_moments(t)
-    b0 = (w * r).sum()
-    b1 = (w * t * r).sum()
-    dpsi = (s2 * b0 - s1 * b1) / det
-    slope = (s0 * b1 - s1 * b0) / det
-    resid = r - (dpsi + slope * t)
-    wss = float((w * resid * resid).sum())
-    sigma2 = max(wss, 0.0) / (len(t) - 2)
-    cov = sigma2 / det * np.array([[s2, s1], [s1, s0]])
-    return ChordFit(float(dpsi), float(-slope), float(np.sqrt(sigma2)), cov, len(t))
-
-
-def fit_ladder_batch(times: np.ndarray, logratios: np.ndarray):
-    """Vectorized fit for many chords sharing one full ladder.
-
-    logratios has shape (n_chords, m).  Returns arrays
-    (dpsi, F, residual, var_dpsi, var_F, cov_dpsi_F).
-    """
-    t = np.asarray(times, dtype=float)
-    r = np.asarray(logratios, dtype=float)
-    w, s0, s1, s2, det = _wls_moments(t)
-    b0 = r @ w
-    b1 = r @ (w * t)
-    dpsi = (s2 * b0 - s1 * b1) / det
-    slope = (s0 * b1 - s1 * b0) / det
-    resid = r - (dpsi[:, None] + slope[:, None] * t[None, :])
-    wss = (resid * resid) @ w
-    sigma2 = np.maximum(wss, 0.0) / (len(t) - 2)
-    return dpsi, -slope, np.sqrt(sigma2), sigma2 * s2 / det, sigma2 * s0 / det, sigma2 * s1 / det
+    return fit_ladder_batch(t, r[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -207,7 +307,7 @@ class BoundaryDataset:
     far below the smallest float).
     """
 
-    chords: tuple
+    chords: ChordTable
     times: np.ndarray
     log_ratios: np.ndarray
     p_obs: np.ndarray
@@ -251,8 +351,7 @@ def build_boundary_dataset(
         raise DataError("ladder times must be positive")
     chords, skipped = make_parallel_chords(domain, n_angles, n_offsets)
     nc = len(chords)
-    xs = np.array([c.x for c in chords])
-    ys = np.array([c.y for c in chords])
+    xs, ys = chords.x, chords.y
     log_ratios = np.full((nc, len(times)), np.nan)
     p_obs = np.full((nc, len(times)), np.nan)
     p_ref = np.full((nc, len(times)), np.nan)
@@ -280,7 +379,7 @@ def build_boundary_dataset(
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} sub-floor density observations", stacklevel=2)
     return BoundaryDataset(
-        chords=tuple(chords),
+        chords=chords,
         times=times,
         log_ratios=log_ratios,
         p_obs=p_obs,
@@ -299,27 +398,14 @@ def build_boundary_dataset(
 
 
 def fit_dataset(dataset: BoundaryDataset):
-    """Fit every chord; returns (fits, excluded) where fits[i] is None for
-    chords with fewer than 3 surviving observations (recorded in excluded).
+    """Fit every chord in one masked batch (`fit_ladder_batch`).
+
+    Returns (fits, excluded): the FitTable row-aligned with dataset.chords,
+    and the indices of the chords with fewer than 3 surviving observations,
+    whose rows are not ok (None when indexed or iterated).
     """
-    lr = dataset.log_ratios
-    t = dataset.times
-    fits: list[ChordFit | None] = [None] * dataset.n_chords
-    excluded = []
-    full = np.all(np.isfinite(lr), axis=1)
-    if np.any(full):
-        idx = np.nonzero(full)[0]
-        dpsi, F, resid, vd, vf, cdf = fit_ladder_batch(t, lr[idx])
-        for row, i in enumerate(idx):
-            cov = np.array([[vd[row], cdf[row]], [cdf[row], vf[row]]])
-            fits[i] = ChordFit(float(dpsi[row]), float(F[row]), float(resid[row]), cov, len(t))
-    for i in np.nonzero(~full)[0]:
-        ok = np.isfinite(lr[i])
-        if ok.sum() < 3:
-            excluded.append(i)
-            continue
-        fits[i] = fit_small_time(t[ok], lr[i, ok])
-    return fits, excluded
+    fits = fit_ladder_batch(dataset.times, dataset.log_ratios)
+    return fits, np.nonzero(~fits.ok)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -351,80 +437,73 @@ FITS_COLUMNS = [
 ]
 
 
+def _csv_columns(path, fh, required) -> tuple[dict, int]:
+    """Columns of a CSV file by header name, as lists of strings."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    rows = list(reader)
+    missing = [c for c in required if c not in header]
+    if missing and rows:
+        raise DataError(f"{path}: missing column {missing[0]!r}")
+    if any(len(row) != len(header) for row in rows):
+        raise DataError(f"{path}: rows must have {len(header)} fields")
+    return dict(zip(header, map(list, zip(*rows)))), len(rows)
+
+
+def _numbers(path, values, dtype) -> np.ndarray:
+    try:
+        return np.fromiter(map(float if dtype is float else int, values), dtype, len(values))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
+    """One row per (chord, time), chord-major; floats as shortest round-trip text."""
+    c = dataset.chords
+    n, m = dataset.log_ratios.shape
+    per_chord = [c.angle_index, c.offset_index, c.x[:, 0], c.x[:, 1], c.y[:, 0], c.y[:, 1]]
+    columns = [np.repeat(v, m).tolist() for v in per_chord]
+    columns.append(np.tile(dataset.times, n).tolist())
+    columns += [a.ravel().tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DATASET_COLUMNS)
-        for i, c in enumerate(dataset.chords):
-            for k, t in enumerate(dataset.times):
-                w.writerow(
-                    [
-                        c.angle_index,
-                        c.offset_index,
-                        repr(float(c.x[0])),
-                        repr(float(c.x[1])),
-                        repr(float(c.y[0])),
-                        repr(float(c.y[1])),
-                        repr(float(t)),
-                        repr(float(dataset.p_obs[i, k])),
-                        repr(float(dataset.p_ref[i, k])),
-                        repr(float(dataset.log_ratios[i, k])),
-                    ]
-                )
+        w.writerows(zip(*columns))
 
 
 def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryDataset:
     """Rebuild a dataset from CSV; prefers the exact log_ratio column and
     falls back to floored densities when it is absent or non-finite.
     """
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(row)
-    if not rows:
+        cols, n = _csv_columns(path, fh, DATASET_COLUMNS[:-1])
+    if not n:
         raise DataError(f"{path}: empty dataset")
-    by_chord: dict[tuple[int, int], dict] = {}
-    times_seen: dict[float, None] = {}
-    for row in rows:
-        key = (int(row["angle_index"]), int(row["offset_index"]))
-        t = float(row["t"])
-        times_seen.setdefault(t, None)
-        entry = by_chord.setdefault(
-            key,
-            {
-                "x": np.array([float(row["x1"]), float(row["x2"])]),
-                "y": np.array([float(row["y1"]), float(row["y2"])]),
-                "obs": {},
-            },
+    num = {name: _numbers(path, cols[name], float) for name in DATASET_COLUMNS[2:-1]}
+    ia = _numbers(path, cols["angle_index"], np.int64)
+    io = _numbers(path, cols["offset_index"], np.int64)
+    p_o, p_r, t = num["p_obs"], num["p_ref"], num["t"]
+    lr = (_numbers(path, [v or "nan" for v in cols["log_ratio"]], float)
+          if "log_ratio" in cols else np.full(n, np.nan))
+    fallback = ~np.isfinite(lr)
+    usable = (p_o > floor) & (p_r > floor) & np.isfinite(p_o) & np.isfinite(p_r)
+    bad = np.nonzero(fallback & ~usable)[0]
+    if len(bad):
+        i = bad[0]
+        raise DataError(
+            f"{path}: unusable density pair ({p_o[i]:.3e}, {p_r[i]:.3e}) for chord "
+            f"angle={ia[i]} offset={io[i]} at t={t[i]}"
         )
-        p_o = float(row["p_obs"])
-        p_r = float(row["p_ref"])
-        lr = float(row.get("log_ratio", "nan") or "nan")
-        if not np.isfinite(lr):
-            if p_o > floor and p_r > floor and np.isfinite(p_o) and np.isfinite(p_r):
-                lr = float(np.log(p_o) - np.log(p_r))
-            else:
-                raise DataError(
-                    f"{path}: unusable density pair ({p_o:.3e}, {p_r:.3e}) for chord "
-                    f"angle={key[0]} offset={key[1]} at t={t}"
-                )
-        entry["obs"][t] = (lr, p_o, p_r)
-    times = np.asarray(sorted(times_seen, reverse=True), dtype=float)
-    keys = sorted(by_chord)
-    chords = []
-    nc = len(keys)
-    log_ratios = np.full((nc, len(times)), np.nan)
-    p_obs = np.full((nc, len(times)), np.nan)
-    p_ref = np.full((nc, len(times)), np.nan)
-    for i, key in enumerate(keys):
-        e = by_chord[key]
-        chords.append(Chord(e["x"], e["y"], key[0], key[1]))
-        for k, t in enumerate(times):
-            if t in e["obs"]:
-                log_ratios[i, k], p_obs[i, k], p_ref[i, k] = e["obs"][t]
+    lr[fallback] = np.log(p_o[fallback]) - np.log(p_r[fallback])
+    times, ti = np.unique(t, return_inverse=True)
+    times, ti = times[::-1], len(times) - 1 - ti
+    keys, first, ci = np.unique(np.stack([ia, io], axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    log_ratios, p_obs, p_ref = (np.full((len(keys), len(times)), np.nan) for _ in range(3))
+    log_ratios[ci, ti], p_obs[ci, ti], p_ref[ci, ti] = lr, p_o, p_r
+    xy = np.stack([num["x1"], num["x2"], num["y1"], num["y2"]], axis=1)[first]
     return BoundaryDataset(
-        chords=tuple(chords),
+        chords=ChordTable(xy[:, :2], xy[:, 2:], keys[:, 0], keys[:, 1]),
         times=times,
         log_ratios=log_ratios,
         p_obs=p_obs,
@@ -433,39 +512,41 @@ def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryData
     )
 
 
-def write_fits_csv(path, chords, fits) -> None:
+def write_fits_csv(path, chords: ChordTable, fits: FitTable) -> None:
+    """One row per ok fit, in chord order; excluded chords are left out."""
+    ok = fits.ok
+    columns = [chords.angle_index[ok], chords.offset_index[ok], fits.delta_psi[ok], fits.F[ok],
+               fits.residual[ok], fits.se_delta_psi[ok], fits.se_F[ok], fits.n_times[ok]]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(FITS_COLUMNS)
-        for c, f in zip(chords, fits):
-            if f is None:
-                continue
-            w.writerow(
-                [
-                    c.angle_index,
-                    c.offset_index,
-                    repr(f.delta_psi),
-                    repr(f.F),
-                    repr(f.residual),
-                    repr(f.se_delta_psi),
-                    repr(f.se_F),
-                    f.n_times,
-                ]
-            )
+        w.writerows(zip(*(v.tolist() for v in columns)))
 
 
-def read_fits_csv(path) -> dict[tuple[int, int], ChordFit]:
-    out = {}
+def read_fits_csv(path, chords: ChordTable) -> FitTable:
+    """Fits from CSV, row-aligned with `chords` by (angle_index, offset_index).
+
+    Chords without a row are not ok; rows without a chord are ignored.  The
+    covariance is rebuilt as diag(se_delta_psi^2, se_F^2).
+    """
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            se_d = float(row["se_delta_psi"])
-            se_f = float(row["se_F"])
-            cov = np.array([[se_d**2, 0.0], [0.0, se_f**2]])
-            out[(int(row["angle_index"]), int(row["offset_index"]))] = ChordFit(
-                float(row["delta_psi"]),
-                float(row["F"]),
-                float(row["residual"]),
-                cov,
-                int(row["n_times"]),
-            )
-    return out
+        cols, _ = _csv_columns(path, fh, FITS_COLUMNS)
+    num = {name: _numbers(path, cols.get(name, []),
+                          np.int64 if name in ("angle_index", "offset_index", "n_times") else float)
+           for name in FITS_COLUMNS}
+    row_of = {key: i for i, key in enumerate(zip(chords.angle_index.tolist(),
+                                                chords.offset_index.tolist()))}
+    target = np.array([row_of.get(key, -1) for key in zip(num["angle_index"].tolist(),
+                                                          num["offset_index"].tolist())],
+                      dtype=np.int64)
+    hit = target >= 0
+
+    def column(values, fill=np.nan):
+        out = np.full(len(chords), fill, dtype=values.dtype)
+        out[target[hit]] = values[hit]
+        return out
+
+    return FitTable(column(num["delta_psi"]), column(num["F"]), column(num["residual"]),
+                    column(num["se_delta_psi"] ** 2), column(num["se_F"] ** 2),
+                    column(np.zeros(len(hit))), column(num["n_times"], 0),
+                    column(np.ones(len(hit), dtype=bool), False))

@@ -17,7 +17,15 @@ import numpy as np
 from . import parallel
 from .errors import DataError
 from .fields import Domain, Grid, ScalarField, interp
-from .smalltime import Chord, chord_angles, chord_offsets, make_parallel_chords
+from .smalltime import (
+    Chord,
+    ChordTable,
+    FitTable,
+    chord_angles,
+    chord_directions,
+    chord_offsets,
+    make_parallel_chords,
+)
 
 
 @dataclass(frozen=True)
@@ -51,21 +59,31 @@ class Sinogram:
         return len(self.offsets)
 
 
+def _line_integrals(V, chords: ChordTable, n_quad: int) -> np.ndarray:
+    """Composite-trapezoid arclength integrals of V along every chord."""
+    if n_quad < 16:
+        raise DataError("n_quad must be at least 16")
+    s = np.linspace(0.0, 1.0, n_quad + 1)
+    pts = chords.x[:, None, :] + s[None, :, None] * (chords.y - chords.x)[:, None, :]
+    if isinstance(V, ScalarField):
+        vals = interp(V, pts, mode="strict")
+    else:
+        vals = np.asarray(V(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:-1])
+    return np.trapezoid(vals, s, axis=-1) * chords.length
+
+
 def forward_xray(V, chord: Chord, n_quad: int = 256) -> float:
     """Arclength line integral of V along the chord by composite trapezoid.
 
     V may be a ScalarField (bilinear interpolation; the chord must stay
     inside the grid) or a callable on (n, 2) points.
     """
-    if n_quad < 16:
-        raise DataError("n_quad must be at least 16")
-    s = np.linspace(0.0, 1.0, n_quad + 1)
-    pts = chord.point_at(s)
-    if isinstance(V, ScalarField):
-        vals = interp(V, pts, mode="strict")
-    else:
-        vals = np.asarray(V(pts), dtype=float)
-    return float(np.trapezoid(vals, s) * chord.length)
+    table = ChordTable(chord.x[None, :], chord.y[None, :])
+    return float(_line_integrals(V, table, n_quad)[0])
+
+
+# quadrature points per block of sinogram_of_field: bounds its memory
+_POINTS_PER_BLOCK = 1 << 18
 
 
 def sinogram_of_field(
@@ -77,12 +95,17 @@ def sinogram_of_field(
 ) -> Sinogram:
     """Forward transform of V restricted to the domain on the raster grid.
 
-    Lines that miss the domain integrate to zero by definition.
+    Lines that miss the domain integrate to zero by definition.  The chord
+    table is integrated in blocks of whole angles, each holding about
+    _POINTS_PER_BLOCK quadrature points.
     """
     chords, _ = make_parallel_chords(domain, n_angles, n_offsets)
     values = np.zeros((n_angles, n_offsets))
-    for c in chords:
-        values[c.angle_index, c.offset_index] = forward_xray(V, c, n_quad)
+    per_block = max(1, _POINTS_PER_BLOCK // (n_offsets * (n_quad + 1)))
+    bounds = np.searchsorted(chords.angle_index, np.arange(0, n_angles + per_block, per_block))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = chords[lo:hi]
+        values[block.angle_index, block.offset_index] = _line_integrals(V, block, n_quad)
     return Sinogram(
         chord_angles(n_angles),
         chord_offsets(domain.circumradius, n_offsets),
@@ -92,34 +115,35 @@ def sinogram_of_field(
     )
 
 
-def sinogram_from_fits(fits, chords, geometry, domain: Domain) -> Sinogram:
-    """Assemble line integrals F * |y - x| from per-chord fits.
+def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Domain) -> Sinogram:
+    """Scatter the line integrals F * |y - x| of a fit table into the raster.
 
-    fits and chords must be aligned; bins whose line misses the domain are
-    known zeros, bins with a chord but no surviving fit are masked.
+    fits and chords are row-aligned tables.  Bins whose line misses the
+    domain are known zeros; bins with a chord but no ok fit, and bins whose
+    line crosses the domain but has no chord, are masked.
     """
     n_angles, n_offsets = geometry
     if len(fits) != len(chords):
         raise DataError("fits and chords are misaligned")
+    ia, io = chords.angle_index, chords.offset_index
+    outside = (ia < 0) | (ia >= n_angles) | (io < 0) | (io >= n_offsets)
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise DataError(f"chord indices ({ia[k]}, {io[k]}) outside geometry {geometry}")
     values = np.zeros((n_angles, n_offsets))
     mask = np.ones((n_angles, n_offsets), dtype=bool)
     seen = np.zeros((n_angles, n_offsets), dtype=bool)
-    for c, f in zip(chords, fits):
-        ia, io = c.angle_index, c.offset_index
-        if not (0 <= ia < n_angles and 0 <= io < n_offsets):
-            raise DataError(f"chord indices ({ia}, {io}) outside geometry {geometry}")
-        seen[ia, io] = True
-        if f is None:
-            mask[ia, io] = False
-        else:
-            values[ia, io] = f.F * c.length
+    seen[ia, io] = True
+    ok = fits.ok
+    mask[ia[~ok], io[~ok]] = False
+    values[ia[ok], io[ok]] = fits.F[ok] * chords.length[ok]
     # raster cells without a chord: zero if the line misses the domain
     angles = chord_angles(n_angles)
     offsets = chord_offsets(domain.circumradius, n_offsets)
-    for ia, io in zip(*np.nonzero(~seen)):
-        omega = np.array([np.cos(angles[ia]), np.sin(angles[ia])])
-        if domain.chord_endpoints(omega, float(offsets[io])) is not None:
-            mask[ia, io] = False
+    ua, uo = np.nonzero(~seen)
+    if len(ua):
+        _, _, hit = domain.chord_endpoints(chord_directions(angles[ua]), offsets[uo])
+        mask[ua[hit], uo[hit]] = False
     return Sinogram(angles, offsets, values, mask, domain.circumradius)
 
 

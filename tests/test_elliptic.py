@@ -19,7 +19,16 @@ from driftscope.fields import (
     interp,
     sample_scalar,
 )
-from driftscope.smalltime import Chord, ChordFit
+from driftscope.smalltime import ChordTable, FitTable
+
+
+def chord_fit_tables(xs, ys, delta_psi, var_delta_psi):
+    """Chord and fit tables for synthetic boundary-psi equations."""
+    n = len(xs)
+    zero = np.zeros(n)
+    fits = FitTable(np.asarray(delta_psi, dtype=float), zero, zero, np.full(n, var_delta_psi),
+                    np.full(n, 1e-8), zero, np.full(n, 4), np.ones(n, dtype=bool))
+    return ChordTable(np.array(xs), np.array(ys)), fits
 
 
 def disc_setup(n, half=1.2, radius=1.0):
@@ -204,16 +213,16 @@ class TestBoundaryPsi:
 
     def synth_fits(self, dom, psi_fn, n=2000, seed=0, se=1e-6):
         rng = np.random.default_rng(seed)
-        chords, fits = [], []
-        cov = np.array([[se**2, 0.0], [0.0, 1e-8]])
-        while len(chords) < n:
+        xs, ys, dpsi = [], [], []
+        while len(xs) < n:
             t1, t2 = rng.uniform(0, 2 * np.pi, 2)
             x, y = dom.boundary_point(t1), dom.boundary_point(t2)
             if np.linalg.norm(x - y) < 0.05:
                 continue
-            chords.append(Chord(x, y))
-            fits.append(ChordFit(float(psi_fn(y) - psi_fn(x)), 0.0, se, cov, 4))
-        return chords, fits
+            xs.append(x)
+            ys.append(y)
+            dpsi.append(float(psi_fn(y) - psi_fn(x)))
+        return chord_fit_tables(xs, ys, dpsi, se**2)
 
     def test_constant_psi_gives_unit_g(self):
         dom = self.circle()
@@ -250,29 +259,29 @@ class TestBoundaryPsi:
     def test_sparse_coverage_rejected(self):
         dom = self.circle()
         rng = np.random.default_rng(3)
-        chords, fits = [], []
-        cov = np.array([[1e-12, 0.0], [0.0, 1e-8]])
+        xs, ys = [], []
         for _ in range(200):
             t1, t2 = rng.uniform(0.0, np.pi / 2, 2)  # only a quarter of the circle
             if abs(t1 - t2) < 0.05:
                 continue
-            chords.append(Chord(dom.boundary_point(t1), dom.boundary_point(t2)))
-            fits.append(ChordFit(0.0, 0.0, 0.0, cov, 4))
+            xs.append(dom.boundary_point(t1))
+            ys.append(dom.boundary_point(t2))
+        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-12)
         with pytest.raises(DataError, match="coverage"):
             boundary_psi_from_fits(chords, fits, dom, n_knots=128)
 
     def test_few_missing_knots_interpolated(self):
         dom = self.circle()
         rng = np.random.default_rng(4)
-        chords, fits = [], []
-        cov = np.array([[1e-12, 0.0], [0.0, 1e-8]])
+        xs, ys = [], []
         # leave a small angular gap uncovered (~3% of knots)
         for _ in range(3000):
             t1, t2 = rng.uniform(0.1, 2 * np.pi, 2)
             if abs(t1 - t2) < 0.05:
                 continue
-            chords.append(Chord(dom.boundary_point(t1), dom.boundary_point(t2)))
-            fits.append(ChordFit(0.0, 0.0, 0.0, cov, 4))
+            xs.append(dom.boundary_point(t1))
+            ys.append(dom.boundary_point(t2))
+        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-12)
         with pytest.warns(UserWarning, match="interpolated"):
             bp = boundary_psi_from_fits(chords, fits, dom, n_knots=256)
         assert np.all(np.isfinite(bp.knot_values))

@@ -281,13 +281,13 @@ class TestDomains:
         g = grid_square(17, half=1.5)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
         omega = np.array([1.0, 0.0])
-        ends = dom.chord_endpoints(omega, 0.5)
-        assert ends is not None
-        x, y = ends
+        x, y, hit = dom.chord_endpoints(omega, 0.5)
+        assert hit
         for p in (x, y):
             assert np.hypot(*p) == pytest.approx(1.0, abs=1e-12)
         assert np.hypot(*(y - x)) == pytest.approx(np.sqrt(3.0), abs=1e-12)
-        assert dom.chord_endpoints(omega, 1.1) is None
+        x, y, hit = dom.chord_endpoints(omega, 1.1)
+        assert not hit and np.all(np.isnan(x)) and np.all(np.isnan(y))
 
     def test_boundary_crossing_disc(self):
         g = grid_square(17, half=1.5)

@@ -267,9 +267,8 @@ class TestCsv:
         fits, _ = fit_dataset(ds)
         path = tmp_path / "fits.csv"
         write_fits_csv(path, ds.chords, fits)
-        table = read_fits_csv(path)
-        for c, f in zip(ds.chords, fits):
-            back = table[(c.angle_index, c.offset_index)]
+        table = read_fits_csv(path, ds.chords)
+        for f, back in zip(fits, table):
             assert back.delta_psi == f.delta_psi
             assert back.F == f.F
             assert back.se_delta_psi == pytest.approx(f.se_delta_psi, rel=1e-12)

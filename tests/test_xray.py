@@ -3,7 +3,7 @@ import pytest
 
 from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid, ScalarField, sample_scalar
-from driftscope.smalltime import Chord, ChordFit, chord_angles, chord_offsets, make_parallel_chords
+from driftscope.smalltime import Chord, FitTable, chord_angles, chord_offsets, make_parallel_chords
 from driftscope.xray import (
     Sinogram,
     disc_indicator,
@@ -25,8 +25,11 @@ def unit_disc(n=65, half=1.15):
     return g, DiscDomain(g, 0.0, 0.0, 1.0)
 
 
-def make_fit(F):
-    return ChordFit(0.0, F, 0.0, np.zeros((2, 2)), 4)
+def fit_table(F):
+    """Ok fits with chord averages F and zero intercepts and variances."""
+    F = np.asarray(F, dtype=float)
+    zero = np.zeros_like(F)
+    return FitTable(zero, F, zero, zero, zero, zero, np.full(F.shape, 4), np.ones(F.shape, dtype=bool))
 
 
 class TestForward:
@@ -125,14 +128,14 @@ class TestSinogramFromFits:
     def test_zero_fits(self):
         g, dom = unit_disc()
         chords, _ = make_parallel_chords(dom, 4, 5)
-        sino = sinogram_from_fits([make_fit(0.0)] * len(chords), chords, (4, 5), dom)
+        sino = sinogram_from_fits(fit_table(np.zeros(len(chords))), chords, (4, 5), dom)
         assert np.all(sino.values == 0.0)
         assert np.all(sino.mask)
 
     def test_unit_average_gives_chord_length(self):
         g, dom = unit_disc()
         chords, _ = make_parallel_chords(dom, 3, 7)
-        sino = sinogram_from_fits([make_fit(1.0)] * len(chords), chords, (3, 7), dom)
+        sino = sinogram_from_fits(fit_table(np.ones(len(chords))), chords, (3, 7), dom)
         want = 2.0 * np.sqrt(1.0 - sino.offsets**2)
         for row in sino.values:
             assert row == pytest.approx(want, rel=1e-12)
@@ -141,7 +144,7 @@ class TestSinogramFromFits:
         g, dom = unit_disc(n=129)
         V = radial_gaussian(g, 0.5)
         chords, _ = make_parallel_chords(dom, 6, 9)
-        fits = [make_fit(forward_xray(V, c, 300) / c.length) for c in chords]
+        fits = fit_table([forward_xray(V, c, 300) / c.length for c in chords])
         sino = sinogram_from_fits(fits, chords, (6, 9), dom)
         direct = sinogram_of_field(V, dom, 6, 9, n_quad=300)
         assert np.abs(sino.values - direct.values).max() < 1e-12
@@ -149,8 +152,12 @@ class TestSinogramFromFits:
     def test_missing_fit_masked(self):
         g, dom = unit_disc()
         chords, _ = make_parallel_chords(dom, 4, 5)
-        fits = [make_fit(1.0)] * len(chords)
-        fits[3] = None
+        ok = np.ones(len(chords), dtype=bool)
+        ok[3] = False
+        full = fit_table(np.ones(len(chords)))
+        fits = FitTable(full.delta_psi, full.F, full.residual, full.var_delta_psi, full.var_F,
+                        full.cov_delta_psi_F, full.n_times, ok)
+        assert fits[3] is None
         sino = sinogram_from_fits(fits, chords, (4, 5), dom)
         ia, io = chords[3].angle_index, chords[3].offset_index
         assert not sino.mask[ia, io]
