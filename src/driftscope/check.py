@@ -69,7 +69,8 @@ def _check_bridge_constant():
 
 
 def _check_bridge_zero():
-    from .diffusion import BrownianKernel, McConfig, density_via_representation
+    from .diffusion import McConfig, density_via_representation
+    from .kernels import BrownianKernel
 
     x = np.array([0.2, 0.1])
     y = np.array([-0.4, 0.6])

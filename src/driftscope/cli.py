@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Each pipeline stage is a subcommand whose outputs are sufficient inputs for
-the next one; `pipeline` composes them all in-process.  Artifacts are plain
-CSV and DGF1 files.  Exit codes: 0 success, 2 config error, 3 data error,
+Each stage of the reconstruction (`recover.STAGES`: gen-data, fit, sinogram,
+invert, solve, recover) is a subcommand that reads its input artifacts from
+<out> (or from the file its option names), writes its outputs there and
+merges its diagnostics into <out>/report.json; gen-data starts a new report,
+so the chain's final report equals the one `pipeline` writes when it runs
+every stage in-process.  Artifacts are plain CSV and DGF1 files.  Exit codes:
+0 success, 2 config error, 3 data error (a missing input file included),
 4 solver/simulation error.
 """
 
@@ -18,37 +22,30 @@ import numpy as np
 
 from . import parallel
 from .errors import ConfigError, DataError, DriftscopeError, SimulationError, SolverError
-from .fields import DiffusionField, Grid, ScalarField, VectorField, read_dgf, write_dgf
+from .fields import Grid, write_dgf
 from .recover import (
+    ARTIFACTS,
+    STAGES,
     PipelineConfig,
-    boundary_psi_from_fits,
     config_from_dict,
-    drift_from_psi,
-    drift_metrics,
-    gradient_consistency,
-    ground_truth_from_config,
-    psi_from_u,
     run_pipeline,
+    run_stage,
+    stage_context,
+    write_outputs,
     write_report_json,
 )
-from .elliptic import assemble_dirichlet_system, boundary_values_from_psi, solve_bvp
-from .kernels import kernel_from_config
-from .smalltime import (
-    build_boundary_dataset,
-    fit_dataset,
-    make_parallel_chords,
-    read_dataset_csv,
-    read_fits_csv,
-    write_dataset_csv,
-    write_fits_csv,
-)
-from .xray import (
-    Sinogram,
-    fbp_invert,
-    read_sinogram_csv,
-    sinogram_from_fits,
-    write_sinogram_csv,
-)
+from .xray import Sinogram, write_sinogram_csv
+
+
+def _json_object(path: Path, error: type[DriftscopeError]) -> dict:
+    """The JSON object a file holds; `error` when it holds anything else."""
+    try:
+        raw = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{path}: must hold a JSON object")
+    return raw
 
 
 def parse_config(path) -> PipelineConfig:
@@ -56,13 +53,7 @@ def parse_config(path) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
-    return config_from_dict(raw)
+    return config_from_dict(_json_object(p, ConfigError))
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -80,103 +71,50 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _outdir(cfg: PipelineConfig) -> Path:
+def _run_stage(name: str, cfg: PipelineConfig, args) -> int:
+    """Read the stage's inputs, run it, write its outputs and merge its
+    diagnostics into <out>/report.json."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _aligned_fits(cfg: PipelineConfig, fits_path):
-    """Chord table rebuilt from the config geometry, with the fits read
-    row-aligned to it."""
-    domain = cfg.resolved_domain()
-    chords, _ = make_parallel_chords(domain, cfg.n_angles, cfg.n_offsets)
-    return domain, chords, read_fits_csv(fits_path, chords)
+    stage = STAGES[name]
+    inputs = {}
+    for artifact in stage.inputs:
+        option, file = ARTIFACTS[artifact].option, ARTIFACTS[artifact].files[0]
+        inputs[artifact] = Path(getattr(args, option.lstrip("-")) or out / file)
+    values = stage_context(cfg)
+    entries = run_stage(name, cfg, values, inputs)
+    # a stage without inputs (gen-data) starts the chain and a new report;
+    # write_report_json replaces the earlier report's config and meta
+    report_path = out / "report.json"
+    report = _json_object(report_path, DataError) if stage.inputs and report_path.is_file() else {}
+    report.update(entries)
+    written = write_outputs(out, stage.outputs, values) + [report_path]
+    write_report_json(report_path, report, values.get("metrics"), cfg.echo())
+    print("wrote " + ", ".join(map(str, written)))
+    return 0
 
 
 def cmd_gen_data(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
-    observed = kernel_from_config(cfg.kernels["observed"])
-    reference = kernel_from_config(cfg.kernels["reference"])
-    dataset = build_boundary_dataset(
-        observed, reference, cfg.resolved_domain(), (cfg.n_angles, cfg.n_offsets),
-        cfg.resolved_ladder(), floor=cfg.density_floor,
-    )
-    write_dataset_csv(out / "dataset.csv", dataset)
-    print(f"wrote {out / 'dataset.csv'} ({dataset.n_chords} chords x {len(dataset.times)} times)")
-    return 0
+    return _run_stage("gen-data", cfg, args)
 
 
 def cmd_fit(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
-    data_path = Path(args.data) if args.data else out / "dataset.csv"
-    dataset = read_dataset_csv(data_path, floor=cfg.density_floor)
-    fits, excluded = fit_dataset(dataset)
-    write_fits_csv(out / "fits.csv", dataset.chords, fits)
-    print(f"wrote {out / 'fits.csv'} ({int(fits.ok.sum())} fits, "
-          f"{len(excluded)} chords excluded)")
-    return 0
+    return _run_stage("fit", cfg, args)
 
 
 def cmd_sinogram(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
-    fits_path = Path(args.fits) if args.fits else out / "fits.csv"
-    domain, chords, fits = _aligned_fits(cfg, fits_path)
-    sino = sinogram_from_fits(fits, chords, (cfg.n_angles, cfg.n_offsets), domain)
-    write_sinogram_csv(out / "sinogram.csv", sino)
-    print(f"wrote {out / 'sinogram.csv'} ({sino.n_angles} x {sino.n_offsets})")
-    return 0
+    return _run_stage("sinogram", cfg, args)
 
 
 def cmd_invert(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
-    sino_path = Path(args.sinogram) if args.sinogram else out / "sinogram.csv"
-    sino = read_sinogram_csv(sino_path)
-    V_hat = fbp_invert(sino, cfg.resolved_grid(), cfg.filter_name, cfg.resolved_domain())
-    write_dgf(out / "V_hat.dgf", V_hat)
-    print(f"wrote {out / 'V_hat.dgf'}")
-    return 0
+    return _run_stage("invert", cfg, args)
 
 
 def cmd_solve(cfg: PipelineConfig, args) -> int:
-    from .recover import solve_stage
-
-    out = _outdir(cfg)
-    vhat_path = Path(args.vhat) if args.vhat else out / "V_hat.dgf"
-    fits_path = Path(args.fits) if args.fits else out / "fits.csv"
-    V_hat = read_dgf(vhat_path)
-    domain, chords, fits = _aligned_fits(cfg, fits_path)
-    solution, system, psi_hat, _ = solve_stage(cfg, V_hat, chords, fits, domain)
-    write_dgf(out / "u.dgf", solution.u)
-    write_dgf(out / "psi_hat.dgf", psi_hat)
-    with open(out / "solve_diagnostics.csv", "w") as fh:
-        fh.write("residual,iterations,min_u,peclet_max\n")
-        fh.write(f"{solution.residual_norm!r},{solution.iterations},"
-                 f"{solution.min_u!r},{system.peclet_max!r}\n")
-    print(f"wrote {out / 'u.dgf'}, {out / 'psi_hat.dgf'} "
-          f"(residual {solution.residual_norm:.2e}, min_u {solution.min_u:.4g})")
-    return 0
+    return _run_stage("solve", cfg, args)
 
 
 def cmd_recover(cfg: PipelineConfig, args) -> int:
-    out = _outdir(cfg)
-    psi_path = Path(args.psi) if args.psi else out / "psi_hat.dgf"
-    psi_hat = read_dgf(psi_path)
-    domain = cfg.resolved_domain()
-    a = DiffusionField.identity(psi_hat.grid)
-    c_hat = drift_from_psi(psi_hat, a, domain)
-    curl = gradient_consistency(c_hat, a, domain)
-    write_dgf(out / "c_hat_x.dgf", ScalarField(psi_hat.grid, c_hat.values[..., 0]))
-    write_dgf(out / "c_hat_y.dgf", ScalarField(psi_hat.grid, c_hat.values[..., 1]))
-    diagnostics = {"curl_norm": curl}
-    metrics = None
-    gt = ground_truth_from_config(cfg.ground_truth)
-    if gt is not None:
-        metrics = drift_metrics(c_hat, gt["c"], domain, cfg.metric_fraction)
-        metrics["curl_norm"] = curl
-    write_report_json(out / "report.json", diagnostics, metrics, cfg.echo())
-    print(f"wrote {out / 'c_hat_x.dgf'}, {out / 'c_hat_y.dgf'}, {out / 'report.json'}")
-    return 0
+    return _run_stage("recover", cfg, args)
 
 
 def cmd_pipeline(cfg: PipelineConfig, args) -> int:
@@ -189,7 +127,6 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_phantom(args) -> int:
-    from .fields import DiscDomain
     from .smalltime import chord_angles, chord_offsets
     from .xray import disc_indicator, disc_indicator_sinogram, radial_gaussian, radial_gaussian_sinogram
 
@@ -234,31 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Drift reconstruction from exterior transition densities.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config file")
+    for name in (*STAGES, "pipeline"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--workers", type=int, help="worker count override")
         p.add_argument("-v", "--verbose", action="store_true")
-
-    for name in ("gen-data", "pipeline"):
-        add_common(sub.add_parser(name))
-    p = sub.add_parser("fit")
-    add_common(p)
-    p.add_argument("--data", help="dataset CSV (default <out>/dataset.csv)")
-    p = sub.add_parser("sinogram")
-    add_common(p)
-    p.add_argument("--fits", help="fits CSV (default <out>/fits.csv)")
-    p = sub.add_parser("invert")
-    add_common(p)
-    p.add_argument("--sinogram", help="sinogram CSV (default <out>/sinogram.csv)")
-    p = sub.add_parser("solve")
-    add_common(p)
-    p.add_argument("--vhat", help="potential DGF1 (default <out>/V_hat.dgf)")
-    p.add_argument("--fits", help="fits CSV (default <out>/fits.csv)")
-    p = sub.add_parser("recover")
-    add_common(p)
-    p.add_argument("--psi", help="potential-log DGF1 (default <out>/psi_hat.dgf)")
+        for artifact in STAGES[name].inputs if name in STAGES else ():
+            option, file = ARTIFACTS[artifact].option, ARTIFACTS[artifact].files[0]
+            p.add_argument(option, help=f"input {file} (default <out>/{file})")
 
     p = sub.add_parser("phantom")
     p.add_argument("--kind", default="radial-gaussian", choices=["radial-gaussian", "disc"])
@@ -288,29 +210,30 @@ _STAGE_COMMANDS = {
 
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    with warnings.catch_warnings():
         if not getattr(args, "verbose", False):
             warnings.simplefilter("ignore")
-        if args.command == "phantom":
-            return cmd_phantom(args)
-        if args.command == "check":
-            return cmd_check(args)
-        cfg = _apply_overrides(parse_config(args.config), args)
-        if cfg.workers is not None:
-            parallel.set_workers(cfg.workers)
-        return _STAGE_COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (SolverError, SimulationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 4
-    except DriftscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            if args.command == "phantom":
+                return cmd_phantom(args)
+            if args.command == "check":
+                return cmd_check(args)
+            cfg = _apply_overrides(parse_config(args.config), args)
+            if cfg.workers is not None:
+                parallel.set_workers(cfg.workers)
+            return _STAGE_COMMANDS[args.command](cfg, args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except DataError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 3
+        except (SolverError, SimulationError) as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return 4
+        except DriftscopeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

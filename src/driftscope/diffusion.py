@@ -28,16 +28,7 @@ from .fields import (
     interp,
     interp_vector,
 )
-from .kernels import (  # noqa: F401  (re-exported: kernels are part of this module's surface)
-    BrownianKernel,
-    CallableKernel,
-    Kernel,
-    OrnsteinUhlenbeckKernel,
-    ProductKernel,
-    TabulatedKernel,
-    gaussian_kernel,
-    ou_kernel,
-)
+from .kernels import Kernel
 
 _MASK64 = (1 << 64) - 1
 

@@ -15,7 +15,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import DataError, GeometryError, SolverError
 from .fields import (
-    BOUNDARY_ADJACENT,
     DiffusionField,
     Domain,
     INTERIOR,

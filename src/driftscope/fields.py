@@ -229,24 +229,20 @@ class Domain:
     def center(self) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact bounding box of the closure: (lower-left, upper-right)."""
+        raise NotImplementedError
+
+    def shrunk(self, fraction: float) -> "Domain":
+        """Copy scaled by `fraction` about the center (metrics avoid the edge)."""
+        raise NotImplementedError
+
     def _check_inside_grid(self):
         g = self.grid
-        c = self.center
-        r = self.circumradius
-        lo = np.array([g.x0, g.y0])
-        hi = np.array([g.x1, g.y1])
-        if np.any(c - r <= lo) or np.any(c + r >= hi):
-            # circumradius is conservative for rectangles; refine per corner
-            if isinstance(self, RectangleDomain):
-                if (
-                    self.xmin <= g.x0
-                    or self.xmax >= g.x1
-                    or self.ymin <= g.y0
-                    or self.ymax >= g.y1
-                ):
-                    raise GeometryError("domain closure must lie strictly inside the grid extent")
-            else:
-                raise GeometryError("domain closure must lie strictly inside the grid extent")
+        lo, hi = self.bounds
+        if np.any(lo <= np.array([g.x0, g.y0])) or np.any(hi >= np.array([g.x1, g.y1])):
+            raise GeometryError("domain closure must lie strictly inside the grid extent")
 
     def classify_nodes(self) -> np.ndarray:
         """Node classes: 0 exterior, 1 interior, 2 interior with a leg crossing the boundary."""
@@ -289,6 +285,13 @@ class DiscDomain(Domain):
     @property
     def circumradius(self) -> float:
         return self.radius
+
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.center - self.radius, self.center + self.radius
+
+    def shrunk(self, fraction: float) -> "DiscDomain":
+        return DiscDomain(self.grid, self.center_x, self.center_y, self.radius * fraction)
 
     @property
     def param_length(self) -> float:
@@ -365,6 +368,15 @@ class RectangleDomain(Domain):
     @property
     def circumradius(self) -> float:
         return float(np.hypot(self.xmax - self.xmin, self.ymax - self.ymin)) / 2.0
+
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([self.xmin, self.ymin]), np.array([self.xmax, self.ymax])
+
+    def shrunk(self, fraction: float) -> "RectangleDomain":
+        lo, hi = self.bounds
+        half = 0.5 * (hi - lo) * fraction
+        return RectangleDomain(self.grid, *(self.center - half), *(self.center + half))
 
     @property
     def param_length(self) -> float:

@@ -1,7 +1,8 @@
-"""End-to-end drift recovery: orchestrates dataset -> chord fits -> sinogram
--> filtered back-projection -> Dirichlet solve -> log -> gradient, persists
-every intermediate artifact, and computes error metrics against an optional
-ground truth.  Also provides the product construction that lifts a 1-D
+"""End-to-end drift recovery: the stage table (dataset -> chord fits ->
+sinogram -> filtered back-projection -> Dirichlet solve -> log -> gradient)
+that both `run_pipeline` and the CLI's stage subcommands run, the artifacts
+each stage reads and writes, and error metrics against an optional ground
+truth.  Also provides the product construction that lifts a 1-D
 reconstruction problem to the planar pipeline.
 """
 
@@ -11,13 +12,13 @@ import json
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .elliptic import (
     BoundaryPsi,
-    BvpSolution,
     assemble_dirichlet_system,
     boundary_psi_from_fits,
     boundary_values_from_psi,
@@ -26,7 +27,6 @@ from .elliptic import (
 from .errors import ConfigError, DataError, DriftscopeError
 from .fields import (
     DiffusionField,
-    DiscDomain,
     Domain,
     Grid,
     RectangleDomain,
@@ -34,17 +34,20 @@ from .fields import (
     VectorField,
     domain_from_config,
     gradient,
+    read_dgf,
     write_dgf,
 )
-from .kernels import BrownianKernel, Kernel, OrnsteinUhlenbeckKernel, ProductKernel, kernel_from_config
+from .kernels import BrownianKernel, Kernel, ProductKernel, kernel_from_config
 from .smalltime import (
-    BoundaryDataset,
     build_boundary_dataset,
     fit_dataset,
+    make_parallel_chords,
+    read_dataset_csv,
+    read_fits_csv,
     write_dataset_csv,
     write_fits_csv,
 )
-from .xray import Sinogram, fbp_invert, sinogram_from_fits, write_sinogram_csv
+from .xray import fbp_invert, read_sinogram_csv, sinogram_from_fits, write_sinogram_csv
 
 _CONFIG_KEYS = {
     "domain",
@@ -348,21 +351,8 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain | Non
     return float(np.sqrt(np.sum(curl[region] ** 2) * g.cell_area))
 
 
-def metric_region(domain: Domain, fraction: float) -> Domain:
-    """Shrunk copy of the domain about its center (metrics avoid the edge)."""
-    if isinstance(domain, DiscDomain):
-        return DiscDomain(domain.grid, domain.center_x, domain.center_y,
-                          domain.radius * fraction)
-    if isinstance(domain, RectangleDomain):
-        cx, cy = domain.center
-        hx = 0.5 * (domain.xmax - domain.xmin) * fraction
-        hy = 0.5 * (domain.ymax - domain.ymin) * fraction
-        return RectangleDomain(domain.grid, cx - hx, cy - hy, cx + hx, cy + hy)
-    raise DataError("unsupported domain type")
-
-
 def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float) -> dict:
-    region = metric_region(domain, fraction)
+    region = domain.shrunk(fraction)
     g = c_hat.grid
     inside = region.contains(g.node_points()).reshape(g.shape)
     pts = g.node_points().reshape(*g.shape, 2)[inside]
@@ -426,6 +416,178 @@ def lift_1d(
 
 
 # ---------------------------------------------------------------------------
+# Stages and artifacts
+# ---------------------------------------------------------------------------
+#
+# A stage reads named values (artifacts and the stage_context) from a dict,
+# adds its outputs and returns its report.json entries.  Table entries call
+# functions by their module-level names, so wrappers installed on those names
+# (the benchmark's tracer) see every call.
+
+
+def stage_context(cfg: PipelineConfig, ground_truth: dict | None = None,
+                  kernels: tuple[Kernel, Kernel] | None = None) -> dict:
+    """Values every stage may read besides the artifacts; ground_truth and
+    kernels, when given, take precedence over the config's."""
+    if ground_truth is None:
+        ground_truth = ground_truth_from_config(cfg.ground_truth)
+    return {"grid": cfg.resolved_grid(), "domain": cfg.resolved_domain(),
+            "kernels": kernels, "ground_truth": ground_truth}
+
+
+def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
+    observed, reference = v["kernels"] or (kernel_from_config(cfg.kernels["observed"]),
+                                           kernel_from_config(cfg.kernels["reference"]))
+    dataset = v["dataset"] = build_boundary_dataset(
+        observed, reference, v["domain"], (cfg.n_angles, cfg.n_offsets),
+        cfg.resolved_ladder(), floor=cfg.density_floor,
+    )
+    return {"n_chords": dataset.n_chords,
+            "n_lines_skipped": len(dataset.skipped),
+            "n_dropped_observations": dataset.provenance.get("n_dropped", 0)}
+
+
+def _fit(cfg: PipelineConfig, v: dict) -> dict:
+    fits, excluded = fit_dataset(v["dataset"])
+    v["fits"], v["chords"] = fits, v["dataset"].chords
+    residuals = fits.residual[fits.ok]
+    return {"n_chords_excluded": len(excluded),
+            "fit_residual_median": float(np.median(residuals)) if len(residuals) else 0.0,
+            "fit_residual_max": float(residuals.max()) if len(residuals) else 0.0}
+
+
+def _sinogram(cfg: PipelineConfig, v: dict) -> dict:
+    sino = v["sinogram"] = sinogram_from_fits(v["fits"], v["chords"],
+                                              (cfg.n_angles, cfg.n_offsets), v["domain"])
+    return {"sinogram_masked_bins": int((~sino.mask).sum())}
+
+
+def _invert(cfg: PipelineConfig, v: dict) -> dict:
+    v["V_hat"] = fbp_invert(v["sinogram"], v["grid"], cfg.filter_name, v["domain"])
+    return {}
+
+
+def _solve(cfg: PipelineConfig, v: dict) -> dict:
+    """Dirichlet solve plus potential-log extraction.
+
+    The system is always solved in the canonical gauge (boundary potential
+    vanishing at parameter 0); the configured gauge is applied afterwards as
+    an exact scaling of the solution.  The boundary data enter linearly, so
+    this is the same solution the requested gauge would give, and the
+    recovered drift is bit-independent of the gauge choice.
+    """
+    V_hat, domain = v["V_hat"], v["domain"]
+    grid = V_hat.grid
+    bpsi0 = boundary_psi_from_fits(v["chords"], v["fits"], domain, n_knots=cfg.boundary_knots,
+                                   gauge_param=0.0)
+    g = boundary_values_from_psi(bpsi0)
+    a = DiffusionField.identity(grid)
+    b = VectorField(grid, np.zeros((*grid.shape, 2)))
+    system = assemble_dirichlet_system(a, b, V_hat, domain, g)
+    solution = solve_bvp(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    shift = float(bpsi0.value_at_param(cfg.gauge_param))
+    u, min_u, bpsi = solution.u, solution.min_u, bpsi0
+    if shift != 0.0:
+        scale = float(np.exp(-shift))
+        u, min_u = ScalarField(grid, u.values * scale), min_u * scale
+        bpsi = BoundaryPsi(domain, bpsi0.knot_params, bpsi0.knot_values - shift,
+                           cfg.gauge_param, bpsi0.n_missing)
+    v["u"], v["psi_hat"] = u, psi_from_u(u, bpsi, domain, min_u=min_u)
+    return {"solver_residual": solution.residual_norm,
+            "solver_iterations": solution.iterations,
+            "min_u": min_u,
+            "peclet_max": system.peclet_max,
+            "boundary_knots_missing": bpsi.n_missing}
+
+
+def _recover(cfg: PipelineConfig, v: dict) -> dict:
+    """Drift and its curl; error metrics (v["metrics"]) when the ground truth
+    has a drift, else None."""
+    psi_hat, domain, truth = v["psi_hat"], v["domain"], v["ground_truth"]
+    a = DiffusionField.identity(psi_hat.grid)
+    c_hat = v["c_hat"] = drift_from_psi(psi_hat, a, domain)
+    curl = gradient_consistency(c_hat, a, domain)
+    v["metrics"] = None
+    if truth is not None and "c" in truth:
+        v["metrics"] = drift_metrics(c_hat, truth["c"], domain, cfg.metric_fraction)
+        v["metrics"]["curl_norm"] = curl
+    return {"curl_norm": curl}
+
+
+class Stage(NamedTuple):
+    run: Callable[[PipelineConfig, dict], dict]
+    inputs: tuple[str, ...]  # ARTIFACTS it reads
+    outputs: tuple[str, ...]  # ARTIFACTS it adds
+
+
+# In chain order: each stage's inputs are outputs of earlier ones.
+STAGES = {
+    "gen-data": Stage(_gen_data, (), ("dataset",)),
+    "fit": Stage(_fit, ("dataset",), ("fits",)),
+    "sinogram": Stage(_sinogram, ("fits",), ("sinogram",)),
+    "invert": Stage(_invert, ("sinogram",), ("V_hat",)),
+    "solve": Stage(_solve, ("V_hat", "fits"), ("u", "psi_hat")),
+    "recover": Stage(_recover, ("psi_hat",), ("c_hat",)),
+}
+
+
+def _read_fits(cfg: PipelineConfig, v: dict, path) -> dict:
+    """Fits row-aligned to the chord table rebuilt from the config geometry."""
+    chords, _ = make_parallel_chords(v["domain"], cfg.n_angles, cfg.n_offsets)
+    return {"chords": chords, "fits": read_fits_csv(path, chords)}
+
+
+def _write_c_hat(v: dict, path_x, path_y) -> None:
+    c_hat = v["c_hat"]
+    write_dgf(path_x, ScalarField(c_hat.grid, c_hat.values[..., 0]))
+    write_dgf(path_y, ScalarField(c_hat.grid, c_hat.values[..., 1]))
+
+
+class Artifact(NamedTuple):
+    files: tuple[str, ...]
+    option: str | None  # CLI option naming the file a stage reads; None: never read
+    read: Callable[[PipelineConfig, dict, Path], dict] | None  # -> values to add
+    write: Callable[..., None]  # (values, *paths)
+
+
+ARTIFACTS = {
+    "dataset": Artifact(
+        ("dataset.csv",), "--data",
+        lambda cfg, v, p: {"dataset": read_dataset_csv(p, floor=cfg.density_floor)},
+        lambda v, p: write_dataset_csv(p, v["dataset"])),
+    "fits": Artifact(("fits.csv",), "--fits", _read_fits,
+                     lambda v, p: write_fits_csv(p, v["chords"], v["fits"])),
+    "sinogram": Artifact(("sinogram.csv",), "--sinogram",
+                         lambda cfg, v, p: {"sinogram": read_sinogram_csv(p)},
+                         lambda v, p: write_sinogram_csv(p, v["sinogram"])),
+    "V_hat": Artifact(("V_hat.dgf",), "--vhat", lambda cfg, v, p: {"V_hat": read_dgf(p)},
+                      lambda v, p: write_dgf(p, v["V_hat"])),
+    "u": Artifact(("u.dgf",), None, None, lambda v, p: write_dgf(p, v["u"])),
+    "psi_hat": Artifact(("psi_hat.dgf",), "--psi", lambda cfg, v, p: {"psi_hat": read_dgf(p)},
+                        lambda v, p: write_dgf(p, v["psi_hat"])),
+    "c_hat": Artifact(("c_hat_x.dgf", "c_hat_y.dgf"), None, None, _write_c_hat),
+}
+
+
+def run_stage(name: str, cfg: PipelineConfig, values: dict, inputs: dict | None = None) -> dict:
+    """Run one stage on `values`, which it extends; returns its report entries.
+
+    inputs (optional) maps the stage's input artifacts to the files to read
+    them from first; a missing file is a DataError.  A DriftscopeError from
+    reading or running is tagged `[stage <name>]`.
+    """
+    try:
+        for artifact, path in (inputs or {}).items():
+            if not Path(path).is_file():
+                raise DataError(f"input file not found: {path}")
+            values.update(ARTIFACTS[artifact].read(cfg, values, path))
+        return STAGES[name].run(cfg, values)
+    except DriftscopeError as exc:
+        exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -441,58 +603,10 @@ class ReconstructionReport:
     config: dict = dc_field(default_factory=dict)
 
 
-def solve_stage(cfg: PipelineConfig, V_hat: ScalarField, chords, fits, domain: Domain):
-    """Dirichlet solve plus potential-log extraction.
-
-    The system is always solved in the canonical gauge (boundary potential
-    vanishing at parameter 0); the configured gauge is applied afterwards as
-    an exact scaling of the solution.  The boundary data enter linearly, so
-    this is the same solution the requested gauge would give, and the
-    recovered drift is bit-independent of the gauge choice.
-    """
-    grid = V_hat.grid
-    bpsi0 = boundary_psi_from_fits(chords, fits, domain, n_knots=cfg.boundary_knots,
-                                   gauge_param=0.0)
-    g = boundary_values_from_psi(bpsi0)
-    a = DiffusionField.identity(grid)
-    b = VectorField(grid, np.zeros((*grid.shape, 2)))
-    system = assemble_dirichlet_system(a, b, V_hat, domain, g)
-    solution = solve_bvp(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    shift = float(bpsi0.value_at_param(cfg.gauge_param))
-    if shift != 0.0:
-        scale = float(np.exp(-shift))
-        solution = BvpSolution(
-            u=ScalarField(grid, solution.u.values * scale),
-            interior_mask=solution.interior_mask,
-            residual_norm=solution.residual_norm,
-            iterations=solution.iterations,
-            min_u=solution.min_u * scale,
-        )
-        bpsi = BoundaryPsi(domain, bpsi0.knot_params, bpsi0.knot_values - shift,
-                           cfg.gauge_param, bpsi0.n_missing)
-    else:
-        bpsi = bpsi0
-    psi_hat = psi_from_u(solution.u, bpsi, domain, min_u=solution.min_u)
-    return solution, system, psi_hat, bpsi
-
-
-class _Stage:
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, DriftscopeError):
-            exc.args = (f"[stage {self.name}] {exc.args[0] if exc.args else ''}",)
-        return False
-
-
 def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
                  out_dir: str | Path | None = None, persist: bool = True,
                  kernels: tuple[Kernel, Kernel] | None = None) -> ReconstructionReport:
-    """Execute the full reconstruction and persist all artifacts.
+    """Run every stage in memory and persist all artifacts.
 
     ground_truth (optional): dict with callables "c" (and optionally "psi",
     "V") on (n, 2) point arrays; overrides any ground truth in the config.
@@ -503,83 +617,34 @@ def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
 
     if cfg.workers is not None:
         parallel.set_workers(cfg.workers)
-    grid = cfg.resolved_grid()
-    domain = cfg.resolved_domain()
-    ladder = cfg.resolved_ladder()
-    if ground_truth is None:
-        ground_truth = ground_truth_from_config(cfg.ground_truth)
-
-    with _Stage("gen-data"):
-        if kernels is not None:
-            observed, reference = kernels
-        else:
-            observed = kernel_from_config(cfg.kernels["observed"])
-            reference = kernel_from_config(cfg.kernels["reference"])
-        dataset = build_boundary_dataset(
-            observed, reference, domain, (cfg.n_angles, cfg.n_offsets), ladder,
-            floor=cfg.density_floor,
-        )
-    with _Stage("fit"):
-        fits, excluded = fit_dataset(dataset)
-    with _Stage("sinogram"):
-        sino = sinogram_from_fits(fits, dataset.chords, (cfg.n_angles, cfg.n_offsets), domain)
-    with _Stage("invert"):
-        V_hat = fbp_invert(sino, grid, cfg.filter_name, domain)
-    with _Stage("solve"):
-        solution, system, psi_hat, bpsi = solve_stage(cfg, V_hat, dataset.chords, fits, domain)
-    with _Stage("recover"):
-        a = DiffusionField.identity(grid)
-        c_hat = drift_from_psi(psi_hat, a, domain)
-        curl = gradient_consistency(c_hat, a, domain)
-
-    residuals = fits.residual[fits.ok]
-    diagnostics = {
-        "n_chords": dataset.n_chords,
-        "n_chords_excluded": len(excluded),
-        "n_lines_skipped": len(dataset.skipped),
-        "n_dropped_observations": dataset.provenance.get("n_dropped", 0),
-        "fit_residual_median": float(np.median(residuals)) if len(residuals) else 0.0,
-        "fit_residual_max": float(residuals.max()) if len(residuals) else 0.0,
-        "sinogram_masked_bins": int((~sino.mask).sum()),
-        "solver_residual": solution.residual_norm,
-        "solver_iterations": solution.iterations,
-        "min_u": solution.min_u,
-        "peclet_max": system.peclet_max,
-        "curl_norm": curl,
-        "boundary_knots_missing": bpsi.n_missing,
-    }
-    metrics = None
-    if ground_truth is not None and "c" in ground_truth:
-        metrics = drift_metrics(c_hat, ground_truth["c"], domain, cfg.metric_fraction)
-        metrics["curl_norm"] = curl
-
+    values = stage_context(cfg, ground_truth, kernels)
+    diagnostics: dict = {}
+    for name in STAGES:
+        diagnostics.update(run_stage(name, cfg, values))
     report = ReconstructionReport(
-        psi_hat=psi_hat, V_hat=V_hat, c_hat=c_hat, u=solution.u,
-        metrics=metrics, diagnostics=diagnostics, config=cfg.echo(),
+        psi_hat=values["psi_hat"], V_hat=values["V_hat"], c_hat=values["c_hat"],
+        u=values["u"], metrics=values["metrics"], diagnostics=diagnostics, config=cfg.echo(),
     )
     if persist:
-        write_artifacts(Path(out_dir if out_dir is not None else cfg.output_dir),
-                        report, dataset, fits, sino)
+        write_artifacts(Path(out_dir if out_dir is not None else cfg.output_dir), report, values)
     return report
 
 
-def write_artifacts(out: Path, report: ReconstructionReport,
-                    dataset: BoundaryDataset | None = None, fits=None,
-                    sino: Sinogram | None = None) -> None:
-    out = Path(out)
+def write_outputs(out: Path, artifacts, values: dict) -> list[Path]:
+    """Write the named artifacts from `values` into `out`; returns the paths."""
     out.mkdir(parents=True, exist_ok=True)
-    if dataset is not None:
-        write_dataset_csv(out / "dataset.csv", dataset)
-        if fits is not None:
-            write_fits_csv(out / "fits.csv", dataset.chords, fits)
-    if sino is not None:
-        write_sinogram_csv(out / "sinogram.csv", sino)
-    write_dgf(out / "V_hat.dgf", report.V_hat)
-    write_dgf(out / "u.dgf", report.u)
-    write_dgf(out / "psi_hat.dgf", report.psi_hat)
-    g = report.c_hat.grid
-    write_dgf(out / "c_hat_x.dgf", ScalarField(g, report.c_hat.values[..., 0]))
-    write_dgf(out / "c_hat_y.dgf", ScalarField(g, report.c_hat.values[..., 1]))
+    written = []
+    for name in artifacts:
+        paths = [out / f for f in ARTIFACTS[name].files]
+        ARTIFACTS[name].write(values, *paths)
+        written += paths
+    return written
+
+
+def write_artifacts(out: Path, report: ReconstructionReport, values: dict) -> None:
+    """Every artifact present in `values`, then report.json, into `out`."""
+    out = Path(out)
+    write_outputs(out, [name for name in ARTIFACTS if name in values], values)
     write_report_json(out / "report.json", report.diagnostics, report.metrics, report.config)
 
 

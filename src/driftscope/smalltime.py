@@ -453,7 +453,7 @@ def _csv_columns(path, fh, required) -> tuple[dict, int]:
 def _numbers(path, values, dtype) -> np.ndarray:
     try:
         return np.fromiter(map(float if dtype is float else int, values), dtype, len(values))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

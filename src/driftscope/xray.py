@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .smalltime import (
     Chord,
     ChordTable,
     FitTable,
+    _csv_columns,
+    _numbers,
     chord_angles,
     chord_directions,
     chord_offsets,
@@ -115,6 +117,14 @@ def sinogram_of_field(
     )
 
 
+def _check_in_raster(ia, io, shape, what: str) -> None:
+    """DataError unless every (ia[k], io[k]) is a bin of a raster of `shape`."""
+    outside = (ia < 0) | (ia >= shape[0]) | (io < 0) | (io >= shape[1])
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise DataError(f"{what} ({ia[k]}, {io[k]}) outside the {shape[0]} x {shape[1]} raster")
+
+
 def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Domain) -> Sinogram:
     """Scatter the line integrals F * |y - x| of a fit table into the raster.
 
@@ -126,10 +136,7 @@ def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Dom
     if len(fits) != len(chords):
         raise DataError("fits and chords are misaligned")
     ia, io = chords.angle_index, chords.offset_index
-    outside = (ia < 0) | (ia >= n_angles) | (io < 0) | (io >= n_offsets)
-    if np.any(outside):
-        k = np.argmax(outside)
-        raise DataError(f"chord indices ({ia[k]}, {io[k]}) outside geometry {geometry}")
+    _check_in_raster(ia, io, (n_angles, n_offsets), "chord indices")
     values = np.zeros((n_angles, n_offsets))
     mask = np.ones((n_angles, n_offsets), dtype=bool)
     seen = np.zeros((n_angles, n_offsets), dtype=bool)
@@ -327,27 +334,40 @@ def disc_indicator_sinogram(
 # ---------------------------------------------------------------------------
 
 
+SINOGRAM_COLUMNS = ["angle_index", "offset_index", "value", "valid"]
+
+
 def write_sinogram_csv(path, sino: Sinogram) -> None:
+    """A size row, then one row per bin in (angle, offset) order."""
+    columns = [*np.indices(sino.values.shape), sino.values, sino.mask.astype(int)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n_angles", "n_offsets", "R"])
         w.writerow([sino.n_angles, sino.n_offsets, repr(sino.radius)])
-        w.writerow(["angle_index", "offset_index", "value", "valid"])
-        for ia in range(sino.n_angles):
-            for io in range(sino.n_offsets):
-                w.writerow([ia, io, repr(float(sino.values[ia, io])), int(sino.mask[ia, io])])
+        w.writerow(SINOGRAM_COLUMNS)
+        w.writerows(zip(*(c.ravel().tolist() for c in columns)))
 
 
 def read_sinogram_csv(path) -> Sinogram:
+    """Bins not listed are masked; a malformed field, a bin outside the
+    raster or a bin listed twice is a DataError."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 3 or rows[0][:3] != ["n_angles", "n_offsets", "R"]:
-        raise DataError(f"{path}: not a sinogram CSV")
-    n_angles, n_offsets, radius = int(rows[1][0]), int(rows[1][1]), float(rows[1][2])
+        head = csv.reader(fh)
+        names, sizes = next(head, []), next(head, [])
+        if names[:3] != ["n_angles", "n_offsets", "R"] or len(sizes) < 3:
+            raise DataError(f"{path}: not a sinogram CSV")
+        cols, _ = _csv_columns(path, fh, SINOGRAM_COLUMNS)
+    n_angles, n_offsets = _numbers(path, sizes[:2], np.int64).tolist()
+    radius = float(_numbers(path, sizes[2:3], float)[0])
+    if n_angles < 1 or n_offsets < 1 or not 0 < radius < np.inf:
+        raise DataError(f"{path}: bad raster header {sizes[:3]}")
+    ia, io, valid = (_numbers(path, cols.get(name, []), np.int64)
+                     for name in ("angle_index", "offset_index", "valid"))
+    _check_in_raster(ia, io, (n_angles, n_offsets), f"{path}: bin")
+    if len(np.unique(ia * n_offsets + io)) < len(ia):
+        raise DataError(f"{path}: a bin is listed more than once")
     values = np.zeros((n_angles, n_offsets))
     mask = np.zeros((n_angles, n_offsets), dtype=bool)
-    for row in rows[3:]:
-        ia, io = int(row[0]), int(row[1])
-        values[ia, io] = float(row[2])
-        mask[ia, io] = bool(int(row[3]))
+    values[ia, io] = _numbers(path, cols.get("value", []), float)
+    mask[ia, io] = valid != 0
     return Sinogram(chord_angles(n_angles), chord_offsets(radius, n_offsets), values, mask, radius)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,14 @@ from driftscope.cli import run_command
 
 STAGES = ("gen-data", "fit", "sinogram", "invert", "solve", "recover")
 DGF_FILES = ("V_hat.dgf", "u.dgf", "psi_hat.dgf", "c_hat_x.dgf", "c_hat_y.dgf")
+# the options naming each stage's input files, with the files' names
+INPUT_OPTIONS = {
+    "fit": (("--data", "dataset.csv"),),
+    "sinogram": (("--fits", "fits.csv"),),
+    "invert": (("--sinogram", "sinogram.csv"),),
+    "solve": (("--vhat", "V_hat.dgf"), ("--fits", "fits.csv")),
+    "recover": (("--psi", "psi_hat.dgf"),),
+}
 
 
 def small_disc_config(**overrides):
@@ -49,22 +58,72 @@ def write_config(path, raw):
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "dataset.csv").exists()
 
 
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    (tmp_path / "config.json").write_bytes(b"\xff\xfe")
+    assert run_command(["gen-data", "--config", str(tmp_path / "config.json"),
+                        "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def comparable_report(out_dir):
+    """report.json without its run-specific parts."""
+    report = json.loads((out_dir / "report.json").read_text())
+    del report["meta"], report["config"]["output_dir"]
+    return report
+
+
 def test_stage_chain_matches_pipeline(tmp_path, capsys):
-    chain, whole = tmp_path / "chain", tmp_path / "pipeline"
+    chain, whole, by_option = tmp_path / "chain", tmp_path / "pipeline", tmp_path / "by-option"
     config = write_config(tmp_path / "config.json", small_disc_config())
     for stage in STAGES:
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0, stage
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
     for name in DGF_FILES + ("dataset.csv", "fits.csv", "sinogram.csv"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
-    chain_report = json.loads((chain / "report.json").read_text())
-    whole_report = json.loads((whole / "report.json").read_text())
+    whole_report = comparable_report(whole)
     assert np.isfinite(whole_report["rel_l2"])
-    assert chain_report["rel_l2"] == whole_report["rel_l2"]
+    assert comparable_report(chain) == whole_report
+    assert sorted(p.name for p in chain.iterdir()) == sorted(p.name for p in whole.iterdir())
+    assert not (chain / "solve_diagnostics.csv").exists()
+    # every input named by its option: <out> holds no default input file
+    for stage, inputs in INPUT_OPTIONS.items():
+        options = [arg for option, name in inputs for arg in (option, str(chain / name))]
+        assert run_command([stage, "--config", config, "--out", str(by_option), *options]) == 0, stage
+    for name in DGF_FILES + ("fits.csv", "sinogram.csv"):
+        assert (by_option / name).read_bytes() == (whole / name).read_bytes(), name
+    assert not (by_option / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("stage, code, prefix", [
+    *((stage, 3, f"data error: [stage {stage}] input file not found: ") for stage in STAGES[1:]),
+    ("solve", 4, "solver error: [stage solve] no convergence in 1 iterations"),
+    ("pipeline", 4, "solver error: [stage solve] no convergence in 1 iterations"),
+])
+def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    if code == 4:
+        if stage == "solve":  # its inputs come from the stages before it
+            for earlier in STAGES[:4]:
+                assert run_command([earlier, "--config", config, "--out", str(tmp_path)]) == 0
+        config = write_config(tmp_path / "max_iter.json", small_disc_config(solver={"max_iter": 1}))
+    capsys.readouterr()
+    assert run_command([stage, "--config", config, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+def test_run_command_leaves_warning_filters_alone(tmp_path, capsys):
+    before = list(warnings.filters)
+    config = write_config(tmp_path / "config.json", small_disc_config(seed="x"))
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
+    assert warnings.filters == before
 
 
 def test_check_passes(capsys):

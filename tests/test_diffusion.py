@@ -4,10 +4,8 @@ from scipy.integrate import quad
 
 from driftscope import parallel
 from driftscope.diffusion import (
-    BrownianKernel,
     FokkerPlanckResult,
     McConfig,
-    OrnsteinUhlenbeckKernel,
     Path,
     bridge_functional,
     brownian_bridge,
@@ -15,13 +13,12 @@ from driftscope.diffusion import (
     euler_maruyama,
     feynman_kac_exit,
     fokker_planck_forward,
-    gaussian_kernel,
-    ou_kernel,
     read_mc_csv,
     write_mc_csv,
     _bridge_block,
 )
 from driftscope.errors import DataError, SimulationError
+from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel, gaussian_kernel, ou_kernel
 from driftscope.fields import (
     DiffusionField,
     DiscDomain,

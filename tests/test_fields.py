@@ -277,6 +277,23 @@ class TestDomains:
         with pytest.raises(GeometryError, match="strictly inside"):
             RectangleDomain(g, -1.0, -0.5, 1.0, 0.5)
 
+    def test_rectangle_checked_by_its_corners(self):
+        # circumradius 1.27 exceeds the grid's half-width, the corners do not
+        g = grid_square(17, half=1.0)
+        dom = RectangleDomain(g, -0.9, -0.9, 0.9, 0.9)
+        assert dom.circumradius > 1.0
+        lo, hi = dom.bounds
+        assert lo.tolist() == [-0.9, -0.9] and hi.tolist() == [0.9, 0.9]
+        lo, hi = DiscDomain(g, 0.25, -0.5, 0.25).bounds
+        assert lo.tolist() == [0.0, -0.75] and hi.tolist() == [0.5, -0.25]
+
+    def test_shrunk_about_center(self):
+        g = grid_square(17, half=1.5)
+        disc = DiscDomain(g, 0.25, -0.25, 1.0).shrunk(0.75)
+        assert (disc.center_x, disc.center_y, disc.radius) == (0.25, -0.25, 0.75)
+        rect = RectangleDomain(g, 0.0, 0.0, 1.0, 0.5).shrunk(0.5)
+        assert (rect.xmin, rect.ymin, rect.xmax, rect.ymax) == (0.25, 0.125, 0.75, 0.375)
+
     def test_disc_chord_endpoints(self):
         g = grid_square(17, half=1.5)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)

@@ -305,3 +305,44 @@ class TestSinogramCsv:
         assert np.array_equal(back.values, sino.values)
         assert np.array_equal(back.mask, sino.mask)
         assert back.radius == sino.radius
+
+    def test_bytes_equal_per_row_writer(self, tmp_path):
+        # the per-row format the column-wise writer must reproduce
+        sino = sinogram_of_field(radial_gaussian(unit_disc()[0], 0.4), unit_disc()[1], 5, 6,
+                                 n_quad=32)
+        mask = sino.mask.copy()
+        mask[1, 0] = False
+        lines = ["n_angles,n_offsets,R", f"5,6,{sino.radius!r}",
+                 "angle_index,offset_index,value,valid"]
+        lines += [f"{ia},{io},{float(sino.values[ia, io])!r},{int(mask[ia, io])}"
+                  for ia in range(5) for io in range(6)]
+        path = tmp_path / "sino.csv"
+        write_sinogram_csv(path, Sinogram(sino.angles, sino.offsets, sino.values, mask,
+                                          sino.radius))
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("row, match", [
+        ("0,1.5,0.25,1", "invalid literal"),
+        ("x,1,0.25,1", "invalid literal"),
+        ("0,1,abc,1", "could not convert"),
+        ("0,1,0.25,yes", "invalid literal"),
+        ("0,1,0.25", "rows must have 4 fields"),
+        ("2,1,0.25,1", "outside the 2 x 3 raster"),
+        ("0,3,0.25,1", "outside the 2 x 3 raster"),
+        ("-1,1,0.25,1", "outside the 2 x 3 raster"),
+        ("0,-1,0.25,1", "outside the 2 x 3 raster"),
+        ("0,0,0.5,1", "listed more than once"),
+    ])
+    def test_malformed_rows_are_data_errors(self, tmp_path, row, match):
+        path = tmp_path / "sino.csv"
+        path.write_text("n_angles,n_offsets,R\n2,3,1.0\nangle_index,offset_index,value,valid\n"
+                        f"0,0,0.125,1\n{row}\n")
+        with pytest.raises(DataError, match=match):
+            read_sinogram_csv(path)
+
+    @pytest.mark.parametrize("sizes", ["2.5,3,1.0", "2,x,1.0", "0,3,1.0", "2,3,nan", "2,3,-1"])
+    def test_malformed_header_is_data_error(self, tmp_path, sizes):
+        path = tmp_path / "sino.csv"
+        path.write_text(f"n_angles,n_offsets,R\n{sizes}\nangle_index,offset_index,value,valid\n")
+        with pytest.raises(DataError):
+            read_sinogram_csv(path)
