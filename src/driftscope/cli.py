@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, DriftscopeError, SimulationError, So
 from .fields import Grid, write_dgf
 from .recover import (
     ARTIFACTS,
+    METRIC_KEYS,
     STAGES,
     PipelineConfig,
     config_from_dict,
@@ -86,6 +87,9 @@ def _run_stage(name: str, cfg: PipelineConfig, args) -> int:
     # write_report_json replaces the earlier report's config and meta
     report_path = out / "report.json"
     report = _json_object(report_path, DataError) if stage.inputs and report_path.is_file() else {}
+    if "metrics" in values:  # the stage recomputed the metrics, maybe as None
+        for key in METRIC_KEYS:
+            report.pop(key, None)
     report.update(entries)
     written = write_outputs(out, stage.outputs, values) + [report_path]
     write_report_json(report_path, report, values.get("metrics"), cfg.echo())
@@ -130,6 +134,12 @@ def cmd_phantom(args) -> int:
     from .smalltime import chord_angles, chord_offsets
     from .xray import disc_indicator, disc_indicator_sinogram, radial_gaussian, radial_gaussian_sinogram
 
+    for option, value, least in (("--n", args.n, 2), ("--angles", args.angles, 1),
+                                 ("--offsets", args.offsets, 1)):
+        if value < least:
+            raise ConfigError(f"{option} must be at least {least}, got {value}")
+    if not args.width > 0:  # a disc's field would use |width|, its sinogram width
+        raise ConfigError(f"--width must be positive, got {args.width}")
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     n = args.n

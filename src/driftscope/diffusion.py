@@ -4,7 +4,10 @@ representation, a Fokker-Planck solver, and a Feynman-Kac exit solver.
 Monte Carlo reproducibility: all randomness comes from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, and block
 results are reduced in index order.  Outputs are therefore bit-identical
-across runs and across worker counts.
+across runs and across worker counts.  The bridge functional maps its blocks
+over the worker pool; the Feynman-Kac exit sampler steps all its blocks in
+lockstep in one thread, each block drawing from its own stream, so it uses
+no workers at all.
 """
 
 from __future__ import annotations
@@ -455,7 +458,16 @@ def feynman_kac_exit(
 
     Paths step with Euler increments of size h; the boundary crossing is
     located by linear interpolation of the exiting segment.  Paths running
-    beyond max_steps are capped (counted; more than 1% is an error).
+    beyond max_steps are capped (counted; more than 1% is an error) and
+    scored at their projection onto the boundary.
+
+    All paths step in lockstep in one loop.  Path i belongs to block
+    i // parallel.MC_BLOCK, and at each step every block draws the normals
+    of its live paths, in index order, from its own stream
+    substream(seed, block); the paths that exit in a step are scored in one
+    batch.  The estimate is thus the same, bit for bit, as stepping each
+    block on its own, and no worker pool is used: the worker count does not
+    matter.
     """
     x = np.asarray(x, dtype=float)
     if not bool(domain.contains(x[None, :])[0]):
@@ -465,59 +477,53 @@ def feynman_kac_exit(
     if max_steps is None:
         max_steps = max(1000, int(50.0 * domain.circumradius**2 / h))
     sq_h = np.sqrt(h)
+    n = cfg.n_paths
 
-    blocks = parallel.block_ranges(cfg.n_paths, parallel.MC_BLOCK)
-
-    def run_block(args):
-        bi, (lo, hi) = args
-        m = hi - lo
-        rng = substream(cfg.seed, bi)
-        pos = np.tile(x, (m, 1))
-        integ = np.zeros(m)
-        v_prev = _scalar_eval(V, pos)
-        out_vals = np.empty(m)
-        done = np.zeros(m, dtype=bool)
-        alive_idx = np.arange(m)
-        capped = 0
-        for _ in range(max_steps):
-            if alive_idx.size == 0:
-                break
-            step = sq_h * rng.standard_normal((alive_idx.size, 2))
-            new_pos = pos + step
-            inside = domain.contains(new_pos)
-            if np.any(~inside):
-                exit_rows = np.nonzero(~inside)[0]
-                for r in exit_rows:
-                    cross, theta = domain.boundary_crossing(pos[r], new_pos[r])
-                    v_cross = float(_scalar_eval(V, cross[None, :])[0])
-                    itotal = integ[r] + 0.5 * theta * h * (v_prev[r] + v_cross)
-                    out_vals[alive_idx[r]] = np.exp(-itotal) * float(f(cross[None, :])[0])
-                    done[alive_idx[r]] = True
-            v_new = _scalar_eval(V, new_pos)
-            integ = integ + 0.5 * h * (v_prev + v_new)
-            keep = np.nonzero(inside)[0]
-            alive_idx = alive_idx[keep]
-            pos = new_pos[keep]
-            integ = integ[keep]
-            v_prev = v_new[keep]
-        if alive_idx.size:
-            # capped paths: score them at their current position
-            capped = alive_idx.size
-            proj = domain.project_to_boundary(pos)
-            out_vals[alive_idx] = np.exp(-integ) * np.asarray(f(proj), dtype=float)
-            done[alive_idx] = True
-        assert done.all()
-        return out_vals, capped
-
-    results = parallel.map_blocks(run_block, list(enumerate(blocks)))
-    samples = np.concatenate([r[0] for r in results])
-    n_capped = sum(r[1] for r in results)
-    if n_capped > 0.01 * cfg.n_paths:
-        raise SimulationError(
-            f"{n_capped} of {cfg.n_paths} paths exceeded the {max_steps}-step cap"
-        )
+    n_blocks = -(-n // parallel.MC_BLOCK)
+    streams = [substream(cfg.seed, bi) for bi in range(n_blocks)]
+    starts = parallel.MC_BLOCK * np.arange(n_blocks + 1)  # block bi: paths starts[bi]:starts[bi + 1]
+    # Two position buffers take turns: a step's normals are drawn into the
+    # one not holding the positions and turned into the new positions in
+    # place, so no (n, 2) array is allocated per step.
+    buffers = np.empty((2, n, 2))
+    held = 0  # the buffer holding pos
+    pos = buffers[held]
+    pos[:] = x
+    samples = np.empty(n)
+    alive = np.arange(n)  # live paths, ascending, so each block's are contiguous
+    integ = np.zeros(n)
+    v_prev = _scalar_eval(V, pos)
+    for _ in range(max_steps):
+        if alive.size == 0:
+            break
+        new_pos = buffers[1 - held, : alive.size]
+        cuts = np.searchsorted(alive, starts).tolist()
+        for rng, lo, hi in zip(streams, cuts, cuts[1:]):
+            if hi > lo:
+                rng.standard_normal(out=new_pos[lo:hi])
+        new_pos *= sq_h  # then + pos: the same bits as pos + sq_h * normal
+        new_pos += pos
+        inside = domain.contains(new_pos)
+        if inside.all():
+            pos, held = new_pos, 1 - held
+        else:
+            gone = np.flatnonzero(~inside)
+            cross, theta = domain.boundary_crossing(pos.take(gone, 0), new_pos.take(gone, 0))
+            itotal = integ[gone] + 0.5 * theta * h * (v_prev[gone] + _scalar_eval(V, cross))
+            samples[alive[gone]] = np.exp(-itotal) * np.asarray(f(cross), dtype=float)
+            # the survivors' new positions overwrite the old ones
+            pos = np.compress(inside, new_pos, axis=0, out=buffers[held, : alive.size - gone.size])
+            alive, integ, v_prev = alive[inside], integ[inside], v_prev[inside]
+        v_new = _scalar_eval(V, pos)
+        integ = integ + 0.5 * h * (v_prev + v_new)
+        v_prev = v_new
+    n_capped = alive.size
+    if n_capped > 0.01 * n:
+        raise SimulationError(f"{n_capped} of {n} paths exceeded the {max_steps}-step cap")
+    if n_capped:
+        samples[alive] = np.exp(-integ) * np.asarray(f(domain.project_to_boundary(pos)), dtype=float)
     value, stderr = _mean_stderr(samples)
-    return McEstimate(value, stderr, len(samples), n_capped)
+    return McEstimate(value, stderr, n, n_capped)
 
 
 def write_mc_csv(path, rows) -> None:

@@ -91,13 +91,29 @@ def _cross_weights(lams: np.ndarray, dx: float, dy: float) -> np.ndarray:
         raise GeometryError(f"degenerate diagonal stencil (arms {lams})") from exc
 
 
-def _leg_arm(domain: Domain, p: np.ndarray, step: np.ndarray, neighbor_inside: bool):
-    """Arm fraction in (0, 1] and boundary point (or None) for one stencil leg."""
-    if neighbor_inside:
-        return 1.0, None
-    q = p + step
-    bp, theta = domain.boundary_crossing(p, q)
-    return max(theta, _ARM_FLOOR), bp
+_AXIS_LEGS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
+_DIAGONAL_LEGS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+
+
+def _leg_arms(domain: Domain, inside: np.ndarray, nodes: np.ndarray, legs) -> dict:
+    """Arm fraction in (0, 1] and boundary point of each stencil leg (di, dj)
+    in `legs` from each node (i, j) in `nodes` whose neighbour lies outside,
+    keyed by (i, j, di, dj); a leg not listed has arm 1.  One
+    boundary_crossing call finds every crossing."""
+    grid = domain.grid
+    keys, starts, ends = [], [], []
+    for di, dj in legs:
+        # the domain's closure lies strictly inside the grid, so every
+        # neighbour of an inside node is a grid node
+        outside = nodes[~inside[nodes[:, 0] + di, nodes[:, 1] + dj]]
+        p = np.stack([grid.xs()[outside[:, 0]], grid.ys()[outside[:, 1]]], axis=-1)
+        starts.append(p)
+        ends.append(p + np.array([di * grid.dx, dj * grid.dy]))
+        keys += [(i, j, di, dj) for i, j in outside.tolist()]
+    if not keys:
+        return {}
+    bp, theta = domain.boundary_crossing(np.concatenate(starts), np.concatenate(ends))
+    return dict(zip(keys, zip(np.maximum(theta, _ARM_FLOOR).tolist(), bp)))
 
 
 def assemble_dirichlet_system(
@@ -125,7 +141,6 @@ def assemble_dirichlet_system(
     node_index = -np.ones(grid.shape, dtype=np.int64)
     node_index[inside] = np.arange(n)
 
-    xs, ys = grid.xs(), grid.ys()
     a11, a12, a22 = a.a11, a.a12, a.a22
     b1, b2 = b.values[..., 0], b.values[..., 1]
     has_cross = bool(np.any(a12 != 0.0))
@@ -179,21 +194,17 @@ def assemble_dirichlet_system(
 
     # boundary-adjacent nodes (and, with a cross term, nodes with clipped
     # diagonals): per-node unequal-arm stencils
-    special = inside & ~is_reg
-    for i, j in np.argwhere(special):
+    special = np.argwhere(inside & ~is_reg)
+    arms = _leg_arms(domain, inside, special, _AXIS_LEGS.values())
+    if has_cross:
+        arms.update(_leg_arms(domain, inside, special[a12[special[:, 0], special[:, 1]] != 0.0],
+                              _DIAGONAL_LEGS))
+    for i, j in special.tolist():
         k = int(node_index[i, j])
-        p = np.array([xs[i], ys[j]])
         legs = {}
-        for name, (di, dj, step) in {
-            "E": (1, 0, np.array([dx, 0.0])),
-            "W": (-1, 0, np.array([-dx, 0.0])),
-            "N": (0, 1, np.array([0.0, dy])),
-            "S": (0, -1, np.array([0.0, -dy])),
-        }.items():
-            ni, nj = i + di, j + dj
-            nb_in = 0 <= ni < grid.nx and 0 <= nj < grid.ny and inside[ni, nj]
-            theta, bp = _leg_arm(domain, p, step, nb_in)
-            legs[name] = (theta, bp, ni, nj)
+        for name, (di, dj) in _AXIS_LEGS.items():
+            theta, bp = arms.get((i, j, di, dj), (1.0, None))
+            legs[name] = (theta, bp, i + di, j + dj)
 
         def put(name, coef):
             theta, bp, ni, nj = legs[name]
@@ -219,18 +230,12 @@ def assemble_dirichlet_system(
         add(k, k, center - V.values[i, j])
 
         if has_cross and a12[i, j] != 0.0:
-            dirs = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
             lams = np.ones(4)
             bps: list = [None] * 4
             targets: list = [None] * 4
-            for m, (di, dj) in enumerate(dirs):
-                ni, nj = i + di, j + dj
-                nb_in = 0 <= ni < grid.nx and 0 <= nj < grid.ny and inside[ni, nj]
-                step = np.array([di * dx, dj * dy])
-                lam, bp = _leg_arm(domain, p, step, nb_in)
-                lams[m] = lam
-                bps[m] = bp
-                targets[m] = (ni, nj)
+            for m, (di, dj) in enumerate(_DIAGONAL_LEGS):
+                lams[m], bps[m] = arms.get((i, j, di, dj), (1.0, None))
+                targets[m] = (i + di, j + dj)
             wts = _cross_weights(lams, dx, dy)
             coef = a12[i, j]
             for m in range(4):

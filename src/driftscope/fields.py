@@ -213,8 +213,12 @@ class Domain:
         """
         raise NotImplementedError
 
-    def boundary_crossing(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-        """Point where segment p->q (p inside, q outside) meets the boundary."""
+    def boundary_crossing(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the segments p->q (p inside, q outside; arrays (..., 2))
+        first meet the boundary: the points (..., 2) and their fractions
+        theta (...) along the segments, clamped to 1.  GeometryError if any
+        segment does not cross it.
+        """
         raise NotImplementedError
 
     @property
@@ -332,20 +336,19 @@ class DiscDomain(Domain):
 
     def boundary_crossing(self, p, q):
         p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
+        d = np.asarray(q, dtype=float) - p
         f = p - self.center
-        a = float(d @ d)
-        b = float(f @ d)
-        c = float(f @ f) - self.radius**2
-        disc = b * b - a * c
-        if a == 0 or disc < 0:
+        # larger root of |f + theta*d|^2 = R^2 (vecdot rounds like a 2-vector dot)
+        a = np.vecdot(d, d)
+        b = np.vecdot(f, d)
+        c = np.vecdot(f, f) - self.radius**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = (-b + np.sqrt(b * b - a * c)) / a
+        # a NaN theta (no real root) fails the range test too
+        if not np.all((a != 0) & (theta >= 0.0) & (theta <= 1.0 + 1e-12)):
             raise GeometryError("segment does not cross the disc boundary")
-        theta = (-b + np.sqrt(disc)) / a
-        if not (0.0 <= theta <= 1.0 + 1e-12):
-            raise GeometryError("segment does not cross the disc boundary")
-        theta = min(theta, 1.0)
-        return p + theta * d, theta
+        theta = np.minimum(theta, 1.0)
+        return p + theta[..., None] * d, theta
 
 
 @dataclass(frozen=True)
@@ -413,37 +416,27 @@ class RectangleDomain(Domain):
         return out if np.asarray(points).ndim > 1 else out[0]
 
     def boundary_point(self, s: np.ndarray) -> np.ndarray:
-        s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), self.param_length)
+        s = np.mod(np.asarray(s, dtype=float), self.param_length)
         w = self.xmax - self.xmin
         h = self.ymax - self.ymin
-        pts = np.empty((len(s), 2))
-        for k, sk in enumerate(s):
-            if sk < w:
-                pts[k] = (self.xmin + sk, self.ymin)
-            elif sk < w + h:
-                pts[k] = (self.xmax, self.ymin + (sk - w))
-            elif sk < 2 * w + h:
-                pts[k] = (self.xmax - (sk - w - h), self.ymax)
-            else:
-                pts[k] = (self.xmin, self.ymax - (sk - 2 * w - h))
-        return pts if np.asarray(s).shape != () else pts[0]
+        # bottom, right and top edge; the left edge otherwise
+        edge = [s < w, s < w + h, s < 2 * w + h]
+        x = np.select(edge, [self.xmin + s, self.xmax, self.xmax - (s - w - h)], self.xmin)
+        y = np.select(edge, [self.ymin, self.ymin + (s - w), self.ymax], self.ymax - (s - 2 * w - h))
+        return np.stack([x, y], axis=-1)
 
     def project_to_boundary(self, points: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float)).copy()
+        p = np.asarray(points, dtype=float)
         inside = self.contains(p)
         # outside: clamp; inside: push to the nearest edge
-        p[:, 0] = np.clip(p[:, 0], self.xmin, self.xmax)
-        p[:, 1] = np.clip(p[:, 1], self.ymin, self.ymax)
-        for k in np.nonzero(inside)[0]:
-            x, y = p[k]
-            d = [
-                (y - self.ymin, (x, self.ymin)),
-                (self.xmax - x, (self.xmax, y)),
-                (self.ymax - y, (x, self.ymax)),
-                (x - self.xmin, (self.xmin, y)),
-            ]
-            p[k] = min(d, key=lambda e: e[0])[1]
-        return p if np.asarray(points).ndim > 1 else p[0]
+        x = np.clip(p[..., 0], self.xmin, self.xmax)
+        y = np.clip(p[..., 1], self.ymin, self.ymax)
+        # bottom, right, top, left: the first nearest edge wins, as min does
+        gaps = np.stack([y - self.ymin, self.xmax - x, self.ymax - y, x - self.xmin])
+        edge = np.where(inside, np.argmin(gaps, axis=0), -1)
+        x = np.where(edge == 1, self.xmax, np.where(edge == 3, self.xmin, x))
+        y = np.where(edge == 0, self.ymin, np.where(edge == 2, self.ymax, y))
+        return np.stack([x, y], axis=-1)
 
     def chord_endpoints(self, omega: np.ndarray, z):
         omega, p0 = _line_origins(omega, z)
@@ -471,19 +464,20 @@ class RectangleDomain(Domain):
 
     def boundary_crossing(self, p, q):
         p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
-        best = None
-        for axis, (lo, hi) in enumerate([(self.xmin, self.xmax), (self.ymin, self.ymax)]):
-            if abs(d[axis]) < 1e-15:
-                continue
-            for edge in (lo, hi):
-                theta = (edge - p[axis]) / d[axis]
-                if 0.0 <= theta <= 1.0 + 1e-12 and (best is None or theta < best):
-                    best = min(theta, 1.0)
-        if best is None:
+        d = np.asarray(q, dtype=float) - p
+        # the edges x = xmin, x = xmax, y = ymin, y = ymax, in tie-break order
+        axis = [0, 0, 1, 1]
+        edges = np.array([self.xmin, self.xmax, self.ymin, self.ymax])
+        pe, de = p[..., axis], d[..., axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = (edges - pe) / de
+        ok = (np.abs(de) >= 1e-15) & (theta >= 0.0) & (theta <= 1.0 + 1e-12)
+        if not np.all(ok.any(axis=-1)):
             raise GeometryError("segment does not cross the rectangle boundary")
-        return p + best * d, best
+        # the first smallest crossing wins (a -0.0 / 0.0 tie keeps its sign)
+        first = np.argmin(np.where(ok, theta, np.inf), axis=-1)
+        theta = np.minimum(np.take_along_axis(theta, first[..., None], axis=-1)[..., 0], 1.0)
+        return p + theta[..., None] * d, theta
 
 
 def domain_from_config(spec: dict, grid: Grid) -> Domain:

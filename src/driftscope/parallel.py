@@ -2,7 +2,8 @@
 
 Work is always cut into fixed-size blocks and results are combined in block
 order, so the outcome is bit-identical for any worker count.  Workers are
-threads: every heavy block is numpy-bound and releases the GIL.
+threads, so they help only where a block spends its time in large numpy
+calls that release the GIL; a loop of small-array numpy steps holds it.
 """
 
 from __future__ import annotations

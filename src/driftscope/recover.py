@@ -150,6 +150,8 @@ def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
 
 
 def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
@@ -175,11 +177,19 @@ def _integer(value, where: str, minimum: int | None = None) -> int:
 def _finite(value, where: str) -> float:
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = float("nan")
     if isinstance(value, bool) or not np.isfinite(out):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return out
+
+
+def _finite_list(value, where: str, length: int | None = None) -> tuple:
+    """A JSON list of finite numbers (of the given length)."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ConfigError(f"{where} must be {size} numbers, got {value!r}")
+    return tuple(_finite(v, where) for v in value)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -190,19 +200,34 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     _require_keys(dom, {"kind", "center", "radius", "corners"}, {"kind"}, "domain")
     if dom["kind"] not in ("disc", "rectangle"):
         raise ConfigError(f"unknown domain kind {dom['kind']!r}")
-    if dom["kind"] == "disc" and "radius" not in dom:
-        raise ConfigError("missing required key 'radius' in domain")
-    if dom["kind"] == "rectangle" and "corners" not in dom:
-        raise ConfigError("missing required key 'corners' in domain")
+    if dom["kind"] == "disc":
+        if "radius" not in dom:
+            raise ConfigError("missing required key 'radius' in domain")
+        if not _finite(dom["radius"], "domain.radius") > 0:
+            raise ConfigError(f"domain.radius must be positive, got {dom['radius']!r}")
+        _finite_list(dom.get("center", [0.0, 0.0]), "domain.center", 2)
+    else:
+        if "corners" not in dom:
+            raise ConfigError("missing required key 'corners' in domain")
+        corners = dom["corners"]
+        if not isinstance(corners, (list, tuple)) or len(corners) != 2:
+            raise ConfigError(f"domain.corners must be two points, got {corners!r}")
+        for corner in corners:
+            _finite_list(corner, "domain.corners", 2)
     kern = raw["kernels"]
     _require_keys(kern, {"observed", "reference"}, {"observed", "reference"}, "kernels")
     for side in ("observed", "reference"):
-        _require_keys(
-            kern[side],
-            {"kind", "theta", "theta1", "theta2", "offset"},
-            {"kind"},
-            f"kernels.{side}",
-        )
+        spec, where = kern[side], f"kernels.{side}"
+        _require_keys(spec, {"kind", "theta", "theta1", "theta2", "offset"}, {"kind"}, where)
+        if spec["kind"] not in ("brownian", "ou", "product_ou"):
+            raise ConfigError(f"unknown kernel kind {spec['kind']!r} in {where}")
+        if spec["kind"] == "ou" and "theta" not in spec:
+            raise ConfigError(f"missing required key 'theta' in {where}")
+        for key in ("theta", "theta1", "theta2"):
+            if key in spec:
+                _finite(spec[key], f"{where}.{key}")
+        if "offset" in spec:
+            _finite_list(spec["offset"], f"{where}.offset", 2)
     geometry = raw.get("geometry", {})
     _require_keys(geometry, {"n_angles", "n_offsets"}, set(), "geometry")
     n_angles = _integer(geometry.get("n_angles", 180), "geometry.n_angles", 2)
@@ -211,9 +236,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if grid_spec is not None:
         _require_keys(grid_spec, {"x0", "y0", "x1", "y1", "nx", "ny"},
                       {"x0", "y0", "x1", "y1", "nx", "ny"}, "grid")
+        x0, y0, x1, y1 = (_finite(grid_spec[k], f"grid.{k}") for k in ("x0", "y0", "x1", "y1"))
+        if not (x1 > x0 and y1 > y0):
+            raise ConfigError("grid extent must satisfy x0 < x1 and y0 < y1")
+        for key in ("nx", "ny"):  # finite differences need three nodes per axis
+            _integer(grid_spec[key], f"grid.{key}", 3)
     ladder = raw.get("ladder")
     if ladder is not None:
-        ladder = tuple(_finite(t, "ladder time") for t in ladder)
+        ladder = _finite_list(ladder, "ladder")
         if len(ladder) < 3:
             raise ConfigError("ladder must hold at least 3 times")
         if any(t <= 0 for t in ladder):
@@ -240,6 +270,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         _require_keys(gt, {"kind", "theta"}, {"kind"}, "ground_truth")
         if gt["kind"] not in ("ou", "zero"):
             raise ConfigError(f"unknown ground_truth kind {gt['kind']!r}")
+        if "theta" in gt:
+            _finite(gt["theta"], "ground_truth.theta")
     return PipelineConfig(
         domain_spec=dom,
         kernels=kern,
@@ -349,6 +381,11 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain | Non
         region = np.ones(g.shape, dtype=bool)
         region[:erode, :] = region[-erode:, :] = region[:, :erode] = region[:, -erode:] = False
     return float(np.sqrt(np.sum(curl[region] ** 2) * g.cell_area))
+
+
+# The report.json keys of the error metrics: drift_metrics' and the recover
+# stage's curl_norm.  A stage that sets the metrics replaces all of them.
+METRIC_KEYS = ("rel_l2", "max_abs", "n_metric_nodes", "curl_norm")
 
 
 def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float) -> dict:

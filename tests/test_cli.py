@@ -104,6 +104,11 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
     *((stage, 3, f"data error: [stage {stage}] input file not found: ") for stage in STAGES[1:]),
     ("solve", 4, "solver error: [stage solve] no convergence in 1 iterations"),
     ("pipeline", 4, "solver error: [stage solve] no convergence in 1 iterations"),
+    *((f"phantom {option} {value}", 2, f"config error: {option} must be at least {least}, got ")
+      for option, value, least in (("--n", 1, 2), ("--n", -3, 2), ("--angles", 0, 1),
+                                   ("--offsets", 0, 1))),
+    *((f"phantom --kind {kind} --width {width}", 2, "config error: --width must be positive, got ")
+      for kind, width in (("disc", -0.5), ("radial-gaussian", 0), ("disc", "nan"))),
 ])
 def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     config = write_config(tmp_path / "config.json", small_disc_config())
@@ -113,10 +118,33 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
                 assert run_command([earlier, "--config", config, "--out", str(tmp_path)]) == 0
         config = write_config(tmp_path / "max_iter.json", small_disc_config(solver={"max_iter": 1}))
     capsys.readouterr()
-    assert run_command([stage, "--config", config, "--out", str(tmp_path)]) == code
+    if stage.startswith("phantom"):  # phantom takes its sizes as options, not a config
+        argv = [*stage.split(), "--out", str(tmp_path / "phantom")]
+    else:
+        argv = [stage, "--config", config, "--out", str(tmp_path)]
+    assert run_command(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix), err
     assert "Traceback" not in err
+    assert not (tmp_path / "phantom").exists()
+
+
+def test_recover_rerun_replaces_metrics(tmp_path, capsys):
+    """Re-running recover without ground truth drops the earlier run's error
+    metrics: the chain's report then equals pipeline's without ground truth."""
+    chain, whole = tmp_path / "chain", tmp_path / "pipeline"
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    for stage in STAGES:
+        assert run_command([stage, "--config", config, "--out", str(chain)]) == 0, stage
+    assert "rel_l2" in comparable_report(chain)
+    no_truth = small_disc_config()
+    del no_truth["ground_truth"]
+    config = write_config(tmp_path / "no_truth.json", no_truth)
+    assert run_command(["recover", "--config", config, "--out", str(chain)]) == 0
+    assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
+    whole_report = comparable_report(whole)
+    assert "rel_l2" not in whole_report and "curl_norm" in whole_report
+    assert comparable_report(chain) == whole_report
 
 
 def test_run_command_leaves_warning_filters_alone(tmp_path, capsys):

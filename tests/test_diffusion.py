@@ -391,7 +391,104 @@ class TestFeynmanKac:
         e2 = feynman_kac_exit(lambda p: np.ones(p.shape[:-1]), lambda p: np.ones(len(p)),
                               dom, ORIGIN, cfg, h=5e-3)
         parallel.set_workers(None)
-        assert e1.value == e2.value
+        assert (e1.value, e1.stderr, e1.n_capped) == (e2.value, e2.stderr, e2.n_capped)
+
+    def test_uses_no_worker_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("feynman_kac_exit must not map blocks over workers")
+
+        monkeypatch.setattr(parallel, "map_blocks", refuse)
+        est = feynman_kac_exit(lambda p: np.zeros(p.shape[:-1]), lambda p: np.ones(len(p)),
+                               self.domain(), ORIGIN, McConfig(parallel.MC_BLOCK + 7, 1, seed=2),
+                               h=1e-2)
+        assert est.value == 1.0 and est.n_paths == parallel.MC_BLOCK + 7
+
+
+def per_block_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):
+    """Oracle: feynman_kac_exit as it stood when each path block ran its own
+    loop and scored its exits one at a time (blocks run here in order)."""
+    from driftscope.diffusion import McEstimate, _mean_stderr, _scalar_eval, substream
+
+    x = np.asarray(x, dtype=float)
+    if max_steps is None:
+        max_steps = max(1000, int(50.0 * domain.circumradius**2 / h))
+    sq_h = np.sqrt(h)
+
+    def run_block(bi, lo, hi):
+        m = hi - lo
+        rng = substream(cfg.seed, bi)
+        pos = np.tile(x, (m, 1))
+        integ = np.zeros(m)
+        v_prev = _scalar_eval(V, pos)
+        out_vals = np.empty(m)
+        alive_idx = np.arange(m)
+        capped = 0
+        for _ in range(max_steps):
+            if alive_idx.size == 0:
+                break
+            step = sq_h * rng.standard_normal((alive_idx.size, 2))
+            new_pos = pos + step
+            inside = domain.contains(new_pos)
+            for r in np.nonzero(~inside)[0]:
+                cross, theta = domain.boundary_crossing(pos[r], new_pos[r])
+                v_cross = float(_scalar_eval(V, cross[None, :])[0])
+                itotal = integ[r] + 0.5 * theta * h * (v_prev[r] + v_cross)
+                out_vals[alive_idx[r]] = np.exp(-itotal) * float(f(cross[None, :])[0])
+            v_new = _scalar_eval(V, new_pos)
+            integ = integ + 0.5 * h * (v_prev + v_new)
+            keep = np.nonzero(inside)[0]
+            alive_idx = alive_idx[keep]
+            pos = new_pos[keep]
+            integ = integ[keep]
+            v_prev = v_new[keep]
+        if alive_idx.size:
+            capped = alive_idx.size
+            proj = domain.project_to_boundary(pos)
+            out_vals[alive_idx] = np.exp(-integ) * np.asarray(f(proj), dtype=float)
+        return out_vals, capped
+
+    results = [run_block(bi, lo, hi)
+               for bi, (lo, hi) in enumerate(parallel.block_ranges(cfg.n_paths, parallel.MC_BLOCK))]
+    samples = np.concatenate([r[0] for r in results])
+    value, stderr = _mean_stderr(samples)
+    return McEstimate(value, stderr, len(samples), sum(r[1] for r in results))
+
+
+def _lockstep_case(name):
+    """(V, f, domain, start, h, max_steps) for one lockstep-vs-oracle case."""
+    from driftscope.fields import RectangleDomain
+
+    g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 33, 33)
+    disc = DiscDomain(g, 0.1, 0.0, 1.0)
+    rect = RectangleDomain(g, -1.0, -0.6, 0.9, 0.8)
+    ramp = ScalarField(g, np.add.outer(np.linspace(0.0, 1.0, 33), np.linspace(0.5, 2.0, 33)))
+
+    def harmonic(p):
+        return p[..., 0] ** 2 - p[..., 1] ** 2
+
+    return {
+        "disc-zero-V": (lambda p: np.zeros(p.shape[:-1]), harmonic, disc, [0.5, 0.4], 2e-3, None),
+        "rect-field-V": (ramp, harmonic, rect, [0.3, 0.2], 2e-3, None),
+        "disc-callable-V": (lambda p: 1.0 + p[..., 0] ** 2, harmonic, disc, [-0.3, 0.5], 2e-3, None),
+        "disc-capped": (ramp, harmonic, disc, [0.1, 0.0], 5e-3, 400),
+        "rect-capped": (lambda p: 0.5 + p[..., 1], harmonic, rect, [-0.05, 0.1], 5e-3, 300),
+    }[name]
+
+
+class TestFeynmanKacLockstep:
+    """Lockstep stepping and batched scoring change no bit of the estimate."""
+
+    @pytest.mark.parametrize("case", ["disc-zero-V", "rect-field-V", "disc-callable-V",
+                                      "disc-capped", "rect-capped"])
+    def test_bit_equal_to_per_block_oracle(self, case):
+        V, f, dom, x, h, max_steps = _lockstep_case(case)
+        cfg = McConfig(2 * parallel.MC_BLOCK + 5, 1, seed=31)  # a short last block
+        got = feynman_kac_exit(V, f, dom, np.array(x), cfg, h=h, max_steps=max_steps)
+        want = per_block_feynman_kac_exit(V, f, dom, x, cfg, h, max_steps)
+        assert (got.value, got.stderr, got.n_paths, got.n_capped) == (
+            want.value, want.stderr, want.n_paths, want.n_capped)
+        if max_steps is not None:  # capped paths, under the 1% cap
+            assert 0 < got.n_capped <= 0.01 * cfg.n_paths
 
 
 class TestPathAndConfig:

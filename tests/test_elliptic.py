@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftscope import elliptic
 from driftscope.diffusion import McConfig, feynman_kac_exit
 from driftscope.elliptic import (
     assemble_dirichlet_system,
@@ -128,6 +129,43 @@ class TestAssembly:
                                                nondegeneracy_check=True)
         margin = system.diagnostics.get("ritz_nearest_zero")
         assert margin is not None and margin > 0.1
+
+
+def per_leg_arm(domain, p, step, neighbor_inside):
+    """Oracle: one stencil leg at a time, as assembly found them before the
+    crossings were batched."""
+    if neighbor_inside:
+        return 1.0, None
+    bp, theta = domain.boundary_crossing(p, p + step)
+    return max(theta, elliptic._ARM_FLOOR), bp
+
+
+@pytest.mark.parametrize("domain", [
+    DiscDomain(Grid.from_extent(-1.2, -1.1, 1.3, 1.2, 29, 33), 0.05, 0.0, 1.0),
+    RectangleDomain(Grid.from_extent(-1.2, -1.1, 1.3, 1.2, 29, 33), -0.93, -0.71, 1.01, 0.87),
+], ids=["disc", "rectangle"])
+def test_batched_leg_arms_match_per_leg_oracle(domain):
+    g = domain.grid
+    cls = domain.classify_nodes()
+    inside = cls != 0
+    nodes = np.argwhere(inside)  # every inside node: the grid's edge legs too
+    legs = (*elliptic._AXIS_LEGS.values(), *elliptic._DIAGONAL_LEGS)
+    arms = elliptic._leg_arms(domain, inside, nodes, legs)
+    n_cut = 0
+    for i, j in nodes.tolist():
+        for di, dj in legs:
+            ni, nj = i + di, j + dj
+            nb_in = 0 <= ni < g.nx and 0 <= nj < g.ny and inside[ni, nj]
+            step = np.array([di * g.dx, dj * g.dy])
+            want_theta, want_bp = per_leg_arm(domain, np.array([g.xs()[i], g.ys()[j]]), step, nb_in)
+            theta, bp = arms.get((i, j, di, dj), (1.0, None))
+            assert theta == want_theta and np.signbit(theta) == np.signbit(want_theta)
+            if want_bp is None:
+                assert bp is None
+            else:
+                n_cut += 1
+                assert bp.tobytes() == want_bp.tobytes()
+    assert n_cut == len(arms) > 50
 
 
 class TestSolve:

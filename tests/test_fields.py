@@ -323,6 +323,175 @@ class TestDomains:
         assert s2 == pytest.approx(s, abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the per-point domain geometry before it took arrays
+# ---------------------------------------------------------------------------
+
+
+def oracle_boundary_crossing(domain, p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    d = q - p
+    if isinstance(domain, DiscDomain):
+        f = p - domain.center
+        a = float(d @ d)
+        b = float(f @ d)
+        c = float(f @ f) - domain.radius**2
+        disc = b * b - a * c
+        if a == 0 or disc < 0:
+            raise GeometryError("segment does not cross the disc boundary")
+        theta = (-b + np.sqrt(disc)) / a
+        if not (0.0 <= theta <= 1.0 + 1e-12):
+            raise GeometryError("segment does not cross the disc boundary")
+        theta = min(theta, 1.0)
+        return p + theta * d, theta
+    best = None
+    for axis, (lo, hi) in enumerate([(domain.xmin, domain.xmax), (domain.ymin, domain.ymax)]):
+        if abs(d[axis]) < 1e-15:
+            continue
+        for edge in (lo, hi):
+            theta = (edge - p[axis]) / d[axis]
+            if 0.0 <= theta <= 1.0 + 1e-12 and (best is None or theta < best):
+                best = min(theta, 1.0)
+    if best is None:
+        raise GeometryError("segment does not cross the rectangle boundary")
+    return p + best * d, best
+
+
+def oracle_project_to_boundary(rect, points):
+    p = np.atleast_2d(np.asarray(points, dtype=float)).copy()
+    inside = rect.contains(p)
+    p[:, 0] = np.clip(p[:, 0], rect.xmin, rect.xmax)
+    p[:, 1] = np.clip(p[:, 1], rect.ymin, rect.ymax)
+    for k in np.nonzero(inside)[0]:
+        x, y = p[k]
+        d = [
+            (y - rect.ymin, (x, rect.ymin)),
+            (rect.xmax - x, (rect.xmax, y)),
+            (rect.ymax - y, (x, rect.ymax)),
+            (x - rect.xmin, (rect.xmin, y)),
+        ]
+        p[k] = min(d, key=lambda e: e[0])[1]
+    return p
+
+
+def oracle_boundary_point(rect, s):
+    s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), rect.param_length)
+    w = rect.xmax - rect.xmin
+    h = rect.ymax - rect.ymin
+    pts = np.empty((len(s), 2))
+    for k, sk in enumerate(s):
+        if sk < w:
+            pts[k] = (rect.xmin + sk, rect.ymin)
+        elif sk < w + h:
+            pts[k] = (rect.xmax, rect.ymin + (sk - w))
+        elif sk < 2 * w + h:
+            pts[k] = (rect.xmax - (sk - w - h), rect.ymax)
+        else:
+            pts[k] = (rect.xmin, rect.ymax - (sk - 2 * w - h))
+    return pts
+
+
+def same_bits(a, b):
+    """Equal values with equal signs of zero, shape included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def crossing_segments(domain, rng, n=400):
+    """Segments from inside to outside: random ones, ones ending a hair
+    before the boundary (theta just above 1, clamped) and, on a rectangle,
+    ones through a corner and ones parallel to an axis."""
+    lo, hi = domain.bounds
+    center = domain.center
+    p = center + (rng.uniform(lo, hi, (n, 2)) - center) * 0.9
+    p = p[domain.contains(p)]
+    q = p + rng.normal(size=p.shape) * rng.uniform(0.05, 2.0, (len(p), 1))
+    far = p + (q - p) / np.linalg.norm(q - p, axis=1, keepdims=True) * 4.0 * domain.circumradius
+    keep = ~domain.contains(q)
+    p, q = np.concatenate([p[keep], p]), np.concatenate([q[keep], far])
+    # theta just above 1: the end point stops short of the crossing
+    cross, theta = domain.boundary_crossing(p[:50], q[:50])
+    short = p[:50] + (cross - p[:50]) / (1.0 + 4e-13)
+    p, q = np.concatenate([p, p[:50]]), np.concatenate([q, short])
+    if isinstance(domain, RectangleDomain):
+        inner = p[:40]
+        corners = np.array([[domain.xmin, domain.ymin], [domain.xmax, domain.ymin],
+                            [domain.xmax, domain.ymax], [domain.xmin, domain.ymax]])
+        through = inner + 2.0 * (corners[np.arange(40) % 4] - inner)
+        horizontal = np.stack([inner[:, 0] + 5.0 * np.sign(inner[:, 0] + 0.01), inner[:, 1]], axis=1)
+        vertical = np.stack([inner[:, 0], inner[:, 1] - 5.0], axis=1)
+        nearly = np.stack([inner[:, 0] + 3e-16, inner[:, 1] + 5.0], axis=1)
+        # from a corner outward: theta is -0.0 at one edge and 0.0 at the other
+        outward = corners + np.array([[-1.0, -0.5], [1.0, -0.5], [1.0, 0.5], [-1.0, 0.5]])
+        sideways = corners + np.array([[-1.0, 0.5], [0.5, -1.0], [1.0, -0.5], [-0.5, 1.0]])
+        p = np.concatenate([p, inner, inner, inner, inner, corners, corners])
+        q = np.concatenate([q, through, horizontal, vertical, nearly, outward, sideways])
+    return p, q
+
+
+GEOMETRY_DOMAINS = {
+    "disc": lambda: DiscDomain(grid_square(17, half=1.5), 0.25, -0.2, 1.0),
+    "rectangle": lambda: RectangleDomain(grid_square(17, half=1.5), -1.0, -0.6, 0.75, 0.5),
+    "square": lambda: RectangleDomain(grid_square(17, half=1.5), -1.0, -1.0, 1.0, 1.0),
+}
+
+
+class TestArrayGeometry:
+    @pytest.mark.parametrize("name", list(GEOMETRY_DOMAINS))
+    def test_boundary_crossing_matches_per_segment_oracle(self, name):
+        domain = GEOMETRY_DOMAINS[name]()
+        p, q = crossing_segments(domain, np.random.default_rng(11))
+        assert len(p) > 300
+        cross, theta = domain.boundary_crossing(p, q)
+        assert cross.shape == p.shape and theta.shape == (len(p),)
+        for k in range(len(p)):
+            want_cross, want_theta = oracle_boundary_crossing(domain, p[k], q[k])
+            assert same_bits(cross[k], want_cross), k
+            assert same_bits(theta[k], want_theta), k
+            # one segment at a time, as the Shortley-Weller legs use it
+            one_cross, one_theta = domain.boundary_crossing(p[k], q[k])
+            assert same_bits(one_cross, want_cross) and same_bits(one_theta, want_theta), k
+        assert np.any(theta == 1.0)  # the clamped ones
+        # a (2, 3, 2) batch gives the same rows
+        cross6, theta6 = domain.boundary_crossing(p[:6].reshape(2, 3, 2), q[:6].reshape(2, 3, 2))
+        assert same_bits(cross6.reshape(6, 2), cross[:6]) and same_bits(theta6.ravel(), theta[:6])
+
+    @pytest.mark.parametrize("name", list(GEOMETRY_DOMAINS))
+    def test_boundary_crossing_rejects_any_miss(self, name):
+        domain = GEOMETRY_DOMAINS[name]()
+        p, q = crossing_segments(domain, np.random.default_rng(12), n=40)
+        c = domain.center
+        misses = [(c, c + 0.01),  # ends inside
+                  (c, c),  # no length
+                  (c, c + (q[0] - c) * 1e-3)]
+        for a, b in misses:
+            with pytest.raises(GeometryError, match="does not cross"):
+                oracle_boundary_crossing(domain, a, b)
+            with pytest.raises(GeometryError, match="does not cross"):
+                domain.boundary_crossing(np.vstack([p, a]), np.vstack([q, b]))
+
+    @pytest.mark.parametrize("name", ["rectangle", "square"])
+    def test_rectangle_projection_and_boundary_point_match_oracles(self, name):
+        domain = GEOMETRY_DOMAINS[name]()
+        rng = np.random.default_rng(13)
+        lo, hi = domain.bounds
+        pts = rng.uniform(lo - 0.4, hi + 0.4, (500, 2))
+        # ties: equidistant from two or more edges, and points on the boundary
+        mid = domain.center
+        ties = np.array([mid, mid + [0.05, 0.05], mid - [0.05, 0.05], mid + [0.05, -0.05],
+                         [domain.xmin + 0.2, domain.ymin + 0.2], [domain.xmax - 0.2, domain.ymax - 0.2],
+                         [domain.xmin, mid[1]], [mid[0], domain.ymax], lo, hi])
+        pts = np.vstack([pts, ties])
+        assert same_bits(domain.project_to_boundary(pts), oracle_project_to_boundary(domain, pts))
+        assert same_bits(domain.project_to_boundary(pts[3]), oracle_project_to_boundary(domain, pts[3])[0])
+        w, h = domain.xmax - domain.xmin, domain.ymax - domain.ymin
+        L = domain.param_length
+        s = np.concatenate([rng.uniform(-L, 2 * L, 500), [0.0, w, w + h, 2 * w + h, L, -1e-17]])
+        assert same_bits(domain.boundary_point(s), oracle_boundary_point(domain, s))
+        assert same_bits(domain.boundary_point(s[7]), oracle_boundary_point(domain, s[7])[0])
+
+
 class TestDgf:
     def test_roundtrip_bytes(self, tmp_path):
         g = Grid(-1.0, 0.5, 0.25, 0.125, 7, 9)

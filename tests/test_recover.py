@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from driftscope.elliptic import BoundaryPsi
@@ -238,6 +239,28 @@ class TestConfig:
                 "tolerance_typo": 1e-3,
             })
 
+    @pytest.mark.parametrize("path, value", [
+        (("domain",), None),
+        (("domain", "radius"), -1.0),
+        (("domain", "center"), [0.0]),
+        (("kernels", "observed"), "ou"),
+        (("kernels", "observed", "kind"), "levy"),
+        (("kernels", "observed", "theta"), "fast"),
+        (("ladder",), 0.02),
+        (("density_floor",), 10**400),
+        (("grid", "nx"), 2),
+        (("grid", "x1"), -2.0),
+        (("ground_truth", "theta"), [1.0]),
+    ])
+    def test_malformed_values_are_config_errors(self, path, value):
+        raw = json.loads(json.dumps(VALID_CONFIGS[0]))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="radius_typo"):
             config_from_dict({
@@ -245,6 +268,92 @@ class TestConfig:
                 "kernels": {"observed": {"kind": "brownian"},
                             "reference": {"kind": "brownian"}},
             })
+
+
+VALID_CONFIGS = [
+    {
+        "domain": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0},
+        "grid": {"x0": -1.15, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33},
+        "geometry": {"n_angles": 24, "n_offsets": 25},
+        "ladder": [0.02, 0.01, 0.005, 0.0025],
+        "kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "brownian"}},
+        "filter": "hann",
+        "solver": {"tol": 1e-10, "max_iter": 500},
+        "seed": 3,
+        "density_floor": 1e-30,
+        "boundary_knots": 64,
+        "gauge_param": 0.0,
+        "metric_fraction": 0.8,
+        "output_dir": "out",
+        "workers": 1,
+        "ground_truth": {"kind": "ou", "theta": 1.0},
+    },
+    {
+        "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]]},
+        "kernels": {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5, "offset": [0.0, 0.0]},
+                    "reference": {"kind": "brownian"}},
+        "filter": "ram-lak",
+        "workers": None,
+        "ground_truth": {"kind": "zero"},
+    },
+]
+
+
+def _paths(node, prefix=()):
+    """Every key path into a nested config, containers included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+# any JSON value: scalars of every kind, and short lists and objects of them
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(["disc", "rectangle", "ou", "product_ou", "zero", "hann", "null"]))
+JSON_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=3)
+               | st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3))
+
+
+def _mutate(raw, data):
+    """One random edit of a copy of raw: a value replaced by any JSON value, a
+    key deleted, or an unknown key added."""
+    raw = json.loads(json.dumps(raw))
+    path = data.draw(st.sampled_from(list(_paths(raw))[1:]))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=6))] = data.draw(JSON_VALUES)
+    else:
+        parent.append(data.draw(JSON_VALUES))
+    return raw
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_config_mutations_return_or_raise_config_error(data):
+    """Up to three edits of a valid config dict are either accepted or refused
+    with a ConfigError, never another exception."""
+    raw = data.draw(st.sampled_from(VALID_CONFIGS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw = _mutate(raw, data)
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        pass
+
+
+def test_valid_configs_accepted():
+    for raw in VALID_CONFIGS:
+        config_from_dict(raw)
 
 
 class TestPipeline:
