@@ -29,6 +29,14 @@ from .smalltime import (
     make_parallel_chords,
 )
 
+# Back-projection blocks go to the worker pool only on grids of at least
+# this many nodes.  Below it a 16-angle block takes a few milliseconds and
+# the pool costs more than it saves: on a 2-vCPU VM, two workers made a
+# 129x91-node inversion slower (36 against 30 ms), tripled the hypervisor's
+# steal time and left the rest of the run slower and noisier.  Two workers
+# break even near 181^2 nodes and win on 257^2 (about 250 against 340 ms).
+_POOL_MIN_NODES = 1 << 15
+
 
 @dataclass(frozen=True)
 class Sinogram:
@@ -178,7 +186,10 @@ def fbp_invert(
     back-projected with linear interpolation in offset.  Masked bins are
     in-filled by linear interpolation along the offset axis (with a warning);
     a fully masked angle or more than 10% masked bins is an error.  When a
-    domain is given the output is clamped to zero outside it.
+    domain is given the output is clamped to zero outside it.  Angle blocks
+    are summed in block order, in the worker pool on grids of at least
+    _POOL_MIN_NODES nodes, so the result is bit-identical for any worker
+    count.
     """
     if sino.n_angles < 2:
         raise DataError("need at least 2 angles to invert")
@@ -227,7 +238,8 @@ def fbp_invert(
             acc += np.interp(z, sino.offsets, filtered[ia], left=0.0, right=0.0)
         return acc
 
-    partials = parallel.map_blocks(backproject, blocks)
+    workers = None if Xf.size >= _POOL_MIN_NODES else 1
+    partials = parallel.map_blocks(backproject, blocks, workers)
     total = np.zeros(Xf.shape)
     for p in partials:  # fixed block order: bit-reproducible for any worker count
         total += p

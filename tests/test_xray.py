@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftscope import parallel, xray
 from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid, ScalarField, sample_scalar
 from driftscope.smalltime import Chord, FitTable, chord_angles, chord_offsets, make_parallel_chords
@@ -265,6 +266,30 @@ class TestFbp:
             errs.append(np.sqrt(np.sum((rec.values - V.values)[inside] ** 2)
                                 / np.sum(V.values[inside] ** 2)))
         assert errs[0] > errs[1] > errs[2]
+
+    def test_pool_only_on_large_grids(self, monkeypatch):
+        """A grid below _POOL_MIN_NODES back-projects in one thread; the
+        pooled block sum has the same bits."""
+        g, dom = unit_disc(n=65)
+        V = radial_gaussian(g, 0.3)
+        sino = sinogram_of_field(V, dom, 64, 65, n_quad=100)
+        seen = []
+        map_blocks = parallel.map_blocks
+
+        def spy(fn, items, workers=None):
+            seen.append(workers)
+            return map_blocks(fn, items, workers)
+
+        monkeypatch.setattr(parallel, "map_blocks", spy)
+        parallel.set_workers(3)
+        try:
+            serial = fbp_invert(sino, g, "hann", dom)
+            monkeypatch.setattr(xray, "_POOL_MIN_NODES", 0)
+            pooled = fbp_invert(sino, g, "hann", dom)
+        finally:
+            parallel.set_workers(None)
+        assert seen == [1, None]
+        assert np.array_equal(serial.values, pooled.values)
 
 
 class TestFourierSlice:
