@@ -211,8 +211,8 @@ class FitTable:
         if any(v.shape != cols["ok"].shape or v.ndim != 1 for v in cols.values()):
             raise DataError("fit table columns must be 1-D arrays of equal length")
         ok = cols["ok"]
-        cov = np.stack([cols["var_delta_psi"], cols["var_F"], cols["cov_delta_psi_F"]])
-        if np.any(cols["residual"][ok] < 0) or not np.all(np.isfinite(cov[:, ok])):
+        finite = all(np.all(np.isfinite(cols[name]) | ~ok) for name in _FIT_COLUMNS)
+        if np.any(cols["residual"][ok] < 0) or not finite:
             raise DataError("fit results must be finite with nonnegative residual")
         for name, v in cols.items():
             v.setflags(write=False)
@@ -457,34 +457,84 @@ def _numbers(path, values, dtype) -> np.ndarray:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
-    """One row per (chord, time), chord-major; floats as shortest round-trip text."""
-    c = dataset.chords
-    n, m = dataset.log_ratios.shape
-    per_chord = [c.angle_index, c.offset_index, c.x[:, 0], c.x[:, 1], c.y[:, 0], c.y[:, 1]]
-    columns = [np.repeat(v, m).tolist() for v in per_chord]
-    columns.append(np.tile(dataset.times, n).tolist())
-    columns += [a.ravel().tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios)]
+def _write_csv(path, head_rows, fmt, rows) -> None:
+    """The bytes csv.writer gives for unquoted fields: the head rows joined
+    by commas, then one `fmt % row` line (ending in CRLF) per row, streamed."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DATASET_COLUMNS)
-        w.writerows(zip(*columns))
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in head_rows)
+        fh.writelines(map(fmt.__mod__, rows))
+
+
+def _read_table(path, required, blank_is_nan=()) -> dict:
+    """Numeric columns of a CSV file by header name, as float arrays.
+
+    The header is read by `csv`, the body by numpy's parser: unquoted
+    decimal numbers (nan and inf included); blank lines are skipped, and so
+    are empty fields in the `blank_is_nan` columns, which read as NaN.  A
+    missing column, a field that is not a number, a row of the wrong length
+    or a file without rows is a DataError naming the path.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing column {missing[0]!r}")
+        blank = {header.index(c): lambda s: float(s or "nan") for c in blank_is_nan if c in header}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, converters=blank)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+    if not body.size:
+        raise DataError(f"{path}: no rows")
+    if body.shape[1] != len(header):
+        raise DataError(f"{path}: rows must have {len(header)} fields")
+    return dict(zip(header, body.T))
+
+
+def _integers(path, cols, *names) -> list:
+    """The named columns as int64; a value that is not an integer is a DataError."""
+    for name in names:
+        v = cols[name]
+        bad = np.nonzero(~(np.abs(v) < 2.0**63) | (v != np.floor(v)))[0]
+        if len(bad):
+            raise DataError(f"{path}: {name} must be integral, got {float(v[bad[0]])!r}")
+    return [cols[name].astype(np.int64) for name in names]
+
+
+def _first_repeat(keys):
+    """Index of the first entry whose key an earlier entry holds, or None."""
+    order = np.argsort(keys, kind="stable")
+    same = np.nonzero(keys[order][1:] == keys[order][:-1])[0]
+    return int(order[same + 1].min()) if len(same) else None
+
+
+def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
+    """One row per (chord, time), chord-major; floats as shortest round-trip
+    text (`repr`), each chord's six fields and each time formatted once."""
+    c = dataset.chords
+    heads = ["%d,%d,%r,%r,%r,%r," % row for row in zip(
+        c.angle_index.tolist(), c.offset_index.tolist(), *c.x.T.tolist(), *c.y.T.tolist())]
+    times = ["%r," % t for t in dataset.times.tolist()]
+    cells = (a.tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios))
+    _write_csv(path, [DATASET_COLUMNS], "%s%s%r,%r,%r\r\n", (
+        row for head, *chord in zip(heads, *cells)
+        for row in zip([head] * len(times), times, *chord)))
 
 
 def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryDataset:
-    """Rebuild a dataset from CSV; prefers the exact log_ratio column and
-    falls back to floored densities when it is absent or non-finite.
+    """Rebuild a dataset from CSV, read as `_read_table` reads it.
+
+    Prefers the exact log_ratio column and falls back to floored densities
+    where it is absent, empty or non-finite.  Indices must be integral; a
+    (chord, time) listed twice or a chord whose rows disagree on its
+    endpoints is a DataError.
     """
-    with open(path, newline="") as fh:
-        cols, n = _csv_columns(path, fh, DATASET_COLUMNS[:-1])
-    if not n:
-        raise DataError(f"{path}: empty dataset")
-    num = {name: _numbers(path, cols[name], float) for name in DATASET_COLUMNS[2:-1]}
-    ia = _numbers(path, cols["angle_index"], np.int64)
-    io = _numbers(path, cols["offset_index"], np.int64)
-    p_o, p_r, t = num["p_obs"], num["p_ref"], num["t"]
-    lr = (_numbers(path, [v or "nan" for v in cols["log_ratio"]], float)
-          if "log_ratio" in cols else np.full(n, np.nan))
+    cols = _read_table(path, DATASET_COLUMNS[:-1], blank_is_nan=("log_ratio",))
+    ia, io = _integers(path, cols, "angle_index", "offset_index")
+    p_o, p_r, t = cols["p_obs"], cols["p_ref"], cols["t"]
+    lr = cols["log_ratio"].copy() if "log_ratio" in cols else np.full(len(t), np.nan)
     fallback = ~np.isfinite(lr)
     usable = (p_o > floor) & (p_r > floor) & np.isfinite(p_o) & np.isfinite(p_r)
     bad = np.nonzero(fallback & ~usable)[0]
@@ -499,9 +549,18 @@ def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryData
     times, ti = times[::-1], len(times) - 1 - ti
     keys, first, ci = np.unique(np.stack([ia, io], axis=1), axis=0,
                                 return_index=True, return_inverse=True)
+    if (i := _first_repeat(ci * len(times) + ti)) is not None:
+        raise DataError(f"{path}: chord angle={ia[i]} offset={io[i]} at t={t[i]} "
+                        "is listed more than once")
+    xy = np.stack([cols["x1"], cols["x2"], cols["y1"], cols["y2"]], axis=1)
+    differs = np.any(xy.view(np.int64) != xy[first][ci].view(np.int64), axis=1)  # bit for bit
+    if differs.any():
+        i = np.argmax(differs)
+        raise DataError(f"{path}: the rows of chord angle={ia[i]} offset={io[i]} "
+                        "disagree on its endpoints")
     log_ratios, p_obs, p_ref = (np.full((len(keys), len(times)), np.nan) for _ in range(3))
     log_ratios[ci, ti], p_obs[ci, ti], p_ref[ci, ti] = lr, p_o, p_r
-    xy = np.stack([num["x1"], num["x2"], num["y1"], num["y2"]], axis=1)[first]
+    xy = xy[first]
     return BoundaryDataset(
         chords=ChordTable(xy[:, :2], xy[:, 2:], keys[:, 0], keys[:, 1]),
         times=times,
@@ -517,36 +576,41 @@ def write_fits_csv(path, chords: ChordTable, fits: FitTable) -> None:
     ok = fits.ok
     columns = [chords.angle_index[ok], chords.offset_index[ok], fits.delta_psi[ok], fits.F[ok],
                fits.residual[ok], fits.se_delta_psi[ok], fits.se_F[ok], fits.n_times[ok]]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FITS_COLUMNS)
-        w.writerows(zip(*(v.tolist() for v in columns)))
+    _write_csv(path, [FITS_COLUMNS], "%d,%d,%r,%r,%r,%r,%r,%d\r\n",
+               zip(*(v.tolist() for v in columns)))
 
 
 def read_fits_csv(path, chords: ChordTable) -> FitTable:
-    """Fits from CSV, row-aligned with `chords` by (angle_index, offset_index).
+    """Fits from CSV, read as `_read_table` reads it, row-aligned with
+    `chords` by (angle_index, offset_index).
 
     Chords without a row are not ok; rows without a chord are ignored.  The
-    covariance is rebuilt as diag(se_delta_psi^2, se_F^2).
+    covariance is rebuilt as diag(se_delta_psi^2, se_F^2).  Indices and
+    n_times must be integral; a chord listed twice, or a row with a
+    non-finite number or a negative residual, is a DataError.
     """
-    with open(path, newline="") as fh:
-        cols, _ = _csv_columns(path, fh, FITS_COLUMNS)
-    num = {name: _numbers(path, cols.get(name, []),
-                          np.int64 if name in ("angle_index", "offset_index", "n_times") else float)
-           for name in FITS_COLUMNS}
-    row_of = {key: i for i, key in enumerate(zip(chords.angle_index.tolist(),
-                                                chords.offset_index.tolist()))}
-    target = np.array([row_of.get(key, -1) for key in zip(num["angle_index"].tolist(),
-                                                          num["offset_index"].tolist())],
-                      dtype=np.int64)
-    hit = target >= 0
+    cols = _read_table(path, FITS_COLUMNS)
+    ia, io, n_times = _integers(path, cols, "angle_index", "offset_index", "n_times")
+    # each row's chord, looked up on the (angle, offset) raster of the chords
+    shape = (chords.angle_index.max(initial=-1) + 1, chords.offset_index.max(initial=-1) + 1)
+    slot = np.full(shape, -1)
+    slot[chords.angle_index, chords.offset_index] = np.arange(len(chords))
+    hit = (ia >= 0) & (ia < shape[0]) & (io >= 0) & (io < shape[1])
+    hit[hit] = slot[ia[hit], io[hit]] >= 0
+    target = slot[ia[hit], io[hit]]
+    if (i := _first_repeat(target)) is not None:
+        raise DataError(f"{path}: chord angle={ia[hit][i]} offset={io[hit][i]} "
+                        "is listed more than once")
 
     def column(values, fill=np.nan):
         out = np.full(len(chords), fill, dtype=values.dtype)
-        out[target[hit]] = values[hit]
+        out[target] = values[hit]
         return out
 
-    return FitTable(column(num["delta_psi"]), column(num["F"]), column(num["residual"]),
-                    column(num["se_delta_psi"] ** 2), column(num["se_F"] ** 2),
-                    column(np.zeros(len(hit))), column(num["n_times"], 0),
-                    column(np.ones(len(hit), dtype=bool), False))
+    try:
+        return FitTable(column(cols["delta_psi"]), column(cols["F"]), column(cols["residual"]),
+                        column(cols["se_delta_psi"] ** 2), column(cols["se_F"] ** 2),
+                        column(np.zeros(len(hit))), column(n_times, 0),
+                        column(np.ones(len(hit), dtype=bool), False))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -23,6 +23,7 @@ from .smalltime import (
     FitTable,
     _csv_columns,
     _numbers,
+    _write_csv,
     chord_angles,
     chord_directions,
     chord_offsets,
@@ -352,12 +353,9 @@ SINOGRAM_COLUMNS = ["angle_index", "offset_index", "value", "valid"]
 def write_sinogram_csv(path, sino: Sinogram) -> None:
     """A size row, then one row per bin in (angle, offset) order."""
     columns = [*np.indices(sino.values.shape), sino.values, sino.mask.astype(int)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_angles", "n_offsets", "R"])
-        w.writerow([sino.n_angles, sino.n_offsets, repr(sino.radius)])
-        w.writerow(SINOGRAM_COLUMNS)
-        w.writerows(zip(*(c.ravel().tolist() for c in columns)))
+    head = [["n_angles", "n_offsets", "R"], [sino.n_angles, sino.n_offsets, repr(sino.radius)],
+            SINOGRAM_COLUMNS]
+    _write_csv(path, head, "%d,%d,%r,%d\r\n", zip(*(c.ravel().tolist() for c in columns)))
 
 
 def read_sinogram_csv(path) -> Sinogram:

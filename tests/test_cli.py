@@ -129,6 +129,26 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     assert not (tmp_path / "phantom").exists()
 
 
+@pytest.mark.parametrize("stage", ["sinogram", "solve"])
+def test_non_finite_fit_row_exits_3(tmp_path, capsys, stage):
+    """A fits.csv row with NaN delta_psi and F is a data error when the file
+    is read, not a solve that runs out of iterations on a NaN residual."""
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    for earlier in STAGES[:4]:
+        assert run_command([earlier, "--config", config, "--out", str(tmp_path)]) == 0
+    header, row, *rest = (tmp_path / "fits.csv").read_text().splitlines()
+    fields = row.split(",")
+    fields[2:4] = ["nan", "nan"]
+    bad = tmp_path / "bad_fits.csv"
+    bad.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    capsys.readouterr()
+    assert run_command([stage, "--config", config, "--out", str(tmp_path),
+                        "--fits", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: [stage {stage}] {bad}: "), err
+    assert "Traceback" not in err
+
+
 def test_recover_rerun_replaces_metrics(tmp_path, capsys):
     """Re-running recover without ground truth drops the earlier run's error
     metrics: the chain's report then equals pipeline's without ground truth."""
