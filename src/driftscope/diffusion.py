@@ -1,5 +1,5 @@
-"""Forward machinery: path simulation, bridge functionals, density
-representation, a Fokker-Planck solver, and a Feynman-Kac exit solver.
+"""Forward machinery: bridge functionals, density representation, a
+Fokker-Planck solver, and a Feynman-Kac exit solver.
 
 Monte Carlo reproducibility: all randomness comes from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, and block
@@ -12,7 +12,6 @@ no workers at all.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -22,15 +21,7 @@ from scipy.sparse.linalg import splu
 
 from . import parallel
 from .errors import DataError, SimulationError, SolverError
-from .fields import (
-    DiffusionField,
-    Domain,
-    Grid,
-    ScalarField,
-    VectorField,
-    interp,
-    interp_vector,
-)
+from .fields import DiffusionField, Domain, Grid, ScalarField, VectorField, interp
 from .kernels import Kernel
 
 _MASK64 = (1 << 64) - 1
@@ -51,24 +42,6 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1:
             raise DataError("n_paths and n_steps must be at least 1")
-
-
-@dataclass(frozen=True)
-class Path:
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or s.shape != (len(t), 2):
-            raise DataError("path needs times (n,) and states (n, 2)")
-        if len(t) < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise DataError("path times must start at 0 and strictly increase")
-        if not np.all(np.isfinite(s)):
-            raise DataError("path states must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
 
 
 @dataclass(frozen=True)
@@ -93,69 +66,12 @@ def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     return value, stderr
 
 
-def matrix_sqrt_2x2(a11, a12, a22):
-    """Symmetric square root of SPD 2x2 matrices (vectorized closed form)."""
-    s = np.sqrt(a11 * a22 - a12 * a12)
-    tr = np.sqrt(a11 + a22 + 2.0 * s)
-    return (a11 + s) / tr, a12 / tr, (a22 + s) / tr
-
-
-def _drift_eval(c, pts):
-    if isinstance(c, VectorField):
-        return interp_vector(c, pts, mode="clamp")
-    return np.asarray(c(pts), dtype=float)
-
-
-def _diffusion_eval(a, pts):
-    """Return (a11, a12, a22) arrays at pts."""
-    if isinstance(a, DiffusionField):
-        g = a.grid
-        return (
-            interp(ScalarField(g, a.a11), pts, mode="clamp"),
-            interp(ScalarField(g, a.a12), pts, mode="clamp"),
-            interp(ScalarField(g, a.a22), pts, mode="clamp"),
-        )
-    m = np.asarray(a(pts), dtype=float)
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
-
-
 def _scalar_eval(V, pts):
     if isinstance(V, ScalarField):
         # zero extension outside the grid: the potential enters all path
         # functionals only through its restriction to the bounded region
         return interp(V, pts, mode="zero")
     return np.asarray(V(pts), dtype=float)
-
-
-def euler_maruyama(c, a, x0, t: float, cfg: McConfig, path_index: int = 0) -> Path:
-    """One Euler-Maruyama path of dx = c dt + sqrt(a) dw from x0 over [0, t].
-
-    c: VectorField or callable(points (n,2)) -> (n,2);
-    a: DiffusionField or callable(points) -> (n,2,2).  Field inputs are
-    clamp-extrapolated outside their grid.
-    """
-    if t <= 0:
-        raise DataError("horizon t must be positive")
-    n = cfg.n_steps
-    h = t / n
-    rng = substream(cfg.seed, path_index)
-    xi = rng.standard_normal((n, 2))
-    states = np.empty((n + 1, 2))
-    states[0] = np.asarray(x0, dtype=float)
-    sq_h = np.sqrt(h)
-    x = states[0][None, :]
-    for k in range(n):
-        drift = _drift_eval(c, x)
-        a11, a12, a22 = _diffusion_eval(a, x)
-        s11, s12, s22 = matrix_sqrt_2x2(a11, a12, a22)
-        dw = xi[k]
-        dx0 = drift[..., 0] + (s11 * dw[0] + s12 * dw[1]) / sq_h
-        dx1 = drift[..., 1] + (s12 * dw[0] + s22 * dw[1]) / sq_h
-        x = x + h * np.stack([dx0, dx1], axis=-1)
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(f"non-finite state at step {k + 1} of {n}")
-        states[k + 1] = x[0]
-    return Path(np.linspace(0.0, t, n + 1), states)
 
 
 def _bridge_block(x, y, t, n_steps, seed, block_index, block_size) -> np.ndarray:
@@ -179,16 +95,6 @@ def _bridge_block(x, y, t, n_steps, seed, block_index, block_size) -> np.ndarray
         states[:, k + 1, :] = cur
     states[:, n_steps, :] = yv
     return states
-
-
-def brownian_bridge(x, y, t: float, n_steps: int, seed: int = 0) -> Path:
-    """A Brownian bridge from x at time 0 to y at time t (single path)."""
-    if t <= 0:
-        raise DataError("bridge horizon t must be positive")
-    if n_steps < 1:
-        raise DataError("n_steps must be at least 1")
-    states = _bridge_block(x, y, t, n_steps, seed, 0, 1)[0]
-    return Path(np.linspace(0.0, t, n_steps + 1), states)
 
 
 def bridge_functional(V, x, y, t: float, cfg: McConfig) -> McEstimate:
@@ -525,34 +431,3 @@ def feynman_kac_exit(
     value, stderr = _mean_stderr(samples)
     return McEstimate(value, stderr, n, n_capped)
 
-
-def write_mc_csv(path, rows) -> None:
-    """Rows of (x, y, t, estimate) records: x and y are points, serialized as
-    'x1;x2'.  Columns: x, y, t, estimate, stderr, n_paths, seed.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "t", "estimate", "stderr", "n_paths", "seed"])
-        for x, y, t, est, seed in rows:
-            w.writerow(
-                [
-                    f"{float(x[0])!r};{float(x[1])!r}",
-                    f"{float(y[0])!r};{float(y[1])!r}",
-                    repr(float(t)),
-                    repr(float(est.value)),
-                    repr(float(est.stderr)),
-                    est.n_paths,
-                    seed,
-                ]
-            )
-
-
-def read_mc_csv(path) -> list:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            x = tuple(float(v) for v in row["x"].split(";"))
-            y = tuple(float(v) for v in row["y"].split(";"))
-            est = McEstimate(float(row["estimate"]), float(row["stderr"]), int(row["n_paths"]))
-            out.append((x, y, float(row["t"]), est, int(row["seed"])))
-    return out

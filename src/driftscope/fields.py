@@ -111,9 +111,6 @@ class ScalarField:
             raise DataError(f"non-finite field value at node ({bad[0]}, {bad[1]})")
         object.__setattr__(self, "values", _frozen(v))
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -509,12 +506,6 @@ def sample_scalar(f, grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def sample_vector(f, grid: Grid) -> VectorField:
-    X, Y = grid.nodes()
-    fx, fy = f(X, Y)
-    return VectorField(grid, np.stack([fx, fy], axis=-1))
-
-
 def interp(field: ScalarField, points: np.ndarray, mode: str = "strict") -> np.ndarray:
     """Bilinear interpolation at points (..., 2).
 
@@ -554,12 +545,6 @@ def interp(field: ScalarField, points: np.ndarray, mode: str = "strict") -> np.n
     if mode == "zero":
         out = np.where(inside, out, 0.0)
     return out[0] if scalar_in else out
-
-
-def interp_vector(field: VectorField, points: np.ndarray, mode: str = "clamp") -> np.ndarray:
-    fx = ScalarField(field.grid, field.values[..., 0])
-    fy = ScalarField(field.grid, field.values[..., 1])
-    return np.stack([interp(fx, points, mode), interp(fy, points, mode)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +633,8 @@ def read_dgf(path) -> ScalarField:
         raw = fh.read()
     if raw[:4] != _DGF_MAGIC:
         raise DataError(f"{path}: not a DGF1 file (bad magic {raw[:4]!r})")
+    if len(raw) < 44:
+        raise DataError(f"{path}: truncated DGF1 file ({len(raw)} bytes, its header has 44)")
     nx, ny = struct.unpack("<II", raw[4:12])
     x0, y0, dx, dy = struct.unpack("<4d", raw[12:44])
     expected = 44 + 8 * nx * ny

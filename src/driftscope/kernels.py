@@ -176,31 +176,6 @@ class ProductKernel(Kernel):
         }
 
 
-@dataclass(frozen=True)
-class CallableKernel(Kernel):
-    """Wrap an arbitrary density function p(x, t, y); optional exact log."""
-
-    fn: object
-    log_fn: object = None
-    dim: int = 2
-    label: str = "callable"
-
-    @property
-    def exact_log(self) -> bool:  # type: ignore[override]
-        return self.log_fn is not None
-
-    def density(self, x, t, y):
-        return self.fn(x, t, y)
-
-    def log_density(self, x, t, y):
-        if self.log_fn is not None:
-            return self.log_fn(x, t, y)
-        return super().log_density(x, t, y)
-
-    def describe(self):
-        return {"kind": self.label}
-
-
 def gaussian_kernel(x, t, y):
     """Planar heat-kernel density (2 pi t)^{-1} exp(-|y-x|^2 / (2t))."""
     return np.exp(BrownianKernel(dim=2).log_density(x, t, y))

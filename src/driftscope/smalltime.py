@@ -11,6 +11,7 @@ potential (minus the slope) in one pass.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -57,9 +58,6 @@ class Chord:
         """Signed offset of the chord's line from the origin."""
         om = self.omega
         return float(self.x[0] * (-om[1]) + self.x[1] * om[0])
-
-    def reversed(self) -> "Chord":
-        return Chord(self.y, self.x, self.angle_index, self.offset_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,26 +435,6 @@ FITS_COLUMNS = [
 ]
 
 
-def _csv_columns(path, fh, required) -> tuple[dict, int]:
-    """Columns of a CSV file by header name, as lists of strings."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    rows = list(reader)
-    missing = [c for c in required if c not in header]
-    if missing and rows:
-        raise DataError(f"{path}: missing column {missing[0]!r}")
-    if any(len(row) != len(header) for row in rows):
-        raise DataError(f"{path}: rows must have {len(header)} fields")
-    return dict(zip(header, map(list, zip(*rows)))), len(rows)
-
-
-def _numbers(path, values, dtype) -> np.ndarray:
-    try:
-        return np.fromiter(map(float if dtype is float else int, values), dtype, len(values))
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def _write_csv(path, head_rows, fmt, rows) -> None:
     """The bytes csv.writer gives for unquoted fields: the head rows joined
     by commas, then one `fmt % row` line (ending in CRLF) per row, streamed."""
@@ -465,17 +443,21 @@ def _write_csv(path, head_rows, fmt, rows) -> None:
         fh.writelines(map(fmt.__mod__, rows))
 
 
-def _read_table(path, required, blank_is_nan=()) -> dict:
-    """Numeric columns of a CSV file by header name, as float arrays.
+def _read_table(path, required, blank_is_nan=(), head_rows=0) -> tuple[list, dict]:
+    """The first `head_rows` rows of a CSV file as lists of strings (the
+    sinogram's size row and its names), and the numeric columns of the table
+    after them by header name, as float arrays.
 
-    The header is read by `csv`, the body by numpy's parser: unquoted
-    decimal numbers (nan and inf included); blank lines are skipped, and so
-    are empty fields in the `blank_is_nan` columns, which read as NaN.  A
-    missing column, a field that is not a number, a row of the wrong length
-    or a file without rows is a DataError naming the path.
+    The head rows and the header are read by `csv`, the body by numpy's
+    parser: unquoted decimal numbers (nan and inf included); blank lines are
+    skipped, and so are empty fields in the `blank_is_nan` columns, which
+    read as NaN.  A missing column, a field that is not a number, a row of
+    the wrong length or a file without rows is a DataError naming the path.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        rows = csv.reader(fh)
+        head = [next(rows, []) for _ in range(head_rows)]
+        header = next(rows, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column {missing[0]!r}")
@@ -485,12 +467,18 @@ def _read_table(path, required, blank_is_nan=()) -> dict:
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, converters=blank)
         except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+            # numpy measures a row of the wrong length against the first row;
+            # name the header's length instead
+            fh.seek(0)
+            ragged = any(row and len(row) != len(header)
+                         for row in itertools.islice(csv.reader(fh), head_rows + 1, None))
+            raise DataError(f"{path}: rows must have {len(header)} fields" if ragged
+                            else f"{path}: {exc}") from exc
     if not body.size:
         raise DataError(f"{path}: no rows")
     if body.shape[1] != len(header):
         raise DataError(f"{path}: rows must have {len(header)} fields")
-    return dict(zip(header, body.T))
+    return head, dict(zip(header, body.T))
 
 
 def _integers(path, cols, *names) -> list:
@@ -527,23 +515,28 @@ def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryData
     """Rebuild a dataset from CSV, read as `_read_table` reads it.
 
     Prefers the exact log_ratio column and falls back to floored densities
-    where it is absent, empty or non-finite.  Indices must be integral; a
-    (chord, time) listed twice or a chord whose rows disagree on its
-    endpoints is a DataError.
+    where it is absent, empty or non-finite.  A non-finite log ratio beside
+    an unusable density pair (not finite, or at or below the floor) is a
+    dropped observation (NaN), as `build_boundary_dataset` stores one;
+    without a log_ratio column such a pair is a DataError.  Indices must be
+    integral; a (chord, time) listed twice or a chord whose rows disagree on
+    its endpoints is a DataError.
     """
-    cols = _read_table(path, DATASET_COLUMNS[:-1], blank_is_nan=("log_ratio",))
+    _, cols = _read_table(path, DATASET_COLUMNS[:-1], blank_is_nan=("log_ratio",))
     ia, io = _integers(path, cols, "angle_index", "offset_index")
     p_o, p_r, t = cols["p_obs"], cols["p_ref"], cols["t"]
     lr = cols["log_ratio"].copy() if "log_ratio" in cols else np.full(len(t), np.nan)
     fallback = ~np.isfinite(lr)
     usable = (p_o > floor) & (p_r > floor) & np.isfinite(p_o) & np.isfinite(p_r)
     bad = np.nonzero(fallback & ~usable)[0]
-    if len(bad):
+    if len(bad) and "log_ratio" not in cols:
         i = bad[0]
         raise DataError(
             f"{path}: unusable density pair ({p_o[i]:.3e}, {p_r[i]:.3e}) for chord "
             f"angle={ia[i]} offset={io[i]} at t={t[i]}"
         )
+    lr[bad] = np.nan  # a dropped observation
+    fallback &= usable
     lr[fallback] = np.log(p_o[fallback]) - np.log(p_r[fallback])
     times, ti = np.unique(t, return_inverse=True)
     times, ti = times[::-1], len(times) - 1 - ti
@@ -589,7 +582,7 @@ def read_fits_csv(path, chords: ChordTable) -> FitTable:
     n_times must be integral; a chord listed twice, or a row with a
     non-finite number or a negative residual, is a DataError.
     """
-    cols = _read_table(path, FITS_COLUMNS)
+    _, cols = _read_table(path, FITS_COLUMNS)
     ia, io, n_times = _integers(path, cols, "angle_index", "offset_index", "n_times")
     # each row's chord, looked up on the (angle, offset) raster of the chords
     shape = (chords.angle_index.max(initial=-1) + 1, chords.offset_index.max(initial=-1) + 1)

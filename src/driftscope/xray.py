@@ -8,7 +8,6 @@ from the origin along omega_i^perp.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +20,8 @@ from .smalltime import (
     Chord,
     ChordTable,
     FitTable,
-    _csv_columns,
-    _numbers,
+    _integers,
+    _read_table,
     _write_csv,
     chord_angles,
     chord_directions,
@@ -251,66 +250,6 @@ def fbp_invert(
     return ScalarField(out_grid, out)
 
 
-def fourier_slice_check(V: ScalarField, sino: Sinogram) -> float:
-    """Largest low-frequency mismatch between each projection's 1-D spectrum
-    and the matching central slice of the field's 2-D spectrum, relative to
-    the peak projection spectrum magnitude.  Diagnostic only.
-    """
-    g = V.grid
-    n = sino.n_offsets
-    if n < 2:
-        raise DataError("sinogram too small for a spectral check")
-    dz = float(sino.offsets[1] - sino.offsets[0])
-    z0 = float(sino.offsets[0])
-
-    # 2-D spectrum on a zero-padded grid, ordinary-frequency convention.
-    # The field is rolled so the grid center sits at index 0: the sampled
-    # spectrum is then slowly varying and safe to interpolate (otherwise the
-    # center-offset phase oscillates with a period of a few bins).
-    pad = 2
-    ic, jc = g.nx // 2, g.ny // 2
-    buf = np.zeros((pad * g.nx, pad * g.ny))
-    buf[: g.nx, : g.ny] = V.values
-    buf = np.roll(buf, (-ic, -jc), axis=(0, 1))
-    F2 = np.fft.fftshift(np.fft.fft2(buf))
-    fx = np.fft.fftshift(np.fft.fftfreq(pad * g.nx, d=g.dx))
-    fy = np.fft.fftshift(np.fft.fftfreq(pad * g.ny, d=g.dy))
-    xc, yc = g.x0 + ic * g.dx, g.y0 + jc * g.dy
-
-    def sample_F2(px, py):
-        # bilinear in frequency, then restore the grid-center phase factor
-        ix = np.clip((px - fx[0]) / (fx[1] - fx[0]), 0, len(fx) - 1 - 1e-9)
-        iy = np.clip((py - fy[0]) / (fy[1] - fy[0]), 0, len(fy) - 1 - 1e-9)
-        i0 = np.floor(ix).astype(int)
-        j0 = np.floor(iy).astype(int)
-        tx = ix - i0
-        ty = iy - j0
-        val = (
-            F2[i0, j0] * (1 - tx) * (1 - ty)
-            + F2[i0 + 1, j0] * tx * (1 - ty)
-            + F2[i0, j0 + 1] * (1 - tx) * ty
-            + F2[i0 + 1, j0 + 1] * tx * ty
-        )
-        phase = np.exp(-2j * np.pi * (px * xc + py * yc))
-        return val * phase * g.cell_area
-
-    freqs = np.fft.rfftfreq(n, d=dz)
-    nyq = 0.5 / dz
-    band = freqs <= 0.5 * nyq
-    worst = 0.0
-    peak = 0.0
-    for ia, phi in enumerate(sino.angles):
-        row = np.where(sino.mask[ia], sino.values[ia], 0.0)
-        S1 = np.fft.rfft(row)[band] * dz * np.exp(-2j * np.pi * freqs[band] * z0)
-        perp = np.array([-np.sin(phi), np.cos(phi)])
-        S2 = sample_F2(freqs[band] * perp[0], freqs[band] * perp[1])
-        worst = max(worst, float(np.abs(S1 - S2).max()))
-        peak = max(peak, float(np.abs(S1).max()))
-    if peak == 0.0:
-        return 0.0 if worst == 0.0 else float("inf")
-    return worst / peak
-
-
 # ---------------------------------------------------------------------------
 # Phantoms with analytic transforms (test oracles and CLI fixtures)
 # ---------------------------------------------------------------------------
@@ -359,25 +298,33 @@ def write_sinogram_csv(path, sino: Sinogram) -> None:
 
 
 def read_sinogram_csv(path) -> Sinogram:
-    """Bins not listed are masked; a malformed field, a bin outside the
-    raster or a bin listed twice is a DataError."""
-    with open(path, newline="") as fh:
-        head = csv.reader(fh)
-        names, sizes = next(head, []), next(head, [])
-        if names[:3] != ["n_angles", "n_offsets", "R"] or len(sizes) < 3:
-            raise DataError(f"{path}: not a sinogram CSV")
-        cols, _ = _csv_columns(path, fh, SINOGRAM_COLUMNS)
-    n_angles, n_offsets = _numbers(path, sizes[:2], np.int64).tolist()
-    radius = float(_numbers(path, sizes[2:3], float)[0])
-    if n_angles < 1 or n_offsets < 1 or not 0 < radius < np.inf:
+    """A size row, then one row per bin, read as `_read_table` reads them.
+
+    The file must list every bin of its raster exactly once, as the writer
+    does: a bin not listed is a DataError (it once read as masked), and so
+    are a malformed field, a bin outside the raster and a bin listed twice.
+    """
+    (names, sizes), cols = _read_table(path, SINOGRAM_COLUMNS, head_rows=2)
+    if names[:3] != ["n_angles", "n_offsets", "R"] or len(sizes) < 3:
+        raise DataError(f"{path}: not a sinogram CSV")
+    try:
+        n_angles, n_offsets, radius = int(sizes[0]), int(sizes[1]), float(sizes[2])
+        # bins are numbered in int64 below, so a raster holds fewer than 2^63
+        good = (min(n_angles, n_offsets) >= 1 and n_angles * n_offsets < 2**63
+                and 0 < radius < np.inf)
+    except ValueError:
+        good = False
+    if not good:
         raise DataError(f"{path}: bad raster header {sizes[:3]}")
-    ia, io, valid = (_numbers(path, cols.get(name, []), np.int64)
-                     for name in ("angle_index", "offset_index", "valid"))
+    ia, io, valid = _integers(path, cols, "angle_index", "offset_index", "valid")
     _check_in_raster(ia, io, (n_angles, n_offsets), f"{path}: bin")
     if len(np.unique(ia * n_offsets + io)) < len(ia):
         raise DataError(f"{path}: a bin is listed more than once")
+    if len(ia) != n_angles * n_offsets:
+        raise DataError(f"{path}: {len(ia)} of the {n_angles * n_offsets} bins of the "
+                        f"{n_angles} x {n_offsets} raster are listed")
     values = np.zeros((n_angles, n_offsets))
     mask = np.zeros((n_angles, n_offsets), dtype=bool)
-    values[ia, io] = _numbers(path, cols.get("value", []), float)
+    values[ia, io] = cols["value"]
     mask[ia, io] = valid != 0
     return Sinogram(chord_angles(n_angles), chord_offsets(radius, n_offsets), values, mask, radius)

@@ -18,6 +18,14 @@ INPUT_OPTIONS = {
 }
 
 
+# malformed input files, by name
+BAD_INPUTS = {
+    "big.csv": b"n_angles,n_offsets,R\r\n1000000000,1000000000,1.0\r\n"
+               b"angle_index,offset_index,value,valid\r\n0,0,0.5,1\r\n",
+    "short.dgf": b"DGF1\x01\x00",
+}
+
+
 def small_disc_config(**overrides):
     raw = {
         "domain": {"kind": "disc", "radius": 1.0},
@@ -104,6 +112,8 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
     *((stage, 3, f"data error: [stage {stage}] input file not found: ") for stage in STAGES[1:]),
     ("solve", 4, "solver error: [stage solve] no convergence in 1 iterations"),
     ("pipeline", 4, "solver error: [stage solve] no convergence in 1 iterations"),
+    ("invert --sinogram big.csv", 3, "data error: [stage invert] {input}:"),
+    ("solve --vhat short.dgf", 3, "data error: [stage solve] {input}:"),
     *((f"phantom {option} {value}", 2, f"config error: {option} must be at least {least}, got ")
       for option, value, least in (("--n", 1, 2), ("--n", -3, 2), ("--angles", 0, 1),
                                    ("--offsets", 0, 1))),
@@ -121,7 +131,13 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     if stage.startswith("phantom"):  # phantom takes its sizes as options, not a config
         argv = [*stage.split(), "--out", str(tmp_path / "phantom")]
     else:
-        argv = [stage, "--config", config, "--out", str(tmp_path)]
+        name, *option = stage.split()
+        argv = [name, "--config", config, "--out", str(tmp_path)]
+        if option:  # a malformed input file
+            path = tmp_path / option[1]
+            path.write_bytes(BAD_INPUTS[option[1]])
+            argv += [option[0], str(path)]
+            prefix = prefix.format(input=path)
     assert run_command(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix), err

@@ -1,4 +1,5 @@
-"""The dataset and fits CSV files pinned to the csv-module code they replaced.
+"""The dataset, fits and sinogram CSV files pinned to the csv-module code
+they replaced.
 
 The oracles below are the column-wise `csv.writer` writers and the
 `csv.reader` + `float()` / `int()` readers as they stood before the writers
@@ -28,7 +29,10 @@ from driftscope.smalltime import (
     read_fits_csv,
     write_dataset_csv,
     write_fits_csv,
+    chord_angles,
+    chord_offsets,
 )
+from driftscope.xray import Sinogram, read_sinogram_csv, write_sinogram_csv
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5]
 
@@ -106,6 +110,22 @@ def oracle_read_fits_csv(path, chords):
             "var_F": column(num["se_F"] ** 2), "cov_delta_psi_F": column(np.zeros(len(hit))),
             "n_times": column(num["n_times"].astype(np.int64), 0),
             "ok": column(np.ones(len(hit), dtype=bool), False)}
+
+
+def oracle_read_sinogram_csv(path):
+    """The arrays the csv.reader-based reader built (its input checks left out)."""
+    with open(path, newline="") as fh:
+        _, sizes, header, *rows = csv.reader(fh)
+    n_angles, n_offsets, radius = int(sizes[0]), int(sizes[1]), float(sizes[2])
+    cols = dict(zip(header, map(list, zip(*rows))))
+    ia, io, valid = (np.array([int(v) for v in cols[name]], dtype=np.int64)
+                     for name in ("angle_index", "offset_index", "valid"))
+    values = np.zeros((n_angles, n_offsets))
+    mask = np.zeros((n_angles, n_offsets), dtype=bool)
+    values[ia, io] = np.array([float(v) for v in cols["value"]])
+    mask[ia, io] = valid != 0
+    return {"angles": chord_angles(n_angles), "offsets": chord_offsets(radius, n_offsets),
+            "values": values, "mask": mask, "radius": np.float64(radius)}
 
 
 def assert_bits_equal(table, expected):
@@ -234,6 +254,35 @@ class TestReaders:
         back = read_dataset_csv(path)
         assert_bits_equal(dataset_arrays(back), oracle_read_dataset_csv(path))
         assert np.array_equal(back.log_ratios, fallback)
+
+    def test_dropped_observation_reads_back_as_nan(self, tmp_path):
+        # a NaN log ratio beside a density pair below the floor is a dropped
+        # observation, as build_boundary_dataset stores it
+        path, usable = tmp_path / "dropped.csv", tmp_path / "usable.csv"
+        write_dataset_csv(path, special_dataset(dropped_density=0.0))
+        oracle_write_dataset_csv(usable, special_dataset(dropped_density=1e-5))
+        got, want = dataset_arrays(read_dataset_csv(path)), oracle_read_dataset_csv(usable)
+        assert np.isnan(got["log_ratios"][1, 1]) and got["p_obs"][1, 1] == 0.0
+        for name in ("log_ratios", "p_obs"):
+            got[name][1, 1] = want[name][1, 1] = 0.0
+        assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("n_angles, n_offsets", [(3, 4), (12, 13)])
+    def test_sinogram_bits_equal_csv_reader(self, tmp_path, n_angles, n_offsets):
+        shape = (n_angles, n_offsets)
+        rng = np.random.default_rng(n_angles)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        values.flat[:4] = [-0.0, 5e-324, 1e16, 1e-5]
+        mask = rng.random(shape) > 0.2
+        mask.flat[:4] = True
+        values[~mask] = np.where(rng.random((~mask).sum()) < 0.5, np.nan, -np.inf)
+        path = tmp_path / "sinogram.csv"
+        write_sinogram_csv(path, Sinogram(chord_angles(n_angles), chord_offsets(1.25, n_offsets),
+                                          values, mask, 1.25))
+        back = read_sinogram_csv(path)
+        assert_bits_equal({name: np.asarray(getattr(back, name))
+                           for name in ("angles", "offsets", "values", "mask", "radius")},
+                          oracle_read_sinogram_csv(path))
 
     def test_blank_lines_are_skipped(self, tmp_path):
         ds = small_dataset()

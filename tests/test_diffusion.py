@@ -6,15 +6,10 @@ from driftscope import parallel
 from driftscope.diffusion import (
     FokkerPlanckResult,
     McConfig,
-    Path,
     bridge_functional,
-    brownian_bridge,
     density_via_representation,
-    euler_maruyama,
     feynman_kac_exit,
     fokker_planck_forward,
-    read_mc_csv,
-    write_mc_csv,
     _bridge_block,
 )
 from driftscope.errors import DataError, SimulationError
@@ -29,10 +24,6 @@ from driftscope.fields import (
 )
 
 ORIGIN = np.array([0.0, 0.0])
-
-
-def identity_a(p):
-    return np.broadcast_to(np.eye(2), (*np.asarray(p).shape[:-1], 2, 2))
 
 
 class TestKernels:
@@ -96,61 +87,17 @@ class TestKernels:
         assert diff < 1e-5
 
 
-class TestEulerMaruyama:
-    def test_brownian_increment_statistics(self):
-        cfg = McConfig(1, 20000, seed=123)
-        path = euler_maruyama(lambda p: np.zeros_like(p), identity_a, ORIGIN, 20.0, cfg)
-        inc = np.diff(path.states, axis=0)
-        h = 20.0 / 20000
-        n = inc.shape[0]
-        for axis in range(2):
-            mean_se = np.sqrt(h / n)
-            assert abs(inc[:, axis].mean()) < 4 * mean_se
-            var_se = h * np.sqrt(2.0 / n)
-            assert abs(inc[:, axis].var() - h) < 4 * var_se
-
-    def test_ou_stationary_second_moment(self):
-        cfg = McConfig(1, 40000, seed=7)
-        path = euler_maruyama(lambda p: -p, identity_a, np.array([1.0, 0.0]), 400.0, cfg)
-        avg = np.mean(np.sum(path.states[2000:] ** 2, axis=1))
-        assert abs(avg - 1.0) < 0.3  # 4 sigma for ~200 effective samples
-
-    def test_deterministic_limit(self):
-        cfg = McConfig(1, 400, seed=1)
-        eps = 1e-9
-
-        def tiny_a(p):
-            return eps * identity_a(p)
-
-        path = euler_maruyama(lambda p: np.broadcast_to([1.0, 0.0], p.shape), tiny_a,
-                              ORIGIN, 2.0, cfg)
-        assert path.states[-1] == pytest.approx([2.0, 0.0], abs=1e-4)
-
-    def test_field_coefficients_clamped(self):
-        g = Grid.from_extent(-1, -1, 1, 1, 17, 17)
-        c = VectorField(g, np.zeros((17, 17, 2)))
-        a = DiffusionField.identity(g)
-        path = euler_maruyama(c, a, np.array([0.9, 0.9]), 1.0, McConfig(1, 200, seed=3))
-        assert np.all(np.isfinite(path.states))
-
-    def test_blowup_reports_step(self):
-        cfg = McConfig(1, 100, seed=2)
-        with pytest.raises(SimulationError, match="step"):
-            euler_maruyama(lambda p: np.exp(np.abs(p) * 50.0), identity_a, np.array([1.0, 1.0]),
-                           10.0, cfg)
-
-
 class TestBrownianBridge:
     def test_single_step_is_endpoints(self):
         x, y = np.array([0.3, -0.2]), np.array([1.5, 2.0])
-        p = brownian_bridge(x, y, 0.7, 1, seed=0)
-        assert np.array_equal(p.states[0], x)
-        assert np.array_equal(p.states[-1], y)
+        states = _bridge_block(x, y, 0.7, 1, seed=0, block_index=0, block_size=3)
+        assert np.array_equal(states, np.broadcast_to([x, y], states.shape))
 
     def test_endpoints_exact_many_steps(self):
         x, y = np.array([0.3, -0.2]), np.array([1.5, 2.0])
-        p = brownian_bridge(x, y, 0.7, 64, seed=4)
-        assert np.array_equal(p.states[-1], y)
+        states = _bridge_block(x, y, 0.7, 64, seed=4, block_index=0, block_size=3)
+        assert np.array_equal(states[:, 0], np.broadcast_to(x, (3, 2)))
+        assert np.array_equal(states[:, -1], np.broadcast_to(y, (3, 2)))
 
     def test_midpoint_mean_and_variance(self):
         x, y = np.array([-1.0, 0.5]), np.array([1.0, -0.5])
@@ -492,29 +439,9 @@ class TestFeynmanKacLockstep:
 
 
 class TestPathAndConfig:
-    def test_path_validation(self):
-        with pytest.raises(DataError):
-            Path(np.array([0.0, 0.0]), np.zeros((2, 2)))
-        with pytest.raises(DataError):
-            Path(np.array([0.1, 0.2]), np.zeros((2, 2)))
-
     def test_mc_config_validation(self):
         with pytest.raises(DataError):
             McConfig(0, 1)
         with pytest.raises(DataError):
             McConfig(1, 0)
 
-    def test_mc_csv_roundtrip(self, tmp_path):
-        from driftscope.diffusion import McEstimate
-
-        rows = [
-            ((0.1, -0.2), (0.3, 0.4), 0.05, McEstimate(1.234, 0.01, 100), 7),
-            ((1.0, 1.0), (-1.0, 0.5), 0.1, McEstimate(0.5, 0.002, 5000), 8),
-        ]
-        path = tmp_path / "mc.csv"
-        write_mc_csv(path, rows)
-        back = read_mc_csv(path)
-        assert len(back) == 2
-        assert back[0][0] == (0.1, -0.2)
-        assert back[0][3].value == 1.234
-        assert back[1][4] == 8

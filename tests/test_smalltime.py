@@ -171,8 +171,9 @@ class TestGeometry:
         assert np.linalg.norm(c.omega) == pytest.approx(1.0, abs=1e-12)
         # offset: component of x along omega-perp = (-omega_y, omega_x)
         assert c.z == pytest.approx(-np.sqrt(0.5), abs=1e-12)
-        r = c.reversed()
-        assert np.array_equal(r.x, c.y) and np.array_equal(r.y, c.x)
+        r = Chord(c.y, c.x)
+        assert r.length == c.length
+        assert np.array_equal(r.omega, -c.omega) and r.z == pytest.approx(-c.z, abs=1e-12)
 
 
 class TestDataset:
