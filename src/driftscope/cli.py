@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--workers", type=int, help="worker count override")
+        p.add_argument("--workers", type=int,
+                       help="threads for multi-block Monte Carlo bridge estimates, which no "
+                            "stage runs; accepted so existing configs and scripts still run")
         p.add_argument("-v", "--verbose", action="store_true")
         for artifact in STAGES[name].inputs if name in STAGES else ():
             option, file = ARTIFACTS[artifact].option, ARTIFACTS[artifact].files[0]

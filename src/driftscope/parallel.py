@@ -4,6 +4,13 @@ Work is always cut into fixed-size blocks and results are combined in block
 order, so the outcome is bit-identical for any worker count.  Workers are
 threads, so they help only where a block spends its time in large numpy
 calls that release the GIL; a loop of small-array numpy steps holds it.
+
+The pool's one user is `diffusion.bridge_functional`, where each 4096-path
+block draws and interpolates whole (paths, steps) arrays: on a 2-vCPU VM,
+20,000 bridges of 64 steps over a 129^2 potential take a median 0.31 s on
+one worker and 0.21 s on two.  Filtered back-projection, which back-projects
+only the nodes inside the domain, and the Feynman-Kac exit sampler run in
+one thread.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 _WORKER_ENV = "DRIFTSCOPE_WORKERS"
 _worker_override: int | None = None
 
-# Fixed block sizes; independent of the worker count by design.
+# Fixed block size; independent of the worker count by design.
 MC_BLOCK = 4096
-ANGLE_BLOCK = 16
 
 
 def set_workers(n: int | None) -> None:

@@ -360,7 +360,7 @@ def _erode(mask: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain | None = None,
+def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain,
                          erode: int = 2) -> float:
     """L2 norm over the domain of d_y (a^{-1} c)_1 - d_x (a^{-1} c)_2: the
     discrete test that a^{-1} c is a gradient field (zero for exact data).
@@ -374,12 +374,7 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain | Non
     from .fields import _d1  # shared stencils with gradient()
 
     curl = _d1(w1, g.dy, 1) - _d1(w2, g.dx, 0)
-    if domain is not None:
-        inside = domain.contains(g.node_points()).reshape(g.shape)
-        region = _erode(inside, erode)
-    else:
-        region = np.ones(g.shape, dtype=bool)
-        region[:erode, :] = region[-erode:, :] = region[:, :erode] = region[:, -erode:] = False
+    region = _erode(domain.contains(g.node_points()).reshape(g.shape), erode)
     return float(np.sqrt(np.sum(curl[region] ** 2) * g.cell_area))
 
 

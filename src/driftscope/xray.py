@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .errors import DataError
 from .fields import Domain, Grid, ScalarField, interp
 from .smalltime import (
@@ -29,13 +28,10 @@ from .smalltime import (
     make_parallel_chords,
 )
 
-# Back-projection blocks go to the worker pool only on grids of at least
-# this many nodes.  Below it a 16-angle block takes a few milliseconds and
-# the pool costs more than it saves: on a 2-vCPU VM, two workers made a
-# 129x91-node inversion slower (36 against 30 ms), tripled the hypervisor's
-# steal time and left the rest of the run slower and noisier.  Two workers
-# break even near 181^2 nodes and win on 257^2 (about 250 against 340 ms).
-_POOL_MIN_NODES = 1 << 15
+# Back-projection sums the angles in blocks of this many, then adds the block
+# sums in order.  The block size fixes the rounding of V_hat: changing it
+# changes the bits of every inversion.
+_ANGLE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -173,23 +169,15 @@ def _ramp_kernel(n_pad: int, dz: float) -> np.ndarray:
     return h
 
 
-def fbp_invert(
-    sino: Sinogram,
-    out_grid: Grid,
-    filter_name: str = "ram-lak",
-    domain: Domain | None = None,
-) -> ScalarField:
-    """Filtered back-projection onto out_grid.
+def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain) -> ScalarField:
+    """Filtered back-projection onto the nodes of out_grid inside the domain.
 
     Offset profiles are convolved with the ramp filter (FFT on a zero-padded
     axis of at least twice the length; optional Hann apodization), then
-    back-projected with linear interpolation in offset.  Masked bins are
-    in-filled by linear interpolation along the offset axis (with a warning);
-    a fully masked angle or more than 10% masked bins is an error.  When a
-    domain is given the output is clamped to zero outside it.  Angle blocks
-    are summed in block order, in the worker pool on grids of at least
-    _POOL_MIN_NODES nodes, so the result is bit-identical for any worker
-    count.
+    back-projected with linear interpolation in offset, in one thread, at
+    the nodes inside the domain only; the nodes outside are zero.  Masked
+    bins are in-filled by linear interpolation along the offset axis (with a
+    warning); a fully masked angle or more than 10% masked bins is an error.
     """
     if sino.n_angles < 2:
         raise DataError("need at least 2 angles to invert")
@@ -225,28 +213,18 @@ def fbp_invert(
     filtered = np.fft.irfft(np.fft.rfft(padded, axis=1) * H[None, :], axis=1)[:, :n] * dz
 
     X, Y = out_grid.nodes()
-    shape = X.shape
-    Xf, Yf = X.ravel(), Y.ravel()
-    blocks = parallel.block_ranges(sino.n_angles, parallel.ANGLE_BLOCK)
-
-    def backproject(block):
-        lo, hi = block
-        acc = np.zeros(Xf.shape)
-        for ia in range(lo, hi):
+    inside = domain.contains(out_grid.node_points()).reshape(X.shape)
+    x, y = X[inside], Y[inside]
+    total = np.zeros(len(x))
+    for lo in range(0, sino.n_angles, _ANGLE_BLOCK):
+        acc = np.zeros(len(x))
+        for ia in range(lo, min(lo + _ANGLE_BLOCK, sino.n_angles)):
             phi = sino.angles[ia]
-            z = -np.sin(phi) * Xf + np.cos(phi) * Yf
+            z = -np.sin(phi) * x + np.cos(phi) * y
             acc += np.interp(z, sino.offsets, filtered[ia], left=0.0, right=0.0)
-        return acc
-
-    workers = None if Xf.size >= _POOL_MIN_NODES else 1
-    partials = parallel.map_blocks(backproject, blocks, workers)
-    total = np.zeros(Xf.shape)
-    for p in partials:  # fixed block order: bit-reproducible for any worker count
-        total += p
-    out = (np.pi / sino.n_angles) * total.reshape(shape)
-    if domain is not None:
-        inside = domain.contains(out_grid.node_points()).reshape(shape)
-        out = np.where(inside, out, 0.0)
+        total += acc
+    out = np.zeros(X.shape)
+    out[inside] = (np.pi / sino.n_angles) * total
     return ScalarField(out_grid, out)
 
 
@@ -327,4 +305,8 @@ def read_sinogram_csv(path) -> Sinogram:
     mask = np.zeros((n_angles, n_offsets), dtype=bool)
     values[ia, io] = cols["value"]
     mask[ia, io] = valid != 0
-    return Sinogram(chord_angles(n_angles), chord_offsets(radius, n_offsets), values, mask, radius)
+    try:
+        return Sinogram(chord_angles(n_angles), chord_offsets(radius, n_offsets), values, mask,
+                        radius)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

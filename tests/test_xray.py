@@ -5,7 +5,7 @@ import pytest
 
 from driftscope import parallel, xray
 from driftscope.errors import DataError
-from driftscope.fields import DiscDomain, Grid, ScalarField, sample_scalar
+from driftscope.fields import DiscDomain, Grid, RectangleDomain, ScalarField, sample_scalar
 from driftscope.smalltime import Chord, FitTable, chord_angles, chord_offsets, make_parallel_chords
 from driftscope.xray import (
     Sinogram,
@@ -268,29 +268,72 @@ class TestFbp:
                                 / np.sum(V.values[inside] ** 2)))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_pool_only_on_large_grids(self, monkeypatch):
-        """A grid below _POOL_MIN_NODES back-projects in one thread; the
-        pooled block sum has the same bits."""
-        g, dom = unit_disc(n=65)
-        V = radial_gaussian(g, 0.3)
-        sino = sinogram_of_field(V, dom, 64, 65, n_quad=100)
-        seen = []
-        map_blocks = parallel.map_blocks
+    @pytest.mark.filterwarnings("ignore:in-filling")
+    def test_matches_all_node_pooled_oracle(self, monkeypatch):
+        """Inside nodes only, in one thread, give the bits of the all-node,
+        block-pooled back-projection, on a disc grid the pool once took and
+        on a rectangle grid it did not; one sinogram has in-filled bins."""
+        disc_grid, disc = unit_disc(n=182)  # 33,124 nodes: above the old pool switch
+        rect_grid = Grid.from_extent(-1.15, -0.805, 1.15, 0.805, 129, 91)
+        rect = RectangleDomain(rect_grid, -1.0, -0.7, 1.0, 0.7)
+        cases = []
+        for g, dom, filter_name, masked in ((disc_grid, disc, "hann", 0.05),
+                                            (rect_grid, rect, "ram-lak", 0.0)):
+            sino = sinogram_of_field(radial_gaussian(g, 0.4), dom, 72, 73, n_quad=64)
+            mask = sino.mask.copy()
+            bad = np.random.default_rng(5).choice(mask.size, int(masked * mask.size),
+                                                  replace=False)
+            mask.ravel()[bad] = False
+            sino = Sinogram(sino.angles, sino.offsets, sino.values, mask, sino.radius)
+            want = all_node_pooled_fbp(sino, g, filter_name, dom)
+            cases.append((g, dom, filter_name, sino, want))
 
-        def spy(fn, items, workers=None):
-            seen.append(workers)
-            return map_blocks(fn, items, workers)
+        def refuse(*args, **kwargs):
+            raise AssertionError("fbp_invert must not map blocks over workers")
 
-        monkeypatch.setattr(parallel, "map_blocks", spy)
-        parallel.set_workers(3)
-        try:
-            serial = fbp_invert(sino, g, "hann", dom)
-            monkeypatch.setattr(xray, "_POOL_MIN_NODES", 0)
-            pooled = fbp_invert(sino, g, "hann", dom)
-        finally:
-            parallel.set_workers(None)
-        assert seen == [1, None]
-        assert np.array_equal(serial.values, pooled.values)
+        monkeypatch.setattr(parallel, "map_blocks", refuse)
+        for g, dom, filter_name, sino, want in cases:
+            assert np.array_equal(fbp_invert(sino, g, filter_name, dom).values, want.values)
+
+
+def all_node_pooled_fbp(sino, out_grid, filter_name, domain):
+    """Oracle: fbp_invert as it stood when it back-projected every grid node
+    in 16-angle blocks on a two-thread pool, summed the blocks in order and
+    then zeroed the nodes outside the domain."""
+    values = sino.values.copy()
+    for ia in range(sino.n_angles):
+        bad = ~sino.mask[ia]
+        if bad.any():
+            values[ia, bad] = np.interp(sino.offsets[bad], sino.offsets[~bad], values[ia, ~bad])
+    n = sino.n_offsets
+    dz = float(sino.offsets[1] - sino.offsets[0])
+    n_pad = 1 << int(np.ceil(np.log2(max(2 * n, 4))))
+    H = np.fft.rfft(xray._ramp_kernel(n_pad, dz))
+    if filter_name == "hann":
+        freqs = np.fft.rfftfreq(n_pad, d=dz)
+        H = H * 0.5 * (1.0 + np.cos(np.pi * freqs / (0.5 / dz)))
+    padded = np.zeros((sino.n_angles, n_pad))
+    padded[:, :n] = values
+    filtered = np.fft.irfft(np.fft.rfft(padded, axis=1) * H[None, :], axis=1)[:, :n] * dz
+
+    X, Y = out_grid.nodes()
+    Xf, Yf = X.ravel(), Y.ravel()
+
+    def backproject(block):
+        lo, hi = block
+        acc = np.zeros(Xf.shape)
+        for ia in range(lo, hi):
+            phi = sino.angles[ia]
+            z = -np.sin(phi) * Xf + np.cos(phi) * Yf
+            acc += np.interp(z, sino.offsets, filtered[ia], left=0.0, right=0.0)
+        return acc
+
+    total = np.zeros(Xf.shape)
+    for p in parallel.map_blocks(backproject, parallel.block_ranges(sino.n_angles, 16), 2):
+        total += p
+    out = (np.pi / sino.n_angles) * total.reshape(X.shape)
+    inside = domain.contains(out_grid.node_points()).reshape(X.shape)
+    return ScalarField(out_grid, np.where(inside, out, 0.0))
 
 
 class TestSinogramCsv:
@@ -354,6 +397,14 @@ class TestSinogramCsv:
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], sizes, *lines[2:-1]]) + "\n")  # bin (1, 2) left out
         with pytest.raises(DataError, match=match):
+            read_sinogram_csv(path)
+
+    def test_non_finite_valid_bin_names_the_file(self, tmp_path):
+        # every bin listed, so the raster checks pass; a masked NaN is allowed
+        path = tmp_path / "sino.csv"
+        path.write_text("n_angles,n_offsets,R\n2,3,1.0\nangle_index,offset_index,value,valid\n"
+                        "0,0,1.0,1\n0,1,nan,0\n0,2,1.0,1\n1,0,1.0,1\n1,1,1.0,1\n1,2,nan,1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: sinogram has non-finite values")):
             read_sinogram_csv(path)
 
     @pytest.mark.parametrize("sizes", ["2.5,3,1.0", "2,x,1.0", "0,3,1.0", "2,3,nan", "2,3,-1"])
