@@ -51,9 +51,6 @@ class McEstimate:
     n_paths: int
     n_capped: int = 0
 
-    def __float__(self):
-        return self.value
-
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and standard error; exactly zero spread for bit-identical
@@ -280,13 +277,13 @@ class FokkerPlanckStepper:
             self._rhs[key] = (self._eye + 0.5 * dt_loc * self.A).tocsr()
         return self._lu[key], self._rhs[key]
 
-    def propagate(self, x0, t_out, mollifier_width: float | None = None) -> FokkerPlanckResult:
+    def propagate(self, x0, t_out) -> FokkerPlanckResult:
         grid = self.grid
         t_out = sorted(float(t) for t in t_out)
         if len(t_out) == 0 or t_out[0] <= 0:
             raise DataError("output times must be positive")
         x0 = np.asarray(x0, dtype=float)
-        sigma = 2.0 * max(grid.dx, grid.dy) if mollifier_width is None else float(mollifier_width)
+        sigma = 2.0 * max(grid.dx, grid.dy)
         X, Y = grid.nodes()
         p = np.exp(-((X - x0[0]) ** 2 + (Y - x0[1]) ** 2) / (2 * sigma**2)).ravel()
         p /= p.sum() * grid.cell_area
@@ -333,16 +330,15 @@ def fokker_planck_forward(
     t_out,
     grid: Grid,
     dt: float,
-    mollifier_width: float | None = None,
 ) -> FokkerPlanckResult:
     """March the forward (Fokker-Planck) equation from a mollified point mass.
 
     The point initial condition is replaced by a Gaussian of standard
-    deviation 2h (h = max grid spacing) unless mollifier_width is given.
-    Returns renormalized density slices at the requested times together with
-    per-slice mass drift and boundary-mass diagnostics.
+    deviation 2h (h = max grid spacing).  Returns renormalized density slices
+    at the requested times together with per-slice mass drift and
+    boundary-mass diagnostics.
     """
-    return FokkerPlanckStepper(c, a, grid, dt).propagate(x0, t_out, mollifier_width)
+    return FokkerPlanckStepper(c, a, grid, dt).propagate(x0, t_out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Finite-difference Dirichlet solver for 1/2 a^{ij} u_{x_i x_j} + b^i u_{x_i} = V u
-on a bounded domain, with curved boundaries handled by unequal-arm
-(Shortley-Weller) stencils that place the boundary data at the exact
-intersection of each stencil leg with the domain boundary.
+on a bounded domain, and the boundary data it needs from chord fits.
+
+Every node inside the domain gets the same Shortley-Weller (1938)
+unequal-arm stencil, built for all nodes at once from arrays of arm
+fractions.  A leg whose neighbour lies inside has arm 1, and there the
+stencil is the regular central one.  A leg that crosses the boundary is cut
+at the exact crossing point, where the Dirichlet data are placed.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DataError, GeometryError, SolverError
-from .fields import (
-    DiffusionField,
-    Domain,
-    INTERIOR,
-    ScalarField,
-    VectorField,
-)
+from .fields import DiffusionField, Domain, ScalarField, VectorField
 
 _ARM_FLOOR = 1e-10
 
@@ -30,7 +28,6 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     node_index: np.ndarray  # (nx, ny) -> unknown index or -1
-    nodes: np.ndarray  # (n_unknowns, 2) int node coordinates
     grid: object
     peclet_max: float
     symmetric: bool
@@ -44,13 +41,12 @@ class LinearSystem:
 @dataclass(frozen=True)
 class BvpSolution:
     u: ScalarField
-    interior_mask: np.ndarray
     residual_norm: float
     iterations: int
     min_u: float
 
 
-def _second_coeffs(h_minus: float, h_plus: float):
+def _second_coeffs(h_minus: np.ndarray, h_plus: np.ndarray):
     """Coefficients (c_minus, c_center, c_plus) for u'' with unequal arms."""
     return (
         2.0 / (h_minus * (h_minus + h_plus)),
@@ -59,7 +55,7 @@ def _second_coeffs(h_minus: float, h_plus: float):
     )
 
 
-def _first_coeffs(h_minus: float, h_plus: float):
+def _first_coeffs(h_minus: np.ndarray, h_plus: np.ndarray):
     """Second-order first derivative with unequal arms."""
     denom = h_minus * h_plus * (h_minus + h_plus)
     return (
@@ -70,12 +66,13 @@ def _first_coeffs(h_minus: float, h_plus: float):
 
 
 def _cross_weights(lams: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """Weights for u_xy from four diagonal points scaled by lams in directions
-    (+,+), (-,+), (-,-), (+,-).  Solves the 4x4 moment system: first-order
-    terms vanish, pure second derivatives vanish, mixed term is 1.
+    """Weights (4, n) for u_xy at n nodes from their four diagonal points,
+    scaled by lams (4, n) in directions (+,+), (-,+), (-,-), (+,-).  Solves
+    each node's 4x4 moment system: first-order terms vanish, pure second
+    derivatives vanish, mixed term is 1.
     """
-    sx = np.array([1.0, -1.0, -1.0, 1.0])
-    sy = np.array([1.0, 1.0, -1.0, -1.0])
+    sx = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+    sy = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
     A = np.stack(
         [
             lams * sx * dx,
@@ -84,36 +81,38 @@ def _cross_weights(lams: np.ndarray, dx: float, dy: float) -> np.ndarray:
             lams * lams * sx * sy * dx * dy,
         ]
     )
-    rhs = np.array([0.0, 0.0, 0.0, 1.0])
     try:
-        return np.linalg.solve(A, rhs)
+        return np.linalg.solve(A.transpose(2, 0, 1), np.array([0.0, 0.0, 0.0, 1.0])).T
     except np.linalg.LinAlgError as exc:
-        raise GeometryError(f"degenerate diagonal stencil (arms {lams})") from exc
+        raise GeometryError("degenerate diagonal stencil") from exc
 
 
-_AXIS_LEGS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
+# Stencil legs (di, dj): the axis legs W, E, S, N, then the diagonals of the
+# cross term.  Each row subtracts its crossing legs' boundary terms from the
+# right-hand side in this order.
+_AXIS_LEGS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _DIAGONAL_LEGS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
 
-def _leg_arms(domain: Domain, inside: np.ndarray, nodes: np.ndarray, legs) -> dict:
-    """Arm fraction in (0, 1] and boundary point of each stencil leg (di, dj)
-    in `legs` from each node (i, j) in `nodes` whose neighbour lies outside,
-    keyed by (i, j, di, dj); a leg not listed has arm 1.  One
-    boundary_crossing call finds every crossing."""
+def _leg_arms(domain: Domain, node_index: np.ndarray, nodes: np.ndarray, legs):
+    """The stencil legs (di, dj) in `legs` from each node (i, j) in `nodes`:
+    arrays (n_legs, n_nodes) of the neighbour's unknown index (-1 where the
+    leg crosses the boundary) and of the arm fraction in (0, 1] (1 where it
+    does not), and the crossing points (n_cut, 2), leg by leg in the C order
+    of those arrays.  One boundary_crossing call finds every crossing."""
     grid = domain.grid
-    keys, starts, ends = [], [], []
-    for di, dj in legs:
-        # the domain's closure lies strictly inside the grid, so every
-        # neighbour of an inside node is a grid node
-        outside = nodes[~inside[nodes[:, 0] + di, nodes[:, 1] + dj]]
-        p = np.stack([grid.xs()[outside[:, 0]], grid.ys()[outside[:, 1]]], axis=-1)
-        starts.append(p)
-        ends.append(p + np.array([di * grid.dx, dj * grid.dy]))
-        keys += [(i, j, di, dj) for i, j in outside.tolist()]
-    if not keys:
-        return {}
-    bp, theta = domain.boundary_crossing(np.concatenate(starts), np.concatenate(ends))
-    return dict(zip(keys, zip(np.maximum(theta, _ARM_FLOOR).tolist(), bp)))
+    steps = np.array(legs)[:, None, :]
+    # the domain's closure lies strictly inside the grid, so every
+    # neighbour of an inside node is a grid node
+    ij = nodes + steps
+    nbr = node_index[ij[..., 0], ij[..., 1]]
+    cut = nbr < 0
+    p = np.stack([grid.xs()[nodes[:, 0]], grid.ys()[nodes[:, 1]]], axis=-1)
+    q = p + steps * np.array([grid.dx, grid.dy])
+    bp, theta = domain.boundary_crossing(np.broadcast_to(p, q.shape)[cut], q[cut])
+    arm = np.ones(cut.shape)
+    arm[cut] = np.maximum(theta, _ARM_FLOOR)
+    return nbr, arm, bp
 
 
 def assemble_dirichlet_system(
@@ -124,136 +123,72 @@ def assemble_dirichlet_system(
     g,
     nondegeneracy_check: bool = False,
 ) -> LinearSystem:
-    """Assemble rows of (1/2 a^{ij} d_ij + b^i d_i - V) u = 0 over interior
-    nodes; legs that cross the boundary put g at the exact crossing point and
-    move its contribution to the right-hand side.
+    """Assemble rows of (1/2 a^{ij} d_ij + b^i d_i - V) u = 0 over the nodes
+    inside the domain, all through one unequal-arm stencil.
+
+    Each axis second and first derivative uses the three-point formulas of
+    `_second_coeffs` / `_first_coeffs` on the node's arms (at full arms
+    these are the regular central stencil); where a12 is nonzero, the cross
+    term's four diagonal weights come from `_cross_weights`.  A leg that
+    crosses the boundary ends at the crossing point, where g (called once on
+    all crossing points) gives the value, and its coef * g moves to the
+    right-hand side.  Floating-point sums depend on their order, so the legs
+    are subtracted in one fixed order, W, E, S, N, then the diagonals: that
+    fixes how each row's right-hand side rounds.
     """
     grid = domain.grid
     if a.grid != grid or b.grid != grid or V.grid != grid:
         raise DataError("fields must live on the domain's grid")
     dx, dy = grid.dx, grid.dy
-    cls = domain.classify_nodes()
-    inside = cls != 0
+    inside = domain.contains(grid.node_points()).reshape(grid.shape)
     nodes = np.argwhere(inside)
     n = len(nodes)
     if n == 0:
         raise DataError("domain contains no grid nodes")
     node_index = -np.ones(grid.shape, dtype=np.int64)
     node_index[inside] = np.arange(n)
-
-    a11, a12, a22 = a.a11, a.a12, a.a22
-    b1, b2 = b.values[..., 0], b.values[..., 1]
+    ii, jj = nodes[:, 0], nodes[:, 1]
+    a11, a12, a22 = a.a11[ii, jj], a.a12[ii, jj], a.a22[ii, jj]
+    b1, b2 = b.values[ii, jj, 0], b.values[ii, jj, 1]
     has_cross = bool(np.any(a12 != 0.0))
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    legs = _AXIS_LEGS + _DIAGONAL_LEGS if has_cross else _AXIS_LEGS
+    nbr, arm, bp = _leg_arms(domain, node_index, nodes, legs)
+    axx, ayy = 0.5 * a11, 0.5 * a22
+    cm, cc, cp = _second_coeffs(arm[0] * dx, arm[1] * dx)
+    fm, fc, fp = _first_coeffs(arm[0] * dx, arm[1] * dx)
+    coefs = [axx * cm + b1 * fm, axx * cp + b1 * fp]
+    center = axx * cc + b1 * fc
+    cm, cc, cp = _second_coeffs(arm[2] * dy, arm[3] * dy)
+    fm, fc, fp = _first_coeffs(arm[2] * dy, arm[3] * dy)
+    coefs += [ayy * cm + b2 * fm, ayy * cp + b2 * fp]
+    center = center + (ayy * cc + b2 * fc) - V.values[ii, jj]
+    if has_cross:
+        wts = _cross_weights(arm[4:], dx, dy)
+        coefs += list(a12 * wts)
+        center = center - a12 * wts.sum(axis=0)
+    coef = np.stack(coefs)
+
+    stay = nbr >= 0
+    k = np.arange(n)
+    A = sp.coo_matrix(
+        (np.concatenate([center, coef[stay]]),
+         (np.concatenate([k, np.broadcast_to(k, nbr.shape)[stay]]),
+          np.concatenate([k, nbr[stay]]))),
+        shape=(n, n),
+    ).tocsr()
+    g_cut = np.zeros(nbr.shape)
+    g_cut[~stay] = g(bp)
     rhs = np.zeros(n)
+    # a leg that stays inside has g_cut 0 and leaves its row's rhs as it is
+    for leg_coef, leg_g in zip(coef, g_cut):
+        rhs -= leg_coef * leg_g
 
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # regular interior nodes (full arms, full diagonals): vectorized stencil
-    is_reg = cls == INTERIOR
-    if has_cross:
-        pad = np.zeros((grid.nx + 2, grid.ny + 2), dtype=bool)
-        pad[1:-1, 1:-1] = inside
-        diag_ok = (
-            pad[2:, 2:] & pad[:-2, 2:] & pad[:-2, :-2] & pad[2:, :-2]
-        )
-        is_reg = is_reg & diag_ok
-    ri, rj = np.nonzero(is_reg)
-    if len(ri):
-        k = node_index[ri, rj]
-        cxx = a11[ri, rj] * 0.5
-        cyy = a22[ri, rj] * 0.5
-        be1 = b1[ri, rj]
-        be2 = b2[ri, rj]
-        center = -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2 - V.values[ri, rj]
-        entries = [
-            (ri, rj, center),
-            (ri + 1, rj, cxx / dx**2 + be1 / (2 * dx)),
-            (ri - 1, rj, cxx / dx**2 - be1 / (2 * dx)),
-            (ri, rj + 1, cyy / dy**2 + be2 / (2 * dy)),
-            (ri, rj - 1, cyy / dy**2 - be2 / (2 * dy)),
-        ]
-        if has_cross:
-            cxy = a12[ri, rj] / (4.0 * dx * dy)
-            entries += [
-                (ri + 1, rj + 1, cxy),
-                (ri - 1, rj - 1, cxy),
-                (ri + 1, rj - 1, -cxy),
-                (ri - 1, rj + 1, -cxy),
-            ]
-        for ii, jj, vv in entries:
-            rows.extend(k.tolist())
-            cols.extend(node_index[ii, jj].tolist())
-            vals.extend(vv if np.ndim(vv) else np.full(len(k), vv))
-
-    # boundary-adjacent nodes (and, with a cross term, nodes with clipped
-    # diagonals): per-node unequal-arm stencils
-    special = np.argwhere(inside & ~is_reg)
-    arms = _leg_arms(domain, inside, special, _AXIS_LEGS.values())
-    if has_cross:
-        arms.update(_leg_arms(domain, inside, special[a12[special[:, 0], special[:, 1]] != 0.0],
-                              _DIAGONAL_LEGS))
-    for i, j in special.tolist():
-        k = int(node_index[i, j])
-        legs = {}
-        for name, (di, dj) in _AXIS_LEGS.items():
-            theta, bp = arms.get((i, j, di, dj), (1.0, None))
-            legs[name] = (theta, bp, i + di, j + dj)
-
-        def put(name, coef):
-            theta, bp, ni, nj = legs[name]
-            if bp is None:
-                add(k, int(node_index[ni, nj]), coef)
-            else:
-                rhs[k] -= coef * float(g(bp[None, :])[0])
-
-        hw, he = legs["W"][0] * dx, legs["E"][0] * dx
-        hs, hn = legs["S"][0] * dy, legs["N"][0] * dy
-        cm, cc, cp = _second_coeffs(hw, he)
-        fm, fc, fp = _first_coeffs(hw, he)
-        axx = 0.5 * a11[i, j]
-        put("W", axx * cm + b1[i, j] * fm)
-        put("E", axx * cp + b1[i, j] * fp)
-        center = axx * cc + b1[i, j] * fc
-        cm, cc, cp = _second_coeffs(hs, hn)
-        fm, fc, fp = _first_coeffs(hs, hn)
-        ayy = 0.5 * a22[i, j]
-        put("S", ayy * cm + b2[i, j] * fm)
-        put("N", ayy * cp + b2[i, j] * fp)
-        center += ayy * cc + b2[i, j] * fc
-        add(k, k, center - V.values[i, j])
-
-        if has_cross and a12[i, j] != 0.0:
-            lams = np.ones(4)
-            bps: list = [None] * 4
-            targets: list = [None] * 4
-            for m, (di, dj) in enumerate(_DIAGONAL_LEGS):
-                lams[m], bps[m] = arms.get((i, j, di, dj), (1.0, None))
-                targets[m] = (i + di, j + dj)
-            wts = _cross_weights(lams, dx, dy)
-            coef = a12[i, j]
-            for m in range(4):
-                if bps[m] is None:
-                    add(k, int(node_index[targets[m]]), coef * wts[m])
-                else:
-                    rhs[k] -= coef * wts[m] * float(g(bps[m][None, :])[0])
-            add(k, k, -coef * wts.sum())
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-
-    ii, jj = nodes[:, 0], nodes[:, 1]
     peclet = np.maximum(
-        np.abs(b1[ii, jj]) * dx / np.maximum(0.5 * a11[ii, jj], 1e-300),
-        np.abs(b2[ii, jj]) * dy / np.maximum(0.5 * a22[ii, jj], 1e-300),
+        np.abs(b1) * dx / np.maximum(axx, 1e-300),
+        np.abs(b2) * dy / np.maximum(ayy, 1e-300),
     )
-    peclet_max = float(peclet.max()) if len(peclet) else 0.0
+    peclet_max = float(peclet.max())
     if peclet_max > 2.0:
         warnings.warn(
             f"cell Peclet number {peclet_max:.2f} exceeds 2; central differencing "
@@ -280,7 +215,6 @@ def assemble_dirichlet_system(
         matrix=A,
         rhs=rhs,
         node_index=node_index,
-        nodes=nodes,
         grid=grid,
         peclet_max=peclet_max,
         symmetric=symmetric,
@@ -345,7 +279,6 @@ def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -
         )
     return BvpSolution(
         u=ScalarField(grid, u_vals),
-        interior_mask=mask,
         residual_norm=resid,
         iterations=count["it"],
         min_u=min_u,
@@ -381,6 +314,9 @@ class BoundaryPsi:
 
 # chords per np.add.at batch of boundary_psi_from_fits: bounds its memory
 _CHORDS_PER_CHUNK = 8192
+# largest share of boundary knots with no chord that boundary_psi_from_fits
+# fills in by interpolation rather than refusing
+_MAX_MISSING_FRACTION = 0.05
 
 
 def boundary_psi_from_fits(
@@ -389,7 +325,6 @@ def boundary_psi_from_fits(
     domain: Domain,
     n_knots: int = 256,
     gauge_param: float = 0.0,
-    max_missing_fraction: float = 0.05,
 ) -> BoundaryPsi:
     """Least-squares boundary potential from pairwise differences.
 
@@ -399,7 +334,7 @@ def boundary_psi_from_fits(
     weighted by the fit's precision.  The normal equations N = A^T W A are
     accumulated with np.add.at, chord by chord in the order of the table,
     so every entry sums in a fixed order.  Knots not touched by any chord
-    are an error above max_missing_fraction, otherwise interpolated
+    are an error above _MAX_MISSING_FRACTION, otherwise interpolated
     periodically with a warning.  The result is gauged to vanish at
     gauge_param.
     """
@@ -439,10 +374,10 @@ def boundary_psi_from_fits(
         np.add.at(flat, cells.ravel(), (wc[lo:hi, :, None] * coef[lo:hi, None, :]).ravel())
 
     n_missing = int((~touched).sum())
-    if n_missing > max_missing_fraction * n_knots:
+    if n_missing > _MAX_MISSING_FRACTION * n_knots:
         raise DataError(
             f"{n_missing} of {n_knots} boundary knots have no chord coverage "
-            f"(more than {max_missing_fraction:.0%})"
+            f"(more than {_MAX_MISSING_FRACTION:.0%})"
         )
 
     # gentle periodic-difference regularization fixes the gauge direction and
@@ -467,10 +402,10 @@ def boundary_psi_from_fits(
     return BoundaryPsi(domain, knots, psi - shift, gauge_param, n_missing)
 
 
-def boundary_values_from_psi(boundary_psi: BoundaryPsi, y0_param: float | None = None):
-    """Dirichlet data g(x) = exp(psi(x) - psi(y0)) with the gauge psi(y0) = 0."""
-    s0 = boundary_psi.gauge_param if y0_param is None else float(y0_param)
-    shift = float(boundary_psi.value_at_param(s0))
+def boundary_values_from_psi(boundary_psi: BoundaryPsi):
+    """Dirichlet data g(x) = exp(psi(x) - psi(y0)) with the gauge psi(y0) = 0
+    at the boundary potential's gauge parameter y0."""
+    shift = float(boundary_psi.value_at_param(boundary_psi.gauge_param))
 
     def g(points):
         return np.exp(boundary_psi.value_at(points) - shift)

@@ -17,10 +17,6 @@ from .errors import DataError, GeometryError
 
 _DGF_MAGIC = b"DGF1"
 
-EXTERIOR = 0
-INTERIOR = 1
-BOUNDARY_ADJACENT = 2
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -79,17 +75,6 @@ class Grid:
         """All node coordinates as an (nx*ny, 2) array in row-major order."""
         X, Y = self.nodes()
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
-
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        sx = tol * max(abs(self.x0), abs(self.x1), 1.0)
-        sy = tol * max(abs(self.y0), abs(self.y1), 1.0)
-        return (
-            (p[..., 0] >= self.x0 - sx)
-            & (p[..., 0] <= self.x1 + sx)
-            & (p[..., 1] >= self.y0 - sy)
-            & (p[..., 1] <= self.y1 + sy)
-        )
 
 
 @dataclass(frozen=True)
@@ -167,15 +152,6 @@ class DiffusionField:
     def identity(cls, grid: Grid) -> "DiffusionField":
         return cls.constant(grid, 1.0, 0.0, 1.0)
 
-    def matrices(self) -> np.ndarray:
-        """Per-node matrices, shape (nx, ny, 2, 2)."""
-        m = np.empty((*self.grid.shape, 2, 2))
-        m[..., 0, 0] = self.a11
-        m[..., 0, 1] = self.a12
-        m[..., 1, 0] = self.a12
-        m[..., 1, 1] = self.a22
-        return m
-
 
 # ---------------------------------------------------------------------------
 # Domains
@@ -244,18 +220,6 @@ class Domain:
         lo, hi = self.bounds
         if np.any(lo <= np.array([g.x0, g.y0])) or np.any(hi >= np.array([g.x1, g.y1])):
             raise GeometryError("domain closure must lie strictly inside the grid extent")
-
-    def classify_nodes(self) -> np.ndarray:
-        """Node classes: 0 exterior, 1 interior, 2 interior with a leg crossing the boundary."""
-        inside = self.contains(self.grid.node_points()).reshape(self.grid.shape)
-        cls = np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
-        pad = np.zeros((self.grid.nx + 2, self.grid.ny + 2), dtype=bool)
-        pad[1:-1, 1:-1] = inside
-        nbr_out = (
-            (~pad[:-2, 1:-1]) | (~pad[2:, 1:-1]) | (~pad[1:-1, :-2]) | (~pad[1:-1, 2:])
-        )
-        cls[inside & nbr_out] = BOUNDARY_ADJACENT
-        return cls
 
 
 def _line_origins(omega, z):

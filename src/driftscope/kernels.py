@@ -16,6 +16,10 @@ from .errors import DataError
 from .fields import ScalarField, interp
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# TabulatedKernel: how far a start point may lie from a tabulated source and
+# still use its slices, and how far above 1 a slice's mass may reach
+_SOURCE_MATCH_TOL = 1e-9
+_MASS_TOL = 1e-3
 
 
 def _check_time(t) -> None:
@@ -99,13 +103,11 @@ class TabulatedKernel(Kernel):
     """Density slices p(x0, t, .) on a grid, one table per source point x0.
 
     sources: list of (x0 point, {t: ScalarField}) pairs.  Slices must be
-    nonnegative with total mass at most 1 + mass_tol.
+    nonnegative with total mass at most 1 + _MASS_TOL.
     """
 
     sources: tuple
     dim: int = 2
-    match_tol: float = 1e-9
-    mass_tol: float = 1e-3
 
     def __post_init__(self):
         for x0, table in self.sources:
@@ -113,13 +115,13 @@ class TabulatedKernel(Kernel):
                 if np.any(sl.values < 0):
                     raise DataError(f"tabulated slice at t={t} has negative values")
                 mass = float(sl.values.sum()) * sl.grid.cell_area
-                if mass > 1.0 + self.mass_tol:
+                if mass > 1.0 + _MASS_TOL:
                     raise DataError(f"tabulated slice at t={t} integrates to {mass:.6f} > 1")
 
     def _lookup(self, x, t) -> ScalarField:
         x = np.asarray(x, dtype=float)
         for x0, table in self.sources:
-            if np.max(np.abs(np.asarray(x0) - x)) <= self.match_tol:
+            if np.max(np.abs(np.asarray(x0) - x)) <= _SOURCE_MATCH_TOL:
                 for tk, sl in table.items():
                     if abs(tk - t) <= 1e-12 * max(1.0, abs(t)):
                         return sl

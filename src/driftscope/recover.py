@@ -134,14 +134,18 @@ def default_ladder(radius: float, m: int = 4) -> np.ndarray:
 def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
     kind = domain_spec.get("kind")
     if kind == "disc":
-        cx, cy = domain_spec.get("center", (0.0, 0.0))
+        cx, cy = (float(c) for c in domain_spec.get("center", (0.0, 0.0)))
         r = float(domain_spec["radius"]) * margin
         return Grid.from_extent(cx - r, cy - r, cx + r, cy + r, n, n)
     if kind == "rectangle":
-        (x0, y0), (x1, y1) = domain_spec["corners"]
+        (x0, y0), (x1, y1) = ((float(x), float(y)) for x, y in domain_spec["corners"])
+        if not (x1 > x0 and y1 > y0):
+            raise ConfigError("rectangle corners must satisfy xmin < xmax, ymin < ymax")
         mx = 0.5 * (margin - 1.0) * (x1 - x0)
         my = 0.5 * (margin - 1.0) * (y1 - y0)
         aspect = (y1 - y0 + 2 * my) / (x1 - x0 + 2 * mx)
+        if not np.isfinite(aspect):
+            raise ConfigError(f"rectangle corners {domain_spec['corners']!r} span no finite grid")
         ny = max(3, int(round((n - 1) * aspect)) + 1)
         if ny % 2 == 0:
             ny += 1
@@ -272,7 +276,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             raise ConfigError(f"unknown ground_truth kind {gt['kind']!r}")
         if "theta" in gt:
             _finite(gt["theta"], "ground_truth.theta")
-    return PipelineConfig(
+    cfg = PipelineConfig(
         domain_spec=dom,
         kernels=kern,
         grid_spec=grid_spec,
@@ -291,6 +295,16 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         workers=None if workers in (None, "null") else _integer(workers, "workers", 1),
         ground_truth=gt,
     )
+    # what gen-data builds from the config, built here so that their own
+    # checks (a grid that holds the domain, a positive OU rate) refuse at
+    # config time what the pipeline cannot run
+    try:
+        cfg.resolved_domain()
+        for side in ("observed", "reference"):
+            kernel_from_config(kern[side])
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def ground_truth_from_config(gt: dict | None):
@@ -360,10 +374,10 @@ def _erode(mask: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain,
-                         erode: int = 2) -> float:
-    """L2 norm over the domain of d_y (a^{-1} c)_1 - d_x (a^{-1} c)_2: the
-    discrete test that a^{-1} c is a gradient field (zero for exact data).
+def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain) -> float:
+    """L2 norm over the domain, less its two outermost rings of nodes, of
+    d_y (a^{-1} c)_1 - d_x (a^{-1} c)_2: the discrete test that a^{-1} c is
+    a gradient field (zero for exact data).
     """
     if a.grid != c.grid:
         raise DataError("gradient_consistency requires a shared grid")
@@ -374,7 +388,7 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain,
     from .fields import _d1  # shared stencils with gradient()
 
     curl = _d1(w1, g.dy, 1) - _d1(w2, g.dx, 0)
-    region = _erode(domain.contains(g.node_points()).reshape(g.shape), erode)
+    region = _erode(domain.contains(g.node_points()).reshape(g.shape), 2)
     return float(np.sqrt(np.sum(curl[region] ** 2) * g.cell_area))
 
 

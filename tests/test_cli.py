@@ -62,6 +62,11 @@ def write_config(path, raw):
     {"metric_fraction": 0.0},
     {"metric_fraction": 1.5},
     {"metric_fraction": float("nan")},
+    {"kernels": {"observed": {"kind": "ou", "theta": 0.0}, "reference": {"kind": "brownian"}}},
+    {"kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "ou", "theta": -2.0}}},
+    {"grid": {"x0": -0.9, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33}},
+    {"grid": None, "domain": {"kind": "rectangle", "corners": [[1.0, -0.7], [1.0, 0.7]]}},
+    {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 1.7e308]]}},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from driftscope import elliptic
 from driftscope.diffusion import McConfig, feynman_kac_exit
@@ -140,32 +141,237 @@ def per_leg_arm(domain, p, step, neighbor_inside):
     return max(theta, elliptic._ARM_FLOOR), bp
 
 
-@pytest.mark.parametrize("domain", [
+# an off-center disc and a rectangle whose edges fall between grid lines, on
+# a grid with dx != dy
+LEG_DOMAINS = [
     DiscDomain(Grid.from_extent(-1.2, -1.1, 1.3, 1.2, 29, 33), 0.05, 0.0, 1.0),
     RectangleDomain(Grid.from_extent(-1.2, -1.1, 1.3, 1.2, 29, 33), -0.93, -0.71, 1.01, 0.87),
-], ids=["disc", "rectangle"])
+]
+
+
+def inside_nodes(domain):
+    """The domain's inside mask, its inside nodes and their unknown indices."""
+    g = domain.grid
+    inside = domain.contains(g.node_points()).reshape(g.shape)
+    node_index = -np.ones(g.shape, dtype=np.int64)
+    node_index[inside] = np.arange(inside.sum())
+    return inside, np.argwhere(inside), node_index
+
+
+@pytest.mark.parametrize("domain", LEG_DOMAINS, ids=["disc", "rectangle"])
 def test_batched_leg_arms_match_per_leg_oracle(domain):
     g = domain.grid
-    cls = domain.classify_nodes()
-    inside = cls != 0
-    nodes = np.argwhere(inside)  # every inside node: the grid's edge legs too
-    legs = (*elliptic._AXIS_LEGS.values(), *elliptic._DIAGONAL_LEGS)
-    arms = elliptic._leg_arms(domain, inside, nodes, legs)
+    inside, nodes, node_index = inside_nodes(domain)  # every inside node: the grid's edge legs too
+    legs = elliptic._AXIS_LEGS + elliptic._DIAGONAL_LEGS
+    nbr, arm, bp = elliptic._leg_arms(domain, node_index, nodes, legs)
+    crossings = iter(bp)
     n_cut = 0
-    for i, j in nodes.tolist():
-        for di, dj in legs:
+    for m, (di, dj) in enumerate(legs):
+        for k, (i, j) in enumerate(nodes.tolist()):
             ni, nj = i + di, j + dj
             nb_in = 0 <= ni < g.nx and 0 <= nj < g.ny and inside[ni, nj]
             step = np.array([di * g.dx, dj * g.dy])
             want_theta, want_bp = per_leg_arm(domain, np.array([g.xs()[i], g.ys()[j]]), step, nb_in)
-            theta, bp = arms.get((i, j, di, dj), (1.0, None))
+            theta = arm[m, k]
             assert theta == want_theta and np.signbit(theta) == np.signbit(want_theta)
             if want_bp is None:
-                assert bp is None
+                assert nbr[m, k] == node_index[ni, nj]
             else:
                 n_cut += 1
-                assert bp.tobytes() == want_bp.tobytes()
-    assert n_cut == len(arms) > 50
+                assert nbr[m, k] == -1
+                assert next(crossings).tobytes() == want_bp.tobytes()
+    assert n_cut == len(bp) > 50
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the two-path assembly before every inside node shared one array
+# stencil (a vectorized block for nodes with four inside neighbours, then a
+# loop over the rest with one g call per crossing leg)
+# ---------------------------------------------------------------------------
+
+
+def oracle_second_coeffs(h_minus, h_plus):
+    return (
+        2.0 / (h_minus * (h_minus + h_plus)),
+        -2.0 / (h_minus * h_plus),
+        2.0 / (h_plus * (h_minus + h_plus)),
+    )
+
+
+def oracle_first_coeffs(h_minus, h_plus):
+    denom = h_minus * h_plus * (h_minus + h_plus)
+    return (
+        -h_plus * h_plus / denom,
+        (h_plus * h_plus - h_minus * h_minus) / denom,
+        h_minus * h_minus / denom,
+    )
+
+
+def oracle_cross_weights(lams, dx, dy):
+    sx = np.array([1.0, -1.0, -1.0, 1.0])
+    sy = np.array([1.0, 1.0, -1.0, -1.0])
+    A = np.stack([lams * sx * dx, lams * sy * dy, lams * lams, lams * lams * sx * sy * dx * dy])
+    return np.linalg.solve(A, np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+ORACLE_AXIS_LEGS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
+ORACLE_DIAGONAL_LEGS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+
+
+def oracle_leg_arms(domain, inside, nodes, legs):
+    grid = domain.grid
+    keys, starts, ends = [], [], []
+    for di, dj in legs:
+        outside = nodes[~inside[nodes[:, 0] + di, nodes[:, 1] + dj]]
+        p = np.stack([grid.xs()[outside[:, 0]], grid.ys()[outside[:, 1]]], axis=-1)
+        starts.append(p)
+        ends.append(p + np.array([di * grid.dx, dj * grid.dy]))
+        keys += [(i, j, di, dj) for i, j in outside.tolist()]
+    if not keys:
+        return {}
+    bp, theta = domain.boundary_crossing(np.concatenate(starts), np.concatenate(ends))
+    return dict(zip(keys, zip(np.maximum(theta, elliptic._ARM_FLOOR).tolist(), bp)))
+
+
+def oracle_assemble(a, b, V, domain, g):
+    """(matrix, rhs) of the two-path assembly."""
+    grid = domain.grid
+    dx, dy = grid.dx, grid.dy
+    inside, nodes, node_index = inside_nodes(domain)
+    pad = np.zeros((grid.nx + 2, grid.ny + 2), dtype=bool)
+    pad[1:-1, 1:-1] = inside
+    nbr_out = (~pad[:-2, 1:-1]) | (~pad[2:, 1:-1]) | (~pad[1:-1, :-2]) | (~pad[1:-1, 2:])
+    n = len(nodes)
+    a11, a12, a22 = a.a11, a.a12, a.a22
+    b1, b2 = b.values[..., 0], b.values[..., 1]
+    has_cross = bool(np.any(a12 != 0.0))
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    is_reg = inside & ~nbr_out
+    if has_cross:
+        is_reg &= pad[2:, 2:] & pad[:-2, 2:] & pad[:-2, :-2] & pad[2:, :-2]
+    ri, rj = np.nonzero(is_reg)
+    k = node_index[ri, rj]
+    cxx = a11[ri, rj] * 0.5
+    cyy = a22[ri, rj] * 0.5
+    be1 = b1[ri, rj]
+    be2 = b2[ri, rj]
+    center = -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2 - V.values[ri, rj]
+    entries = [
+        (ri, rj, center),
+        (ri + 1, rj, cxx / dx**2 + be1 / (2 * dx)),
+        (ri - 1, rj, cxx / dx**2 - be1 / (2 * dx)),
+        (ri, rj + 1, cyy / dy**2 + be2 / (2 * dy)),
+        (ri, rj - 1, cyy / dy**2 - be2 / (2 * dy)),
+    ]
+    if has_cross:
+        cxy = a12[ri, rj] / (4.0 * dx * dy)
+        entries += [(ri + 1, rj + 1, cxy), (ri - 1, rj - 1, cxy),
+                    (ri + 1, rj - 1, -cxy), (ri - 1, rj + 1, -cxy)]
+    for ii, jj, vv in entries:
+        rows.extend(k.tolist())
+        cols.extend(node_index[ii, jj].tolist())
+        vals.extend(vv)
+
+    special = np.argwhere(inside & ~is_reg)
+    arms = oracle_leg_arms(domain, inside, special, ORACLE_AXIS_LEGS.values())
+    if has_cross:
+        arms.update(oracle_leg_arms(domain, inside, special[a12[special[:, 0], special[:, 1]] != 0.0],
+                                    ORACLE_DIAGONAL_LEGS))
+    for i, j in special.tolist():
+        k = int(node_index[i, j])
+        legs = {}
+        for name, (di, dj) in ORACLE_AXIS_LEGS.items():
+            theta, bp = arms.get((i, j, di, dj), (1.0, None))
+            legs[name] = (theta, bp, i + di, j + dj)
+
+        def put(name, coef):
+            theta, bp, ni, nj = legs[name]
+            if bp is None:
+                add(k, int(node_index[ni, nj]), coef)
+            else:
+                rhs[k] -= coef * float(g(bp[None, :])[0])
+
+        hw, he = legs["W"][0] * dx, legs["E"][0] * dx
+        hs, hn = legs["S"][0] * dy, legs["N"][0] * dy
+        cm, cc, cp = oracle_second_coeffs(hw, he)
+        fm, fc, fp = oracle_first_coeffs(hw, he)
+        axx = 0.5 * a11[i, j]
+        put("W", axx * cm + b1[i, j] * fm)
+        put("E", axx * cp + b1[i, j] * fp)
+        center = axx * cc + b1[i, j] * fc
+        cm, cc, cp = oracle_second_coeffs(hs, hn)
+        fm, fc, fp = oracle_first_coeffs(hs, hn)
+        ayy = 0.5 * a22[i, j]
+        put("S", ayy * cm + b2[i, j] * fm)
+        put("N", ayy * cp + b2[i, j] * fp)
+        center += ayy * cc + b2[i, j] * fc
+        add(k, k, center - V.values[i, j])
+
+        if has_cross and a12[i, j] != 0.0:
+            lams = np.ones(4)
+            bps = [None] * 4
+            for m, (di, dj) in enumerate(ORACLE_DIAGONAL_LEGS):
+                lams[m], bps[m] = arms.get((i, j, di, dj), (1.0, None))
+            wts = oracle_cross_weights(lams, dx, dy)
+            coef = a12[i, j]
+            for m, (di, dj) in enumerate(ORACLE_DIAGONAL_LEGS):
+                if bps[m] is None:
+                    add(k, int(node_index[i + di, j + dj]), coef * wts[m])
+                else:
+                    rhs[k] -= coef * wts[m] * float(g(bps[m][None, :])[0])
+            add(k, k, -coef * wts.sum())
+
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    return A, rhs
+
+
+def wavy_potential(g):
+    return sample_scalar(lambda x, y: 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y), g)
+
+
+def wavy_boundary(p):
+    return np.exp(0.4 * p[:, 0] - 0.3 * p[:, 1] + 0.2 * np.sin(2 * p[:, 0]))
+
+
+# a disc a few cells wide: rows with three and four crossing legs, whose
+# right-hand sides round by the order the legs are subtracted in
+SMALL_DISC = DiscDomain(LEG_DOMAINS[0].grid, 0.05, -0.1, 0.1)
+
+
+@pytest.mark.parametrize("domain", [*LEG_DOMAINS, SMALL_DISC], ids=["disc", "rectangle", "small-disc"])
+def test_assembly_matches_two_path_oracle_bitwise_for_identity_a(domain):
+    g = domain.grid
+    a = DiffusionField.identity(g)
+    b = VectorField(g, np.zeros((*g.shape, 2)))
+    V = wavy_potential(g)
+    system = assemble_dirichlet_system(a, b, V, domain, wavy_boundary)
+    A, rhs = oracle_assemble(a, b, V, domain, wavy_boundary)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(system.matrix, name).tobytes() == getattr(A, name).tobytes(), name
+    assert system.rhs.tobytes() == rhs.tobytes()
+
+
+@pytest.mark.parametrize("domain", LEG_DOMAINS, ids=["disc", "rectangle"])
+def test_assembly_matches_two_path_oracle_for_general_a(domain):
+    g = domain.grid
+    X, Y = g.nodes()
+    a = DiffusionField(g, 1.5 + 0.2 * np.sin(X), 0.3 + 0.1 * np.cos(Y), 1.0 + 0.2 * X * X)
+    b = VectorField(g, np.random.default_rng(5).uniform(-1.0, 1.0, (*g.shape, 2)))
+    V = wavy_potential(g)
+    system = assemble_dirichlet_system(a, b, V, domain, wavy_boundary)
+    A, rhs = oracle_assemble(a, b, V, domain, wavy_boundary)
+    assert np.array_equal(system.matrix.indptr, A.indptr)
+    assert np.array_equal(system.matrix.indices, A.indices)
+    assert np.abs(system.matrix.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
+    assert np.abs(system.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 class TestSolve:
@@ -183,6 +389,28 @@ class TestSolve:
             errs.append(np.abs(sol.u.values[mask] - np.exp(X + Y)[mask]).max())
         assert 3.2 <= errs[0] / errs[1] <= 4.8
         assert 3.2 <= errs[1] / errs[2] <= 4.8
+
+    @pytest.mark.parametrize("kind", ["disc", "rectangle"])
+    def test_manufactured_convergence_cross_term(self, kind):
+        # u* = exp(phi), phi = 0.8 x + 0.3 y, solves 1/2 a^{ij} u_ij = V u with
+        # V = 1/2 a grad(phi).grad(phi); a12 != 0 exercises the diagonal legs
+        a_mat, grad_phi = np.array([[1.5, 0.3], [0.3, 1.0]]), np.array([0.8, 0.3])
+        errs = []
+        for n in (33, 65):
+            if kind == "disc":
+                g, dom, _, b = disc_setup(n)
+            else:
+                g = Grid.from_extent(-1.2, -1.1, 1.3, 1.2, n, n)
+                dom = RectangleDomain(g, -0.93, -0.71, 1.01, 0.87)
+                b = VectorField(g, np.zeros((n, n, 2)))
+            a = DiffusionField.constant(g, 1.5, 0.3, 1.0)
+            V = ScalarField(g, np.full(g.shape, 0.5 * grad_phi @ a_mat @ grad_phi))
+            system = assemble_dirichlet_system(a, b, V, dom, lambda p: np.exp(p @ grad_phi))
+            sol = solve_bvp(system, tol=1e-12)
+            X, Y = g.nodes()
+            mask = system.node_index >= 0
+            errs.append(np.abs(sol.u.values[mask] - np.exp(0.8 * X + 0.3 * Y)[mask]).max())
+        assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_harmonic_extension(self):
         g, dom, a, b = disc_setup(65)

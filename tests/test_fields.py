@@ -3,12 +3,9 @@ import pytest
 
 from driftscope.errors import DataError, GeometryError
 from driftscope.fields import (
-    BOUNDARY_ADJACENT,
     DiffusionField,
     DiscDomain,
-    EXTERIOR,
     Grid,
-    INTERIOR,
     RectangleDomain,
     ScalarField,
     VectorField,
@@ -260,16 +257,6 @@ class TestDiffusionField:
 
 
 class TestDomains:
-    def test_disc_classification(self):
-        g = grid_square(33, half=1.2)
-        dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        cls = dom.classify_nodes()
-        X, Y = g.nodes()
-        inside = X**2 + Y**2 < 1.0
-        assert np.array_equal(cls != EXTERIOR, inside)
-        assert np.count_nonzero(cls == BOUNDARY_ADJACENT) > 0
-        assert np.count_nonzero(cls == INTERIOR) > np.count_nonzero(cls == BOUNDARY_ADJACENT)
-
     def test_domain_must_fit_in_grid(self):
         g = grid_square(17, half=1.0)
         with pytest.raises(GeometryError, match="strictly inside"):

@@ -261,6 +261,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("key, text", [
+        ("corners", [["-1.0", "-0.7"], ["1.0", "0.7"]]),
+        ("center", ["0.25", "0"]),
+    ])
+    def test_numeric_strings_give_the_same_default_grid(self, key, text):
+        # the config accepts numeric strings wherever it takes a number
+        raw = {"domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]]}
+               if key == "corners" else {"kind": "disc", "center": [0.25, 0.0], "radius": 1.0},
+               "kernels": {"observed": {"kind": "brownian"}, "reference": {"kind": "brownian"}}}
+        want = config_from_dict(raw).resolved_grid()
+        raw["domain"][key] = text
+        assert config_from_dict(raw).resolved_grid() == want
+
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="radius_typo"):
             config_from_dict({
