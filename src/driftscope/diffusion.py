@@ -7,7 +7,8 @@ results are reduced in index order.  Outputs are therefore bit-identical
 across runs and across worker counts.  The bridge functional maps its blocks
 over the worker pool; the Feynman-Kac exit sampler steps all its blocks in
 lockstep in one thread, each block drawing from its own stream, so it uses
-no workers at all.
+no workers at all; it scores the paths that left the domain after the walk,
+one path block at a time.
 """
 
 from __future__ import annotations
@@ -366,10 +367,13 @@ def feynman_kac_exit(
     All paths step in lockstep in one loop.  Path i belongs to block
     i // parallel.MC_BLOCK, and at each step every block draws the normals
     of its live paths, in index order, from its own stream
-    substream(seed, block); the paths that exit in a step are scored in one
-    batch.  The estimate is thus the same, bit for bit, as stepping each
-    block on its own, and no worker pool is used: the worker count does not
-    matter.
+    substream(seed, block).  A path that exits keeps, by its index, the two
+    ends of its exiting segment and its integral and V at the inside end;
+    after the walk the exited paths are scored one block at a time, so the
+    boundary crossing, V and f see at most MC_BLOCK points per call.  Each
+    score depends only on its own path, so the estimate is the same, bit for
+    bit, as stepping and scoring each block on its own, and no worker pool
+    is used: the worker count does not matter.
     """
     x = np.asarray(x, dtype=float)
     if not bool(domain.contains(x[None, :])[0]):
@@ -378,12 +382,12 @@ def feynman_kac_exit(
         raise DataError("step size h must be positive")
     if max_steps is None:
         max_steps = max(1000, int(50.0 * domain.circumradius**2 / h))
-    sq_h = np.sqrt(h)
+    sq_h, half_h = np.sqrt(h), 0.5 * h
     n = cfg.n_paths
 
-    n_blocks = -(-n // parallel.MC_BLOCK)
-    streams = [substream(cfg.seed, bi) for bi in range(n_blocks)]
-    starts = parallel.MC_BLOCK * np.arange(n_blocks + 1)  # block bi: paths starts[bi]:starts[bi + 1]
+    blocks = parallel.block_ranges(n, parallel.MC_BLOCK)
+    streams = [substream(cfg.seed, bi) for bi in range(len(blocks))]
+    starts = [lo for lo, _ in blocks] + [n]  # block bi: paths starts[bi]:starts[bi + 1]
     # Two position buffers take turns: a step's normals are drawn into the
     # one not holding the positions and turned into the new positions in
     # place, so no (n, 2) array is allocated per step.
@@ -391,39 +395,59 @@ def feynman_kac_exit(
     held = 0  # the buffer holding pos
     pos = buffers[held]
     pos[:] = x
-    samples = np.empty(n)
     alive = np.arange(n)  # live paths, ascending, so each block's are contiguous
+    # each block that has live paths: its stream and its live paths' span in alive
+    draws = [(rng, lo, hi) for rng, (lo, hi) in zip(streams, blocks)]
     integ = np.zeros(n)
     v_prev = _scalar_eval(V, pos)
+    trapezoid = np.empty(n)
+    # How each exited path left, by path id: its last point inside, its
+    # first point outside, and the integral and V at the point inside.
+    last_in, first_out = np.empty((n, 2)), np.empty((n, 2))
+    integ_in, v_in = np.empty(n), np.empty(n)
     for _ in range(max_steps):
-        if alive.size == 0:
+        m = alive.size
+        if m == 0:
             break
-        new_pos = buffers[1 - held, : alive.size]
-        cuts = np.searchsorted(alive, starts).tolist()
-        for rng, lo, hi in zip(streams, cuts, cuts[1:]):
-            if hi > lo:
-                rng.standard_normal(out=new_pos[lo:hi])
+        new_pos = buffers[1 - held, :m]
+        for rng, lo, hi in draws:
+            rng.standard_normal(out=new_pos[lo:hi])
         new_pos *= sq_h  # then + pos: the same bits as pos + sq_h * normal
         new_pos += pos
         inside = domain.contains(new_pos)
-        if inside.all():
+        if np.count_nonzero(inside) == m:
             pos, held = new_pos, 1 - held
         else:
             gone = np.flatnonzero(~inside)
-            cross, theta = domain.boundary_crossing(pos.take(gone, 0), new_pos.take(gone, 0))
-            itotal = integ[gone] + 0.5 * theta * h * (v_prev[gone] + _scalar_eval(V, cross))
-            samples[alive[gone]] = np.exp(-itotal) * np.asarray(f(cross), dtype=float)
-            # the survivors' new positions overwrite the old ones
-            pos = np.compress(inside, new_pos, axis=0, out=buffers[held, : alive.size - gone.size])
+            ids = alive[gone]
+            last_in[ids], first_out[ids] = pos[gone], new_pos[gone]
+            integ_in[ids], v_in[ids] = integ[gone], v_prev[gone]
+            # before the compress below: V may return a view of its points
             alive, integ, v_prev = alive[inside], integ[inside], v_prev[inside]
+            m = alive.size
+            # the survivors' new positions overwrite the old ones
+            pos = np.compress(inside, new_pos, axis=0, out=buffers[held, :m])
+            cuts = np.searchsorted(alive, starts).tolist()
+            draws = [(rng, lo, hi) for rng, lo, hi in zip(streams, cuts, cuts[1:]) if hi > lo]
         v_new = _scalar_eval(V, pos)
-        integ = integ + 0.5 * h * (v_prev + v_new)
+        area = np.add(v_prev, v_new, out=trapezoid[:m])
+        area *= half_h
+        integ += area
         v_prev = v_new
     n_capped = alive.size
     if n_capped > 0.01 * n:
         raise SimulationError(f"{n_capped} of {n} paths exceeded the {max_steps}-step cap")
+    samples = np.empty(n)
+    exited = np.ones(n, dtype=bool)
+    exited[alive] = False
+    for lo, hi in blocks:
+        ids = lo + np.flatnonzero(exited[lo:hi])
+        if ids.size == 0:
+            continue
+        cross, theta = domain.boundary_crossing(last_in[ids], first_out[ids])
+        itotal = integ_in[ids] + 0.5 * theta * h * (v_in[ids] + _scalar_eval(V, cross))
+        samples[ids] = np.exp(-itotal) * np.asarray(f(cross), dtype=float)
     if n_capped:
         samples[alive] = np.exp(-integ) * np.asarray(f(domain.project_to_boundary(pos)), dtype=float)
     value, stderr = _mean_stderr(samples)
     return McEstimate(value, stderr, n, n_capped)
-

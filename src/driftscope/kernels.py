@@ -198,7 +198,8 @@ def kernel_from_config(spec: dict) -> Kernel:
         # independent 1-D components; thetas <= 0 mean driftless (Brownian)
         th1 = float(spec.get("theta1", 0.0))
         th2 = float(spec.get("theta2", 0.0))
-        off = tuple(spec.get("offset", (0.0, 0.0)))
+        # numeric strings pass config as numbers; numbers stay as given (describe())
+        off = tuple(float(o) if isinstance(o, str) else o for o in spec.get("offset", (0.0, 0.0)))
         k1 = OrnsteinUhlenbeckKernel(th1, dim=1) if th1 > 0 else BrownianKernel(dim=1)
         k2 = OrnsteinUhlenbeckKernel(th2, dim=1) if th2 > 0 else BrownianKernel(dim=1)
         return ProductKernel(k1, k2, offset=off)

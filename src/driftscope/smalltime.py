@@ -462,10 +462,25 @@ def _read_table(path, required, blank_is_nan=(), head_rows=0) -> tuple[list, dic
         if missing:
             raise DataError(f"{path}: missing column {missing[0]!r}")
         blank = {header.index(c): lambda s: float(s or "nan") for c in blank_is_nan if c in header}
-        try:
+
+        def parse(converters):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, converters=blank)
+                return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, converters=converters)
+
+        try:
+            try:
+                body = parse(None)  # the converter calls Python per row: only if needed
+            except ValueError:
+                if not blank:
+                    raise
+                # fh.tell() is disabled once csv has read from fh, so go back
+                # to the body by skipping the rows before it again
+                fh.seek(0)
+                rows = csv.reader(fh)
+                for _ in range(head_rows + 1):
+                    next(rows, None)
+                body = parse(blank)
         except ValueError as exc:
             # numpy measures a row of the wrong length against the first row;
             # name the header's length instead

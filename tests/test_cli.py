@@ -76,6 +76,19 @@ def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "dataset.csv").exists()
 
 
+def test_numeric_string_offset_runs_gen_data(tmp_path):
+    # the config takes numeric strings as numbers, the product kernel too
+    kernels = {"observed": {"kind": "product_ou", "theta1": 1.0, "offset": ["0.1", "0"]},
+               "reference": {"kind": "brownian"}}
+    config = write_config(tmp_path / "config.json", small_disc_config(kernels=kernels))
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path / "strings")]) == 0
+    kernels["observed"]["offset"] = [0.1, 0.0]
+    config = write_config(tmp_path / "config.json", small_disc_config(kernels=kernels))
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path / "numbers")]) == 0
+    assert ((tmp_path / "strings" / "dataset.csv").read_bytes()
+            == (tmp_path / "numbers" / "dataset.csv").read_bytes())
+
+
 def test_undecodable_config_exits_2(tmp_path, capsys):
     (tmp_path / "config.json").write_bytes(b"\xff\xfe")
     assert run_command(["gen-data", "--config", str(tmp_path / "config.json"),

@@ -350,6 +350,22 @@ class TestFeynmanKac:
                                h=1e-2)
         assert est.value == 1.0 and est.n_paths == parallel.MC_BLOCK + 7
 
+    def test_scores_exits_once_per_path_block(self, monkeypatch):
+        dom = self.domain()
+        rows = []
+        crossing = type(dom).boundary_crossing
+
+        def counting(self, p, q):
+            rows.append(len(p))
+            return crossing(self, p, q)
+
+        monkeypatch.setattr(type(dom), "boundary_crossing", counting)
+        n = 2 * parallel.MC_BLOCK + 5
+        est = feynman_kac_exit(lambda p: np.zeros(p.shape[:-1]), lambda p: np.ones(len(p)),
+                               dom, ORIGIN, McConfig(n, 1, seed=4), h=1e-2)
+        assert len(rows) <= -(-n // parallel.MC_BLOCK)
+        assert max(rows) <= parallel.MC_BLOCK and sum(rows) == n - est.n_capped
+
 
 def per_block_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):
     """Oracle: feynman_kac_exit as it stood when each path block ran its own
@@ -419,6 +435,10 @@ def _lockstep_case(name):
         "disc-callable-V": (lambda p: 1.0 + p[..., 0] ** 2, harmonic, disc, [-0.3, 0.5], 2e-3, None),
         "disc-capped": (ramp, harmonic, disc, [0.1, 0.0], 5e-3, 400),
         "rect-capped": (lambda p: 0.5 + p[..., 1], harmonic, rect, [-0.05, 0.1], 5e-3, 300),
+        # many paths leave on the first step, with integral 0 and V of the start
+        "rect-edge-start": (ramp, harmonic, rect, [0.899, 0.1], 5e-3, None),
+        # V returns a view of the points it is given
+        "disc-view-V": (lambda p: p[..., 1], harmonic, disc, [0.2, -0.3], 2e-3, None),
     }[name]
 
 
@@ -426,7 +446,8 @@ class TestFeynmanKacLockstep:
     """Lockstep stepping and batched scoring change no bit of the estimate."""
 
     @pytest.mark.parametrize("case", ["disc-zero-V", "rect-field-V", "disc-callable-V",
-                                      "disc-capped", "rect-capped"])
+                                      "disc-capped", "rect-capped", "rect-edge-start",
+                                      "disc-view-V"])
     def test_bit_equal_to_per_block_oracle(self, case):
         V, f, dom, x, h, max_steps = _lockstep_case(case)
         cfg = McConfig(2 * parallel.MC_BLOCK + 5, 1, seed=31)  # a short last block
