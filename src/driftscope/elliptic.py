@@ -6,6 +6,11 @@ unequal-arm stencil, built for all nodes at once from arrays of arm
 fractions.  A leg whose neighbour lies inside has arm 1, and there the
 stencil is the regular central one.  A leg that crosses the boundary is cut
 at the exact crossing point, where the Dirichlet data are placed.
+
+The system is solved by a Krylov method (CG when the matrix is symmetric,
+BiCGStab otherwise) preconditioned by one smoothed-aggregation multigrid
+V-cycle per application.  Its aggregates are 2x2 blocks of the grid nodes,
+so the iteration count stays nearly flat as the grid is refined.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .errors import DataError, GeometryError, SolverError
 from .fields import DiffusionField, Domain, ScalarField, VectorField
 
 _ARM_FLOOR = 1e-10
+_COARSEST_SIZE = 200  # unknowns at or below which the multigrid inverts densely
+_SMOOTHER_WEIGHT = 2.0 / 3.0  # damped-Jacobi sweep weight in the V-cycle
 
 
 @dataclass(frozen=True)
@@ -235,34 +242,85 @@ def _nearest_eigenvalue(A: sp.csr_matrix) -> float | None:
         return None
 
 
+def _sa_hierarchy(A: sp.csr_matrix, node_index: np.ndarray):
+    """Smoothed-aggregation levels [(A, 1/diag A, P, R = P^T), ...] down to
+    at most `_COARSEST_SIZE` unknowns, and the coarsest operator's dense
+    inverse.
+
+    Each aggregate is a 2x2 block of grid nodes, keyed (i//2, j//2); the keys
+    are the next level's nodes.  The tentative 0/1 prolongator T is smoothed
+    by one damped-Jacobi step, P = (I - omega D^-1 A) T with omega = 4/(3 rho)
+    and rho the Gershgorin bound of D^-1 A, and the coarse operator is
+    R A P (Vanek, Mandel & Brezina 1996).
+    """
+    nodes = np.argwhere(node_index >= 0)  # unknown order
+    levels = []
+    while A.shape[0] > _COARSEST_SIZE:
+        n = A.shape[0]
+        dinv = 1.0 / A.diagonal()
+        rho = float(np.max(np.abs(dinv) * (abs(A) @ np.ones(n))))
+        width = int(nodes[:, 1].max()) // 2 + 1
+        keys, agg = np.unique((nodes[:, 0] // 2) * width + nodes[:, 1] // 2, return_inverse=True)
+        T = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, len(keys)))
+        P = T - sp.diags((4.0 / (3.0 * rho)) * dinv) @ (A @ T)
+        R = P.T.tocsr()
+        levels.append((A, dinv, P, R))
+        A = R @ (A @ P)
+        nodes = np.column_stack(np.divmod(keys, width))
+    try:
+        coarsest_inverse = np.linalg.inv(A.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"coarsest multigrid level is singular ({exc})") from exc
+    return levels, coarsest_inverse
+
+
+def _v_cycle(levels, coarsest_inverse: np.ndarray, b: np.ndarray, depth: int = 0) -> np.ndarray:
+    """One V-cycle from a zero guess: a damped-Jacobi pre-sweep, the coarse
+    correction, and a damped-Jacobi post-sweep.  The same sweep on both sides
+    and the restriction R = P^T keep the cycle symmetric when A is."""
+    if depth == len(levels):
+        return coarsest_inverse @ b
+    A, dinv, P, R = levels[depth]
+    x = _SMOOTHER_WEIGHT * dinv * b
+    x += P @ _v_cycle(levels, coarsest_inverse, R @ (b - A @ x), depth + 1)
+    x += _SMOOTHER_WEIGHT * dinv * (b - A @ x)
+    return x
+
+
 def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -> BvpSolution:
     """Krylov solve: conjugate gradients when the matrix is symmetric,
-    BiCGStab otherwise, both with diagonal (Jacobi) preconditioning.
+    BiCGStab otherwise, both preconditioned by one smoothed-aggregation
+    multigrid V-cycle (`_sa_hierarchy`, `_v_cycle`).
+
+    A singular coarsest level, a non-finite iterate or a residual above `tol`
+    ends in `SolverError`.
     """
     if tol <= 0:
         raise DataError("tol must be positive")
     A, rhs = system.matrix, system.rhs
     n = A.shape[0]
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise SolverError("zero diagonal entry; system is not Jacobi-preconditionable")
-    M = spla.LinearOperator((n, n), matvec=lambda v: v / diag)
+    if np.any(A.diagonal() == 0.0):
+        raise SolverError("zero diagonal entry; the Jacobi smoother needs a nonzero diagonal")
     count = {"it": 0}
 
-    def cb(_):
+    def cb(xk):
         count["it"] += 1
+        if not np.all(np.isfinite(xk)):
+            raise SolverError(f"non-finite iterate at iteration {count['it']}")
 
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         x = np.zeros(n)
         info = 0
     else:
+        levels, coarsest_inverse = _sa_hierarchy(A, system.node_index)
+        M = spla.LinearOperator((n, n), matvec=lambda v: _v_cycle(levels, coarsest_inverse, v))
         solver = spla.cg if system.symmetric else spla.bicgstab
         x, info = solver(A, rhs, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
     if info < 0:
         raise SolverError(f"Krylov breakdown (info={info})")
     resid = float(np.linalg.norm(A @ x - rhs)) / max(rhs_norm, 1e-300)
-    if info > 0 or resid > tol * 1.001:
+    if info > 0 or not resid <= tol * 1.001:
         raise SolverError(
             f"no convergence in {max_iter} iterations (relative residual {resid:.3e})"
         )

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from driftscope import elliptic
 from driftscope.diffusion import McConfig, feynman_kac_exit
 from driftscope.elliptic import (
+    LinearSystem,
     assemble_dirichlet_system,
     boundary_psi_from_fits,
     boundary_values_from_psi,
@@ -374,6 +376,36 @@ def test_assembly_matches_two_path_oracle_for_general_a(domain):
     assert np.abs(system.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
+def wavy_disc_system(n=129):
+    """Unit disc, identity a, no drift: Shortley-Weller rows make it nonsymmetric."""
+    g, dom, a, b = disc_setup(n)
+    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+
+
+def aligned_rectangle_system(n=65):
+    """The aligned rectangle of test_symmetric_matrix_on_aligned_rectangle: symmetric."""
+    g = Grid.from_extent(-2.0, -2.0, 2.0, 2.0, n, n)
+    dom = RectangleDomain(g, -1.0, -1.0, 1.0, 1.0)
+    a = DiffusionField.constant(g, 2.0, 0.0, 2.0)
+    b = VectorField(g, np.zeros((n, n, 2)))
+    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+
+
+def general_disc_system(n=129):
+    """Centered disc with a cross term and a drift."""
+    g, dom, _, _ = disc_setup(n)
+    X, Y = g.nodes()
+    a = DiffusionField.constant(g, 1.0, 0.3, 0.8)
+    b = VectorField(g, np.stack([0.5 * X, -0.3 * Y], axis=-1))
+    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+
+
+def direct_u(system):
+    """u on the inside nodes, in grid order, from a sparse direct solve."""
+    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    return x[system.node_index[system.node_index >= 0]]
+
+
 class TestSolve:
     def test_manufactured_convergence_disc(self):
         # u* = e^{x+y} solves (1/2) lap u = u, so V = 1
@@ -470,6 +502,60 @@ class TestSolve:
         system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.zeros(len(p)))
         sol = solve_bvp(system, tol=1e-11)
         assert np.all(sol.u.values == 0.0)
+
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_multigrid_iterations_do_not_grow_with_grid(self, n):
+        system = wavy_disc_system(n)
+        assert not system.symmetric  # the BiCGStab path
+        assert solve_bvp(system).iterations <= 10
+
+    @pytest.mark.parametrize("build, symmetric", [
+        (wavy_disc_system, False),
+        (aligned_rectangle_system, True),
+        (general_disc_system, False),
+    ], ids=["disc", "rectangle-cg", "general-disc"])
+    def test_matches_direct_solve(self, build, symmetric):
+        system = build()
+        assert system.symmetric == symmetric
+        sol = solve_bvp(system)
+        want = direct_u(system)
+        got = sol.u.values[system.node_index >= 0]
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_v_cycle_symmetric_for_symmetric_matrix(self):
+        system = aligned_rectangle_system()
+        levels, coarsest_inverse = elliptic._sa_hierarchy(system.matrix, system.node_index)
+        assert levels
+        x, y = np.random.default_rng(7).standard_normal((2, system.dimension))
+        xMy = x @ elliptic._v_cycle(levels, coarsest_inverse, y)
+        Mxy = elliptic._v_cycle(levels, coarsest_inverse, x) @ y
+        assert abs(xMy - Mxy) <= 1e-13 * abs(xMy)
+
+    def test_coarsest_size_system_solved_directly(self):
+        system = aligned_rectangle_system(29)  # 13^2 unknowns, the CG path
+        assert system.symmetric and system.dimension <= elliptic._COARSEST_SIZE
+        levels, _ = elliptic._sa_hierarchy(system.matrix, system.node_index)
+        assert levels == []
+        sol = solve_bvp(system)
+        assert sol.iterations == 1
+        want = direct_u(system)
+        assert np.abs(sol.u.values[system.node_index >= 0] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_system_raises_solver_error(self):
+        g = Grid.from_extent(0.0, 0.0, 1.0, 1.0, 2, 2)
+        system = LinearSystem(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, 2.0]),
+                              np.array([[0, 1], [-1, -1]]), g, 0.0, True)
+        with pytest.raises(SolverError, match="singular"):
+            solve_bvp(system)
+
+    def test_non_finite_system_stops_at_first_iterate(self):
+        g, dom, a, b = disc_setup(33)
+        system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.exp(p[:, 0]))
+        A = system.matrix.copy()
+        A.data[5] = np.nan
+        bad = LinearSystem(A, system.rhs, system.node_index, g, 0.0, False)
+        with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
+            solve_bvp(bad)
 
 
 class TestBoundaryPsi:
