@@ -8,6 +8,10 @@ so the chain's final report equals the one `pipeline` writes when it runs
 every stage in-process.  Artifacts are plain CSV and DGF1 files.  Exit codes:
 0 success, 2 config error, 3 data error (a missing input file included),
 4 solver/simulation error.
+
+scipy is loaded only by the subcommands that solve (solve, pipeline and
+check); gen-data, fit, sinogram, invert, recover and phantom start without
+it.
 """
 
 from __future__ import annotations

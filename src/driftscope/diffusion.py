@@ -9,6 +9,11 @@ over the worker pool; the Feynman-Kac exit sampler steps all its blocks in
 lockstep in one thread, each block drawing from its own stream, so it uses
 no workers at all; it scores the paths that left the domain after the walk,
 one path block at a time.
+
+scipy is imported on first use, only by the Fokker-Planck solver:
+`scipy.sparse` by `_forward_operator` and `FokkerPlanckStepper`, and
+`splu` by the stepper's first factorization.  The bridge functional and the
+exit sampler run on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import parallel
 from .errors import DataError, SimulationError, SolverError
@@ -162,6 +165,8 @@ def _forward_operator(c: VectorField, a: DiffusionField, grid: Grid) -> sp.csr_m
     Fluxes live at cell faces; boundary faces carry zero flux, so total mass
     is conserved to round-off.
     """
+    import scipy.sparse as sp
+
     nx, ny = grid.nx, grid.ny
     dx, dy = grid.dx, grid.dy
     n = nx * ny
@@ -261,6 +266,8 @@ class FokkerPlanckStepper:
     def __init__(self, c: VectorField, a: DiffusionField, grid: Grid, dt: float):
         if dt <= 0:
             raise DataError("dt must be positive")
+        import scipy.sparse as sp
+
         self.grid = grid
         self.dt = float(dt)
         self.A = _forward_operator(c, a, grid)
@@ -272,6 +279,8 @@ class FokkerPlanckStepper:
         self._rim = rim.ravel()
 
     def _ops(self, dt_loc: float):
+        from scipy.sparse.linalg import splu
+
         key = round(dt_loc, 15)
         if key not in self._lu:
             self._lu[key] = splu((self._eye - 0.5 * dt_loc * self.A).tocsc())

@@ -11,6 +11,11 @@ The system is solved by a Krylov method (CG when the matrix is symmetric,
 BiCGStab otherwise) preconditioned by one smoothed-aggregation multigrid
 V-cycle per application.  Its aggregates are 2x2 blocks of the grid nodes,
 so the iteration count stays nearly flat as the grid is refined.
+
+scipy is imported on first use, not with this module: `scipy.sparse` by
+`assemble_dirichlet_system` and `_sa_hierarchy`, `scipy.sparse.linalg` by
+`solve_bvp` and `_nearest_eigenvalue`.  Runs that never assemble a system
+(the exit sampler, the stages before solve) do not load it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DataError, GeometryError, SolverError
 from .fields import DiffusionField, Domain, ScalarField, VectorField
@@ -143,6 +146,8 @@ def assemble_dirichlet_system(
     are subtracted in one fixed order, W, E, S, N, then the diagonals: that
     fixes how each row's right-hand side rounds.
     """
+    import scipy.sparse as sp
+
     grid = domain.grid
     if a.grid != grid or b.grid != grid or V.grid != grid:
         raise DataError("fields must live on the domain's grid")
@@ -234,6 +239,8 @@ def _nearest_eigenvalue(A: sp.csr_matrix) -> float | None:
     (shift-invert Lanczos); a practical nondegeneracy margin, or None when
     the estimate does not converge.
     """
+    import scipy.sparse.linalg as spla
+
     S = (A + A.T) * 0.5
     try:
         w = spla.eigsh(S.tocsc(), k=1, sigma=0.0, which="LM", return_eigenvectors=False)
@@ -253,6 +260,8 @@ def _sa_hierarchy(A: sp.csr_matrix, node_index: np.ndarray):
     and rho the Gershgorin bound of D^-1 A, and the coarse operator is
     R A P (Vanek, Mandel & Brezina 1996).
     """
+    import scipy.sparse as sp
+
     nodes = np.argwhere(node_index >= 0)  # unknown order
     levels = []
     while A.shape[0] > _COARSEST_SIZE:
@@ -295,6 +304,8 @@ def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -
     A singular coarsest level, a non-finite iterate or a residual above `tol`
     ends in `SolverError`.
     """
+    import scipy.sparse.linalg as spla
+
     if tol <= 0:
         raise DataError("tol must be positive")
     A, rhs = system.matrix, system.rhs

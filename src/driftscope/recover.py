@@ -44,6 +44,7 @@ from .smalltime import (
     make_parallel_chords,
     read_dataset_csv,
     read_fits_csv,
+    require_centered,
     write_dataset_csv,
     write_fits_csv,
 )
@@ -296,10 +297,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         ground_truth=gt,
     )
     # what gen-data builds from the config, built here so that their own
-    # checks (a grid that holds the domain, a positive OU rate) refuse at
-    # config time what the pipeline cannot run
+    # checks (a grid that holds the domain, a domain centered at the origin,
+    # a positive OU rate) refuse at config time what the pipeline cannot run
     try:
-        cfg.resolved_domain()
+        require_centered(cfg.resolved_domain())
         for side in ("observed", "reference"):
             kernel_from_config(kern[side])
     except DataError as exc:

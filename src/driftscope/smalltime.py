@@ -127,6 +127,17 @@ def chord_directions(angles: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
+def require_centered(domain: Domain) -> None:
+    """GeometryError unless the domain is centered at the origin, from which
+    the parallel-beam raster measures its offsets."""
+    if np.max(np.abs(domain.center)) > 1e-9:
+        cx, cy = (float(c) for c in domain.center)
+        raise GeometryError(
+            "parallel-beam sampling assumes the domain is centered at the origin, "
+            f"got center ({cx:g}, {cy:g})"
+        )
+
+
 def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     """Chord table of the domain on a parallel-beam (angle, offset) raster.
 
@@ -136,10 +147,7 @@ def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     domain, in angle-major raster order, and the (angle_index, offset_index)
     pairs of the lines that miss it.
     """
-    if np.max(np.abs(domain.center)) > 1e-9:
-        raise GeometryError(
-            "parallel-beam sampling assumes the domain is centered at the origin"
-        )
+    require_centered(domain)
     omega = chord_directions(chord_angles(n_angles))
     offsets = chord_offsets(domain.circumradius, n_offsets)
     x, y, hit = domain.chord_endpoints(omega[:, None, :], offsets[None, :])
@@ -434,6 +442,10 @@ FITS_COLUMNS = [
     "n_times",
 ]
 
+# chords whose dataset rows are turned into Python objects at once: the
+# writer's memory stays a few MB instead of growing with the dataset
+_CHORDS_PER_WRITE = 2048
+
 
 def _write_csv(path, head_rows, fmt, rows) -> None:
     """The bytes csv.writer gives for unquoted fields: the head rows joined
@@ -515,15 +527,22 @@ def _first_repeat(keys):
 
 def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
     """One row per (chord, time), chord-major; floats as shortest round-trip
-    text (`repr`), each chord's six fields and each time formatted once."""
+    text (`repr`), each chord's six fields and each time formatted once.
+    Rows are formatted `_CHORDS_PER_WRITE` chords at a time."""
     c = dataset.chords
-    heads = ["%d,%d,%r,%r,%r,%r," % row for row in zip(
-        c.angle_index.tolist(), c.offset_index.tolist(), *c.x.T.tolist(), *c.y.T.tolist())]
     times = ["%r," % t for t in dataset.times.tolist()]
-    cells = (a.tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios))
-    _write_csv(path, [DATASET_COLUMNS], "%s%s%r,%r,%r\r\n", (
-        row for head, *chord in zip(heads, *cells)
-        for row in zip([head] * len(times), times, *chord)))
+
+    def rows():
+        for lo in range(0, len(c.angle_index), _CHORDS_PER_WRITE):
+            part = slice(lo, lo + _CHORDS_PER_WRITE)
+            heads = ["%d,%d,%r,%r,%r,%r," % row for row in zip(
+                c.angle_index[part].tolist(), c.offset_index[part].tolist(),
+                *c.x[part].T.tolist(), *c.y[part].T.tolist())]
+            cells = (a[part].tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios))
+            for head, *chord in zip(heads, *cells):
+                yield from zip([head] * len(times), times, *chord)
+
+    _write_csv(path, [DATASET_COLUMNS], "%s%s%r,%r,%r\r\n", rows())
 
 
 def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryDataset:

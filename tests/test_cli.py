@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftscope
 from driftscope.cli import run_command
 
 STAGES = ("gen-data", "fit", "sinogram", "invert", "solve", "recover")
@@ -67,6 +72,8 @@ def write_config(path, raw):
     {"grid": {"x0": -0.9, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[1.0, -0.7], [1.0, 0.7]]}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 1.7e308]]}},
+    {"grid": None, "domain": {"kind": "disc", "center": [0.5, 0], "radius": 1.0}},
+    {"grid": None, "domain": {"kind": "rectangle", "corners": [[0, 0], [2, 1.4]]}},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
@@ -124,6 +131,43 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
     for name in DGF_FILES + ("fits.csv", "sinogram.csv"):
         assert (by_option / name).read_bytes() == (whole / name).read_bytes(), name
     assert not (by_option / "dataset.csv").exists()
+
+
+# one CLI stage in a fresh interpreter; its last stdout line says whether
+# the stage loaded scipy
+FRESH_STAGE = ("import sys\n"
+               "from driftscope.cli import run_command\n"
+               "code = run_command(sys.argv[1:])\n"
+               "print('scipy' in sys.modules)\n"
+               "sys.exit(code)\n")
+
+
+def fresh_env():
+    """The environment with this checkout's driftscope first on the path."""
+    src = str(Path(driftscope.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
+    """Each stage in its own interpreter, as a user runs the chain: no stage
+    leans on module state an earlier stage left behind, and only solve loads
+    scipy."""
+    chain, whole = tmp_path / "chain", tmp_path / "pipeline"
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    env = fresh_env()
+    loaded = {}
+    for stage in STAGES:
+        proc = subprocess.run([sys.executable, "-c", FRESH_STAGE, stage, "--config", config,
+                               "--out", str(chain)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (stage, proc.stderr)
+        loaded[stage] = proc.stdout.splitlines()[-1] == "True"
+    assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
+    for name in DGF_FILES + ("dataset.csv", "fits.csv", "sinogram.csv"):
+        assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
+    assert comparable_report(chain) == comparable_report(whole)
+    assert loaded == {stage: stage == "solve" for stage in STAGES}
 
 
 @pytest.mark.parametrize("stage, code, prefix", [

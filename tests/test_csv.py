@@ -31,6 +31,7 @@ from driftscope.smalltime import (
     write_fits_csv,
     chord_angles,
     chord_offsets,
+    _CHORDS_PER_WRITE,
 )
 from driftscope.xray import Sinogram, read_sinogram_csv, write_sinogram_csv
 
@@ -160,10 +161,18 @@ def special_dataset(dropped_density=0.0):
     return BoundaryDataset(chords, times, log_ratios, p_obs, p_ref)
 
 
-def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025)):
+def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025), raster=(6, 5)):
     g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
     return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0, dim=2), BrownianKernel(dim=2),
-                                  DiscDomain(g, 0.0, 0.0, 1.0), (6, 5), ladder)
+                                  DiscDomain(g, 0.0, 0.0, 1.0), raster, ladder)
+
+
+def chunked_dataset():
+    """More chords than the dataset writer formats at once, in a last
+    partial chunk too."""
+    ds = small_dataset(raster=(70, 81))
+    assert 2 * _CHORDS_PER_WRITE < len(ds.chords.angle_index) < 3 * _CHORDS_PER_WRITE
+    return ds
 
 
 def special_fits():
@@ -183,7 +192,7 @@ def fitted_fits():
 
 
 class TestWriters:
-    @pytest.mark.parametrize("make", [special_dataset, small_dataset])
+    @pytest.mark.parametrize("make", [special_dataset, small_dataset, chunked_dataset])
     def test_dataset_bytes_equal_csv_writer(self, tmp_path, make):
         ds = make()
         write_dataset_csv(tmp_path / "new.csv", ds)

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import driftscope
 from driftscope import parallel
 from driftscope.diffusion import (
     FokkerPlanckResult,
@@ -365,6 +370,40 @@ class TestFeynmanKac:
                                dom, ORIGIN, McConfig(n, 1, seed=4), h=1e-2)
         assert len(rows) <= -(-n // parallel.MC_BLOCK)
         assert max(rows) <= parallel.MC_BLOCK and sum(rows) == n - est.n_capped
+
+    def test_exit_sampler_runs_without_scipy(self):
+        """The library path of the exit sampler never loads scipy; the first
+        Dirichlet solve does."""
+        src = str(Path(driftscope.__file__).resolve().parent.parent)
+        script = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import driftscope.diffusion, driftscope.kernels, driftscope.recover
+from driftscope import diffusion, elliptic
+from driftscope.fields import DiffusionField, DiscDomain, Grid, ScalarField, VectorField
+from driftscope.recover import config_from_dict
+
+cfg = config_from_dict({{
+    "domain": {{"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]]}},
+    "kernels": {{"observed": {{"kind": "ou", "theta": 1.0}}, "reference": {{"kind": "brownian"}}}},
+}})
+est = diffusion.feynman_kac_exit(lambda p: np.zeros(p.shape[:-1]), lambda p: np.ones(len(p)),
+                                 cfg.resolved_domain(), np.array([0.5, 0.0]),
+                                 diffusion.McConfig(500, 1, seed=1), h=5e-4)
+assert est.value == 1.0 and est.n_paths == 500
+print("scipy" in sys.modules)
+g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 9, 9)
+system = elliptic.assemble_dirichlet_system(
+    DiffusionField.identity(g), VectorField(g, np.zeros((9, 9, 2))),
+    ScalarField(g, np.ones((9, 9))), DiscDomain(g, 0.0, 0.0, 1.0), lambda p: np.ones(len(p)))
+elliptic.solve_bvp(system)
+print("scipy" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 def per_block_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):

@@ -7,6 +7,10 @@ attribute (`module.name`) or in a `from module import name`.  A use inside
 the name's own definition or assignment does not count.  Constants are the
 names bound by a top-level `NAME = ...` or `NAME: type = ...`; no constant
 may be a test oracle.
+
+A second scan keeps scipy off the import path: no module imports it outside
+a function body, so only the runs that assemble or solve a sparse system
+load it.
 """
 
 from __future__ import annotations
@@ -79,3 +83,25 @@ def test_every_constant_is_reached():
                        if name not in reached)
     assert constants, "the scan found no module-level constants"
     assert not unreached, f"constants never referenced elsewhere under src/: {unreached}"
+
+
+def _import_time_modules(tree: ast.Module):
+    """The absolute modules a file imports outside every function body, that
+    is, when the file itself is imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_scipy_is_imported_only_inside_functions():
+    found = sorted(f"{path.name}:{name}" for path in SRC.glob("*.py")
+                   for name in _import_time_modules(ast.parse(path.read_text()))
+                   if name.split(".")[0] == "scipy")
+    assert not found, f"scipy imported when the module loads: {found}"

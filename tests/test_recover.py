@@ -263,12 +263,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, text", [
         ("corners", [["-1.0", "-0.7"], ["1.0", "0.7"]]),
-        ("center", ["0.25", "0"]),
+        ("center", ["5e-10", "0"]),
     ])
     def test_numeric_strings_give_the_same_default_grid(self, key, text):
-        # the config accepts numeric strings wherever it takes a number
+        # the config accepts numeric strings wherever it takes a number; the
+        # center stays within the 1e-9 of the origin that the raster allows
         raw = {"domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]]}
-               if key == "corners" else {"kind": "disc", "center": [0.25, 0.0], "radius": 1.0},
+               if key == "corners" else {"kind": "disc", "center": [5e-10, 0.0], "radius": 1.0},
                "kernels": {"observed": {"kind": "brownian"}, "reference": {"kind": "brownian"}}}
         want = config_from_dict(raw).resolved_grid()
         raw["domain"][key] = text
