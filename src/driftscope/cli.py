@@ -5,9 +5,11 @@ invert, solve, recover) is a subcommand that reads its input artifacts from
 <out> (or from the file its option names), writes its outputs there and
 merges its diagnostics into <out>/report.json; gen-data starts a new report,
 so the chain's final report equals the one `pipeline` writes when it runs
-every stage in-process.  Artifacts are plain CSV and DGF1 files.  Exit codes:
-0 success, 2 config error, 3 data error (a missing input file included),
-4 solver/simulation error.
+every stage in-process.  `pipeline` also writes each stage's outputs as soon
+as the stage ends, so a failing stage leaves the same files behind as the
+chain.  Artifacts are plain CSV and DGF1 files.  Exit codes: 0 success,
+2 config error (sizes too large for the memory included), 3 data error (a
+missing input file included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
 check); gen-data, fit, sinogram, invert, recover and phantom start without
@@ -36,7 +38,7 @@ from .recover import (
     run_pipeline,
     run_stage,
     stage_context,
-    write_outputs,
+    write_artifacts,
     write_report_json,
 )
 from .xray import Sinogram, write_sinogram_csv
@@ -95,7 +97,7 @@ def _run_stage(name: str, cfg: PipelineConfig, args) -> int:
         for key in METRIC_KEYS:
             report.pop(key, None)
     report.update(entries)
-    written = write_outputs(out, stage.outputs, values) + [report_path]
+    written = write_artifacts(out, stage.outputs, values) + [report_path]
     write_report_json(report_path, report, values.get("metrics"), cfg.echo())
     print("wrote " + ", ".join(map(str, written)))
     return 0
@@ -240,6 +242,9 @@ def run_command(argv=None) -> int:
             return _STAGE_COMMANDS[args.command](cfg, args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:  # sizes in the config that no memory holds
+            print(f"config error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
             return 2
         except DataError as exc:
             print(f"data error: {exc}", file=sys.stderr)

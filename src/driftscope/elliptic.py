@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DataError, GeometryError, SolverError
 from .fields import DiffusionField, Domain, ScalarField, VectorField
+from .smalltime import _CHORDS_PER_CHUNK
 
 _ARM_FLOOR = 1e-10
 _COARSEST_SIZE = 200  # unknowns at or below which the multigrid inverts densely
@@ -381,8 +382,6 @@ class BoundaryPsi:
         return self.value_at_param(self.domain.boundary_param(points))
 
 
-# chords per np.add.at batch of boundary_psi_from_fits: bounds its memory
-_CHORDS_PER_CHUNK = 8192
 # largest share of boundary knots with no chord that boundary_psi_from_fits
 # fills in by interpolation rather than refusing
 _MAX_MISSING_FRACTION = 0.05
@@ -400,19 +399,18 @@ def boundary_psi_from_fits(
     chords (ChordTable) and fits (FitTable) are row-aligned tables.  Each ok
     fit contributes one equation psi(s_y) - psi(s_x) = dpsi in the knot
     values (piecewise-linear interpolation along the boundary parameter),
-    weighted by the fit's precision.  The normal equations N = A^T W A are
-    accumulated with np.add.at, chord by chord in the order of the table,
-    so every entry sums in a fixed order.  Knots not touched by any chord
-    are an error above _MAX_MISSING_FRACTION, otherwise interpolated
-    periodically with a warning.  The result is gauged to vanish at
-    gauge_param.
+    weighted by the fit's precision.  The equations' rows are built
+    `_CHORDS_PER_CHUNK` chords at a time, so the temporaries do not grow
+    with the table, and the normal equations N = A^T W A and the right-hand
+    side are accumulated with np.add.at chunk after chunk, chord by chord in
+    the order of the table: that order fixes every sum's bits, whatever the
+    chunk size.  Knots not touched by any chord are an error above
+    _MAX_MISSING_FRACTION, checked before N is allocated, otherwise
+    interpolated periodically with a warning.  The result is gauged to
+    vanish at gauge_param.
     """
     L = domain.param_length
     knots = np.arange(n_knots) * (L / n_knots)
-    N = np.zeros((n_knots, n_knots))
-    rhs = np.zeros(n_knots)
-    touched = np.zeros(n_knots, dtype=bool)
-
     ok = fits.ok
     n_used = int(ok.sum())
     if n_used == 0:
@@ -420,34 +418,41 @@ def boundary_psi_from_fits(
     se = np.maximum(fits.se_delta_psi[ok], 1e-9)
     w = 1.0 / (se * se)
     dpsi = fits.delta_psi[ok]
+    # each used chord's endpoints in knot units along the boundary: y, then x
+    pos = np.stack([np.mod(domain.boundary_param(p[ok]), L) / (L / n_knots)
+                    for p in (chords.y, chords.x)], axis=1)
 
-    def interp_rows(points):
-        pos = np.mod(domain.boundary_param(points), L) / (L / n_knots)
-        k0 = np.floor(pos).astype(np.int64) % n_knots
-        t = pos - np.floor(pos)
-        return k0, (k0 + 1) % n_knots, 1.0 - t, t
+    def terms(part):
+        """The equations' four (knot, coefficient) terms per chord of the
+        part: y's two with +, then x's two with -."""
+        k0 = np.floor(pos[part]).astype(np.int64) % n_knots
+        t = pos[part] - np.floor(pos[part])
+        idx = np.stack([k0[:, 0], (k0[:, 0] + 1) % n_knots, k0[:, 1], (k0[:, 1] + 1) % n_knots],
+                       axis=1)
+        return idx, np.stack([1.0 - t[:, 0], t[:, 0], -(1.0 - t[:, 1]), -t[:, 1]], axis=1)
 
-    # per chord, the equation's four (knot, coefficient) terms: y's two
-    # with +, then x's two with -
-    ky0, ky1, cy0, cy1 = interp_rows(chords.y[ok])
-    kx0, kx1, cx0, cx1 = interp_rows(chords.x[ok])
-    idx = np.stack([ky0, ky1, kx0, kx1], axis=1)
-    coef = np.stack([cy0, cy1, -cx0, -cx1], axis=1)
-    touched[idx[coef != 0.0]] = True
-    wc = w[:, None] * coef
-    np.add.at(rhs, idx.ravel(), (wc * dpsi[:, None]).ravel())
-    flat = N.reshape(-1)
-    for lo in range(0, n_used, _CHORDS_PER_CHUNK):
-        hi = min(lo + _CHORDS_PER_CHUNK, n_used)
-        cells = idx[lo:hi, :, None] * n_knots + idx[lo:hi, None, :]
-        np.add.at(flat, cells.ravel(), (wc[lo:hi, :, None] * coef[lo:hi, None, :]).ravel())
-
+    parts = [slice(lo, lo + _CHORDS_PER_CHUNK) for lo in range(0, n_used, _CHORDS_PER_CHUNK)]
+    # coverage first: N is n_knots^2 floats
+    touched = np.zeros(n_knots, dtype=bool)
+    for part in parts:
+        idx, coef = terms(part)
+        touched[idx[coef != 0.0]] = True
     n_missing = int((~touched).sum())
     if n_missing > _MAX_MISSING_FRACTION * n_knots:
         raise DataError(
             f"{n_missing} of {n_knots} boundary knots have no chord coverage "
             f"(more than {_MAX_MISSING_FRACTION:.0%})"
         )
+
+    N = np.zeros((n_knots, n_knots))
+    rhs = np.zeros(n_knots)
+    flat = N.reshape(-1)
+    for part in parts:
+        idx, coef = terms(part)
+        wc = w[part, None] * coef
+        np.add.at(rhs, idx.ravel(), (wc * dpsi[part, None]).ravel())
+        cells = idx[:, :, None] * n_knots + idx[:, None, :]
+        np.add.at(flat, cells.ravel(), (wc[:, :, None] * coef[:, None, :]).ravel())
 
     # gentle periodic-difference regularization fixes the gauge direction and
     # any untouched knots without biasing covered ones

@@ -650,10 +650,22 @@ class ReconstructionReport:
     config: dict = dc_field(default_factory=dict)
 
 
+# the artifacts a ReconstructionReport returns, which run_pipeline keeps
+_REPORTED = ("V_hat", "u", "psi_hat", "c_hat")
+
+
 def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
                  out_dir: str | Path | None = None, persist: bool = True,
                  kernels: tuple[Kernel, Kernel] | None = None) -> ReconstructionReport:
-    """Run every stage in memory and persist all artifacts.
+    """Run every stage in memory, in chain order.
+
+    With persist, each stage's output artifacts are written into out_dir
+    (default cfg.output_dir) as soon as the stage finishes, as the CLI's
+    stage subcommands write them, and report.json after the last stage; a
+    stage that fails leaves the earlier stages' files behind.  After each
+    stage, every artifact that no later stage reads and the report does not
+    return is dropped (the dataset after fit, the sinogram after invert, the
+    fits after solve), so the pipeline does not hold them to the end.
 
     ground_truth (optional): dict with callables "c" (and optionally "psi",
     "V") on (n, 2) point arrays; overrides any ground truth in the config.
@@ -664,20 +676,27 @@ def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
 
     if cfg.workers is not None:
         parallel.set_workers(cfg.workers)
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
     values = stage_context(cfg, ground_truth, kernels)
     diagnostics: dict = {}
-    for name in STAGES:
+    names = list(STAGES)
+    for i, name in enumerate(names):
         diagnostics.update(run_stage(name, cfg, values))
+        if persist:
+            write_artifacts(out, STAGES[name].outputs, values)
+        read_later = {a for later in names[i + 1:] for a in STAGES[later].inputs}
+        for artifact in ARTIFACTS.keys() - read_later - set(_REPORTED):
+            values.pop(artifact, None)
     report = ReconstructionReport(
         psi_hat=values["psi_hat"], V_hat=values["V_hat"], c_hat=values["c_hat"],
         u=values["u"], metrics=values["metrics"], diagnostics=diagnostics, config=cfg.echo(),
     )
     if persist:
-        write_artifacts(Path(out_dir if out_dir is not None else cfg.output_dir), report, values)
+        write_report_json(out / "report.json", diagnostics, report.metrics, report.config)
     return report
 
 
-def write_outputs(out: Path, artifacts, values: dict) -> list[Path]:
+def write_artifacts(out: Path, artifacts, values: dict) -> list[Path]:
     """Write the named artifacts from `values` into `out`; returns the paths."""
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -686,13 +705,6 @@ def write_outputs(out: Path, artifacts, values: dict) -> list[Path]:
         ARTIFACTS[name].write(values, *paths)
         written += paths
     return written
-
-
-def write_artifacts(out: Path, report: ReconstructionReport, values: dict) -> None:
-    """Every artifact present in `values`, then report.json, into `out`."""
-    out = Path(out)
-    write_outputs(out, [name for name in ARTIFACTS if name in values], values)
-    write_report_json(out / "report.json", report.diagnostics, report.metrics, report.config)
 
 
 def write_report_json(path, diagnostics: dict, metrics: dict | None, config: dict) -> None:

@@ -22,6 +22,9 @@ from .fields import Domain
 from .kernels import Kernel
 
 DEFAULT_DENSITY_FLOOR = 1e-30
+# chords per batch of the chord-wise layers (the ladder fit here and the
+# boundary-psi normal equations): bounds their temporaries
+_CHORDS_PER_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -257,31 +260,43 @@ def fit_ladder_batch(times, logratios) -> FitTable:
     logratios has shape (n_chords, m); a non-finite entry is a dropped
     observation and gets weight zero.  Each row yields the intercept dpsi,
     the slope magnitude F, the weighted RMS residual and the covariance of
-    (dpsi, F); rows with fewer than 3 observations are marked not ok.
+    (dpsi, F); rows with fewer than 3 observations are marked not ok.  The
+    table is fitted `_CHORDS_PER_CHUNK` rows at a time into preallocated
+    columns, so the temporaries do not grow with the table.  Every sum runs
+    along one row, and no chunk of a longer table is a single row, so the
+    bits are those of fitting the whole table at once.
     """
     t = np.asarray(times, dtype=float)
-    r = np.asarray(logratios, dtype=float)
-    seen = np.isfinite(r)
-    n_obs = seen.sum(axis=1)
-    ok = n_obs >= 3
+    table = np.asarray(logratios, dtype=float)
     w = 1.0 / t
-    W = np.where(seen, w, 0.0)
-    r = np.where(seen, r, 0.0)
-    s0 = W.sum(axis=1)
-    s1 = (W * t).sum(axis=1)
-    s2 = (W * t * t).sum(axis=1)
-    det = s0 * s2 - s1 * s1
-    b0 = r @ w
-    b1 = r @ (w * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dpsi = (s2 * b0 - s1 * b1) / det
-        slope = (s0 * b1 - s1 * b0) / det
-        resid = np.where(seen, r - (dpsi[:, None] + slope[:, None] * t[None, :]), 0.0)
-        wss = (resid * resid) @ w
-        sigma2 = np.maximum(wss, 0.0) / (n_obs - 2)
-        cols = (dpsi, -slope, np.sqrt(sigma2), sigma2 * s2 / det, sigma2 * s0 / det,
-                sigma2 * s1 / det)
-    return FitTable(*(np.where(ok, c, np.nan) for c in cols), n_obs, ok)
+    cols = np.empty((len(_FIT_COLUMNS), len(table)))
+    n_obs = np.empty(len(table), dtype=np.int64)
+    # a lone last row joins the chunk before it: a one-row matrix-vector
+    # product takes another BLAS path and rounds differently
+    bounds = [*range(0, max(len(table) - 1, 1), _CHORDS_PER_CHUNK), len(table)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = slice(lo, hi)
+        r = table[part]
+        seen = np.isfinite(r)
+        n = n_obs[part] = seen.sum(axis=1)
+        W = np.where(seen, w, 0.0)
+        r = np.where(seen, r, 0.0)
+        s0 = W.sum(axis=1)
+        s1 = (W * t).sum(axis=1)
+        s2 = (W * t * t).sum(axis=1)
+        det = s0 * s2 - s1 * s1
+        b0 = r @ w
+        b1 = r @ (w * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dpsi = (s2 * b0 - s1 * b1) / det
+            slope = (s0 * b1 - s1 * b0) / det
+            resid = np.where(seen, r - (dpsi[:, None] + slope[:, None] * t[None, :]), 0.0)
+            wss = (resid * resid) @ w
+            sigma2 = np.maximum(wss, 0.0) / (n - 2)
+            chunk = (dpsi, -slope, np.sqrt(sigma2), sigma2 * s2 / det, sigma2 * s0 / det,
+                     sigma2 * s1 / det)
+        cols[:, part] = np.where(n >= 3, chunk, np.nan)
+    return FitTable(*cols, n_obs, n_obs >= 3)
 
 
 def fit_small_time(times, logratios) -> ChordFit:
@@ -508,20 +523,26 @@ def _read_table(path, required, blank_is_nan=(), head_rows=0) -> tuple[list, dic
     return head, dict(zip(header, body.T))
 
 
-def _integers(path, cols, *names) -> list:
-    """The named columns as int64; a value that is not an integer is a DataError."""
+def _require_integral(path, cols, *names) -> None:
+    """DataError unless every value of the named columns is an integer."""
     for name in names:
         v = cols[name]
         bad = np.nonzero(~(np.abs(v) < 2.0**63) | (v != np.floor(v)))[0]
         if len(bad):
             raise DataError(f"{path}: {name} must be integral, got {float(v[bad[0]])!r}")
+
+
+def _integers(path, cols, *names) -> list:
+    """The named columns as int64; a value that is not an integer is a DataError."""
+    _require_integral(path, cols, *names)
     return [cols[name].astype(np.int64) for name in names]
 
 
 def _first_repeat(keys):
     """Index of the first entry whose key an earlier entry holds, or None."""
     order = np.argsort(keys, kind="stable")
-    same = np.nonzero(keys[order][1:] == keys[order][:-1])[0]
+    ordered = keys[order]
+    same = np.nonzero(ordered[1:] == ordered[:-1])[0]
     return int(order[same + 1].min()) if len(same) else None
 
 
@@ -556,46 +577,82 @@ def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryData
     integral; a (chord, time) listed twice or a chord whose rows disagree on
     its endpoints is a DataError.
     """
-    _, cols = _read_table(path, DATASET_COLUMNS[:-1], blank_is_nan=("log_ratio",))
-    ia, io = _integers(path, cols, "angle_index", "offset_index")
-    p_o, p_r, t = cols["p_obs"], cols["p_ref"], cols["t"]
-    lr = cols["log_ratio"].copy() if "log_ratio" in cols else np.full(len(t), np.nan)
-    fallback = ~np.isfinite(lr)
-    usable = (p_o > floor) & (p_r > floor) & np.isfinite(p_o) & np.isfinite(p_r)
-    bad = np.nonzero(fallback & ~usable)[0]
-    if len(bad) and "log_ratio" not in cols:
-        i = bad[0]
-        raise DataError(
-            f"{path}: unusable density pair ({p_o[i]:.3e}, {p_r[i]:.3e}) for chord "
-            f"angle={ia[i]} offset={io[i]} at t={t[i]}"
-        )
-    lr[bad] = np.nan  # a dropped observation
-    fallback &= usable
-    lr[fallback] = np.log(p_o[fallback]) - np.log(p_r[fallback])
-    times, ti = np.unique(t, return_inverse=True)
-    times, ti = times[::-1], len(times) - 1 - ti
-    keys, first, ci = np.unique(np.stack([ia, io], axis=1), axis=0,
-                                return_index=True, return_inverse=True)
-    if (i := _first_repeat(ci * len(times) + ti)) is not None:
-        raise DataError(f"{path}: chord angle={ia[i]} offset={io[i]} at t={t[i]} "
-                        "is listed more than once")
-    xy = np.stack([cols["x1"], cols["x2"], cols["y1"], cols["y2"]], axis=1)
-    differs = np.any(xy.view(np.int64) != xy[first][ci].view(np.int64), axis=1)  # bit for bit
-    if differs.any():
-        i = np.argmax(differs)
-        raise DataError(f"{path}: the rows of chord angle={ia[i]} offset={io[i]} "
-                        "disagree on its endpoints")
-    log_ratios, p_obs, p_ref = (np.full((len(keys), len(times)), np.nan) for _ in range(3))
-    log_ratios[ci, ti], p_obs[ci, ti], p_ref[ci, ti] = lr, p_o, p_r
-    xy = xy[first]
+    times, keys, x, y, tables = _dataset_tables(path, floor)
+    log_ratios, p_obs, p_ref = tables
     return BoundaryDataset(
-        chords=ChordTable(xy[:, :2], xy[:, 2:], keys[:, 0], keys[:, 1]),
+        chords=ChordTable(x, y, keys[:, 0], keys[:, 1]),
         times=times,
         log_ratios=log_ratios,
         p_obs=p_obs,
         p_ref=p_ref,
         provenance={"source": str(path)},
     )
+
+
+def _dataset_tables(path, floor):
+    """The checked contents of a dataset CSV: its times (descending), its
+    chords' (angle, offset) keys in sorted order with the endpoints x and y
+    of each chord's first row, and the (chord, time) tables of log ratios,
+    p_obs and p_ref.
+
+    The parsed table is completed in place and its rows are placed by one
+    index into the (chord, time) tables, so the read holds little beyond
+    the parsed table and the result; the parsed table is released when this
+    returns, before the chord table is built.
+    """
+    _, cols = _read_table(path, DATASET_COLUMNS[:-1], blank_is_nan=("log_ratio",))
+    _require_integral(path, cols, "angle_index", "offset_index")
+    ia, io, t, p_o, p_r = (cols[c] for c in ("angle_index", "offset_index", "t", "p_obs", "p_ref"))
+
+    def chord(i):
+        return f"chord angle={int(ia[i])} offset={int(io[i])}"
+
+    lr = cols["log_ratio"] if "log_ratio" in cols else np.full(len(t), np.nan)
+    fallback = ~np.isfinite(lr)
+    usable = (p_o > floor) & (p_r > floor) & np.isfinite(p_o) & np.isfinite(p_r)
+    bad = np.nonzero(fallback & ~usable)[0]
+    if len(bad) and "log_ratio" not in cols:
+        i = bad[0]
+        raise DataError(f"{path}: unusable density pair ({p_o[i]:.3e}, {p_r[i]:.3e}) for "
+                        f"{chord(i)} at t={t[i]}")
+    lr[bad] = np.nan  # a dropped observation
+    fallback &= usable
+    lr[fallback] = np.log(p_o[fallback]) - np.log(p_r[fallback])
+    times, keys, first, cell = _table_cells(ia, io, t)
+    if (i := _first_repeat(cell)) is not None:
+        raise DataError(f"{path}: {chord(i)} at t={t[i]} is listed more than once")
+    differs = np.zeros(len(t), dtype=bool)
+    for c in ("x1", "x2", "y1", "y2"):
+        bits = cols[c].view(np.int64)  # compared bit for bit
+        differs |= bits != bits[first][cell // len(times)]
+    if differs.any():
+        i = np.argmax(differs)
+        raise DataError(f"{path}: the rows of {chord(i)} disagree on its endpoints")
+    tables = tuple(np.full((len(keys), len(times)), np.nan) for _ in range(3))
+    for table, values in zip(tables, (lr, p_o, p_r)):
+        table.reshape(-1)[cell] = values
+    del cell
+    x, y = (np.stack([cols[a][first], cols[b][first]], axis=1)
+            for a, b in (("x1", "x2"), ("y1", "y2")))
+    return times, keys, x, y, tables
+
+
+def _table_cells(ia, io, t):
+    """Where the rows of a dataset go: the distinct times (descending), the
+    distinct (angle, offset) keys in sorted order, each key's first row, and
+    each row's flat cell of a (chord, time) table.
+
+    Rows of one chord usually follow each other, so the runs of rows with
+    one (angle, offset) are found first and the keys among the runs' heads.
+    """
+    ascending = np.unique(t)
+    m = len(ascending)
+    head = np.flatnonzero(np.r_[True, (ia[1:] != ia[:-1]) | (io[1:] != io[:-1])])
+    keys, first, run_chord = np.unique(np.stack([ia[head], io[head]], axis=1).astype(np.int64),
+                                       axis=0, return_index=True, return_inverse=True)
+    cell = np.repeat(run_chord * m + (m - 1), np.diff(np.r_[head, len(t)]))
+    cell -= np.searchsorted(ascending, t)
+    return ascending[::-1], keys, head[first], cell
 
 
 def write_fits_csv(path, chords: ChordTable, fits: FitTable) -> None:

@@ -207,6 +207,48 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     assert not (tmp_path / "phantom").exists()
 
 
+def test_failed_pipeline_leaves_the_files_the_chain_leaves(tmp_path, capsys):
+    """pipeline writes each stage's outputs when the stage ends: a solve that
+    fails leaves the files of the stages before it, as the stage chain does."""
+    chain, whole = tmp_path / "chain", tmp_path / "pipeline"
+    config = write_config(tmp_path / "config.json", small_disc_config(solver={"max_iter": 1}))
+    for stage in STAGES[:4]:
+        assert run_command([stage, "--config", config, "--out", str(chain)]) == 0
+    assert run_command(["solve", "--config", config, "--out", str(chain)]) == 4
+    assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 4
+    for name in ("dataset.csv", "fits.csv", "sinogram.csv", "V_hat.dgf"):
+        assert (whole / name).read_bytes() == (chain / name).read_bytes(), name
+    for name in ("u.dgf", "psi_hat.dgf", "c_hat_x.dgf"):
+        assert not (whole / name).exists() and not (chain / name).exists(), name
+
+
+# sizes no machine holds: a dense 100,000^2 normal matrix (74.5 GiB, but the
+# knots lack chords first), a 100,000 x 100,001 chord raster (149 GiB) and a
+# 200,000^2 grid (298 GiB)
+OUT_OF_MEMORY = {
+    "boundary_knots": ({"boundary_knots": 100000}, 3, "data error: [stage solve] "),
+    "geometry": ({"geometry": {"n_angles": 100000, "n_offsets": 100001}}, 2,
+                 "config error: out of memory: "),
+    "grid": ({"grid": {"x0": -1.15, "y0": -1.15, "x1": 1.15, "y1": 1.15,
+                       "nx": 200000, "ny": 200000}}, 2, "config error: out of memory: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_MEMORY))
+def test_configs_too_large_for_memory_exit_cleanly(tmp_path, case):
+    # run in a child whose address space is capped at 32 GiB, so that an
+    # allocation fails at once even where the kernel overcommits memory
+    overrides, code, prefix = OUT_OF_MEMORY[case]
+    config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**35, 2**35)); "
+    proc = subprocess.run(
+        [sys.executable, "-c", limit + "from driftscope.cli import main; main()",
+         "pipeline", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=fresh_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+
+
 @pytest.mark.parametrize("stage", ["sinogram", "solve"])
 def test_non_finite_fit_row_exits_3(tmp_path, capsys, stage):
     """A fits.csv row with NaN delta_psi and F is a data error when the file

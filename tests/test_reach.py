@@ -105,3 +105,35 @@ def test_scipy_is_imported_only_inside_functions():
                    for name in _import_time_modules(ast.parse(path.read_text()))
                    if name.split(".")[0] == "scipy")
     assert not found, f"scipy imported when the module loads: {found}"
+
+
+TRACER = SRC.parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracer_constant(name: str):
+    """The literal value of a module-level constant of the benchmark's tracer,
+    read from its source."""
+    for stmt in ast.parse(TRACER.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"{TRACER} defines no {name}")
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function the benchmark's tracer wraps by name, and every Domain
+    method it counts, exists: a rename cannot break `run.py --trace 1`."""
+    import importlib
+
+    from driftscope.fields import Domain, DiscDomain, RectangleDomain
+
+    spans = _tracer_constant("SPANS")
+    assert spans
+    missing = [f"{module}.{func}" for module, func, _ in spans
+               if not callable(getattr(importlib.import_module(f"driftscope.{module}"), func, None))]
+    assert not missing, f"traced functions not found in driftscope: {missing}"
+    methods = _tracer_constant("COUNTED_METHODS")
+    assert methods
+    for method in methods:
+        assert callable(getattr(Domain, method, None)), method
+        assert all(method in cls.__dict__ for cls in (DiscDomain, RectangleDomain)), method

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,24 @@ class TestPipeline:
         assert expected.issubset({p.name for p in (tmp_path / "out").iterdir()})
         V = read_dgf(tmp_path / "out" / "V_hat.dgf")
         assert V.grid == cfg.resolved_grid()
+
+    def test_peak_memory_does_not_grow_with_the_chord_table(self):
+        """At 180x181 chords on a 129^2 grid one run peaks ~10 MB of traced
+        memory above its start; ~16 MB when the fit and the boundary-psi
+        equations built whole-table temporaries and the dataset was held until
+        the pipeline returned."""
+        grid = {"x0": -1.15, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 129, "ny": 129}
+        cfg = small_ou_config(geometry={"n_angles": 180, "n_offsets": 181}, grid=grid)
+        run_pipeline(small_ou_config(geometry={"n_angles": 24, "n_offsets": 25}),
+                     persist=False)  # the imports a first run makes are not its working set
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_pipeline(cfg, persist=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6
 
     def test_report_metrics_only_with_ground_truth(self):
         cfg = small_ou_config(ground_truth=None, geometry={"n_angles": 24, "n_offsets": 25})

@@ -11,7 +11,7 @@ batch's summation).
 import numpy as np
 import pytest
 
-from driftscope import elliptic
+from driftscope import elliptic, smalltime
 from driftscope.elliptic import boundary_psi_from_fits
 from driftscope.errors import DataError, GeometryError
 from driftscope.fields import DiscDomain, Grid, RectangleDomain, sample_scalar
@@ -23,6 +23,7 @@ from driftscope.smalltime import (
     chord_angles,
     chord_offsets,
     fit_dataset,
+    fit_ladder_batch,
     make_parallel_chords,
 )
 from driftscope.xray import forward_xray, sinogram_of_field
@@ -196,6 +197,25 @@ def test_full_ladder_fits_match_batch_oracle():
            fits.cov_delta_psi_F)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 38, 75, 112, 149, 186, 223, 400])
+def test_fit_chunks_give_the_bits_of_one_batch(n, monkeypatch):
+    # rows fitted in 37-row chunks equal the whole table fitted at once,
+    # also when the last chunk would hold a single row (n = 37k + 1)
+    rng = np.random.default_rng(n)
+    times = np.array([0.04, 0.02, 0.01, 0.005, 0.0025])
+    lr = rng.normal(0.3, 0.2, (n, 1)) - rng.normal(1.0, 0.5, (n, 1)) * times + \
+        rng.normal(0.0, 1e-3, (n, len(times)))
+    lr[rng.random(lr.shape) < 0.2] = np.nan
+    columns = ("delta_psi", "F", "residual", "var_delta_psi", "var_F", "cov_delta_psi_F",
+               "n_times", "ok")
+    monkeypatch.setattr(smalltime, "_CHORDS_PER_CHUNK", 10**6)
+    whole = fit_ladder_batch(times, lr)
+    monkeypatch.setattr(smalltime, "_CHORDS_PER_CHUNK", 37)
+    chunked = fit_ladder_batch(times, lr)
+    for name in columns:
+        assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_partial_ladder_fits_match_per_chord_fit():
