@@ -1,11 +1,15 @@
 """Finite-difference Dirichlet solver for 1/2 a^{ij} u_{x_i x_j} + b^i u_{x_i} = V u
 on a bounded domain, and the boundary data it needs from chord fits.
 
-Every node inside the domain gets the same Shortley-Weller (1938)
-unequal-arm stencil, built for all nodes at once from arrays of arm
-fractions.  A leg whose neighbour lies inside has arm 1, and there the
-stencil is the regular central one.  A leg that crosses the boundary is cut
-at the exact crossing point, where the Dirichlet data are placed.
+Every node of `Domain.interior` is an unknown and gets the same
+Shortley-Weller (1938) unequal-arm stencil, built for all nodes at once from
+arrays of arm fractions.  A leg whose neighbour is an unknown has arm 1, and
+there the stencil is the regular central one.  A leg that crosses the
+boundary is cut at the exact crossing point, where the Dirichlet data are
+placed.  A node inside the domain but within `fields._SLIVER` grid steps of
+the boundary along an axis is a boundary node instead, the usual remedy for
+an arm that rounding shrinks to nothing: a leg to it ends there, with arm 1
+and the Dirichlet data taken at the node.
 
 The system is solved by a Krylov method (CG when the matrix is symmetric,
 BiCGStab otherwise) preconditioned by one smoothed-aggregation multigrid
@@ -14,8 +18,8 @@ so the iteration count stays nearly flat as the grid is refined.
 
 scipy is imported on first use, not with this module: `scipy.sparse` by
 `assemble_dirichlet_system` and `_sa_hierarchy`, `scipy.sparse.linalg` by
-`solve_bvp` and `_nearest_eigenvalue`.  Runs that never assemble a system
-(the exit sampler, the stages before solve) do not load it.
+`solve_bvp`.  Runs that never assemble a system (the exit sampler, the
+stages before solve) do not load it.
 """
 
 from __future__ import annotations
@@ -107,10 +111,12 @@ _DIAGONAL_LEGS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
 def _leg_arms(domain: Domain, node_index: np.ndarray, nodes: np.ndarray, legs):
     """The stencil legs (di, dj) in `legs` from each node (i, j) in `nodes`:
-    arrays (n_legs, n_nodes) of the neighbour's unknown index (-1 where the
-    leg crosses the boundary) and of the arm fraction in (0, 1] (1 where it
-    does not), and the crossing points (n_cut, 2), leg by leg in the C order
-    of those arrays.  One boundary_crossing call finds every crossing."""
+    arrays (n_legs, n_nodes) of the neighbour's unknown index (-1 where it
+    is not an unknown) and of the arm fraction in (0, 1], and the points
+    (n_cut, 2) where the legs to non-unknowns end, leg by leg in the C order
+    of those arrays.  A leg to a boundary node inside the domain ends at the
+    node, with arm 1; one boundary_crossing call finds where the others
+    cross the boundary."""
     grid = domain.grid
     steps = np.array(legs)[:, None, :]
     # the domain's closure lies strictly inside the grid, so every
@@ -120,7 +126,10 @@ def _leg_arms(domain: Domain, node_index: np.ndarray, nodes: np.ndarray, legs):
     cut = nbr < 0
     p = np.stack([grid.xs()[nodes[:, 0]], grid.ys()[nodes[:, 1]]], axis=-1)
     q = p + steps * np.array([grid.dx, grid.dy])
-    bp, theta = domain.boundary_crossing(np.broadcast_to(p, q.shape)[cut], q[cut])
+    bp, theta = q[cut], np.ones(cut.sum())
+    cross = ~domain.contains(bp)
+    bp[cross], theta[cross] = domain.boundary_crossing(np.broadcast_to(p, q.shape)[cut][cross],
+                                                       bp[cross])
     arm = np.ones(cut.shape)
     arm[cut] = np.maximum(theta, _ARM_FLOOR)
     return nbr, arm, bp
@@ -132,20 +141,21 @@ def assemble_dirichlet_system(
     V: ScalarField,
     domain: Domain,
     g,
-    nondegeneracy_check: bool = False,
 ) -> LinearSystem:
-    """Assemble rows of (1/2 a^{ij} d_ij + b^i d_i - V) u = 0 over the nodes
-    inside the domain, all through one unequal-arm stencil.
+    """Assemble rows of (1/2 a^{ij} d_ij + b^i d_i - V) u = 0 over the
+    domain's unknowns (`Domain.interior`), all through one unequal-arm
+    stencil.
 
     Each axis second and first derivative uses the three-point formulas of
     `_second_coeffs` / `_first_coeffs` on the node's arms (at full arms
     these are the regular central stencil); where a12 is nonzero, the cross
     term's four diagonal weights come from `_cross_weights`.  A leg that
-    crosses the boundary ends at the crossing point, where g (called once on
-    all crossing points) gives the value, and its coef * g moves to the
-    right-hand side.  Floating-point sums depend on their order, so the legs
-    are subtracted in one fixed order, W, E, S, N, then the diagonals: that
-    fixes how each row's right-hand side rounds.
+    crosses the boundary ends at the crossing point, and one to a boundary
+    node at the node; g (called once on all those points) gives the value
+    there, and the leg's coef * g moves to the right-hand side.
+    Floating-point sums depend on their order, so the legs are subtracted in
+    one fixed order, W, E, S, N, then the diagonals: that fixes how each
+    row's right-hand side rounds.
     """
     import scipy.sparse as sp
 
@@ -153,7 +163,7 @@ def assemble_dirichlet_system(
     if a.grid != grid or b.grid != grid or V.grid != grid:
         raise DataError("fields must live on the domain's grid")
     dx, dy = grid.dx, grid.dy
-    inside = domain.contains(grid.node_points()).reshape(grid.shape)
+    inside = domain.interior(grid)
     nodes = np.argwhere(inside)
     n = len(nodes)
     if n == 0:
@@ -221,8 +231,6 @@ def assemble_dirichlet_system(
             "not guaranteed a priori",
             stacklevel=2,
         )
-        if nondegeneracy_check:
-            diagnostics["ritz_nearest_zero"] = _nearest_eigenvalue(A)
 
     return LinearSystem(
         matrix=A,
@@ -233,21 +241,6 @@ def assemble_dirichlet_system(
         symmetric=symmetric,
         diagnostics=diagnostics,
     )
-
-
-def _nearest_eigenvalue(A: sp.csr_matrix) -> float | None:
-    """Magnitude of the symmetrized operator's eigenvalue nearest zero
-    (shift-invert Lanczos); a practical nondegeneracy margin, or None when
-    the estimate does not converge.
-    """
-    import scipy.sparse.linalg as spla
-
-    S = (A + A.T) * 0.5
-    try:
-        w = spla.eigsh(S.tocsc(), k=1, sigma=0.0, which="LM", return_eigenvectors=False)
-        return float(abs(w[0]))
-    except Exception:
-        return None
 
 
 def _sa_hierarchy(A: sp.csr_matrix, node_index: np.ndarray):
@@ -362,13 +355,11 @@ def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -
 
 @dataclass(frozen=True)
 class BoundaryPsi:
-    """Periodic piecewise-linear boundary potential, gauged to a reference
-    parameter where it vanishes."""
+    """Periodic piecewise-linear boundary potential."""
 
     domain: Domain
     knot_params: np.ndarray
     knot_values: np.ndarray
-    gauge_param: float
     n_missing: int = 0
 
     def value_at_param(self, s) -> np.ndarray:
@@ -392,7 +383,6 @@ def boundary_psi_from_fits(
     fits,
     domain: Domain,
     n_knots: int = 256,
-    gauge_param: float = 0.0,
 ) -> BoundaryPsi:
     """Least-squares boundary potential from pairwise differences.
 
@@ -407,7 +397,7 @@ def boundary_psi_from_fits(
     chunk size.  Knots not touched by any chord are an error above
     _MAX_MISSING_FRACTION, checked before N is allocated, otherwise
     interpolated periodically with a warning.  The result is gauged to
-    vanish at gauge_param.
+    vanish at knot 0.
     """
     L = domain.param_length
     knots = np.arange(n_knots) * (L / n_knots)
@@ -471,17 +461,13 @@ def boundary_psi_from_fits(
     if n_missing:
         warnings.warn(f"interpolated {n_missing} uncovered boundary knots", stacklevel=2)
 
-    bp = BoundaryPsi(domain, knots, psi, gauge_param, n_missing)
-    shift = float(bp.value_at_param(gauge_param))
-    return BoundaryPsi(domain, knots, psi - shift, gauge_param, n_missing)
+    return BoundaryPsi(domain, knots, psi - psi[0], n_missing)
 
 
 def boundary_values_from_psi(boundary_psi: BoundaryPsi):
-    """Dirichlet data g(x) = exp(psi(x) - psi(y0)) with the gauge psi(y0) = 0
-    at the boundary potential's gauge parameter y0."""
-    shift = float(boundary_psi.value_at_param(boundary_psi.gauge_param))
+    """Dirichlet data g(x) = exp(psi(x)) of a boundary potential psi."""
 
     def g(points):
-        return np.exp(boundary_psi.value_at(points) - shift)
+        return np.exp(boundary_psi.value_at(points))
 
     return g

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, GeometryError
 
 _DGF_MAGIC = b"DGF1"
+# a node this close to the boundary along an axis, in grid steps, is a
+# boundary node of the Dirichlet solve rather than an unknown
+_SLIVER = 1e-3
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -166,6 +170,26 @@ class Domain:
     def contains(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def interior(self, grid: Grid) -> np.ndarray:
+        """Mask (nx, ny) of the Dirichlet solve's unknowns on the domain's
+        own grid: the nodes inside the domain, less those within `_SLIVER`
+        grid steps of the boundary along an axis, which are boundary nodes.
+        DataError when `grid` is another grid.
+        """
+        if grid != self.grid:
+            raise DataError("fields must live on the domain's grid")
+        return self._interior
+
+    @cached_property
+    def _interior(self) -> np.ndarray:
+        g = self.grid
+        pts = g.node_points().reshape(*g.shape, 2)
+        inside = self.contains(pts)
+        for step in _SLIVER * np.array([[-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]]):
+            inside &= self.contains(pts + step)
+        inside.setflags(write=False)
+        return inside
+
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
         """Map boundary points to arclength-like parameter in [0, param_length)."""
         raise NotImplementedError
@@ -177,12 +201,12 @@ class Domain:
         raise NotImplementedError
 
     def chord_endpoints(self, omega: np.ndarray, z):
-        """Entry and exit points of the lines {z*omega_perp + s*omega}.
+        """Entry and exit points of the lines {center + z*omega_perp + s*omega}.
 
         omega (..., 2) holds unit directions and z (...) signed offsets from
-        the origin; the two broadcast together.  Returns (x, y, hit): entry
-        and exit points (..., 2), NaN where the line misses the domain, and
-        the mask of lines that cross it.
+        the domain's center; the two broadcast together.  Returns (x, y,
+        hit): entry and exit points (..., 2), NaN where the line misses the
+        domain, and the mask of lines that cross it.
         """
         raise NotImplementedError
 
@@ -222,12 +246,12 @@ class Domain:
             raise GeometryError("domain closure must lie strictly inside the grid extent")
 
 
-def _line_origins(omega, z):
+def _line_origins(omega, z, center):
     """Broadcast directions (..., 2) against offsets (...); returns the
-    directions and the lines' feet z * omega_perp, both (..., 2)."""
+    directions and the lines' feet center + z * omega_perp, both (..., 2)."""
     omega = np.asarray(omega, dtype=float)
     perp = np.stack([-omega[..., 1], omega[..., 0]], axis=-1)
-    p0 = np.asarray(z, dtype=float)[..., None] * perp
+    p0 = center + np.asarray(z, dtype=float)[..., None] * perp
     return np.broadcast_to(omega, p0.shape), p0
 
 
@@ -285,7 +309,7 @@ class DiscDomain(Domain):
         return self.center + d * (self.radius / r)[..., None]
 
     def chord_endpoints(self, omega: np.ndarray, z):
-        omega, p0 = _line_origins(omega, z)
+        omega, p0 = _line_origins(omega, z, self.center)
         # solve |p0 + s*omega - c|^2 = R^2 (vecdot rounds like a 2-vector dot)
         d = p0 - self.center
         b = np.vecdot(d, omega)
@@ -400,7 +424,7 @@ class RectangleDomain(Domain):
         return np.stack([x, y], axis=-1)
 
     def chord_endpoints(self, omega: np.ndarray, z):
-        omega, p0 = _line_origins(omega, z)
+        omega, p0 = _line_origins(omega, z, self.center)
         # Liang-Barsky clip of the infinite lines against the box
         shape = p0.shape[:-1]
         t_lo = np.full(shape, -np.inf)

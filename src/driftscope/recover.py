@@ -44,7 +44,6 @@ from .smalltime import (
     make_parallel_chords,
     read_dataset_csv,
     read_fits_csv,
-    require_centered,
     write_dataset_csv,
     write_fits_csv,
 )
@@ -297,10 +296,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         ground_truth=gt,
     )
     # what gen-data builds from the config, built here so that their own
-    # checks (a grid that holds the domain, a domain centered at the origin,
-    # a positive OU rate) refuse at config time what the pipeline cannot run
+    # checks (a grid that holds the domain, a positive OU rate) refuse at
+    # config time what the pipeline cannot run
     try:
-        require_centered(cfg.resolved_domain())
+        cfg.resolved_domain()
         for side in ("observed", "reference"):
             kernel_from_config(kern[side])
     except DataError as exc:
@@ -328,28 +327,26 @@ def ground_truth_from_config(gt: dict | None):
 
 def psi_from_u(u: ScalarField, boundary_psi: BoundaryPsi, domain: Domain,
                min_u: float | None = None) -> ScalarField:
-    """Drift potential log(u) inside the domain, gauged at the boundary
-    reference point; outside, the boundary data extended along the projection
-    onto the boundary (keeps finite differences sane near the edge).
+    """Drift potential log(u) at the solve's unknowns (`Domain.interior`);
+    elsewhere, the boundary data extended along the projection onto the
+    boundary (keeps finite differences sane near the edge).
     """
-    inside = domain.contains(u.grid.node_points()).reshape(u.grid.shape)
-    interior_vals = u.values[inside]
-    lowest = float(interior_vals.min()) if min_u is None else min_u
+    inside = domain.interior(u.grid)
+    lowest = float(u.values[inside].min()) if min_u is None else min_u
     if lowest <= 0.0:
         raise DataError(
             f"cannot take log of the solution: min_u = {lowest:.6g} is not positive"
         )
     psi = np.empty(u.grid.shape)
     psi[inside] = np.log(u.values[inside])
-    pts = u.grid.node_points().reshape(*u.grid.shape, 2)
-    outside_pts = pts[~inside]
-    proj = domain.project_to_boundary(outside_pts)
-    psi[~inside] = boundary_psi.value_at(proj)
+    outside = u.grid.node_points().reshape(*u.grid.shape, 2)[~inside]
+    psi[~inside] = boundary_psi.value_at(domain.project_to_boundary(outside))
     return ScalarField(u.grid, psi)
 
 
 def drift_from_psi(psi: ScalarField, a: DiffusionField, domain: Domain | None = None) -> VectorField:
-    """Drift c = a * grad(psi); zeroed outside the domain when one is given."""
+    """Drift c = a * grad(psi); zeroed off the solve's unknowns
+    (`Domain.interior`) when a domain is given."""
     if a.grid != psi.grid:
         raise DataError("drift_from_psi requires a shared grid")
     grad = gradient(psi).values
@@ -357,8 +354,7 @@ def drift_from_psi(psi: ScalarField, a: DiffusionField, domain: Domain | None = 
     cy = a.a12 * grad[..., 0] + a.a22 * grad[..., 1]
     c = np.stack([cx, cy], axis=-1)
     if domain is not None:
-        inside = domain.contains(psi.grid.node_points()).reshape(psi.grid.shape)
-        c = np.where(inside[..., None], c, 0.0)
+        c = np.where(domain.interior(psi.grid)[..., None], c, 0.0)
     return VectorField(psi.grid, c)
 
 
@@ -376,7 +372,7 @@ def _erode(mask: np.ndarray, n: int) -> np.ndarray:
 
 
 def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain) -> float:
-    """L2 norm over the domain, less its two outermost rings of nodes, of
+    """L2 norm over the solve's unknowns, less their two outermost rings, of
     d_y (a^{-1} c)_1 - d_x (a^{-1} c)_2: the discrete test that a^{-1} c is
     a gradient field (zero for exact data).
     """
@@ -389,7 +385,7 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain) -> f
     from .fields import _d1  # shared stencils with gradient()
 
     curl = _d1(w1, g.dy, 1) - _d1(w2, g.dx, 0)
-    region = _erode(domain.contains(g.node_points()).reshape(g.shape), 2)
+    region = _erode(domain.interior(g), 2)
     return float(np.sqrt(np.sum(curl[region] ** 2) * g.cell_area))
 
 
@@ -424,7 +420,6 @@ class LiftedProblem:
     observed: Kernel
     reference: Kernel
     domain: Domain
-    x1_shift: float  # planar x1 = original coordinate - x1_shift
 
 
 def lift_1d(
@@ -441,25 +436,23 @@ def lift_1d(
 
     The planar observed kernel is the product p1 (x1) x p2 (x2); the
     reference is the product of the matching driftless kernels.  The strip
-    interval x (-inf, inf) is truncated to a rectangle of the given
-    half-width, and the whole problem is shifted so the rectangle is centered
-    at the origin (the parallel-beam raster assumes a centered domain).
+    interval x (-inf, inf) is truncated to the rectangle
+    interval x [-half_width, half_width], in the original coordinates (the
+    parallel-beam raster measures its offsets from the domain's center).
     """
     if p1.dim != 1 or c2_kernel.dim != 1:
         raise DataError("lift_1d needs one-dimensional kernels")
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise DataError("empty interval")
-    shift = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    observed = ProductKernel(p1, c2_kernel, offset=(shift, 0.0))
-    reference = ProductKernel(BrownianKernel(dim=1), BrownianKernel(dim=1), offset=(shift, 0.0))
+    observed = ProductKernel(p1, c2_kernel)
+    reference = ProductKernel(BrownianKernel(dim=1), BrownianKernel(dim=1))
     if grid is None:
-        mx = 0.3 * half
+        mx = 0.15 * (hi - lo)
         my = 0.15 * half_width
-        grid = Grid.from_extent(-half - mx, -half_width - my, half + mx, half_width + my, nx, ny)
-    domain = RectangleDomain(grid, -half, -half_width, half, half_width)
-    return LiftedProblem(observed, reference, domain, shift)
+        grid = Grid.from_extent(lo - mx, -half_width - my, hi + mx, half_width + my, nx, ny)
+    domain = RectangleDomain(grid, lo, -half_width, hi, half_width)
+    return LiftedProblem(observed, reference, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +511,15 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
     """Dirichlet solve plus potential-log extraction.
 
     The system is always solved in the canonical gauge (boundary potential
-    vanishing at parameter 0); the configured gauge is applied afterwards as
-    an exact scaling of the solution.  The boundary data enter linearly, so
-    this is the same solution the requested gauge would give, and the
-    recovered drift is bit-independent of the gauge choice.
+    vanishing at parameter 0, as `boundary_psi_from_fits` returns it); the
+    configured gauge is applied afterwards, here only, as an exact scaling
+    of the solution.  The boundary data enter linearly, so this is the same
+    solution the requested gauge would give, and the recovered drift is
+    bit-independent of the gauge choice.
     """
     V_hat, domain = v["V_hat"], v["domain"]
     grid = V_hat.grid
-    bpsi0 = boundary_psi_from_fits(v["chords"], v["fits"], domain, n_knots=cfg.boundary_knots,
-                                   gauge_param=0.0)
+    bpsi0 = boundary_psi_from_fits(v["chords"], v["fits"], domain, n_knots=cfg.boundary_knots)
     g = boundary_values_from_psi(bpsi0)
     a = DiffusionField.identity(grid)
     b = VectorField(grid, np.zeros((*grid.shape, 2)))
@@ -537,8 +530,7 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
     if shift != 0.0:
         scale = float(np.exp(-shift))
         u, min_u = ScalarField(grid, u.values * scale), min_u * scale
-        bpsi = BoundaryPsi(domain, bpsi0.knot_params, bpsi0.knot_values - shift,
-                           cfg.gauge_param, bpsi0.n_missing)
+        bpsi = BoundaryPsi(domain, bpsi0.knot_params, bpsi0.knot_values - shift, bpsi0.n_missing)
     v["u"], v["psi_hat"] = u, psi_from_u(u, bpsi, domain, min_u=min_u)
     return {"solver_residual": solution.residual_norm,
             "solver_iterations": solution.iterations,

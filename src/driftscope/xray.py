@@ -3,7 +3,7 @@ back-projection inversion on a parallel-beam raster.
 
 A sinogram bin (angle i, offset j) holds the line integral along the line
 with direction omega_i = (cos, sin)(pi*i/n_angles) and signed offset z_j
-from the origin along omega_i^perp.
+from the domain's center along omega_i^perp.
 """
 
 from __future__ import annotations
@@ -170,14 +170,16 @@ def _ramp_kernel(n_pad: int, dz: float) -> np.ndarray:
 
 
 def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain) -> ScalarField:
-    """Filtered back-projection onto the nodes of out_grid inside the domain.
+    """Filtered back-projection onto the solve's unknowns (`Domain.interior`)
+    of out_grid, which must be the domain's grid.
 
     Offset profiles are convolved with the ramp filter (FFT on a zero-padded
     axis of at least twice the length; optional Hann apodization), then
     back-projected with linear interpolation in offset, in one thread, at
-    the nodes inside the domain only; the nodes outside are zero.  Masked
-    bins are in-filled by linear interpolation along the offset axis (with a
-    warning); a fully masked angle or more than 10% masked bins is an error.
+    those nodes only, each measured from the domain's center; the other
+    nodes are zero.  Masked bins are in-filled by linear interpolation along
+    the offset axis (with a warning); a fully masked angle or more than 10%
+    masked bins is an error.
     """
     if sino.n_angles < 2:
         raise DataError("need at least 2 angles to invert")
@@ -212,9 +214,10 @@ def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain)
     padded[:, :n] = values
     filtered = np.fft.irfft(np.fft.rfft(padded, axis=1) * H[None, :], axis=1)[:, :n] * dz
 
+    inside = domain.interior(out_grid)
     X, Y = out_grid.nodes()
-    inside = domain.contains(out_grid.node_points()).reshape(X.shape)
-    x, y = X[inside], Y[inside]
+    cx, cy = domain.center
+    x, y = X[inside] - cx, Y[inside] - cy
     total = np.zeros(len(x))
     for lo in range(0, sino.n_angles, _ANGLE_BLOCK):
         acc = np.zeros(len(x))

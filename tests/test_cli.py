@@ -72,8 +72,6 @@ def write_config(path, raw):
     {"grid": {"x0": -0.9, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[1.0, -0.7], [1.0, 0.7]]}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 1.7e308]]}},
-    {"grid": None, "domain": {"kind": "disc", "center": [0.5, 0], "radius": 1.0}},
-    {"grid": None, "domain": {"kind": "rectangle", "corners": [[0, 0], [2, 1.4]]}},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
@@ -81,6 +79,35 @@ def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "dataset.csv").exists()
+
+
+# an off-center domain, and the centered one of the same shape
+OFF_CENTER = {
+    "disc": ({"kind": "disc", "center": [0.5, 0], "radius": 1.0},
+             {"kind": "disc", "radius": 1.0}),
+    "rectangle": ({"kind": "rectangle", "corners": [[0, 0], [2, 1.4]]},
+                  {"kind": "rectangle", "corners": [[-1, -0.7], [1, 0.7]]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_CENTER))
+def test_off_center_domain_runs(tmp_path, kind):
+    """The raster is measured from the domain's center: an off-center domain
+    on its default grid runs through pipeline and the stage chain with the
+    same report, and its rel_l2 is within 2x of the centered domain's."""
+    off_center, centered = OFF_CENTER[kind]
+    chain, whole = str(tmp_path / "chain"), str(tmp_path / "pipeline")
+    raw = small_disc_config(grid=None, domain=off_center)
+    config = write_config(tmp_path / "config.json", raw)
+    for stage in STAGES:
+        assert run_command([stage, "--config", config, "--out", chain]) == 0, stage
+    assert run_command(["pipeline", "--config", config, "--out", whole]) == 0
+    report = comparable_report(tmp_path / "pipeline")
+    assert comparable_report(tmp_path / "chain") == report
+    raw = small_disc_config(grid=None, domain=centered)
+    config = write_config(tmp_path / "centered.json", raw)
+    assert run_command(["pipeline", "--config", config, "--out", str(tmp_path / "centered")]) == 0
+    assert report["rel_l2"] <= 2.0 * comparable_report(tmp_path / "centered")["rel_l2"]
 
 
 def test_numeric_string_offset_runs_gen_data(tmp_path):

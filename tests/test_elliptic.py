@@ -124,15 +124,6 @@ class TestAssembly:
         with pytest.warns(UserWarning, match="negative"):
             assemble_dirichlet_system(a, b, V, dom, lambda p: np.ones(len(p)))
 
-    def test_nondegeneracy_diagnostic(self):
-        g, dom, a, b = disc_setup(33)
-        V = ScalarField(g, np.full((33, 33), -0.5))
-        with pytest.warns(UserWarning):
-            system = assemble_dirichlet_system(a, b, V, dom, lambda p: np.ones(len(p)),
-                                               nondegeneracy_check=True)
-        margin = system.diagnostics.get("ritz_nearest_zero")
-        assert margin is not None and margin > 0.1
-
 
 def per_leg_arm(domain, p, step, neighbor_inside):
     """Oracle: one stencil leg at a time, as assembly found them before the
@@ -400,6 +391,20 @@ def general_disc_system(n=129):
     return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
 
 
+def sliver_disc():
+    """A disc centered at (0.1, 0) on a 129^2 grid over [-1.2, 1.2]^2: node
+    (16, 64) at (-0.9, 0) lies on its boundary and inside only by rounding."""
+    return DiscDomain(Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 129, 129), 0.1, 0.0, 1.0)
+
+
+def sliver_disc_system(boundary=wavy_boundary):
+    dom = sliver_disc()
+    g = dom.grid
+    a = DiffusionField.identity(g)
+    b = VectorField(g, np.zeros((*g.shape, 2)))
+    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, boundary)
+
+
 def direct_u(system):
     """u on the inside nodes, in grid order, from a sparse direct solve."""
     x = spla.spsolve(system.matrix.tocsc(), system.rhs)
@@ -513,7 +518,8 @@ class TestSolve:
         (wavy_disc_system, False),
         (aligned_rectangle_system, True),
         (general_disc_system, False),
-    ], ids=["disc", "rectangle-cg", "general-disc"])
+        (sliver_disc_system, False),
+    ], ids=["disc", "rectangle-cg", "general-disc", "sliver-disc"])
     def test_matches_direct_solve(self, build, symmetric):
         system = build()
         assert system.symmetric == symmetric
@@ -556,6 +562,37 @@ class TestSolve:
         bad = LinearSystem(A, system.rhs, system.node_index, g, 0.0, False)
         with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
             solve_bvp(bad)
+
+
+class TestSliverNode:
+    """A node inside the domain only by rounding is a boundary node."""
+
+    def test_not_an_unknown(self):
+        dom = sliver_disc()
+        g = dom.grid
+        assert dom.contains(np.array([g.xs()[16], g.ys()[64]]))
+        system = sliver_disc_system()
+        assert system.node_index[16, 64] == -1 and system.node_index[17, 64] >= 0
+        # its floored arm gave a row diagonal of -4.5e15 before
+        assert np.abs(system.matrix.diagonal()).max() < 1e6
+
+    def test_leg_toward_it_ends_there_with_g_at_it(self):
+        dom = sliver_disc()
+        node = [dom.grid.xs()[16], dom.grid.ys()[64]]
+        points = []
+
+        def boundary(p):
+            points.append(p)
+            return wavy_boundary(p)
+
+        system = sliver_disc_system(boundary)
+        # the west leg of its east neighbour (17, 64) ends at it
+        nbr, arm, bp = elliptic._leg_arms(dom, system.node_index, np.array([[17, 64]]),
+                                          elliptic._AXIS_LEGS)
+        assert nbr[0, 0] == -1 and arm[0, 0] == 1.0
+        assert bp[0] == pytest.approx(node, abs=1e-15)
+        (points,) = points
+        assert np.sum(np.all(np.abs(points - node) <= 1e-15, axis=1)) == 1
 
 
 class TestBoundaryPsi:
@@ -601,7 +638,7 @@ class TestBoundaryPsi:
             return 0.4 * np.exp(-((p[..., 0] - 0.3) ** 2 + (p[..., 1] + 0.2) ** 2) / 0.5)
 
         chords, fits = self.synth_fits(dom, lambda p: float(psi_fn(p)), n=4000, seed=1)
-        bp = boundary_psi_from_fits(chords, fits, dom, n_knots=256, gauge_param=0.0)
+        bp = boundary_psi_from_fits(chords, fits, dom, n_knots=256)
         gfun = boundary_values_from_psi(bp)
         s = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         pts = dom.boundary_point(s)

@@ -301,6 +301,27 @@ class TestDomains:
         assert cross == pytest.approx([1.0, 0.0], abs=1e-12)
         assert theta == pytest.approx(0.25, abs=1e-12)
 
+    def test_interior_drops_sliver_nodes(self):
+        # the rectangle's left edge lies 1e-5 grid steps left of a grid line
+        g = grid_square(17, half=2.0)
+        dom = RectangleDomain(g, -1.0 - 1e-5 * g.dx, -1.1, 1.1, 1.1)
+        inside = dom.contains(g.node_points()).reshape(g.shape)
+        interior = dom.interior(g)
+        assert np.array_equal(inside & ~interior, inside & (np.arange(17) == 4)[:, None])
+        assert interior[5:13, 4:13].all() and interior.sum() == 8 * 9
+        assert dom.interior(g) is interior  # computed once per domain
+        assert not interior.flags.writeable
+
+    def test_interior_equals_inside_away_from_the_edge(self):
+        g = grid_square(33, half=1.2)
+        dom = DiscDomain(g, 0.05, -0.1, 1.0)
+        assert np.array_equal(dom.interior(g), dom.contains(g.node_points()).reshape(g.shape))
+
+    def test_interior_on_another_grid_is_data_error(self):
+        dom = DiscDomain(grid_square(17, half=1.5), 0.0, 0.0, 1.0)
+        with pytest.raises(DataError, match="domain's grid"):
+            dom.interior(grid_square(33, half=1.5))
+
     def test_rectangle_param_roundtrip(self):
         g = grid_square(17, half=3.0)
         dom = RectangleDomain(g, -1.0, -2.0, 1.0, 2.0)

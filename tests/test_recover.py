@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from driftscope.cli import run_command
 from driftscope.elliptic import BoundaryPsi
 from driftscope.errors import ConfigError, DataError
 from driftscope.fields import (
@@ -26,7 +31,9 @@ from driftscope.kernels import (
     ou_kernel,
 )
 from driftscope.recover import (
+    STAGES,
     config_from_dict,
+    default_grid,
     default_ladder,
     drift_from_psi,
     gradient_consistency,
@@ -38,7 +45,7 @@ from driftscope.recover import (
 
 def flat_boundary_psi(dom, value=0.0):
     knots = np.arange(16) * (dom.param_length / 16)
-    return BoundaryPsi(dom, knots, np.full(16, value), 0.0)
+    return BoundaryPsi(dom, knots, np.full(16, value))
 
 
 def disc_setup(n=33, half=1.2):
@@ -173,7 +180,6 @@ class TestLift1d:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ou_product_is_planar_ou(self):
-        # the shift moves the first coordinate, so compare in shifted frame
         th = 1.0
         lifted = lift_1d(OrnsteinUhlenbeckKernel(th, dim=1),
                          OrnsteinUhlenbeckKernel(th, dim=1), (0.0, 1.0), 3.0)
@@ -183,29 +189,26 @@ class TestLift1d:
             y = rng.uniform(-0.5, 0.5, 2)
             t = rng.uniform(0.01, 0.5)
             got = float(lifted.observed.density(x, t, y))
-            want = float(ou_kernel(x + [lifted.x1_shift, 0.0], t,
-                                   y + [lifted.x1_shift, 0.0], th))
+            want = float(ou_kernel(x, t, y, th))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_marginalization_recovers_1d(self):
         p1 = OrnsteinUhlenbeckKernel(1.0, dim=1)
         lifted = lift_1d(p1, OrnsteinUhlenbeckKernel(1.0, dim=1), (0.0, 1.0), 3.0)
         t = 0.2
-        x1, y1 = 0.3, -0.1  # shifted coordinates
+        x1, y1 = 0.8, 0.4
         y2 = np.linspace(-8, 8, 4001)
         x = np.tile([x1, 0.0], (len(y2), 1))
         y = np.stack([np.full(len(y2), y1), y2], axis=-1)
         joint = lifted.observed.density(x, t, y)
         marginal = np.trapezoid(joint, y2)
-        want = float(p1.density(x1 + lifted.x1_shift, t, y1 + lifted.x1_shift))
+        want = float(p1.density(x1, t, y1))
         assert abs(marginal - want) < 1e-4
 
-    def test_domain_is_centered_rectangle(self):
+    def test_domain_is_the_truncated_strip(self):
         lifted = lift_1d(BrownianKernel(dim=1), BrownianKernel(dim=1), (0.0, 1.0), 2.5)
         dom = lifted.domain
-        assert dom.center == pytest.approx([0.0, 0.0])
-        assert (dom.xmax - dom.xmin) == pytest.approx(1.0)
-        assert (dom.ymax - dom.ymin) == pytest.approx(5.0)
+        assert (dom.xmin, dom.ymin, dom.xmax, dom.ymax) == (0.0, -2.5, 1.0, 2.5)
 
 
 class TestConfig:
@@ -264,13 +267,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, text", [
         ("corners", [["-1.0", "-0.7"], ["1.0", "0.7"]]),
-        ("center", ["5e-10", "0"]),
+        ("center", ["0.5", "0"]),
     ])
     def test_numeric_strings_give_the_same_default_grid(self, key, text):
-        # the config accepts numeric strings wherever it takes a number; the
-        # center stays within the 1e-9 of the origin that the raster allows
+        # the config accepts numeric strings wherever it takes a number
         raw = {"domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]]}
-               if key == "corners" else {"kind": "disc", "center": [5e-10, 0.0], "radius": 1.0},
+               if key == "corners" else {"kind": "disc", "center": [0.5, 0.0], "radius": 1.0},
                "kernels": {"observed": {"kind": "brownian"}, "reference": {"kind": "brownian"}}}
         want = config_from_dict(raw).resolved_grid()
         raw["domain"][key] = text
@@ -309,6 +311,23 @@ VALID_CONFIGS = [
                     "reference": {"kind": "brownian"}},
         "filter": "ram-lak",
         "workers": None,
+        "ground_truth": {"kind": "zero"},
+    },
+    {
+        "domain": {"kind": "disc", "center": [0.5, -0.25], "radius": 1.0},
+        "grid": {"x0": -0.65, "y0": -1.4, "x1": 1.65, "y1": 0.9, "nx": 33, "ny": 33},
+        "geometry": {"n_angles": 24, "n_offsets": 25},
+        "kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "brownian"}},
+        "solver": {"tol": 1e-10, "max_iter": 500},
+        "workers": 1,
+        "ground_truth": {"kind": "ou", "theta": 1.0},
+    },
+    {
+        "domain": {"kind": "rectangle", "corners": [[0.0, 0.0], [2.0, 1.4]]},
+        "grid": {"x0": -0.15, "y0": -0.15, "x1": 2.15, "y1": 1.55, "nx": 33, "ny": 25},
+        "geometry": {"n_angles": 24, "n_offsets": 25},
+        "kernels": {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5},
+                    "reference": {"kind": "brownian"}},
         "ground_truth": {"kind": "zero"},
     },
 ]
@@ -369,6 +388,68 @@ def test_config_mutations_return_or_raise_config_error(data):
 def test_valid_configs_accepted():
     for raw in VALID_CONFIGS:
         config_from_dict(raw)
+
+
+def _smoke_size(raw):
+    """A copy of raw at 24 x 25 chords on 33 grid nodes across, where it sets no size."""
+    raw = json.loads(json.dumps(raw))
+    raw.setdefault("geometry", {"n_angles": 24, "n_offsets": 25})
+    if "grid" not in raw:
+        g = default_grid(raw["domain"], 33)
+        raw["grid"] = {"x0": g.x0, "y0": g.y0, "x1": g.x1, "y1": g.y1, "nx": g.nx, "ny": g.ny}
+    return raw
+
+
+def _nudge(raw, data):
+    """A copy of raw with one of its numbers scaled by 0.7 to 1.3 and moved
+    by up to 0.3 (integers rounded)."""
+    raw = json.loads(json.dumps(raw))
+    leaves = []
+    for path in list(_paths(raw))[1:]:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if type(parent[path[-1]]) in (int, float):
+            leaves.append((parent, path[-1]))
+    parent, key = data.draw(st.sampled_from(leaves))
+    value = parent[key] * data.draw(st.floats(0.7, 1.3)) + data.draw(st.floats(-0.3, 0.3))
+    parent[key] = round(value) if type(parent[key]) is int else value
+    return raw
+
+
+def _runs_at_smoke_size(raw) -> bool:
+    """Whether a config that parses stays within the smoke size: at most
+    24 x 25 chords, 33^2 grid nodes, 256 boundary knots, 500 solver
+    iterations and 2 workers.  One that does not parse exits at once."""
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return True
+    grid = cfg.resolved_grid()
+    return (cfg.n_angles * cfg.n_offsets <= 24 * 25 and grid.nx * grid.ny <= 33 * 33
+            and cfg.boundary_knots <= 256 and cfg.solver_max_iter <= 500
+            and (cfg.workers or 1) <= 2)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_mutated_configs_run_every_stage_or_exit_cleanly(data):
+    """Up to two edits (`_mutate` or `_nudge`) of a valid config at smoke
+    size, then the six CLI stages in order: each exits 0, 2, 3 or 4, and
+    none raises or prints a traceback."""
+    raw = _smoke_size(data.draw(st.sampled_from(VALID_CONFIGS)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        raw = data.draw(st.sampled_from([_mutate, _nudge]))(raw, data)
+    assume(_runs_at_smoke_size(raw))
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "config.json"
+        config.write_text(json.dumps(raw))
+        for stage in STAGES:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_command([stage, "--config", str(config), "--out", out])
+            assert code in (0, 2, 3, 4), (stage, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), stage
 
 
 class TestPipeline:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from driftscope.errors import DataError, GeometryError
-from driftscope.fields import DiffusionField, DiscDomain, Grid, VectorField
+from driftscope.errors import DataError
+from driftscope.fields import DiffusionField, DiscDomain, Grid, RectangleDomain, VectorField
 from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel, TabulatedKernel
 from driftscope.smalltime import (
     BoundaryDataset,
@@ -159,11 +159,23 @@ class TestGeometry:
         lengths = sorted(c.length for c in chords)
         assert lengths == pytest.approx([np.sqrt(3), np.sqrt(3), 2.0], abs=1e-12)
 
-    def test_off_center_domain_rejected(self):
+    @pytest.mark.parametrize("shape", ["disc", "rectangle"])
+    def test_off_center_chords_are_translated(self, shape):
+        # offsets are measured from the domain's center: moving the domain
+        # moves every chord with it and keeps its raster indices
         g = Grid.from_extent(-2, -2, 2, 2, 17, 17)
-        dom = DiscDomain(g, 0.5, 0.0, 1.0)
-        with pytest.raises(GeometryError, match="centered"):
-            make_parallel_chords(dom, 4, 5)
+        c = np.array([0.5, -0.25])
+        if shape == "disc":
+            doms = DiscDomain(g, 0.0, 0.0, 1.0), DiscDomain(g, *c, 1.0)
+        else:
+            doms = (RectangleDomain(g, -1.0, -0.7, 1.0, 0.7),
+                    RectangleDomain(g, -1.0 + c[0], -0.7 + c[1], 1.0 + c[0], 0.7 + c[1]))
+        (chords, skipped), (moved, moved_skipped) = (make_parallel_chords(d, 12, 13) for d in doms)
+        assert moved_skipped == skipped
+        assert np.array_equal(moved.angle_index, chords.angle_index)
+        assert np.array_equal(moved.offset_index, chords.offset_index)
+        assert np.abs(moved.x - c - chords.x).max() <= 1e-14
+        assert np.abs(moved.y - c - chords.y).max() <= 1e-14
 
     def test_chord_fields(self):
         c = Chord(np.array([1.0, 0.0]), np.array([0.0, 1.0]))

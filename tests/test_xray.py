@@ -296,6 +296,25 @@ class TestFbp:
             assert np.array_equal(fbp_invert(sino, g, filter_name, dom).values, want.values)
 
 
+def test_off_center_raster_is_measured_from_the_center():
+    """V(. - c) on the unit disc centered at c has the sinogram of V on the
+    centered disc, and its inversion is V_hat translated by c."""
+    g, dom = unit_disc(n=65)
+    c = np.array([0.5, -0.25])
+    g_c = Grid(g.x0 + c[0], g.y0 + c[1], g.dx, g.dy, g.nx, g.ny)
+    dom_c = DiscDomain(g_c, *c, 1.0)
+
+    def V(p):
+        return np.exp(-((p[:, 0] - 0.2) ** 2 + (p[:, 1] + 0.1) ** 2) / 0.3)
+
+    sino = sinogram_of_field(V, dom, 32, 33, n_quad=64)
+    sino_c = sinogram_of_field(lambda p: V(p - c), dom_c, 32, 33, n_quad=64)
+    assert np.abs(sino_c.values - sino.values).max() <= 1e-12 * np.abs(sino.values).max()
+    assert np.array_equal(dom_c.interior(g_c), dom.interior(g))
+    rec, rec_c = fbp_invert(sino, g, "hann", dom), fbp_invert(sino_c, g_c, "hann", dom_c)
+    assert np.abs(rec_c.values - rec.values).max() <= 1e-12 * np.abs(rec.values).max()
+
+
 def all_node_pooled_fbp(sino, out_grid, filter_name, domain):
     """Oracle: fbp_invert as it stood when it back-projected every grid node
     in 16-angle blocks on a two-thread pool, summed the blocks in order and
