@@ -25,7 +25,7 @@ stages before solve) do not load it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class LinearSystem:
     grid: object
     peclet_max: float
     symmetric: bool
-    diagnostics: dict = dc_field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -222,9 +221,7 @@ def assemble_dirichlet_system(
     diff = A - A.T
     symmetric = diff.nnz == 0 or float(abs(diff).max()) == 0.0
 
-    diagnostics: dict = {"n_unknowns": n, "peclet_max": peclet_max}
     vmin = float(V.values[ii, jj].min())
-    diagnostics["v_min"] = vmin
     if vmin < 0.0:
         warnings.warn(
             f"potential takes negative values (min {vmin:.3e}); uniqueness is "
@@ -239,7 +236,6 @@ def assemble_dirichlet_system(
         grid=grid,
         peclet_max=peclet_max,
         symmetric=symmetric,
-        diagnostics=diagnostics,
     )
 
 

@@ -282,6 +282,12 @@ class DiscDomain(Domain):
     def shrunk(self, fraction: float) -> "DiscDomain":
         return DiscDomain(self.grid, self.center_x, self.center_y, self.radius * fraction)
 
+    @staticmethod
+    def default_grid(cx: float, cy: float, radius: float, n: int, margin: float) -> Grid:
+        """n x n nodes over the disc's bounding box widened `margin` times."""
+        r = radius * margin
+        return Grid.from_extent(cx - r, cy - r, cx + r, cy + r, n, n)
+
     @property
     def param_length(self) -> float:
         return 2.0 * np.pi
@@ -365,6 +371,20 @@ class RectangleDomain(Domain):
         lo, hi = self.bounds
         half = 0.5 * (hi - lo) * fraction
         return RectangleDomain(self.grid, *(self.center - half), *(self.center + half))
+
+    @staticmethod
+    def default_grid(xmin, ymin, xmax, ymax, n: int, margin: float) -> Grid:
+        """The rectangle widened `margin` times about its center, with n nodes
+        along x and an odd count along y that keeps the cells near square."""
+        mx = 0.5 * (margin - 1.0) * (xmax - xmin)
+        my = 0.5 * (margin - 1.0) * (ymax - ymin)
+        aspect = (ymax - ymin + 2 * my) / (xmax - xmin + 2 * mx)
+        if not np.isfinite(aspect):
+            raise GeometryError(f"rectangle corners {[[xmin, ymin], [xmax, ymax]]!r} span no finite grid")
+        ny = max(3, int(round((n - 1) * aspect)) + 1)
+        if ny % 2 == 0:
+            ny += 1
+        return Grid.from_extent(xmin - mx, ymin - my, xmax + mx, ymax + my, n, ny)
 
     @property
     def param_length(self) -> float:
@@ -463,17 +483,6 @@ class RectangleDomain(Domain):
         first = np.argmin(np.where(ok, theta, np.inf), axis=-1)
         theta = np.minimum(np.take_along_axis(theta, first[..., None], axis=-1)[..., 0], 1.0)
         return p + theta[..., None] * d, theta
-
-
-def domain_from_config(spec: dict, grid: Grid) -> Domain:
-    kind = spec.get("kind")
-    if kind == "disc":
-        cx, cy = spec.get("center", (0.0, 0.0))
-        return DiscDomain(grid, float(cx), float(cy), float(spec["radius"]))
-    if kind == "rectangle":
-        (x0, y0), (x1, y1) = spec["corners"]
-        return RectangleDomain(grid, float(x0), float(y0), float(x1), float(y1))
-    raise DataError(f"unknown domain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

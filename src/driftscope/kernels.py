@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .fields import ScalarField, interp
+from .specs import Kind, build, finite, finite_list
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # TabulatedKernel: how far a start point may lie from a tabulated source and
@@ -44,9 +45,6 @@ class Kernel:
     def density(self, x, t, y):
         return np.exp(self.log_density(x, t, y))
 
-    def describe(self) -> dict:
-        return {"kind": type(self).__name__}
-
 
 @dataclass(frozen=True)
 class BrownianKernel(Kernel):
@@ -63,9 +61,6 @@ class BrownianKernel(Kernel):
         else:
             d2 = _sqdist(x, y)
         return -0.5 * self.dim * (_LOG_2PI + np.log(t)) - d2 / (2.0 * t)
-
-    def describe(self):
-        return {"kind": "brownian", "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,6 @@ class OrnsteinUhlenbeckKernel(Kernel):
             d = y - x * np.asarray(decay)[..., None] if np.ndim(decay) else y - x * decay
             d2 = np.sum(d**2, axis=-1)
         return -0.5 * self.dim * (_LOG_2PI + np.log(var)) - d2 / (2.0 * var)
-
-    def describe(self):
-        return {"kind": "ou", "theta": self.theta, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -138,9 +130,6 @@ class TabulatedKernel(Kernel):
         sl = self._lookup(x, float(t))
         return np.maximum(interp(sl, y, mode="zero"), 0.0)
 
-    def describe(self):
-        return {"kind": "tabulated", "n_sources": len(self.sources)}
-
 
 @dataclass(frozen=True)
 class ProductKernel(Kernel):
@@ -169,14 +158,6 @@ class ProductKernel(Kernel):
             x[..., 1] + o2, t, y[..., 1] + o2
         )
 
-    def describe(self):
-        return {
-            "kind": "product",
-            "k1": self.k1.describe(),
-            "k2": self.k2.describe(),
-            "offset": list(self.offset),
-        }
-
 
 def gaussian_kernel(x, t, y):
     """Planar heat-kernel density (2 pi t)^{-1} exp(-|y-x|^2 / (2t))."""
@@ -188,19 +169,32 @@ def ou_kernel(x, t, y, theta: float):
     return np.exp(OrnsteinUhlenbeckKernel(theta=theta, dim=2).log_density(x, t, y))
 
 
-def kernel_from_config(spec: dict) -> Kernel:
-    kind = spec.get("kind")
-    if kind == "brownian":
-        return BrownianKernel(dim=2)
-    if kind == "ou":
-        return OrnsteinUhlenbeckKernel(theta=float(spec["theta"]), dim=2)
-    if kind == "product_ou":
-        # independent 1-D components; thetas <= 0 mean driftless (Brownian)
-        th1 = float(spec.get("theta1", 0.0))
-        th2 = float(spec.get("theta2", 0.0))
-        # numeric strings pass config as numbers; numbers stay as given (describe())
-        off = tuple(float(o) if isinstance(o, str) else o for o in spec.get("offset", (0.0, 0.0)))
-        k1 = OrnsteinUhlenbeckKernel(th1, dim=1) if th1 > 0 else BrownianKernel(dim=1)
-        k2 = OrnsteinUhlenbeckKernel(th2, dim=1) if th2 > 0 else BrownianKernel(dim=1)
-        return ProductKernel(k1, k2, offset=off)
-    raise DataError(f"unknown kernel kind {kind!r}")
+def _ou(spec: dict, where: str) -> Kernel:
+    return OrnsteinUhlenbeckKernel(theta=finite(spec["theta"], f"{where}.theta"), dim=2)
+
+
+def _product_ou(spec: dict, where: str) -> Kernel:
+    # independent 1-D components; a rate <= 0 means driftless (Brownian)
+    thetas = (finite(spec.get(key, 0.0), f"{where}.{key}") for key in ("theta1", "theta2"))
+    k1, k2 = (OrnsteinUhlenbeckKernel(th, dim=1) if th > 0 else BrownianKernel(dim=1) for th in thetas)
+    offset = finite_list(spec.get("offset", (0.0, 0.0)), f"{where}.offset", 2)
+    return ProductKernel(k1, k2, offset=offset)
+
+
+# The kernel kinds a config may name.
+KERNEL_KINDS = {
+    "brownian": Kind((), (), lambda spec, where: BrownianKernel(dim=2)),
+    "ou": Kind(("theta",), ("theta",), _ou),
+    "product_ou": Kind(("theta1", "theta2", "offset"), (), _product_ou),
+}
+
+
+def kernel_from_config(spec: dict, where: str = "kernel") -> Kernel:
+    """The kernel a config's kernel spec describes (`KERNEL_KINDS`).
+
+    A spec that is not a JSON object, names no known kind, lacks a key its
+    kind requires, holds a key its kind does not take or gives a number
+    that is not finite is a ConfigError naming `where`; a nonpositive OU
+    rate is the kernel's own DataError.
+    """
+    return build(KERNEL_KINDS, spec, where)

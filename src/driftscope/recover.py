@@ -4,6 +4,12 @@ that both `run_pipeline` and the CLI's stage subcommands run, the artifacts
 each stage reads and writes, and error metrics against an optional ground
 truth.  Also provides the product construction that lifts a 1-D
 reconstruction problem to the planar pipeline.
+
+A config is parsed and resolved once (`config_from_dict`, `PipelineConfig`):
+its grid, domain, time ladder, kernels and ground truth are built when it is
+made, and every stage reads those objects.  The keys each domain, kernel and
+ground-truth kind takes are declared in one table per section:
+`DOMAIN_KINDS`, `kernels.KERNEL_KINDS` and `GROUND_TRUTH_KINDS`.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from .elliptic import (
 from .errors import ConfigError, DataError, DriftscopeError
 from .fields import (
     DiffusionField,
+    DiscDomain,
     Domain,
     Grid,
     RectangleDomain,
     ScalarField,
     VectorField,
-    domain_from_config,
     gradient,
     read_dgf,
     write_dgf,
@@ -47,29 +53,80 @@ from .smalltime import (
     write_dataset_csv,
     write_fits_csv,
 )
+from .specs import Kind, build, finite, finite_list, integer, require_keys
 from .xray import fbp_invert, read_sinogram_csv, sinogram_from_fits, write_sinogram_csv
 
-_CONFIG_KEYS = {
-    "domain",
-    "grid",
-    "geometry",
-    "ladder",
-    "kernels",
-    "filter",
-    "solver",
-    "seed",
-    "density_floor",
-    "boundary_knots",
-    "gauge_param",
-    "metric_fraction",
-    "output_dir",
-    "workers",
-    "ground_truth",
+
+def _disc(spec: dict, where: str) -> tuple:
+    radius = finite(spec["radius"], f"{where}.radius")
+    if not radius > 0:
+        raise ConfigError(f"{where}.radius must be positive, got {spec['radius']!r}")
+    return DiscDomain, (*finite_list(spec.get("center", (0.0, 0.0)), f"{where}.center", 2), radius)
+
+
+def _rectangle(spec: dict, where: str) -> tuple:
+    corners = spec["corners"]
+    if not isinstance(corners, (list, tuple)) or len(corners) != 2:
+        raise ConfigError(f"{where}.corners must be two points, got {corners!r}")
+    (x0, y0), (x1, y1) = (finite_list(corner, f"{where}.corners", 2) for corner in corners)
+    if not (x1 > x0 and y1 > y0):
+        raise ConfigError("rectangle corners must satisfy xmin < xmax, ymin < ymax")
+    return RectangleDomain, (x0, y0, x1, y1)
+
+
+# The domain kinds a config may name.  Each builds a Domain class and the
+# numbers it takes after the grid: the domain is cls(grid, *numbers), and
+# cls.default_grid(*numbers, n, margin) is the grid of a config without one.
+DOMAIN_KINDS = {
+    "disc": Kind(("center", "radius"), ("radius",), _disc),
+    "rectangle": Kind(("corners",), ("corners",), _rectangle),
 }
+
+
+def _ou_drift(spec: dict, where: str):
+    theta = finite(spec.get("theta", 1.0), f"{where}.theta")
+    return lambda p: -theta * np.asarray(p, dtype=float)
+
+
+# The ground-truth kinds a config may name; each builds the true drift c, a
+# callable on (n, 2) point arrays.
+GROUND_TRUTH_KINDS = {
+    "zero": Kind((), (), lambda spec, where: lambda p: np.zeros_like(np.asarray(p, dtype=float))),
+    "ou": Kind(("theta",), (), _ou_drift),
+}
+
+
+def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
+    """The grid of a config that gives none: the domain's bounding box
+    widened `margin` times about its center, with n nodes along x."""
+    cls, numbers = build(DOMAIN_KINDS, domain_spec, "domain")
+    return cls.default_grid(*numbers, n, margin)
+
+
+def _grid_from_spec(spec: dict) -> Grid:
+    require_keys(spec, ("x0", "y0", "x1", "y1", "nx", "ny"),
+                 ("x0", "y0", "x1", "y1", "nx", "ny"), "grid")
+    x0, y0, x1, y1 = (finite(spec[k], f"grid.{k}") for k in ("x0", "y0", "x1", "y1"))
+    if not (x1 > x0 and y1 > y0):
+        raise ConfigError("grid extent must satisfy x0 < x1 and y0 < y1")
+    # finite differences need three nodes per axis
+    nx, ny = (integer(spec[k], f"grid.{k}", 3) for k in ("nx", "ny"))
+    return Grid.from_extent(x0, y0, x1, y1, nx, ny)
+
+
+def default_ladder(radius: float, m: int = 4) -> np.ndarray:
+    """Geometric ladder t_k = t1 / 2^{k-1} with t1 = 0.02 * radius^2."""
+    t1 = 0.02 * radius * radius
+    return t1 * 0.5 ** np.arange(m)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A pipeline config, resolved once: making it (and `dataclasses.replace`)
+    builds and stores the grid, the domain, the time ladder, the (observed,
+    reference) kernels and the ground truth from the specs, and a spec that
+    cannot be built is a ConfigError."""
+
     domain_spec: dict
     kernels: dict
     grid_spec: dict | None = None
@@ -87,32 +144,51 @@ class PipelineConfig:
     output_dir: str = "out"
     workers: int | None = None
     ground_truth: dict | None = None
+    _grid: Grid = dc_field(init=False, repr=False, compare=False)
+    _domain: Domain = dc_field(init=False, repr=False, compare=False)
+    _ladder: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    _kernels: tuple = dc_field(init=False, repr=False, compare=False)
+    _truth: Callable | None = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the objects' own checks (a grid that holds the domain, a positive
+        # OU rate) refuse here what the pipeline cannot run
+        try:
+            grid = (default_grid(self.domain_spec) if self.grid_spec is None
+                    else _grid_from_spec(self.grid_spec))
+            cls, numbers = build(DOMAIN_KINDS, self.domain_spec, "domain")
+            domain = cls(grid, *numbers)
+            ladder = (default_ladder(domain.circumradius) if self.ladder is None
+                      else np.array(self.ladder, dtype=float))
+            ladder.setflags(write=False)
+            sides = ("observed", "reference")
+            require_keys(self.kernels, sides, sides, "kernels")
+            kernels = tuple(kernel_from_config(self.kernels[s], f"kernels.{s}") for s in sides)
+            truth = (None if self.ground_truth is None
+                     else build(GROUND_TRUTH_KINDS, self.ground_truth, "ground_truth"))
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name, value in (("_grid", grid), ("_domain", domain), ("_ladder", ladder),
+                            ("_kernels", kernels), ("_truth", truth)):
+            object.__setattr__(self, name, value)
 
     def resolved_grid(self) -> Grid:
-        if self.grid_spec is not None:
-            s = self.grid_spec
-            return Grid.from_extent(
-                float(s["x0"]), float(s["y0"]), float(s["x1"]), float(s["y1"]),
-                int(s["nx"]), int(s["ny"]),
-            )
-        return default_grid(self.domain_spec)
+        return self._grid
 
     def resolved_domain(self) -> Domain:
-        return domain_from_config(self.domain_spec, self.resolved_grid())
+        return self._domain
 
     def resolved_ladder(self) -> np.ndarray:
-        if self.ladder is not None:
-            return np.asarray(self.ladder, dtype=float)
-        return default_ladder(self.resolved_domain().circumradius)
+        return self._ladder
 
     def echo(self) -> dict:
-        grid = self.resolved_grid()
+        grid = self._grid
         return {
             "domain": self.domain_spec,
             "grid": {"x0": grid.x0, "y0": grid.y0, "x1": grid.x1, "y1": grid.y1,
                      "nx": grid.nx, "ny": grid.ny},
             "geometry": {"n_angles": self.n_angles, "n_offsets": self.n_offsets},
-            "ladder": [float(t) for t in self.resolved_ladder()],
+            "ladder": [float(t) for t in self._ladder],
             "kernels": self.kernels,
             "filter": self.filter_name,
             "solver": {"tol": self.solver_tol, "max_iter": self.solver_max_iter},
@@ -125,199 +201,65 @@ class PipelineConfig:
         }
 
 
-def default_ladder(radius: float, m: int = 4) -> np.ndarray:
-    """Geometric ladder t_k = t1 / 2^{k-1} with t1 = 0.02 * radius^2."""
-    t1 = 0.02 * radius * radius
-    return t1 * 0.5 ** np.arange(m)
-
-
-def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
-    kind = domain_spec.get("kind")
-    if kind == "disc":
-        cx, cy = (float(c) for c in domain_spec.get("center", (0.0, 0.0)))
-        r = float(domain_spec["radius"]) * margin
-        return Grid.from_extent(cx - r, cy - r, cx + r, cy + r, n, n)
-    if kind == "rectangle":
-        (x0, y0), (x1, y1) = ((float(x), float(y)) for x, y in domain_spec["corners"])
-        if not (x1 > x0 and y1 > y0):
-            raise ConfigError("rectangle corners must satisfy xmin < xmax, ymin < ymax")
-        mx = 0.5 * (margin - 1.0) * (x1 - x0)
-        my = 0.5 * (margin - 1.0) * (y1 - y0)
-        aspect = (y1 - y0 + 2 * my) / (x1 - x0 + 2 * mx)
-        if not np.isfinite(aspect):
-            raise ConfigError(f"rectangle corners {domain_spec['corners']!r} span no finite grid")
-        ny = max(3, int(round((n - 1) * aspect)) + 1)
-        if ny % 2 == 0:
-            ny += 1
-        return Grid.from_extent(x0 - mx, y0 - my, x1 + mx, y1 + my, n, ny)
-    raise ConfigError(f"unknown domain kind {kind!r}")
-
-
-def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"missing required key {sorted(missing)[0]!r} in {where}")
-
-
-def _integer(value, where: str, minimum: int | None = None) -> int:
-    """An integral config value (integral floats and digit strings pass)."""
-    try:
-        out = int(value)
-        integral = not isinstance(value, bool) and out == float(value)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{where} must be at least {minimum}, got {out}")
-    return out
-
-
-def _finite(value, where: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = float("nan")
-    if isinstance(value, bool) or not np.isfinite(out):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return out
-
-
-def _finite_list(value, where: str, length: int | None = None) -> tuple:
-    """A JSON list of finite numbers (of the given length)."""
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = "a list" if length is None else f"a list of {length}"
-        raise ConfigError(f"{where} must be {size} numbers, got {value!r}")
-    return tuple(_finite(v, where) for v in value)
-
-
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Strict parse: unknown keys are rejected, numbers are checked to be
-    integral or finite and in range, defaults are filled."""
-    _require_keys(raw, _CONFIG_KEYS, {"domain", "kernels"}, "config")
-    dom = raw["domain"]
-    _require_keys(dom, {"kind", "center", "radius", "corners"}, {"kind"}, "domain")
-    if dom["kind"] not in ("disc", "rectangle"):
-        raise ConfigError(f"unknown domain kind {dom['kind']!r}")
-    if dom["kind"] == "disc":
-        if "radius" not in dom:
-            raise ConfigError("missing required key 'radius' in domain")
-        if not _finite(dom["radius"], "domain.radius") > 0:
-            raise ConfigError(f"domain.radius must be positive, got {dom['radius']!r}")
-        _finite_list(dom.get("center", [0.0, 0.0]), "domain.center", 2)
-    else:
-        if "corners" not in dom:
-            raise ConfigError("missing required key 'corners' in domain")
-        corners = dom["corners"]
-        if not isinstance(corners, (list, tuple)) or len(corners) != 2:
-            raise ConfigError(f"domain.corners must be two points, got {corners!r}")
-        for corner in corners:
-            _finite_list(corner, "domain.corners", 2)
-    kern = raw["kernels"]
-    _require_keys(kern, {"observed", "reference"}, {"observed", "reference"}, "kernels")
-    for side in ("observed", "reference"):
-        spec, where = kern[side], f"kernels.{side}"
-        _require_keys(spec, {"kind", "theta", "theta1", "theta2", "offset"}, {"kind"}, where)
-        if spec["kind"] not in ("brownian", "ou", "product_ou"):
-            raise ConfigError(f"unknown kernel kind {spec['kind']!r} in {where}")
-        if spec["kind"] == "ou" and "theta" not in spec:
-            raise ConfigError(f"missing required key 'theta' in {where}")
-        for key in ("theta", "theta1", "theta2"):
-            if key in spec:
-                _finite(spec[key], f"{where}.{key}")
-        if "offset" in spec:
-            _finite_list(spec["offset"], f"{where}.offset", 2)
-    geometry = raw.get("geometry", {})
-    _require_keys(geometry, {"n_angles", "n_offsets"}, set(), "geometry")
-    n_angles = _integer(geometry.get("n_angles", 180), "geometry.n_angles", 2)
-    n_offsets = _integer(geometry.get("n_offsets", 181), "geometry.n_offsets", 1)
-    grid_spec = raw.get("grid")
-    if grid_spec is not None:
-        _require_keys(grid_spec, {"x0", "y0", "x1", "y1", "nx", "ny"},
-                      {"x0", "y0", "x1", "y1", "nx", "ny"}, "grid")
-        x0, y0, x1, y1 = (_finite(grid_spec[k], f"grid.{k}") for k in ("x0", "y0", "x1", "y1"))
-        if not (x1 > x0 and y1 > y0):
-            raise ConfigError("grid extent must satisfy x0 < x1 and y0 < y1")
-        for key in ("nx", "ny"):  # finite differences need three nodes per axis
-            _integer(grid_spec[key], f"grid.{key}", 3)
-    ladder = raw.get("ladder")
+    integral or finite and in range, defaults are filled.
+
+    The config is resolved once, when the PipelineConfig is made.  The keys
+    each domain, kernel and ground-truth kind takes, and the checks of its
+    numbers, are declared in one table per section: `DOMAIN_KINDS`,
+    `kernels.KERNEL_KINDS` and `GROUND_TRUTH_KINDS`; `specs.build` refuses
+    a key its kind does not take.
+    """
+    require_keys(raw, raw, ("domain", "kernels"), "config")
+    raw = dict(raw)  # each key is popped as it is read: the keys left are unknown
+    geometry = raw.pop("geometry", {})
+    require_keys(geometry, ("n_angles", "n_offsets"), (), "geometry")
+    ladder = raw.pop("ladder", None)
     if ladder is not None:
-        ladder = _finite_list(ladder, "ladder")
+        ladder = finite_list(ladder, "ladder")
         if len(ladder) < 3:
             raise ConfigError("ladder must hold at least 3 times")
         if any(t <= 0 for t in ladder):
             raise ConfigError("ladder times must be positive")
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("ladder times must be decreasing")
-    filter_name = raw.get("filter", "hann")
+    filter_name = raw.pop("filter", "hann")
     if filter_name not in ("hann", "ram-lak"):
         raise ConfigError(f"unknown filter {filter_name!r}")
-    solver = raw.get("solver", {})
-    _require_keys(solver, {"tol", "max_iter"}, set(), "solver")
-    density_floor = _finite(raw.get("density_floor", 1e-30), "density_floor")
+    solver = raw.pop("solver", {})
+    require_keys(solver, ("tol", "max_iter"), (), "solver")
+    density_floor = finite(raw.pop("density_floor", 1e-30), "density_floor")
     if density_floor < 0:
         raise ConfigError(f"density_floor must be nonnegative, got {density_floor!r}")
-    metric_fraction = _finite(raw.get("metric_fraction", 0.8), "metric_fraction")
+    metric_fraction = finite(raw.pop("metric_fraction", 0.8), "metric_fraction")
     if not 0.0 < metric_fraction <= 1.0:
         raise ConfigError(f"metric_fraction must lie in (0, 1], got {metric_fraction!r}")
-    solver_tol = _finite(solver.get("tol", 1e-10), "solver.tol")
+    solver_tol = finite(solver.get("tol", 1e-10), "solver.tol")
     if solver_tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {solver_tol!r}")
-    workers = raw.get("workers")
-    gt = raw.get("ground_truth")
-    if gt is not None:
-        _require_keys(gt, {"kind", "theta"}, {"kind"}, "ground_truth")
-        if gt["kind"] not in ("ou", "zero"):
-            raise ConfigError(f"unknown ground_truth kind {gt['kind']!r}")
-        if "theta" in gt:
-            _finite(gt["theta"], "ground_truth.theta")
-    cfg = PipelineConfig(
-        domain_spec=dom,
-        kernels=kern,
-        grid_spec=grid_spec,
-        n_angles=n_angles,
-        n_offsets=n_offsets,
+    workers = raw.pop("workers", None)
+    fields = dict(
+        domain_spec=raw.pop("domain"),
+        kernels=raw.pop("kernels"),
+        grid_spec=raw.pop("grid", None),
+        n_angles=integer(geometry.get("n_angles", 180), "geometry.n_angles", 2),
+        n_offsets=integer(geometry.get("n_offsets", 181), "geometry.n_offsets", 1),
         ladder=ladder,
         filter_name=filter_name,
         solver_tol=solver_tol,
-        solver_max_iter=_integer(solver.get("max_iter", 20000), "solver.max_iter", 1),
-        seed=_integer(raw.get("seed", 0), "seed"),
+        solver_max_iter=integer(solver.get("max_iter", 20000), "solver.max_iter", 1),
+        seed=integer(raw.pop("seed", 0), "seed"),
         density_floor=density_floor,
-        boundary_knots=_integer(raw.get("boundary_knots", 256), "boundary_knots", 1),
-        gauge_param=_finite(raw.get("gauge_param", 0.0), "gauge_param"),
+        boundary_knots=integer(raw.pop("boundary_knots", 256), "boundary_knots", 1),
+        gauge_param=finite(raw.pop("gauge_param", 0.0), "gauge_param"),
         metric_fraction=metric_fraction,
-        output_dir=str(raw.get("output_dir", "out")),
-        workers=None if workers in (None, "null") else _integer(workers, "workers", 1),
-        ground_truth=gt,
+        output_dir=str(raw.pop("output_dir", "out")),
+        workers=None if workers in (None, "null") else integer(workers, "workers", 1),
+        ground_truth=raw.pop("ground_truth", None),
     )
-    # what gen-data builds from the config, built here so that their own
-    # checks (a grid that holds the domain, a positive OU rate) refuse at
-    # config time what the pipeline cannot run
-    try:
-        cfg.resolved_domain()
-        for side in ("observed", "reference"):
-            kernel_from_config(kern[side])
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
-
-
-def ground_truth_from_config(gt: dict | None):
-    if gt is None:
-        return None
-    if gt["kind"] == "zero":
-        return {"c": lambda p: np.zeros_like(np.asarray(p, dtype=float))}
-    theta = float(gt.get("theta", 1.0))
-    return {
-        "c": lambda p: -theta * np.asarray(p, dtype=float),
-        "psi": lambda p: -0.5 * theta * np.sum(np.asarray(p, dtype=float) ** 2, axis=-1),
-        "V": lambda p: 0.5 * (theta**2 * np.sum(np.asarray(p, dtype=float) ** 2, axis=-1) - 2 * theta),
-    }
+    require_keys(raw, (), (), "config")
+    return PipelineConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +337,12 @@ METRIC_KEYS = ("rel_l2", "max_abs", "n_metric_nodes", "curl_norm")
 
 
 def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float) -> dict:
+    """Error of c_hat against the true drift over the solve's unknowns
+    (`Domain.interior`; c_hat is zero elsewhere) inside the domain shrunk
+    by `fraction`."""
     region = domain.shrunk(fraction)
     g = c_hat.grid
-    inside = region.contains(g.node_points()).reshape(g.shape)
+    inside = region.contains(g.node_points()).reshape(g.shape) & domain.interior(g)
     pts = g.node_points().reshape(*g.shape, 2)[inside]
     truth = np.asarray(c_true_fn(pts), dtype=float)
     diff = c_hat.values[inside] - truth
@@ -465,26 +410,23 @@ def lift_1d(
 # (the benchmark's tracer) see every call.
 
 
-def stage_context(cfg: PipelineConfig, ground_truth: dict | None = None,
-                  kernels: tuple[Kernel, Kernel] | None = None) -> dict:
-    """Values every stage may read besides the artifacts; ground_truth and
-    kernels, when given, take precedence over the config's."""
-    if ground_truth is None:
-        ground_truth = ground_truth_from_config(cfg.ground_truth)
-    return {"grid": cfg.resolved_grid(), "domain": cfg.resolved_domain(),
-            "kernels": kernels, "ground_truth": ground_truth}
+def stage_context(cfg: PipelineConfig, kernels: tuple[Kernel, Kernel] | None = None) -> dict:
+    """Values every stage may read besides the artifacts: the config's
+    resolved objects; kernels, when given, take precedence over the
+    config's."""
+    return {"grid": cfg._grid, "domain": cfg._domain, "kernels": kernels or cfg._kernels,
+            "drift_true": cfg._truth}
 
 
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
-    observed, reference = v["kernels"] or (kernel_from_config(cfg.kernels["observed"]),
-                                           kernel_from_config(cfg.kernels["reference"]))
+    observed, reference = v["kernels"]
     dataset = v["dataset"] = build_boundary_dataset(
         observed, reference, v["domain"], (cfg.n_angles, cfg.n_offsets),
-        cfg.resolved_ladder(), floor=cfg.density_floor,
+        cfg._ladder, floor=cfg.density_floor,
     )
     return {"n_chords": dataset.n_chords,
             "n_lines_skipped": len(dataset.skipped),
-            "n_dropped_observations": dataset.provenance.get("n_dropped", 0)}
+            "n_dropped_observations": dataset.n_dropped}
 
 
 def _fit(cfg: PipelineConfig, v: dict) -> dict:
@@ -519,7 +461,9 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
     """
     V_hat, domain = v["V_hat"], v["domain"]
     grid = V_hat.grid
-    bpsi0 = boundary_psi_from_fits(v["chords"], v["fits"], domain, n_knots=cfg.boundary_knots)
+    # no later step reads the chord and fit tables: free them once read
+    bpsi0 = boundary_psi_from_fits(v.pop("chords"), v.pop("fits"), domain,
+                                   n_knots=cfg.boundary_knots)
     g = boundary_values_from_psi(bpsi0)
     a = DiffusionField.identity(grid)
     b = VectorField(grid, np.zeros((*grid.shape, 2)))
@@ -540,15 +484,15 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _recover(cfg: PipelineConfig, v: dict) -> dict:
-    """Drift and its curl; error metrics (v["metrics"]) when the ground truth
-    has a drift, else None."""
-    psi_hat, domain, truth = v["psi_hat"], v["domain"], v["ground_truth"]
+    """Drift and its curl; error metrics (v["metrics"]) when the config
+    gives a ground truth, else None."""
+    psi_hat, domain, drift_true = v["psi_hat"], v["domain"], v["drift_true"]
     a = DiffusionField.identity(psi_hat.grid)
     c_hat = v["c_hat"] = drift_from_psi(psi_hat, a, domain)
     curl = gradient_consistency(c_hat, a, domain)
     v["metrics"] = None
-    if truth is not None and "c" in truth:
-        v["metrics"] = drift_metrics(c_hat, truth["c"], domain, cfg.metric_fraction)
+    if drift_true is not None:
+        v["metrics"] = drift_metrics(c_hat, drift_true, domain, cfg.metric_fraction)
         v["metrics"]["curl_norm"] = curl
     return {"curl_norm": curl}
 
@@ -646,8 +590,7 @@ class ReconstructionReport:
 _REPORTED = ("V_hat", "u", "psi_hat", "c_hat")
 
 
-def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
-                 out_dir: str | Path | None = None, persist: bool = True,
+def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None, persist: bool = True,
                  kernels: tuple[Kernel, Kernel] | None = None) -> ReconstructionReport:
     """Run every stage in memory, in chain order.
 
@@ -656,11 +599,10 @@ def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
     stage subcommands write them, and report.json after the last stage; a
     stage that fails leaves the earlier stages' files behind.  After each
     stage, every artifact that no later stage reads and the report does not
-    return is dropped (the dataset after fit, the sinogram after invert, the
-    fits after solve), so the pipeline does not hold them to the end.
+    return is dropped (the dataset after fit, the sinogram after invert), so
+    the pipeline does not hold them to the end; solve frees the chord and
+    fit tables itself once boundary-psi has read them.
 
-    ground_truth (optional): dict with callables "c" (and optionally "psi",
-    "V") on (n, 2) point arrays; overrides any ground truth in the config.
     kernels (optional): (observed, reference) kernel objects that take
     precedence over the config's kernel section (for tabulated sources).
     """
@@ -669,7 +611,7 @@ def run_pipeline(cfg: PipelineConfig, ground_truth: dict | None = None,
     if cfg.workers is not None:
         parallel.set_workers(cfg.workers)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    values = stage_context(cfg, ground_truth, kernels)
+    values = stage_context(cfg, kernels)
     diagnostics: dict = {}
     names = list(STAGES)
     for i, name in enumerate(names):

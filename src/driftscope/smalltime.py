@@ -52,16 +52,6 @@ class Chord:
     def length(self) -> float:
         return float(np.hypot(*(self.y - self.x)))
 
-    @property
-    def omega(self) -> np.ndarray:
-        return (self.y - self.x) / self.length
-
-    @property
-    def z(self) -> float:
-        """Signed offset of the chord's line from the origin."""
-        om = self.omega
-        return float(self.x[0] * (-om[1]) + self.x[1] * om[0])
-
 
 @dataclass(frozen=True, eq=False)
 class ChordTable:
@@ -316,7 +306,8 @@ class BoundaryDataset:
     log_ratios holds log(p_obs/p_ref) with NaN marking dropped observations;
     p_obs/p_ref hold the raw densities when they are representable (NaN
     otherwise; exact-log kernels can produce valid ratios for density values
-    far below the smallest float).
+    far below the smallest float).  n_dropped counts the observations
+    dropped below the density floor when the dataset was built.
     """
 
     chords: ChordTable
@@ -325,7 +316,7 @@ class BoundaryDataset:
     p_obs: np.ndarray
     p_ref: np.ndarray
     skipped: tuple = ()
-    provenance: dict = dc_field(default_factory=dict)
+    n_dropped: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -397,15 +388,7 @@ def build_boundary_dataset(
         p_obs=p_obs,
         p_ref=p_ref,
         skipped=tuple(skipped),
-        provenance={
-            "observed": observed.describe(),
-            "reference": reference.describe(),
-            "floor": floor,
-            "n_dropped": n_dropped,
-            "n_angles": n_angles,
-            "n_offsets": n_offsets,
-            "exact_log": exact,
-        },
+        n_dropped=n_dropped,
     )
 
 
@@ -576,7 +559,6 @@ def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryData
         log_ratios=log_ratios,
         p_obs=p_obs,
         p_ref=p_ref,
-        provenance={"source": str(path)},
     )
 
 

@@ -72,12 +72,23 @@ def write_config(path, raw):
     {"grid": {"x0": -0.9, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[1.0, -0.7], [1.0, 0.7]]}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 1.7e308]]}},
+    # a key that the section's kind does not take
+    {"domain": {"kind": "disc", "radius": 1.0, "corners": [[-1.0, -1.0], [1.0, 1.0]]}},
+    {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]],
+                              "radius": 1.0}},
+    *({"kernels": {"observed": {"kind": "ou", "theta": 1.0},
+                   "reference": {"kind": "brownian", key: value}}}
+      for key, value in [("theta", 1.0), ("theta1", 1.0), ("theta2", 1.0), ("offset", [0.0, 0.0])]),
+    *({"kernels": {"observed": {"kind": "ou", "theta": 1.0, key: value},
+                   "reference": {"kind": "brownian"}}}
+      for key, value in [("theta1", 1.0), ("theta2", 1.0), ("offset", [0.0, 0.0])]),
+    {"ground_truth": {"kind": "zero", "theta": 1.0}},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "Traceback" not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "dataset.csv").exists()
 
 

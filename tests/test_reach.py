@@ -137,3 +137,18 @@ def test_benchmark_tracer_names_resolve():
     for method in methods:
         assert callable(getattr(Domain, method, None)), method
         assert all(method in cls.__dict__ for cls in (DiscDomain, RectangleDomain)), method
+
+
+def test_benchmark_setup_runs(tmp_path, monkeypatch):
+    """Every benchmark workload's setup runs at the smoke size, without an
+    operation: the config, grid, ladder, kernel and worker calls that
+    perfbench/workloads.py makes cannot break unnoticed by the fast tests."""
+    import importlib
+
+    from driftscope import parallel
+
+    monkeypatch.setattr(parallel, "_worker_override", parallel._worker_override)
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.make_workloads(tmp_path).items():
+        assert workload.setup("smoke", 1, 1), name

@@ -36,10 +36,12 @@ from driftscope.recover import (
     default_grid,
     default_ladder,
     drift_from_psi,
+    drift_metrics,
     gradient_consistency,
     lift_1d,
     psi_from_u,
     run_pipeline,
+    stage_context,
 )
 
 
@@ -128,6 +130,22 @@ class TestDriftFromPsi:
         c = drift_from_psi(psi, DiffusionField.identity(g), dom)
         outside = ~dom.contains(g.node_points()).reshape(g.shape)
         assert np.all(c.values[outside] == 0.0)
+
+
+class TestDriftMetrics:
+    @pytest.mark.parametrize("center_x", [0.0, 0.1])
+    def test_scores_only_the_solve_unknowns(self, center_x):
+        """OU drift recovered from its exact psi on a 129^2 grid: the metrics
+        at fraction 1.0 score only Domain.interior, where c_hat is not
+        zeroed.  The disc centered at (0.1, 0) has node (16, 64) on its
+        boundary, inside only by rounding, where c_hat is 0 and |c| is 0.9."""
+        g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 129, 129)
+        dom = DiscDomain(g, center_x, 0.0, 1.0)
+        psi = sample_scalar(lambda x, y: -(x**2 + y**2) / 2, g)
+        c_hat = drift_from_psi(psi, DiffusionField.identity(g), dom)
+        metrics = drift_metrics(c_hat, lambda p: -np.asarray(p), dom, 1.0)
+        assert metrics["n_metric_nodes"] == dom.interior(g).sum()
+        assert metrics["max_abs"] < 1e-12
 
 
 class TestGradientConsistency:
@@ -255,6 +273,17 @@ class TestConfig:
         (("grid", "nx"), 2),
         (("grid", "x1"), -2.0),
         (("ground_truth", "theta"), [1.0]),
+        # a key that the section's kind does not take
+        (("domain", "corners"), [[-1.0, -1.0], [1.0, 1.0]]),
+        (("domain",), {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]], "radius": 1.0}),
+        (("kernels", "reference", "theta"), 1.0),
+        (("kernels", "reference", "theta1"), 1.0),
+        (("kernels", "reference", "theta2"), 1.0),
+        (("kernels", "reference", "offset"), [0.0, 0.0]),
+        (("kernels", "observed", "theta1"), 1.0),
+        (("kernels", "observed", "theta2"), 1.0),
+        (("kernels", "observed", "offset"), [0.0, 0.0]),
+        (("ground_truth",), {"kind": "zero", "theta": 1.0}),
     ])
     def test_malformed_values_are_config_errors(self, path, value):
         raw = json.loads(json.dumps(VALID_CONFIGS[0]))
@@ -277,6 +306,12 @@ class TestConfig:
         want = config_from_dict(raw).resolved_grid()
         raw["domain"][key] = text
         assert config_from_dict(raw).resolved_grid() == want
+
+    def test_stages_read_the_objects_the_config_resolved(self):
+        cfg = small_ou_config()
+        values = stage_context(cfg)
+        assert values["grid"] is cfg.resolved_grid()
+        assert values["domain"] is cfg.resolved_domain()
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="radius_typo"):
