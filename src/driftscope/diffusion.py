@@ -155,7 +155,6 @@ class FokkerPlanckResult:
     slices: list
     times: list
     mass_drift: list
-    boundary_mass: list
     mollifier_sigma: float
 
 
@@ -298,7 +297,7 @@ class FokkerPlanckStepper:
         p = np.exp(-((X - x0[0]) ** 2 + (Y - x0[1]) ** 2) / (2 * sigma**2)).ravel()
         p /= p.sum() * grid.cell_area
 
-        slices, drifts, bdry = [], [], []
+        slices, drifts = [], []
         t_now = 0.0
         area = grid.cell_area
         for t_target in t_out:
@@ -328,9 +327,8 @@ class FokkerPlanckStepper:
             qmass = q.sum() * area
             slices.append(ScalarField(grid, (q / qmass).reshape(grid.shape)))
             drifts.append(float(mass - 1.0))
-            bdry.append(bmass)
 
-        return FokkerPlanckResult(slices, t_out, drifts, bdry, sigma)
+        return FokkerPlanckResult(slices, t_out, drifts, sigma)
 
 
 def fokker_planck_forward(

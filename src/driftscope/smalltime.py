@@ -6,6 +6,12 @@ For each chord (x, y) the log density ratio behaves like
 so a weighted affine fit in t yields the drift-potential difference
 dpsi = psi(y) - psi(x) (intercept) and the chord average F of the scalar
 potential (minus the slope) in one pass.
+
+Chords and fits are tables of columns: a ChordTable of endpoints, raster
+indices and lengths, and a FitTable of the value columns of fits.csv
+(dpsi, F, the residual, the standard errors of dpsi and F, the number of
+times fitted) plus ok.  An integer index or iteration gives a row as a
+plain NamedTuple view of the checked columns.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,38 +34,25 @@ DEFAULT_DENSITY_FLOOR = 1e-30
 _CHORDS_PER_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class Chord:
-    """Oriented segment between two boundary points of the domain."""
+class ChordRow(NamedTuple):
+    """One chord of a ChordTable: its endpoints as read-only (2,) views of
+    the table's columns, its raster indices and its length."""
 
     x: np.ndarray
     y: np.ndarray
-    angle_index: int = -1
-    offset_index: int = -1
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != (2,) or y.shape != (2,):
-            raise DataError("chord endpoints must be planar points")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise DataError("chord endpoints must be finite")
-        if np.allclose(x, y):
-            raise GeometryError("chord endpoints coincide")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.y - self.x)))
+    angle_index: int
+    offset_index: int
+    length: float
 
 
 @dataclass(frozen=True, eq=False)
 class ChordTable:
     """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths (n,).
 
-    The endpoint checks of Chord run once over the whole table.  An integer
-    index gives one Chord; a slice, mask or index array gives a sub-table.
+    The endpoint checks run once over the whole table: finite planar
+    points, and no chord whose ends coincide (np.allclose).  An integer
+    index, or iteration, gives a ChordRow built from the checked columns; a
+    slice, mask or index array gives a sub-table.
     """
 
     x: np.ndarray
@@ -94,11 +88,12 @@ class ChordTable:
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
-            return Chord(self.x[i], self.y[i], int(self.angle_index[i]), int(self.offset_index[i]))
+            return next(iter(self[[i]]))
         return ChordTable(self.x[i], self.y[i], self.angle_index[i], self.offset_index[i])
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return map(ChordRow._make, zip(self.x, self.y, self.angle_index.tolist(),
+                                       self.offset_index.tolist(), self.length.tolist()))
 
 
 def chord_offsets(radius: float, n_offsets: int) -> np.ndarray:
@@ -127,41 +122,13 @@ def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     is clipped in one `Domain.chord_endpoints` call.
     Returns (chords, skipped): the ChordTable of the lines that cross the
     domain, in angle-major raster order, and the (angle_index, offset_index)
-    pairs of the lines that miss it.
+    pairs of the lines that miss it, as an (n_missed, 2) int array.
     """
     omega = chord_directions(chord_angles(n_angles))
     offsets = chord_offsets(domain.circumradius, n_offsets)
     x, y, hit = domain.chord_endpoints(omega[:, None, :], offsets[None, :])
     ia, io = np.nonzero(hit)
-    skipped = list(zip(*(a.tolist() for a in np.nonzero(~hit))))
-    return ChordTable(x[ia, io], y[ia, io], ia, io), skipped
-
-
-@dataclass(frozen=True)
-class ChordFit:
-    """Affine fit of the log ratio over the time ladder."""
-
-    delta_psi: float
-    F: float
-    residual: float
-    covariance: np.ndarray
-    n_times: int
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (2, 2):
-            raise DataError("covariance must be 2x2")
-        if self.residual < 0 or not np.isfinite(cov).all():
-            raise DataError("fit results must be finite with nonnegative residual")
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def se_delta_psi(self) -> float:
-        return float(np.sqrt(max(self.covariance[0, 0], 0.0)))
-
-    @property
-    def se_F(self) -> float:
-        return float(np.sqrt(max(self.covariance[1, 1], 0.0)))
+    return ChordTable(x[ia, io], y[ia, io], ia, io), np.argwhere(~hit)
 
 
 def log_ratio(p_obs: float, p_ref: float, floor: float = DEFAULT_DENSITY_FLOOR) -> float:
@@ -173,45 +140,56 @@ def log_ratio(p_obs: float, p_ref: float, floor: float = DEFAULT_DENSITY_FLOOR) 
     return float(np.log(p_obs) - np.log(p_ref))
 
 
+class FitRow(NamedTuple):
+    """One ok chord fit: the values of its fits.csv row."""
+
+    delta_psi: float
+    F: float
+    residual: float
+    se_delta_psi: float
+    se_F: float
+    n_times: int
+
+
+# the columns of FitRow that hold floats
+_FIT_FLOATS = FitRow._fields[:-1]
+
+
 @dataclass(frozen=True, eq=False)
 class FitTable:
-    """Per-chord affine fits as arrays, row-aligned with a ChordTable.
+    """Per-chord affine fits as arrays, row-aligned with a ChordTable: the
+    value columns of fits.csv (the fields of FitRow) and ok.
 
-    Rows with ok False (fewer than 3 surviving observations) hold NaN.  An
-    integer index gives a ChordFit, or None for such a row; iteration yields
-    one of these per chord.
+    Rows with ok False (fewer than 3 surviving observations) hold NaN and
+    are left out of fits.csv.  On ok rows every value is finite, and the
+    residual and the standard errors are nonnegative.  An integer index, or
+    iteration, gives a FitRow built from the checked columns, or None for a
+    row that is not ok; a slice, mask or index array gives a sub-table.
     """
 
     delta_psi: np.ndarray
     F: np.ndarray
     residual: np.ndarray
-    var_delta_psi: np.ndarray
-    var_F: np.ndarray
-    cov_delta_psi_F: np.ndarray
+    se_delta_psi: np.ndarray
+    se_F: np.ndarray
     n_times: np.ndarray
     ok: np.ndarray
 
     def __post_init__(self):
-        cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FIT_COLUMNS}
+        cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FIT_FLOATS}
         cols["n_times"] = np.asarray(self.n_times, dtype=np.int64)
         cols["ok"] = np.asarray(self.ok, dtype=bool)
         if any(v.shape != cols["ok"].shape or v.ndim != 1 for v in cols.values()):
             raise DataError("fit table columns must be 1-D arrays of equal length")
         ok = cols["ok"]
-        finite = all(np.all(np.isfinite(cols[name]) | ~ok) for name in _FIT_COLUMNS)
-        if np.any(cols["residual"][ok] < 0) or not finite:
-            raise DataError("fit results must be finite with nonnegative residual")
+        finite = all(np.all(np.isfinite(cols[name]) | ~ok) for name in _FIT_FLOATS)
+        if not finite or any(np.any(cols[name][ok] < 0)
+                             for name in ("residual", "se_delta_psi", "se_F")):
+            raise DataError("fit results must be finite, with nonnegative residual and "
+                            "standard errors")
         for name, v in cols.items():
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-
-    @property
-    def se_delta_psi(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.var_delta_psi, 0.0))
-
-    @property
-    def se_F(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.var_F, 0.0))
 
     def __len__(self) -> int:
         return len(self.ok)
@@ -219,16 +197,13 @@ class FitTable:
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
             return next(iter(self[[i]]))
-        return FitTable(*(getattr(self, name)[i] for name in _FIT_COLUMNS),
-                        self.n_times[i], self.ok[i])
+        return FitTable(*(getattr(self, name)[i] for name in (*FitRow._fields, "ok")))
 
     def __iter__(self):
-        rows = zip(*(getattr(self, name).tolist() for name in _FIT_COLUMNS + ("n_times", "ok")))
-        for dpsi, F, resid, vd, vf, c, n_times, ok in rows:
-            yield ChordFit(dpsi, F, resid, np.array([[vd, c], [c, vf]]), n_times) if ok else None
-
-
-_FIT_COLUMNS = ("delta_psi", "F", "residual", "var_delta_psi", "var_F", "cov_delta_psi_F")
+        # the benchmark's tracer counts the ok fits as the rows that are not
+        # None; the pipeline itself reads the columns
+        rows = zip(*(getattr(self, name).tolist() for name in FitRow._fields))
+        return (FitRow._make(row) if ok else None for row, ok in zip(rows, self.ok.tolist()))
 
 
 def fit_ladder_batch(times, logratios) -> FitTable:
@@ -237,8 +212,8 @@ def fit_ladder_batch(times, logratios) -> FitTable:
 
     logratios has shape (n_chords, m); a non-finite entry is a dropped
     observation and gets weight zero.  Each row yields the intercept dpsi,
-    the slope magnitude F, the weighted RMS residual and the covariance of
-    (dpsi, F); rows with fewer than 3 observations are marked not ok.  The
+    the slope magnitude F, the weighted RMS residual and the standard errors
+    of dpsi and F; rows with fewer than 3 observations are marked not ok.  The
     table is fitted `_CHORDS_PER_CHUNK` rows at a time into preallocated
     columns, so the temporaries do not grow with the table.  Every sum runs
     along one row, and no chunk of a longer table is a single row, so the
@@ -247,7 +222,7 @@ def fit_ladder_batch(times, logratios) -> FitTable:
     t = np.asarray(times, dtype=float)
     table = np.asarray(logratios, dtype=float)
     w = 1.0 / t
-    cols = np.empty((len(_FIT_COLUMNS), len(table)))
+    cols = np.empty((len(_FIT_FLOATS), len(table)))
     n_obs = np.empty(len(table), dtype=np.int64)
     # a lone last row joins the chunk before it: a one-row matrix-vector
     # product takes another BLAS path and rounds differently
@@ -271,20 +246,20 @@ def fit_ladder_batch(times, logratios) -> FitTable:
             resid = np.where(seen, r - (dpsi[:, None] + slope[:, None] * t[None, :]), 0.0)
             wss = (resid * resid) @ w
             sigma2 = np.maximum(wss, 0.0) / (n - 2)
-            chunk = (dpsi, -slope, np.sqrt(sigma2), sigma2 * s2 / det, sigma2 * s0 / det,
-                     sigma2 * s1 / det)
+            chunk = (dpsi, -slope, np.sqrt(sigma2), np.sqrt(np.maximum(sigma2 * s2 / det, 0.0)),
+                     np.sqrt(np.maximum(sigma2 * s0 / det, 0.0)))
         cols[:, part] = np.where(n >= 3, chunk, np.nan)
     return FitTable(*cols, n_obs, n_obs >= 3)
 
 
-def fit_small_time(times, logratios) -> ChordFit:
+def fit_small_time(times, logratios) -> FitRow:
     """One chord's fit through `fit_ladder_batch` on a one-row table.
 
-    Returns the intercept dpsi, the slope magnitude F, the weighted RMS
-    residual, and the parameter covariance for (dpsi, F).  These agree with
-    the same chord's row of a many-row batch to ~1e-12, not bit for bit: a
-    one-row matrix-vector product takes another BLAS path and rounds
-    differently.
+    Returns the table's FitRow: the intercept dpsi, the slope magnitude F,
+    the weighted RMS residual, the standard errors of dpsi and F and the
+    number of times fitted.  These agree with the same chord's row of a
+    many-row batch to ~1e-12, not bit for bit: a one-row matrix-vector
+    product takes another BLAS path and rounds differently.
     """
     t = np.asarray(times, dtype=float)
     r = np.asarray(logratios, dtype=float)
@@ -306,7 +281,9 @@ class BoundaryDataset:
     log_ratios holds log(p_obs/p_ref) with NaN marking dropped observations;
     p_obs/p_ref hold the raw densities when they are representable (NaN
     otherwise; exact-log kernels can produce valid ratios for density values
-    far below the smallest float).  n_dropped counts the observations
+    far below the smallest float).  skipped holds the (angle_index,
+    offset_index) pairs of the raster lines that miss the domain, as an
+    (n_missed, 2) int array.  n_dropped counts the observations
     dropped below the density floor when the dataset was built.
     """
 
@@ -315,7 +292,7 @@ class BoundaryDataset:
     log_ratios: np.ndarray
     p_obs: np.ndarray
     p_ref: np.ndarray
-    skipped: tuple = ()
+    skipped: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -387,7 +364,7 @@ def build_boundary_dataset(
         log_ratios=log_ratios,
         p_obs=p_obs,
         p_ref=p_ref,
-        skipped=tuple(skipped),
+        skipped=skipped,
         n_dropped=n_dropped,
     )
 
@@ -420,16 +397,7 @@ DATASET_COLUMNS = [
     "log_ratio",
 ]
 
-FITS_COLUMNS = [
-    "angle_index",
-    "offset_index",
-    "delta_psi",
-    "F",
-    "residual",
-    "se_delta_psi",
-    "se_F",
-    "n_times",
-]
+FITS_COLUMNS = ["angle_index", "offset_index", *FitRow._fields]
 
 # chords whose dataset rows are turned into Python objects at once: the
 # writer's memory stays a few MB instead of growing with the dataset
@@ -631,8 +599,8 @@ def _table_cells(ia, io, t):
 def write_fits_csv(path, chords: ChordTable, fits: FitTable) -> None:
     """One row per ok fit, in chord order; excluded chords are left out."""
     ok = fits.ok
-    columns = [chords.angle_index[ok], chords.offset_index[ok], fits.delta_psi[ok], fits.F[ok],
-               fits.residual[ok], fits.se_delta_psi[ok], fits.se_F[ok], fits.n_times[ok]]
+    columns = [chords.angle_index[ok], chords.offset_index[ok],
+               *(getattr(fits, name)[ok] for name in FitRow._fields)]
     _write_csv(path, [FITS_COLUMNS], "%d,%d,%r,%r,%r,%r,%r,%d\r\n",
                zip(*(v.tolist() for v in columns)))
 
@@ -642,9 +610,9 @@ def read_fits_csv(path, chords: ChordTable) -> FitTable:
     `chords` by (angle_index, offset_index).
 
     Chords without a row are not ok; rows without a chord are ignored.  The
-    covariance is rebuilt as diag(se_delta_psi^2, se_F^2).  Indices and
-    n_times must be integral; a chord listed twice, or a row with a
-    non-finite number or a negative residual, is a DataError.
+    values are stored as read.  Indices and n_times must be integral; a
+    chord listed twice, or a row with a non-finite number or a negative
+    residual or standard error, is a DataError.
     """
     _, cols = _read_table(path, FITS_COLUMNS)
     ia, io, n_times = _integers(path, cols, "angle_index", "offset_index", "n_times")
@@ -665,9 +633,7 @@ def read_fits_csv(path, chords: ChordTable) -> FitTable:
         return out
 
     try:
-        return FitTable(column(cols["delta_psi"]), column(cols["F"]), column(cols["residual"]),
-                        column(cols["se_delta_psi"] ** 2), column(cols["se_F"] ** 2),
-                        column(np.zeros(len(hit))), column(n_times, 0),
+        return FitTable(*(column(cols[name]) for name in _FIT_FLOATS), column(n_times, 0),
                         column(np.ones(len(hit), dtype=bool), False))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

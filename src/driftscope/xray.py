@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DataError
 from .fields import Domain, Grid, ScalarField, interp
 from .smalltime import (
-    Chord,
     ChordTable,
     FitTable,
     _integers,
@@ -78,13 +77,15 @@ def _line_integrals(V, chords: ChordTable, n_quad: int) -> np.ndarray:
     return np.trapezoid(vals, s, axis=-1) * chords.length
 
 
-def forward_xray(V, chord: Chord, n_quad: int = 256) -> float:
-    """Arclength line integral of V along the chord by composite trapezoid.
+def forward_xray(V, x, y, n_quad: int = 256) -> float:
+    """Arclength line integral of V along the chord from point x to point y
+    by composite trapezoid.
 
     V may be a ScalarField (bilinear interpolation; the chord must stay
-    inside the grid) or a callable on (n, 2) points.
+    inside the grid) or a callable on (n, 2) points.  The endpoints are
+    checked as a one-row ChordTable checks them.
     """
-    table = ChordTable(chord.x[None, :], chord.y[None, :])
+    table = ChordTable(np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None])
     return float(_line_integrals(V, table, n_quad)[0])
 
 

@@ -107,8 +107,8 @@ def oracle_read_fits_csv(path, chords):
         return out
 
     return {"delta_psi": column(num["delta_psi"]), "F": column(num["F"]),
-            "residual": column(num["residual"]), "var_delta_psi": column(num["se_delta_psi"] ** 2),
-            "var_F": column(num["se_F"] ** 2), "cov_delta_psi_F": column(np.zeros(len(hit))),
+            "residual": column(num["residual"]), "se_delta_psi": column(num["se_delta_psi"]),
+            "se_F": column(num["se_F"]),
             "n_times": column(num["n_times"].astype(np.int64), 0),
             "ok": column(np.ones(len(hit), dtype=bool), False)}
 
@@ -180,8 +180,8 @@ def special_fits():
     chords = ChordTable([[-1.0, 0.0]] * 4, [[1.0, 0.0]] * 4, [0, 0, 1, 3], [0, 2, 1, 0])
     nan = float("nan")
     fits = FitTable(delta_psi=[-0.0, 1e16, nan, 5e-324], F=[1e-5, -0.0, nan, -1e16],
-                    residual=[5e-324, 0.0, nan, 1e16], var_delta_psi=[1e-10, 0.0, nan, 5e-324],
-                    var_F=[1e32, 2.0, nan, -0.0], cov_delta_psi_F=[0.0, 0.0, nan, 0.0],
+                    residual=[5e-324, 0.0, nan, 1e16], se_delta_psi=[1e-5, 0.0, nan, 5e-324],
+                    se_F=[1e16, 2.0, nan, -0.0],
                     n_times=[4, 3, 2, 4], ok=[True, True, False, True])
     return chords, fits
 
@@ -350,7 +350,7 @@ class TestMalformed:
 
     @pytest.mark.parametrize("name, value", [("delta_psi", "nan"), ("F", "inf"),
                                              ("residual", "-inf"), ("residual", "-1e-3"),
-                                             ("se_F", "nan")])
+                                             ("se_F", "nan"), ("se_delta_psi", "-1e-3")])
     def test_fits_non_finite_row_is_data_error(self, tmp_path, name, value):
         chords, fits = fitted_fits()
         path = tmp_path / "fits.csv"
@@ -361,8 +361,10 @@ class TestMalformed:
 
     def test_non_finite_ok_fit_rejected_by_table(self):
         with pytest.raises(DataError, match="finite"):
-            FitTable([np.nan], [1.0], [0.0], [1.0], [1.0], [0.0], [3], [True])
-        table = FitTable([np.nan], [np.nan], [np.nan], [np.nan], [np.nan], [np.nan], [2], [False])
+            FitTable([np.nan], [1.0], [0.0], [1.0], [1.0], [3], [True])
+        with pytest.raises(DataError, match="nonnegative"):
+            FitTable([0.0], [1.0], [0.0], [1.0], [-1e-3], [3], [True])
+        table = FitTable([np.nan], [np.nan], [np.nan], [np.nan], [np.nan], [2], [False])
         assert table[0] is None
 
 

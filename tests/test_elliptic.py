@@ -26,12 +26,12 @@ from driftscope.fields import (
 from driftscope.smalltime import ChordTable, FitTable
 
 
-def chord_fit_tables(xs, ys, delta_psi, var_delta_psi):
+def chord_fit_tables(xs, ys, delta_psi, se_delta_psi):
     """Chord and fit tables for synthetic boundary-psi equations."""
     n = len(xs)
     zero = np.zeros(n)
-    fits = FitTable(np.asarray(delta_psi, dtype=float), zero, zero, np.full(n, var_delta_psi),
-                    np.full(n, 1e-8), zero, np.full(n, 4), np.ones(n, dtype=bool))
+    fits = FitTable(np.asarray(delta_psi, dtype=float), zero, zero, np.full(n, se_delta_psi),
+                    np.full(n, 1e-4), np.full(n, 4), np.ones(n, dtype=bool))
     return ChordTable(np.array(xs), np.array(ys)), fits
 
 
@@ -611,7 +611,7 @@ class TestBoundaryPsi:
             xs.append(x)
             ys.append(y)
             dpsi.append(float(psi_fn(y) - psi_fn(x)))
-        return chord_fit_tables(xs, ys, dpsi, se**2)
+        return chord_fit_tables(xs, ys, dpsi, se)
 
     def test_constant_psi_gives_unit_g(self):
         dom = self.circle()
@@ -655,7 +655,7 @@ class TestBoundaryPsi:
                 continue
             xs.append(dom.boundary_point(t1))
             ys.append(dom.boundary_point(t2))
-        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-12)
+        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
         with pytest.raises(DataError, match="coverage"):
             boundary_psi_from_fits(chords, fits, dom, n_knots=128)
 
@@ -670,7 +670,7 @@ class TestBoundaryPsi:
                 continue
             xs.append(dom.boundary_point(t1))
             ys.append(dom.boundary_point(t2))
-        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-12)
+        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
         with pytest.warns(UserWarning, match="interpolated"):
             bp = boundary_psi_from_fits(chords, fits, dom, n_knots=256)
         assert np.all(np.isfinite(bp.knot_values))

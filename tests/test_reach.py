@@ -152,3 +152,31 @@ def test_benchmark_setup_runs(tmp_path, monkeypatch):
     workloads = importlib.import_module("workloads")
     for name, workload in workloads.make_workloads(tmp_path).items():
         assert workload.setup("smoke", 1, 1), name
+
+
+def test_benchmark_tracer_counts_the_ok_fits(monkeypatch):
+    """The benchmark's tracer counts a `fit_dataset` result's ok fits as the
+    rows its FitTable iterates as not None: that must be `fits.ok.sum()`."""
+    import importlib
+    from collections import Counter
+
+    import numpy as np
+
+    from driftscope.smalltime import BoundaryDataset, ChordTable, fit_dataset
+
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    tracing = importlib.import_module("tracing")
+    n, times = 9, np.array([0.04, 0.02, 0.01, 0.005])
+    log_ratios = 0.3 - np.outer(np.linspace(0.5, 1.5, n), times)
+    log_ratios[::3, :2] = np.nan  # two of four times left: not ok
+    log_ratios[1::3, 0] = np.nan  # three left: ok
+    chords = ChordTable(np.tile([1.0, 0.0], (n, 1)), np.tile([-1.0, 0.0], (n, 1)))
+    nan = np.full(log_ratios.shape, np.nan)
+    dataset = BoundaryDataset(chords, times, log_ratios, nan, nan)
+    result = fit_dataset(dataset)
+    fits = result[0]
+    assert 0 < fits.ok.sum() < len(fits)
+    counts = Counter()
+    tracing._on_return("fit_dataset", counts, (dataset,), result)
+    assert counts["smalltime.fits_ok"] == fits.ok.sum() == 6
+    assert counts["smalltime.fits_attempted"] == len(fits) == n

@@ -7,7 +7,7 @@ from driftscope.fields import DiffusionField, DiscDomain, Grid, RectangleDomain,
 from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel, TabulatedKernel
 from driftscope.smalltime import (
     BoundaryDataset,
-    Chord,
+    ChordTable,
     build_boundary_dataset,
     chord_offsets,
     fit_dataset,
@@ -155,7 +155,7 @@ class TestGeometry:
         g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
         chords, skipped = make_parallel_chords(dom, 1, 3)
-        assert not skipped
+        assert skipped.shape == (0, 2)
         lengths = sorted(c.length for c in chords)
         assert lengths == pytest.approx([np.sqrt(3), np.sqrt(3), 2.0], abs=1e-12)
 
@@ -171,16 +171,21 @@ class TestGeometry:
             doms = (RectangleDomain(g, -1.0, -0.7, 1.0, 0.7),
                     RectangleDomain(g, -1.0 + c[0], -0.7 + c[1], 1.0 + c[0], 0.7 + c[1]))
         (chords, skipped), (moved, moved_skipped) = (make_parallel_chords(d, 12, 13) for d in doms)
-        assert moved_skipped == skipped
+        assert np.array_equal(moved_skipped, skipped)
         assert np.array_equal(moved.angle_index, chords.angle_index)
         assert np.array_equal(moved.offset_index, chords.offset_index)
         assert np.abs(moved.x - c - chords.x).max() <= 1e-14
         assert np.abs(moved.y - c - chords.y).max() <= 1e-14
 
     def test_chord_fields(self):
-        c = Chord(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        table = ChordTable([[1.0, 0.0]], [[0.0, 1.0]], [3], [7])
+        c = table[0]
         assert c.length == pytest.approx(np.sqrt(2))
-        r = Chord(c.y, c.x)
+        assert (c.angle_index, c.offset_index) == (3, 7)
+        assert np.array_equal(c.x, [1.0, 0.0]) and np.array_equal(c.y, [0.0, 1.0])
+        (row,) = table  # iteration gives the same row
+        assert all(np.array_equal(a, b) for a, b in zip(row, c))
+        r = ChordTable([c.y], [c.x])[0]
         assert r.length == c.length
 
 
@@ -250,7 +255,7 @@ class TestDataset:
         dom = self.grid_domain()
         with pytest.raises(DataError, match="decreasing"):
             BoundaryDataset(
-                chords=(Chord(np.array([1.0, 0]), np.array([-1.0, 0])),),
+                chords=ChordTable([[1.0, 0]], [[-1.0, 0]]),
                 times=np.array([0.005, 0.01, 0.02]),
                 log_ratios=np.zeros((1, 3)),
                 p_obs=np.zeros((1, 3)),
@@ -282,9 +287,7 @@ class TestCsv:
         write_fits_csv(path, ds.chords, fits)
         table = read_fits_csv(path, ds.chords)
         for f, back in zip(fits, table):
-            assert back.delta_psi == f.delta_psi
-            assert back.F == f.F
-            assert back.se_delta_psi == pytest.approx(f.se_delta_psi, rel=1e-12)
+            assert back == f
 
     def test_bad_density_row_names_chord(self, tmp_path):
         path = tmp_path / "bad.csv"
