@@ -1,5 +1,5 @@
-"""Forward machinery: bridge functionals, density representation, a
-Fokker-Planck solver, and a Feynman-Kac exit solver.
+"""Forward machinery: bridge functionals, density representation and a
+Feynman-Kac exit solver.
 
 Monte Carlo reproducibility: all randomness comes from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, and block
@@ -8,24 +8,18 @@ across runs and across worker counts.  The bridge functional maps its blocks
 over the worker pool; the Feynman-Kac exit sampler steps all its blocks in
 lockstep in one thread, each block drawing from its own stream, so it uses
 no workers at all; it scores the paths that left the domain after the walk,
-one path block at a time.
-
-scipy is imported on first use, only by the Fokker-Planck solver:
-`scipy.sparse` by `_forward_operator` and `FokkerPlanckStepper`, and
-`splu` by the stepper's first factorization.  The bridge functional and the
-exit sampler run on numpy alone.
+one path block at a time.  Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import parallel
-from .errors import DataError, SimulationError, SolverError
-from .fields import DiffusionField, Domain, Grid, ScalarField, VectorField, interp
+from .errors import DataError, SimulationError
+from .fields import Domain, ScalarField, interp
 from .kernels import Kernel
 
 _MASK64 = (1 << 64) - 1
@@ -143,210 +137,6 @@ def density_via_representation(pb: Kernel, psi, V, x, y, t: float, cfg: McConfig
     bridge = bridge_functional(V, x, y, t, cfg)
     scale = pb_val * np.exp(dpsi)
     return McEstimate(scale * bridge.value, scale * bridge.stderr, bridge.n_paths)
-
-
-# ---------------------------------------------------------------------------
-# Fokker-Planck forward solver (Crank-Nicolson on the divergence form)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FokkerPlanckResult:
-    slices: list
-    times: list
-    mass_drift: list
-    mollifier_sigma: float
-
-
-def _forward_operator(c: VectorField, a: DiffusionField, grid: Grid) -> sp.csr_matrix:
-    """Conservative discretization of p -> div( 1/2 grad.(a p) - c p ).
-
-    Fluxes live at cell faces; boundary faces carry zero flux, so total mass
-    is conserved to round-off.
-    """
-    import scipy.sparse as sp
-
-    nx, ny = grid.nx, grid.ny
-    dx, dy = grid.dx, grid.dy
-    n = nx * ny
-
-    def idx(i, j):
-        return i * ny + j
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c_, v):
-        rows.append(r.ravel())
-        cols.append(c_.ravel())
-        vals.append(v.ravel())
-
-    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    a11, a12, a22 = a.a11, a.a12, a.a22
-    c1, c2 = c.values[..., 0], c.values[..., 1]
-
-    # F^x at face (i+1/2, j), for i in [0, nx-2]:
-    #   0.5 * ((a11 p)_{i+1} - (a11 p)_i)/dx            diffusive, normal part
-    # + 0.25 * (dy(a12 p)_i + dy(a12 p)_{i+1})          diffusive, cross part
-    # - 0.5 * ((c1 p)_i + (c1 p)_{i+1})                 advective
-    # and (A p)_i += (F^x_{i+1/2} - F^x_{i-1/2}) / dx.
-    # The cross part uses centered y-derivatives, one-sided at j-edges.
-    def dy_coeffs(j):
-        """(j_lo, j_hi, coeff) triplets for d/dy at column j."""
-        if j == 0:
-            return [(0, -1.0 / dy), (1, 1.0 / dy)]
-        if j == ny - 1:
-            return [(ny - 2, -1.0 / dy), (ny - 1, 1.0 / dy)]
-        return [(j - 1, -0.5 / dy), (j + 1, 0.5 / dy)]
-
-    def dx_coeffs(i):
-        if i == 0:
-            return [(0, -1.0 / dx), (1, 1.0 / dx)]
-        if i == nx - 1:
-            return [(nx - 2, -1.0 / dx), (nx - 1, 1.0 / dx)]
-        return [(i - 1, -0.5 / dx), (i + 1, 0.5 / dx)]
-
-    # x-direction faces
-    iw, jw = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-    rec_lo = idx(iw, jw)      # cell left of the face
-    rec_hi = idx(iw + 1, jw)  # cell right of the face
-    # each face contributes +F/dx to its left cell's row... sign: (Ap)_i gets
-    # (F_{i+1/2} - F_{i-1/2})/dx, so face (i+1/2) adds +1/dx to row i and
-    # -1/dx to row i+1.
-    for sign, rec in ((1.0 / dx, rec_lo), (-1.0 / dx, rec_hi)):
-        # normal diffusive part
-        add(rec, rec_hi, sign * 0.5 * a11[iw + 1, jw] / dx)
-        add(rec, rec_lo, -sign * 0.5 * a11[iw, jw] / dx)
-        # advective part
-        add(rec, rec_lo, -sign * 0.5 * c1[iw, jw])
-        add(rec, rec_hi, -sign * 0.5 * c1[iw + 1, jw])
-    if np.any(a12 != 0):
-        for j in range(ny):
-            for jj, cc in dy_coeffs(j):
-                ii = np.arange(nx - 1)
-                for di in (0, 1):
-                    col = idx(ii + di, np.full(nx - 1, jj))
-                    coef = 0.25 * cc * a12[ii + di, jj]
-                    add(idx(ii, np.full(nx - 1, j)), col, coef / dx)
-                    add(idx(ii + 1, np.full(nx - 1, j)), col, -coef / dx)
-
-    # y-direction faces
-    iw, jw = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-    rec_lo = idx(iw, jw)
-    rec_hi = idx(iw, jw + 1)
-    for sign, rec in ((1.0 / dy, rec_lo), (-1.0 / dy, rec_hi)):
-        add(rec, rec_hi, sign * 0.5 * a22[iw, jw + 1] / dy)
-        add(rec, rec_lo, -sign * 0.5 * a22[iw, jw] / dy)
-        add(rec, rec_lo, -sign * 0.5 * c2[iw, jw])
-        add(rec, rec_hi, -sign * 0.5 * c2[iw, jw + 1])
-    if np.any(a12 != 0):
-        for i in range(nx):
-            for ii, cc in dx_coeffs(i):
-                jj = np.arange(ny - 1)
-                for dj in (0, 1):
-                    col = idx(np.full(ny - 1, ii), jj + dj)
-                    coef = 0.25 * cc * a12[ii, jj + dj]
-                    add(idx(np.full(ny - 1, i), jj), col, coef / dy)
-                    add(idx(np.full(ny - 1, i), jj + 1), col, -coef / dy)
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return A.tocsr()
-
-
-class FokkerPlanckStepper:
-    """Crank-Nicolson marcher for the forward equation; build once, then
-    propagate from many initial points (the factorized time-step operators
-    are cached and shared across runs).
-    """
-
-    def __init__(self, c: VectorField, a: DiffusionField, grid: Grid, dt: float):
-        if dt <= 0:
-            raise DataError("dt must be positive")
-        import scipy.sparse as sp
-
-        self.grid = grid
-        self.dt = float(dt)
-        self.A = _forward_operator(c, a, grid)
-        self._eye = sp.identity(self.A.shape[0], format="csr")
-        self._lu: dict[float, object] = {}
-        self._rhs: dict[float, sp.csr_matrix] = {}
-        rim = np.zeros(grid.shape, dtype=bool)
-        rim[0, :] = rim[-1, :] = rim[:, 0] = rim[:, -1] = True
-        self._rim = rim.ravel()
-
-    def _ops(self, dt_loc: float):
-        from scipy.sparse.linalg import splu
-
-        key = round(dt_loc, 15)
-        if key not in self._lu:
-            self._lu[key] = splu((self._eye - 0.5 * dt_loc * self.A).tocsc())
-            self._rhs[key] = (self._eye + 0.5 * dt_loc * self.A).tocsr()
-        return self._lu[key], self._rhs[key]
-
-    def propagate(self, x0, t_out) -> FokkerPlanckResult:
-        grid = self.grid
-        t_out = sorted(float(t) for t in t_out)
-        if len(t_out) == 0 or t_out[0] <= 0:
-            raise DataError("output times must be positive")
-        x0 = np.asarray(x0, dtype=float)
-        sigma = 2.0 * max(grid.dx, grid.dy)
-        X, Y = grid.nodes()
-        p = np.exp(-((X - x0[0]) ** 2 + (Y - x0[1]) ** 2) / (2 * sigma**2)).ravel()
-        p /= p.sum() * grid.cell_area
-
-        slices, drifts = [], []
-        t_now = 0.0
-        area = grid.cell_area
-        for t_target in t_out:
-            gap = t_target - t_now
-            if gap <= 1e-14:
-                raise DataError("output times must be strictly increasing")
-            n_sub = max(1, int(np.ceil(gap / self.dt - 1e-12)))
-            lu, M2 = self._ops(gap / n_sub)
-            for _ in range(n_sub):
-                p = lu.solve(M2 @ p)
-                if not np.all(np.isfinite(p)):
-                    raise SolverError(f"Fokker-Planck blow-up near t={t_now:.6g}")
-            t_now = t_target
-            mass = p.sum() * area
-            neg = p.min()
-            if neg < -1e-8 * max(p.max(), 1e-300) or abs(mass - 1.0) > 1e-3:
-                raise SolverError(
-                    f"Fokker-Planck instability at t={t_now:.6g}: mass={mass:.6g}, min={neg:.3g}"
-                )
-            q = np.clip(p, 0.0, None)
-            bmass = float(q[self._rim].sum() * area)
-            if bmass > 1e-6:
-                warnings.warn(
-                    f"boundary mass {bmass:.2e} at t={t_now:.6g} exceeds 1e-6; enlarge the grid",
-                    stacklevel=2,
-                )
-            qmass = q.sum() * area
-            slices.append(ScalarField(grid, (q / qmass).reshape(grid.shape)))
-            drifts.append(float(mass - 1.0))
-
-        return FokkerPlanckResult(slices, t_out, drifts, sigma)
-
-
-def fokker_planck_forward(
-    c: VectorField,
-    a: DiffusionField,
-    x0,
-    t_out,
-    grid: Grid,
-    dt: float,
-) -> FokkerPlanckResult:
-    """March the forward (Fokker-Planck) equation from a mollified point mass.
-
-    The point initial condition is replaced by a Gaussian of standard
-    deviation 2h (h = max grid spacing).  Returns renormalized density slices
-    at the requested times together with per-slice mass drift and
-    boundary-mass diagnostics.
-    """
-    return FokkerPlanckStepper(c, a, grid, dt).propagate(x0, t_out)
 
 
 # ---------------------------------------------------------------------------

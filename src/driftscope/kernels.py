@@ -1,9 +1,9 @@
-"""Transition-density kernels: closed forms, tabulated slices, products.
+"""Transition-density kernels: closed forms and products of 1-D components.
 
-Every kernel evaluates p(x, t, y) for start x, elapsed time t > 0, end y.
-Closed-form kernels also expose exact log-densities, which downstream code
-uses to form density ratios without underflow (for well-separated endpoints
-at small t the densities themselves drop below the smallest float).
+Every kernel evaluates log p(x, t, y) for start x, elapsed time t > 0, end
+y, exactly: downstream code forms density ratios in log space, without
+underflow (for well-separated endpoints at small t the densities themselves
+drop below the smallest float).  `density` is its exponential.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DataError
-from .fields import ScalarField, interp
 from .specs import Kind, build, finite, finite_list
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# TabulatedKernel: how far a start point may lie from a tabulated source and
-# still use its slices, and how far above 1 a slice's mass may reach
-_SOURCE_MATCH_TOL = 1e-9
-_MASS_TOL = 1e-3
 
 
 def _check_time(t) -> None:
@@ -34,13 +29,9 @@ def _sqdist(x, y) -> np.ndarray:
 
 
 class Kernel:
-    """Common interface; dim is 1 or 2."""
+    """Common interface; dim is 1 or 2.  Subclasses define `log_density`."""
 
     dim: int = 2
-    exact_log: bool = False
-
-    def log_density(self, x, t, y):
-        return np.log(np.maximum(self.density(x, t, y), 1e-320))
 
     def density(self, x, t, y):
         return np.exp(self.log_density(x, t, y))
@@ -51,7 +42,6 @@ class BrownianKernel(Kernel):
     """Heat kernel of standard Brownian motion."""
 
     dim: int = 2
-    exact_log: bool = dc_field(default=True, init=False)
 
     def log_density(self, x, t, y):
         _check_time(t)
@@ -69,7 +59,6 @@ class OrnsteinUhlenbeckKernel(Kernel):
 
     theta: float
     dim: int = 2
-    exact_log: bool = dc_field(default=True, init=False)
 
     def __post_init__(self):
         if self.theta <= 0:
@@ -91,47 +80,6 @@ class OrnsteinUhlenbeckKernel(Kernel):
 
 
 @dataclass(frozen=True)
-class TabulatedKernel(Kernel):
-    """Density slices p(x0, t, .) on a grid, one table per source point x0.
-
-    sources: list of (x0 point, {t: ScalarField}) pairs.  Slices must be
-    nonnegative with total mass at most 1 + _MASS_TOL.
-    """
-
-    sources: tuple
-    dim: int = 2
-
-    def __post_init__(self):
-        for x0, table in self.sources:
-            for t, sl in table.items():
-                if np.any(sl.values < 0):
-                    raise DataError(f"tabulated slice at t={t} has negative values")
-                mass = float(sl.values.sum()) * sl.grid.cell_area
-                if mass > 1.0 + _MASS_TOL:
-                    raise DataError(f"tabulated slice at t={t} integrates to {mass:.6f} > 1")
-
-    def _lookup(self, x, t) -> ScalarField:
-        x = np.asarray(x, dtype=float)
-        for x0, table in self.sources:
-            if np.max(np.abs(np.asarray(x0) - x)) <= _SOURCE_MATCH_TOL:
-                for tk, sl in table.items():
-                    if abs(tk - t) <= 1e-12 * max(1.0, abs(t)):
-                        return sl
-                raise DataError(f"no tabulated slice at t={t}")
-        raise DataError(f"no tabulated source at x={x}")
-
-    def density(self, x, t, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim == 2:
-            return np.array(
-                [self.density(xi, t, yi) for xi, yi in zip(x, np.atleast_2d(y))]
-            )
-        sl = self._lookup(x, float(t))
-        return np.maximum(interp(sl, y, mode="zero"), 0.0)
-
-
-@dataclass(frozen=True)
 class ProductKernel(Kernel):
     """2-D kernel of two independent 1-D components, with optional coordinate
     offset: p((x1,x2), t, (y1,y2)) = k1(x1+o1, t, y1+o1) * k2(x2+o2, t, y2+o2).
@@ -145,10 +93,6 @@ class ProductKernel(Kernel):
     def __post_init__(self):
         if self.k1.dim != 1 or self.k2.dim != 1:
             raise DataError("ProductKernel components must be one-dimensional")
-
-    @property
-    def exact_log(self) -> bool:  # type: ignore[override]
-        return self.k1.exact_log and self.k2.exact_log
 
     def log_density(self, x, t, y):
         x = np.asarray(x, dtype=float)

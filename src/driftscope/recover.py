@@ -2,8 +2,7 @@
 sinogram -> filtered back-projection -> Dirichlet solve -> log -> gradient)
 that both `run_pipeline` and the CLI's stage subcommands run, the artifacts
 each stage reads and writes, and error metrics against an optional ground
-truth.  Also provides the product construction that lifts a 1-D
-reconstruction problem to the planar pipeline.
+truth.
 
 A config is parsed and resolved once (`config_from_dict`, `PipelineConfig`):
 its grid, domain, time ladder, kernels and ground truth are built when it is
@@ -43,7 +42,7 @@ from .fields import (
     read_dgf,
     write_dgf,
 )
-from .kernels import BrownianKernel, Kernel, ProductKernel, kernel_from_config
+from .kernels import Kernel, kernel_from_config
 from .smalltime import (
     build_boundary_dataset,
     fit_dataset,
@@ -137,7 +136,6 @@ class PipelineConfig:
     solver_tol: float = 1e-10
     solver_max_iter: int = 20000
     seed: int = 0
-    density_floor: float = 1e-30
     boundary_knots: int = 256
     gauge_param: float = 0.0
     metric_fraction: float = 0.8
@@ -193,7 +191,6 @@ class PipelineConfig:
             "filter": self.filter_name,
             "solver": {"tol": self.solver_tol, "max_iter": self.solver_max_iter},
             "seed": self.seed,
-            "density_floor": self.density_floor,
             "boundary_knots": self.boundary_knots,
             "gauge_param": self.gauge_param,
             "metric_fraction": self.metric_fraction,
@@ -229,9 +226,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"unknown filter {filter_name!r}")
     solver = raw.pop("solver", {})
     require_keys(solver, ("tol", "max_iter"), (), "solver")
-    density_floor = finite(raw.pop("density_floor", 1e-30), "density_floor")
-    if density_floor < 0:
-        raise ConfigError(f"density_floor must be nonnegative, got {density_floor!r}")
     metric_fraction = finite(raw.pop("metric_fraction", 0.8), "metric_fraction")
     if not 0.0 < metric_fraction <= 1.0:
         raise ConfigError(f"metric_fraction must lie in (0, 1], got {metric_fraction!r}")
@@ -250,7 +244,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         solver_tol=solver_tol,
         solver_max_iter=integer(solver.get("max_iter", 20000), "solver.max_iter", 1),
         seed=integer(raw.pop("seed", 0), "seed"),
-        density_floor=density_floor,
         boundary_knots=integer(raw.pop("boundary_knots", 256), "boundary_knots", 1),
         gauge_param=finite(raw.pop("gauge_param", 0.0), "gauge_param"),
         metric_fraction=metric_fraction,
@@ -356,51 +349,6 @@ def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float
 
 
 # ---------------------------------------------------------------------------
-# 1-D lifting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LiftedProblem:
-    observed: Kernel
-    reference: Kernel
-    domain: Domain
-
-
-def lift_1d(
-    p1: Kernel,
-    c2_kernel: Kernel,
-    interval: tuple[float, float] = (0.0, 1.0),
-    half_width: float = 3.0,
-    grid: Grid | None = None,
-    ny: int = 513,
-    nx: int = 129,
-) -> LiftedProblem:
-    """Lift a 1-D reconstruction problem on an interval to the plane by
-    pairing it with an independent second component.
-
-    The planar observed kernel is the product p1 (x1) x p2 (x2); the
-    reference is the product of the matching driftless kernels.  The strip
-    interval x (-inf, inf) is truncated to the rectangle
-    interval x [-half_width, half_width], in the original coordinates (the
-    parallel-beam raster measures its offsets from the domain's center).
-    """
-    if p1.dim != 1 or c2_kernel.dim != 1:
-        raise DataError("lift_1d needs one-dimensional kernels")
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        raise DataError("empty interval")
-    observed = ProductKernel(p1, c2_kernel)
-    reference = ProductKernel(BrownianKernel(dim=1), BrownianKernel(dim=1))
-    if grid is None:
-        mx = 0.15 * (hi - lo)
-        my = 0.15 * half_width
-        grid = Grid.from_extent(lo - mx, -half_width - my, hi + mx, half_width + my, nx, ny)
-    domain = RectangleDomain(grid, lo, -half_width, hi, half_width)
-    return LiftedProblem(observed, reference, domain)
-
-
-# ---------------------------------------------------------------------------
 # Stages and artifacts
 # ---------------------------------------------------------------------------
 #
@@ -421,12 +369,8 @@ def stage_context(cfg: PipelineConfig, kernels: tuple[Kernel, Kernel] | None = N
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
     observed, reference = v["kernels"]
     dataset = v["dataset"] = build_boundary_dataset(
-        observed, reference, v["domain"], (cfg.n_angles, cfg.n_offsets),
-        cfg._ladder, floor=cfg.density_floor,
-    )
-    return {"n_chords": dataset.n_chords,
-            "n_lines_skipped": len(dataset.skipped),
-            "n_dropped_observations": dataset.n_dropped}
+        observed, reference, v["domain"], (cfg.n_angles, cfg.n_offsets), cfg._ladder)
+    return {"n_chords": dataset.n_chords, "n_lines_skipped": len(dataset.skipped)}
 
 
 def _fit(cfg: PipelineConfig, v: dict) -> dict:
@@ -536,7 +480,7 @@ class Artifact(NamedTuple):
 ARTIFACTS = {
     "dataset": Artifact(
         ("dataset.csv",), "--data",
-        lambda cfg, v, p: {"dataset": read_dataset_csv(p, floor=cfg.density_floor)},
+        lambda cfg, v, p: {"dataset": read_dataset_csv(p)},
         lambda v, p: write_dataset_csv(p, v["dataset"])),
     "fits": Artifact(("fits.csv",), "--fits", _read_fits,
                      lambda v, p: write_fits_csv(p, v["chords"], v["fits"])),
@@ -604,7 +548,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None, persist
     fit tables itself once boundary-psi has read them.
 
     kernels (optional): (observed, reference) kernel objects that take
-    precedence over the config's kernel section (for tabulated sources).
+    precedence over the config's kernel section, for a caller that has
+    built them already.
     """
     from . import parallel
 

@@ -1,11 +1,14 @@
 """Extract potential-difference intercepts and chord-averaged potentials from
-density ratios over a ladder of small times.
+log density ratios over a ladder of small times.
 
-For each chord (x, y) the log density ratio behaves like
-    log(p_obs / p_ref)(t) = dpsi - F t + o(t),
+For each chord (x, y) the log ratio of the observed transition density p
+to the reference one p0 behaves like
+    log(p / p0)(t) = dpsi - F t + o(t),
 so a weighted affine fit in t yields the drift-potential difference
 dpsi = psi(y) - psi(x) (intercept) and the chord average F of the scalar
-potential (minus the slope) in one pass.
+potential (minus the slope) in one pass.  The log ratio is the only datum
+kept per (chord, time): the fit reads nothing else, and the densities
+themselves underflow at small t where their log ratio is still finite.
 
 Chords and fits are tables of columns: a ChordTable of endpoints, raster
 indices and lengths, and a FitTable of the value columns of fits.csv
@@ -28,7 +31,6 @@ from .errors import DataError, GeometryError
 from .fields import Domain
 from .kernels import Kernel
 
-DEFAULT_DENSITY_FLOOR = 1e-30
 # chords per batch of the chord-wise layers (the ladder fit here and the
 # boundary-psi normal equations): bounds their temporaries
 _CHORDS_PER_CHUNK = 8192
@@ -129,15 +131,6 @@ def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     x, y, hit = domain.chord_endpoints(omega[:, None, :], offsets[None, :])
     ia, io = np.nonzero(hit)
     return ChordTable(x[ia, io], y[ia, io], ia, io), np.argwhere(~hit)
-
-
-def log_ratio(p_obs: float, p_ref: float, floor: float = DEFAULT_DENSITY_FLOOR) -> float:
-    """log(p_obs / p_ref) with a positivity floor on both densities."""
-    if not (np.isfinite(p_obs) and np.isfinite(p_ref)) or p_obs <= floor or p_ref <= floor:
-        raise DataError(
-            f"density pair ({p_obs:.3e}, {p_ref:.3e}) at or below the floor {floor:.1e}"
-        )
-    return float(np.log(p_obs) - np.log(p_ref))
 
 
 class FitRow(NamedTuple):
@@ -267,8 +260,8 @@ def fit_small_time(times, logratios) -> FitRow:
         raise DataError("times and logratios must be 1-D arrays of equal length")
     if len(t) < 3:
         raise DataError(f"need at least 3 times to fit, got {len(t)}")
-    if np.any(t <= 0) or not np.all(np.isfinite(r)):
-        raise DataError("times must be positive and log ratios finite")
+    if not (np.all(np.isfinite(t) & (t > 0)) and np.all(np.isfinite(r))):
+        raise DataError("times must be finite and positive, and log ratios finite")
     if np.ptp(t) <= 1e-15 * t.max():
         raise DataError("time ladder is rank deficient (all times equal)")
     return fit_ladder_batch(t, r[None, :])[0]
@@ -276,29 +269,26 @@ def fit_small_time(times, logratios) -> FitRow:
 
 @dataclass(frozen=True)
 class BoundaryDataset:
-    """Observed density ratios per chord over a decreasing time ladder.
+    """Log density ratios log(p / p0) per chord over a ladder of at least 3
+    finite, positive, decreasing times.
 
-    log_ratios holds log(p_obs/p_ref) with NaN marking dropped observations;
-    p_obs/p_ref hold the raw densities when they are representable (NaN
-    otherwise; exact-log kernels can produce valid ratios for density values
-    far below the smallest float).  skipped holds the (angle_index,
-    offset_index) pairs of the raster lines that miss the domain, as an
-    (n_missed, 2) int array.  n_dropped counts the observations
-    dropped below the density floor when the dataset was built.
+    log_ratios has shape (n_chords, n_times); NaN marks a dropped
+    observation.  skipped holds the (angle_index, offset_index) pairs of the
+    raster lines that miss the domain, as an (n_missed, 2) int array.
     """
 
     chords: ChordTable
     times: np.ndarray
     log_ratios: np.ndarray
-    p_obs: np.ndarray
-    p_ref: np.ndarray
     skipped: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
-    n_dropped: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         if len(t) < 3:
             raise DataError("time ladder must hold at least 3 times")
+        bad = t[~(np.isfinite(t) & (t > 0))]
+        if len(bad):
+            raise DataError(f"times must be finite and positive, got t={float(bad[0])!r}")
         if np.any(np.diff(t) >= 0):
             raise DataError("times must be decreasing")
         lr = np.asarray(self.log_ratios, dtype=float)
@@ -318,55 +308,27 @@ def build_boundary_dataset(
     domain: Domain,
     geometry: tuple[int, int],
     ladder,
-    floor: float = DEFAULT_DENSITY_FLOOR,
 ) -> BoundaryDataset:
-    """Tabulate density ratios for every chord of a parallel-beam raster.
+    """Tabulate log density ratios for every chord of a parallel-beam raster.
 
-    Kernels exposing exact log densities are evaluated in log space (no
-    underflow); otherwise densities below `floor` are dropped and recorded.
+    Both kernels are evaluated in log space, so a ratio stays finite where
+    the densities themselves underflow.
     """
     n_angles, n_offsets = geometry
     times = np.asarray(sorted(ladder, reverse=True), dtype=float)
     if np.any(times <= 0):
         raise DataError("ladder times must be positive")
     chords, skipped = make_parallel_chords(domain, n_angles, n_offsets)
-    nc = len(chords)
     xs, ys = chords.x, chords.y
-    log_ratios = np.full((nc, len(times)), np.nan)
-    p_obs = np.full((nc, len(times)), np.nan)
-    p_ref = np.full((nc, len(times)), np.nan)
-    exact = observed.exact_log and reference.exact_log
-    n_dropped = 0
+    log_ratios = np.empty((len(chords), len(times)))
     for k, t in enumerate(times):
         try:
-            if exact:
-                lo = np.asarray(observed.log_density(xs, float(t), ys), dtype=float)
-                lref = np.asarray(reference.log_density(xs, float(t), ys), dtype=float)
-                log_ratios[:, k] = lo - lref
-                with np.errstate(under="ignore"):
-                    p_obs[:, k] = np.exp(lo)
-                    p_ref[:, k] = np.exp(lref)
-            else:
-                po = np.asarray(observed.density(xs, float(t), ys), dtype=float)
-                pr = np.asarray(reference.density(xs, float(t), ys), dtype=float)
-                ok = (po > floor) & (pr > floor) & np.isfinite(po) & np.isfinite(pr)
-                n_dropped += int((~ok).sum())
-                log_ratios[ok, k] = np.log(po[ok]) - np.log(pr[ok])
-                p_obs[:, k] = po
-                p_ref[:, k] = pr
+            lo = np.asarray(observed.log_density(xs, float(t), ys), dtype=float)
+            lref = np.asarray(reference.log_density(xs, float(t), ys), dtype=float)
         except DataError as exc:
             raise DataError(f"kernel evaluation failed at t={t}: {exc}") from exc
-    if n_dropped:
-        warnings.warn(f"dropped {n_dropped} sub-floor density observations", stacklevel=2)
-    return BoundaryDataset(
-        chords=chords,
-        times=times,
-        log_ratios=log_ratios,
-        p_obs=p_obs,
-        p_ref=p_ref,
-        skipped=skipped,
-        n_dropped=n_dropped,
-    )
+        log_ratios[:, k] = lo - lref
+    return BoundaryDataset(chords=chords, times=times, log_ratios=log_ratios, skipped=skipped)
 
 
 def fit_dataset(dataset: BoundaryDataset):
@@ -392,8 +354,6 @@ DATASET_COLUMNS = [
     "y1",
     "y2",
     "t",
-    "p_obs",
-    "p_ref",
     "log_ratio",
 ]
 
@@ -412,16 +372,16 @@ def _write_csv(path, head_rows, fmt, rows) -> None:
         fh.writelines(map(fmt.__mod__, rows))
 
 
-def _read_table(path, required, blank_is_nan=(), head_rows=0) -> tuple[list, dict]:
+def _read_table(path, required, head_rows=0) -> tuple[list, dict]:
     """The first `head_rows` rows of a CSV file as lists of strings (the
     sinogram's size row and its names), and the numeric columns of the table
     after them by header name, as float arrays.
 
     The head rows and the header are read by `csv`, the body by numpy's
     parser: unquoted decimal numbers (nan and inf included); blank lines are
-    skipped, and so are empty fields in the `blank_is_nan` columns, which
-    read as NaN.  A missing column, a field that is not a number, a row of
-    the wrong length or a file without rows is a DataError naming the path.
+    skipped.  A missing column, a field that is not a number (an empty one
+    too), a row of the wrong length or a file without rows is a DataError
+    naming the path.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -430,26 +390,10 @@ def _read_table(path, required, blank_is_nan=(), head_rows=0) -> tuple[list, dic
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column {missing[0]!r}")
-        blank = {header.index(c): lambda s: float(s or "nan") for c in blank_is_nan if c in header}
-
-        def parse(converters):
+        try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, converters=converters)
-
-        try:
-            try:
-                body = parse(None)  # the converter calls Python per row: only if needed
-            except ValueError:
-                if not blank:
-                    raise
-                # fh.tell() is disabled once csv has read from fh, so go back
-                # to the body by skipping the rows before it again
-                fh.seek(0)
-                rows = csv.reader(fh)
-                for _ in range(head_rows + 1):
-                    next(rows, None)
-                body = parse(blank)
+                body = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
             # numpy measures a row of the wrong length against the first row;
             # name the header's length instead
@@ -501,64 +445,47 @@ def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
             heads = ["%d,%d,%r,%r,%r,%r," % row for row in zip(
                 c.angle_index[part].tolist(), c.offset_index[part].tolist(),
                 *c.x[part].T.tolist(), *c.y[part].T.tolist())]
-            cells = (a[part].tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios))
-            for head, *chord in zip(heads, *cells):
-                yield from zip([head] * len(times), times, *chord)
+            for head, chord in zip(heads, dataset.log_ratios[part].tolist()):
+                yield from zip([head] * len(times), times, chord)
 
-    _write_csv(path, [DATASET_COLUMNS], "%s%s%r,%r,%r\r\n", rows())
+    _write_csv(path, [DATASET_COLUMNS], "%s%s%r\r\n", rows())
 
 
-def read_dataset_csv(path, floor: float = DEFAULT_DENSITY_FLOOR) -> BoundaryDataset:
+def read_dataset_csv(path) -> BoundaryDataset:
     """Rebuild a dataset from CSV, read as `_read_table` reads it.
 
-    Prefers the exact log_ratio column and falls back to floored densities
-    where it is absent, empty or non-finite.  A non-finite log ratio beside
-    an unusable density pair (not finite, or at or below the floor) is a
-    dropped observation (NaN), as `build_boundary_dataset` stores one;
-    without a log_ratio column such a pair is a DataError.  Indices must be
-    integral; a (chord, time) listed twice or a chord whose rows disagree on
-    its endpoints is a DataError.
+    A NaN log ratio is a dropped observation, as a NaN is written.  Columns
+    besides DATASET_COLUMNS are ignored: an older file that also holds the
+    two densities reads as its log ratios alone.  Indices must be integral
+    and times finite and positive; a (chord, time) listed twice, a chord
+    whose rows disagree on its endpoints and a chord whose endpoints are not
+    finite or coincide are DataErrors naming the path.
     """
-    times, keys, x, y, tables = _dataset_tables(path, floor)
-    log_ratios, p_obs, p_ref = tables
-    return BoundaryDataset(
-        chords=ChordTable(x, y, keys[:, 0], keys[:, 1]),
-        times=times,
-        log_ratios=log_ratios,
-        p_obs=p_obs,
-        p_ref=p_ref,
-    )
+    times, keys, x, y, log_ratios = _dataset_tables(path)
+    try:
+        return BoundaryDataset(chords=ChordTable(x, y, keys[:, 0], keys[:, 1]), times=times,
+                               log_ratios=log_ratios)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
-def _dataset_tables(path, floor):
+def _dataset_tables(path):
     """The checked contents of a dataset CSV: its times (descending), its
     chords' (angle, offset) keys in sorted order with the endpoints x and y
-    of each chord's first row, and the (chord, time) tables of log ratios,
-    p_obs and p_ref.
+    of each chord's first row, and the (chord, time) table of log ratios.
 
-    The parsed table is completed in place and its rows are placed by one
-    index into the (chord, time) tables, so the read holds little beyond
-    the parsed table and the result; the parsed table is released when this
-    returns, before the chord table is built.
+    The parsed rows are placed by one index into the (chord, time) table,
+    so the read holds little beyond the parsed table and the result; the
+    parsed table is released when this returns, before the chord table is
+    built.
     """
-    _, cols = _read_table(path, DATASET_COLUMNS[:-1], blank_is_nan=("log_ratio",))
+    _, cols = _read_table(path, DATASET_COLUMNS)
     _require_integral(path, cols, "angle_index", "offset_index")
-    ia, io, t, p_o, p_r = (cols[c] for c in ("angle_index", "offset_index", "t", "p_obs", "p_ref"))
+    ia, io, t = (cols[c] for c in ("angle_index", "offset_index", "t"))
 
     def chord(i):
         return f"chord angle={int(ia[i])} offset={int(io[i])}"
 
-    lr = cols["log_ratio"] if "log_ratio" in cols else np.full(len(t), np.nan)
-    fallback = ~np.isfinite(lr)
-    usable = (p_o > floor) & (p_r > floor) & np.isfinite(p_o) & np.isfinite(p_r)
-    bad = np.nonzero(fallback & ~usable)[0]
-    if len(bad) and "log_ratio" not in cols:
-        i = bad[0]
-        raise DataError(f"{path}: unusable density pair ({p_o[i]:.3e}, {p_r[i]:.3e}) for "
-                        f"{chord(i)} at t={t[i]}")
-    lr[bad] = np.nan  # a dropped observation
-    fallback &= usable
-    lr[fallback] = np.log(p_o[fallback]) - np.log(p_r[fallback])
     times, keys, first, cell = _table_cells(ia, io, t)
     if (i := _first_repeat(cell)) is not None:
         raise DataError(f"{path}: {chord(i)} at t={t[i]} is listed more than once")
@@ -569,13 +496,12 @@ def _dataset_tables(path, floor):
     if differs.any():
         i = np.argmax(differs)
         raise DataError(f"{path}: the rows of {chord(i)} disagree on its endpoints")
-    tables = tuple(np.full((len(keys), len(times)), np.nan) for _ in range(3))
-    for table, values in zip(tables, (lr, p_o, p_r)):
-        table.reshape(-1)[cell] = values
+    log_ratios = np.full((len(keys), len(times)), np.nan)
+    log_ratios.reshape(-1)[cell] = cols["log_ratio"]
     del cell
     x, y = (np.stack([cols[a][first], cols[b][first]], axis=1)
             for a, b in (("x1", "x2"), ("y1", "y2")))
-    return times, keys, x, y, tables
+    return times, keys, x, y, log_ratios
 
 
 def _table_cells(ia, io, t):

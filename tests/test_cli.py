@@ -92,6 +92,61 @@ def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "dataset.csv").exists()
 
 
+def test_removed_density_floor_key_exits_2(tmp_path, capsys):
+    # the density floor went with the densities: the key is now unknown
+    config = write_config(tmp_path / "config.json", small_disc_config(density_floor=1e-30))
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: unknown key 'density_floor' in config\n"
+
+
+def edited_dataset(tmp_path, edit):
+    """A config and the path of a copy of its gen-data dataset.csv, with
+    `edit` applied to the copy's rows, each a list of fields (header first)."""
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "dataset.csv").read_text().splitlines()]
+    edit(rows)
+    bad = tmp_path / "bad_dataset.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    return config, bad
+
+
+@pytest.mark.parametrize("time", ["-0.0025", "0.0", "inf", "nan"])
+def test_nonpositive_or_non_finite_time_exits_3(tmp_path, capsys, time):
+    """One time of a dataset that is not finite and positive is a data error,
+    not a fit of the wrong sign or an unrelated failure downstream."""
+    def edit(rows):
+        rows[5][rows[0].index("t")] = time
+
+    config, bad = edited_dataset(tmp_path, edit)
+    capsys.readouterr()
+    assert run_command(["fit", "--config", config, "--out", str(tmp_path), "--data", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: [stage fit] {bad}: times must be finite and positive, "
+                   f"got t={float(time)!r}\n")
+    assert not (tmp_path / "fits.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["no log_ratio column", "blank log_ratio"])
+def test_dataset_without_log_ratio_exits_3(tmp_path, capsys, case):
+    """The log ratio is the one datum of a dataset row: a file without the
+    column, or a row with the field left blank, is a data error."""
+    def edit(rows):
+        j = rows[0].index("log_ratio")
+        if case == "blank log_ratio":
+            rows[5][j] = ""
+        else:
+            for row in rows:
+                del row[j]
+
+    config, bad = edited_dataset(tmp_path, edit)
+    capsys.readouterr()
+    assert run_command(["fit", "--config", config, "--out", str(tmp_path), "--data", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: [stage fit] {bad}: "), err
+    assert "Traceback" not in err
+
+
 # an off-center domain, and the centered one of the same shape
 OFF_CENTER = {
     "disc": ({"kind": "disc", "center": [0.5, 0], "radius": 1.0},

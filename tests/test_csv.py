@@ -8,6 +8,7 @@ must be the same bytes and the arrays read back the same bits.
 """
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -18,7 +19,6 @@ from driftscope.fields import DiscDomain, Grid
 from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
 from driftscope.smalltime import (
     DATASET_COLUMNS,
-    DEFAULT_DENSITY_FLOOR,
     FITS_COLUMNS,
     BoundaryDataset,
     ChordTable,
@@ -44,7 +44,7 @@ def oracle_write_dataset_csv(path, dataset):
     per_chord = [c.angle_index, c.offset_index, c.x[:, 0], c.x[:, 1], c.y[:, 0], c.y[:, 1]]
     columns = [np.repeat(v, m).tolist() for v in per_chord]
     columns.append(np.tile(dataset.times, n).tolist())
-    columns += [a.ravel().tolist() for a in (dataset.p_obs, dataset.p_ref, dataset.log_ratios)]
+    columns.append(dataset.log_ratios.ravel().tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DATASET_COLUMNS)
@@ -67,27 +67,21 @@ def oracle_columns(path):
     return dict(zip(header, map(list, zip(*rows))))
 
 
-def oracle_read_dataset_csv(path, floor=DEFAULT_DENSITY_FLOOR):
+def oracle_read_dataset_csv(path):
     """The arrays the csv.reader-based reader built (its input checks left out)."""
     cols = oracle_columns(path)
-    num = {name: np.array([float(v) for v in cols[name]]) for name in DATASET_COLUMNS[2:-1]}
+    num = {name: np.array([float(v) for v in cols[name]]) for name in DATASET_COLUMNS[2:]}
     ia, io = (np.array([int(v) for v in cols[name]], dtype=np.int64)
               for name in DATASET_COLUMNS[:2])
-    p_o, p_r, t = num["p_obs"], num["p_ref"], num["t"]
-    lr = (np.array([float(v or "nan") for v in cols["log_ratio"]])
-          if "log_ratio" in cols else np.full(len(t), np.nan))
-    fallback = ~np.isfinite(lr)
-    lr[fallback] = np.log(p_o[fallback]) - np.log(p_r[fallback])
-    times, ti = np.unique(t, return_inverse=True)
+    times, ti = np.unique(num["t"], return_inverse=True)
     times, ti = times[::-1], len(times) - 1 - ti
     keys, first, ci = np.unique(np.stack([ia, io], axis=1), axis=0,
                                 return_index=True, return_inverse=True)
-    log_ratios, p_obs, p_ref = (np.full((len(keys), len(times)), np.nan) for _ in range(3))
-    log_ratios[ci, ti], p_obs[ci, ti], p_ref[ci, ti] = lr, p_o, p_r
+    log_ratios = np.full((len(keys), len(times)), np.nan)
+    log_ratios[ci, ti] = num["log_ratio"]
     xy = np.stack([num["x1"], num["x2"], num["y1"], num["y2"]], axis=1)[first]
     return {"x": xy[:, :2], "y": xy[:, 2:], "angle_index": keys[:, 0],
-            "offset_index": keys[:, 1], "times": times, "log_ratios": log_ratios,
-            "p_obs": p_obs, "p_ref": p_ref}
+            "offset_index": keys[:, 1], "times": times, "log_ratios": log_ratios}
 
 
 def oracle_read_fits_csv(path, chords):
@@ -139,26 +133,19 @@ def assert_bits_equal(table, expected):
 def dataset_arrays(ds):
     return {"x": ds.chords.x, "y": ds.chords.y, "angle_index": ds.chords.angle_index,
             "offset_index": ds.chords.offset_index, "times": ds.times,
-            "log_ratios": ds.log_ratios, "p_obs": ds.p_obs, "p_ref": ds.p_ref}
+            "log_ratios": ds.log_ratios}
 
 
-def special_dataset(dropped_density=0.0):
+def special_dataset():
     """Three chords holding NaN, +-inf, -0.0, 5e-324, 1e16 and 1e-5; chord 1
-    has a dropped observation (NaN log ratio) whose observed density is
-    `dropped_density`.  Every other non-finite log ratio has usable densities."""
+    has a dropped observation (NaN log ratio)."""
     chords = ChordTable([[-0.0, 5e-324], [1e-5, 1e16], [0.5, -0.5]],
                         [[1.0, 0.0], [-1e16, 0.25], [-0.5, 0.5]], [0, 0, 2], [1, 3, 0])
     times = np.array([0.02, 0.01, 1e-5, 5e-324])
-    p_obs = np.array([[0.5, 1e16, 1e-5, 0.25],
-                      [0.5, dropped_density, SPECIAL[2], SPECIAL[0]],
-                      [0.5, SPECIAL[1], SPECIAL[3], SPECIAL[4]]])
-    p_ref = np.array([[0.25, 1e-5, 1e16, 0.5],
-                      [0.125, 0.5, 0.5, 0.5],
-                      [0.5, 0.5, 0.5, SPECIAL[2]]])
     log_ratios = np.array([[np.log(2.0), SPECIAL[1], SPECIAL[0], -0.0],
                            [5e-324, np.nan, 1e16, 1e-5],
                            [SPECIAL[2], -0.0, 1e-5, 5e-324]])
-    return BoundaryDataset(chords, times, log_ratios, p_obs, p_ref)
+    return BoundaryDataset(chords, times, log_ratios)
 
 
 def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025), raster=(6, 5)):
@@ -224,8 +211,7 @@ def rewrite(path, edit):
 
 
 class TestReaders:
-    @pytest.mark.parametrize("make", [lambda: special_dataset(dropped_density=1e-5),
-                                      small_dataset])
+    @pytest.mark.parametrize("make", [special_dataset, small_dataset])
     def test_dataset_bits_equal_csv_reader(self, tmp_path, make):
         path = tmp_path / "dataset.csv"
         oracle_write_dataset_csv(path, make())
@@ -247,34 +233,30 @@ class TestReaders:
                                              "-1,0,1.0,1.0,0.0,0.0,0.0,3"])
         assert_bits_equal(read_fits_csv(path, chords), oracle_read_fits_csv(path, chords))
 
-    def test_empty_or_absent_log_ratio_falls_back(self, tmp_path):
-        ds = small_dataset(ladder=(0.4, 0.2, 0.1, 0.05))  # no density below the floor
-        path = tmp_path / "dataset.csv"
+    def test_older_layout_reads_the_same(self, tmp_path):
+        # a file that also holds the two densities, as the format once did,
+        # reads to the same log ratios, chords and times
+        ds = small_dataset()
+        path, older = tmp_path / "dataset.csv", tmp_path / "older.csv"
         write_dataset_csv(path, ds)
-        fallback = np.log(ds.p_obs) - np.log(ds.p_ref)
-        rewrite(path, lambda lines: [lines[0]] + [line[:line.rindex(",") + 1] if i % 3 == 0
-                                                  else line for i, line in enumerate(lines[1:])])
-        back = read_dataset_csv(path)
-        assert_bits_equal(dataset_arrays(back), oracle_read_dataset_csv(path))
-        empty = (np.arange(ds.log_ratios.size) % 3 == 0).reshape(ds.log_ratios.shape)
-        assert np.array_equal(back.log_ratios[empty], fallback[empty])
-        assert np.array_equal(back.log_ratios[~empty], ds.log_ratios[~empty])
-        rewrite(path, lambda lines: [line[:line.rindex(",")] for line in lines])
-        back = read_dataset_csv(path)
-        assert_bits_equal(dataset_arrays(back), oracle_read_dataset_csv(path))
-        assert np.array_equal(back.log_ratios, fallback)
+        lines = path.read_text().splitlines()
+        densities = ["p_obs,p_ref", *(f"{math.exp(r + 0.5)!r},{math.exp(0.5)!r}"
+                                      for r in ds.log_ratios.ravel().tolist())]
+        older.write_text("".join(f"{head},{pair},{tail}\n" for (head, tail), pair in zip(
+            (line.rsplit(",", 1) for line in lines), densities)))
+        assert older.read_text().startswith(
+            "angle_index,offset_index,x1,x2,y1,y2,t,p_obs,p_ref,log_ratio\n")
+        assert_bits_equal(dataset_arrays(read_dataset_csv(older)), dataset_arrays(ds))
 
     def test_dropped_observation_reads_back_as_nan(self, tmp_path):
-        # a NaN log ratio beside a density pair below the floor is a dropped
-        # observation, as build_boundary_dataset stores it
-        path, usable = tmp_path / "dropped.csv", tmp_path / "usable.csv"
-        write_dataset_csv(path, special_dataset(dropped_density=0.0))
-        oracle_write_dataset_csv(usable, special_dataset(dropped_density=1e-5))
-        got, want = dataset_arrays(read_dataset_csv(path)), oracle_read_dataset_csv(usable)
-        assert np.isnan(got["log_ratios"][1, 1]) and got["p_obs"][1, 1] == 0.0
-        for name in ("log_ratios", "p_obs"):
-            got[name][1, 1] = want[name][1, 1] = 0.0
-        assert_bits_equal(got, want)
+        # a dropped observation (NaN log ratio) is written as nan and read
+        # back as NaN
+        path = tmp_path / "dropped.csv"
+        write_dataset_csv(path, special_dataset())
+        back = read_dataset_csv(path)
+        assert b"\r\n0,3,1e-05,1e+16,-1e+16,0.25,0.01,nan\r\n" in path.read_bytes()
+        assert np.isnan(back.log_ratios[1, 1])
+        assert_bits_equal(dataset_arrays(back), dataset_arrays(special_dataset()))
 
     @pytest.mark.parametrize("n_angles, n_offsets", [(3, 4), (12, 13)])
     def test_sinogram_bits_equal_csv_reader(self, tmp_path, n_angles, n_offsets):
@@ -320,7 +302,7 @@ def set_field(row, name, value):
 
 # case -> (edit of a fits file, edit of a dataset file)
 MALFORMED = {
-    "non-numeric field": (set_field(2, "delta_psi", "abc"), set_field(2, "p_obs", "abc")),
+    "non-numeric field": (set_field(2, "delta_psi", "abc"), set_field(2, "log_ratio", "abc")),
     "short row": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],) * 2,
     "non-integral index": (set_field(1, "offset_index", "1.5"), set_field(3, "angle_index", "2.5")),
     "nan index": (set_field(1, "angle_index", "nan"), set_field(1, "offset_index", "nan")),
@@ -370,6 +352,25 @@ class TestMalformed:
 
 def lines_indices(path, row):
     return path.read_text().splitlines()[row].split(",")[:2]
+
+
+@pytest.mark.parametrize("case, message", [("infinite", "must be finite"),
+                                           ("coincident", "coincide")])
+def test_dataset_bad_chord_names_path(tmp_path, case, message):
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(path, small_dataset())
+
+    def edit(lines):
+        # every row of chord (0, 0): x1 infinite, or x moved onto y
+        rows = [line.split(",") for line in lines]
+        for f in rows[1:]:
+            if f[:2] == ["0", "0"]:
+                f[2:4] = ["inf", f[3]] if case == "infinite" else f[4:6]
+        return [",".join(f) for f in rows]
+
+    rewrite(path, edit)
+    with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord endpoints {message}"):
+        read_dataset_csv(path)
 
 
 class TestDuplicates:

@@ -9,12 +9,10 @@ from scipy.integrate import quad
 import driftscope
 from driftscope import parallel
 from driftscope.diffusion import (
-    FokkerPlanckResult,
     McConfig,
     bridge_functional,
     density_via_representation,
     feynman_kac_exit,
-    fokker_planck_forward,
     _bridge_block,
 )
 from driftscope.errors import DataError, SimulationError
@@ -221,60 +219,6 @@ class TestDensityRepresentation:
             errs.append(abs(np.log(est.value / float(pb.density(x, t, y))) - dpsi))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.015
-
-
-class TestFokkerPlanck:
-    def grid(self):
-        return Grid.from_extent(-2.2, -2.2, 2.2, 2.2, 97, 97)
-
-    def test_brownian_slice_matches_convolved_kernel(self):
-        g = self.grid()
-        c = VectorField(g, np.zeros((*g.shape, 2)))
-        a = DiffusionField.identity(g)
-        res = fokker_planck_forward(c, a, ORIGIN, [0.25], g, dt=0.005)
-        var = 0.25 + res.mollifier_sigma**2
-        X, Y = g.nodes()
-        want = np.exp(-(X**2 + Y**2) / (2 * var)) / (2 * np.pi * var)
-        got = res.slices[0].values
-        bulk = want > 0.01 * want.max()
-        rel = np.abs(got[bulk] - want[bulk]) / want[bulk]
-        assert rel.max() <= 0.02
-
-    def test_ou_slice_matches_closed_form(self):
-        g = self.grid()
-        X, Y = g.nodes()
-        c = VectorField(g, np.stack([-X, -Y], axis=-1))
-        a = DiffusionField.identity(g)
-        x0 = np.array([0.3, -0.2])
-        t = 0.25
-        res = fokker_planck_forward(c, a, x0, [t], g, dt=0.005)
-        decay = np.exp(-t)
-        var = res.mollifier_sigma**2 * decay**2 + (1 - np.exp(-2 * t)) / 2
-        mean = x0 * decay
-        want = np.exp(-((X - mean[0]) ** 2 + (Y - mean[1]) ** 2) / (2 * var)) / (2 * np.pi * var)
-        got = res.slices[0].values
-        bulk = want > 0.01 * want.max()
-        rel = np.abs(got[bulk] - want[bulk]) / want[bulk]
-        assert rel.max() <= 0.02
-
-    def test_mass_conserved_and_nonnegative(self):
-        g = self.grid()
-        X, Y = g.nodes()
-        c = VectorField(g, np.stack([-X, -Y], axis=-1))
-        a = DiffusionField.identity(g)
-        res = fokker_planck_forward(c, a, ORIGIN, [0.1, 0.2], g, dt=0.01)
-        for drift, sl in zip(res.mass_drift, res.slices):
-            assert abs(drift) < 1e-6
-            assert sl.values.min() >= 0.0
-            assert sl.values.sum() * g.cell_area == pytest.approx(1.0, abs=1e-12)
-
-    def test_result_type(self):
-        g = Grid.from_extent(-2, -2, 2, 2, 33, 33)
-        c = VectorField(g, np.zeros((33, 33, 2)))
-        a = DiffusionField.identity(g)
-        res = fokker_planck_forward(c, a, ORIGIN, [0.05], g, dt=0.01)
-        assert isinstance(res, FokkerPlanckResult)
-        assert res.times == [0.05]
 
 
 class TestFeynmanKac:

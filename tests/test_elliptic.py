@@ -454,7 +454,8 @@ class TestSolve:
         system = assemble_dirichlet_system(
             a, b, zeros(g), dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
         )
-        sol = solve_bvp(system, tol=1e-11)
+        with pytest.warns(UserWarning, match="solution minimum .* is not positive"):
+            sol = solve_bvp(system, tol=1e-11)  # x^2 - y^2 changes sign
         X, Y = g.nodes()
         mask = system.node_index >= 0
         assert np.abs(sol.u.values[mask] - (X**2 - Y**2)[mask]).max() < 5e-4
@@ -505,7 +506,8 @@ class TestSolve:
     def test_zero_rhs_gives_zero(self):
         g, dom, a, b = disc_setup(33)
         system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.zeros(len(p)))
-        sol = solve_bvp(system, tol=1e-11)
+        with pytest.warns(UserWarning, match="solution minimum .* is not positive"):
+            sol = solve_bvp(system, tol=1e-11)
         assert np.all(sol.u.values == 0.0)
 
     @pytest.mark.parametrize("n", [129, 257])

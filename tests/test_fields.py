@@ -40,6 +40,7 @@ class TestSampling:
         assert f.values[32, 32] == 1.0
         assert f.values[0, 0] == pytest.approx(np.exp(-8.0), rel=1e-14)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="node"):
             sample_scalar(lambda x, y: 1.0 / (x - 2.0), grid_square(5))

@@ -22,14 +22,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "driftscope"
 
 # Names that no program path reaches but tests use as independent oracles.
 TEST_ORACLES = {
-    "fokker_planck_forward": "forward density slices checked against closed-form kernels",
-    "TabulatedKernel": "kernel built from Fokker-Planck slices for drifts without a closed form",
     "forward_xray": "one chord's line integral, checked against the batched sinogram",
     "sample_scalar": "builds test fields from pointwise functions",
     "laplacian": "checks the Dirichlet solve and the potential identity",
     "potential_from_psi": "manufactures V from a known psi for end-to-end tests",
-    "log_ratio": "scalar reference for the batched log ratio of build_boundary_dataset",
-    "lift_1d": "1-D lifting of the small-time expansion, checked against its 2-D kernels",
 }
 
 
@@ -171,8 +167,7 @@ def test_benchmark_tracer_counts_the_ok_fits(monkeypatch):
     log_ratios[::3, :2] = np.nan  # two of four times left: not ok
     log_ratios[1::3, 0] = np.nan  # three left: ok
     chords = ChordTable(np.tile([1.0, 0.0], (n, 1)), np.tile([-1.0, 0.0], (n, 1)))
-    nan = np.full(log_ratios.shape, np.nan)
-    dataset = BoundaryDataset(chords, times, log_ratios, nan, nan)
+    dataset = BoundaryDataset(chords, times, log_ratios)
     result = fit_dataset(dataset)
     fits = result[0]
     assert 0 < fits.ok.sum() < len(fits)

@@ -38,7 +38,6 @@ from driftscope.recover import (
     drift_from_psi,
     drift_metrics,
     gradient_consistency,
-    lift_1d,
     psi_from_u,
     run_pipeline,
     stage_context,
@@ -186,47 +185,60 @@ class TestGradientConsistency:
 
 
 class TestLift1d:
+    """The paper's d = 1 case in the plane: a product of 1-D kernels on a
+    strip, x2 driftless."""
+
     def test_driftless_product_is_planar_brownian(self):
-        lifted = lift_1d(BrownianKernel(dim=1), BrownianKernel(dim=1), (0.0, 1.0), 3.0)
+        product = ProductKernel(BrownianKernel(dim=1), BrownianKernel(dim=1))
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 2)
             y = rng.uniform(-0.5, 0.5, 2)
             t = rng.uniform(0.01, 0.5)
-            got = float(lifted.observed.density(x, t, y))
+            got = float(product.density(x, t, y))
             want = float(gaussian_kernel(x, t, y))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ou_product_is_planar_ou(self):
         th = 1.0
-        lifted = lift_1d(OrnsteinUhlenbeckKernel(th, dim=1),
-                         OrnsteinUhlenbeckKernel(th, dim=1), (0.0, 1.0), 3.0)
+        product = ProductKernel(OrnsteinUhlenbeckKernel(th, dim=1),
+                                OrnsteinUhlenbeckKernel(th, dim=1))
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 2)
             y = rng.uniform(-0.5, 0.5, 2)
             t = rng.uniform(0.01, 0.5)
-            got = float(lifted.observed.density(x, t, y))
+            got = float(product.density(x, t, y))
             want = float(ou_kernel(x, t, y, th))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_marginalization_recovers_1d(self):
         p1 = OrnsteinUhlenbeckKernel(1.0, dim=1)
-        lifted = lift_1d(p1, OrnsteinUhlenbeckKernel(1.0, dim=1), (0.0, 1.0), 3.0)
+        product = ProductKernel(p1, OrnsteinUhlenbeckKernel(1.0, dim=1))
         t = 0.2
         x1, y1 = 0.8, 0.4
         y2 = np.linspace(-8, 8, 4001)
         x = np.tile([x1, 0.0], (len(y2), 1))
         y = np.stack([np.full(len(y2), y1), y2], axis=-1)
-        joint = lifted.observed.density(x, t, y)
+        joint = product.density(x, t, y)
         marginal = np.trapezoid(joint, y2)
         want = float(p1.density(x1, t, y1))
         assert abs(marginal - want) < 1e-4
 
-    def test_domain_is_the_truncated_strip(self):
-        lifted = lift_1d(BrownianKernel(dim=1), BrownianKernel(dim=1), (0.0, 1.0), 2.5)
-        dom = lifted.domain
-        assert (dom.xmin, dom.ymin, dom.xmax, dom.ymax) == (0.0, -2.5, 1.0, 2.5)
+    @pytest.mark.filterwarnings("ignore:potential takes negative values")
+    def test_strip_recovers_the_1d_drift(self):
+        # OU in x1, Brownian in x2, on the strip [0, 1] x [-3, 3] truncated
+        # from [0, 1] x R; the true drift is (-x1, 0)
+        cfg = config_from_dict({
+            "domain": {"kind": "rectangle", "corners": [[0.0, -3.0], [1.0, 3.0]]},
+            "grid": {"x0": -0.15, "y0": -3.45, "x1": 1.15, "y1": 3.45, "nx": 65, "ny": 257},
+            "kernels": {"observed": {"kind": "product_ou", "theta1": 1.0},
+                        "reference": {"kind": "brownian"}},
+        })
+        rep = run_pipeline(cfg, persist=False)
+        metrics = drift_metrics(rep.c_hat, lambda p: np.stack([-p[:, 0], np.zeros(len(p))], -1),
+                                cfg.resolved_domain(), cfg.metric_fraction)
+        assert metrics["rel_l2"] == pytest.approx(0.013192, abs=1e-5)
 
 
 class TestConfig:
@@ -332,7 +344,6 @@ VALID_CONFIGS = [
         "filter": "hann",
         "solver": {"tol": 1e-10, "max_iter": 500},
         "seed": 3,
-        "density_floor": 1e-30,
         "boundary_knots": 64,
         "gauge_param": 0.0,
         "metric_fraction": 0.8,
@@ -487,6 +498,9 @@ def test_mutated_configs_run_every_stage_or_exit_cleanly(data):
             assert "Traceback" not in err.getvalue(), stage
 
 
+# the OU potential 0.5 |x|^2 - 1 is negative near the center, and assembly
+# warns that uniqueness is then not guaranteed a priori
+@pytest.mark.filterwarnings("ignore:potential takes negative values")
 class TestPipeline:
     def test_zero_drift_fixed_point(self):
         cfg = small_ou_config(kernels={"observed": {"kind": "brownian"},
@@ -497,7 +511,8 @@ class TestPipeline:
         assert np.abs(rep.c_hat.values).max() <= 1e-6
 
     def test_ou_small_scale(self):
-        rep = run_pipeline(small_ou_config(), persist=False)
+        with pytest.warns(UserWarning, match="potential takes negative values"):
+            rep = run_pipeline(small_ou_config(), persist=False)
         assert rep.metrics["rel_l2"] <= 0.05
         assert rep.diagnostics["min_u"] > 0
 

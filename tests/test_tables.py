@@ -226,7 +226,7 @@ def test_partial_ladder_fits_match_per_chord_fit():
         rng.normal(0.0, 1e-3, (n, len(times)))
     lr[rng.random(lr.shape) < 0.3] = np.nan
     chords = ChordTable(np.tile([1.0, 0.0], (n, 1)), np.tile([-1.0, 0.0], (n, 1)))
-    ds = BoundaryDataset(chords, times, lr, np.full(lr.shape, np.nan), np.full(lr.shape, np.nan))
+    ds = BoundaryDataset(chords, times, lr)
     fits, excluded = fit_dataset(ds)
     n_obs = np.isfinite(lr).sum(axis=1)
     assert excluded == np.nonzero(n_obs < 3)[0].tolist() and excluded
