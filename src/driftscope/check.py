@@ -35,22 +35,22 @@ def run_checks() -> list[tuple[str, bool, str]]:
 
 
 def _check_heat_kernel():
-    from .kernels import gaussian_kernel
+    from .kernels import BrownianKernel
 
-    got = gaussian_kernel(np.array([0.3, -0.1]), 1.0, np.array([0.3, -0.1]))
+    got = BrownianKernel().density(np.array([0.3, -0.1]), 1.0, np.array([0.3, -0.1]))
     want = 1.0 / (2.0 * np.pi)
     ok = abs(got - want) < 1e-14
     return ("heat kernel at zero separation", ok, f"{got:.12f} vs {want:.12f}")
 
 
 def _check_ou_product():
-    from .kernels import OrnsteinUhlenbeckKernel, ProductKernel, ou_kernel
+    from .kernels import OrnsteinUhlenbeckKernel, ProductKernel
 
     k = ProductKernel(OrnsteinUhlenbeckKernel(1.3, dim=1), OrnsteinUhlenbeckKernel(1.3, dim=1))
     x = np.array([0.4, -0.7])
     y = np.array([-0.2, 0.5])
     got = float(k.density(x, 0.37, y))
-    want = float(ou_kernel(x, 0.37, y, 1.3))
+    want = float(OrnsteinUhlenbeckKernel(1.3).density(x, 0.37, y))
     ok = abs(got - want) <= 1e-12 * want
     return ("product of 1-D OU kernels equals planar OU", ok, f"rel diff {abs(got - want) / want:.2e}")
 

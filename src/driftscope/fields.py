@@ -506,8 +506,7 @@ def sample_scalar(f, grid: Grid) -> ScalarField:
 def interp(field: ScalarField, points: np.ndarray, mode: str = "strict") -> np.ndarray:
     """Bilinear interpolation at points (..., 2).
 
-    mode: "strict" raises outside the grid extent, "zero" extends by zero,
-    "clamp" extends by the value at the nearest edge point.
+    mode: "strict" raises outside the grid extent, "zero" extends by zero.
     """
     g = field.grid
     p = np.asarray(points, dtype=float)
@@ -521,9 +520,6 @@ def interp(field: ScalarField, points: np.ndarray, mode: str = "strict") -> np.n
         if not np.all(inside):
             bad = p[~inside][0]
             raise GeometryError(f"point ({bad[0]:.6g}, {bad[1]:.6g}) outside grid extent")
-    elif mode == "clamp":
-        fx = np.clip(fx, 0, g.nx - 1)
-        fy = np.clip(fy, 0, g.ny - 1)
     elif mode != "zero":
         raise ValueError(f"unknown interp mode {mode!r}")
     fxc = np.clip(fx, 0, g.nx - 1)

@@ -1,9 +1,10 @@
 """Transition-density kernels: closed forms and products of 1-D components.
 
-Every kernel evaluates log p(x, t, y) for start x, elapsed time t > 0, end
-y, exactly: downstream code forms density ratios in log space, without
+Every kernel gives `log_density`, exact log p(x, t, y) for start x, elapsed
+time t > 0, end y: downstream code forms density ratios in log space, without
 underflow (for well-separated endpoints at small t the densities themselves
-drop below the smallest float).  `density` is its exponential.
+drop below the smallest float).  `density` is its exponential, and `drift`
+the diffusion's drift on points (..., dim), bare coordinates when dim is 1.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def _sqdist(x, y) -> np.ndarray:
 
 
 class Kernel:
-    """Common interface; dim is 1 or 2.  Subclasses define `log_density`."""
+    """Common interface; dim is 1 or 2.  Subclasses define `log_density` and `drift`."""
 
     dim: int = 2
 
@@ -51,6 +52,9 @@ class BrownianKernel(Kernel):
         else:
             d2 = _sqdist(x, y)
         return -0.5 * self.dim * (_LOG_2PI + np.log(t)) - d2 / (2.0 * t)
+
+    def drift(self, points):
+        return np.zeros_like(np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,9 @@ class OrnsteinUhlenbeckKernel(Kernel):
             d2 = np.sum(d**2, axis=-1)
         return -0.5 * self.dim * (_LOG_2PI + np.log(var)) - d2 / (2.0 * var)
 
+    def drift(self, points):
+        return -self.theta * np.asarray(points, dtype=float)
+
 
 @dataclass(frozen=True)
 class ProductKernel(Kernel):
@@ -102,15 +109,11 @@ class ProductKernel(Kernel):
             x[..., 1] + o2, t, y[..., 1] + o2
         )
 
-
-def gaussian_kernel(x, t, y):
-    """Planar heat-kernel density (2 pi t)^{-1} exp(-|y-x|^2 / (2t))."""
-    return np.exp(BrownianKernel(dim=2).log_density(x, t, y))
-
-
-def ou_kernel(x, t, y, theta: float):
-    """Planar Ornstein-Uhlenbeck density with relaxation rate theta."""
-    return np.exp(OrnsteinUhlenbeckKernel(theta=theta, dim=2).log_density(x, t, y))
+    def drift(self, points):
+        # each component's drift at x_i + o_i, where log_density evaluates it
+        p = np.asarray(points, dtype=float)
+        o1, o2 = self.offset
+        return np.stack([self.k1.drift(p[..., 0] + o1), self.k2.drift(p[..., 1] + o2)], axis=-1)
 
 
 def _ou(spec: dict, where: str) -> Kernel:
@@ -118,9 +121,10 @@ def _ou(spec: dict, where: str) -> Kernel:
 
 
 def _product_ou(spec: dict, where: str) -> Kernel:
-    # independent 1-D components; a rate <= 0 means driftless (Brownian)
+    # independent 1-D components; a rate of 0 (the default) is driftless
+    # (Brownian), a negative one the OU kernel's DataError
     thetas = (finite(spec.get(key, 0.0), f"{where}.{key}") for key in ("theta1", "theta2"))
-    k1, k2 = (OrnsteinUhlenbeckKernel(th, dim=1) if th > 0 else BrownianKernel(dim=1) for th in thetas)
+    k1, k2 = (OrnsteinUhlenbeckKernel(th, dim=1) if th != 0 else BrownianKernel(dim=1) for th in thetas)
     offset = finite_list(spec.get("offset", (0.0, 0.0)), f"{where}.offset", 2)
     return ProductKernel(k1, k2, offset=offset)
 

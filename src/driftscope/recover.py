@@ -5,10 +5,10 @@ each stage reads and writes, and error metrics against an optional ground
 truth.
 
 A config is parsed and resolved once (`config_from_dict`, `PipelineConfig`):
-its grid, domain, time ladder, kernels and ground truth are built when it is
-made, and every stage reads those objects.  The keys each domain, kernel and
-ground-truth kind takes are declared in one table per section:
-`DOMAIN_KINDS`, `kernels.KERNEL_KINDS` and `GROUND_TRUTH_KINDS`.
+its grid, domain, time ladder and kernels are built when it is made, and
+every stage reads those objects.  The keys each domain and kernel kind takes
+are declared in one table per section: `DOMAIN_KINDS` and
+`kernels.KERNEL_KINDS`.  The ground truth is the observed kernel's `drift`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .fields import (
     read_dgf,
     write_dgf,
 )
-from .kernels import Kernel, kernel_from_config
+from .kernels import KERNEL_KINDS, Kernel, kernel_from_config
 from .smalltime import (
     build_boundary_dataset,
     fit_dataset,
@@ -82,17 +82,18 @@ DOMAIN_KINDS = {
 }
 
 
-def _ou_drift(spec: dict, where: str):
-    theta = finite(spec.get("theta", 1.0), f"{where}.theta")
-    return lambda p: -theta * np.asarray(p, dtype=float)
-
-
-# The ground-truth kinds a config may name; each builds the true drift c, a
-# callable on (n, 2) point arrays.
-GROUND_TRUTH_KINDS = {
-    "zero": Kind((), (), lambda spec, where: lambda p: np.zeros_like(np.asarray(p, dtype=float))),
-    "ou": Kind(("theta",), (), _ou_drift),
-}
+def _check_ground_truth(spec, observed: Kernel) -> None:
+    """`ground_truth` is true, false, null or a kernel spec that, built
+    through `KERNEL_KINDS`, equals the observed kernel."""
+    if spec is None or isinstance(spec, bool):
+        return
+    hint = "give ground_truth true to score against kernels.observed"
+    try:
+        truth = build(KERNEL_KINDS, spec, "ground_truth")
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}; {hint}") from exc
+    if truth != observed:
+        raise ConfigError(f"ground_truth {truth} disagrees with kernels.observed {observed}; {hint}")
 
 
 def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
@@ -122,9 +123,9 @@ def default_ladder(radius: float, m: int = 4) -> np.ndarray:
 @dataclass(frozen=True)
 class PipelineConfig:
     """A pipeline config, resolved once: making it (and `dataclasses.replace`)
-    builds and stores the grid, the domain, the time ladder, the (observed,
-    reference) kernels and the ground truth from the specs, and a spec that
-    cannot be built is a ConfigError."""
+    builds and stores the grid, the domain, the time ladder and the
+    (observed, reference) kernels from the specs; a spec that cannot be
+    built, or a ground truth unequal to the observed kernel, is a ConfigError."""
 
     domain_spec: dict
     kernels: dict
@@ -141,12 +142,11 @@ class PipelineConfig:
     metric_fraction: float = 0.8
     output_dir: str = "out"
     workers: int | None = None
-    ground_truth: dict | None = None
+    ground_truth: bool | dict | None = None
     _grid: Grid = dc_field(init=False, repr=False, compare=False)
     _domain: Domain = dc_field(init=False, repr=False, compare=False)
     _ladder: np.ndarray = dc_field(init=False, repr=False, compare=False)
     _kernels: tuple = dc_field(init=False, repr=False, compare=False)
-    _truth: Callable | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the objects' own checks (a grid that holds the domain, a positive
@@ -162,12 +162,11 @@ class PipelineConfig:
             sides = ("observed", "reference")
             require_keys(self.kernels, sides, sides, "kernels")
             kernels = tuple(kernel_from_config(self.kernels[s], f"kernels.{s}") for s in sides)
-            truth = (None if self.ground_truth is None
-                     else build(GROUND_TRUTH_KINDS, self.ground_truth, "ground_truth"))
+            _check_ground_truth(self.ground_truth, kernels[0])
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
         for name, value in (("_grid", grid), ("_domain", domain), ("_ladder", ladder),
-                            ("_kernels", kernels), ("_truth", truth)):
+                            ("_kernels", kernels)):
             object.__setattr__(self, name, value)
 
     def resolved_grid(self) -> Grid:
@@ -203,10 +202,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     integral or finite and in range, defaults are filled.
 
     The config is resolved once, when the PipelineConfig is made.  The keys
-    each domain, kernel and ground-truth kind takes, and the checks of its
-    numbers, are declared in one table per section: `DOMAIN_KINDS`,
-    `kernels.KERNEL_KINDS` and `GROUND_TRUTH_KINDS`; `specs.build` refuses
-    a key its kind does not take.
+    each domain and kernel kind takes, and the checks of its numbers, are
+    declared in one table per section: `DOMAIN_KINDS` and
+    `kernels.KERNEL_KINDS`; `specs.build` refuses a key its kind does not
+    take.  `ground_truth` true, or a kernel spec equal to kernels.observed,
+    scores the run against that kernel's drift; false, null or none, not.
     """
     require_keys(raw, raw, ("domain", "kernels"), "config")
     raw = dict(raw)  # each key is popped as it is read: the keys left are unknown
@@ -362,8 +362,7 @@ def stage_context(cfg: PipelineConfig, kernels: tuple[Kernel, Kernel] | None = N
     """Values every stage may read besides the artifacts: the config's
     resolved objects; kernels, when given, take precedence over the
     config's."""
-    return {"grid": cfg._grid, "domain": cfg._domain, "kernels": kernels or cfg._kernels,
-            "drift_true": cfg._truth}
+    return {"grid": cfg._grid, "domain": cfg._domain, "kernels": kernels or cfg._kernels}
 
 
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
@@ -428,15 +427,15 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _recover(cfg: PipelineConfig, v: dict) -> dict:
-    """Drift and its curl; error metrics (v["metrics"]) when the config
-    gives a ground truth, else None."""
-    psi_hat, domain, drift_true = v["psi_hat"], v["domain"], v["drift_true"]
+    """Drift and its curl; error metrics (v["metrics"]) against the observed
+    kernel's drift when the config asks for them, else None."""
+    psi_hat, domain = v["psi_hat"], v["domain"]
     a = DiffusionField.identity(psi_hat.grid)
     c_hat = v["c_hat"] = drift_from_psi(psi_hat, a, domain)
     curl = gradient_consistency(c_hat, a, domain)
     v["metrics"] = None
-    if drift_true is not None:
-        v["metrics"] = drift_metrics(c_hat, drift_true, domain, cfg.metric_fraction)
+    if cfg.ground_truth:
+        v["metrics"] = drift_metrics(c_hat, v["kernels"][0].drift, domain, cfg.metric_fraction)
         v["metrics"]["curl_norm"] = curl
     return {"curl_norm": curl}
 

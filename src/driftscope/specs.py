@@ -1,6 +1,6 @@
 """Checks of config values, which refuse a malformed one with a ConfigError,
-and `build`, the one dispatcher of the kind tables (`recover.DOMAIN_KINDS`,
-`kernels.KERNEL_KINDS` and `recover.GROUND_TRUTH_KINDS`)."""
+and `build`, the one dispatcher of the two kind tables,
+`recover.DOMAIN_KINDS` and `kernels.KERNEL_KINDS`."""
 
 from __future__ import annotations
 

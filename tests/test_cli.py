@@ -83,6 +83,13 @@ def write_config(path, raw):
                    "reference": {"kind": "brownian"}}}
       for key, value in [("theta1", 1.0), ("theta2", 1.0), ("offset", [0.0, 0.0])]),
     {"ground_truth": {"kind": "zero", "theta": 1.0}},
+    # a negative product_ou rate is refused, not run as a driftless component
+    {"kernels": {"observed": {"kind": "product_ou", "theta1": -1.0}, "reference": {"kind": "brownian"}},
+     "ground_truth": None},
+    # a ground_truth spec that is not the observed kernel, whose drift scores the run
+    {"ground_truth": {"kind": "ou", "theta": 3.0}},
+    {"kernels": {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 2.0},
+                 "reference": {"kind": "brownian"}}},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
@@ -147,12 +154,18 @@ def test_dataset_without_log_ratio_exits_3(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-# an off-center domain, and the centered one of the same shape
+PRODUCT_OU = {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5, "offset": [0.1, -0.2]},
+              "reference": {"kind": "brownian"}}
+# an off-center domain, the centered one of the same shape, and the
+# config's other entries
 OFF_CENTER = {
     "disc": ({"kind": "disc", "center": [0.5, 0], "radius": 1.0},
-             {"kind": "disc", "radius": 1.0}),
+             {"kind": "disc", "radius": 1.0}, {}),
+    "disc-product_ou": ({"kind": "disc", "center": [0.5, 0], "radius": 1.0},
+                        {"kind": "disc", "radius": 1.0},
+                        {"kernels": PRODUCT_OU, "ground_truth": True}),
     "rectangle": ({"kind": "rectangle", "corners": [[0, 0], [2, 1.4]]},
-                  {"kind": "rectangle", "corners": [[-1, -0.7], [1, 0.7]]}),
+                  {"kind": "rectangle", "corners": [[-1, -0.7], [1, 0.7]]}, {}),
 }
 
 
@@ -160,17 +173,18 @@ OFF_CENTER = {
 def test_off_center_domain_runs(tmp_path, kind):
     """The raster is measured from the domain's center: an off-center domain
     on its default grid runs through pipeline and the stage chain with the
-    same report, and its rel_l2 is within 2x of the centered domain's."""
-    off_center, centered = OFF_CENTER[kind]
+    same report, and its rel_l2 is within 2x of the centered domain's.  A
+    product_ou kernel with an offset is scored against its own drift."""
+    off_center, centered, entries = OFF_CENTER[kind]
     chain, whole = str(tmp_path / "chain"), str(tmp_path / "pipeline")
-    raw = small_disc_config(grid=None, domain=off_center)
+    raw = small_disc_config(grid=None, domain=off_center, **entries)
     config = write_config(tmp_path / "config.json", raw)
     for stage in STAGES:
         assert run_command([stage, "--config", config, "--out", chain]) == 0, stage
     assert run_command(["pipeline", "--config", config, "--out", whole]) == 0
     report = comparable_report(tmp_path / "pipeline")
     assert comparable_report(tmp_path / "chain") == report
-    raw = small_disc_config(grid=None, domain=centered)
+    raw = small_disc_config(grid=None, domain=centered, **entries)
     config = write_config(tmp_path / "centered.json", raw)
     assert run_command(["pipeline", "--config", config, "--out", str(tmp_path / "centered")]) == 0
     assert report["rel_l2"] <= 2.0 * comparable_report(tmp_path / "centered")["rel_l2"]
@@ -180,10 +194,12 @@ def test_numeric_string_offset_runs_gen_data(tmp_path):
     # the config takes numeric strings as numbers, the product kernel too
     kernels = {"observed": {"kind": "product_ou", "theta1": 1.0, "offset": ["0.1", "0"]},
                "reference": {"kind": "brownian"}}
-    config = write_config(tmp_path / "config.json", small_disc_config(kernels=kernels))
+    config = write_config(tmp_path / "config.json",
+                          small_disc_config(kernels=kernels, ground_truth=True))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path / "strings")]) == 0
     kernels["observed"]["offset"] = [0.1, 0.0]
-    config = write_config(tmp_path / "config.json", small_disc_config(kernels=kernels))
+    config = write_config(tmp_path / "config.json",
+                          small_disc_config(kernels=kernels, ground_truth=True))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path / "numbers")]) == 0
     assert ((tmp_path / "strings" / "dataset.csv").read_bytes()
             == (tmp_path / "numbers" / "dataset.csv").read_bytes())

@@ -16,7 +16,7 @@ from driftscope.diffusion import (
     _bridge_block,
 )
 from driftscope.errors import DataError, SimulationError
-from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel, gaussian_kernel, ou_kernel
+from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel, kernel_from_config
 from driftscope.fields import (
     DiffusionField,
     DiscDomain,
@@ -27,56 +27,57 @@ from driftscope.fields import (
 )
 
 ORIGIN = np.array([0.0, 0.0])
+HEAT = BrownianKernel()
 
 
 class TestKernels:
     def test_gaussian_coincident(self):
-        assert gaussian_kernel(ORIGIN, 1.0, ORIGIN) == pytest.approx(1 / (2 * np.pi), rel=1e-14)
+        assert HEAT.density(ORIGIN, 1.0, ORIGIN) == pytest.approx(1 / (2 * np.pi), rel=1e-14)
 
     def test_gaussian_unit_sqdist(self):
         y = np.array([1.0, 1.0])  # |y|^2 = 2, t = 1
-        assert gaussian_kernel(ORIGIN, 1.0, y) == pytest.approx(np.exp(-1) / (2 * np.pi), rel=1e-14)
+        assert HEAT.density(ORIGIN, 1.0, y) == pytest.approx(np.exp(-1) / (2 * np.pi), rel=1e-14)
 
     def test_gaussian_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, y = rng.standard_normal(2), rng.standard_normal(2)
             t = rng.uniform(0.01, 2.0)
-            assert gaussian_kernel(x, t, y) == gaussian_kernel(y, t, x)
+            assert HEAT.density(x, t, y) == HEAT.density(y, t, x)
 
     def test_gaussian_normalization(self):
         g = Grid.from_extent(-6, -6, 6, 6, 601, 601)
         X, Y = g.nodes()
         pts = np.stack([X, Y], axis=-1)
-        vals = gaussian_kernel(ORIGIN, 0.5, pts)
+        vals = HEAT.density(ORIGIN, 0.5, pts)
         mass = np.trapezoid(np.trapezoid(vals, g.ys(), axis=1), g.xs())
         assert abs(mass - 1.0) < 1e-6
 
     def test_time_domain_error(self):
         with pytest.raises(DataError):
-            gaussian_kernel(ORIGIN, 0.0, ORIGIN)
+            HEAT.density(ORIGIN, 0.0, ORIGIN)
         with pytest.raises(DataError):
-            ou_kernel(ORIGIN, -1.0, ORIGIN, 1.0)
+            OrnsteinUhlenbeckKernel(1.0).density(ORIGIN, -1.0, ORIGIN)
         with pytest.raises(DataError):
             OrnsteinUhlenbeckKernel(theta=0.0)
 
     def test_ou_closed_form_at_origin(self):
         sigma2 = (1 - np.exp(-2.0)) / 2
-        assert ou_kernel(ORIGIN, 1.0, ORIGIN, 1.0) == pytest.approx(
+        assert OrnsteinUhlenbeckKernel(1.0).density(ORIGIN, 1.0, ORIGIN) == pytest.approx(
             1 / (2 * np.pi * sigma2), rel=1e-14
         )
 
     def test_ou_stationary_limit(self):
         x = np.array([3.0, -1.0])
         theta = 2.0
-        got = ou_kernel(x, 40.0, ORIGIN, theta)
+        got = OrnsteinUhlenbeckKernel(theta).density(x, 40.0, ORIGIN)
         stationary_peak = theta / np.pi  # N(0, 1/(2 theta) I) at the origin
         assert got == pytest.approx(stationary_peak, rel=1e-10)
 
     def test_ou_small_rate_matches_brownian(self):
         x, y = np.array([0.4, 0.1]), np.array([0.2, 0.6])
         for theta in (1e-4, 1e-6):
-            ratio = ou_kernel(x, 0.3, y, theta) / gaussian_kernel(x, 0.3, y)
+            ratio = OrnsteinUhlenbeckKernel(theta).density(x, 0.3, y) / HEAT.density(x, 0.3, y)
             assert abs(ratio - 1.0) < 50 * theta
 
     def test_ou_to_gaussian_uniform_on_compact(self):
@@ -85,9 +86,27 @@ class TestKernels:
         pts = np.stack([X, Y], axis=-1)
         x = np.array([0.5, -0.3])
         diff = np.abs(
-            ou_kernel(x, 0.4, pts, 1e-7) - gaussian_kernel(x, 0.4, pts)
+            OrnsteinUhlenbeckKernel(1e-7).density(x, 0.4, pts) - HEAT.density(x, 0.4, pts)
         ).max()
         assert diff < 1e-5
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "brownian"},
+        {"kind": "ou", "theta": 1.3},
+        {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5, "offset": [0.1, -0.2]},
+    ], ids=lambda spec: spec["kind"])
+    def test_drift_is_the_small_time_mean_displacement(self, spec):
+        """drift(x) is the limit of (E[X_t | X_0 = x] - x) / t: the mean of
+        the kernel's own density, by quadrature over x +- 10 sqrt(t), agrees
+        with it to O(t) at t = 1e-3."""
+        kernel, t = kernel_from_config(spec), 1e-3
+        s = np.linspace(-10.0, 10.0, 401) * np.sqrt(t)
+        for x in ([0.0, 0.0], [0.7, -0.4], [-0.9, 0.3]):
+            x = np.array(x)
+            y = np.stack(np.meshgrid(x[0] + s, x[1] + s, indexing="ij"), axis=-1)
+            p = kernel.density(x, t, y)[..., None]
+            mean = np.trapezoid(np.trapezoid(p * y, s, axis=1), s, axis=0)
+            assert np.abs((mean - x) / t - kernel.drift(x)).max() <= 2 * t
 
 
 class TestBrownianBridge:
@@ -200,7 +219,7 @@ class TestDensityRepresentation:
                 lambda p: 0.5 * (np.sum(np.asarray(p) ** 2, axis=-1) - 2.0),
                 x, y, t, cfg,
             )
-            want = float(ou_kernel(x, t, y, 1.0))
+            want = float(OrnsteinUhlenbeckKernel(1.0).density(x, t, y))
             assert abs(est.value - want) <= 3 * est.stderr
 
     def test_log_ratio_converges_to_dpsi(self):

@@ -27,8 +27,6 @@ from driftscope.kernels import (
     BrownianKernel,
     OrnsteinUhlenbeckKernel,
     ProductKernel,
-    gaussian_kernel,
-    ou_kernel,
 )
 from driftscope.recover import (
     STAGES,
@@ -196,7 +194,7 @@ class TestLift1d:
             y = rng.uniform(-0.5, 0.5, 2)
             t = rng.uniform(0.01, 0.5)
             got = float(product.density(x, t, y))
-            want = float(gaussian_kernel(x, t, y))
+            want = float(BrownianKernel().density(x, t, y))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ou_product_is_planar_ou(self):
@@ -209,7 +207,7 @@ class TestLift1d:
             y = rng.uniform(-0.5, 0.5, 2)
             t = rng.uniform(0.01, 0.5)
             got = float(product.density(x, t, y))
-            want = float(ou_kernel(x, t, y, th))
+            want = float(OrnsteinUhlenbeckKernel(th).density(x, t, y))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_marginalization_recovers_1d(self):
@@ -228,17 +226,16 @@ class TestLift1d:
     @pytest.mark.filterwarnings("ignore:potential takes negative values")
     def test_strip_recovers_the_1d_drift(self):
         # OU in x1, Brownian in x2, on the strip [0, 1] x [-3, 3] truncated
-        # from [0, 1] x R; the true drift is (-x1, 0)
+        # from [0, 1] x R; the truth is the kernel's drift, (-x1, 0)
         cfg = config_from_dict({
             "domain": {"kind": "rectangle", "corners": [[0.0, -3.0], [1.0, 3.0]]},
             "grid": {"x0": -0.15, "y0": -3.45, "x1": 1.15, "y1": 3.45, "nx": 65, "ny": 257},
             "kernels": {"observed": {"kind": "product_ou", "theta1": 1.0},
                         "reference": {"kind": "brownian"}},
+            "ground_truth": True,
         })
         rep = run_pipeline(cfg, persist=False)
-        metrics = drift_metrics(rep.c_hat, lambda p: np.stack([-p[:, 0], np.zeros(len(p))], -1),
-                                cfg.resolved_domain(), cfg.metric_fraction)
-        assert metrics["rel_l2"] == pytest.approx(0.013192, abs=1e-5)
+        assert rep.metrics["rel_l2"] == pytest.approx(0.013192, abs=1e-5)
 
 
 class TestConfig:
@@ -325,6 +322,21 @@ class TestConfig:
         assert values["grid"] is cfg.resolved_grid()
         assert values["domain"] is cfg.resolved_domain()
 
+    @pytest.mark.parametrize("truth", [False, True, {"kind": "ou", "theta": "1"}])
+    def test_ground_truth_forms_accepted(self, truth):
+        assert small_ou_config(ground_truth=truth).ground_truth == truth
+
+    @pytest.mark.parametrize("truth, message", [
+        ({"kind": "ou", "theta": 3.0}, "disagrees with kernels.observed"),
+        ({"kind": "brownian"}, "disagrees with kernels.observed"),
+        ({"kind": "zero"}, "unknown ground_truth kind 'zero'"),
+        (1, "ground_truth must be a JSON object"),
+    ])
+    def test_ground_truth_that_is_not_the_observed_kernel_rejected(self, truth, message):
+        with pytest.raises(ConfigError, match=message) as info:
+            small_ou_config(ground_truth=truth)
+        assert "give ground_truth true" in str(info.value)
+
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="radius_typo"):
             config_from_dict({
@@ -357,7 +369,7 @@ VALID_CONFIGS = [
                     "reference": {"kind": "brownian"}},
         "filter": "ram-lak",
         "workers": None,
-        "ground_truth": {"kind": "zero"},
+        "ground_truth": True,
     },
     {
         "domain": {"kind": "disc", "center": [0.5, -0.25], "radius": 1.0},
@@ -374,7 +386,7 @@ VALID_CONFIGS = [
         "geometry": {"n_angles": 24, "n_offsets": 25},
         "kernels": {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5},
                     "reference": {"kind": "brownian"}},
-        "ground_truth": {"kind": "zero"},
+        "ground_truth": True,
     },
 ]
 
@@ -505,7 +517,7 @@ class TestPipeline:
     def test_zero_drift_fixed_point(self):
         cfg = small_ou_config(kernels={"observed": {"kind": "brownian"},
                                        "reference": {"kind": "brownian"}},
-                              ground_truth={"kind": "zero"})
+                              ground_truth=True)
         rep = run_pipeline(cfg, persist=False)
         assert np.abs(rep.V_hat.values).max() <= 1e-8
         assert np.abs(rep.c_hat.values).max() <= 1e-6
@@ -568,10 +580,22 @@ class TestPipeline:
         assert peak < 13e6
 
     def test_report_metrics_only_with_ground_truth(self):
-        cfg = small_ou_config(ground_truth=None, geometry={"n_angles": 24, "n_offsets": 25})
-        rep = run_pipeline(cfg, persist=False)
-        assert rep.metrics is None
-        assert "curl_norm" in rep.diagnostics
+        for truth in (None, False):
+            cfg = small_ou_config(ground_truth=truth, geometry={"n_angles": 24, "n_offsets": 25})
+            rep = run_pipeline(cfg, persist=False)
+            assert rep.metrics is None
+            assert "curl_norm" in rep.diagnostics
+
+    def test_kernels_override_is_scored_against_the_kernel_it_ran(self):
+        # data from OU theta = 2 under a theta = 1 config score as the
+        # theta = 2 config does, not against the config's kernel
+        size = {"geometry": {"n_angles": 24, "n_offsets": 25}}
+        theta2 = small_ou_config(kernels={"observed": {"kind": "ou", "theta": 2.0},
+                                          "reference": {"kind": "brownian"}},
+                                 ground_truth=True, **size)
+        override = run_pipeline(small_ou_config(**size), persist=False,
+                                kernels=(OrnsteinUhlenbeckKernel(2.0), BrownianKernel()))
+        assert override.metrics == run_pipeline(theta2, persist=False).metrics
 
     def test_stage_error_tagging(self):
         cfg = small_ou_config(geometry={"n_angles": 2, "n_offsets": 3},
