@@ -12,8 +12,9 @@ chain.  Artifacts are plain CSV and DGF1 files.  Exit codes: 0 success,
 missing input file included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
-check); gen-data, fit, sinogram, invert, recover and phantom start without
-it.
+check), and of it only `scipy.sparse`: the Krylov loops are numpy, so no
+subcommand loads `scipy.sparse.linalg` or `scipy.linalg`.  gen-data, fit,
+sinogram, invert, recover and phantom start without scipy.
 """
 
 from __future__ import annotations

@@ -14,12 +14,16 @@ and the Dirichlet data taken at the node.
 The system is solved by a Krylov method (CG when the matrix is symmetric,
 BiCGStab otherwise) preconditioned by one smoothed-aggregation multigrid
 V-cycle per application.  Its aggregates are 2x2 blocks of the grid nodes,
-so the iteration count stays nearly flat as the grid is refined.
+so the iteration count stays nearly flat as the grid is refined.  The two
+Krylov loops (`_cg`, `_bicgstab`) are plain numpy and repeat scipy's
+`scipy.sparse.linalg.cg` / `bicgstab` step for step, so they give the same
+bits without loading `scipy.sparse.linalg` and the LAPACK of `scipy.linalg`
+that it imports.
 
-scipy is imported on first use, not with this module: `scipy.sparse` by
-`assemble_dirichlet_system` and `_sa_hierarchy`, `scipy.sparse.linalg` by
-`solve_bvp`.  Runs that never assemble a system (the exit sampler, the
-stages before solve) do not load it.
+scipy is imported on first use, not with this module: `scipy.sparse`, and
+nothing else of scipy, by `assemble_dirichlet_system` and `_sa_hierarchy`.
+Runs that never assemble a system (the exit sampler, the stages before
+solve) do not load it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ _SMOOTHER_WEIGHT = 2.0 / 3.0  # damped-Jacobi sweep weight in the V-cycle
 
 @dataclass(frozen=True)
 class LinearSystem:
-    matrix: sp.csr_matrix
+    matrix: object  # scipy.sparse.csr_matrix, imported only where it is built
     rhs: np.ndarray
     node_index: np.ndarray  # (nx, ny) -> unknown index or -1
     grid: object
@@ -239,7 +243,7 @@ def assemble_dirichlet_system(
     )
 
 
-def _sa_hierarchy(A: sp.csr_matrix, node_index: np.ndarray):
+def _sa_hierarchy(A, node_index: np.ndarray):
     """Smoothed-aggregation levels [(A, 1/diag A, P, R = P^T), ...] down to
     at most `_COARSEST_SIZE` unknowns, and the coarsest operator's dense
     inverse.
@@ -286,16 +290,96 @@ def _v_cycle(levels, coarsest_inverse: np.ndarray, b: np.ndarray, depth: int = 0
     return x
 
 
+def _cg(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
+    """Preconditioned conjugate gradients (Hestenes & Stiefel 1952) for
+    A x = b from x = 0, stopping once |r| < tol |b|.  Returns (x, info):
+    info 0 on convergence, max_iter when the iterations run out.
+
+    The steps, products and in-place updates are those of scipy 1.17's
+    `scipy.sparse.linalg.cg` with rtol=tol, atol=0, so x has its bits.
+    `callback(x)` runs after each full iteration."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    atol = max(0.0, tol * float(np.linalg.norm(b)))
+    for iteration in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = psolve(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        callback(x)
+    return x, max_iter
+
+
+def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
+    """Preconditioned BiCGStab (van der Vorst 1992) for A x = b from x = 0,
+    stopping once |r| < tol |b|.  Returns (x, info): info 0 on convergence,
+    max_iter when the iterations run out, -10 (rho) or -11 (omega, or
+    rtilde . v = 0) on breakdown.
+
+    The steps, products, in-place updates and breakdown tests are those of
+    scipy 1.17's `scipy.sparse.linalg.bicgstab` with rtol=tol, atol=0, so x
+    has its bits.  `callback(x)` runs after each full iteration."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    atol = max(0.0, tol * float(np.linalg.norm(b)))
+    tiny = np.finfo(b.dtype).eps ** 2
+    rtilde = r.copy()
+    for iteration in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < tiny:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < tiny:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            s = np.empty_like(r)
+            p = r.copy()
+        phat = psolve(p)
+        v = A @ phat
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        s[:] = r
+        if np.linalg.norm(s) < atol:
+            x += alpha * phat
+            return x, 0
+        shat = psolve(s)
+        t = A @ shat
+        omega = np.dot(t, s) / np.dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+        callback(x)
+    return x, max_iter
+
+
 def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -> BvpSolution:
-    """Krylov solve: conjugate gradients when the matrix is symmetric,
-    BiCGStab otherwise, both preconditioned by one smoothed-aggregation
-    multigrid V-cycle (`_sa_hierarchy`, `_v_cycle`).
+    """Krylov solve: conjugate gradients (`_cg`) when the matrix is
+    symmetric, BiCGStab (`_bicgstab`) otherwise, both preconditioned by one
+    smoothed-aggregation multigrid V-cycle (`_sa_hierarchy`, `_v_cycle`).
 
-    A singular coarsest level, a non-finite iterate or a residual above `tol`
-    ends in `SolverError`.
+    A singular coarsest level, a Krylov breakdown, a non-finite iterate or a
+    residual above `tol` ends in `SolverError`.
     """
-    import scipy.sparse.linalg as spla
-
     if tol <= 0:
         raise DataError("tol must be positive")
     A, rhs = system.matrix, system.rhs
@@ -315,9 +399,8 @@ def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -
         info = 0
     else:
         levels, coarsest_inverse = _sa_hierarchy(A, system.node_index)
-        M = spla.LinearOperator((n, n), matvec=lambda v: _v_cycle(levels, coarsest_inverse, v))
-        solver = spla.cg if system.symmetric else spla.bicgstab
-        x, info = solver(A, rhs, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
+        solver = _cg if system.symmetric else _bicgstab
+        x, info = solver(A, rhs, lambda v: _v_cycle(levels, coarsest_inverse, v), tol, max_iter, cb)
     if info < 0:
         raise SolverError(f"Krylov breakdown (info={info})")
     resid = float(np.linalg.norm(A @ x - rhs)) / max(rhs_norm, 1e-300)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .specs import Kind, build, finite, finite_list
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -117,16 +117,22 @@ class ProductKernel(Kernel):
 
 
 def _ou(spec: dict, where: str) -> Kernel:
-    return OrnsteinUhlenbeckKernel(theta=finite(spec["theta"], f"{where}.theta"), dim=2)
+    theta = finite(spec["theta"], f"{where}.theta")
+    if not theta > 0:
+        raise ConfigError(f"{where}.theta must be positive, got {spec['theta']!r}")
+    return OrnsteinUhlenbeckKernel(theta=theta, dim=2)
 
 
 def _product_ou(spec: dict, where: str) -> Kernel:
-    # independent 1-D components; a rate of 0 (the default) is driftless
-    # (Brownian), a negative one the OU kernel's DataError
-    thetas = (finite(spec.get(key, 0.0), f"{where}.{key}") for key in ("theta1", "theta2"))
-    k1, k2 = (OrnsteinUhlenbeckKernel(th, dim=1) if th != 0 else BrownianKernel(dim=1) for th in thetas)
+    # independent 1-D components; a rate of 0 (the default) is driftless (Brownian)
+    components = []
+    for key in ("theta1", "theta2"):
+        theta = finite(spec.get(key, 0.0), f"{where}.{key}")
+        if theta < 0:
+            raise ConfigError(f"{where}.{key} must not be negative, got {spec[key]!r}")
+        components.append(OrnsteinUhlenbeckKernel(theta, dim=1) if theta else BrownianKernel(dim=1))
     offset = finite_list(spec.get("offset", (0.0, 0.0)), f"{where}.offset", 2)
-    return ProductKernel(k1, k2, offset=offset)
+    return ProductKernel(*components, offset=offset)
 
 
 # The kernel kinds a config may name.
@@ -142,7 +148,8 @@ def kernel_from_config(spec: dict, where: str = "kernel") -> Kernel:
 
     A spec that is not a JSON object, names no known kind, lacks a key its
     kind requires, holds a key its kind does not take or gives a number
-    that is not finite is a ConfigError naming `where`; a nonpositive OU
-    rate is the kernel's own DataError.
+    that is not finite, or an OU rate below what its kind takes (positive
+    for `ou`, nonnegative for `product_ou`), is a ConfigError naming the
+    key under `where`.
     """
     return build(KERNEL_KINDS, spec, where)

@@ -149,8 +149,8 @@ class PipelineConfig:
     _kernels: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the objects' own checks (a grid that holds the domain, a positive
-        # OU rate) refuse here what the pipeline cannot run
+        # the objects' own checks (a grid that holds the domain) refuse here
+        # what the pipeline cannot run
         try:
             grid = (default_grid(self.domain_spec) if self.grid_spec is None
                     else _grid_from_spec(self.grid_spec))

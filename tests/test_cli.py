@@ -99,6 +99,25 @@ def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "dataset.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"kernels": {"observed": {"kind": "product_ou", "theta1": -1.0},
+                  "reference": {"kind": "brownian"}}},
+     "kernels.observed.theta1 must not be negative, got -1.0"),
+    ({"kernels": {"observed": {"kind": "ou", "theta": 0.0}, "reference": {"kind": "brownian"}}},
+     "kernels.observed.theta must be positive, got 0.0"),
+    ({"kernels": {"observed": {"kind": "ou", "theta": 1.0},
+                  "reference": {"kind": "ou", "theta": -2.0}}},
+     "kernels.reference.theta must be positive, got -2.0"),
+    ({"ground_truth": {"kind": "ou", "theta": -1.0}},
+     "ground_truth.theta must be positive, got -1.0; "
+     "give ground_truth true to score against kernels.observed"),
+], ids=["product_ou-theta1", "ou-theta", "reference-theta", "ground_truth-theta"])
+def test_ou_rate_out_of_range_names_its_key(tmp_path, capsys, overrides, message):
+    config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_removed_density_floor_key_exits_2(tmp_path, capsys):
     # the density floor went with the densities: the key is now unknown
     config = write_config(tmp_path / "config.json", small_disc_config(density_floor=1e-30))
@@ -244,10 +263,12 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
 
 # one CLI stage in a fresh interpreter; its last stdout line says whether
 # the stage loaded scipy
+# prints which of scipy, scipy.sparse and the scipy linalg packages the stage loaded
+SCIPY_PACKAGES = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")
 FRESH_STAGE = ("import sys\n"
                "from driftscope.cli import run_command\n"
                "code = run_command(sys.argv[1:])\n"
-               "print('scipy' in sys.modules)\n"
+               f"print(','.join(m for m in {SCIPY_PACKAGES!r} if m in sys.modules))\n"
                "sys.exit(code)\n")
 
 
@@ -261,7 +282,7 @@ def fresh_env():
 def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
     """Each stage in its own interpreter, as a user runs the chain: no stage
     leans on module state an earlier stage left behind, and only solve loads
-    scipy."""
+    scipy, and of it only scipy.sparse, not its linalg packages."""
     chain, whole = tmp_path / "chain", tmp_path / "pipeline"
     config = write_config(tmp_path / "config.json", small_disc_config())
     env = fresh_env()
@@ -271,12 +292,12 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
                                "--out", str(chain)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, (stage, proc.stderr)
-        loaded[stage] = proc.stdout.splitlines()[-1] == "True"
+        loaded[stage] = proc.stdout.splitlines()[-1]
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
     for name in DGF_FILES + ("dataset.csv", "fits.csv", "sinogram.csv"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     assert comparable_report(chain) == comparable_report(whole)
-    assert loaded == {stage: stage == "solve" for stage in STAGES}
+    assert loaded == {stage: "scipy,scipy.sparse" if stage == "solve" else "" for stage in STAGES}
 
 
 @pytest.mark.parametrize("stage, code, prefix", [

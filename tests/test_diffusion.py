@@ -336,7 +336,7 @@ class TestFeynmanKac:
 
     def test_exit_sampler_runs_without_scipy(self):
         """The library path of the exit sampler never loads scipy; the first
-        Dirichlet solve does."""
+        Dirichlet solve loads scipy.sparse but not the scipy linalg packages."""
         src = str(Path(driftscope.__file__).resolve().parent.parent)
         script = f"""
 import sys
@@ -361,12 +361,13 @@ system = elliptic.assemble_dirichlet_system(
     DiffusionField.identity(g), VectorField(g, np.zeros((9, 9, 2))),
     ScalarField(g, np.ones((9, 9))), DiscDomain(g, 0.0, 0.0, 1.0), lambda p: np.ones(len(p)))
 elliptic.solve_bvp(system)
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "scipy.sparse" in sys.modules,
+      "scipy.sparse.linalg" in sys.modules or "scipy.linalg" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["False", "True", "True", "False"]
 
 
 def per_block_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):

@@ -1,3 +1,5 @@
+import typing
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -549,6 +551,10 @@ class TestSolve:
         want = direct_u(system)
         assert np.abs(sol.u.values[system.node_index >= 0] - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_linear_system_type_hints_resolve(self):
+        hints = typing.get_type_hints(LinearSystem)
+        assert hints["rhs"] is np.ndarray and hints["symmetric"] is bool
+
     def test_singular_system_raises_solver_error(self):
         g = Grid.from_extent(0.0, 0.0, 1.0, 1.0, 2, 2)
         system = LinearSystem(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, 2.0]),
@@ -564,6 +570,83 @@ class TestSolve:
         bad = LinearSystem(A, system.rhs, system.node_index, g, 0.0, False)
         with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
             solve_bvp(bad)
+
+
+def symmetric_disc_system(n=65):
+    """The symmetric part of the wavy disc's matrix, with its right-hand side."""
+    system = wavy_disc_system(n)
+    A = system.matrix
+    return LinearSystem(((A + A.T) * 0.5).tocsr(), system.rhs, system.node_index, system.grid,
+                        0.0, True)
+
+
+def general_rectangle_system(n=65):
+    """A rectangle whose sides fall between grid lines, with a cross term and
+    a drift: cut arms and first-order terms make it nonsymmetric."""
+    g = Grid.from_extent(-1.2, -1.1, 1.3, 1.2, n, n)
+    dom = RectangleDomain(g, -0.93, -0.71, 1.01, 0.87)
+    X, Y = g.nodes()
+    a = DiffusionField.constant(g, 1.5, 0.3, 1.0)
+    b = VectorField(g, np.stack([-0.4 * Y, 0.6 * X], axis=-1))
+    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+
+
+def scipy_krylov(A, b, psolve, symmetric, tol, max_iter):
+    """Oracle: x, info and the number of callbacks of scipy.sparse.linalg's
+    cg (symmetric) or bicgstab with the preconditioner psolve."""
+    calls = []
+    M = spla.LinearOperator(A.shape, matvec=psolve)
+    solver = spla.cg if symmetric else spla.bicgstab
+    x, info = solver(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=calls.append)
+    return x, info, len(calls)
+
+
+def numpy_krylov(A, b, psolve, symmetric, tol, max_iter):
+    """x, info and the number of callbacks of elliptic's own CG / BiCGStab."""
+    calls = []
+    solver = elliptic._cg if symmetric else elliptic._bicgstab
+    x, info = solver(A, b, psolve, tol, max_iter, calls.append)
+    return x, info, len(calls)
+
+
+class TestKrylovMatchesScipy:
+    """`_cg` and `_bicgstab` repeat scipy's cg and bicgstab step for step: the
+    same bits of x, the same exit code and the same number of iterations."""
+
+    @pytest.mark.parametrize("max_iter", [20000, 2], ids=["converged", "exhausted"])
+    @pytest.mark.parametrize("build, symmetric", [
+        (symmetric_disc_system, True),
+        (aligned_rectangle_system, True),
+        (lambda: general_disc_system(65), False),
+        (general_rectangle_system, False),
+    ], ids=["disc-cg", "rectangle-cg", "disc-bicgstab", "rectangle-bicgstab"])
+    def test_v_cycle_preconditioned(self, build, symmetric, max_iter):
+        system = build()
+        assert system.symmetric == symmetric
+        levels, coarsest_inverse = elliptic._sa_hierarchy(system.matrix, system.node_index)
+        assert levels
+
+        def psolve(v):
+            return elliptic._v_cycle(levels, coarsest_inverse, v)
+
+        args = (system.matrix, system.rhs, psolve, symmetric, 1e-10, max_iter)
+        x, info, calls = numpy_krylov(*args)
+        want_x, want_info, want_calls = scipy_krylov(*args)
+        assert (info, calls) == (want_info, want_calls)
+        if max_iter == 2:
+            assert (info, calls) == (2, 2)
+        else:
+            assert info == 0 and calls > 2
+        assert x.tobytes() == want_x.tobytes()
+
+    def test_bicgstab_breakdown_on_skew_matrix(self):
+        # rtilde . A rtilde = 0 for a skew A: scipy returns info -11
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        b = np.array([1.0, 0.0])
+        got = numpy_krylov(A, b, lambda v: v, False, 1e-10, 100)
+        want = scipy_krylov(A, b, lambda v: v, False, 1e-10, 100)
+        assert got[1:] == want[1:] == (-11, 0)
+        assert got[0].tobytes() == want[0].tobytes()
 
 
 class TestSliverNode:

@@ -10,7 +10,9 @@ may be a test oracle.
 
 A second scan keeps scipy off the import path: no module imports it outside
 a function body, so only the runs that assemble or solve a sparse system
-load it.
+load it, and no module imports `scipy.sparse.linalg` or `scipy.linalg`
+anywhere: the Krylov loops are the package's own, and those two modules
+would add ~80 modules and LAPACK to every solving run.
 """
 
 from __future__ import annotations
@@ -101,6 +103,25 @@ def test_scipy_is_imported_only_inside_functions():
                    for name in _import_time_modules(ast.parse(path.read_text()))
                    if name.split(".")[0] == "scipy")
     assert not found, f"scipy imported when the module loads: {found}"
+
+
+def _imported_modules(tree: ast.Module):
+    """Every absolute module a file imports, function bodies included; a
+    `from package import name` yields package.name as well."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_scipy_linalg_is_never_imported():
+    banned = ("scipy.linalg", "scipy.sparse.linalg")
+    found = sorted(f"{path.name}:{name}" for path in SRC.glob("*.py")
+                   for name in _imported_modules(ast.parse(path.read_text()))
+                   if any(name == b or name.startswith(b + ".") for b in banned))
+    assert not found, f"modules that import a scipy linalg package: {found}"
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracing.py"
