@@ -8,11 +8,12 @@ so the chain's final report equals the one `pipeline` writes when it runs
 every stage in-process.  `pipeline` also writes each stage's outputs as soon
 as the stage ends, so a failing stage leaves the same files behind as the
 chain.  Artifacts are plain CSV and DGF1 files.  Exit codes: 0 success,
-2 config error (sizes too large for the memory included), 3 data error (a
-missing input file included), 4 solver/simulation error.
+2 config error (sizes too large for the memory and an output directory
+that cannot be created included), 3 data error (a missing input file
+included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
-check), and of it only `scipy.sparse`: the Krylov loops are numpy, so no
+check), and of it only `scipy.sparse`: the Krylov loop is numpy, so no
 subcommand loads `scipy.sparse.linalg` or `scipy.linalg`.  gen-data, fit,
 sinogram, invert, recover and phantom start without scipy.
 """
@@ -62,6 +63,16 @@ def parse_config(path) -> PipelineConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     return config_from_dict(_json_object(p, ConfigError))
+
+
+def _make_output_dir(path: Path) -> Path:
+    """Create the output directory (and its parents) before any stage runs;
+    a path that cannot be a directory is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    return path
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -147,8 +158,7 @@ def cmd_phantom(args) -> int:
             raise ConfigError(f"{option} must be at least {least}, got {value}")
     if not args.width > 0:  # a disc's field would use |width|, its sinogram width
         raise ConfigError(f"--width must be positive, got {args.width}")
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(Path(args.out or "out"))
     n = args.n
     grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, n, n)
     angles = chord_angles(args.angles)
@@ -238,6 +248,7 @@ def run_command(argv=None) -> int:
             if args.command == "check":
                 return cmd_check(args)
             cfg = _apply_overrides(parse_config(args.config), args)
+            _make_output_dir(Path(cfg.output_dir))
             if cfg.workers is not None:
                 parallel.set_workers(cfg.workers)
             return _STAGE_COMMANDS[args.command](cfg, args)

@@ -11,14 +11,15 @@ the boundary along an axis is a boundary node instead, the usual remedy for
 an arm that rounding shrinks to nothing: a leg to it ends there, with arm 1
 and the Dirichlet data taken at the node.
 
-The system is solved by a Krylov method (CG when the matrix is symmetric,
-BiCGStab otherwise) preconditioned by one smoothed-aggregation multigrid
-V-cycle per application.  Its aggregates are 2x2 blocks of the grid nodes,
-so the iteration count stays nearly flat as the grid is refined.  The two
-Krylov loops (`_cg`, `_bicgstab`) are plain numpy and repeat scipy's
-`scipy.sparse.linalg.cg` / `bicgstab` step for step, so they give the same
-bits without loading `scipy.sparse.linalg` and the LAPACK of `scipy.linalg`
-that it imports.
+Every system is solved by BiCGStab, preconditioned by one
+smoothed-aggregation multigrid V-cycle per application: the cut arms make
+the rows next to a curved or off-grid boundary unequal, so the matrices the
+pipeline builds are not symmetric.  The aggregates are 2x2 blocks of the
+grid nodes, so the iteration count stays nearly flat as the grid is
+refined.  The Krylov loop (`_bicgstab`) is plain numpy and repeats
+`scipy.sparse.linalg.bicgstab` step for step, so it gives the same bits
+without loading `scipy.sparse.linalg` and the LAPACK of `scipy.linalg` that
+it imports.
 
 scipy is imported on first use, not with this module: `scipy.sparse`, and
 nothing else of scipy, by `assemble_dirichlet_system` and `_sa_hierarchy`.
@@ -49,11 +50,17 @@ class LinearSystem:
     node_index: np.ndarray  # (nx, ny) -> unknown index or -1
     grid: object
     peclet_max: float
-    symmetric: bool
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def symmetric(self) -> bool:
+        # the benchmark's tracer (perfbench/tracing.py) reads it; the solver
+        # takes one path whatever the matrix
+        diff = self.matrix - self.matrix.T
+        return diff.nnz == 0 or float(abs(diff).max()) == 0.0
 
 
 @dataclass(frozen=True)
@@ -222,9 +229,6 @@ def assemble_dirichlet_system(
             stacklevel=2,
         )
 
-    diff = A - A.T
-    symmetric = diff.nnz == 0 or float(abs(diff).max()) == 0.0
-
     vmin = float(V.values[ii, jj].min())
     if vmin < 0.0:
         warnings.warn(
@@ -239,7 +243,6 @@ def assemble_dirichlet_system(
         node_index=node_index,
         grid=grid,
         peclet_max=peclet_max,
-        symmetric=symmetric,
     )
 
 
@@ -290,45 +293,18 @@ def _v_cycle(levels, coarsest_inverse: np.ndarray, b: np.ndarray, depth: int = 0
     return x
 
 
-def _cg(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
-    """Preconditioned conjugate gradients (Hestenes & Stiefel 1952) for
-    A x = b from x = 0, stopping once |r| < tol |b|.  Returns (x, info):
-    info 0 on convergence, max_iter when the iterations run out.
-
-    The steps, products and in-place updates are those of scipy 1.17's
-    `scipy.sparse.linalg.cg` with rtol=tol, atol=0, so x has its bits.
-    `callback(x)` runs after each full iteration."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    atol = max(0.0, tol * float(np.linalg.norm(b)))
-    for iteration in range(max_iter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
-        z = psolve(r)
-        rho = np.dot(r, z)
-        if iteration > 0:
-            p *= rho / rho_prev
-            p += z
-        else:
-            p = z.copy()
-        q = A @ p
-        alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho
-        callback(x)
-    return x, max_iter
-
-
-def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
+def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int):
     """Preconditioned BiCGStab (van der Vorst 1992) for A x = b from x = 0,
-    stopping once |r| < tol |b|.  Returns (x, info): info 0 on convergence,
-    max_iter when the iterations run out, -10 (rho) or -11 (omega, or
-    rtilde . v = 0) on breakdown.
+    stopping once |r| < tol |b|.  Returns (x, info, iterations): info 0 on
+    convergence, max_iter when the iterations run out, -10 (rho) or -11
+    (omega, or rtilde . v = 0) on breakdown; iterations counts the full
+    iterations done, so a half step that converges is not counted.  A
+    non-finite iterate after a full iteration raises SolverError.
 
     The steps, products, in-place updates and breakdown tests are those of
     scipy 1.17's `scipy.sparse.linalg.bicgstab` with rtol=tol, atol=0, so x
-    has its bits.  `callback(x)` runs after each full iteration."""
+    has its bits, and iterations is the number of times scipy calls its
+    callback."""
     x = np.zeros_like(b)
     r = b.copy()
     atol = max(0.0, tol * float(np.linalg.norm(b)))
@@ -336,13 +312,13 @@ def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
     rtilde = r.copy()
     for iteration in range(max_iter):
         if np.linalg.norm(r) < atol:
-            return x, 0
+            return x, 0, iteration
         rho = np.dot(rtilde, r)
         if np.abs(rho) < tiny:
-            return x, -10
+            return x, -10, iteration
         if iteration > 0:
             if np.abs(omega) < tiny:
-                return x, -11
+                return x, -11, iteration
             beta = (rho / rho_prev) * (alpha / omega)
             p -= omega * v
             p *= beta
@@ -354,13 +330,13 @@ def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
         v = A @ phat
         rv = np.dot(rtilde, v)
         if rv == 0:
-            return x, -11
+            return x, -11, iteration
         alpha = rho / rv
         r -= alpha * v
         s[:] = r
         if np.linalg.norm(s) < atol:
             x += alpha * phat
-            return x, 0
+            return x, 0, iteration
         shat = psolve(s)
         t = A @ shat
         omega = np.dot(t, s) / np.dot(t, t)
@@ -368,13 +344,13 @@ def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int, callback):
         x += omega * shat
         r -= omega * t
         rho_prev = rho
-        callback(x)
-    return x, max_iter
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"non-finite iterate at iteration {iteration + 1}")
+    return x, max_iter, max_iter
 
 
 def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -> BvpSolution:
-    """Krylov solve: conjugate gradients (`_cg`) when the matrix is
-    symmetric, BiCGStab (`_bicgstab`) otherwise, both preconditioned by one
+    """Krylov solve by BiCGStab (`_bicgstab`), preconditioned by one
     smoothed-aggregation multigrid V-cycle (`_sa_hierarchy`, `_v_cycle`).
 
     A singular coarsest level, a Krylov breakdown, a non-finite iterate or a
@@ -386,21 +362,13 @@ def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -
     n = A.shape[0]
     if np.any(A.diagonal() == 0.0):
         raise SolverError("zero diagonal entry; the Jacobi smoother needs a nonzero diagonal")
-    count = {"it": 0}
-
-    def cb(xk):
-        count["it"] += 1
-        if not np.all(np.isfinite(xk)):
-            raise SolverError(f"non-finite iterate at iteration {count['it']}")
-
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        x = np.zeros(n)
-        info = 0
+        x, info, iterations = np.zeros(n), 0, 0
     else:
         levels, coarsest_inverse = _sa_hierarchy(A, system.node_index)
-        solver = _cg if system.symmetric else _bicgstab
-        x, info = solver(A, rhs, lambda v: _v_cycle(levels, coarsest_inverse, v), tol, max_iter, cb)
+        x, info, iterations = _bicgstab(A, rhs, lambda v: _v_cycle(levels, coarsest_inverse, v),
+                                        tol, max_iter)
     if info < 0:
         raise SolverError(f"Krylov breakdown (info={info})")
     resid = float(np.linalg.norm(A @ x - rhs)) / max(rhs_norm, 1e-300)
@@ -422,7 +390,7 @@ def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -
     return BvpSolution(
         u=ScalarField(grid, u_vals),
         residual_norm=resid,
-        iterations=count["it"],
+        iterations=iterations,
         min_u=min_u,
     )
 

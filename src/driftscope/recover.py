@@ -138,7 +138,6 @@ class PipelineConfig:
     solver_max_iter: int = 20000
     seed: int = 0
     boundary_knots: int = 256
-    gauge_param: float = 0.0
     metric_fraction: float = 0.8
     output_dir: str = "out"
     workers: int | None = None
@@ -191,7 +190,6 @@ class PipelineConfig:
             "solver": {"tol": self.solver_tol, "max_iter": self.solver_max_iter},
             "seed": self.seed,
             "boundary_knots": self.boundary_knots,
-            "gauge_param": self.gauge_param,
             "metric_fraction": self.metric_fraction,
             "output_dir": self.output_dir,
         }
@@ -233,6 +231,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if solver_tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {solver_tol!r}")
     workers = raw.pop("workers", None)
+    output_dir = raw.pop("output_dir", "out")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
     fields = dict(
         domain_spec=raw.pop("domain"),
         kernels=raw.pop("kernels"),
@@ -245,9 +246,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         solver_max_iter=integer(solver.get("max_iter", 20000), "solver.max_iter", 1),
         seed=integer(raw.pop("seed", 0), "seed"),
         boundary_knots=integer(raw.pop("boundary_knots", 256), "boundary_knots", 1),
-        gauge_param=finite(raw.pop("gauge_param", 0.0), "gauge_param"),
         metric_fraction=metric_fraction,
-        output_dir=str(raw.pop("output_dir", "out")),
+        output_dir=output_dir,
         workers=None if workers in (None, "null") else integer(workers, "workers", 1),
         ground_truth=raw.pop("ground_truth", None),
     )
@@ -260,14 +260,13 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def psi_from_u(u: ScalarField, boundary_psi: BoundaryPsi, domain: Domain,
-               min_u: float | None = None) -> ScalarField:
+def psi_from_u(u: ScalarField, boundary_psi: BoundaryPsi, domain: Domain) -> ScalarField:
     """Drift potential log(u) at the solve's unknowns (`Domain.interior`);
     elsewhere, the boundary data extended along the projection onto the
     boundary (keeps finite differences sane near the edge).
     """
     inside = domain.interior(u.grid)
-    lowest = float(u.values[inside].min()) if min_u is None else min_u
+    lowest = float(u.values[inside].min())
     if lowest <= 0.0:
         raise DataError(
             f"cannot take log of the solution: min_u = {lowest:.6g} is not positive"
@@ -393,35 +392,21 @@ def _invert(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _solve(cfg: PipelineConfig, v: dict) -> dict:
-    """Dirichlet solve plus potential-log extraction.
-
-    The system is always solved in the canonical gauge (boundary potential
-    vanishing at parameter 0, as `boundary_psi_from_fits` returns it); the
-    configured gauge is applied afterwards, here only, as an exact scaling
-    of the solution.  The boundary data enter linearly, so this is the same
-    solution the requested gauge would give, and the recovered drift is
-    bit-independent of the gauge choice.
-    """
+    """Dirichlet solve plus potential-log extraction."""
     V_hat, domain = v["V_hat"], v["domain"]
     grid = V_hat.grid
     # no later step reads the chord and fit tables: free them once read
-    bpsi0 = boundary_psi_from_fits(v.pop("chords"), v.pop("fits"), domain,
-                                   n_knots=cfg.boundary_knots)
-    g = boundary_values_from_psi(bpsi0)
+    bpsi = boundary_psi_from_fits(v.pop("chords"), v.pop("fits"), domain,
+                                  n_knots=cfg.boundary_knots)
+    g = boundary_values_from_psi(bpsi)
     a = DiffusionField.identity(grid)
     b = VectorField(grid, np.zeros((*grid.shape, 2)))
     system = assemble_dirichlet_system(a, b, V_hat, domain, g)
     solution = solve_bvp(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    shift = float(bpsi0.value_at_param(cfg.gauge_param))
-    u, min_u, bpsi = solution.u, solution.min_u, bpsi0
-    if shift != 0.0:
-        scale = float(np.exp(-shift))
-        u, min_u = ScalarField(grid, u.values * scale), min_u * scale
-        bpsi = BoundaryPsi(domain, bpsi0.knot_params, bpsi0.knot_values - shift, bpsi0.n_missing)
-    v["u"], v["psi_hat"] = u, psi_from_u(u, bpsi, domain, min_u=min_u)
+    v["u"], v["psi_hat"] = solution.u, psi_from_u(solution.u, bpsi, domain)
     return {"solver_residual": solution.residual_norm,
             "solver_iterations": solution.iterations,
-            "min_u": min_u,
+            "min_u": solution.min_u,
             "peclet_max": system.peclet_max,
             "boundary_knots_missing": bpsi.n_missing}
 

@@ -67,6 +67,8 @@ def write_config(path, raw):
     {"metric_fraction": 0.0},
     {"metric_fraction": 1.5},
     {"metric_fraction": float("nan")},
+    {"output_dir": None},
+    {"output_dir": ""},
     {"kernels": {"observed": {"kind": "ou", "theta": 0.0}, "reference": {"kind": "brownian"}}},
     {"kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "ou", "theta": -2.0}}},
     {"grid": {"x0": -0.9, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33}},
@@ -123,6 +125,28 @@ def test_removed_density_floor_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "config.json", small_disc_config(density_floor=1e-30))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "config error: unknown key 'density_floor' in config\n"
+
+
+def test_removed_gauge_param_key_exits_2(tmp_path, capsys):
+    # psi is written in the one gauge boundary_psi_from_fits returns: the key is now unknown
+    config = write_config(tmp_path / "config.json", small_disc_config(gauge_param=0.0))
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: unknown key 'gauge_param' in config\n"
+
+
+@pytest.mark.parametrize("command, out, reason", [
+    ("gen-data", "file/sub", "Not a directory"),
+    ("pipeline", "file", "File exists"),
+    ("phantom", "file", "File exists"),
+])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, command, out, reason):
+    (tmp_path / "file").write_text("")
+    argv = [command, "--out", str(tmp_path / out)]
+    if command != "phantom":
+        argv += ["--config", write_config(tmp_path / "config.json", small_disc_config())]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot create output directory {tmp_path / out}: {reason}\n")
 
 
 def edited_dataset(tmp_path, edit):

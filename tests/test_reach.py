@@ -11,7 +11,7 @@ may be a test oracle.
 A second scan keeps scipy off the import path: no module imports it outside
 a function body, so only the runs that assemble or solve a sparse system
 load it, and no module imports `scipy.sparse.linalg` or `scipy.linalg`
-anywhere: the Krylov loops are the package's own, and those two modules
+anywhere: the Krylov loop is the package's own, and those two modules
 would add ~80 modules and LAPACK to every solving run.
 """
 
@@ -196,3 +196,33 @@ def test_benchmark_tracer_counts_the_ok_fits(monkeypatch):
     tracing._on_return("fit_dataset", counts, (dataset,), result)
     assert counts["smalltime.fits_ok"] == fits.ok.sum() == 6
     assert counts["smalltime.fits_attempted"] == len(fits) == n
+
+
+def test_benchmark_tracer_counts_a_solve(monkeypatch):
+    """The benchmark's tracer reads a `solve_bvp` call's system (`symmetric`,
+    `dimension`, `matrix.nnz`) and its result's `iterations`: losing any of
+    them breaks `run.py --trace 1`."""
+    import importlib
+    from collections import Counter
+
+    import numpy as np
+
+    from driftscope.elliptic import assemble_dirichlet_system, solve_bvp
+    from driftscope.fields import DiffusionField, DiscDomain, Grid, ScalarField, VectorField
+
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    tracing = importlib.import_module("tracing")
+    grid = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 33, 33)
+    system = assemble_dirichlet_system(
+        DiffusionField.identity(grid), VectorField(grid, np.zeros((*grid.shape, 2))),
+        ScalarField(grid, np.ones(grid.shape)), DiscDomain(grid, 0.0, 0.0, 1.0),
+        lambda p: np.exp(p[:, 0]))
+    result = solve_bvp(system)
+    counts = Counter()
+    tracing._on_return("solve_bvp", counts, (system,), result)
+    assert counts["elliptic.solver_iterations"] == result.iterations > 0
+    assert counts["elliptic.unknowns"] == system.dimension
+    assert counts["elliptic.nnz"] == system.matrix.nnz
+    # BiCGStab: two products with A per iteration
+    assert counts["elliptic.spmv_bytes"] == (2 * result.iterations
+                                             * tracing._spmv_bytes(system.matrix))
