@@ -7,9 +7,13 @@ merges its diagnostics into <out>/report.json; gen-data starts a new report,
 so the chain's final report equals the one `pipeline` writes when it runs
 every stage in-process.  `pipeline` also writes each stage's outputs as soon
 as the stage ends, so a failing stage leaves the same files behind as the
-chain.  Artifacts are plain CSV and DGF1 files.  Exit codes: 0 success,
-2 config error (sizes too large for the memory and an output directory
-that cannot be created included), 3 data error (a missing input file
+chain.  Artifacts are plain CSV and DGF1 files.  dataset.csv and fits.csv
+name each chord by its (angle_index, offset_index) alone: fit, sinogram
+and solve rebuild the chords from the config and read the rows against
+them, ignoring rows off its raster.  Exit codes: 0 success,
+2 config error (sizes too large for the memory, a domain too large or
+too small for floats and an output directory that cannot be created
+included), 3 data error (a missing input file
 included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and

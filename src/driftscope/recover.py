@@ -155,6 +155,12 @@ class PipelineConfig:
                     else _grid_from_spec(self.grid_spec))
             cls, numbers = build(DOMAIN_KINDS, self.domain_spec, "domain")
             domain = cls(grid, *numbers)
+            # the time ladder and the FBP filter scale with the circumradius
+            # squared: outside the normal floats they overflow or divide by 0
+            r = domain.circumradius
+            if not np.finfo(float).tiny <= r * r < np.inf:
+                raise ConfigError(f"domain circumradius {r!r} is out of range: its square "
+                                  "must be a positive normal float")
             ladder = (default_ladder(domain.circumradius) if self.ladder is None
                       else np.array(self.ladder, dtype=float))
             ladder.setflags(write=False)
@@ -248,7 +254,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         boundary_knots=integer(raw.pop("boundary_knots", 256), "boundary_knots", 1),
         metric_fraction=metric_fraction,
         output_dir=output_dir,
-        workers=None if workers in (None, "null") else integer(workers, "workers", 1),
+        workers=None if workers is None else integer(workers, "workers", 1),
         ground_truth=raw.pop("ground_truth", None),
     )
     require_keys(raw, (), (), "config")
@@ -352,9 +358,11 @@ def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float
 # ---------------------------------------------------------------------------
 #
 # A stage reads named values (artifacts and the stage_context) from a dict,
-# adds its outputs and returns its report.json entries.  Table entries call
-# functions by their module-level names, so wrappers installed on those names
-# (the benchmark's tracer) see every call.
+# adds its outputs and returns its report.json entries.  Table entries, and
+# the artifact readers that rebuild the chords (`_config_chords`), call
+# functions by their module-level names at call time, with the file path
+# first, so wrappers installed on those names (the benchmark's tracer, which
+# reads the file size from that path) see every call.
 
 
 def stage_context(cfg: PipelineConfig, kernels: tuple[Kernel, Kernel] | None = None) -> dict:
@@ -442,9 +450,14 @@ STAGES = {
 }
 
 
+def _config_chords(cfg: PipelineConfig, v: dict):
+    """The chord table of the config's raster: dataset.csv and fits.csv name
+    each chord by its (angle_index, offset_index) on it."""
+    return make_parallel_chords(v["domain"], cfg.n_angles, cfg.n_offsets)[0]
+
+
 def _read_fits(cfg: PipelineConfig, v: dict, path) -> dict:
-    """Fits row-aligned to the chord table rebuilt from the config geometry."""
-    chords, _ = make_parallel_chords(v["domain"], cfg.n_angles, cfg.n_offsets)
+    chords = _config_chords(cfg, v)
     return {"chords": chords, "fits": read_fits_csv(path, chords)}
 
 
@@ -464,7 +477,7 @@ class Artifact(NamedTuple):
 ARTIFACTS = {
     "dataset": Artifact(
         ("dataset.csv",), "--data",
-        lambda cfg, v, p: {"dataset": read_dataset_csv(p)},
+        lambda cfg, v, p: {"dataset": read_dataset_csv(p, _config_chords(cfg, v))},
         lambda v, p: write_dataset_csv(p, v["dataset"])),
     "fits": Artifact(("fits.csv",), "--fits", _read_fits,
                      lambda v, p: write_fits_csv(p, v["chords"], v["fits"])),

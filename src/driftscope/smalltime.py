@@ -14,7 +14,10 @@ Chords and fits are tables of columns: a ChordTable of endpoints, raster
 indices and lengths, and a FitTable of the value columns of fits.csv
 (dpsi, F, the residual, the standard errors of dpsi and F, the number of
 times fitted) plus ok.  An integer index or iteration gives a row as a
-plain NamedTuple view of the checked columns.
+plain NamedTuple view of the checked columns.  A raster chord is fixed by
+its (angle_index, offset_index) and the domain, so dataset.csv and fits.csv
+name it by those two indices alone, and their readers place the rows into
+a chord table rebuilt from the config.
 """
 
 from __future__ import annotations
@@ -345,17 +348,9 @@ def fit_dataset(dataset: BoundaryDataset):
 # ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------
+# A row names its chord by (angle_index, offset_index) only (`_chord_rows`).
 
-DATASET_COLUMNS = [
-    "angle_index",
-    "offset_index",
-    "x1",
-    "x2",
-    "y1",
-    "y2",
-    "t",
-    "log_ratio",
-]
+DATASET_COLUMNS = ["angle_index", "offset_index", "t", "log_ratio"]
 
 FITS_COLUMNS = ["angle_index", "offset_index", *FitRow._fields]
 
@@ -409,18 +404,13 @@ def _read_table(path, required, head_rows=0) -> tuple[list, dict]:
     return head, dict(zip(header, body.T))
 
 
-def _require_integral(path, cols, *names) -> None:
-    """DataError unless every value of the named columns is an integer."""
+def _integers(path, cols, *names) -> list:
+    """The named columns as int64; a value that is not an integer is a DataError."""
     for name in names:
         v = cols[name]
         bad = np.nonzero(~(np.abs(v) < 2.0**63) | (v != np.floor(v)))[0]
         if len(bad):
             raise DataError(f"{path}: {name} must be integral, got {float(v[bad[0]])!r}")
-
-
-def _integers(path, cols, *names) -> list:
-    """The named columns as int64; a value that is not an integer is a DataError."""
-    _require_integral(path, cols, *names)
     return [cols[name].astype(np.int64) for name in names]
 
 
@@ -432,94 +422,70 @@ def _first_repeat(keys):
     return int(order[same + 1].min()) if len(same) else None
 
 
+def _chord_rows(path, cols, chords: ChordTable):
+    """Each row's chord, looked up on the (angle, offset) raster of `chords`:
+    (hit, target), where hit marks the rows whose (angle_index,
+    offset_index) names a chord and target holds those rows' chord indices.
+    An index that is not an integer is a DataError naming the path."""
+    ia, io = _integers(path, cols, "angle_index", "offset_index")
+    shape = (chords.angle_index.max(initial=-1) + 1, chords.offset_index.max(initial=-1) + 1)
+    slot = np.full(shape, -1)
+    slot[chords.angle_index, chords.offset_index] = np.arange(len(chords))
+    hit = (ia >= 0) & (ia < shape[0]) & (io >= 0) & (io < shape[1])
+    hit[hit] = slot[ia[hit], io[hit]] >= 0
+    return hit, slot[ia[hit], io[hit]]
+
+
+def _chord_name(chords: ChordTable, k) -> str:
+    return f"chord angle={chords.angle_index[k]} offset={chords.offset_index[k]}"
+
+
 def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
-    """One row per (chord, time), chord-major; floats as shortest round-trip
-    text (`repr`), each chord's six fields and each time formatted once.
-    Rows are formatted `_CHORDS_PER_WRITE` chords at a time."""
+    """One row per (chord, time), chord-major, the chord named by its raster
+    indices; floats as shortest round-trip text (`repr`), each chord's
+    indices and each time formatted once.  Rows are formatted
+    `_CHORDS_PER_WRITE` chords at a time."""
     c = dataset.chords
     times = ["%r," % t for t in dataset.times.tolist()]
 
     def rows():
-        for lo in range(0, len(c.angle_index), _CHORDS_PER_WRITE):
+        for lo in range(0, len(c), _CHORDS_PER_WRITE):
             part = slice(lo, lo + _CHORDS_PER_WRITE)
-            heads = ["%d,%d,%r,%r,%r,%r," % row for row in zip(
-                c.angle_index[part].tolist(), c.offset_index[part].tolist(),
-                *c.x[part].T.tolist(), *c.y[part].T.tolist())]
+            heads = ["%d,%d," % row for row in zip(c.angle_index[part].tolist(),
+                                                   c.offset_index[part].tolist())]
             for head, chord in zip(heads, dataset.log_ratios[part].tolist()):
                 yield from zip([head] * len(times), times, chord)
 
     _write_csv(path, [DATASET_COLUMNS], "%s%s%r\r\n", rows())
 
 
-def read_dataset_csv(path) -> BoundaryDataset:
-    """Rebuild a dataset from CSV, read as `_read_table` reads it.
+def read_dataset_csv(path, chords: ChordTable) -> BoundaryDataset:
+    """A dataset from CSV, read as `_read_table` reads it, row-aligned with
+    `chords` by (angle_index, offset_index).
 
-    A NaN log ratio is a dropped observation, as a NaN is written.  Columns
-    besides DATASET_COLUMNS are ignored: an older file that also holds the
-    two densities reads as its log ratios alone.  Indices must be integral
-    and times finite and positive; a (chord, time) listed twice, a chord
-    whose rows disagree on its endpoints and a chord whose endpoints are not
-    finite or coincide are DataErrors naming the path.
-    """
-    times, keys, x, y, log_ratios = _dataset_tables(path)
-    try:
-        return BoundaryDataset(chords=ChordTable(x, y, keys[:, 0], keys[:, 1]), times=times,
-                               log_ratios=log_ratios)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _dataset_tables(path):
-    """The checked contents of a dataset CSV: its times (descending), its
-    chords' (angle, offset) keys in sorted order with the endpoints x and y
-    of each chord's first row, and the (chord, time) table of log ratios.
-
-    The parsed rows are placed by one index into the (chord, time) table,
-    so the read holds little beyond the parsed table and the result; the
-    parsed table is released when this returns, before the chord table is
-    built.
+    The times are the distinct times of the rows that name a chord, in
+    descending order.  A chord without a row at some time holds NaN there
+    (a dropped observation, as a NaN log ratio is); rows without a chord
+    are ignored.  Columns besides DATASET_COLUMNS are ignored: an older
+    file that also holds the chord endpoints, or the two densities, reads
+    as its log ratios alone.  Indices must be integral and times finite and
+    positive; a (chord, time) listed twice is a DataError naming the path.
     """
     _, cols = _read_table(path, DATASET_COLUMNS)
-    _require_integral(path, cols, "angle_index", "offset_index")
-    ia, io, t = (cols[c] for c in ("angle_index", "offset_index", "t"))
-
-    def chord(i):
-        return f"chord angle={int(ia[i])} offset={int(io[i])}"
-
-    times, keys, first, cell = _table_cells(ia, io, t)
-    if (i := _first_repeat(cell)) is not None:
-        raise DataError(f"{path}: {chord(i)} at t={t[i]} is listed more than once")
-    differs = np.zeros(len(t), dtype=bool)
-    for c in ("x1", "x2", "y1", "y2"):
-        bits = cols[c].view(np.int64)  # compared bit for bit
-        differs |= bits != bits[first][cell // len(times)]
-    if differs.any():
-        i = np.argmax(differs)
-        raise DataError(f"{path}: the rows of {chord(i)} disagree on its endpoints")
-    log_ratios = np.full((len(keys), len(times)), np.nan)
-    log_ratios.reshape(-1)[cell] = cols["log_ratio"]
-    del cell
-    x, y = (np.stack([cols[a][first], cols[b][first]], axis=1)
-            for a, b in (("x1", "x2"), ("y1", "y2")))
-    return times, keys, x, y, log_ratios
-
-
-def _table_cells(ia, io, t):
-    """Where the rows of a dataset go: the distinct times (descending), the
-    distinct (angle, offset) keys in sorted order, each key's first row, and
-    each row's flat cell of a (chord, time) table.
-
-    Rows of one chord usually follow each other, so the runs of rows with
-    one (angle, offset) are found first and the keys among the runs' heads.
-    """
+    hit, target = _chord_rows(path, cols, chords)
+    t = cols["t"][hit]
     ascending = np.unique(t)
     m = len(ascending)
-    head = np.flatnonzero(np.r_[True, (ia[1:] != ia[:-1]) | (io[1:] != io[:-1])])
-    keys, first, run_chord = np.unique(np.stack([ia[head], io[head]], axis=1).astype(np.int64),
-                                       axis=0, return_index=True, return_inverse=True)
-    cell = np.repeat(run_chord * m + (m - 1), np.diff(np.r_[head, len(t)]))
-    cell -= np.searchsorted(ascending, t)
-    return ascending[::-1], keys, head[first], cell
+    cell = target * m + (m - 1 - np.searchsorted(ascending, t))
+    if (i := _first_repeat(cell)) is not None:
+        raise DataError(f"{path}: {_chord_name(chords, target[i])} at t={t[i]} "
+                        "is listed more than once")
+    log_ratios = np.full((len(chords), m), np.nan)
+    log_ratios.reshape(-1)[cell] = cols["log_ratio"][hit]
+    try:
+        return BoundaryDataset(chords=chords, times=ascending[::-1], log_ratios=log_ratios)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_fits_csv(path, chords: ChordTable, fits: FitTable) -> None:
@@ -541,17 +507,10 @@ def read_fits_csv(path, chords: ChordTable) -> FitTable:
     residual or standard error, is a DataError.
     """
     _, cols = _read_table(path, FITS_COLUMNS)
-    ia, io, n_times = _integers(path, cols, "angle_index", "offset_index", "n_times")
-    # each row's chord, looked up on the (angle, offset) raster of the chords
-    shape = (chords.angle_index.max(initial=-1) + 1, chords.offset_index.max(initial=-1) + 1)
-    slot = np.full(shape, -1)
-    slot[chords.angle_index, chords.offset_index] = np.arange(len(chords))
-    hit = (ia >= 0) & (ia < shape[0]) & (io >= 0) & (io < shape[1])
-    hit[hit] = slot[ia[hit], io[hit]] >= 0
-    target = slot[ia[hit], io[hit]]
+    hit, target = _chord_rows(path, cols, chords)
+    (n_times,) = _integers(path, cols, "n_times")
     if (i := _first_repeat(target)) is not None:
-        raise DataError(f"{path}: chord angle={ia[hit][i]} offset={io[hit][i]} "
-                        "is listed more than once")
+        raise DataError(f"{path}: {_chord_name(chords, target[i])} is listed more than once")
 
     def column(values, fill=np.nan):
         out = np.full(len(chords), fill, dtype=values.dtype)

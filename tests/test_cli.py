@@ -45,6 +45,11 @@ def small_disc_config(**overrides):
     return raw
 
 
+# a 17^2 grid on [-1, 1]^2 and a three-time ladder, for the tiny domains
+TINY = {"grid": {"x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0, "nx": 17, "ny": 17},
+        "ladder": [0.02, 0.01, 0.005]}
+
+
 def write_config(path, raw):
     # json writes NaN / Infinity tokens, which the config reader accepts
     path.write_text(json.dumps(raw))
@@ -57,6 +62,7 @@ def write_config(path, raw):
     {"seed": "x"},
     {"seed": 1.5},
     {"workers": "two"},
+    {"workers": "null"},
     {"workers": 2.5},
     {"workers": 0},
     {"ladder": [0.02, float("nan"), 0.005]},
@@ -74,6 +80,13 @@ def write_config(path, raw):
     {"grid": {"x0": -0.9, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[1.0, -0.7], [1.0, 0.7]]}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 1.7e308]]}},
+    # a domain whose circumradius squared is not a positive normal float
+    {"grid": None, "domain": {"kind": "disc", "radius": 1e200}},
+    {"grid": None, "domain": {"kind": "disc", "radius": 1e200}, "ladder": TINY["ladder"]},
+    {"grid": None, "domain": {"kind": "disc", "radius": 1e-200}},
+    {"grid": None, "domain": {"kind": "rectangle", "corners": [[0.0, 0.0], [1e200, 1e200]]}},
+    {**TINY, "domain": {"kind": "disc", "radius": 1e-200}},
+    {**TINY, "domain": {"kind": "rectangle", "corners": [[0.0, 0.0], [1e-200, 1e-200]]}},
     # a key that the section's kind does not take
     {"domain": {"kind": "disc", "radius": 1.0, "corners": [[-1.0, -1.0], [1.0, 1.0]]}},
     {"grid": None, "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]],
@@ -118,6 +131,18 @@ def test_ou_rate_out_of_range_names_its_key(tmp_path, capsys, overrides, message
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("overrides, radius", [
+    ({"grid": None, "domain": {"kind": "disc", "radius": 1e200}}, "1e+200"),
+    ({**TINY, "domain": {"kind": "rectangle", "corners": [[0.0, 0.0], [1e-200, 1e-200]]}},
+     "7.071067811865475e-201"),
+], ids=["huge disc", "tiny rectangle"])
+def test_domain_out_of_float_range_names_domain(tmp_path, capsys, overrides, radius):
+    config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
+    assert run_command(["pipeline", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: domain circumradius {radius} is out of "
+                                       "range: its square must be a positive normal float\n")
 
 
 def test_removed_density_floor_key_exits_2(tmp_path, capsys):
@@ -195,6 +220,27 @@ def test_dataset_without_log_ratio_exits_3(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: [stage fit] {bad}: "), err
     assert "Traceback" not in err
+
+
+def test_chord_without_rows_is_excluded_and_masked(tmp_path, capsys):
+    """dataset.csv is read against the config's chords: a chord with no rows
+    has no observation, so its fit is excluded and its sinogram bin masked.
+    A row off the config's raster is ignored."""
+    def edit(rows):
+        rows[:] = [row for row in rows if row[:2] != ["3", "5"]]
+        rows.append(["24", "0", "0.02", "1.0"])
+
+    config, bad = edited_dataset(tmp_path, edit)
+    assert run_command(["fit", "--config", config, "--out", str(tmp_path), "--data", str(bad)]) == 0
+    assert run_command(["sinogram", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_chords_excluded"] == 1
+    assert report["sinogram_masked_bins"] == 1
+    fits = (tmp_path / "fits.csv").read_text().splitlines()
+    assert len(fits) == report["n_chords"] and not any(line.startswith("3,5,") for line in fits)
+    masked = [line for line in (tmp_path / "sinogram.csv").read_text().splitlines()[3:]
+              if line.endswith(",0")]
+    assert [line.split(",")[:2] for line in masked] == [["3", "5"]]
 
 
 PRODUCT_OU = {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5, "offset": [0.1, -0.2]},

@@ -4,11 +4,14 @@ they replaced.
 The oracles below are the column-wise `csv.writer` writers and the
 `csv.reader` + `float()` / `int()` readers as they stood before the writers
 cached `repr` per value and the readers moved to `np.loadtxt`: the files
-must be the same bytes and the arrays read back the same bits.
+must be the same bytes and the arrays read back the same bits.  The dataset
+oracles use its four-column layout, each row placed into the given chord
+table by a dict lookup on (angle_index, offset_index); the oracle writer
+also gives the two older layouts, with the chord endpoints and with the
+densities as well.
 """
 
 import csv
-import math
 import re
 
 import numpy as np
@@ -18,7 +21,6 @@ from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid
 from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
 from driftscope.smalltime import (
-    DATASET_COLUMNS,
     FITS_COLUMNS,
     BoundaryDataset,
     ChordTable,
@@ -38,16 +40,27 @@ from driftscope.xray import Sinogram, read_sinogram_csv, write_sinogram_csv
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5]
 
 
-def oracle_write_dataset_csv(path, dataset):
+def oracle_write_dataset_csv(path, dataset, endpoints=False, densities=False):
+    """The dataset file as csv.writer writes it; with endpoints, in the older
+    layout that also held each chord's endpoints x1, x2, y1, y2, and with
+    densities too, in the oldest one that also held p_obs and p_ref."""
     c = dataset.chords
     n, m = dataset.log_ratios.shape
-    per_chord = [c.angle_index, c.offset_index, c.x[:, 0], c.x[:, 1], c.y[:, 0], c.y[:, 1]]
+    header, per_chord = ["angle_index", "offset_index"], [c.angle_index, c.offset_index]
+    if endpoints:
+        header += ["x1", "x2", "y1", "y2"]
+        per_chord += [c.x[:, 0], c.x[:, 1], c.y[:, 0], c.y[:, 1]]
     columns = [np.repeat(v, m).tolist() for v in per_chord]
     columns.append(np.tile(dataset.times, n).tolist())
+    header.append("t")
+    if densities:
+        header += ["p_obs", "p_ref"]
+        columns += [np.exp(dataset.log_ratios.ravel() + 0.5).tolist(),
+                    np.full(n * m, np.exp(0.5)).tolist()]
     columns.append(dataset.log_ratios.ravel().tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(DATASET_COLUMNS)
+        w.writerow([*header, "log_ratio"])
         w.writerows(zip(*columns))
 
 
@@ -67,32 +80,36 @@ def oracle_columns(path):
     return dict(zip(header, map(list, zip(*rows))))
 
 
-def oracle_read_dataset_csv(path):
-    """The arrays the csv.reader-based reader built (its input checks left out)."""
+def chord_of_row(cols, chords):
+    """Each row's chord in `chords` by (angle_index, offset_index), or -1."""
+    row_of = {key: i for i, key in enumerate(zip(chords.angle_index.tolist(),
+                                                chords.offset_index.tolist()))}
+    return np.array([row_of.get((int(a), int(o)), -1)
+                     for a, o in zip(cols["angle_index"], cols["offset_index"])], dtype=np.int64)
+
+
+def oracle_read_dataset_csv(path, chords):
+    """The arrays the csv.reader-based reader built, with its rows placed by
+    a dict lookup on the chords' raster indices (its input checks left out)."""
     cols = oracle_columns(path)
-    num = {name: np.array([float(v) for v in cols[name]]) for name in DATASET_COLUMNS[2:]}
-    ia, io = (np.array([int(v) for v in cols[name]], dtype=np.int64)
-              for name in DATASET_COLUMNS[:2])
-    times, ti = np.unique(num["t"], return_inverse=True)
-    times, ti = times[::-1], len(times) - 1 - ti
-    keys, first, ci = np.unique(np.stack([ia, io], axis=1), axis=0,
-                                return_index=True, return_inverse=True)
-    log_ratios = np.full((len(keys), len(times)), np.nan)
-    log_ratios[ci, ti] = num["log_ratio"]
-    xy = np.stack([num["x1"], num["x2"], num["y1"], num["y2"]], axis=1)[first]
-    return {"x": xy[:, :2], "y": xy[:, 2:], "angle_index": keys[:, 0],
-            "offset_index": keys[:, 1], "times": times, "log_ratios": log_ratios}
+    target = chord_of_row(cols, chords)
+    hit = target >= 0
+    t = np.array([float(v) for v in cols["t"]])[hit]
+    times = np.array(sorted(set(t.tolist()), reverse=True))
+    column_of = {v: j for j, v in enumerate(times.tolist())}
+    log_ratios = np.full((len(chords), len(times)), np.nan)
+    for i, v, r in zip(target[hit].tolist(), t.tolist(),
+                       np.array([float(v) for v in cols["log_ratio"]])[hit].tolist()):
+        log_ratios[i, column_of[v]] = r
+    return {"x": chords.x, "y": chords.y, "angle_index": chords.angle_index,
+            "offset_index": chords.offset_index, "times": times, "log_ratios": log_ratios}
 
 
 def oracle_read_fits_csv(path, chords):
     cols = oracle_columns(path)
     num = {name: np.array([(int if name in ("angle_index", "offset_index", "n_times") else float)(v)
                            for v in cols[name]]) for name in FITS_COLUMNS}
-    row_of = {key: i for i, key in enumerate(zip(chords.angle_index.tolist(),
-                                                chords.offset_index.tolist()))}
-    target = np.array([row_of.get(key, -1) for key in zip(num["angle_index"].tolist(),
-                                                          num["offset_index"].tolist())],
-                      dtype=np.int64)
+    target = chord_of_row(cols, chords)
     hit = target >= 0
 
     def column(values, fill=np.nan):
@@ -187,6 +204,7 @@ class TestWriters:
         text = (tmp_path / "new.csv").read_bytes()
         assert text == (tmp_path / "old.csv").read_bytes()
         assert text.count(b"\r\n") == 1 + ds.log_ratios.size
+        assert text.startswith(b"angle_index,offset_index,t,log_ratio\r\n")
 
     def test_special_values_are_written(self, tmp_path):
         write_dataset_csv(tmp_path / "dataset.csv", special_dataset())
@@ -213,9 +231,50 @@ def rewrite(path, edit):
 class TestReaders:
     @pytest.mark.parametrize("make", [special_dataset, small_dataset])
     def test_dataset_bits_equal_csv_reader(self, tmp_path, make):
+        chords = make().chords
         path = tmp_path / "dataset.csv"
         oracle_write_dataset_csv(path, make())
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path)), oracle_read_dataset_csv(path))
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, chords)),
+                          oracle_read_dataset_csv(path, chords))
+
+    @pytest.mark.parametrize("make", [special_dataset, small_dataset])
+    def test_shuffled_dataset_reads_the_same(self, tmp_path, make):
+        # rows are placed by their raster indices, not by their order: a
+        # chord's rows need not follow each other
+        ds = make()
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(path, ds)
+        order = np.random.default_rng(7).permutation(ds.log_ratios.size)
+        rewrite(path, lambda lines: [lines[0], *(lines[1 + i] for i in order)])
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), dataset_arrays(ds))
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)),
+                          oracle_read_dataset_csv(path, ds.chords))
+
+    def test_dataset_rows_without_a_chord_are_ignored(self, tmp_path):
+        # a row off the chords' raster is left out, its time too
+        ds = small_dataset()
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(path, ds)
+        n_angles, n_offsets = ds.chords.angle_index.max() + 1, ds.chords.offset_index.max() + 1
+        rewrite(path, lambda lines: lines + [f"{n_angles},0,0.02,1.0", f"0,{n_offsets},0.5,1.0",
+                                             "-1,0,0.01,1.0", "0,-1,0.04,-inf"])
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), dataset_arrays(ds))
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)),
+                          oracle_read_dataset_csv(path, ds.chords))
+
+    def test_chord_without_rows_is_nan(self, tmp_path):
+        ds = small_dataset()
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(path, ds)
+        k = 7
+        key = f"{ds.chords.angle_index[k]},{ds.chords.offset_index[k]},"
+        rewrite(path, lambda lines: [line for line in lines if not line.startswith(key)])
+        back = read_dataset_csv(path, ds.chords)
+        expected = ds.log_ratios.copy()
+        expected[k] = np.nan
+        assert_bits_equal(dataset_arrays(back), {**dataset_arrays(ds), "log_ratios": expected})
+        fits, excluded = fit_dataset(back)
+        assert excluded == [k] and not fits.ok[k]
 
     @pytest.mark.parametrize("make", [special_fits, fitted_fits])
     def test_fits_bits_equal_csv_reader(self, tmp_path, make):
@@ -234,27 +293,32 @@ class TestReaders:
         assert_bits_equal(read_fits_csv(path, chords), oracle_read_fits_csv(path, chords))
 
     def test_older_layout_reads_the_same(self, tmp_path):
-        # a file that also holds the two densities, as the format once did,
-        # reads to the same log ratios, chords and times
-        ds = small_dataset()
-        path, older = tmp_path / "dataset.csv", tmp_path / "older.csv"
-        write_dataset_csv(path, ds)
-        lines = path.read_text().splitlines()
-        densities = ["p_obs,p_ref", *(f"{math.exp(r + 0.5)!r},{math.exp(0.5)!r}"
-                                      for r in ds.log_ratios.ravel().tolist())]
-        older.write_text("".join(f"{head},{pair},{tail}\n" for (head, tail), pair in zip(
-            (line.rsplit(",", 1) for line in lines), densities)))
-        assert older.read_text().startswith(
-            "angle_index,offset_index,x1,x2,y1,y2,t,p_obs,p_ref,log_ratio\n")
-        assert_bits_equal(dataset_arrays(read_dataset_csv(older)), dataset_arrays(ds))
+        # a file that also holds the chord endpoints (8 columns), or the
+        # endpoints and the two densities (10 columns), as the format once
+        # did, reads to the same bits as the file written now
+        for make in (special_dataset, small_dataset):
+            ds = make()
+            path = tmp_path / "dataset.csv"
+            write_dataset_csv(path, ds)
+            new = dataset_arrays(read_dataset_csv(path, ds.chords))
+            assert_bits_equal(new, dataset_arrays(ds))
+            for densities, header in [
+                (False, b"angle_index,offset_index,x1,x2,y1,y2,t,log_ratio\r\n"),
+                (True, b"angle_index,offset_index,x1,x2,y1,y2,t,p_obs,p_ref,log_ratio\r\n"),
+            ]:
+                older = tmp_path / "older.csv"
+                with np.errstate(over="ignore"):
+                    oracle_write_dataset_csv(older, ds, endpoints=True, densities=densities)
+                assert older.read_bytes().startswith(header)
+                assert_bits_equal(dataset_arrays(read_dataset_csv(older, ds.chords)), new)
 
     def test_dropped_observation_reads_back_as_nan(self, tmp_path):
         # a dropped observation (NaN log ratio) is written as nan and read
         # back as NaN
         path = tmp_path / "dropped.csv"
         write_dataset_csv(path, special_dataset())
-        back = read_dataset_csv(path)
-        assert b"\r\n0,3,1e-05,1e+16,-1e+16,0.25,0.01,nan\r\n" in path.read_bytes()
+        back = read_dataset_csv(path, special_dataset().chords)
+        assert b"\r\n0,3,0.01,nan\r\n" in path.read_bytes()
         assert np.isnan(back.log_ratios[1, 1])
         assert_bits_equal(dataset_arrays(back), dataset_arrays(special_dataset()))
 
@@ -279,9 +343,9 @@ class TestReaders:
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
         write_dataset_csv(path, ds)
-        expected = dataset_arrays(read_dataset_csv(path))
+        expected = dataset_arrays(read_dataset_csv(path, ds.chords))
         rewrite(path, lambda lines: [lines[0], "", *lines[1:3], "", *lines[3:], ""])
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path)), expected)
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), expected)
 
 
 def drop_column(name):
@@ -315,11 +379,12 @@ MALFORMED = {
 class TestMalformed:
     @pytest.mark.parametrize("case", MALFORMED)
     def test_dataset_data_error_names_path(self, tmp_path, case):
+        ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, small_dataset())
+        write_dataset_csv(path, ds)
         rewrite(path, MALFORMED[case][1])
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_dataset_csv(path)
+            read_dataset_csv(path, ds.chords)
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_fits_data_error_names_path(self, tmp_path, case):
@@ -354,43 +419,16 @@ def lines_indices(path, row):
     return path.read_text().splitlines()[row].split(",")[:2]
 
 
-@pytest.mark.parametrize("case, message", [("infinite", "must be finite"),
-                                           ("coincident", "coincide")])
-def test_dataset_bad_chord_names_path(tmp_path, case, message):
-    path = tmp_path / "dataset.csv"
-    write_dataset_csv(path, small_dataset())
-
-    def edit(lines):
-        # every row of chord (0, 0): x1 infinite, or x moved onto y
-        rows = [line.split(",") for line in lines]
-        for f in rows[1:]:
-            if f[:2] == ["0", "0"]:
-                f[2:4] = ["inf", f[3]] if case == "infinite" else f[4:6]
-        return [",".join(f) for f in rows]
-
-    rewrite(path, edit)
-    with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord endpoints {message}"):
-        read_dataset_csv(path)
-
-
 class TestDuplicates:
     def test_dataset_row_listed_twice(self, tmp_path):
+        ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, small_dataset())
+        write_dataset_csv(path, ds)
         rewrite(path, lambda lines: lines + [lines[6]])
         ia, io = lines_indices(path, 6)
         with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord angle={ia} "
                                             rf"offset={io} at t=.* listed more than once"):
-            read_dataset_csv(path)
-
-    def test_dataset_endpoints_disagree(self, tmp_path):
-        path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, small_dataset())
-        rewrite(path, set_field(7, "y2", "0.123"))
-        ia, io = lines_indices(path, 7)
-        with pytest.raises(DataError, match=rf"chord angle={ia} offset={io} disagree on its "
-                                            "endpoints"):
-            read_dataset_csv(path)
+            read_dataset_csv(path, ds.chords)
 
     def test_fits_chord_listed_twice(self, tmp_path):
         chords, fits = fitted_fits()

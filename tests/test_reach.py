@@ -226,3 +226,47 @@ def test_benchmark_tracer_counts_a_solve(monkeypatch):
     # BiCGStab: two products with A per iteration
     assert counts["elliptic.spmv_bytes"] == (2 * result.iterations
                                              * tracing._spmv_bytes(system.matrix))
+
+
+def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
+    """The fit and sinogram stages read their files through
+    `recover.make_parallel_chords`, `recover.read_dataset_csv` and
+    `recover.read_fits_csv`, looked up when called and with the file path
+    first: the benchmark's tracer swaps those names and reads the file size
+    from that path, so a reader that held a function object of its own would
+    drop the `--trace 1` reader spans and `cli.bytes_read` unnoticed."""
+    from collections import Counter
+
+    from driftscope import recover
+
+    cfg = recover.config_from_dict({
+        "domain": {"kind": "disc", "radius": 1.0},
+        "grid": {"x0": -1.15, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33},
+        "geometry": {"n_angles": 12, "n_offsets": 13},
+        "kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "brownian"}},
+    })
+    values = recover.stage_context(cfg)
+    for name in ("gen-data", "fit"):
+        recover.run_stage(name, cfg, values)
+    recover.write_artifacts(tmp_path, ("dataset", "fits"), values)
+    calls = Counter()
+    paths = []
+
+    def counting(name):
+        original = getattr(recover, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name != "make_parallel_chords":
+                paths.append(args[0])
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_parallel_chords", "read_dataset_csv", "read_fits_csv"):
+        monkeypatch.setattr(recover, name, counting(name))
+    recover.run_stage("fit", cfg, recover.stage_context(cfg),
+                      {"dataset": tmp_path / "dataset.csv"})
+    recover.run_stage("sinogram", cfg, recover.stage_context(cfg),
+                      {"fits": tmp_path / "fits.csv"})
+    assert calls == {"make_parallel_chords": 2, "read_dataset_csv": 1, "read_fits_csv": 1}
+    assert paths == [tmp_path / "dataset.csv", tmp_path / "fits.csv"]

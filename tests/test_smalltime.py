@@ -232,7 +232,7 @@ class TestCsv:
         ds = build_boundary_dataset(OU, BM, dom, (4, 3), [0.02, 0.01, 0.005, 0.0025])
         path = tmp_path / "dataset.csv"
         write_dataset_csv(path, ds)
-        back = read_dataset_csv(path)
+        back = read_dataset_csv(path, ds.chords)
         assert np.array_equal(back.times, ds.times)
         assert np.array_equal(back.log_ratios, ds.log_ratios)
         fits1, _ = fit_dataset(ds)
