@@ -5,6 +5,10 @@ time t > 0, end y: downstream code forms density ratios in log space, without
 underflow (for well-separated endpoints at small t the densities themselves
 drop below the smallest float).  `density` is its exponential, and `drift`
 the diffusion's drift on points (..., dim), bare coordinates when dim is 1.
+
+A config sets one kernel, the observed one (`KERNEL_KINDS`); the ratios
+are taken against `BrownianKernel`, the driftless kernel of every kind here
+(each has the identity diffusion coefficient).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class Kernel:
 
 @dataclass(frozen=True)
 class BrownianKernel(Kernel):
-    """Heat kernel of standard Brownian motion."""
+    """Heat kernel of standard Brownian motion: the driftless reference p0."""
 
     dim: int = 2
 

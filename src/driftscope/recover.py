@@ -5,10 +5,12 @@ each stage reads and writes, and error metrics against an optional ground
 truth.
 
 A config is parsed and resolved once (`config_from_dict`, `PipelineConfig`):
-its grid, domain, time ladder and kernels are built when it is made, and
-every stage reads those objects.  The keys each domain and kernel kind takes
-are declared in one table per section: `DOMAIN_KINDS` and
+its grid, domain, time ladder and observed kernel are built when it is made,
+and every stage reads those objects.  The keys each domain and kernel kind
+takes are declared in one table per section: `DOMAIN_KINDS` and
 `kernels.KERNEL_KINDS`.  The ground truth is the observed kernel's `drift`.
+The reference kernel is not a setting: it is the driftless kernel of the
+observed diffusion, which gen-data evaluates itself.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .fields import (
     read_dgf,
     write_dgf,
 )
-from .kernels import KERNEL_KINDS, Kernel, kernel_from_config
+from .kernels import KERNEL_KINDS, BrownianKernel, Kernel, kernel_from_config
 from .smalltime import (
     build_boundary_dataset,
     fit_dataset,
@@ -96,6 +98,13 @@ def _check_ground_truth(spec, observed: Kernel) -> None:
         raise ConfigError(f"ground_truth {truth} disagrees with kernels.observed {observed}; {hint}")
 
 
+def _check_reference(reference: Kernel) -> None:
+    """p0 of log(p / p0) = dpsi - t F is the observed diffusion's driftless kernel."""
+    if reference != BrownianKernel():
+        raise ConfigError("kernels.reference must be the driftless kernel of the observed "
+                          f'diffusion, {{"kind": "brownian"}}, or be left out; got {reference}')
+
+
 def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
     """The grid of a config that gives none: the domain's bounding box
     widened `margin` times about its center, with n nodes along x."""
@@ -123,9 +132,11 @@ def default_ladder(radius: float, m: int = 4) -> np.ndarray:
 @dataclass(frozen=True)
 class PipelineConfig:
     """A pipeline config, resolved once: making it (and `dataclasses.replace`)
-    builds and stores the grid, the domain, the time ladder and the
-    (observed, reference) kernels from the specs; a spec that cannot be
-    built, or a ground truth unequal to the observed kernel, is a ConfigError."""
+    builds and stores the grid, the domain, the time ladder and the observed
+    kernel from the specs; a spec that cannot be built, a ground truth
+    unequal to the observed kernel, or a `kernels.reference` other than the
+    driftless `{"kind": "brownian"}`, is a ConfigError.  `kernels` stays the
+    section as given, the reference left out or not."""
 
     domain_spec: dict
     kernels: dict
@@ -145,7 +156,7 @@ class PipelineConfig:
     _grid: Grid = dc_field(init=False, repr=False, compare=False)
     _domain: Domain = dc_field(init=False, repr=False, compare=False)
     _ladder: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    _kernels: tuple = dc_field(init=False, repr=False, compare=False)
+    _observed: Kernel = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the objects' own checks (a grid that holds the domain) refuse here
@@ -164,14 +175,15 @@ class PipelineConfig:
             ladder = (default_ladder(domain.circumradius) if self.ladder is None
                       else np.array(self.ladder, dtype=float))
             ladder.setflags(write=False)
-            sides = ("observed", "reference")
-            require_keys(self.kernels, sides, sides, "kernels")
-            kernels = tuple(kernel_from_config(self.kernels[s], f"kernels.{s}") for s in sides)
-            _check_ground_truth(self.ground_truth, kernels[0])
+            require_keys(self.kernels, ("observed", "reference"), ("observed",), "kernels")
+            observed = kernel_from_config(self.kernels["observed"], "kernels.observed")
+            if "reference" in self.kernels:
+                _check_reference(kernel_from_config(self.kernels["reference"], "kernels.reference"))
+            _check_ground_truth(self.ground_truth, observed)
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
         for name, value in (("_grid", grid), ("_domain", domain), ("_ladder", ladder),
-                            ("_kernels", kernels)):
+                            ("_observed", observed)):
             object.__setattr__(self, name, value)
 
     def resolved_grid(self) -> Grid:
@@ -365,17 +377,17 @@ def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float
 # reads the file size from that path) see every call.
 
 
-def stage_context(cfg: PipelineConfig, kernels: tuple[Kernel, Kernel] | None = None) -> dict:
+def stage_context(cfg: PipelineConfig, observed: Kernel | None = None) -> dict:
     """Values every stage may read besides the artifacts: the config's
-    resolved objects; kernels, when given, take precedence over the
-    config's."""
-    return {"grid": cfg._grid, "domain": cfg._domain, "kernels": kernels or cfg._kernels}
+    resolved grid, domain and observed kernel; observed, when given, takes
+    precedence over the config's.  No stage reads a reference kernel:
+    gen-data evaluates the driftless one itself."""
+    return {"grid": cfg._grid, "domain": cfg._domain, "observed": observed or cfg._observed}
 
 
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
-    observed, reference = v["kernels"]
     dataset = v["dataset"] = build_boundary_dataset(
-        observed, reference, v["domain"], (cfg.n_angles, cfg.n_offsets), cfg._ladder)
+        v["observed"], v["domain"], (cfg.n_angles, cfg.n_offsets), cfg._ladder)
     return {"n_chords": dataset.n_chords, "n_lines_skipped": len(dataset.skipped)}
 
 
@@ -428,7 +440,7 @@ def _recover(cfg: PipelineConfig, v: dict) -> dict:
     curl = gradient_consistency(c_hat, a, domain)
     v["metrics"] = None
     if cfg.ground_truth:
-        v["metrics"] = drift_metrics(c_hat, v["kernels"][0].drift, domain, cfg.metric_fraction)
+        v["metrics"] = drift_metrics(c_hat, v["observed"].drift, domain, cfg.metric_fraction)
         v["metrics"]["curl_norm"] = curl
     return {"curl_norm": curl}
 
@@ -544,16 +556,21 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None, persist
     the pipeline does not hold them to the end; solve frees the chord and
     fit tables itself once boundary-psi has read them.
 
-    kernels (optional): (observed, reference) kernel objects that take
-    precedence over the config's kernel section, for a caller that has
-    built them already.
+    kernels (optional): an (observed, reference) pair of kernel objects, for
+    a caller that has built them already; the observed kernel takes
+    precedence over the config's.  The reference must be `BrownianKernel()`,
+    the driftless kernel gen-data evaluates anyway, else a ConfigError.
     """
     from . import parallel
 
+    observed = None
+    if kernels is not None:
+        observed, reference = kernels
+        _check_reference(reference)
     if cfg.workers is not None:
         parallel.set_workers(cfg.workers)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    values = stage_context(cfg, kernels)
+    values = stage_context(cfg, observed)
     diagnostics: dict = {}
     names = list(STAGES)
     for i, name in enumerate(names):

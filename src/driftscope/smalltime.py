@@ -2,13 +2,17 @@
 log density ratios over a ladder of small times.
 
 For each chord (x, y) the log ratio of the observed transition density p
-to the reference one p0 behaves like
+to the driftless one p0 behaves like
     log(p / p0)(t) = dpsi - F t + o(t),
 so a weighted affine fit in t yields the drift-potential difference
 dpsi = psi(y) - psi(x) (intercept) and the chord average F of the scalar
-potential (minus the slope) in one pass.  The log ratio is the only datum
-kept per (chord, time): the fit reads nothing else, and the densities
-themselves underflow at small t where their log ratio is still finite.
+potential (minus the slope) in one pass.  p0 is the kernel of the same
+diffusion without drift, Brownian while the diffusion coefficient is the
+identity, and `build_boundary_dataset` evaluates it itself: against any
+other p0 the slope is the difference of two potentials, which is not the
+potential of any drift.  The log ratio is the only datum kept per
+(chord, time): the fit reads nothing else, and the densities themselves
+underflow at small t where their log ratio is still finite.
 
 Chords and fits are tables of columns: a ChordTable of endpoints, raster
 indices and lengths, and a FitTable of the value columns of fits.csv
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import DataError, GeometryError
 from .fields import Domain
-from .kernels import Kernel
+from .kernels import BrownianKernel, Kernel
 
 # chords per batch of the chord-wise layers (the ladder fit here and the
 # boundary-psi normal equations): bounds their temporaries
@@ -55,9 +59,11 @@ class ChordTable:
     """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths (n,).
 
     The endpoint checks run once over the whole table: finite planar
-    points, and no chord whose ends coincide (np.allclose).  An integer
-    index, or iteration, gives a ChordRow built from the checked columns; a
-    slice, mask or index array gives a sub-table.
+    points, and no chord whose ends coincide (np.allclose, its absolute
+    tolerance scaled by the table's largest coordinate when that is below
+    1, so that a small domain about the origin keeps its chords).  An
+    integer index, or iteration, gives a ChordRow built from the checked
+    columns; a slice, mask or index array gives a sub-table.
     """
 
     x: np.ndarray
@@ -73,7 +79,9 @@ class ChordTable:
             raise DataError("chord endpoints must be planar points")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DataError("chord endpoints must be finite")
-        if np.any(np.all(np.isclose(x, y), axis=1)):  # np.allclose per chord
+        # np.allclose's absolute tolerance 1e-8 presumes coordinates of size 1
+        scale = min(1.0, max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
+        if np.any(np.all(np.isclose(x, y, atol=1e-8 * scale), axis=1)):  # np.allclose per chord
             raise GeometryError("chord endpoints coincide")
         d = y - x
         columns = {"x": x, "y": y, "length": np.hypot(d[:, 0], d[:, 1])}
@@ -307,12 +315,13 @@ class BoundaryDataset:
 
 def build_boundary_dataset(
     observed: Kernel,
-    reference: Kernel,
     domain: Domain,
     geometry: tuple[int, int],
     ladder,
 ) -> BoundaryDataset:
-    """Tabulate log density ratios for every chord of a parallel-beam raster.
+    """Tabulate log density ratios log(p / p0) of the observed kernel p
+    against the driftless one p0 (`BrownianKernel`, the diffusion
+    coefficient being the identity) for every chord of a parallel-beam raster.
 
     Both kernels are evaluated in log space, so a ratio stays finite where
     the densities themselves underflow.
@@ -323,6 +332,7 @@ def build_boundary_dataset(
         raise DataError("ladder times must be positive")
     chords, skipped = make_parallel_chords(domain, n_angles, n_offsets)
     xs, ys = chords.x, chords.y
+    reference = BrownianKernel()
     log_ratios = np.empty((len(chords), len(times)))
     for k, t in enumerate(times):
         try:

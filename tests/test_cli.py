@@ -50,6 +50,20 @@ TINY = {"grid": {"x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0, "nx": 17, "ny": 1
         "ladder": [0.02, 0.01, 0.005]}
 
 
+# references other than the driftless kernel, each of which ran to exit 0
+# while the reference was a setting (with rel_l2 1.0, 0.63 and none): the
+# observed kernel itself, an OU kernel under a faster OU one, and an OU
+# kernel under Brownian motion
+NOT_DRIFTLESS = {
+    "ou1-ou1": {"kernels": {"observed": {"kind": "ou", "theta": 1.0},
+                            "reference": {"kind": "ou", "theta": 1.0}}},
+    "ou2-ou1": {"kernels": {"observed": {"kind": "ou", "theta": 2.0},
+                            "reference": {"kind": "ou", "theta": 1.0}}, "ground_truth": True},
+    "brownian-ou1": {"kernels": {"observed": {"kind": "brownian"},
+                                 "reference": {"kind": "ou", "theta": 1.0}}, "ground_truth": True},
+}
+
+
 def write_config(path, raw):
     # json writes NaN / Infinity tokens, which the config reader accepts
     path.write_text(json.dumps(raw))
@@ -105,6 +119,7 @@ def write_config(path, raw):
     {"ground_truth": {"kind": "ou", "theta": 3.0}},
     {"kernels": {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 2.0},
                  "reference": {"kind": "brownian"}}},
+    *NOT_DRIFTLESS.values(),
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
@@ -131,6 +146,50 @@ def test_ou_rate_out_of_range_names_its_key(tmp_path, capsys, overrides, message
     config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pipeline"])
+@pytest.mark.parametrize("case", sorted(NOT_DRIFTLESS))
+def test_reference_that_is_not_driftless_names_kernels_reference(tmp_path, capsys, command, case):
+    config = write_config(tmp_path / "config.json", small_disc_config(**NOT_DRIFTLESS[case]))
+    out = tmp_path / "out"
+    assert run_command([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kernels.reference must be the driftless kernel of "
+                          "the observed diffusion, ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_omitted_reference_runs_as_the_brownian_one(tmp_path):
+    """kernels.reference may be left out: pipeline and the stage chain then
+    leave the files that an explicit {"kind": "brownian"} leaves, byte for
+    byte."""
+    explicit = small_disc_config()
+    omitted = small_disc_config(kernels={"observed": explicit["kernels"]["observed"]})
+    for name, raw in (("explicit", explicit), ("omitted", omitted)):
+        config = write_config(tmp_path / f"{name}.json", raw)
+        assert run_command(["pipeline", "--config", config,
+                            "--out", str(tmp_path / name / "pipeline")]) == 0
+        for stage in STAGES:
+            assert run_command([stage, "--config", config,
+                                "--out", str(tmp_path / name / "chain")]) == 0, stage
+    for run in ("pipeline", "chain"):
+        for file in ("dataset.csv", "fits.csv", "sinogram.csv", *DGF_FILES):
+            assert ((tmp_path / "omitted" / run / file).read_bytes()
+                    == (tmp_path / "explicit" / run / file).read_bytes()), (run, file)
+        rel_l2 = [comparable_report(tmp_path / name / run)["rel_l2"]
+                  for name in ("explicit", "omitted")]
+        assert rel_l2[0] == rel_l2[1] is not None
+
+
+def test_tiny_disc_runs(tmp_path):
+    """A disc of radius 1e-9 runs on a grid of its own size: its chords,
+    ~1e-9 long, are not taken for chords whose ends coincide."""
+    raw = small_disc_config(
+        domain={"kind": "disc", "radius": 1e-9}, geometry={"n_angles": 12, "n_offsets": 13},
+        grid={"x0": -1.15e-9, "y0": -1.15e-9, "x1": 1.15e-9, "y1": 1.15e-9, "nx": 17, "ny": 17})
+    config = write_config(tmp_path / "config.json", raw)
+    assert run_command(["pipeline", "--config", config, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("overrides, radius", [

@@ -19,7 +19,7 @@ import pytest
 
 from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid
-from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
+from driftscope.kernels import OrnsteinUhlenbeckKernel
 from driftscope.smalltime import (
     FITS_COLUMNS,
     BoundaryDataset,
@@ -167,7 +167,7 @@ def special_dataset():
 
 def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025), raster=(6, 5)):
     g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
-    return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0, dim=2), BrownianKernel(dim=2),
+    return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0, dim=2),
                                   DiscDomain(g, 0.0, 0.0, 1.0), raster, ladder)
 
 

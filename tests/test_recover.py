@@ -26,6 +26,7 @@ from driftscope.kernels import (
     BrownianKernel,
     OrnsteinUhlenbeckKernel,
     ProductKernel,
+    kernel_from_config,
 )
 from driftscope.recover import (
     STAGES,
@@ -431,14 +432,17 @@ def _mutate(raw, data):
 @given(st.data())
 def test_config_mutations_return_or_raise_config_error(data):
     """Up to three edits of a valid config dict are either accepted or refused
-    with a ConfigError, never another exception."""
+    with a ConfigError, never another exception; an accepted config's
+    reference, given or left out, is the driftless kernel."""
     raw = data.draw(st.sampled_from(VALID_CONFIGS))
     for _ in range(data.draw(st.integers(1, 3))):
         raw = _mutate(raw, data)
     try:
-        config_from_dict(raw)
+        cfg = config_from_dict(raw)
     except ConfigError:
-        pass
+        return
+    reference = cfg.kernels.get("reference", {"kind": "brownian"})
+    assert kernel_from_config(reference) == BrownianKernel()
 
 
 def test_valid_configs_accepted():
@@ -582,6 +586,18 @@ class TestPipeline:
         override = run_pipeline(small_ou_config(**size), persist=False,
                                 kernels=(OrnsteinUhlenbeckKernel(2.0), BrownianKernel()))
         assert override.metrics == run_pipeline(theta2, persist=False).metrics
+
+    def test_kernels_override_takes_only_the_driftless_reference(self):
+        # the pair the benchmark passes runs as the config does; any other
+        # reference is refused before a stage runs
+        cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
+        with pytest.raises(ConfigError, match="kernels.reference must be the driftless kernel"):
+            run_pipeline(cfg, persist=False,
+                         kernels=(OrnsteinUhlenbeckKernel(1.0), OrnsteinUhlenbeckKernel(1.0)))
+        pair = tuple(kernel_from_config(cfg.kernels[side]) for side in ("observed", "reference"))
+        assert pair[1] == BrownianKernel()
+        assert (run_pipeline(cfg, persist=False, kernels=pair).metrics
+                == run_pipeline(cfg, persist=False).metrics)
 
     def test_stage_error_tagging(self):
         cfg = small_ou_config(geometry={"n_angles": 2, "n_offsets": 3},

@@ -188,7 +188,7 @@ class TestDataset:
 
     def test_equal_kernels_all_zero(self):
         dom = self.grid_domain()
-        ds = build_boundary_dataset(BM, BM, dom, (6, 5), [0.02, 0.01, 0.005])
+        ds = build_boundary_dataset(BM, dom, (6, 5), [0.02, 0.01, 0.005])
         assert np.all(ds.log_ratios == 0.0)
         fits, excluded = fit_dataset(ds)
         assert not excluded
@@ -197,7 +197,7 @@ class TestDataset:
 
     def test_ou_dataset_fits(self):
         dom = self.grid_domain()
-        ds = build_boundary_dataset(OU, BM, dom, (8, 7), [0.02, 0.01, 0.005, 0.0025])
+        ds = build_boundary_dataset(OU, dom, (8, 7), [0.02, 0.01, 0.005, 0.0025])
         fits, excluded = fit_dataset(ds)
         assert not excluded
         for c, f in zip(ds.chords, fits):
@@ -208,7 +208,7 @@ class TestDataset:
         # diameter chords at t = 0.0025 have densities ~ exp(-800): only the
         # log-space path can use them
         dom = self.grid_domain()
-        ds = build_boundary_dataset(OU, BM, dom, (2, 3), [0.02, 0.01, 0.005, 0.0025])
+        ds = build_boundary_dataset(OU, dom, (2, 3), [0.02, 0.01, 0.005, 0.0025])
         diam = [i for i, c in enumerate(ds.chords) if abs(c.length - 2.0) < 1e-9]
         assert np.all(np.isfinite(ds.log_ratios[diam]))
         c = ds.chords[diam]
@@ -229,7 +229,7 @@ class TestCsv:
     def test_dataset_roundtrip_exact(self, tmp_path):
         g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        ds = build_boundary_dataset(OU, BM, dom, (4, 3), [0.02, 0.01, 0.005, 0.0025])
+        ds = build_boundary_dataset(OU, dom, (4, 3), [0.02, 0.01, 0.005, 0.0025])
         path = tmp_path / "dataset.csv"
         write_dataset_csv(path, ds)
         back = read_dataset_csv(path, ds.chords)
@@ -243,7 +243,7 @@ class TestCsv:
     def test_fits_roundtrip(self, tmp_path):
         g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        ds = build_boundary_dataset(OU, BM, dom, (4, 3), [0.02, 0.01, 0.005])
+        ds = build_boundary_dataset(OU, dom, (4, 3), [0.02, 0.01, 0.005])
         fits, _ = fit_dataset(ds)
         path = tmp_path / "fits.csv"
         write_fits_csv(path, ds.chords, fits)
