@@ -109,21 +109,25 @@ def _check_fbp_roundtrip():
     return ("filtered back-projection round trip", err <= 0.05, f"rel L2 {err:.2%}")
 
 
-def _check_elliptic_convergence():
+def _unit_disc_solve(n: int, boundary):
+    """The unit disc on an n^2 grid over [-1.2, 1.2]^2, and the solution of
+    1/2 lap u = u there with u = boundary on its edge."""
     from .elliptic import assemble_dirichlet_system, solve_bvp
-    from .fields import DiffusionField, DiscDomain, Grid, ScalarField, VectorField
+    from .fields import DiffusionField, DiscDomain, Grid, ScalarField
 
+    g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, n, n)
+    dom = DiscDomain(g, 0.0, 0.0, 1.0)
+    system = assemble_dirichlet_system(DiffusionField(), ScalarField(g, np.ones((n, n))), dom,
+                                       boundary)
+    return dom, solve_bvp(system, tol=1e-11)
+
+
+def _check_elliptic_convergence():
     errs = []
     for n in (33, 65):
-        g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, n, n)
-        dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        a = DiffusionField.identity(g)
-        b = VectorField(g, np.zeros((n, n, 2)))
-        V = ScalarField(g, np.ones((n, n)))
-        sys_ = assemble_dirichlet_system(a, b, V, dom, lambda p: np.exp(p[:, 0] + p[:, 1]))
-        sol = solve_bvp(sys_, tol=1e-11)
-        X, Y = g.nodes()
-        mask = sys_.node_index >= 0
+        dom, sol = _unit_disc_solve(n, lambda p: np.exp(p[:, 0] + p[:, 1]))
+        X, Y = dom.grid.nodes()
+        mask = dom.interior(dom.grid)
         errs.append(float(np.abs(sol.u.values[mask] - np.exp(X + Y)[mask]).max()))
     ratio = errs[0] / errs[1]
     return ("manufactured-solution convergence", 3.0 <= ratio <= 5.0, f"ratio {ratio:.2f}")
@@ -131,17 +135,9 @@ def _check_elliptic_convergence():
 
 def _check_feynman_kac():
     from .diffusion import McConfig, feynman_kac_exit
-    from .elliptic import assemble_dirichlet_system, solve_bvp
-    from .fields import DiffusionField, DiscDomain, Grid, ScalarField, VectorField, interp
+    from .fields import interp
 
-    n = 65
-    g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, n, n)
-    dom = DiscDomain(g, 0.0, 0.0, 1.0)
-    a = DiffusionField.identity(g)
-    b = VectorField(g, np.zeros((n, n, 2)))
-    V = ScalarField(g, np.ones((n, n)))
-    sys_ = assemble_dirichlet_system(a, b, V, dom, lambda p: np.ones(len(p)))
-    sol = solve_bvp(sys_, tol=1e-11)
+    dom, sol = _unit_disc_solve(65, lambda p: np.ones(len(p)))
     center_fd = float(interp(sol.u, np.array([0.0, 0.0])))
     h = 2e-3
     est = feynman_kac_exit(lambda p: np.ones(p.shape[:-1]), lambda p: np.ones(len(p)),

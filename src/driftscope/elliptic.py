@@ -1,5 +1,7 @@
-"""Finite-difference Dirichlet solver for 1/2 a^{ij} u_{x_i x_j} + b^i u_{x_i} = V u
-on a bounded domain, and the boundary data it needs from chord fits.
+"""Finite-difference Dirichlet solver for 1/2 a:D2 u = V u on a bounded
+domain, and the boundary data it needs from chord fits.  This is the forward
+equation 1/2 div(a grad(u)) = V u of u = exp(psi); a is one constant SPD
+matrix, so div(a grad(u)) = a:D2 u and no first-order term appears.
 
 Every node of `Domain.interior` is an unknown and gets the same
 Shortley-Weller (1938) unequal-arm stencil, built for all nodes at once from
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GeometryError, SolverError
-from .fields import DiffusionField, Domain, ScalarField, VectorField
+from .fields import DiffusionField, Domain, ScalarField
 from .smalltime import _CHORDS_PER_CHUNK
 
 _ARM_FLOOR = 1e-10
@@ -49,7 +51,6 @@ class LinearSystem:
     rhs: np.ndarray
     node_index: np.ndarray  # (nx, ny) -> unknown index or -1
     grid: object
-    peclet_max: float
 
     @property
     def dimension(self) -> int:
@@ -77,16 +78,6 @@ def _second_coeffs(h_minus: np.ndarray, h_plus: np.ndarray):
         2.0 / (h_minus * (h_minus + h_plus)),
         -2.0 / (h_minus * h_plus),
         2.0 / (h_plus * (h_minus + h_plus)),
-    )
-
-
-def _first_coeffs(h_minus: np.ndarray, h_plus: np.ndarray):
-    """Second-order first derivative with unequal arms."""
-    denom = h_minus * h_plus * (h_minus + h_plus)
-    return (
-        -h_plus * h_plus / denom,
-        (h_plus * h_plus - h_minus * h_minus) / denom,
-        h_minus * h_minus / denom,
     )
 
 
@@ -147,30 +138,27 @@ def _leg_arms(domain: Domain, node_index: np.ndarray, nodes: np.ndarray, legs):
 
 def assemble_dirichlet_system(
     a: DiffusionField,
-    b: VectorField,
     V: ScalarField,
     domain: Domain,
     g,
 ) -> LinearSystem:
-    """Assemble rows of (1/2 a^{ij} d_ij + b^i d_i - V) u = 0 over the
-    domain's unknowns (`Domain.interior`), all through one unequal-arm
-    stencil.
+    """Assemble rows of (1/2 a:D2 - V) u = 0 over the domain's unknowns
+    (`Domain.interior`), all through one unequal-arm stencil; a constant a
+    has div(a grad(u)) = a:D2 u, so the rows hold no first-order term.
 
-    Each axis second and first derivative uses the three-point formulas of
-    `_second_coeffs` / `_first_coeffs` on the node's arms (at full arms
-    these are the regular central stencil); where a12 is nonzero, the cross
-    term's four diagonal weights come from `_cross_weights`.  A leg that
-    crosses the boundary ends at the crossing point, and one to a boundary
-    node at the node; g (called once on all those points) gives the value
-    there, and the leg's coef * g moves to the right-hand side.
-    Floating-point sums depend on their order, so the legs are subtracted in
-    one fixed order, W, E, S, N, then the diagonals: that fixes how each
-    row's right-hand side rounds.
+    Each axis second derivative uses `_second_coeffs` on the node's arms (at
+    full arms, the regular central stencil); where a12 is nonzero, the
+    cross term's four diagonal weights come from `_cross_weights`.  A leg that crosses the boundary
+    ends at the crossing point, and one to a boundary node at the node; g
+    (called once on all those points) gives the value there, and the leg's
+    coef * g moves to the right-hand side.  Floating-point sums depend on
+    their order, so the legs are subtracted in one fixed order, W, E, S, N,
+    then the diagonals: that fixes how each row's right-hand side rounds.
     """
     import scipy.sparse as sp
 
     grid = domain.grid
-    if a.grid != grid or b.grid != grid or V.grid != grid:
+    if V.grid != grid:
         raise DataError("fields must live on the domain's grid")
     dx, dy = grid.dx, grid.dy
     inside = domain.interior(grid)
@@ -180,26 +168,22 @@ def assemble_dirichlet_system(
         raise DataError("domain contains no grid nodes")
     node_index = -np.ones(grid.shape, dtype=np.int64)
     node_index[inside] = np.arange(n)
-    ii, jj = nodes[:, 0], nodes[:, 1]
-    a11, a12, a22 = a.a11[ii, jj], a.a12[ii, jj], a.a22[ii, jj]
-    b1, b2 = b.values[ii, jj, 0], b.values[ii, jj, 1]
-    has_cross = bool(np.any(a12 != 0.0))
+    V_in = V.values[inside]  # in the unknowns' order, as nodes
+    has_cross = a.a12 != 0.0
 
     legs = _AXIS_LEGS + _DIAGONAL_LEGS if has_cross else _AXIS_LEGS
     nbr, arm, bp = _leg_arms(domain, node_index, nodes, legs)
-    axx, ayy = 0.5 * a11, 0.5 * a22
+    axx, ayy = 0.5 * a.a11, 0.5 * a.a22
     cm, cc, cp = _second_coeffs(arm[0] * dx, arm[1] * dx)
-    fm, fc, fp = _first_coeffs(arm[0] * dx, arm[1] * dx)
-    coefs = [axx * cm + b1 * fm, axx * cp + b1 * fp]
-    center = axx * cc + b1 * fc
+    coefs = [axx * cm, axx * cp]
+    center = axx * cc
     cm, cc, cp = _second_coeffs(arm[2] * dy, arm[3] * dy)
-    fm, fc, fp = _first_coeffs(arm[2] * dy, arm[3] * dy)
-    coefs += [ayy * cm + b2 * fm, ayy * cp + b2 * fp]
-    center = center + (ayy * cc + b2 * fc) - V.values[ii, jj]
+    coefs += [ayy * cm, ayy * cp]
+    center = center + ayy * cc - V_in
     if has_cross:
         wts = _cross_weights(arm[4:], dx, dy)
-        coefs += list(a12 * wts)
-        center = center - a12 * wts.sum(axis=0)
+        coefs += list(a.a12 * wts)
+        center = center - a.a12 * wts.sum(axis=0)
     coef = np.stack(coefs)
 
     stay = nbr >= 0
@@ -217,19 +201,7 @@ def assemble_dirichlet_system(
     for leg_coef, leg_g in zip(coef, g_cut):
         rhs -= leg_coef * leg_g
 
-    peclet = np.maximum(
-        np.abs(b1) * dx / np.maximum(axx, 1e-300),
-        np.abs(b2) * dy / np.maximum(ayy, 1e-300),
-    )
-    peclet_max = float(peclet.max())
-    if peclet_max > 2.0:
-        warnings.warn(
-            f"cell Peclet number {peclet_max:.2f} exceeds 2; central differencing "
-            "of the first-order term may oscillate",
-            stacklevel=2,
-        )
-
-    vmin = float(V.values[ii, jj].min())
+    vmin = float(V_in.min())
     if vmin < 0.0:
         warnings.warn(
             f"potential takes negative values (min {vmin:.3e}); uniqueness is "
@@ -237,13 +209,7 @@ def assemble_dirichlet_system(
             stacklevel=2,
         )
 
-    return LinearSystem(
-        matrix=A,
-        rhs=rhs,
-        node_index=node_index,
-        grid=grid,
-        peclet_max=peclet_max,
-    )
+    return LinearSystem(matrix=A, rhs=rhs, node_index=node_index, grid=grid)
 
 
 def _sa_hierarchy(A, node_index: np.ndarray):

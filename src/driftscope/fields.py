@@ -9,7 +9,7 @@ frozen) and safe to share across workers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -119,42 +119,21 @@ class VectorField:
 
 @dataclass(frozen=True)
 class DiffusionField:
-    """Symmetric positive-definite 2x2 matrix per node (a11, a12, a22).
+    """One constant SPD diffusion matrix [[a11, a12], [a12, a22]], by default
+    the identity: constant, it gives div(a grad(u)) = a:D2 u, so 1/2
+    div(a grad(u)) = V u (`elliptic`) has no first-order term.  DataError
+    unless every entry is finite, a11 > 0 and det(a) > 0."""
 
-    Uniform ellipticity is checked at construction: the minimum over nodes
-    of the smallest eigenvalue is stored as `delta` and must be > 0.
-    """
-
-    grid: Grid
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
-    delta: float = dc_field(init=False)
+    a11: float = 1.0
+    a12: float = 0.0
+    a22: float = 1.0
 
     def __post_init__(self):
-        for name in ("a11", "a12", "a22"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != self.grid.shape:
-                raise DataError(f"{name} shape {v.shape} does not match grid {self.grid.shape}")
-            if not np.all(np.isfinite(v)):
-                raise DataError(f"non-finite entries in {name}")
-            object.__setattr__(self, name, _frozen(v))
-        tr = self.a11 + self.a22
-        disc = np.sqrt((self.a11 - self.a22) ** 2 + 4.0 * self.a12**2)
-        lam_min = 0.5 * (tr - disc)
-        delta = float(lam_min.min())
-        if not (np.all(self.a11 > 0) and delta > 0):
-            raise DataError(f"diffusion matrix not SPD everywhere (min eigenvalue {delta:.3e})")
-        object.__setattr__(self, "delta", delta)
-
-    @classmethod
-    def constant(cls, grid: Grid, a11: float, a12: float, a22: float) -> "DiffusionField":
-        one = np.ones(grid.shape)
-        return cls(grid, a11 * one, a12 * one, a22 * one)
-
-    @classmethod
-    def identity(cls, grid: Grid) -> "DiffusionField":
-        return cls.constant(grid, 1.0, 0.0, 1.0)
+        entries = (self.a11, self.a12, self.a22)
+        if not np.all(np.isfinite(entries)):
+            raise DataError(f"non-finite entries in the diffusion matrix {entries}")
+        if not (self.a11 > 0 and self.a11 * self.a22 - self.a12 * self.a12 > 0):
+            raise DataError(f"diffusion matrix {entries} is not SPD")
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +161,29 @@ class Domain:
 
     @cached_property
     def _interior(self) -> np.ndarray:
+        inside = self._unknowns(np.arange(self.grid.nx), np.arange(self.grid.ny))
+        inside.setflags(write=False)
+        return inside
+
+    def _unknowns(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Mask (len(i), len(j)) of the grid nodes (i, j) inside the domain,
+        and inside still when moved `_SLIVER` grid steps along either axis."""
         g = self.grid
-        pts = g.node_points().reshape(*g.shape, 2)
+        pts = np.stack(np.meshgrid(g.x0 + g.dx * i, g.y0 + g.dy * j, indexing="ij"), axis=-1)
         inside = self.contains(pts)
         for step in _SLIVER * np.array([[-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]]):
             inside &= self.contains(pts + step)
-        inside.setflags(write=False)
         return inside
+
+    def has_unknown(self) -> bool:
+        """Whether `interior` holds a node, from the 5x5 nodes about the center:
+        each domain kind is convex and mirror-symmetric about its center along
+        both axes, so if any node is an unknown, the one nearest the center is
+        (the block covers ties and rounding).  Float indices fit any grid."""
+        g = self.grid
+        near = np.rint((self.center - (g.x0, g.y0)) / (g.dx, g.dy))
+        i, j = (np.clip(k + np.arange(-2.0, 3.0), 0, n - 1) for k, n in zip(near, g.shape))
+        return bool(self._unknowns(i, j).any())
 
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
         """Map boundary points to arclength-like parameter in [0, param_length)."""
@@ -590,18 +585,17 @@ def mixed_derivative(field: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def potential_from_psi(psi: ScalarField, a: DiffusionField, b: VectorField) -> ScalarField:
-    """Scalar potential 1/2 tr(a D2 psi) + <b, grad psi> + 1/2 <a grad psi, grad psi>."""
-    if a.grid != psi.grid or b.grid != psi.grid:
-        raise DataError("potential_from_psi requires fields on a shared grid")
+def potential_from_psi(psi: ScalarField, a: DiffusionField) -> ScalarField:
+    """V = 1/2 a:D2 psi + 1/2 <a grad psi, grad psi>, of 1/2 a:D2 u = V u for
+    u = exp(psi): a constant a has div(a grad psi) = a:D2 psi, no first-order term."""
     g = psi.grid
     pxx = _d2(psi.values, g.dx, 0)
     pyy = _d2(psi.values, g.dy, 1)
     grad = gradient(psi).values
     gx, gy = grad[..., 0], grad[..., 1]
     quad = a.a11 * gx * gx + 2.0 * a.a12 * gx * gy + a.a22 * gy * gy
-    v = 0.5 * (a.a11 * pxx + a.a22 * pyy) + b.values[..., 0] * gx + b.values[..., 1] * gy + 0.5 * quad
-    if np.any(a.a12 != 0.0):
+    v = 0.5 * (a.a11 * pxx + a.a22 * pyy) + 0.5 * quad
+    if a.a12 != 0.0:
         pxy = mixed_derivative(psi).values
         v = v + a.a12 * pxy
     return ScalarField(g, v)

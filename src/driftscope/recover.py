@@ -133,9 +133,10 @@ def default_ladder(radius: float, m: int = 4) -> np.ndarray:
 class PipelineConfig:
     """A pipeline config, resolved once: making it (and `dataclasses.replace`)
     builds and stores the grid, the domain, the time ladder and the observed
-    kernel from the specs; a spec that cannot be built, a ground truth
-    unequal to the observed kernel, or a `kernels.reference` other than the
-    driftless `{"kind": "brownian"}`, is a ConfigError.  `kernels` stays the
+    kernel from the specs; a spec that cannot be built, a domain with no
+    unknown (`Domain.has_unknown`), a ground truth unequal to the observed
+    kernel, or a `kernels.reference` other than the driftless
+    `{"kind": "brownian"}`, is a ConfigError.  `kernels` stays the
     section as given, the reference left out or not."""
 
     domain_spec: dict
@@ -172,6 +173,9 @@ class PipelineConfig:
             if not np.finfo(float).tiny <= r * r < np.inf:
                 raise ConfigError(f"domain circumradius {r!r} is out of range: its square "
                                   "must be a positive normal float")
+            if not domain.has_unknown():
+                raise ConfigError(f"no node of the {grid.nx}x{grid.ny} grid lies inside the "
+                                  "domain, clear of its boundary: the solve has no unknown")
             ladder = (default_ladder(domain.circumradius) if self.ladder is None
                       else np.array(self.ladder, dtype=float))
             ladder.setflags(write=False)
@@ -299,8 +303,6 @@ def psi_from_u(u: ScalarField, boundary_psi: BoundaryPsi, domain: Domain) -> Sca
 def drift_from_psi(psi: ScalarField, a: DiffusionField, domain: Domain | None = None) -> VectorField:
     """Drift c = a * grad(psi); zeroed off the solve's unknowns
     (`Domain.interior`) when a domain is given."""
-    if a.grid != psi.grid:
-        raise DataError("drift_from_psi requires a shared grid")
     grad = gradient(psi).values
     cx = a.a11 * grad[..., 0] + a.a12 * grad[..., 1]
     cy = a.a12 * grad[..., 0] + a.a22 * grad[..., 1]
@@ -328,8 +330,6 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain) -> f
     d_y (a^{-1} c)_1 - d_x (a^{-1} c)_2: the discrete test that a^{-1} c is
     a gradient field (zero for exact data).
     """
-    if a.grid != c.grid:
-        raise DataError("gradient_consistency requires a shared grid")
     g = c.grid
     det = a.a11 * a.a22 - a.a12**2
     w1 = (a.a22 * c.values[..., 0] - a.a12 * c.values[..., 1]) / det
@@ -412,22 +412,20 @@ def _invert(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _solve(cfg: PipelineConfig, v: dict) -> dict:
-    """Dirichlet solve plus potential-log extraction."""
+    """Dirichlet solve of 1/2 a:D2 u = V_hat u, u = exp(psi) on the boundary,
+    for psi_hat = log(u); a = I, every kernel's, is constant, so
+    div(a grad(u)) = a:D2 u and there is no first-order term."""
     V_hat, domain = v["V_hat"], v["domain"]
-    grid = V_hat.grid
     # no later step reads the chord and fit tables: free them once read
     bpsi = boundary_psi_from_fits(v.pop("chords"), v.pop("fits"), domain,
                                   n_knots=cfg.boundary_knots)
-    g = boundary_values_from_psi(bpsi)
-    a = DiffusionField.identity(grid)
-    b = VectorField(grid, np.zeros((*grid.shape, 2)))
-    system = assemble_dirichlet_system(a, b, V_hat, domain, g)
+    system = assemble_dirichlet_system(DiffusionField(), V_hat, domain,
+                                       boundary_values_from_psi(bpsi))
     solution = solve_bvp(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     v["u"], v["psi_hat"] = solution.u, psi_from_u(solution.u, bpsi, domain)
     return {"solver_residual": solution.residual_norm,
             "solver_iterations": solution.iterations,
             "min_u": solution.min_u,
-            "peclet_max": system.peclet_max,
             "boundary_knots_missing": bpsi.n_missing}
 
 
@@ -435,7 +433,7 @@ def _recover(cfg: PipelineConfig, v: dict) -> dict:
     """Drift and its curl; error metrics (v["metrics"]) against the observed
     kernel's drift when the config asks for them, else None."""
     psi_hat, domain = v["psi_hat"], v["domain"]
-    a = DiffusionField.identity(psi_hat.grid)
+    a = DiffusionField()
     c_hat = v["c_hat"] = drift_from_psi(psi_hat, a, domain)
     curl = gradient_consistency(c_hat, a, domain)
     v["metrics"] = None

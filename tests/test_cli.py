@@ -192,6 +192,22 @@ def test_tiny_disc_runs(tmp_path):
     assert run_command(["pipeline", "--config", config, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command", ["gen-data", "pipeline"])
+def test_grid_with_no_unknown_exits_2_at_parse(tmp_path, capsys, command):
+    """A disc of radius 1e-9 on the 17^2 grid over [-1, 1]^2 holds no grid
+    node: the config is refused before any stage runs, not at solve after
+    four stages."""
+    raw = small_disc_config(**TINY, domain={"kind": "disc", "radius": 1e-9},
+                            geometry={"n_angles": 12, "n_offsets": 13})
+    config = write_config(tmp_path / "config.json", raw)
+    out = tmp_path / "out"
+    assert run_command([command, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: no node of the 17x17 grid lies inside the domain, clear of its "
+        "boundary: the solve has no unknown\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, radius", [
     ({"grid": None, "domain": {"kind": "disc", "radius": 1e200}}, "1e+200"),
     ({**TINY, "domain": {"kind": "rectangle", "corners": [[0.0, 0.0], [1e-200, 1e-200]]}},
@@ -406,6 +422,15 @@ def fresh_env():
     src = str(Path(driftscope.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_driftscope_runs_the_cli(tmp_path):
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    proc = subprocess.run([sys.executable, "-m", "driftscope", "gen-data", "--config", config,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "dataset.csv").is_file()
 
 
 def test_fresh_process_stage_chain_matches_pipeline(tmp_path):

@@ -22,7 +22,6 @@ from driftscope.fields import (
     DiscDomain,
     Grid,
     ScalarField,
-    VectorField,
     sample_scalar,
 )
 
@@ -273,10 +272,8 @@ class TestFeynmanKac:
         n = 65
         g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, n, n)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        a = DiffusionField.identity(g)
-        b = VectorField(g, np.zeros((n, n, 2)))
         V = ScalarField(g, np.ones((n, n)))
-        system = assemble_dirichlet_system(a, b, V, dom, lambda p: np.ones(len(p)))
+        system = assemble_dirichlet_system(DiffusionField(), V, dom, lambda p: np.ones(len(p)))
         sol = solve_bvp(system, tol=1e-11)
         center = float(interp(sol.u, ORIGIN))
         h = 1e-3
@@ -344,7 +341,7 @@ sys.path.insert(0, {src!r})
 import numpy as np
 import driftscope.diffusion, driftscope.kernels, driftscope.recover
 from driftscope import diffusion, elliptic
-from driftscope.fields import DiffusionField, DiscDomain, Grid, ScalarField, VectorField
+from driftscope.fields import DiffusionField, DiscDomain, Grid, ScalarField
 from driftscope.recover import config_from_dict
 
 cfg = config_from_dict({{
@@ -358,8 +355,8 @@ assert est.value == 1.0 and est.n_paths == 500
 print("scipy" in sys.modules)
 g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 9, 9)
 system = elliptic.assemble_dirichlet_system(
-    DiffusionField.identity(g), VectorField(g, np.zeros((9, 9, 2))),
-    ScalarField(g, np.ones((9, 9))), DiscDomain(g, 0.0, 0.0, 1.0), lambda p: np.ones(len(p)))
+    DiffusionField(), ScalarField(g, np.ones((9, 9))), DiscDomain(g, 0.0, 0.0, 1.0),
+    lambda p: np.ones(len(p)))
 elliptic.solve_bvp(system)
 print("scipy" in sys.modules, "scipy.sparse" in sys.modules,
       "scipy.sparse.linalg" in sys.modules or "scipy.linalg" in sys.modules)

@@ -21,7 +21,6 @@ from driftscope.fields import (
     Grid,
     RectangleDomain,
     ScalarField,
-    VectorField,
     interp,
     sample_scalar,
 )
@@ -39,10 +38,7 @@ def chord_fit_tables(xs, ys, delta_psi, se_delta_psi):
 
 def disc_setup(n, half=1.2, radius=1.0):
     g = Grid.from_extent(-half, -half, half, half, n, n)
-    dom = DiscDomain(g, 0.0, 0.0, radius)
-    a = DiffusionField.identity(g)
-    b = VectorField(g, np.zeros((n, n, 2)))
-    return g, dom, a, b
+    return g, DiscDomain(g, 0.0, 0.0, radius)
 
 
 def zeros(g):
@@ -55,8 +51,9 @@ def ones(g):
 
 class TestAssembly:
     def test_constant_solution_disc(self):
-        g, dom, a, b = disc_setup(33)
-        system = assemble_dirichlet_system(a, b, zeros(g), dom, lambda p: np.ones(len(p)))
+        g, dom = disc_setup(33)
+        system = assemble_dirichlet_system(DiffusionField(), zeros(g), dom,
+                                           lambda p: np.ones(len(p)))
         sol = solve_bvp(system, tol=1e-12)
         mask = system.node_index >= 0
         assert np.abs(sol.u.values[mask] - 1.0).max() < 1e-9
@@ -66,12 +63,9 @@ class TestAssembly:
         def residual(n):
             g = Grid.from_extent(-2.0, -2.0, 2.0, 2.0, n, n)
             dom = RectangleDomain(g, -1.0, -1.0, 1.0, 1.0)
-            a = DiffusionField.identity(g)
-            b = VectorField(g, np.zeros((n, n, 2)))
-            kappa = 1.0
             u_star = sample_scalar(lambda x, y: np.exp(x + y), g)
             system = assemble_dirichlet_system(
-                a, b, ones(g), dom, lambda p: np.exp(p[:, 0] + p[:, 1])
+                DiffusionField(), ones(g), dom, lambda p: np.exp(p[:, 0] + p[:, 1])
             )
             mask = system.node_index >= 0
             x = u_star.values[mask][np.argsort(system.node_index[mask])]
@@ -83,15 +77,14 @@ class TestAssembly:
         def residual(n):
             g = Grid.from_extent(-2.0, -2.0, 2.0, 2.0, n, n)
             dom = RectangleDomain(g, -1.0, -1.0, 1.0, 1.0)
-            a = DiffusionField.constant(g, 1.0, 0.0, 4.0)
-            b = VectorField(g, np.zeros((n, n, 2)))
+            a = DiffusionField(1.0, 0.0, 4.0)
             al, be = 0.8, 0.3
             # V chosen so u* = exp(al x + be y) solves the equation
             v_val = 0.5 * (1.0 * al**2 + 4.0 * be**2)
             V = ScalarField(g, np.full((n, n), v_val))
             u_star = sample_scalar(lambda x, y: np.exp(al * x + be * y), g)
             system = assemble_dirichlet_system(
-                a, b, V, dom, lambda p: np.exp(al * p[:, 0] + be * p[:, 1])
+                a, V, dom, lambda p: np.exp(al * p[:, 0] + be * p[:, 1])
             )
             mask = system.node_index >= 0
             x = u_star.values[mask][np.argsort(system.node_index[mask])]
@@ -100,31 +93,23 @@ class TestAssembly:
         assert 3.0 <= residual(33) / residual(65) <= 5.0
 
     def test_spd_violation_rejected(self):
-        g, dom, _, b = disc_setup(17)
+        # a matrix that is not SPD never reaches assembly
         with pytest.raises(DataError, match="SPD"):
-            bad = DiffusionField.constant(g, 1.0, 1.5, 1.0)
-            assemble_dirichlet_system(bad, b, zeros(g), dom, lambda p: np.ones(len(p)))
+            DiffusionField(1.0, 1.5, 1.0)
 
     def test_symmetric_matrix_on_aligned_rectangle(self):
         g = Grid.from_extent(-2.0, -2.0, 2.0, 2.0, 33, 33)
         dom = RectangleDomain(g, -1.0, -1.0, 1.0, 1.0)
-        a = DiffusionField.constant(g, 2.0, 0.0, 2.0)
-        b = VectorField(g, np.zeros((33, 33, 2)))
-        system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.ones(len(p)))
+        system = assemble_dirichlet_system(DiffusionField(2.0, 0.0, 2.0), ones(g), dom,
+                                           lambda p: np.ones(len(p)))
         assert system.symmetric
         assert (system.matrix != system.matrix.T).nnz == 0
 
-    def test_peclet_warning(self):
-        g, dom, a, _ = disc_setup(17)
-        b = VectorField(g, np.tile([50.0, 0.0], (17, 17, 1)))
-        with pytest.warns(UserWarning, match="Peclet"):
-            assemble_dirichlet_system(a, b, zeros(g), dom, lambda p: np.ones(len(p)))
-
     def test_negative_potential_warns(self):
-        g, dom, a, b = disc_setup(17)
+        g, dom = disc_setup(17)
         V = ScalarField(g, np.full((17, 17), -0.5))
         with pytest.warns(UserWarning, match="negative"):
-            assemble_dirichlet_system(a, b, V, dom, lambda p: np.ones(len(p)))
+            assemble_dirichlet_system(DiffusionField(), V, dom, lambda p: np.ones(len(p)))
 
 
 def per_leg_arm(domain, p, step, neighbor_inside):
@@ -193,15 +178,6 @@ def oracle_second_coeffs(h_minus, h_plus):
     )
 
 
-def oracle_first_coeffs(h_minus, h_plus):
-    denom = h_minus * h_plus * (h_minus + h_plus)
-    return (
-        -h_plus * h_plus / denom,
-        (h_plus * h_plus - h_minus * h_minus) / denom,
-        h_minus * h_minus / denom,
-    )
-
-
 def oracle_cross_weights(lams, dx, dy):
     sx = np.array([1.0, -1.0, -1.0, 1.0])
     sy = np.array([1.0, 1.0, -1.0, -1.0])
@@ -228,7 +204,7 @@ def oracle_leg_arms(domain, inside, nodes, legs):
     return dict(zip(keys, zip(np.maximum(theta, elliptic._ARM_FLOOR).tolist(), bp)))
 
 
-def oracle_assemble(a, b, V, domain, g):
+def oracle_assemble(a, V, domain, g):
     """(matrix, rhs) of the two-path assembly."""
     grid = domain.grid
     dx, dy = grid.dx, grid.dy
@@ -237,8 +213,7 @@ def oracle_assemble(a, b, V, domain, g):
     pad[1:-1, 1:-1] = inside
     nbr_out = (~pad[:-2, 1:-1]) | (~pad[2:, 1:-1]) | (~pad[1:-1, :-2]) | (~pad[1:-1, 2:])
     n = len(nodes)
-    a11, a12, a22 = a.a11, a.a12, a.a22
-    b1, b2 = b.values[..., 0], b.values[..., 1]
+    a11, a12, a22 = (np.full(grid.shape, entry) for entry in (a.a11, a.a12, a.a22))
     has_cross = bool(np.any(a12 != 0.0))
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
@@ -255,15 +230,13 @@ def oracle_assemble(a, b, V, domain, g):
     k = node_index[ri, rj]
     cxx = a11[ri, rj] * 0.5
     cyy = a22[ri, rj] * 0.5
-    be1 = b1[ri, rj]
-    be2 = b2[ri, rj]
     center = -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2 - V.values[ri, rj]
     entries = [
         (ri, rj, center),
-        (ri + 1, rj, cxx / dx**2 + be1 / (2 * dx)),
-        (ri - 1, rj, cxx / dx**2 - be1 / (2 * dx)),
-        (ri, rj + 1, cyy / dy**2 + be2 / (2 * dy)),
-        (ri, rj - 1, cyy / dy**2 - be2 / (2 * dy)),
+        (ri + 1, rj, cxx / dx**2),
+        (ri - 1, rj, cxx / dx**2),
+        (ri, rj + 1, cyy / dy**2),
+        (ri, rj - 1, cyy / dy**2),
     ]
     if has_cross:
         cxy = a12[ri, rj] / (4.0 * dx * dy)
@@ -296,17 +269,15 @@ def oracle_assemble(a, b, V, domain, g):
         hw, he = legs["W"][0] * dx, legs["E"][0] * dx
         hs, hn = legs["S"][0] * dy, legs["N"][0] * dy
         cm, cc, cp = oracle_second_coeffs(hw, he)
-        fm, fc, fp = oracle_first_coeffs(hw, he)
         axx = 0.5 * a11[i, j]
-        put("W", axx * cm + b1[i, j] * fm)
-        put("E", axx * cp + b1[i, j] * fp)
-        center = axx * cc + b1[i, j] * fc
+        put("W", axx * cm)
+        put("E", axx * cp)
+        center = axx * cc
         cm, cc, cp = oracle_second_coeffs(hs, hn)
-        fm, fc, fp = oracle_first_coeffs(hs, hn)
         ayy = 0.5 * a22[i, j]
-        put("S", ayy * cm + b2[i, j] * fm)
-        put("N", ayy * cp + b2[i, j] * fp)
-        center += ayy * cc + b2[i, j] * fc
+        put("S", ayy * cm)
+        put("N", ayy * cp)
+        center += ayy * cc
         add(k, k, center - V.values[i, j])
 
         if has_cross and a12[i, j] != 0.0:
@@ -343,12 +314,9 @@ SMALL_DISC = DiscDomain(LEG_DOMAINS[0].grid, 0.05, -0.1, 0.1)
 
 @pytest.mark.parametrize("domain", [*LEG_DOMAINS, SMALL_DISC], ids=["disc", "rectangle", "small-disc"])
 def test_assembly_matches_two_path_oracle_bitwise_for_identity_a(domain):
-    g = domain.grid
-    a = DiffusionField.identity(g)
-    b = VectorField(g, np.zeros((*g.shape, 2)))
-    V = wavy_potential(g)
-    system = assemble_dirichlet_system(a, b, V, domain, wavy_boundary)
-    A, rhs = oracle_assemble(a, b, V, domain, wavy_boundary)
+    V = wavy_potential(domain.grid)
+    system = assemble_dirichlet_system(DiffusionField(), V, domain, wavy_boundary)
+    A, rhs = oracle_assemble(DiffusionField(), V, domain, wavy_boundary)
     for name in ("data", "indices", "indptr"):
         assert getattr(system.matrix, name).tobytes() == getattr(A, name).tobytes(), name
     assert system.rhs.tobytes() == rhs.tobytes()
@@ -356,41 +324,34 @@ def test_assembly_matches_two_path_oracle_bitwise_for_identity_a(domain):
 
 @pytest.mark.parametrize("domain", LEG_DOMAINS, ids=["disc", "rectangle"])
 def test_assembly_matches_two_path_oracle_for_general_a(domain):
-    g = domain.grid
-    X, Y = g.nodes()
-    a = DiffusionField(g, 1.5 + 0.2 * np.sin(X), 0.3 + 0.1 * np.cos(Y), 1.0 + 0.2 * X * X)
-    b = VectorField(g, np.random.default_rng(5).uniform(-1.0, 1.0, (*g.shape, 2)))
-    V = wavy_potential(g)
-    system = assemble_dirichlet_system(a, b, V, domain, wavy_boundary)
-    A, rhs = oracle_assemble(a, b, V, domain, wavy_boundary)
-    assert np.array_equal(system.matrix.indptr, A.indptr)
-    assert np.array_equal(system.matrix.indices, A.indices)
-    assert np.abs(system.matrix.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
-    assert np.abs(system.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+    a = DiffusionField(1.5, 0.3, 1.0)
+    V = wavy_potential(domain.grid)
+    system = assemble_dirichlet_system(a, V, domain, wavy_boundary)
+    A, rhs = oracle_assemble(a, V, domain, wavy_boundary)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(system.matrix, name).tobytes() == getattr(A, name).tobytes(), name
+    assert system.rhs.tobytes() == rhs.tobytes()
 
 
 def wavy_disc_system(n=129):
-    """Unit disc, identity a, no drift: Shortley-Weller rows make it nonsymmetric."""
-    g, dom, a, b = disc_setup(n)
-    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+    """Unit disc, identity a: Shortley-Weller rows make it nonsymmetric."""
+    g, dom = disc_setup(n)
+    return assemble_dirichlet_system(DiffusionField(), wavy_potential(g), dom, wavy_boundary)
 
 
 def aligned_rectangle_system(n=65):
     """The aligned rectangle of test_symmetric_matrix_on_aligned_rectangle: symmetric."""
     g = Grid.from_extent(-2.0, -2.0, 2.0, 2.0, n, n)
     dom = RectangleDomain(g, -1.0, -1.0, 1.0, 1.0)
-    a = DiffusionField.constant(g, 2.0, 0.0, 2.0)
-    b = VectorField(g, np.zeros((n, n, 2)))
-    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+    return assemble_dirichlet_system(DiffusionField(2.0, 0.0, 2.0), wavy_potential(g), dom,
+                                     wavy_boundary)
 
 
 def general_disc_system(n=129):
-    """Centered disc with a cross term and a drift."""
-    g, dom, _, _ = disc_setup(n)
-    X, Y = g.nodes()
-    a = DiffusionField.constant(g, 1.0, 0.3, 0.8)
-    b = VectorField(g, np.stack([0.5 * X, -0.3 * Y], axis=-1))
-    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+    """Centered disc with a cross term: its cut arms make it nonsymmetric."""
+    g, dom = disc_setup(n)
+    return assemble_dirichlet_system(DiffusionField(1.0, 0.3, 0.8), wavy_potential(g), dom,
+                                     wavy_boundary)
 
 
 def sliver_disc():
@@ -401,10 +362,7 @@ def sliver_disc():
 
 def sliver_disc_system(boundary=wavy_boundary):
     dom = sliver_disc()
-    g = dom.grid
-    a = DiffusionField.identity(g)
-    b = VectorField(g, np.zeros((*g.shape, 2)))
-    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, boundary)
+    return assemble_dirichlet_system(DiffusionField(), wavy_potential(dom.grid), dom, boundary)
 
 
 def direct_u(system):
@@ -418,9 +376,9 @@ class TestSolve:
         # u* = e^{x+y} solves (1/2) lap u = u, so V = 1
         errs = []
         for n in (33, 65, 129):
-            g, dom, a, b = disc_setup(n)
+            g, dom = disc_setup(n)
             system = assemble_dirichlet_system(
-                a, b, ones(g), dom, lambda p: np.exp(p[:, 0] + p[:, 1])
+                DiffusionField(), ones(g), dom, lambda p: np.exp(p[:, 0] + p[:, 1])
             )
             sol = solve_bvp(system, tol=1e-11)
             X, Y = g.nodes()
@@ -437,14 +395,13 @@ class TestSolve:
         errs = []
         for n in (33, 65):
             if kind == "disc":
-                g, dom, _, b = disc_setup(n)
+                g, dom = disc_setup(n)
             else:
                 g = Grid.from_extent(-1.2, -1.1, 1.3, 1.2, n, n)
                 dom = RectangleDomain(g, -0.93, -0.71, 1.01, 0.87)
-                b = VectorField(g, np.zeros((n, n, 2)))
-            a = DiffusionField.constant(g, 1.5, 0.3, 1.0)
+            a = DiffusionField(1.5, 0.3, 1.0)
             V = ScalarField(g, np.full(g.shape, 0.5 * grad_phi @ a_mat @ grad_phi))
-            system = assemble_dirichlet_system(a, b, V, dom, lambda p: np.exp(p @ grad_phi))
+            system = assemble_dirichlet_system(a, V, dom, lambda p: np.exp(p @ grad_phi))
             sol = solve_bvp(system, tol=1e-12)
             X, Y = g.nodes()
             mask = system.node_index >= 0
@@ -452,9 +409,9 @@ class TestSolve:
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_harmonic_extension(self):
-        g, dom, a, b = disc_setup(65)
+        g, dom = disc_setup(65)
         system = assemble_dirichlet_system(
-            a, b, zeros(g), dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+            DiffusionField(), zeros(g), dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
         )
         with pytest.warns(UserWarning, match="solution minimum .* is not positive"):
             sol = solve_bvp(system, tol=1e-11)  # x^2 - y^2 changes sign
@@ -463,8 +420,9 @@ class TestSolve:
         assert np.abs(sol.u.values[mask] - (X**2 - Y**2)[mask]).max() < 5e-4
 
     def test_matches_feynman_kac_at_points(self):
-        g, dom, a, b = disc_setup(65)
-        system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.ones(len(p)))
+        g, dom = disc_setup(65)
+        system = assemble_dirichlet_system(DiffusionField(), ones(g), dom,
+                                           lambda p: np.ones(len(p)))
         sol = solve_bvp(system, tol=1e-11)
         rng = np.random.default_rng(2)
         h = 1e-3
@@ -477,21 +435,21 @@ class TestSolve:
             assert abs(est.value - fd) <= 3 * est.stderr + 1.0 * np.sqrt(h)
 
     def test_positivity_preserved(self):
-        g, dom, a, b = disc_setup(65)
+        g, dom = disc_setup(65)
         V = sample_scalar(lambda x, y: 1.0 + 0.5 * np.sin(3 * x) * np.cos(2 * y), g)
         system = assemble_dirichlet_system(
-            a, b, V, dom, lambda p: np.exp(0.3 * p[:, 0])
+            DiffusionField(), V, dom, lambda p: np.exp(0.3 * p[:, 0])
         )
         sol = solve_bvp(system, tol=1e-10)
         assert sol.min_u > 0.0
 
     def test_gauge_covariance(self):
-        g, dom, a, b = disc_setup(65)
+        g, dom = disc_setup(65)
         kappa = 0.7
         g1 = lambda p: np.exp(0.2 * p[:, 0] + 0.1 * p[:, 1])
         g2 = lambda p: np.exp(kappa) * g1(p)
-        s1 = assemble_dirichlet_system(a, b, ones(g), dom, g1)
-        s2 = assemble_dirichlet_system(a, b, ones(g), dom, g2)
+        s1 = assemble_dirichlet_system(DiffusionField(), ones(g), dom, g1)
+        s2 = assemble_dirichlet_system(DiffusionField(), ones(g), dom, g2)
         u1 = solve_bvp(s1, tol=1e-13)
         u2 = solve_bvp(s2, tol=1e-13)
         mask = s1.node_index >= 0
@@ -499,15 +457,16 @@ class TestSolve:
         assert np.abs(ratio - np.exp(kappa)).max() < 1e-9
 
     def test_nonconvergence_raises(self):
-        g, dom, a, b = disc_setup(65)
-        system = assemble_dirichlet_system(a, b, ones(g), dom,
+        g, dom = disc_setup(65)
+        system = assemble_dirichlet_system(DiffusionField(), ones(g), dom,
                                            lambda p: np.exp(p[:, 0]))
         with pytest.raises(SolverError, match="convergence|iterations"):
             solve_bvp(system, tol=1e-13, max_iter=2)
 
     def test_zero_rhs_gives_zero(self):
-        g, dom, a, b = disc_setup(33)
-        system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.zeros(len(p)))
+        g, dom = disc_setup(33)
+        system = assemble_dirichlet_system(DiffusionField(), ones(g), dom,
+                                           lambda p: np.zeros(len(p)))
         with pytest.warns(UserWarning, match="solution minimum .* is not positive"):
             sol = solve_bvp(system, tol=1e-11)
         assert np.all(sol.u.values == 0.0)
@@ -553,21 +512,22 @@ class TestSolve:
 
     def test_linear_system_type_hints_resolve(self):
         hints = typing.get_type_hints(LinearSystem)
-        assert hints["rhs"] is np.ndarray and hints["peclet_max"] is float
+        assert hints["rhs"] is np.ndarray and hints["node_index"] is np.ndarray
 
     def test_singular_system_raises_solver_error(self):
         g = Grid.from_extent(0.0, 0.0, 1.0, 1.0, 2, 2)
         system = LinearSystem(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, 2.0]),
-                              np.array([[0, 1], [-1, -1]]), g, 0.0)
+                              np.array([[0, 1], [-1, -1]]), g)
         with pytest.raises(SolverError, match="singular"):
             solve_bvp(system)
 
     def test_non_finite_system_stops_at_first_iterate(self):
-        g, dom, a, b = disc_setup(33)
-        system = assemble_dirichlet_system(a, b, ones(g), dom, lambda p: np.exp(p[:, 0]))
+        g, dom = disc_setup(33)
+        system = assemble_dirichlet_system(DiffusionField(), ones(g), dom,
+                                           lambda p: np.exp(p[:, 0]))
         A = system.matrix.copy()
         A.data[5] = np.nan
-        bad = LinearSystem(A, system.rhs, system.node_index, g, 0.0)
+        bad = LinearSystem(A, system.rhs, system.node_index, g)
         with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
             solve_bvp(bad)
 
@@ -576,19 +536,16 @@ def symmetric_disc_system(n=65):
     """The symmetric part of the wavy disc's matrix, with its right-hand side."""
     system = wavy_disc_system(n)
     A = system.matrix
-    return LinearSystem(((A + A.T) * 0.5).tocsr(), system.rhs, system.node_index, system.grid,
-                        0.0)
+    return LinearSystem(((A + A.T) * 0.5).tocsr(), system.rhs, system.node_index, system.grid)
 
 
 def general_rectangle_system(n=65):
-    """A rectangle whose sides fall between grid lines, with a cross term and
-    a drift: cut arms and first-order terms make it nonsymmetric."""
+    """A rectangle whose sides fall between grid lines, with a cross term:
+    cut arms, straight and diagonal, make it nonsymmetric."""
     g = Grid.from_extent(-1.2, -1.1, 1.3, 1.2, n, n)
     dom = RectangleDomain(g, -0.93, -0.71, 1.01, 0.87)
-    X, Y = g.nodes()
-    a = DiffusionField.constant(g, 1.5, 0.3, 1.0)
-    b = VectorField(g, np.stack([-0.4 * Y, 0.6 * X], axis=-1))
-    return assemble_dirichlet_system(a, b, wavy_potential(g), dom, wavy_boundary)
+    return assemble_dirichlet_system(DiffusionField(1.5, 0.3, 1.0), wavy_potential(g), dom,
+                                     wavy_boundary)
 
 
 def scipy_bicgstab(A, b, psolve, tol, max_iter):

@@ -8,7 +8,6 @@ from driftscope.fields import (
     Grid,
     RectangleDomain,
     ScalarField,
-    VectorField,
     gradient,
     interp,
     laplacian,
@@ -154,17 +153,12 @@ class TestPotential:
     def test_zero_psi(self):
         g = grid_square(17)
         psi = ScalarField(g, np.zeros(g.shape))
-        a = DiffusionField.constant(g, 2.0, 0.4, 1.5)
-        rng = np.random.default_rng(3)
-        b = VectorField(g, rng.standard_normal((*g.shape, 2)))
-        assert np.all(potential_from_psi(psi, a, b).values == 0.0)
+        assert np.all(potential_from_psi(psi, DiffusionField(2.0, 0.4, 1.5)).values == 0.0)
 
     def test_quadratic_psi_identity_diffusion(self):
         g = grid_square(33)
         psi = sample_scalar(lambda x, y: -(x**2 + y**2) / 2, g)
-        a = DiffusionField.identity(g)
-        b = VectorField(g, np.zeros((*g.shape, 2)))
-        V = potential_from_psi(psi, a, b).values
+        V = potential_from_psi(psi, DiffusionField()).values
         X, Y = g.nodes()
         expected = (X**2 + Y**2 - 2) / 2
         assert np.abs(V[1:-1, 1:-1] - expected[1:-1, 1:-1]).max() < 1e-12
@@ -185,9 +179,7 @@ class TestPotential:
         def err(n):
             g = grid_square(n)
             psi = sample_scalar(psi_fn, g)
-            a = DiffusionField.identity(g)
-            b = VectorField(g, np.zeros((*g.shape, 2)))
-            V = potential_from_psi(psi, a, b).values
+            V = potential_from_psi(psi, DiffusionField()).values
             X, Y = g.nodes()
             return np.abs(V[1:-1, 1:-1] - v_exact(X, Y)[1:-1, 1:-1]).max()
 
@@ -197,16 +189,13 @@ class TestPotential:
         g = grid_square(33)
         rng = np.random.default_rng(4)
         psi = ScalarField(g, rng.standard_normal(g.shape))
-        a = DiffusionField.identity(g)
-        b = VectorField(g, np.zeros((*g.shape, 2)))
-        V = potential_from_psi(psi, a, b).values
+        V = potential_from_psi(psi, DiffusionField()).values
         ref = 0.5 * (laplacian(psi).values + np.sum(gradient(psi).values**2, axis=-1))
         scale = np.abs(ref).max()
         assert np.abs(V - ref).max() <= 1e-14 * scale
 
     def test_general_coefficients_oracle(self):
         A11, A12, A22 = 2.0, 0.5, 1.3
-        B1, B2 = 0.4, -0.6
         al, be = 0.9, -0.5
 
         def psi_fn(x, y):
@@ -218,43 +207,46 @@ class TestPotential:
             px, py = al * c * cy, -be * s * sy
             pxx, pyy, pxy = -(al**2) * s * cy, -(be**2) * s * cy, -al * be * c * sy
             quad = A11 * px**2 + 2 * A12 * px * py + A22 * py**2
-            return 0.5 * (A11 * pxx + 2 * A12 * pxy + A22 * pyy) + B1 * px + B2 * py + 0.5 * quad
+            return 0.5 * (A11 * pxx + 2 * A12 * pxy + A22 * pyy) + 0.5 * quad
 
         def err(n):
             g = grid_square(n)
             psi = sample_scalar(psi_fn, g)
-            a = DiffusionField.constant(g, A11, A12, A22)
-            b = VectorField(g, np.tile([B1, B2], (*g.shape, 1)))
-            V = potential_from_psi(psi, a, b).values
+            V = potential_from_psi(psi, DiffusionField(A11, A12, A22)).values
             X, Y = g.nodes()
             return np.abs(V[1:-1, 1:-1] - v_exact(X, Y)[1:-1, 1:-1]).max()
 
         assert 3.2 <= err(65) / err(129) <= 4.8
 
-    def test_grid_mismatch(self):
-        psi = ScalarField(grid_square(9), np.zeros((9, 9)))
-        a = DiffusionField.identity(grid_square(17))
-        b = VectorField(grid_square(17), np.zeros((17, 17, 2)))
-        with pytest.raises(DataError, match="grid"):
-            potential_from_psi(psi, a, b)
-
 
 class TestDiffusionField:
-    def test_spd_validation(self):
-        g = grid_square(5)
-        with pytest.raises(DataError, match="SPD"):
-            DiffusionField.constant(g, 1.0, 2.0, 1.0)  # det < 0
+    def test_default_is_identity(self):
+        a = DiffusionField()
+        assert (a.a11, a.a12, a.a22) == (1.0, 0.0, 1.0)
+        assert all(type(entry) is float for entry in (a.a11, a.a12, a.a22))
 
-    def test_delta_is_min_eigenvalue(self):
-        g = grid_square(5)
-        a = DiffusionField.constant(g, 2.0, 0.5, 1.0)
-        lam = min(np.linalg.eigvalsh(np.array([[2.0, 0.5], [0.5, 1.0]])))
-        assert a.delta == pytest.approx(lam, rel=1e-12)
+    def test_spd_validation(self):
+        with pytest.raises(DataError, match="SPD"):
+            DiffusionField(1.0, 2.0, 1.0)  # det < 0
+
+    @pytest.mark.parametrize("entries, match", [
+        ((float("nan"), 0.0, 1.0), "non-finite"),
+        ((1.0, float("inf"), 1.0), "non-finite"),
+        ((1.0, 0.0, -float("inf")), "non-finite"),
+        ((0.0, 0.0, 1.0), "SPD"),
+        ((-1.0, 0.0, -1.0), "SPD"),  # det > 0, a11 < 0: negative definite
+        ((1.0, 1.0, 1.0), "SPD"),  # det = 0
+        ((1.0, 0.5, 0.2), "SPD"),  # det < 0
+    ], ids=["nan-a11", "inf-a12", "inf-a22", "a11-zero", "a11-negative", "det-zero",
+            "det-negative"])
+    def test_refused_entries_raise_data_error(self, entries, match):
+        with pytest.raises(DataError, match=match):
+            DiffusionField(*entries)
 
     def test_immutability(self):
-        a = DiffusionField.identity(grid_square(5))
-        with pytest.raises(ValueError):
-            a.a11[0, 0] = 5.0
+        a = DiffusionField()
+        with pytest.raises(AttributeError):
+            a.a11 = 5.0
 
 
 class TestDomains:

@@ -13,6 +13,8 @@ a function body, so only the runs that assemble or solve a sparse system
 load it, and no module imports `scipy.sparse.linalg` or `scipy.linalg`
 anywhere: the Krylov loop is the package's own, and those two modules
 would add ~80 modules and LAPACK to every solving run.
+
+A third scan finds imports that nothing in their module uses.
 """
 
 from __future__ import annotations
@@ -96,6 +98,24 @@ def _import_time_modules(tree: ast.Module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
         stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unused_import():
+    """Every name a module imports, at the top or in a function, is read
+    somewhere in that module; `from __future__` imports are directives."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert not unused, f"imported but never used: {unused}"
 
 
 def test_scipy_is_imported_only_inside_functions():
@@ -208,14 +228,13 @@ def test_benchmark_tracer_counts_a_solve(monkeypatch):
     import numpy as np
 
     from driftscope.elliptic import assemble_dirichlet_system, solve_bvp
-    from driftscope.fields import DiffusionField, DiscDomain, Grid, ScalarField, VectorField
+    from driftscope.fields import DiffusionField, DiscDomain, Grid, ScalarField
 
     monkeypatch.syspath_prepend(str(TRACER.parent))
     tracing = importlib.import_module("tracing")
     grid = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 33, 33)
     system = assemble_dirichlet_system(
-        DiffusionField.identity(grid), VectorField(grid, np.zeros((*grid.shape, 2))),
-        ScalarField(grid, np.ones(grid.shape)), DiscDomain(grid, 0.0, 0.0, 1.0),
+        DiffusionField(), ScalarField(grid, np.ones(grid.shape)), DiscDomain(grid, 0.0, 0.0, 1.0),
         lambda p: np.exp(p[:, 0]))
     result = solve_bvp(system)
     counts = Counter()

@@ -17,6 +17,7 @@ from driftscope.fields import (
     DiffusionField,
     DiscDomain,
     Grid,
+    RectangleDomain,
     ScalarField,
     VectorField,
     read_dgf,
@@ -95,13 +96,13 @@ class TestDriftFromPsi:
     def test_constant_psi(self):
         g, dom = disc_setup()
         psi = ScalarField(g, np.full(g.shape, 2.2))
-        c = drift_from_psi(psi, DiffusionField.identity(g))
+        c = drift_from_psi(psi, DiffusionField())
         assert np.abs(c.values).max() == 0.0
 
     def test_quadratic_psi_identity(self):
         g, dom = disc_setup(n=65)
         psi = sample_scalar(lambda x, y: -(x**2 + y**2) / 2, g)
-        c = drift_from_psi(psi, DiffusionField.identity(g))
+        c = drift_from_psi(psi, DiffusionField())
         X, Y = g.nodes()
         want = -np.stack([X, Y], axis=-1)
         assert np.abs(c.values[1:-1, 1:-1] - want[1:-1, 1:-1]).max() < 1e-12
@@ -109,22 +110,15 @@ class TestDriftFromPsi:
     def test_anisotropic_linear(self):
         g, _ = disc_setup()
         psi = sample_scalar(lambda x, y: x + y, g)
-        a = DiffusionField.constant(g, 1.0, 0.0, 4.0)
+        a = DiffusionField(1.0, 0.0, 4.0)
         c = drift_from_psi(psi, a)
         assert np.abs(c.values[1:-1, 1:-1, 0] - 1.0).max() < 1e-12
         assert np.abs(c.values[1:-1, 1:-1, 1] - 4.0).max() < 1e-12
 
-    def test_grid_mismatch(self):
-        g, _ = disc_setup()
-        g2, _ = disc_setup(n=17)
-        psi = ScalarField(g, np.zeros(g.shape))
-        with pytest.raises(DataError):
-            drift_from_psi(psi, DiffusionField.identity(g2))
-
     def test_zeroed_outside_domain(self):
         g, dom = disc_setup(n=65)
         psi = sample_scalar(lambda x, y: x, g)
-        c = drift_from_psi(psi, DiffusionField.identity(g), dom)
+        c = drift_from_psi(psi, DiffusionField(), dom)
         outside = ~dom.contains(g.node_points()).reshape(g.shape)
         assert np.all(c.values[outside] == 0.0)
 
@@ -139,7 +133,7 @@ class TestDriftMetrics:
         g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 129, 129)
         dom = DiscDomain(g, center_x, 0.0, 1.0)
         psi = sample_scalar(lambda x, y: -(x**2 + y**2) / 2, g)
-        c_hat = drift_from_psi(psi, DiffusionField.identity(g), dom)
+        c_hat = drift_from_psi(psi, DiffusionField(), dom)
         metrics = drift_metrics(c_hat, lambda p: -np.asarray(p), dom, 1.0)
         assert metrics["n_metric_nodes"] == dom.interior(g).sum()
         assert metrics["max_abs"] < 1e-12
@@ -151,7 +145,7 @@ class TestGradientConsistency:
         # recovered gradient carries the O(h^2) stencil error, which refines
         def curl_norm(n):
             g, dom = disc_setup(n=n)
-            a = DiffusionField.constant(g, 1.5, 0.3, 1.0)
+            a = DiffusionField(1.5, 0.3, 1.0)
 
             def grad_psi(x, y):
                 return (1.3 * np.cos(1.3 * x) * np.cos(0.9 * y),
@@ -170,7 +164,7 @@ class TestGradientConsistency:
         g, dom = disc_setup(n=65)
         X, Y = g.nodes()
         rot = VectorField(g, np.stack([-Y, X], axis=-1))
-        a = DiffusionField.identity(g)
+        a = DiffusionField()
         val = gradient_consistency(rot, a, dom)
         # |curl| = 2 over the disc: norm ~ 2 sqrt(area), shrunk by the
         # 2-cell edge erosion of the evaluation region
@@ -179,7 +173,7 @@ class TestGradientConsistency:
     def test_zero_field(self):
         g, dom = disc_setup()
         zero = VectorField(g, np.zeros((*g.shape, 2)))
-        assert gradient_consistency(zero, DiffusionField.identity(g), dom) == 0.0
+        assert gradient_consistency(zero, DiffusionField(), dom) == 0.0
 
 
 class TestLift1d:
@@ -448,6 +442,46 @@ def test_config_mutations_return_or_raise_config_error(data):
 def test_valid_configs_accepted():
     for raw in VALID_CONFIGS:
         config_from_dict(raw)
+
+
+def _small_domains():
+    """(grid spec, domain spec, domain) for discs and rectangles on grids of
+    3 to 17 nodes per axis over [-1, 1]^2: centered on a node, between
+    nodes and off the lattice, from clear of every node to a boundary
+    through nodes; those that do not fit in the grid are left out."""
+    for nx, ny in ((3, 3), (4, 4), (5, 3), (5, 5), (6, 7), (9, 9), (17, 17)):
+        grid = Grid.from_extent(-1.0, -1.0, 1.0, 1.0, nx, ny)
+        spec = {"x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0, "nx": nx, "ny": ny}
+        dx, dy = grid.dx, grid.dy
+        for cx, cy in ((0.0, 0.0), (dx / 2, 0.0), (dx / 2, dy / 2), (0.13, -0.07)):
+            for r in (0.2, 0.5, 0.6, 0.5 ** 0.5, 0.75, 1.0, 1.3):
+                r *= min(dx, dy)
+                if max(abs(cx), abs(cy)) + r < 1.0:
+                    yield spec, {"kind": "disc", "center": [cx, cy], "radius": r}, \
+                        DiscDomain(grid, cx, cy, r)
+            for hx in (0.4 * dx, 0.5 * dx, dx, 1.001 * dx):
+                for hy in (0.4 * dy, 0.5 * dy, dy, 1.001 * dy):
+                    lo, hi = [cx - hx, cy - hy], [cx + hx, cy + hy]
+                    if max(abs(cx) + hx, abs(cy) + hy) < 1.0:
+                        yield spec, {"kind": "rectangle", "corners": [lo, hi]}, \
+                            RectangleDomain(grid, *lo, *hi)
+
+
+def test_parse_refuses_a_grid_exactly_when_the_solve_has_no_unknown():
+    outcomes = {True: 0, False: 0}
+    for grid_spec, domain_spec, domain in _small_domains():
+        empty = not domain.interior(domain.grid).any()
+        raw = {"domain": domain_spec, "grid": grid_spec,
+               "kernels": {"observed": {"kind": "ou", "theta": 1.0}}}
+        try:
+            config_from_dict(raw)
+            refused = False
+        except ConfigError as exc:
+            assert "the solve has no unknown" in str(exc), exc
+            refused = True
+        assert refused == empty, (grid_spec, domain_spec)
+        outcomes[refused] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def _smoke_size(raw):
