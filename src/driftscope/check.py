@@ -35,9 +35,9 @@ def run_checks() -> list[tuple[str, bool, str]]:
 
 
 def _check_heat_kernel():
-    from .kernels import BrownianKernel
+    from .kernels import DRIFTLESS
 
-    got = BrownianKernel().density(np.array([0.3, -0.1]), 1.0, np.array([0.3, -0.1]))
+    got = DRIFTLESS.density(np.array([0.3, -0.1]), 1.0, np.array([0.3, -0.1]))
     want = 1.0 / (2.0 * np.pi)
     ok = abs(got - want) < 1e-14
     return ("heat kernel at zero separation", ok, f"{got:.12f} vs {want:.12f}")
@@ -46,7 +46,7 @@ def _check_heat_kernel():
 def _check_ou_product():
     from .kernels import OrnsteinUhlenbeckKernel, ProductKernel
 
-    k = ProductKernel(OrnsteinUhlenbeckKernel(1.3, dim=1), OrnsteinUhlenbeckKernel(1.3, dim=1))
+    k = ProductKernel(1.3, 1.3)
     x = np.array([0.4, -0.7])
     y = np.array([-0.2, 0.5])
     got = float(k.density(x, 0.37, y))
@@ -70,15 +70,14 @@ def _check_bridge_constant():
 
 def _check_bridge_zero():
     from .diffusion import McConfig, density_via_representation
-    from .kernels import BrownianKernel
+    from .kernels import DRIFTLESS
 
     x = np.array([0.2, 0.1])
     y = np.array([-0.4, 0.6])
-    pb = BrownianKernel(dim=2)
-    est = density_via_representation(pb, lambda p: np.zeros(p.shape[:-1]),
+    est = density_via_representation(lambda p: np.zeros(p.shape[:-1]),
                                      lambda p: np.zeros(p.shape[:-1]),
                                      x, y, 0.15, McConfig(256, 16, seed=5))
-    want = float(pb.density(x, 0.15, y))
+    want = float(DRIFTLESS.density(x, 0.15, y))
     ok = est.value == want
     return ("zero-drift representation returns the reference", ok,
             f"{float(est.value)!r} vs {want!r}")

@@ -162,6 +162,11 @@ def cmd_phantom(args) -> int:
             raise ConfigError(f"{option} must be at least {least}, got {value}")
     if not args.width > 0:  # a disc's field would use |width|, its sinogram width
         raise ConfigError(f"--width must be positive, got {args.width}")
+    if not np.finfo(float).tiny <= args.width * args.width < np.inf:  # the fields use width**2
+        raise ConfigError(f"--width {args.width!r} is out of range: its square must be a "
+                          "positive normal float")
+    if not np.isfinite(args.amplitude):
+        raise ConfigError(f"--amplitude must be finite, got {args.amplitude}")
     out = _make_output_dir(Path(args.out or "out"))
     n = args.n
     grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, n, n)

@@ -20,7 +20,7 @@ import numpy as np
 from . import parallel
 from .errors import DataError, SimulationError
 from .fields import Domain, ScalarField, interp
-from .kernels import Kernel
+from .kernels import DRIFTLESS
 
 _MASK64 = (1 << 64) - 1
 
@@ -125,17 +125,18 @@ def bridge_functional(V, x, y, t: float, cfg: McConfig) -> McEstimate:
     return McEstimate(value, stderr, len(samples))
 
 
-def density_via_representation(pb: Kernel, psi, V, x, y, t: float, cfg: McConfig) -> McEstimate:
-    """Synthesize p(x, t, y) for drift a*grad(psi) on top of the reference
-    kernel pb:  pb(x,t,y) * exp(psi(y) - psi(x)) * E[exp(-int V)] over bridges.
+def density_via_representation(psi, V, x, y, t: float, cfg: McConfig) -> McEstimate:
+    """Synthesize p(x, t, y) for drift grad(psi) on top of p0 = `DRIFTLESS`,
+    the OU kernel at theta = 0, whose bridges `bridge_functional` draws:
+    p0(x,t,y) * exp(psi(y) - psi(x)) * E[exp(-int V)] over Brownian bridges.
     """
-    pb_val = float(pb.density(x, t, y))
+    p0 = float(DRIFTLESS.density(x, t, y))
     if isinstance(psi, ScalarField):
         dpsi = float(interp(psi, np.asarray(y, dtype=float)) - interp(psi, np.asarray(x, dtype=float)))
     else:
         dpsi = float(psi(np.asarray(y, dtype=float)) - psi(np.asarray(x, dtype=float)))
     bridge = bridge_functional(V, x, y, t, cfg)
-    scale = pb_val * np.exp(dpsi)
+    scale = p0 * np.exp(dpsi)
     return McEstimate(scale * bridge.value, scale * bridge.stderr, bridge.n_paths)
 
 

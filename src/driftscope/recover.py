@@ -9,8 +9,8 @@ its grid, domain, time ladder and observed kernel are built when it is made,
 and every stage reads those objects.  The keys each domain and kernel kind
 takes are declared in one table per section: `DOMAIN_KINDS` and
 `kernels.KERNEL_KINDS`.  The ground truth is the observed kernel's `drift`.
-The reference kernel is not a setting: it is the driftless kernel of the
-observed diffusion, which gen-data evaluates itself.
+The reference kernel is not a setting: it is `kernels.DRIFTLESS`, the
+driftless kernel of the observed diffusion, which gen-data evaluates itself.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .fields import (
     read_dgf,
     write_dgf,
 )
-from .kernels import KERNEL_KINDS, BrownianKernel, Kernel, kernel_from_config
+from .kernels import DRIFTLESS, KERNEL_KINDS, Kernel, kernel_from_config
 from .smalltime import (
     build_boundary_dataset,
     fit_dataset,
@@ -99,8 +99,8 @@ def _check_ground_truth(spec, observed: Kernel) -> None:
 
 
 def _check_reference(reference: Kernel) -> None:
-    """p0 of log(p / p0) = dpsi - t F is the observed diffusion's driftless kernel."""
-    if reference != BrownianKernel():
+    """p0 of log(p / p0) = dpsi - t F is `DRIFTLESS`, the OU kernel at theta = 0."""
+    if reference != DRIFTLESS:
         raise ConfigError("kernels.reference must be the driftless kernel of the observed "
                           f'diffusion, {{"kind": "brownian"}}, or be left out; got {reference}')
 
@@ -556,8 +556,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None, persist
 
     kernels (optional): an (observed, reference) pair of kernel objects, for
     a caller that has built them already; the observed kernel takes
-    precedence over the config's.  The reference must be `BrownianKernel()`,
-    the driftless kernel gen-data evaluates anyway, else a ConfigError.
+    precedence over the config's.  The reference must be `DRIFTLESS`, the
+    OU kernel at theta = 0 that gen-data evaluates anyway, else a ConfigError.
     """
     from . import parallel
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DataError, GeometryError
 from .fields import Domain
-from .kernels import BrownianKernel, Kernel
+from .kernels import DRIFTLESS, Kernel
 
 # chords per batch of the chord-wise layers (the ladder fit here and the
 # boundary-psi normal equations): bounds their temporaries
@@ -320,8 +320,8 @@ def build_boundary_dataset(
     ladder,
 ) -> BoundaryDataset:
     """Tabulate log density ratios log(p / p0) of the observed kernel p
-    against the driftless one p0 (`BrownianKernel`, the diffusion
-    coefficient being the identity) for every chord of a parallel-beam raster.
+    against the driftless one p0, `DRIFTLESS` (the OU kernel at theta = 0),
+    for every chord of a parallel-beam raster.
 
     Both kernels are evaluated in log space, so a ratio stays finite where
     the densities themselves underflow.
@@ -332,12 +332,11 @@ def build_boundary_dataset(
         raise DataError("ladder times must be positive")
     chords, skipped = make_parallel_chords(domain, n_angles, n_offsets)
     xs, ys = chords.x, chords.y
-    reference = BrownianKernel()
     log_ratios = np.empty((len(chords), len(times)))
     for k, t in enumerate(times):
         try:
             lo = np.asarray(observed.log_density(xs, float(t), ys), dtype=float)
-            lref = np.asarray(reference.log_density(xs, float(t), ys), dtype=float)
+            lref = np.asarray(DRIFTLESS.log_density(xs, float(t), ys), dtype=float)
         except DataError as exc:
             raise DataError(f"kernel evaluation failed at t={t}: {exc}") from exc
         log_ratios[:, k] = lo - lref

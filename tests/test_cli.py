@@ -465,6 +465,14 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
                                    ("--offsets", 0, 1))),
     *((f"phantom --kind {kind} --width {width}", 2, "config error: --width must be positive, got ")
       for kind, width in (("disc", -0.5), ("radial-gaussian", 0), ("disc", "nan"))),
+    # width**2 overflows (a Python OverflowError) or underflows to 0, and a
+    # non-finite amplitude, are refused before the output directory is made
+    *((f"phantom --kind {kind} --width {width!r}", 2,
+       f"config error: --width {width!r} is out of range: its square must be a positive normal float")
+      for kind in ("disc", "radial-gaussian") for width in (1e308, 1e-300)),
+    *((f"phantom --kind {kind} --amplitude={amplitude}", 2,
+       "config error: --amplitude must be finite, got ")
+      for kind in ("disc", "radial-gaussian") for amplitude in ("nan", "inf", "-inf")),
 ])
 def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     config = write_config(tmp_path / "config.json", small_disc_config())
@@ -487,7 +495,7 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     assert run_command(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix), err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
     assert not (tmp_path / "phantom").exists()
 
 

@@ -167,7 +167,7 @@ def special_dataset():
 
 def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025), raster=(6, 5)):
     g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
-    return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0, dim=2),
+    return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0),
                                   DiscDomain(g, 0.0, 0.0, 1.0), raster, ladder)
 
 

@@ -16,7 +16,12 @@ from driftscope.diffusion import (
     _bridge_block,
 )
 from driftscope.errors import DataError, SimulationError
-from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel, kernel_from_config
+from driftscope.kernels import (
+    DRIFTLESS,
+    OrnsteinUhlenbeckKernel,
+    ProductKernel,
+    kernel_from_config,
+)
 from driftscope.fields import (
     DiffusionField,
     DiscDomain,
@@ -26,7 +31,8 @@ from driftscope.fields import (
 )
 
 ORIGIN = np.array([0.0, 0.0])
-HEAT = BrownianKernel()
+HEAT = DRIFTLESS
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class TestKernels:
@@ -58,7 +64,52 @@ class TestKernels:
         with pytest.raises(DataError):
             OrnsteinUhlenbeckKernel(1.0).density(ORIGIN, -1.0, ORIGIN)
         with pytest.raises(DataError):
-            OrnsteinUhlenbeckKernel(theta=0.0)
+            ProductKernel(1.0, 0.0).density(ORIGIN, 0.0, ORIGIN)
+
+    def test_zero_rate_is_driftless(self):
+        assert OrnsteinUhlenbeckKernel(theta=0.0) == DRIFTLESS
+        assert np.all(DRIFTLESS.drift(np.array([[0.5, -2.0], [3.0, 0.0]])) == 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda bad: OrnsteinUhlenbeckKernel(bad),
+        lambda bad: ProductKernel(bad, 0.0),
+        lambda bad: ProductKernel(1.0, bad),
+    ], ids=["ou", "product-theta1", "product-theta2"])
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, -np.inf, np.nan])
+    def test_negative_or_nan_rate_raises(self, make, bad):
+        with pytest.raises(DataError, match="must not be negative"):
+            make(bad)
+
+    def test_driftless_is_the_brownian_heat_kernel_bit_for_bit(self):
+        # the heat kernel's own expression, with d = y - x and variance t
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+        for t in (0.37, 1e-4, rng.uniform(1e-3, 2.0, 50)):
+            d2 = np.sum((y - x) ** 2, axis=-1)
+            want = -0.5 * 2 * (LOG_2PI + np.log(t)) - d2 / (2.0 * t)
+            assert np.array_equal(DRIFTLESS.log_density(x, t, y), want)
+
+    @pytest.mark.parametrize("theta1, theta2", [(1.0, 0.5), (0.0, 1.3), (2.0, 0.0), (0.0, 0.0)])
+    def test_product_is_the_per_axis_closed_form_bit_for_bit(self, theta1, theta2):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+        offset = (0.1, -0.2)
+        kernel = ProductKernel(theta1, theta2, offset)
+
+        def axis(theta, xi, t, yi):
+            if theta == 0:  # 1-D Brownian motion: variance t
+                return -0.5 * 1 * (LOG_2PI + np.log(t)) - (yi - xi) ** 2 / (2.0 * t)
+            var = -np.expm1(-2.0 * theta * t) / (2.0 * theta)
+            d2 = (yi - xi * np.exp(-theta * t)) ** 2
+            return -0.5 * 1 * (LOG_2PI + np.log(var)) - d2 / (2.0 * var)
+
+        for t in (0.25, rng.uniform(1e-3, 2.0, 50)):
+            want = (axis(theta1, x[:, 0] + offset[0], t, y[:, 0] + offset[0])
+                    + axis(theta2, x[:, 1] + offset[1], t, y[:, 1] + offset[1]))
+            assert np.array_equal(kernel.log_density(x, t, y), want)
+
+    def test_brownian_kind_is_driftless(self):
+        assert kernel_from_config({"kind": "brownian"}) is DRIFTLESS
 
     def test_ou_closed_form_at_origin(self):
         sigma2 = (1 - np.exp(-2.0)) / 2
@@ -197,15 +248,13 @@ class TestBridgeFunctional:
 
 class TestDensityRepresentation:
     def test_zero_drift_bit_exact(self):
-        pb = BrownianKernel(dim=2)
         x, y = np.array([0.3, 0.1]), np.array([-0.2, 0.8])
-        est = density_via_representation(pb, lambda p: np.zeros(p.shape[:-1]),
+        est = density_via_representation(lambda p: np.zeros(p.shape[:-1]),
                                          lambda p: np.zeros(p.shape[:-1]),
                                          x, y, 0.2, McConfig(100, 8, seed=5))
-        assert est.value == float(pb.density(x, 0.2, y))
+        assert est.value == float(DRIFTLESS.density(x, 0.2, y))
 
     def test_matches_ou_kernel(self):
-        pb = BrownianKernel(dim=2)
         rng = np.random.default_rng(11)
         cfg = McConfig(10000, 64, seed=13)
         for _ in range(3):
@@ -213,7 +262,6 @@ class TestDensityRepresentation:
             y = rng.uniform(-1, 1, 2)
             t = rng.choice([0.05, 0.1, 0.2])
             est = density_via_representation(
-                pb,
                 lambda p: -0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
                 lambda p: 0.5 * (np.sum(np.asarray(p) ** 2, axis=-1) - 2.0),
                 x, y, t, cfg,
@@ -223,18 +271,16 @@ class TestDensityRepresentation:
 
     def test_log_ratio_converges_to_dpsi(self):
         # log(p_c / p_0) approaches psi(y) - psi(x) as t -> 0
-        pb = BrownianKernel(dim=2)
         x, y = np.array([0.8, 0.0]), np.array([0.0, 0.6])
         dpsi = 0.5 * (x @ x - y @ y)
         errs = []
         for t in (0.2, 0.05, 0.0125):
             est = density_via_representation(
-                pb,
                 lambda p: -0.5 * np.sum(np.asarray(p) ** 2, axis=-1),
                 lambda p: 0.5 * (np.sum(np.asarray(p) ** 2, axis=-1) - 2.0),
                 x, y, t, McConfig(8000, 48, seed=21),
             )
-            errs.append(abs(np.log(est.value / float(pb.density(x, t, y))) - dpsi))
+            errs.append(abs(np.log(est.value / float(DRIFTLESS.density(x, t, y))) - dpsi))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.015
 

@@ -24,7 +24,7 @@ from driftscope.fields import (
     sample_scalar,
 )
 from driftscope.kernels import (
-    BrownianKernel,
+    DRIFTLESS,
     OrnsteinUhlenbeckKernel,
     ProductKernel,
     kernel_from_config,
@@ -181,20 +181,19 @@ class TestLift1d:
     strip, x2 driftless."""
 
     def test_driftless_product_is_planar_brownian(self):
-        product = ProductKernel(BrownianKernel(dim=1), BrownianKernel(dim=1))
+        product = ProductKernel(0.0, 0.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 2)
             y = rng.uniform(-0.5, 0.5, 2)
             t = rng.uniform(0.01, 0.5)
             got = float(product.density(x, t, y))
-            want = float(BrownianKernel().density(x, t, y))
+            want = float(DRIFTLESS.density(x, t, y))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ou_product_is_planar_ou(self):
         th = 1.0
-        product = ProductKernel(OrnsteinUhlenbeckKernel(th, dim=1),
-                                OrnsteinUhlenbeckKernel(th, dim=1))
+        product = ProductKernel(th, th)
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 2)
@@ -205,8 +204,7 @@ class TestLift1d:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_marginalization_recovers_1d(self):
-        p1 = OrnsteinUhlenbeckKernel(1.0, dim=1)
-        product = ProductKernel(p1, OrnsteinUhlenbeckKernel(1.0, dim=1))
+        product = ProductKernel(1.0, 1.0)
         t = 0.2
         x1, y1 = 0.8, 0.4
         y2 = np.linspace(-8, 8, 4001)
@@ -214,7 +212,8 @@ class TestLift1d:
         y = np.stack([np.full(len(y2), y1), y2], axis=-1)
         joint = product.density(x, t, y)
         marginal = np.trapezoid(joint, y2)
-        want = float(p1.density(x1, t, y1))
+        var = (1.0 - np.exp(-2.0 * t)) / 2.0  # the 1-D OU kernel at theta = 1
+        want = np.exp(-((y1 - x1 * np.exp(-t)) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
         assert abs(marginal - want) < 1e-4
 
     @pytest.mark.filterwarnings("ignore:potential takes negative values")
@@ -436,7 +435,7 @@ def test_config_mutations_return_or_raise_config_error(data):
     except ConfigError:
         return
     reference = cfg.kernels.get("reference", {"kind": "brownian"})
-    assert kernel_from_config(reference) == BrownianKernel()
+    assert kernel_from_config(reference) == DRIFTLESS
 
 
 def test_valid_configs_accepted():
@@ -618,7 +617,7 @@ class TestPipeline:
                                           "reference": {"kind": "brownian"}},
                                  ground_truth=True, **size)
         override = run_pipeline(small_ou_config(**size), persist=False,
-                                kernels=(OrnsteinUhlenbeckKernel(2.0), BrownianKernel()))
+                                kernels=(OrnsteinUhlenbeckKernel(2.0), DRIFTLESS))
         assert override.metrics == run_pipeline(theta2, persist=False).metrics
 
     def test_kernels_override_takes_only_the_driftless_reference(self):
@@ -629,7 +628,7 @@ class TestPipeline:
             run_pipeline(cfg, persist=False,
                          kernels=(OrnsteinUhlenbeckKernel(1.0), OrnsteinUhlenbeckKernel(1.0)))
         pair = tuple(kernel_from_config(cfg.kernels[side]) for side in ("observed", "reference"))
-        assert pair[1] == BrownianKernel()
+        assert pair[1] is DRIFTLESS
         assert (run_pipeline(cfg, persist=False, kernels=pair).metrics
                 == run_pipeline(cfg, persist=False).metrics)
 

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid, RectangleDomain
-from driftscope.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
+from driftscope.kernels import DRIFTLESS, OrnsteinUhlenbeckKernel
 from driftscope.smalltime import (
     BoundaryDataset,
     ChordTable,
@@ -23,8 +23,8 @@ from driftscope.smalltime import (
 # fitted standard errors (a ratio-2 ladder leaves the bias above them)
 WIDE_LADDER = np.array([0.02, 0.005, 0.00125, 0.0003125])
 
-OU = OrnsteinUhlenbeckKernel(1.0, dim=2)
-BM = BrownianKernel(dim=2)
+OU = OrnsteinUhlenbeckKernel(1.0)
+BM = DRIFTLESS
 
 
 def ou_potential(p):
@@ -194,6 +194,14 @@ class TestDataset:
         assert not excluded
         for f in fits:
             assert f.delta_psi == 0.0 and f.F == 0.0
+
+    def test_reference_is_driftless(self):
+        # gen-data's p0 is DRIFTLESS, bit for bit, at every time of the ladder
+        ds = build_boundary_dataset(OU, self.grid_domain(), (6, 5), [0.02, 0.01, 0.005])
+        x, y = ds.chords.x, ds.chords.y
+        for k, t in enumerate(ds.times):
+            want = OU.log_density(x, float(t), y) - DRIFTLESS.log_density(x, float(t), y)
+            assert np.array_equal(ds.log_ratios[:, k], want)
 
     def test_ou_dataset_fits(self):
         dom = self.grid_domain()

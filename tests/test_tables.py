@@ -179,7 +179,7 @@ def test_knot_values_match_double_loop(name, chunk, monkeypatch):
     # small chunks: the normal equations sum across chunks in chord order
     monkeypatch.setattr(elliptic, "_CHORDS_PER_CHUNK", chunk)
     domain = DOMAINS[name]()
-    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0, dim=2), domain, (16, 17), LADDER)
+    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0), domain, (16, 17), LADDER)
     fits, _ = fit_dataset(ds)
     for n_knots in (32, 64):
         bp = boundary_psi_from_fits(ds.chords, fits, domain, n_knots=n_knots)
@@ -187,7 +187,7 @@ def test_knot_values_match_double_loop(name, chunk, monkeypatch):
 
 
 def test_full_ladder_fits_match_batch_oracle():
-    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0, dim=2), disc(), (12, 13), LADDER)
+    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0), disc(), (12, 13), LADDER)
     fits, excluded = fit_dataset(ds)
     assert not excluded and fits.ok.all()
     dpsi, F, resid, var_dpsi, var_F = oracle_fit_ladder_batch(ds.times, ds.log_ratios)
