@@ -167,20 +167,20 @@ def cmd_phantom(args) -> int:
                           "positive normal float")
     if not np.isfinite(args.amplitude):
         raise ConfigError(f"--amplitude must be finite, got {args.amplitude}")
-    out = _make_output_dir(Path(args.out or "out"))
-    n = args.n
-    grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, n, n)
+    make_field, make_sinogram = {"radial-gaussian": (radial_gaussian, radial_gaussian_sinogram),
+                                 "disc": (disc_indicator, disc_indicator_sinogram)}[args.kind]
     angles = chord_angles(args.angles)
     offsets = chord_offsets(1.0, args.offsets)
-    if args.kind == "radial-gaussian":
-        field = radial_gaussian(grid, args.width, args.amplitude)
-        sino_vals = radial_gaussian_sinogram(offsets, angles, args.width, args.amplitude)
-    elif args.kind == "disc":
-        field = disc_indicator(grid, args.width, args.amplitude)
-        sino_vals = disc_indicator_sinogram(offsets, angles, args.width, args.amplitude)
-    else:
-        raise ConfigError(f"unknown phantom kind {args.kind!r}")
-    write_dgf(out / "phantom.dgf", field)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        sino_vals = make_sinogram(offsets, angles, args.width, args.amplitude)
+    # the field's values are at most |amplitude|, but its line integrals
+    # grow with the width and may leave the float range
+    if not np.all(np.isfinite(sino_vals)):
+        raise ConfigError(f"--amplitude {args.amplitude!r} with --width {args.width!r} gives "
+                          "line integrals beyond the float range")
+    out = _make_output_dir(Path(args.out or "out"))
+    grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, args.n, args.n)
+    write_dgf(out / "phantom.dgf", make_field(grid, args.width, args.amplitude))
     sino = Sinogram(angles, offsets, sino_vals, np.ones_like(sino_vals, dtype=bool), 1.0)
     write_sinogram_csv(out / "phantom_sinogram.csv", sino)
     print(f"wrote {out / 'phantom.dgf'} and {out / 'phantom_sinogram.csv'}")

@@ -473,6 +473,11 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
     *((f"phantom --kind {kind} --amplitude={amplitude}", 2,
        "config error: --amplitude must be finite, got ")
       for kind in ("disc", "radial-gaussian") for amplitude in ("nan", "inf", "-inf")),
+    # a finite field whose line integrals overflow
+    *((f"phantom --kind {kind} --amplitude={amplitude} --width 10", 2,
+       f"config error: --amplitude {float(amplitude)!r} with --width 10.0 gives line integrals "
+       "beyond the float range")
+      for kind in ("disc", "radial-gaussian") for amplitude in ("1e308", "-1e308")),
 ])
 def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
     config = write_config(tmp_path / "config.json", small_disc_config())

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from driftscope.diffusion import (
     bridge_functional,
     density_via_representation,
     feynman_kac_exit,
+    substream,
     _bridge_block,
 )
 from driftscope.errors import DataError, SimulationError
@@ -157,6 +159,43 @@ class TestKernels:
             p = kernel.density(x, t, y)[..., None]
             mean = np.trapezoid(np.trapezoid(p * y, s, axis=1), s, axis=0)
             assert np.abs((mean - x) / t - kernel.drift(x)).max() <= 2 * t
+
+
+class TestSubstream:
+    """Every random draw comes from substream(seed, index): one SFC64 stream
+    per (seed, index), each taken modulo 2^64.  The per-block oracle below
+    draws from substream too, so this is the test that pins the generator."""
+
+    @staticmethod
+    def draw(seed, index):
+        return substream(seed, index).standard_normal(64)
+
+    def test_is_sfc64_keyed_by_the_four_words_of_the_pair(self):
+        seed, index = 0x0123456789ABCDEF, 0xFEDCBA9876543210
+        words = [0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+        assert isinstance(substream(seed, index).bit_generator, np.random.SFC64)
+        assert np.array_equal(self.draw(seed, index), want.standard_normal(64))
+
+    def test_same_key_same_stream(self):
+        assert np.array_equal(self.draw(31, 2), self.draw(31, 2))
+
+    @pytest.mark.parametrize("a, b", [
+        ((1, 2), (2, 1)),
+        ((31, 2), (31, 3)),
+        ((31, 2), (32, 2)),
+        ((0, 0), (0, 1)),
+        # a list [seed, index] handed to SeedSequence would give these one stream
+        ((1 << 32, 0), (0, 1)),
+        ((5, 1 << 32), (5, 0)),
+    ])
+    def test_distinct_keys_distinct_streams(self, a, b):
+        assert not np.array_equal(self.draw(*a), self.draw(*b))
+
+    @pytest.mark.parametrize("seed", [(1 << 64) + 7, (5 << 64) + 7, 7 - (1 << 64)])
+    def test_seed_taken_modulo_2_64(self, seed):
+        assert np.array_equal(self.draw(seed, 3), self.draw(7, 3))
+        assert np.array_equal(self.draw(3, seed), self.draw(3, 7))
 
 
 class TestBrownianBridge:
@@ -463,8 +502,33 @@ def per_block_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):
     return McEstimate(value, stderr, len(samples), sum(r[1] for r in results))
 
 
+class LockstepCase(NamedTuple):
+    V: object
+    f: object
+    domain: object
+    start: list
+    h: float
+    max_steps: int | None = None
+    n_paths: int = 2 * parallel.MC_BLOCK + 5  # a short last block
+    oracle_V: object = None  # the oracle's V, where the walk's refuses points outside
+
+
+def _closed_domain_only(V, domain):
+    """V, raising on any point outside the closed domain, to rounding: the
+    walk may evaluate V at its start, at points inside and at the boundary
+    crossings, and nowhere else."""
+    grown = domain.shrunk(1.0 + 1e-12)
+
+    def guarded(p):
+        if not np.all(grown.contains(p)):
+            raise AssertionError("V evaluated outside the closed domain")
+        return V(p)
+    return guarded
+
+
 def _lockstep_case(name):
-    """(V, f, domain, start, h, max_steps) for one lockstep-vs-oracle case."""
+    """The LockstepCase of one lockstep-vs-oracle case."""
+    from driftscope.diffusion import _LOOKAHEAD_PATHS
     from driftscope.fields import RectangleDomain
 
     g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 33, 33)
@@ -475,34 +539,56 @@ def _lockstep_case(name):
     def harmonic(p):
         return p[..., 0] ** 2 - p[..., 1] ** 2
 
+    def tilt(p):
+        return 0.5 + p[..., 1]
+
     return {
-        "disc-zero-V": (lambda p: np.zeros(p.shape[:-1]), harmonic, disc, [0.5, 0.4], 2e-3, None),
-        "rect-field-V": (ramp, harmonic, rect, [0.3, 0.2], 2e-3, None),
-        "disc-callable-V": (lambda p: 1.0 + p[..., 0] ** 2, harmonic, disc, [-0.3, 0.5], 2e-3, None),
-        "disc-capped": (ramp, harmonic, disc, [0.1, 0.0], 5e-3, 400),
-        "rect-capped": (lambda p: 0.5 + p[..., 1], harmonic, rect, [-0.05, 0.1], 5e-3, 300),
+        "disc-zero-V": LockstepCase(lambda p: np.zeros(p.shape[:-1]), harmonic, disc, [0.5, 0.4],
+                                    2e-3),
+        "rect-field-V": LockstepCase(ramp, harmonic, rect, [0.3, 0.2], 2e-3),
+        "disc-callable-V": LockstepCase(lambda p: 1.0 + p[..., 0] ** 2, harmonic, disc, [-0.3, 0.5],
+                                        2e-3),
+        "disc-capped": LockstepCase(ramp, harmonic, disc, [0.1, 0.0], 5e-3, 400),
+        "rect-capped": LockstepCase(tilt, harmonic, rect, [-0.05, 0.1], 5e-3, 300),
         # many paths leave on the first step, with integral 0 and V of the start
-        "rect-edge-start": (ramp, harmonic, rect, [0.899, 0.1], 5e-3, None),
+        "rect-edge-start": LockstepCase(ramp, harmonic, rect, [0.899, 0.1], 5e-3),
         # V returns a view of the points it is given
-        "disc-view-V": (lambda p: p[..., 1], harmonic, disc, [0.2, -0.3], 2e-3, None),
+        "disc-view-V": LockstepCase(lambda p: p[..., 1], harmonic, disc, [0.2, -0.3], 2e-3),
+        # few enough paths that every step is taken in the lookahead
+        "disc-lookahead-only": LockstepCase(ramp, harmonic, disc, [0.2, 0.1], 2e-3,
+                                            n_paths=_LOOKAHEAD_PATHS),
+        # 16 paths run to the cap, which cuts a lookahead batch of 16 steps to 3
+        "disc-capped-in-batch": LockstepCase(tilt, harmonic, disc, [0.1, 0.0], 2e-3, 1250),
+        # V refuses points outside: the walk never evaluates it past an exit
+        "rect-closed-V": LockstepCase(_closed_domain_only(tilt, rect), harmonic, rect, [0.3, 0.2],
+                                      2e-3, oracle_V=tilt),
     }[name]
 
 
 class TestFeynmanKacLockstep:
-    """Lockstep stepping and batched scoring change no bit of the estimate."""
+    """Lockstep stepping, the lookahead and batched scoring change no bit of
+    the estimate."""
 
     @pytest.mark.parametrize("case", ["disc-zero-V", "rect-field-V", "disc-callable-V",
                                       "disc-capped", "rect-capped", "rect-edge-start",
-                                      "disc-view-V"])
+                                      "disc-view-V", "disc-lookahead-only",
+                                      "disc-capped-in-batch", "rect-closed-V"])
     def test_bit_equal_to_per_block_oracle(self, case):
-        V, f, dom, x, h, max_steps = _lockstep_case(case)
-        cfg = McConfig(2 * parallel.MC_BLOCK + 5, 1, seed=31)  # a short last block
-        got = feynman_kac_exit(V, f, dom, np.array(x), cfg, h=h, max_steps=max_steps)
-        want = per_block_feynman_kac_exit(V, f, dom, x, cfg, h, max_steps)
+        c = _lockstep_case(case)
+        cfg = McConfig(c.n_paths, 1, seed=31)
+        got = feynman_kac_exit(c.V, c.f, c.domain, np.array(c.start), cfg, h=c.h,
+                               max_steps=c.max_steps)
+        oracle_V = c.V if c.oracle_V is None else c.oracle_V
+        want = per_block_feynman_kac_exit(oracle_V, c.f, c.domain, c.start, cfg, c.h, c.max_steps)
         assert (got.value, got.stderr, got.n_paths, got.n_capped) == (
             want.value, want.stderr, want.n_paths, want.n_capped)
-        if max_steps is not None:  # capped paths, under the 1% cap
+        if c.max_steps is not None:  # capped paths, under the 1% cap
             assert 0 < got.n_capped <= 0.01 * cfg.n_paths
+
+    def test_closed_domain_guard_refuses_points_outside(self):
+        c = _lockstep_case("rect-closed-V")
+        with pytest.raises(AssertionError, match="outside the closed domain"):
+            c.V(np.array([[0.3, 0.2], [0.9 + 1e-9, 0.2]]))
 
 
 class TestPathAndConfig:

@@ -15,6 +15,11 @@ anywhere: the Krylov loop is the package's own, and those two modules
 would add ~80 modules and LAPACK to every solving run.
 
 A third scan finds imports that nothing in their module uses.
+
+A fourth scan keeps every random draw keyed by (seed, block): no module
+reaches numpy.random or the random module outside `diffusion.substream`, so
+no other generator or bit generator is built and no global state is drawn
+from.
 """
 
 from __future__ import annotations
@@ -142,6 +147,67 @@ def test_scipy_linalg_is_never_imported():
                    for name in _imported_modules(ast.parse(path.read_text()))
                    if any(name == b or name.startswith(b + ".") for b in banned))
     assert not found, f"modules that import a scipy linalg package: {found}"
+
+
+# The one function that may build a generator: (module file, function name).
+RANDOM_HOME = ("diffusion.py", "substream")
+
+
+def _random_uses(path: Path) -> list[str]:
+    """Where a module reaches numpy.random (`np.random.<name>`, an import of
+    numpy.random or of a name from it) or imports the random module, outside
+    RANDOM_HOME, as "file:line"."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (path.name, function) == RANDOM_HOME:
+            return
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name == "random" or alias.name.startswith("numpy.random")
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            hit = (node.module == "random" or node.module.startswith("numpy.random")
+                   or (node.module == "numpy" and any(a.name == "random" for a in node.names)))
+        else:
+            hit = False
+        if hit:
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_random_draws_come_from_substream_only():
+    found = sorted(use for path in SRC.glob("*.py") for use in _random_uses(path))
+    assert not found, f"numpy.random or random reached outside diffusion.substream: {found}"
+
+
+def test_random_scan_sees_generators(tmp_path):
+    """The scan flags the ways a module builds a generator or draws from
+    global state, and passes the one home of the generator."""
+    sources = {
+        "a.py": "import numpy as np\nrng = np.random.default_rng(0)\n",
+        "b.py": "from numpy.random import SFC64\n",
+        "c.py": "import numpy\ndef f():\n    return numpy.random.Generator(numpy.random.Philox(1))\n",
+        "d.py": "import random\n",
+        "e.py": "from numpy import random\n",
+        "f.py": "import numpy.random\n",
+        "diffusion.py": ("import numpy as np\ndef substream(seed, index):\n"
+                         "    return np.random.Generator(np.random.SFC64(seed))\n"),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+    found = {name: _random_uses(tmp_path / name) for name in sources}
+    assert found == {"a.py": ["a.py:2"], "b.py": ["b.py:1"], "c.py": ["c.py:3", "c.py:3"],
+                     "d.py": ["d.py:1"], "e.py": ["e.py:1"], "f.py": ["f.py:1"],
+                     "diffusion.py": []}
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracing.py"
