@@ -7,10 +7,11 @@ merges its diagnostics into <out>/report.json; gen-data starts a new report,
 so the chain's final report equals the one `pipeline` writes when it runs
 every stage in-process.  `pipeline` also writes each stage's outputs as soon
 as the stage ends, so a failing stage leaves the same files behind as the
-chain.  Artifacts are plain CSV and DGF1 files.  dataset.csv and fits.csv
-name each chord by its (angle_index, offset_index) alone: fit, sinogram
-and solve rebuild the chords from the config and read the rows against
-them, ignoring rows off its raster.  Exit codes: 0 success,
+chain.  dataset.csv, the file observed data come in, is CSV text naming
+each chord by its (angle_index, offset_index); fits.npy and sinogram.npz
+are numpy binaries on the (angle, offset) raster.  fit, sinogram and solve
+rebuild the chords from the config and read against them, ignoring rows
+and cells off its chords.  Grids are DGF1 files.  Exit codes: 0 success,
 2 config error (sizes too large for the memory, a domain too large or
 too small for floats and an output directory that cannot be created
 included), 3 data error (a missing input file
@@ -182,8 +183,8 @@ def cmd_phantom(args) -> int:
     grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, args.n, args.n)
     write_dgf(out / "phantom.dgf", make_field(grid, args.width, args.amplitude))
     sino = Sinogram(angles, offsets, sino_vals, np.ones_like(sino_vals, dtype=bool), 1.0)
-    write_sinogram_csv(out / "phantom_sinogram.csv", sino)
-    print(f"wrote {out / 'phantom.dgf'} and {out / 'phantom_sinogram.csv'}")
+    write_sinogram_csv(out / "phantom_sinogram.npz", sino)
+    print(f"wrote {out / 'phantom.dgf'} and {out / 'phantom_sinogram.npz'}")
     return 0
 
 

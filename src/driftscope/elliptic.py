@@ -151,9 +151,10 @@ def assemble_dirichlet_system(
     cross term's four diagonal weights come from `_cross_weights`.  A leg that crosses the boundary
     ends at the crossing point, and one to a boundary node at the node; g
     (called once on all those points) gives the value there, and the leg's
-    coef * g moves to the right-hand side.  Floating-point sums depend on
-    their order, so the legs are subtracted in one fixed order, W, E, S, N,
-    then the diagonals: that fixes how each row's right-hand side rounds.
+    coef * g moves to the right-hand side (a g that is not finite there is a
+    DataError).  Floating-point sums depend on their order, so the legs are
+    subtracted in one fixed order, W, E, S, N, then the diagonals: that
+    fixes how each row's right-hand side rounds.
     """
     import scipy.sparse as sp
 
@@ -196,6 +197,8 @@ def assemble_dirichlet_system(
     ).tocsr()
     g_cut = np.zeros(nbr.shape)
     g_cut[~stay] = g(bp)
+    if not np.all(np.isfinite(g_cut)):
+        raise DataError("Dirichlet boundary values are not finite")
     rhs = np.zeros(n)
     # a leg that stays inside has g_cut 0 and leaves its row's rhs as it is
     for leg_coef, leg_g in zip(coef, g_cut):

@@ -379,10 +379,11 @@ def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float
 
 def stage_context(cfg: PipelineConfig, observed: Kernel | None = None) -> dict:
     """Values every stage may read besides the artifacts: the config's
-    resolved grid, domain and observed kernel; observed, when given, takes
-    precedence over the config's.  No stage reads a reference kernel:
+    resolved grid, domain, observed kernel (observed, when given, instead)
+    and (n_angles, n_offsets) raster.  No stage reads a reference kernel:
     gen-data evaluates the driftless one itself."""
-    return {"grid": cfg._grid, "domain": cfg._domain, "observed": observed or cfg._observed}
+    return {"grid": cfg._grid, "domain": cfg._domain, "observed": observed or cfg._observed,
+            "raster": (cfg.n_angles, cfg.n_offsets)}
 
 
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
@@ -401,8 +402,7 @@ def _fit(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _sinogram(cfg: PipelineConfig, v: dict) -> dict:
-    sino = v["sinogram"] = sinogram_from_fits(v["fits"], v["chords"],
-                                              (cfg.n_angles, cfg.n_offsets), v["domain"])
+    sino = v["sinogram"] = sinogram_from_fits(v["fits"], v["chords"], v["raster"], v["domain"])
     return {"sinogram_masked_bins": int((~sino.mask).sum())}
 
 
@@ -461,14 +461,15 @@ STAGES = {
 
 
 def _config_chords(cfg: PipelineConfig, v: dict):
-    """The chord table of the config's raster: dataset.csv and fits.csv name
-    each chord by its (angle_index, offset_index) on it."""
+    """The chord table of the config's raster: dataset.csv names each chord
+    by its (angle_index, offset_index) on it, and fits.npy holds each
+    chord's fit in that cell."""
     return make_parallel_chords(v["domain"], cfg.n_angles, cfg.n_offsets)[0]
 
 
 def _read_fits(cfg: PipelineConfig, v: dict, path) -> dict:
     chords = _config_chords(cfg, v)
-    return {"chords": chords, "fits": read_fits_csv(path, chords)}
+    return {"chords": chords, "fits": read_fits_csv(path, chords, v["raster"])}
 
 
 def _write_c_hat(v: dict, path_x, path_y) -> None:
@@ -489,9 +490,9 @@ ARTIFACTS = {
         ("dataset.csv",), "--data",
         lambda cfg, v, p: {"dataset": read_dataset_csv(p, _config_chords(cfg, v))},
         lambda v, p: write_dataset_csv(p, v["dataset"])),
-    "fits": Artifact(("fits.csv",), "--fits", _read_fits,
-                     lambda v, p: write_fits_csv(p, v["chords"], v["fits"])),
-    "sinogram": Artifact(("sinogram.csv",), "--sinogram",
+    "fits": Artifact(("fits.npy",), "--fits", _read_fits,
+                     lambda v, p: write_fits_csv(p, v["chords"], v["fits"], v["raster"])),
+    "sinogram": Artifact(("sinogram.npz",), "--sinogram",
                          lambda cfg, v, p: {"sinogram": read_sinogram_csv(p)},
                          lambda v, p: write_sinogram_csv(p, v["sinogram"])),
     "V_hat": Artifact(("V_hat.dgf",), "--vhat", lambda cfg, v, p: {"V_hat": read_dgf(p)},

@@ -15,19 +15,21 @@ potential of any drift.  The log ratio is the only datum kept per
 underflow at small t where their log ratio is still finite.
 
 Chords and fits are tables of columns: a ChordTable of endpoints, raster
-indices and lengths, and a FitTable of the value columns of fits.csv
+indices and lengths, and a FitTable of the value columns of fits.npy
 (dpsi, F, the residual, the standard errors of dpsi and F, the number of
 times fitted) plus ok.  An integer index or iteration gives a row as a
 plain NamedTuple view of the checked columns.  A raster chord is fixed by
-its (angle_index, offset_index) and the domain, so dataset.csv and fits.csv
-name it by those two indices alone, and their readers place the rows into
-a chord table rebuilt from the config.
+its (angle_index, offset_index) and the domain, so dataset.csv names it by
+those indices alone, fits.npy holds its fit in that raster cell, and their
+readers place the values into a chord table rebuilt from the config.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
+import tokenize
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -59,9 +61,9 @@ class ChordTable:
     """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths (n,).
 
     The endpoint checks run once over the whole table: finite planar
-    points, and no chord whose ends coincide (np.allclose, its absolute
-    tolerance scaled by the table's largest coordinate when that is below
-    1, so that a small domain about the origin keeps its chords).  An
+    points, and no chord shorter than 1e-8 s + 1e-5 s, np.allclose's
+    tolerance at coordinates of size s, for s half the table's longest
+    chord, at most 1: a small domain keeps its chords wherever it sits.  An
     integer index, or iteration, gives a ChordRow built from the checked
     columns; a slice, mask or index array gives a sub-table.
     """
@@ -79,12 +81,11 @@ class ChordTable:
             raise DataError("chord endpoints must be planar points")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DataError("chord endpoints must be finite")
-        # np.allclose's absolute tolerance 1e-8 presumes coordinates of size 1
-        scale = min(1.0, max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
-        if np.any(np.all(np.isclose(x, y, atol=1e-8 * scale), axis=1)):  # np.allclose per chord
-            raise GeometryError("chord endpoints coincide")
         d = y - x
-        columns = {"x": x, "y": y, "length": np.hypot(d[:, 0], d[:, 1])}
+        length = np.hypot(d[:, 0], d[:, 1])
+        if np.any(length <= (1e-8 + 1e-5) * min(1.0, 0.5 * length.max(initial=0.0))):
+            raise GeometryError("chord endpoints coincide")
+        columns = {"x": x, "y": y, "length": length}
         for name in ("angle_index", "offset_index"):
             v = getattr(self, name)
             v = np.full(len(x), -1) if v is None else np.asarray(v, dtype=np.int64)
@@ -145,7 +146,7 @@ def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
 
 
 class FitRow(NamedTuple):
-    """One ok chord fit: the values of its fits.csv row."""
+    """One ok chord fit: the values of its cell of fits.npy."""
 
     delta_psi: float
     F: float
@@ -162,10 +163,10 @@ _FIT_FLOATS = FitRow._fields[:-1]
 @dataclass(frozen=True, eq=False)
 class FitTable:
     """Per-chord affine fits as arrays, row-aligned with a ChordTable: the
-    value columns of fits.csv (the fields of FitRow) and ok.
+    value columns of fits.npy (the fields of FitRow) and ok.
 
-    Rows with ok False (fewer than 3 surviving observations) hold NaN and
-    are left out of fits.csv.  On ok rows every value is finite, and the
+    Rows with ok False (fewer than 3 surviving observations) hold NaN, as
+    their cells of fits.npy do.  On ok rows every value is finite, and the
     residual and the standard errors are nonnegative.  An integer index, or
     iteration, gives a FitRow built from the checked columns, or None for a
     row that is not ok; a slice, mask or index array gives a sub-table.
@@ -355,42 +356,28 @@ def fit_dataset(dataset: BoundaryDataset):
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# Interchange: dataset.csv and fits.npy
 # ---------------------------------------------------------------------------
-# A row names its chord by (angle_index, offset_index) only (`_chord_rows`).
+# A dataset row names its chord by (angle_index, offset_index) only (`_chord_rows`).
 
 DATASET_COLUMNS = ["angle_index", "offset_index", "t", "log_ratio"]
-
-FITS_COLUMNS = ["angle_index", "offset_index", *FitRow._fields]
 
 # chords whose dataset rows are turned into Python objects at once: the
 # writer's memory stays a few MB instead of growing with the dataset
 _CHORDS_PER_WRITE = 2048
 
 
-def _write_csv(path, head_rows, fmt, rows) -> None:
-    """The bytes csv.writer gives for unquoted fields: the head rows joined
-    by commas, then one `fmt % row` line (ending in CRLF) per row, streamed."""
-    with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in head_rows)
-        fh.writelines(map(fmt.__mod__, rows))
+def _read_table(path, required) -> dict:
+    """The numeric columns of a CSV file by header name, as float arrays.
 
-
-def _read_table(path, required, head_rows=0) -> tuple[list, dict]:
-    """The first `head_rows` rows of a CSV file as lists of strings (the
-    sinogram's size row and its names), and the numeric columns of the table
-    after them by header name, as float arrays.
-
-    The head rows and the header are read by `csv`, the body by numpy's
-    parser: unquoted decimal numbers (nan and inf included); blank lines are
-    skipped.  A missing column, a field that is not a number (an empty one
-    too), a row of the wrong length or a file without rows is a DataError
-    naming the path.
+    The header is read by `csv`, the body by numpy's parser: unquoted
+    decimal numbers (nan and inf included); blank lines are skipped.  A
+    missing column, a field that is not a number (an empty one too), a row
+    of the wrong length or a file without rows is a DataError naming the
+    path.
     """
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        head = [next(rows, []) for _ in range(head_rows)]
-        header = next(rows, [])
+        header = next(csv.reader(fh), [])
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column {missing[0]!r}")
@@ -403,14 +390,14 @@ def _read_table(path, required, head_rows=0) -> tuple[list, dict]:
             # name the header's length instead
             fh.seek(0)
             ragged = any(row and len(row) != len(header)
-                         for row in itertools.islice(csv.reader(fh), head_rows + 1, None))
+                         for row in itertools.islice(csv.reader(fh), 1, None))
             raise DataError(f"{path}: rows must have {len(header)} fields" if ragged
                             else f"{path}: {exc}") from exc
     if not body.size:
         raise DataError(f"{path}: no rows")
     if body.shape[1] != len(header):
         raise DataError(f"{path}: rows must have {len(header)} fields")
-    return head, dict(zip(header, body.T))
+    return dict(zip(header, body.T))
 
 
 def _integers(path, cols, *names) -> list:
@@ -450,10 +437,10 @@ def _chord_name(chords: ChordTable, k) -> str:
 
 
 def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
-    """One row per (chord, time), chord-major, the chord named by its raster
-    indices; floats as shortest round-trip text (`repr`), each chord's
-    indices and each time formatted once.  Rows are formatted
-    `_CHORDS_PER_WRITE` chords at a time."""
+    """The bytes csv.writer gives: one row per (chord, time), chord-major,
+    the chord named by its raster indices; floats as shortest round-trip
+    text (`repr`), each chord's indices and each time formatted once.  Rows
+    are formatted and streamed `_CHORDS_PER_WRITE` chords at a time."""
     c = dataset.chords
     times = ["%r," % t for t in dataset.times.tolist()]
 
@@ -465,7 +452,9 @@ def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
             for head, chord in zip(heads, dataset.log_ratios[part].tolist()):
                 yield from zip([head] * len(times), times, chord)
 
-    _write_csv(path, [DATASET_COLUMNS], "%s%s%r\r\n", rows())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(DATASET_COLUMNS) + "\r\n")
+        fh.writelines(map("%s%s%r\r\n".__mod__, rows()))
 
 
 def read_dataset_csv(path, chords: ChordTable) -> BoundaryDataset:
@@ -480,7 +469,7 @@ def read_dataset_csv(path, chords: ChordTable) -> BoundaryDataset:
     as its log ratios alone.  Indices must be integral and times finite and
     positive; a (chord, time) listed twice is a DataError naming the path.
     """
-    _, cols = _read_table(path, DATASET_COLUMNS)
+    cols = _read_table(path, DATASET_COLUMNS)
     hit, target = _chord_rows(path, cols, chords)
     t = cols["t"][hit]
     ascending = np.unique(t)
@@ -497,37 +486,64 @@ def read_dataset_csv(path, chords: ChordTable) -> BoundaryDataset:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def write_fits_csv(path, chords: ChordTable, fits: FitTable) -> None:
-    """One row per ok fit, in chord order; excluded chords are left out."""
-    ok = fits.ok
-    columns = [chords.angle_index[ok], chords.offset_index[ok],
-               *(getattr(fits, name)[ok] for name in FitRow._fields)]
-    _write_csv(path, [FITS_COLUMNS], "%d,%d,%r,%r,%r,%r,%r,%d\r\n",
-               zip(*(v.tolist() for v in columns)))
+# what numpy's .npy header parser raises on damaged text: ValueError mostly,
+# SyntaxError and TokenError from its fallback for Python 2 headers, and
+# TypeError and IndexError from some malformed dtype descriptions
+_NPY_HEADER_ERRORS = (ValueError, TypeError, SyntaxError, IndexError, tokenize.TokenError)
 
 
-def read_fits_csv(path, chords: ChordTable) -> FitTable:
-    """Fits from CSV, read as `_read_table` reads it, row-aligned with
-    `chords` by (angle_index, offset_index).
-
-    Chords without a row are not ok; rows without a chord are ignored.  The
-    values are stored as read.  Indices and n_times must be integral; a
-    chord listed twice, or a row with a non-finite number or a negative
-    residual or standard error, is a DataError.
-    """
-    _, cols = _read_table(path, FITS_COLUMNS)
-    hit, target = _chord_rows(path, cols, chords)
-    (n_times,) = _integers(path, cols, "n_times")
-    if (i := _first_repeat(target)) is not None:
-        raise DataError(f"{path}: {_chord_name(chords, target[i])} is listed more than once")
-
-    def column(values, fill=np.nan):
-        out = np.full(len(chords), fill, dtype=values.dtype)
-        out[target] = values[hit]
-        return out
-
+def _read_npy(fh, where: str, dtype: str, shape: tuple | None = None) -> np.ndarray:
+    """The read-only array of one .npy stream (format 1.0, as np.save writes
+    it): in C order, of `dtype`, of `shape` when given, and whole, else a
+    DataError naming `where`.  The header is checked before the body is
+    read, so no object array is unpickled, and no huge claimed shape is
+    allocated: when no shape is given, the stream must be a zip member,
+    whose reads stop at its data."""
     try:
-        return FitTable(*(column(cols[name]) for name in _FIT_FLOATS), column(n_times, 0),
-                        column(np.ones(len(hit), dtype=bool), False))
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("format version is not 1.0")
+        got_shape, fortran_order, got_dtype = np.lib.format.read_array_header_1_0(fh)
+    except _NPY_HEADER_ERRORS as exc:
+        raise DataError(f"{where}: not a .npy array ({exc!r})") from exc
+    if got_dtype != np.dtype(dtype) or fortran_order or shape not in (None, got_shape):
+        raise DataError(f"{where}: holds a {'Fortran-order ' * fortran_order}{got_dtype.str} "
+                        f"array of shape {got_shape}, not a C-order {dtype} one"
+                        + (f" of shape {shape}" if shape else ""))
+    nbytes = math.prod(got_shape) * got_dtype.itemsize
+    if min(got_shape, default=0) < 0 or len(data := fh.read(nbytes)) != nbytes:
+        raise DataError(f"{where}: truncated, or a bad shape {got_shape}")
+    return np.frombuffer(data, got_dtype).reshape(got_shape)
+
+
+def write_fits_csv(path, chords: ChordTable, fits: FitTable, raster: tuple[int, int]) -> None:
+    """fits.npy (binary, whatever the name says; the benchmark traces this
+    name until ROADMAP item 4) at exactly `path`: a float64 (n_angles,
+    n_offsets, 6) raster, each chord's cell holding its FitRow and every
+    other cell, a not-ok fit's or one without a chord, all NaN."""
+    cells = np.full((*raster, len(FitRow._fields)), np.nan)
+    ok = fits.ok
+    cells[chords.angle_index[ok], chords.offset_index[ok]] = np.column_stack(
+        [getattr(fits, name)[ok] for name in FitRow._fields])
+    with open(path, "wb") as fh:  # np.save on a path would append .npy
+        np.save(fh, cells, allow_pickle=False)
+
+
+def read_fits_csv(path, chords: ChordTable, raster: tuple[int, int]) -> FitTable:
+    """Fits from the fits.npy of `write_fits_csv`, row-aligned with `chords`
+    (a table of `raster`) by one gather; an all-NaN cell is a fit that is
+    not ok.  Another shape or dtype, a truncated file, a cell NaN in some
+    columns only, a non-integral n_times and an ok fit that FitTable refuses
+    are DataErrors naming the path."""
+    with open(path, "rb") as fh:
+        cells = _read_npy(fh, str(path), "<f8", (*raster, len(FitRow._fields)))
+    columns = cells[chords.angle_index, chords.offset_index].T.copy()
+    nan = np.isnan(columns)
+    ok = ~nan.any(axis=0)
+    if np.any(partial := ~ok & ~nan.all(axis=0)):
+        raise DataError(f"{path}: {_chord_name(chords, np.argmax(partial))} is NaN in some "
+                        "columns only")
+    (n_times,) = _integers(path, {"n_times": np.where(ok, columns[-1], 0.0)}, "n_times")
+    try:
+        return FitTable(*columns[:-1], n_times, ok)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -9,6 +9,8 @@ from the domain's center along omega_i^perp.
 from __future__ import annotations
 
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +20,7 @@ from .fields import Domain, Grid, ScalarField, interp
 from .smalltime import (
     ChordTable,
     FitTable,
-    _integers,
-    _read_table,
-    _write_csv,
+    _read_npy,
     chord_angles,
     chord_directions,
     chord_offsets,
@@ -122,14 +122,6 @@ def sinogram_of_field(
     )
 
 
-def _check_in_raster(ia, io, shape, what: str) -> None:
-    """DataError unless every (ia[k], io[k]) is a bin of a raster of `shape`."""
-    outside = (ia < 0) | (ia >= shape[0]) | (io < 0) | (io >= shape[1])
-    if np.any(outside):
-        k = np.argmax(outside)
-        raise DataError(f"{what} ({ia[k]}, {io[k]}) outside the {shape[0]} x {shape[1]} raster")
-
-
 def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Domain) -> Sinogram:
     """Scatter the line integrals F * |y - x| of a fit table into the raster.
 
@@ -141,7 +133,11 @@ def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Dom
     if len(fits) != len(chords):
         raise DataError("fits and chords are misaligned")
     ia, io = chords.angle_index, chords.offset_index
-    _check_in_raster(ia, io, (n_angles, n_offsets), "chord indices")
+    outside = (ia < 0) | (ia >= n_angles) | (io < 0) | (io >= n_offsets)
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise DataError(f"chord indices ({ia[k]}, {io[k]}) outside the {n_angles} x "
+                        f"{n_offsets} raster")
     values = np.zeros((n_angles, n_offsets))
     mask = np.ones((n_angles, n_offsets), dtype=bool)
     seen = np.zeros((n_angles, n_offsets), dtype=bool)
@@ -264,53 +260,48 @@ def disc_indicator_sinogram(
 
 
 # ---------------------------------------------------------------------------
-# Sinogram CSV format
+# sinogram.npz
 # ---------------------------------------------------------------------------
 
+# each member of sinogram.npz and its dtype
+_SINOGRAM_MEMBERS = {"values": "<f8", "valid": "|b1", "radius": "<f8"}
 
-SINOGRAM_COLUMNS = ["angle_index", "offset_index", "value", "valid"]
+# zipfile's errors on a damaged archive: a bad directory, a missing member, a
+# member cut short or failing its CRC, flags for encryption or a compression
+_ZIP_ERRORS = (zipfile.BadZipFile, KeyError, EOFError, OSError, NotImplementedError,
+               RuntimeError, zlib.error)
 
 
 def write_sinogram_csv(path, sino: Sinogram) -> None:
-    """A size row, then one row per bin in (angle, offset) order."""
-    columns = [*np.indices(sino.values.shape), sino.values, sino.mask.astype(int)]
-    head = [["n_angles", "n_offsets", "R"], [sino.n_angles, sino.n_offsets, repr(sino.radius)],
-            SINOGRAM_COLUMNS]
-    _write_csv(path, head, "%d,%d,%r,%d\r\n", zip(*(c.ravel().tolist() for c in columns)))
+    """sinogram.npz (binary, whatever the name says; the benchmark traces
+    this name until ROADMAP item 4) at exactly `path`: the .npy members
+    values, valid (the mask) and radius.  np.savez's zip members carry
+    zipfile's fixed 1980 timestamp, so equal sinograms give equal bytes."""
+    with open(path, "wb") as fh:  # np.savez on a path would append .npz
+        np.savez(fh, values=sino.values, valid=sino.mask, radius=np.float64(sino.radius),
+                 allow_pickle=False)
 
 
 def read_sinogram_csv(path) -> Sinogram:
-    """A size row, then one row per bin, read as `_read_table` reads them.
-
-    The file must list every bin of its raster exactly once, as the writer
-    does: a bin not listed is a DataError (it once read as masked), and so
-    are a malformed field, a bin outside the raster and a bin listed twice.
-    """
-    (names, sizes), cols = _read_table(path, SINOGRAM_COLUMNS, head_rows=2)
-    if names[:3] != ["n_angles", "n_offsets", "R"] or len(sizes) < 3:
-        raise DataError(f"{path}: not a sinogram CSV")
+    """A sinogram from the sinogram.npz of `write_sinogram_csv`, its angles
+    and offsets rebuilt from the raster's shape and radius.  A damaged
+    archive, a missing member or one refused by `smalltime._read_npy`, a
+    values and valid of different or not 2-D shapes, a radius that is not a
+    positive finite scalar and a non-finite valid bin are DataErrors."""
+    arrays = {}
     try:
-        n_angles, n_offsets, radius = int(sizes[0]), int(sizes[1]), float(sizes[2])
-        # bins are numbered in int64 below, so a raster holds fewer than 2^63
-        good = (min(n_angles, n_offsets) >= 1 and n_angles * n_offsets < 2**63
-                and 0 < radius < np.inf)
-    except ValueError:
-        good = False
-    if not good:
-        raise DataError(f"{path}: bad raster header {sizes[:3]}")
-    ia, io, valid = _integers(path, cols, "angle_index", "offset_index", "valid")
-    _check_in_raster(ia, io, (n_angles, n_offsets), f"{path}: bin")
-    if len(np.unique(ia * n_offsets + io)) < len(ia):
-        raise DataError(f"{path}: a bin is listed more than once")
-    if len(ia) != n_angles * n_offsets:
-        raise DataError(f"{path}: {len(ia)} of the {n_angles * n_offsets} bins of the "
-                        f"{n_angles} x {n_offsets} raster are listed")
-    values = np.zeros((n_angles, n_offsets))
-    mask = np.zeros((n_angles, n_offsets), dtype=bool)
-    values[ia, io] = cols["value"]
-    mask[ia, io] = valid != 0
+        with zipfile.ZipFile(path) as archive:
+            for name, dtype in _SINOGRAM_MEMBERS.items():
+                with archive.open(f"{name}.npy") as member:  # KeyError: no such member
+                    arrays[name] = _read_npy(member, f"{path}: {name}", dtype)
+    except _ZIP_ERRORS as exc:
+        raise DataError(f"{path}: not a sinogram .npz ({exc!r})") from exc
+    values, valid, radius = (arrays[name] for name in _SINOGRAM_MEMBERS)
+    if values.ndim != 2 or radius.shape != () or not 0 < float(radius) < np.inf:
+        raise DataError(f"{path}: values must be 2-D and radius a positive finite scalar, got "
+                        f"shape {values.shape} and radius {radius!r}")
     try:
-        return Sinogram(chord_angles(n_angles), chord_offsets(radius, n_offsets), values, mask,
-                        radius)
+        return Sinogram(chord_angles(len(values)), chord_offsets(float(radius), values.shape[1]),
+                        values, valid, float(radius))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -1,8 +1,11 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -16,17 +19,35 @@ DGF_FILES = ("V_hat.dgf", "u.dgf", "psi_hat.dgf", "c_hat_x.dgf", "c_hat_y.dgf")
 # the options naming each stage's input files, with the files' names
 INPUT_OPTIONS = {
     "fit": (("--data", "dataset.csv"),),
-    "sinogram": (("--fits", "fits.csv"),),
-    "invert": (("--sinogram", "sinogram.csv"),),
-    "solve": (("--vhat", "V_hat.dgf"), ("--fits", "fits.csv")),
+    "sinogram": (("--fits", "fits.npy"),),
+    "invert": (("--sinogram", "sinogram.npz"),),
+    "solve": (("--vhat", "V_hat.dgf"), ("--fits", "fits.npy")),
     "recover": (("--psi", "psi_hat.dgf"),),
 }
 
 
-# malformed input files, by name
+def npz_claiming_a_huge_raster() -> bytes:
+    """A sinogram.npz whose values and valid headers claim a 10^9 x 10^9
+    raster (8 EB of values) over a body of one bin."""
+    archive_bytes = io.BytesIO()
+    with zipfile.ZipFile(archive_bytes, "w") as archive:
+        for name, array in (("values", np.ones((1, 1))), ("valid", np.ones((1, 1), dtype=bool)),
+                            ("radius", np.float64(1.0))):
+            member = io.BytesIO()
+            np.lib.format.write_array(member, array)
+            # the longer shape takes the place of header padding
+            archive.writestr(f"{name}.npy", member.getvalue().replace(
+                b"(1, 1), }" + b" " * 18, b"(1000000000, 1000000000), }"))
+    return archive_bytes.getvalue()
+
+
+# malformed input files, by name: a sinogram in the CSV text that
+# sinogram.npz replaced, which claimed a 10^9 x 10^9 raster, and the same
+# claim in the binary file
 BAD_INPUTS = {
     "big.csv": b"n_angles,n_offsets,R\r\n1000000000,1000000000,1.0\r\n"
                b"angle_index,offset_index,value,valid\r\n0,0,0.5,1\r\n",
+    "big.npz": npz_claiming_a_huge_raster(),
     "short.dgf": b"DGF1\x01\x00",
 }
 
@@ -174,7 +195,7 @@ def test_omitted_reference_runs_as_the_brownian_one(tmp_path):
             assert run_command([stage, "--config", config,
                                 "--out", str(tmp_path / name / "chain")]) == 0, stage
     for run in ("pipeline", "chain"):
-        for file in ("dataset.csv", "fits.csv", "sinogram.csv", *DGF_FILES):
+        for file in ("dataset.csv", "fits.npy", "sinogram.npz", *DGF_FILES):
             assert ((tmp_path / "omitted" / run / file).read_bytes()
                     == (tmp_path / "explicit" / run / file).read_bytes()), (run, file)
         rel_l2 = [comparable_report(tmp_path / name / run)["rel_l2"]
@@ -190,6 +211,30 @@ def test_tiny_disc_runs(tmp_path):
         grid={"x0": -1.15e-9, "y0": -1.15e-9, "x1": 1.15e-9, "y1": 1.15e-9, "nx": 17, "ny": 17})
     config = write_config(tmp_path / "config.json", raw)
     assert run_command(["pipeline", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_tiny_disc_away_from_the_origin_runs_as_at_the_origin(tmp_path):
+    """A disc of radius 1e-6 centred at (1, 0) makes as many chords as the
+    same disc at the origin, and pipeline exits with the same code: whether
+    chord ends coincide is measured against the chord table's own extent,
+    not from the origin (where it exited 3, "chord endpoints coincide")."""
+    from driftscope.recover import config_from_dict
+    from driftscope.smalltime import make_parallel_chords
+
+    codes, n_chords = [], []
+    for cx in (0.0, 1.0):
+        raw = small_disc_config(
+            domain={"kind": "disc", "center": [cx, 0.0], "radius": 1e-6},
+            geometry={"n_angles": 12, "n_offsets": 13},
+            grid={"x0": cx - 1.15e-6, "y0": -1.15e-6, "x1": cx + 1.15e-6, "y1": 1.15e-6,
+                  "nx": 17, "ny": 17})
+        n_chords.append(len(make_parallel_chords(
+            config_from_dict(raw).resolved_domain(), 12, 13)[0]))
+        config = write_config(tmp_path / f"config{cx}.json", raw)
+        codes.append(run_command(["pipeline", "--config", config,
+                                  "--out", str(tmp_path / f"out{cx}")]))
+    assert n_chords == [12 * 13] * 2
+    assert codes[0] == codes[1] == 0
 
 
 @pytest.mark.parametrize("command", ["gen-data", "pipeline"])
@@ -274,7 +319,7 @@ def test_nonpositive_or_non_finite_time_exits_3(tmp_path, capsys, time):
     err = capsys.readouterr().err
     assert err == (f"data error: [stage fit] {bad}: times must be finite and positive, "
                    f"got t={float(time)!r}\n")
-    assert not (tmp_path / "fits.csv").exists()
+    assert not (tmp_path / "fits.npy").exists()
 
 
 @pytest.mark.parametrize("case", ["no log_ratio column", "blank log_ratio"])
@@ -311,11 +356,11 @@ def test_chord_without_rows_is_excluded_and_masked(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["n_chords_excluded"] == 1
     assert report["sinogram_masked_bins"] == 1
-    fits = (tmp_path / "fits.csv").read_text().splitlines()
-    assert len(fits) == report["n_chords"] and not any(line.startswith("3,5,") for line in fits)
-    masked = [line for line in (tmp_path / "sinogram.csv").read_text().splitlines()[3:]
-              if line.endswith(",0")]
-    assert [line.split(",")[:2] for line in masked] == [["3", "5"]]
+    fits = np.load(tmp_path / "fits.npy", allow_pickle=False)
+    ok = ~np.isnan(fits).all(axis=-1)
+    assert ok.sum() == report["n_chords"] - 1 and not ok[3, 5]
+    with np.load(tmp_path / "sinogram.npz", allow_pickle=False) as sinogram:
+        assert np.argwhere(~sinogram["valid"]).tolist() == [[3, 5]]
 
 
 PRODUCT_OU = {"observed": {"kind": "product_ou", "theta1": 1.0, "theta2": 0.5, "offset": [0.1, -0.2]},
@@ -390,7 +435,7 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
     for stage in STAGES:
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0, stage
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
-    for name in DGF_FILES + ("dataset.csv", "fits.csv", "sinogram.csv"):
+    for name in DGF_FILES + ("dataset.csv", "fits.npy", "sinogram.npz"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     whole_report = comparable_report(whole)
     assert np.isfinite(whole_report["rel_l2"])
@@ -401,7 +446,7 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
     for stage, inputs in INPUT_OPTIONS.items():
         options = [arg for option, name in inputs for arg in (option, str(chain / name))]
         assert run_command([stage, "--config", config, "--out", str(by_option), *options]) == 0, stage
-    for name in DGF_FILES + ("fits.csv", "sinogram.csv"):
+    for name in DGF_FILES + ("fits.npy", "sinogram.npz"):
         assert (by_option / name).read_bytes() == (whole / name).read_bytes(), name
     assert not (by_option / "dataset.csv").exists()
 
@@ -448,7 +493,7 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
         assert proc.returncode == 0, (stage, proc.stderr)
         loaded[stage] = proc.stdout.splitlines()[-1]
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
-    for name in DGF_FILES + ("dataset.csv", "fits.csv", "sinogram.csv"):
+    for name in DGF_FILES + ("dataset.csv", "fits.npy", "sinogram.npz"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     assert comparable_report(chain) == comparable_report(whole)
     assert loaded == {stage: "scipy,scipy.sparse" if stage == "solve" else "" for stage in STAGES}
@@ -459,6 +504,7 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
     ("solve", 4, "solver error: [stage solve] no convergence in 1 iterations"),
     ("pipeline", 4, "solver error: [stage solve] no convergence in 1 iterations"),
     ("invert --sinogram big.csv", 3, "data error: [stage invert] {input}:"),
+    ("invert --sinogram big.npz", 3, "data error: [stage invert] {input}:"),
     ("solve --vhat short.dgf", 3, "data error: [stage solve] {input}:"),
     *((f"phantom {option} {value}", 2, f"config error: {option} must be at least {least}, got ")
       for option, value, least in (("--n", 1, 2), ("--n", -3, 2), ("--angles", 0, 1),
@@ -513,7 +559,7 @@ def test_failed_pipeline_leaves_the_files_the_chain_leaves(tmp_path, capsys):
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0
     assert run_command(["solve", "--config", config, "--out", str(chain)]) == 4
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 4
-    for name in ("dataset.csv", "fits.csv", "sinogram.csv", "V_hat.dgf"):
+    for name in ("dataset.csv", "fits.npy", "sinogram.npz", "V_hat.dgf"):
         assert (whole / name).read_bytes() == (chain / name).read_bytes(), name
     for name in ("u.dgf", "psi_hat.dgf", "c_hat_x.dgf"):
         assert not (whole / name).exists() and not (chain / name).exists(), name
@@ -548,22 +594,115 @@ def test_configs_too_large_for_memory_exit_cleanly(tmp_path, case):
 
 @pytest.mark.parametrize("stage", ["sinogram", "solve"])
 def test_non_finite_fit_row_exits_3(tmp_path, capsys, stage):
-    """A fits.csv row with NaN delta_psi and F is a data error when the file
+    """A fits.npy cell with NaN delta_psi and F is a data error when the file
     is read, not a solve that runs out of iterations on a NaN residual."""
     config = write_config(tmp_path / "config.json", small_disc_config())
     for earlier in STAGES[:4]:
         assert run_command([earlier, "--config", config, "--out", str(tmp_path)]) == 0
-    header, row, *rest = (tmp_path / "fits.csv").read_text().splitlines()
-    fields = row.split(",")
-    fields[2:4] = ["nan", "nan"]
-    bad = tmp_path / "bad_fits.csv"
-    bad.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    fits = np.load(tmp_path / "fits.npy", allow_pickle=False)
+    fits[0, 0, :2] = np.nan
+    bad = tmp_path / "bad_fits.npy"
+    np.save(bad, fits)
     capsys.readouterr()
     assert run_command([stage, "--config", config, "--out", str(tmp_path),
                         "--fits", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: [stage {stage}] {bad}: "), err
     assert "Traceback" not in err
+
+
+def edit_npy_header(data: bytes, pattern: bytes, new: bytes) -> bytes:
+    """A format 1.0 .npy file with `pattern` replaced by `new` in its header,
+    re-padded to a multiple of 64 bytes as np.save pads it."""
+    end = 10 + int.from_bytes(data[8:10], "little")
+    header = re.sub(pattern, new, data[10:end].rstrip())
+    header += b" " * (-(10 + len(header) + 1) % 64) + b"\n"
+    return data[:8] + len(header).to_bytes(2, "little") + header + data[end:]
+
+
+# header edits: (pattern, replacement) of the descr, fortran_order and shape entries
+HEADER_EDITS = [
+    *((rb"'descr': '[^']*'", f"'descr': '{descr}'".encode())
+      for descr in ("<f4", ">f8", "|O", "<i8", "|b1", "<f8")),
+    (rb"False", b"True"),
+    *((rb"'shape': \([^)]*\)", f"'shape': {shape}".encode())
+      for shape in ("()", "(1,)", "(13, 12)", "(12, 13, 5)", "(12, 13, 7)", "(13, 12, 6)",
+                    "(1000000000, 1000000000, 6)", "(1000000000, 1000000000)", "(-1, 13, 6)",
+                    "(2.5, 13)", "(12, 13)")),
+]
+
+
+def npz_members(data: bytes) -> dict:
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def npz_of(members: dict) -> bytes:
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, member in members.items():
+            archive.writestr(name, member)
+    return out.getvalue()
+
+
+def fuzzed(data: bytes, rng, header_edit) -> list:
+    """Seeded damage to a file: cuts at random lengths, one to three random
+    bytes flipped, and every header edit (`header_edit(data, pattern,
+    new)`)."""
+    cases = [data[:int(rng.integers(len(data)))] for _ in range(8)]
+    for _ in range(16):
+        flipped = bytearray(data)
+        for at in rng.integers(len(data), size=rng.integers(1, 4)):
+            flipped[at] ^= int(rng.integers(1, 256))
+        cases.append(bytes(flipped))
+    return cases + [header_edit(data, pattern, new) for pattern, new in HEADER_EDITS]
+
+
+def test_damaged_fits_and_sinogram_exit_0_or_3(tmp_path, capsys):
+    """Truncated, byte-flipped and header-edited fits.npy and sinogram.npz
+    files, fed to the stages that read them, end in exit 0 or 3, never in a
+    traceback."""
+    base, out = tmp_path / "base", str(tmp_path / "out")
+    config = write_config(tmp_path / "config.json", small_disc_config(
+        geometry={"n_angles": 12, "n_offsets": 13}))
+    for stage in STAGES[:4]:
+        assert run_command([stage, "--config", config, "--out", str(base)]) == 0
+    rng = np.random.default_rng(20041108)
+    fits = (base / "fits.npy").read_bytes()
+    sinogram = (base / "sinogram.npz").read_bytes()
+
+    def member_edit(data, pattern, new):
+        name = ("values.npy", "valid.npy", "radius.npy")[int(rng.integers(3))]
+        members = npz_members(data)
+        return npz_of({**members, name: edit_npy_header(members[name], pattern, new)})
+
+    runs = [(stage, "--fits", case) for case in fuzzed(fits, rng, edit_npy_header)
+            for stage in ("sinogram", "solve")]
+    runs += [("invert", "--sinogram", case) for case in fuzzed(sinogram, rng, member_edit)]
+    codes = []
+    for k, (stage, option, data) in enumerate(runs):
+        bad = tmp_path / f"case{k}"
+        bad.write_bytes(data)
+        argv = [stage, "--config", config, "--out", out, option, str(bad)]
+        if stage == "solve":
+            argv += ["--vhat", str(base / "V_hat.dgf")]
+        capsys.readouterr()
+        codes.append(run_command(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 3) and "Traceback" not in err, (stage, k, codes[-1], err)
+    # most damage is refused; the untouched header edits ('<f8' for '<f8') run
+    assert codes.count(3) > len(codes) // 2 and 0 in codes
+
+
+def test_phantom_sinogram_inverts(tmp_path):
+    phantom = tmp_path / "phantom"
+    assert run_command(["phantom", "--angles", "24", "--offsets", "25", "--n", "33",
+                        "--out", str(phantom)]) == 0
+    assert sorted(p.name for p in phantom.iterdir()) == ["phantom.dgf", "phantom_sinogram.npz"]
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    assert run_command(["invert", "--config", config, "--out", str(tmp_path / "out"),
+                        "--sinogram", str(phantom / "phantom_sinogram.npz")]) == 0
+    assert (tmp_path / "out" / "V_hat.dgf").is_file()
 
 
 def test_recover_rerun_replaces_metrics(tmp_path, capsys):

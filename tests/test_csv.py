@@ -1,10 +1,12 @@
-"""The dataset, fits and sinogram CSV files pinned to the csv-module code
-they replaced.
+"""The dataset CSV file pinned to the csv-module code it replaced, and the
+binary fits.npy and sinogram.npz pinned to the tables that the CSV files
+they replaced read back as.
 
 The oracles below are the column-wise `csv.writer` writers and the
 `csv.reader` + `float()` / `int()` readers as they stood before the writers
-cached `repr` per value and the readers moved to `np.loadtxt`: the files
-must be the same bytes and the arrays read back the same bits.  The dataset
+cached `repr` per value and the readers moved to `np.loadtxt`: the dataset
+file must be the same bytes, and every file must read back the same bits
+as the oracles read from the CSV text of the same values.  The dataset
 oracles use its four-column layout, each row placed into the given chord
 table by a dict lookup on (angle_index, offset_index); the oracle writer
 also gives the two older layouts, with the chord endpoints and with the
@@ -12,7 +14,10 @@ densities as well.
 """
 
 import csv
+import io
 import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,9 +26,9 @@ from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid
 from driftscope.kernels import OrnsteinUhlenbeckKernel
 from driftscope.smalltime import (
-    FITS_COLUMNS,
     BoundaryDataset,
     ChordTable,
+    FitRow,
     FitTable,
     build_boundary_dataset,
     fit_dataset,
@@ -38,6 +43,9 @@ from driftscope.smalltime import (
 from driftscope.xray import Sinogram, read_sinogram_csv, write_sinogram_csv
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5]
+
+# the columns of the fits CSV file that fits.npy replaced
+FITS_COLUMNS = ["angle_index", "offset_index", *FitRow._fields]
 
 
 def oracle_write_dataset_csv(path, dataset, endpoints=False, densities=False):
@@ -72,6 +80,17 @@ def oracle_write_fits_csv(path, chords, fits):
         w = csv.writer(fh)
         w.writerow(FITS_COLUMNS)
         w.writerows(zip(*(v.tolist() for v in columns)))
+
+
+def oracle_write_sinogram_csv(path, sino):
+    """The sinogram CSV file that sinogram.npz replaced: a size row, then
+    one row per bin in (angle, offset) order."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerows([["n_angles", "n_offsets", "R"], [sino.n_angles, sino.n_offsets, sino.radius],
+                      ["angle_index", "offset_index", "value", "valid"]])
+        w.writerows((ia, io, float(sino.values[ia, io]), int(sino.mask[ia, io]))
+                    for ia in range(sino.n_angles) for io in range(sino.n_offsets))
 
 
 def oracle_columns(path):
@@ -180,19 +199,20 @@ def chunked_dataset():
 
 
 def special_fits():
-    """Four fits holding -0.0, 5e-324, 1e16 and 1e-5; the third is not ok."""
+    """Four fits holding -0.0, 5e-324, 1e16 and 1e-5 on a 4 x 3 raster; the
+    third is not ok.  Returns (chords, fits, raster)."""
     chords = ChordTable([[-1.0, 0.0]] * 4, [[1.0, 0.0]] * 4, [0, 0, 1, 3], [0, 2, 1, 0])
     nan = float("nan")
     fits = FitTable(delta_psi=[-0.0, 1e16, nan, 5e-324], F=[1e-5, -0.0, nan, -1e16],
                     residual=[5e-324, 0.0, nan, 1e16], se_delta_psi=[1e-5, 0.0, nan, 5e-324],
                     se_F=[1e16, 2.0, nan, -0.0],
                     n_times=[4, 3, 2, 4], ok=[True, True, False, True])
-    return chords, fits
+    return chords, fits, (4, 3)
 
 
 def fitted_fits():
     ds = small_dataset()
-    return ds.chords, fit_dataset(ds)[0]
+    return ds.chords, fit_dataset(ds)[0], (6, 5)
 
 
 class TestWriters:
@@ -211,15 +231,6 @@ class TestWriters:
         text = (tmp_path / "dataset.csv").read_text()
         for token in ("nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05"):
             assert re.search(rf"(^|,){re.escape(token)}(,|\r?$)", text, re.M), token
-
-    @pytest.mark.parametrize("make, n_rows", [(special_fits, 3), (fitted_fits, 30)])
-    def test_fits_bytes_equal_csv_writer(self, tmp_path, make, n_rows):
-        chords, fits = make()
-        write_fits_csv(tmp_path / "new.csv", chords, fits)
-        oracle_write_fits_csv(tmp_path / "old.csv", chords, fits)
-        text = (tmp_path / "new.csv").read_bytes()
-        assert text == (tmp_path / "old.csv").read_bytes()
-        assert text.count(b"\r\n") == 1 + n_rows  # special_fits' not-ok fit is left out
 
 
 def rewrite(path, edit):
@@ -278,19 +289,27 @@ class TestReaders:
 
     @pytest.mark.parametrize("make", [special_fits, fitted_fits])
     def test_fits_bits_equal_csv_reader(self, tmp_path, make):
-        chords, fits = make()
-        path = tmp_path / "fits.csv"
-        oracle_write_fits_csv(path, chords, fits)
-        assert_bits_equal(read_fits_csv(path, chords), oracle_read_fits_csv(path, chords))
+        # fits.npy reads back the bits the CSV reader read from the same fits
+        chords, fits, raster = make()
+        oracle_write_fits_csv(tmp_path / "fits.csv", chords, fits)
+        write_fits_csv(tmp_path / "fits.npy", chords, fits, raster)
+        assert_bits_equal(read_fits_csv(tmp_path / "fits.npy", chords, raster),
+                          oracle_read_fits_csv(tmp_path / "fits.csv", chords))
 
     def test_fits_rows_without_a_chord_are_ignored(self, tmp_path):
-        chords, fits = special_fits()
-        path = tmp_path / "fits.csv"
-        oracle_write_fits_csv(path, chords, fits)
-        rewrite(path, lambda lines: lines + ["9,0,1.0,1.0,0.0,0.0,0.0,3",
-                                             "0,9,1.0,1.0,0.0,0.0,0.0,3",
-                                             "-1,0,1.0,1.0,0.0,0.0,0.0,3"])
-        assert_bits_equal(read_fits_csv(path, chords), oracle_read_fits_csv(path, chords))
+        # a raster cell that names no chord is not read, whatever it holds
+        chords, fits, raster = special_fits()
+        path = tmp_path / "fits.npy"
+        write_fits_csv(path, chords, fits, raster)
+        expected = {name: getattr(read_fits_csv(path, chords, raster), name)
+                    for name in (*FitRow._fields, "ok")}
+        cells = np.load(path, allow_pickle=False)
+        seen = np.zeros(raster, dtype=bool)
+        seen[chords.angle_index, chords.offset_index] = True
+        assert (~seen).sum() == 8
+        cells[~seen] = [1.0, np.inf, -1.0, np.nan, -0.0, 2.5]
+        np.save(path, cells)
+        assert_bits_equal(read_fits_csv(path, chords, raster), expected)
 
     def test_older_layout_reads_the_same(self, tmp_path):
         # a file that also holds the chord endpoints (8 columns), or the
@@ -324,6 +343,7 @@ class TestReaders:
 
     @pytest.mark.parametrize("n_angles, n_offsets", [(3, 4), (12, 13)])
     def test_sinogram_bits_equal_csv_reader(self, tmp_path, n_angles, n_offsets):
+        # sinogram.npz reads back the bits the CSV reader read from the same sinogram
         shape = (n_angles, n_offsets)
         rng = np.random.default_rng(n_angles)
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
@@ -331,13 +351,13 @@ class TestReaders:
         mask = rng.random(shape) > 0.2
         mask.flat[:4] = True
         values[~mask] = np.where(rng.random((~mask).sum()) < 0.5, np.nan, -np.inf)
-        path = tmp_path / "sinogram.csv"
-        write_sinogram_csv(path, Sinogram(chord_angles(n_angles), chord_offsets(1.25, n_offsets),
-                                          values, mask, 1.25))
-        back = read_sinogram_csv(path)
+        sino = Sinogram(chord_angles(n_angles), chord_offsets(1.25, n_offsets), values, mask, 1.25)
+        oracle_write_sinogram_csv(tmp_path / "sinogram.csv", sino)
+        write_sinogram_csv(tmp_path / "sinogram.npz", sino)
+        back = read_sinogram_csv(tmp_path / "sinogram.npz")
         assert_bits_equal({name: np.asarray(getattr(back, name))
                            for name in ("angles", "offsets", "values", "mask", "radius")},
-                          oracle_read_sinogram_csv(path))
+                          oracle_read_sinogram_csv(tmp_path / "sinogram.csv"))
 
     def test_blank_lines_are_skipped(self, tmp_path):
         ds = small_dataset()
@@ -364,15 +384,75 @@ def set_field(row, name, value):
     return edit
 
 
-# case -> (edit of a fits file, edit of a dataset file)
+# case -> edit of a dataset file
 MALFORMED = {
-    "non-numeric field": (set_field(2, "delta_psi", "abc"), set_field(2, "log_ratio", "abc")),
-    "short row": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],) * 2,
-    "non-integral index": (set_field(1, "offset_index", "1.5"), set_field(3, "angle_index", "2.5")),
-    "nan index": (set_field(1, "angle_index", "nan"), set_field(1, "offset_index", "nan")),
-    "header only": (lambda lines: lines[:1],) * 2,
-    "empty file": (lambda lines: [],) * 2,
-    "missing column": (drop_column("F"), drop_column("t")),
+    "non-numeric field": set_field(2, "log_ratio", "abc"),
+    "short row": lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+    "non-integral index": set_field(3, "angle_index", "2.5"),
+    "nan index": set_field(1, "offset_index", "nan"),
+    "header only": lambda lines: lines[:1],
+    "empty file": lambda lines: [],
+    "missing column": drop_column("t"),
+}
+
+
+def npy_of(array) -> bytes:
+    """The .npy bytes of an array (an object array pickled)."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(array), allow_pickle=True)
+    return buf.getvalue()
+
+
+def cells_of(data: bytes) -> np.ndarray:
+    return np.load(io.BytesIO(data), allow_pickle=False).copy()
+
+
+def header_length(data: bytes) -> int:
+    """Bytes before the body of a format 1.0 .npy file."""
+    return 10 + int.from_bytes(data[8:10], "little")
+
+
+def header_edit(old: str, new: str):
+    """An edit of a format 1.0 .npy file that replaces `old` by `new` in its
+    header text, re-padded as np.save pads it."""
+    def edit(data):
+        header = data[10:header_length(data)].decode("latin1").rstrip()
+        assert old in header, header
+        header = header.replace(old, new)
+        header += " " * (-(10 + len(header) + 1) % 64) + "\n"
+        return data[:8] + len(header).to_bytes(2, "little") + header.encode("latin1") \
+            + data[header_length(data):]
+    return edit
+
+
+def set_cell(index, value):
+    def edit(data):
+        cells = cells_of(data)
+        cells[index] = value
+        return npy_of(cells)
+    return edit
+
+
+# case -> edit of the bytes of fits.npy on fitted_fits' 6 x 5 raster
+FITS_MALFORMED = {
+    "non-numeric field": lambda data: npy_of(cells_of(data).astype(str)),
+    "object array": lambda data: npy_of(cells_of(data).astype(object)),
+    "float32": lambda data: npy_of(cells_of(data).astype("<f4")),
+    "big-endian": lambda data: npy_of(cells_of(data).astype(">f8")),
+    "fortran order": header_edit("'fortran_order': False", "'fortran_order': True"),
+    "short row": lambda data: data[:-8],
+    "header only": lambda data: data[:header_length(data)],
+    "empty file": lambda data: b"",
+    "bad magic": lambda data: b"\x00" + data[1:],
+    "format version 3.0": lambda data: data[:6] + b"\x03\x00" + data[8:],
+    "unreadable header": header_edit("'shape': (6, 5, 6)", "'shape': (6, 5, x)"),
+    "unclosed shape": header_edit("(6, 5, 6)", "(6, 5, 6"),  # tokenize's TokenError
+    "empty dtype description": header_edit("'<f8'", "()"),  # an IndexError in numpy
+    "missing column": lambda data: npy_of(cells_of(data)[..., :5]),
+    "other raster": lambda data: npy_of(cells_of(data)[:, :4]),
+    "huge shape in header": header_edit("(6, 5, 6)", "(1000000000, 1000000000, 6)"),
+    "non-integral n_times": set_cell((2, 3, 5), 2.5),
+    "infinite n_times": set_cell((2, 3, 5), np.inf),
 }
 
 
@@ -382,29 +462,31 @@ class TestMalformed:
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
         write_dataset_csv(path, ds)
-        rewrite(path, MALFORMED[case][1])
+        rewrite(path, MALFORMED[case])
         with pytest.raises(DataError, match=re.escape(str(path))):
             read_dataset_csv(path, ds.chords)
 
-    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("case", FITS_MALFORMED)
     def test_fits_data_error_names_path(self, tmp_path, case):
-        chords, fits = fitted_fits()
-        path = tmp_path / "fits.csv"
-        write_fits_csv(path, chords, fits)
-        rewrite(path, MALFORMED[case][0])
+        chords, fits, raster = fitted_fits()
+        path = tmp_path / "fits.npy"
+        write_fits_csv(path, chords, fits, raster)
+        path.write_bytes(FITS_MALFORMED[case](path.read_bytes()))
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_fits_csv(path, chords)
+            read_fits_csv(path, chords, raster)
 
     @pytest.mark.parametrize("name, value", [("delta_psi", "nan"), ("F", "inf"),
                                              ("residual", "-inf"), ("residual", "-1e-3"),
                                              ("se_F", "nan"), ("se_delta_psi", "-1e-3")])
     def test_fits_non_finite_row_is_data_error(self, tmp_path, name, value):
-        chords, fits = fitted_fits()
-        path = tmp_path / "fits.csv"
-        write_fits_csv(path, chords, fits)
-        rewrite(path, set_field(2, name, value))
+        chords, fits, raster = fitted_fits()
+        path = tmp_path / "fits.npy"
+        write_fits_csv(path, chords, fits, raster)
+        k = 2
+        cell = (chords.angle_index[k], chords.offset_index[k], FitRow._fields.index(name))
+        path.write_bytes(set_cell(cell, float(value))(path.read_bytes()))
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_fits_csv(path, chords)
+            read_fits_csv(path, chords, raster)
 
     def test_non_finite_ok_fit_rejected_by_table(self):
         with pytest.raises(DataError, match="finite"):
@@ -413,6 +495,18 @@ class TestMalformed:
             FitTable([0.0], [1.0], [0.0], [1.0], [-1e-3], [3], [True])
         table = FitTable([np.nan], [np.nan], [np.nan], [np.nan], [np.nan], [2], [False])
         assert table[0] is None
+
+    def test_partly_nan_cell_names_its_chord(self, tmp_path):
+        chords, fits, raster = fitted_fits()
+        path = tmp_path / "fits.npy"
+        write_fits_csv(path, chords, fits, raster)
+        k = 7
+        ia, io = chords.angle_index[k], chords.offset_index[k]
+        path.write_bytes(set_cell((ia, io, FitRow._fields.index("n_times")), np.nan)(
+            path.read_bytes()))
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord angle={ia} "
+                                            rf"offset={io} is NaN in some columns only"):
+            read_fits_csv(path, chords, raster)
 
 
 def lines_indices(path, row):
@@ -430,12 +524,128 @@ class TestDuplicates:
                                             rf"offset={io} at t=.* listed more than once"):
             read_dataset_csv(path, ds.chords)
 
-    def test_fits_chord_listed_twice(self, tmp_path):
-        chords, fits = fitted_fits()
-        path = tmp_path / "fits.csv"
-        write_fits_csv(path, chords, fits)
-        rewrite(path, lambda lines: lines[:2] + [lines[5]] + lines[2:])
-        ia, io = lines_indices(path, 2)
-        with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord angle={ia} "
-                                            rf"offset={io} is listed more than once"):
-            read_fits_csv(path, chords)
+
+def npz_of(members: dict, compression=zipfile.ZIP_STORED) -> bytes:
+    """A zip archive of the given member bytes, stored as np.savez stores
+    them or compressed as np.savez_compressed does."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", compression) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buf.getvalue()
+
+
+def sinogram_members(values=None, valid=None, radius=1.25) -> dict:
+    values = np.arange(12.0).reshape(3, 4) if values is None else values
+    valid = np.ones(np.shape(values), dtype=bool) if valid is None else valid
+    return {"values.npy": npy_of(values), "valid.npy": npy_of(valid),
+            "radius.npy": npy_of(np.float64(radius) if np.isscalar(radius) else radius)}
+
+
+def patched(data: bytes, signature: bytes, offset: int, fmt: str, value: int) -> bytes:
+    """`data` with a field of its first zip record of `signature` (a local
+    header b"PK\\3\\4" or a central directory entry b"PK\\1\\2") set."""
+    out = bytearray(data)
+    at = out.find(signature) + offset
+    out[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+    return bytes(out)
+
+
+LOCAL, CENTRAL = b"PK\x03\x04", b"PK\x01\x02"
+
+
+def without(members: dict, name: str) -> dict:
+    return {k: v for k, v in members.items() if k != name}
+
+
+# case -> the bytes of a malformed sinogram.npz
+SINOGRAM_MALFORMED = {
+    "not a zip": b"n_angles,n_offsets,R\r\n3,4,1.25\r\n",
+    "empty file": b"",
+    "truncated archive": npz_of(sinogram_members())[:-40],
+    "missing values": npz_of(without(sinogram_members(), "values.npy")),
+    "missing valid": npz_of(without(sinogram_members(), "valid.npy")),
+    "missing radius": npz_of(without(sinogram_members(), "radius.npy")),
+    "integer valid": npz_of(sinogram_members(valid=np.ones((3, 4), dtype=np.int64))),
+    "object values": npz_of(sinogram_members(values=np.ones((3, 4), dtype=object))),
+    "float32 values": npz_of(sinogram_members(values=np.ones((3, 4), dtype="<f4"))),
+    "1-D values": npz_of(sinogram_members(values=np.ones(12), valid=np.ones(12, dtype=bool))),
+    "valid of another shape": npz_of(sinogram_members(valid=np.ones((4, 3), dtype=bool))),
+    "radius not a scalar": npz_of(sinogram_members(radius=np.ones(1))),
+    "no angles": npz_of(sinogram_members(values=np.ones((0, 4)))),
+    "no offsets": npz_of(sinogram_members(values=np.ones((3, 0)))),
+    "zero radius": npz_of(sinogram_members(radius=0.0)),
+    "infinite radius": npz_of(sinogram_members(radius=np.inf)),
+    "values cut short": npz_of({**sinogram_members(),
+                                "values.npy": npy_of(np.ones((3, 4)))[:-8]}),
+    "huge shape in header": npz_of({**sinogram_members(), "values.npy": header_edit(
+        "(3, 4)", "(1000000000, 1000000000)")(npy_of(np.ones((3, 4))))}),
+    # a deflated member's reads stop at its data too
+    "huge shape in a deflated member": npz_of({**sinogram_members(), "values.npy": header_edit(
+        "(3, 4)", "(1000000000, 1000000000)")(npy_of(np.ones((3, 4))))}, zipfile.ZIP_DEFLATED),
+    "negative sizes in header": npz_of({**sinogram_members(), "values.npy": header_edit(
+        "(3, 4)", "(-3, -4)")(npy_of(np.ones((3, 4))))}),
+    "nan on a valid bin": npz_of(sinogram_members(values=np.full((3, 4), np.nan))),
+    # damage that each of zipfile's errors reports
+    "bad crc": patched(npz_of(sinogram_members()), CENTRAL, 16, "<I", 0x12345678),
+    "encrypted flag": patched(npz_of(sinogram_members()), CENTRAL, 8, "<H", 1),
+    "unknown compression": patched(npz_of(sinogram_members()), CENTRAL, 10, "<H", 99),
+    "bzip2 flag on stored data": patched(npz_of(sinogram_members()), CENTRAL, 10, "<H", 12),
+    "deflate flag on a reserved block": patched(
+        npz_of({**sinogram_members(), "values.npy": b"\x07" * 8}), CENTRAL, 10, "<H", 8),
+    "local extra field past the end": patched(npz_of(sinogram_members()), LOCAL, 28, "<H", 65535),
+}
+
+
+class TestSinogramNpz:
+    @pytest.mark.parametrize("case", SINOGRAM_MALFORMED)
+    def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
+        path = tmp_path / "sinogram.npz"
+        path.write_bytes(SINOGRAM_MALFORMED[case])
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            read_sinogram_csv(path)
+
+    def test_well_formed_members_read(self, tmp_path):
+        # the helpers above build a file the reader takes, so each case
+        # fails on its one defect; np.savez_compressed's deflated members read
+        path = tmp_path / "sinogram.npz"
+        for compression in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+            path.write_bytes(npz_of(sinogram_members(), compression))
+            sino = read_sinogram_csv(path)
+            assert sino.values.shape == (3, 4) and sino.radius == 1.25 and sino.mask.all()
+        nan_masked = np.where(np.eye(3, 4, dtype=bool), np.nan, 1.0)
+        path.write_bytes(npz_of(sinogram_members(values=nan_masked,
+                                                 valid=~np.eye(3, 4, dtype=bool))))
+        assert read_sinogram_csv(path).mask.sum() == 9
+
+    def test_written_to_the_path_given_and_bytes_repeat(self, tmp_path):
+        # a path without the .npz suffix is written as it is, np.load reads
+        # the file, and writing it again, later, gives the same bytes
+        sino = Sinogram(chord_angles(3), chord_offsets(1.25, 4), np.arange(12.0).reshape(3, 4),
+                        np.eye(3, 4, dtype=bool), 1.25)
+        path = tmp_path / "sinogram"
+        write_sinogram_csv(path, sino)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sinogram"]
+        with np.load(path, allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["radius", "valid", "values"]
+            assert np.array_equal(npz["values"], sino.values)
+            assert np.array_equal(npz["valid"], sino.mask) and npz["valid"].dtype == bool
+            assert npz["radius"].shape == () and float(npz["radius"]) == 1.25
+        first = path.read_bytes()
+        write_sinogram_csv(tmp_path / "again.npz", sino)
+        assert (tmp_path / "again.npz").read_bytes() == first
+        assert all(info.date_time == (1980, 1, 1, 0, 0, 0)
+                   for info in zipfile.ZipFile(path).infolist())
+
+
+def test_fits_npy_written_to_the_path_given(tmp_path):
+    # np.save would append .npy to a path without it
+    chords, fits, raster = special_fits()
+    path = tmp_path / "fits"
+    write_fits_csv(path, chords, fits, raster)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fits"]
+    cells = np.load(path, allow_pickle=False)
+    assert cells.shape == (4, 3, 6) and cells.dtype == np.dtype("<f8")
+    # the not-ok fit and the cells without a chord are all NaN
+    assert np.isnan(cells).all(axis=-1).sum() == 4 * 3 - 3
+    assert cells[3, 0].tolist() == [5e-324, -1e16, 1e16, 5e-324, -0.0, 4.0]

@@ -521,6 +521,15 @@ class TestSolve:
         with pytest.raises(SolverError, match="singular"):
             solve_bvp(system)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_boundary_values_are_data_errors(self, bad):
+        # exp of a boundary potential above ~709 overflows: the data are at
+        # fault, not the solver
+        g, dom = disc_setup(33)
+        with pytest.raises(DataError, match="Dirichlet boundary values are not finite"):
+            assemble_dirichlet_system(DiffusionField(), ones(g), dom,
+                                      lambda p: np.where(p[:, 0] > 0.5, bad, 1.0))
+
     def test_non_finite_system_stops_at_first_iterate(self):
         g, dom = disc_setup(33)
         system = assemble_dirichlet_system(DiffusionField(), ones(g), dom,

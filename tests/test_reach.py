@@ -20,6 +20,12 @@ A fourth scan keeps every random draw keyed by (seed, block): no module
 reaches numpy.random or the random module outside `diffusion.substream`, so
 no other generator or bit generator is built and no global state is drawn
 from.
+
+A fifth scan keeps the binary artifacts safe to read and written where
+asked: every `np.load` passes `allow_pickle=False`, so no file can make a
+reader unpickle an object array, and every numpy writer of .npy / .npz data
+is given a file handle, bound by an enclosing `with ... open(...) as
+handle`: given a path, np.save and np.savez append .npy or .npz to it.
 """
 
 from __future__ import annotations
@@ -210,6 +216,86 @@ def test_random_scan_sees_generators(tmp_path):
                      "diffusion.py": []}
 
 
+# numpy's writers of .npy and .npz data, by their last name
+NPY_WRITERS = {"save", "savez", "savez_compressed", "write_array"}
+
+
+def _dotted(node) -> str:
+    """The dotted name of a chain of attributes of a name, such as
+    `np.lib.format.write_array`; "" for any other expression."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _npy_io(path: Path) -> tuple[int, list[str]]:
+    """The number of np.load and numpy writer calls in a module, and, as
+    "file:line", those that load without `allow_pickle=False` or write to
+    anything but a name bound by an enclosing `with ... open(...) as name`."""
+    calls, found = 0, []
+
+    def visit(node, handles):
+        nonlocal calls
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            handles = handles | {item.optional_vars.id for item in node.items
+                                 if isinstance(item.optional_vars, ast.Name)
+                                 and isinstance(item.context_expr, ast.Call)
+                                 and _dotted(item.context_expr.func).endswith("open")}
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            root, last = name.split(".")[0], name.split(".")[-1]
+            if name in ("np.load", "numpy.load"):
+                calls += 1
+                bad = not any(k.arg == "allow_pickle" and isinstance(k.value, ast.Constant)
+                              and k.value.value is False for k in node.keywords)
+            elif root in ("np", "numpy") and last in NPY_WRITERS:
+                calls += 1
+                bad = not (node.args and isinstance(node.args[0], ast.Name)
+                           and node.args[0].id in handles)
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, handles)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return calls, found
+
+
+def test_npy_files_load_without_pickle_and_write_through_handles():
+    scans = {path.name: _npy_io(path) for path in SRC.glob("*.py")}
+    found = sorted(use for _, uses in scans.values() for use in uses)
+    assert not found, f"np.load without allow_pickle=False, or a numpy writer given a path: {found}"
+    # the scan sees the fits and sinogram writers
+    assert scans["smalltime.py"][0] >= 1 and scans["xray.py"][0] >= 1
+
+
+def test_npy_scan_sees_pickling_loads_and_path_writes(tmp_path):
+    sources = {
+        "a.py": "import numpy as np\nx = np.load('f.npy')\n",
+        "b.py": "import numpy\nx = numpy.load(p, allow_pickle=True)\n",
+        "c.py": "import numpy as np\nnp.save('f.npy', x)\nnp.savez(p, a=x)\n",
+        "d.py": "import numpy as np\ndef f(p, x):\n    np.lib.format.write_array(p, x)\n",
+        "e.py": "import numpy as np\nfh = open(p, 'wb')\nnp.save(fh, x)\n",
+        "ok.py": ("import numpy as np\n"
+                  "def f(p, z, x):\n"
+                  "    with open(p, 'wb') as fh:\n"
+                  "        np.save(fh, x, allow_pickle=False)\n"
+                  "    with z.open('x.npy', 'w') as member:\n"
+                  "        np.lib.format.write_array(member, x)\n"
+                  "    return np.load(p, allow_pickle=False)\n"),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+    found = {name: _npy_io(tmp_path / name) for name in sources}
+    assert found == {"a.py": (1, ["a.py:2"]), "b.py": (1, ["b.py:2"]),
+                     "c.py": (2, ["c.py:2", "c.py:3"]), "d.py": (1, ["d.py:3"]),
+                     "e.py": (1, ["e.py:3"]), "ok.py": (3, [])}
+
+
 TRACER = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
@@ -352,6 +438,6 @@ def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
     recover.run_stage("fit", cfg, recover.stage_context(cfg),
                       {"dataset": tmp_path / "dataset.csv"})
     recover.run_stage("sinogram", cfg, recover.stage_context(cfg),
-                      {"fits": tmp_path / "fits.csv"})
+                      {"fits": tmp_path / "fits.npy"})
     assert calls == {"make_parallel_chords": 2, "read_dataset_csv": 1, "read_fits_csv": 1}
-    assert paths == [tmp_path / "dataset.csv", tmp_path / "fits.csv"]
+    assert paths == [tmp_path / "dataset.csv", tmp_path / "fits.npy"]

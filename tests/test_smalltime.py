@@ -253,8 +253,8 @@ class TestCsv:
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
         ds = build_boundary_dataset(OU, dom, (4, 3), [0.02, 0.01, 0.005])
         fits, _ = fit_dataset(ds)
-        path = tmp_path / "fits.csv"
-        write_fits_csv(path, ds.chords, fits)
-        table = read_fits_csv(path, ds.chords)
+        path = tmp_path / "fits.npy"
+        write_fits_csv(path, ds.chords, fits, (4, 3))
+        table = read_fits_csv(path, ds.chords, (4, 3))
         for f, back in zip(fits, table):
             assert back == f

@@ -262,6 +262,21 @@ def test_coincident_endpoints_raise_with_allclose_tolerance():
     assert len(table) == 2 and table[1].length == pytest.approx(np.hypot(2e-5, 2e-5))
 
 
+def test_coincidence_is_measured_against_the_table_extent():
+    # chords 2e-6 long about (1, 0) are kept, though np.allclose measured
+    # from the origin (1e-5 * |y|) takes the first one's ends for one point
+    x = np.array([[1.0 - 1e-6, 0.0], [1.0, -1e-6]])
+    y = np.array([[1.0 + 1e-6, 0.0], [1.0, 1e-6]])
+    assert np.allclose(x[0], y[0])
+    assert ChordTable(x, y).length.tolist() == pytest.approx([2e-6, 2e-6], rel=1e-9)
+    # ends that truly coincide, or lie within 1e-8 s + 1e-5 s of each other
+    # for half the table's longest chord s = 1e-6, still raise
+    for end in ([1.0, 0.0], [1.0 + 5e-12, 5e-12]):
+        with pytest.raises(GeometryError, match="coincide"):
+            ChordTable(np.vstack([x, [[1.0, 0.0]]]), np.vstack([y, [end]]))
+    assert len(ChordTable(np.vstack([x, [[1.0, 0.0]]]), np.vstack([y, [[1.0 + 2e-11, 0.0]]]))) == 3
+
+
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_sinogram_of_field_matches_forward_xray(name):
     domain = DOMAINS[name]()
