@@ -450,6 +450,9 @@ FITS_MALFORMED = {
     "empty dtype description": header_edit("'<f8'", "()"),  # an IndexError in numpy
     "missing column": lambda data: npy_of(cells_of(data)[..., :5]),
     "other raster": lambda data: npy_of(cells_of(data)[:, :4]),
+    # the raster's angle and offset index ranges are the header's first two sizes
+    "nan index": header_edit("(6, 5, 6)", "(6, nan, 6)"),
+    "non-integral index": header_edit("(6, 5, 6)", "(6, 5.5, 6)"),
     "huge shape in header": header_edit("(6, 5, 6)", "(1000000000, 1000000000, 6)"),
     "non-integral n_times": set_cell((2, 3, 5), 2.5),
     "infinite n_times": set_cell((2, 3, 5), np.inf),

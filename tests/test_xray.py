@@ -404,6 +404,26 @@ class TestSinogramCsv:
         with pytest.raises(DataError, match=re.escape(f"{path}: ")):
             read_sinogram_csv(path)
 
+    @pytest.mark.parametrize("sizes", [
+        pytest.param("2,3,1.0", id="2,3,1.0-5 of the 6 bins of the 2 x 3 raster are listed"),
+        pytest.param("1000000000,1000000000,1.0",
+                     id="1000000000,1000000000,1.0-5 of the 1000000000000000000 bins"),
+        pytest.param("4294967296,4294967296,1.0", id="4294967296,4294967296,1.0-bad raster header"),
+    ])
+    def test_every_bin_must_be_listed(self, tmp_path, sizes):
+        # the values and valid headers claim the raster `sizes` gives, but
+        # their bodies hold 5 bins of a 2 x 3 one, bin (1, 2) left out; a
+        # huge claimed raster is refused without being allocated
+        n_angles, n_offsets, radius = sizes.split(",")
+        shape = f"({n_angles}, {n_offsets})"
+        path = tmp_path / "sino.npz"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("values.npy", npy_claiming(np.ones((2, 3)), shape)[:-8])
+            archive.writestr("valid.npy", npy_claiming(np.ones((2, 3), dtype=bool), shape)[:-1])
+            archive.writestr("radius.npy", npy_bytes(np.float64(radius)))
+        with pytest.raises(DataError, match=re.escape(f"{path}: values: truncated")):
+            read_sinogram_csv(path)
+
     def test_non_finite_valid_bin_names_the_file(self, tmp_path):
         # a NaN on a masked bin is allowed, and on a valid one a DataError
         values = np.array([[1.0, np.nan, 1.0], [1.0, 1.0, np.nan]])
