@@ -7,15 +7,15 @@ merges its diagnostics into <out>/report.json; gen-data starts a new report,
 so the chain's final report equals the one `pipeline` writes when it runs
 every stage in-process.  `pipeline` also writes each stage's outputs as soon
 as the stage ends, so a failing stage leaves the same files behind as the
-chain.  dataset.csv, the file observed data come in, is CSV text naming
-each chord by its (angle_index, offset_index); fits.npy and sinogram.npz
-are numpy binaries on the (angle, offset) raster.  fit, sinogram and solve
-rebuild the chords from the config and read against them, ignoring rows
-and cells off its chords.  Grids are DGF1 files.  Exit codes: 0 success,
-2 config error (sizes too large for the memory, a domain too large or
-too small for floats and an output directory that cannot be created
-included), 3 data error (a missing input file
-included), 4 solver/simulation error.
+chain.  dataset.npz, fits.npy and sinogram.npz are numpy binaries on the
+(angle, offset) raster; `fit --data` also takes dataset.csv, observed data
+as CSV text naming each chord by its (angle_index, offset_index), told by
+its first bytes.  fit, sinogram and solve rebuild the chords from the
+config and read against them, ignoring rows and cells off its chords.
+Grids are DGF1 files.  Exit codes: 0 success, 2 config error (sizes too
+large for the memory, a domain too large or too small for floats and an
+output directory that cannot be created included), 3 data error (a
+missing input file included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
 check), and of it only `scipy.sparse`: the Krylov loop is numpy, so no
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-v", "--verbose", action="store_true")
         for artifact in STAGES[name].inputs if name in STAGES else ():
             option, file = ARTIFACTS[artifact].option, ARTIFACTS[artifact].files[0]
-            p.add_argument(option, help=f"input {file} (default <out>/{file})")
+            also = ", or observed data as dataset.csv text" if artifact == "dataset" else ""
+            p.add_argument(option, help=f"input {file}{also} (default <out>/{file})")
 
     p = sub.add_parser("phantom")
     p.add_argument("--kind", default="radial-gaussian", choices=["radial-gaussian", "disc"])

@@ -297,9 +297,9 @@ def feynman_kac_exit(
         if np.count_nonzero(inside) == m:
             pos, held = new_pos, 1 - held
         else:
-            gone = np.flatnonzero(~inside)
+            gone = (~inside).nonzero()[0]
             ids = alive[gone]
-            last_in[ids], first_out[ids] = pos[gone], new_pos[gone]
+            last_in[ids], first_out[ids] = pos.take(gone, axis=0), new_pos.take(gone, axis=0)
             integ_in[ids], v_in[ids] = integ[gone], v_prev[gone]
             # before the compress below: V may return a view of its points
             alive, integ, v_prev = alive[inside], integ[inside], v_prev[inside]

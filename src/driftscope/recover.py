@@ -461,9 +461,8 @@ STAGES = {
 
 
 def _config_chords(cfg: PipelineConfig, v: dict):
-    """The chord table of the config's raster: dataset.csv names each chord
-    by its (angle_index, offset_index) on it, and fits.npy holds each
-    chord's fit in that cell."""
+    """The chord table of the config's raster, on which dataset.npz (the
+    chain's handoff), fits.npy and dataset.csv (--data's text) place chords."""
     return make_parallel_chords(v["domain"], cfg.n_angles, cfg.n_offsets)[0]
 
 
@@ -487,9 +486,9 @@ class Artifact(NamedTuple):
 
 ARTIFACTS = {
     "dataset": Artifact(
-        ("dataset.csv",), "--data",
-        lambda cfg, v, p: {"dataset": read_dataset_csv(p, _config_chords(cfg, v))},
-        lambda v, p: write_dataset_csv(p, v["dataset"])),
+        ("dataset.npz",), "--data",
+        lambda cfg, v, p: {"dataset": read_dataset_csv(p, _config_chords(cfg, v), v["raster"])},
+        lambda v, p: write_dataset_csv(p, v["dataset"], v["raster"])),
     "fits": Artifact(("fits.npy",), "--fits", _read_fits,
                      lambda v, p: write_fits_csv(p, v["chords"], v["fits"], v["raster"])),
     "sinogram": Artifact(("sinogram.npz",), "--sinogram",

@@ -19,9 +19,10 @@ indices and lengths, and a FitTable of the value columns of fits.npy
 (dpsi, F, the residual, the standard errors of dpsi and F, the number of
 times fitted) plus ok.  An integer index or iteration gives a row as a
 plain NamedTuple view of the checked columns.  A raster chord is fixed by
-its (angle_index, offset_index) and the domain, so dataset.csv names it by
-those indices alone, fits.npy holds its fit in that raster cell, and their
-readers place the values into a chord table rebuilt from the config.
+its (angle_index, offset_index) and the domain: dataset.npz (the chain's
+handoff) and fits.npy hold its data in that cell, dataset.csv (observed
+data as text) names it by those indices, and their readers place the
+values into a chord table rebuilt from the config.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import itertools
 import math
 import tokenize
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -356,15 +359,11 @@ def fit_dataset(dataset: BoundaryDataset):
 
 
 # ---------------------------------------------------------------------------
-# Interchange: dataset.csv and fits.npy
+# Interchange: dataset.npz, dataset.csv and fits.npy
 # ---------------------------------------------------------------------------
-# A dataset row names its chord by (angle_index, offset_index) only (`_chord_rows`).
+# dataset.npz: gen-data's handoff to fit; dataset.csv: observed data as text.
 
 DATASET_COLUMNS = ["angle_index", "offset_index", "t", "log_ratio"]
-
-# chords whose dataset rows are turned into Python objects at once: the
-# writer's memory stays a few MB instead of growing with the dataset
-_CHORDS_PER_WRITE = 2048
 
 
 def _read_table(path, required) -> dict:
@@ -373,11 +372,14 @@ def _read_table(path, required) -> dict:
     The header is read by `csv`, the body by numpy's parser: unquoted
     decimal numbers (nan and inf included); blank lines are skipped.  A
     missing column, a field that is not a number (an empty one too), a row
-    of the wrong length or a file without rows is a DataError naming the
-    path.
+    of the wrong length, a file without rows and bytes that are no table at
+    all are DataErrors naming the path.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+    with open(path, newline="", encoding="latin-1") as fh:  # any bytes decode
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error as exc:  # a field beyond csv's size limit
+            raise DataError(f"{path}: {exc}") from exc
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column {missing[0]!r}")
@@ -389,8 +391,8 @@ def _read_table(path, required) -> dict:
             # numpy measures a row of the wrong length against the first row;
             # name the header's length instead
             fh.seek(0)
-            ragged = any(row and len(row) != len(header)
-                         for row in itertools.islice(csv.reader(fh), 1, None))
+            ragged = any(line.strip() and line.count(",") + 1 != len(header)
+                         for line in itertools.islice(fh, 1, None))
             raise DataError(f"{path}: rows must have {len(header)} fields" if ragged
                             else f"{path}: {exc}") from exc
     if not body.size:
@@ -436,52 +438,47 @@ def _chord_name(chords: ChordTable, k) -> str:
     return f"chord angle={chords.angle_index[k]} offset={chords.offset_index[k]}"
 
 
-def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
-    """The bytes csv.writer gives: one row per (chord, time), chord-major,
-    the chord named by its raster indices; floats as shortest round-trip
-    text (`repr`), each chord's indices and each time formatted once.  Rows
-    are formatted and streamed `_CHORDS_PER_WRITE` chords at a time."""
-    c = dataset.chords
-    times = ["%r," % t for t in dataset.times.tolist()]
-
-    def rows():
-        for lo in range(0, len(c), _CHORDS_PER_WRITE):
-            part = slice(lo, lo + _CHORDS_PER_WRITE)
-            heads = ["%d,%d," % row for row in zip(c.angle_index[part].tolist(),
-                                                   c.offset_index[part].tolist())]
-            for head, chord in zip(heads, dataset.log_ratios[part].tolist()):
-                yield from zip([head] * len(times), times, chord)
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(DATASET_COLUMNS) + "\r\n")
-        fh.writelines(map("%s%s%r\r\n".__mod__, rows()))
+def write_dataset_csv(path, dataset: BoundaryDataset, raster: tuple[int, int]) -> None:
+    """dataset.npz (binary, whatever the name says; the benchmark traces this
+    name until ROADMAP item 4) at exactly `path`, as equal bytes for equal
+    datasets: times, descending, and a float64 (*raster, n_times) log_ratios."""
+    cells = np.full((*raster, len(dataset.times)), np.nan)
+    cells[dataset.chords.angle_index, dataset.chords.offset_index] = dataset.log_ratios
+    with open(path, "wb") as fh:  # np.savez on a path would append .npz
+        np.savez(fh, log_ratios=cells, times=dataset.times, allow_pickle=False)
 
 
-def read_dataset_csv(path, chords: ChordTable) -> BoundaryDataset:
-    """A dataset from CSV, read as `_read_table` reads it, row-aligned with
-    `chords` by (angle_index, offset_index).
-
-    The times are the distinct times of the rows that name a chord, in
-    descending order.  A chord without a row at some time holds NaN there
-    (a dropped observation, as a NaN log ratio is); rows without a chord
-    are ignored.  Columns besides DATASET_COLUMNS are ignored: an older
-    file that also holds the chord endpoints, or the two densities, reads
-    as its log ratios alone.  Indices must be integral and times finite and
-    positive; a (chord, time) listed twice is a DataError naming the path.
-    """
-    cols = _read_table(path, DATASET_COLUMNS)
-    hit, target = _chord_rows(path, cols, chords)
-    t = cols["t"][hit]
-    ascending = np.unique(t)
-    m = len(ascending)
-    cell = target * m + (m - 1 - np.searchsorted(ascending, t))
-    if (i := _first_repeat(cell)) is not None:
-        raise DataError(f"{path}: {_chord_name(chords, target[i])} at t={t[i]} "
-                        "is listed more than once")
-    log_ratios = np.full((len(chords), m), np.nan)
-    log_ratios.reshape(-1)[cell] = cols["log_ratio"][hit]
+def read_dataset_csv(path, chords: ChordTable, raster: tuple[int, int]) -> BoundaryDataset:
+    """A dataset row-aligned with `chords`, a table of `raster`: gathered
+    in one step from the dataset.npz of `write_dataset_csv` (`_read_npz`) if
+    the file starts with the zip magic, else from CSV text as `_read_table`
+    reads it.  The CSV times are the distinct times of the rows that name a
+    chord, descending; a chord without a row at some time holds NaN there (a
+    dropped observation); other rows, and other columns, are ignored.  A
+    log_ratios raster other than (*raster, n_times), times not 1-D, finite,
+    positive and decreasing, an index not integral and a (chord, time)
+    listed twice are DataErrors naming the path."""
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == b"PK\x03\x04"  # the zip magic
+    if binary:
+        times, cells = _read_npz(path, {"times": "<f8", "log_ratios": "<f8"}).values()
+        if times.ndim != 1 or cells.shape != (*raster, len(times)):
+            raise DataError(f"{path}: times of shape {times.shape} and log_ratios of shape "
+                            f"{cells.shape}, not 1-D and of shape {raster} + (n_times,)")
+        log_ratios = cells[chords.angle_index, chords.offset_index]
+    else:
+        cols = _read_table(path, DATASET_COLUMNS)
+        hit, target = _chord_rows(path, cols, chords)
+        ascending = np.unique(t := cols["t"][hit])
+        times, m = ascending[::-1], len(ascending)
+        cell = target * m + (m - 1 - np.searchsorted(ascending, t))
+        if (i := _first_repeat(cell)) is not None:
+            raise DataError(f"{path}: {_chord_name(chords, target[i])} at t={t[i]} "
+                            "is listed more than once")
+        log_ratios = np.full((len(chords), m), np.nan)
+        log_ratios.reshape(-1)[cell] = cols["log_ratio"][hit]
     try:
-        return BoundaryDataset(chords=chords, times=ascending[::-1], log_ratios=log_ratios)
+        return BoundaryDataset(chords=chords, times=times, log_ratios=log_ratios)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -513,6 +510,25 @@ def _read_npy(fh, where: str, dtype: str, shape: tuple | None = None) -> np.ndar
     if min(got_shape, default=0) < 0 or len(data := fh.read(nbytes)) != nbytes:
         raise DataError(f"{where}: truncated, or a bad shape {got_shape}")
     return np.frombuffer(data, got_dtype).reshape(got_shape)
+
+
+# zipfile's errors on damage: directory, missing or short member, CRC, flags
+_ZIP_ERRORS = (zipfile.BadZipFile, KeyError, EOFError, OSError, NotImplementedError,
+               RuntimeError, zlib.error)
+
+
+def _read_npz(path, members: dict) -> dict:
+    """The members name.npy of an .npz archive, each read by `_read_npy` as
+    the dtype `members` maps its name to, by name; damage names the path."""
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for name, dtype in members.items():
+                with archive.open(f"{name}.npy") as member:  # KeyError: no such member
+                    arrays[name] = _read_npy(member, f"{path}: {name}", dtype)
+    except _ZIP_ERRORS as exc:
+        raise DataError(f"{path}: not an .npz archive of {', '.join(members)} ({exc!r})") from exc
+    return arrays
 
 
 def write_fits_csv(path, chords: ChordTable, fits: FitTable, raster: tuple[int, int]) -> None:

@@ -9,8 +9,6 @@ from the domain's center along omega_i^perp.
 from __future__ import annotations
 
 import warnings
-import zipfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,7 @@ from .fields import Domain, Grid, ScalarField, interp
 from .smalltime import (
     ChordTable,
     FitTable,
-    _read_npy,
+    _read_npz,
     chord_angles,
     chord_directions,
     chord_offsets,
@@ -266,12 +264,6 @@ def disc_indicator_sinogram(
 # each member of sinogram.npz and its dtype
 _SINOGRAM_MEMBERS = {"values": "<f8", "valid": "|b1", "radius": "<f8"}
 
-# zipfile's errors on a damaged archive: a bad directory, a missing member, a
-# member cut short or failing its CRC, flags for encryption or a compression
-_ZIP_ERRORS = (zipfile.BadZipFile, KeyError, EOFError, OSError, NotImplementedError,
-               RuntimeError, zlib.error)
-
-
 def write_sinogram_csv(path, sino: Sinogram) -> None:
     """sinogram.npz (binary, whatever the name says; the benchmark traces
     this name until ROADMAP item 4) at exactly `path`: the .npy members
@@ -285,18 +277,10 @@ def write_sinogram_csv(path, sino: Sinogram) -> None:
 def read_sinogram_csv(path) -> Sinogram:
     """A sinogram from the sinogram.npz of `write_sinogram_csv`, its angles
     and offsets rebuilt from the raster's shape and radius.  A damaged
-    archive, a missing member or one refused by `smalltime._read_npy`, a
+    archive, a missing member or one refused by `smalltime._read_npz`, a
     values and valid of different or not 2-D shapes, a radius that is not a
     positive finite scalar and a non-finite valid bin are DataErrors."""
-    arrays = {}
-    try:
-        with zipfile.ZipFile(path) as archive:
-            for name, dtype in _SINOGRAM_MEMBERS.items():
-                with archive.open(f"{name}.npy") as member:  # KeyError: no such member
-                    arrays[name] = _read_npy(member, f"{path}: {name}", dtype)
-    except _ZIP_ERRORS as exc:
-        raise DataError(f"{path}: not a sinogram .npz ({exc!r})") from exc
-    values, valid, radius = (arrays[name] for name in _SINOGRAM_MEMBERS)
+    values, valid, radius = _read_npz(path, _SINOGRAM_MEMBERS).values()
     if values.ndim != 2 or radius.shape != () or not 0 < float(radius) < np.inf:
         raise DataError(f"{path}: values must be 2-D and radius a positive finite scalar, got "
                         f"shape {values.shape} and radius {radius!r}")

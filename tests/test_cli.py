@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import driftscope
-from driftscope.cli import run_command
+from driftscope.cli import parse_config, run_command
+from driftscope.smalltime import make_parallel_chords, read_dataset_csv
+from test_csv import DATASET_MALFORMED, npy_of, npz_members, npz_of, oracle_write_dataset_csv
 
 STAGES = ("gen-data", "fit", "sinogram", "invert", "solve", "recover")
 DGF_FILES = ("V_hat.dgf", "u.dgf", "psi_hat.dgf", "c_hat_x.dgf", "c_hat_y.dgf")
 # the options naming each stage's input files, with the files' names
 INPUT_OPTIONS = {
-    "fit": (("--data", "dataset.csv"),),
+    "fit": (("--data", "dataset.npz"),),
     "sinogram": (("--fits", "fits.npy"),),
     "invert": (("--sinogram", "sinogram.npz"),),
     "solve": (("--vhat", "V_hat.dgf"), ("--fits", "fits.npy")),
@@ -43,12 +45,17 @@ def npz_claiming_a_huge_raster() -> bytes:
 
 # malformed input files, by name: a sinogram in the CSV text that
 # sinogram.npz replaced, which claimed a 10^9 x 10^9 raster, and the same
-# claim in the binary file
+# claim in the binary file; a dataset that is binary but not an .npz (so
+# read as CSV text; not UTF-8 either), and two with a line longer than the
+# csv module takes as a field, the header or a row
 BAD_INPUTS = {
     "big.csv": b"n_angles,n_offsets,R\r\n1000000000,1000000000,1.0\r\n"
                b"angle_index,offset_index,value,valid\r\n0,0,0.5,1\r\n",
     "big.npz": npz_claiming_a_huge_raster(),
     "short.dgf": b"DGF1\x01\x00",
+    "fits.npy": npy_of(np.full((12, 13, 6), np.nan)),
+    "long.csv": b"angle_index" * 20000 + b"\r\n",
+    "long-row.csv": b"angle_index,offset_index,t,log_ratio\r\n" + b"a" * 200000 + b"\r\n",
 }
 
 
@@ -147,7 +154,7 @@ def test_invalid_config_exits_2(tmp_path, capsys, overrides):
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "dataset.csv").exists()
+    assert not (tmp_path / "dataset.npz").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -195,7 +202,7 @@ def test_omitted_reference_runs_as_the_brownian_one(tmp_path):
             assert run_command([stage, "--config", config,
                                 "--out", str(tmp_path / name / "chain")]) == 0, stage
     for run in ("pipeline", "chain"):
-        for file in ("dataset.csv", "fits.npy", "sinogram.npz", *DGF_FILES):
+        for file in ("dataset.npz", "fits.npy", "sinogram.npz", *DGF_FILES):
             assert ((tmp_path / "omitted" / run / file).read_bytes()
                     == (tmp_path / "explicit" / run / file).read_bytes()), (run, file)
         rel_l2 = [comparable_report(tmp_path / name / run)["rel_l2"]
@@ -294,12 +301,23 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, command,
         f"config error: cannot create output directory {tmp_path / out}: {reason}\n")
 
 
+def csv_of_dataset(config, npz, path):
+    """The dataset of a gen-data dataset.npz written to `path` as dataset.csv
+    text, the format observed data come in."""
+    cfg = parse_config(config)
+    chords = make_parallel_chords(cfg.resolved_domain(), cfg.n_angles, cfg.n_offsets)[0]
+    oracle_write_dataset_csv(path, read_dataset_csv(npz, chords, (cfg.n_angles, cfg.n_offsets)))
+    return path
+
+
 def edited_dataset(tmp_path, edit):
-    """A config and the path of a copy of its gen-data dataset.csv, with
-    `edit` applied to the copy's rows, each a list of fields (header first)."""
+    """A config and the path of a copy of its gen-data dataset as CSV text,
+    with `edit` applied to the copy's rows, each a list of fields (header
+    first)."""
     config = write_config(tmp_path / "config.json", small_disc_config())
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 0
-    rows = [line.split(",") for line in (tmp_path / "dataset.csv").read_text().splitlines()]
+    text = csv_of_dataset(config, tmp_path / "dataset.npz", tmp_path / "dataset.csv").read_text()
+    rows = [line.split(",") for line in text.splitlines()]
     edit(rows)
     bad = tmp_path / "bad_dataset.csv"
     bad.write_text("".join(",".join(row) + "\n" for row in rows))
@@ -410,8 +428,8 @@ def test_numeric_string_offset_runs_gen_data(tmp_path):
     config = write_config(tmp_path / "config.json",
                           small_disc_config(kernels=kernels, ground_truth=True))
     assert run_command(["gen-data", "--config", config, "--out", str(tmp_path / "numbers")]) == 0
-    assert ((tmp_path / "strings" / "dataset.csv").read_bytes()
-            == (tmp_path / "numbers" / "dataset.csv").read_bytes())
+    assert ((tmp_path / "strings" / "dataset.npz").read_bytes()
+            == (tmp_path / "numbers" / "dataset.npz").read_bytes())
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):
@@ -435,7 +453,7 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
     for stage in STAGES:
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0, stage
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
-    for name in DGF_FILES + ("dataset.csv", "fits.npy", "sinogram.npz"):
+    for name in DGF_FILES + ("dataset.npz", "fits.npy", "sinogram.npz"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     whole_report = comparable_report(whole)
     assert np.isfinite(whole_report["rel_l2"])
@@ -448,7 +466,60 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
         assert run_command([stage, "--config", config, "--out", str(by_option), *options]) == 0, stage
     for name in DGF_FILES + ("fits.npy", "sinogram.npz"):
         assert (by_option / name).read_bytes() == (whole / name).read_bytes(), name
-    assert not (by_option / "dataset.csv").exists()
+    assert not (by_option / "dataset.npz").exists()
+
+
+def test_csv_dataset_feeds_the_chain_as_the_npz_does(tmp_path):
+    """dataset.csv text, the format observed data come in, fed to fit by
+    --data, gives the chain the gen-data dataset.npz gives it, byte for
+    byte.  The format is told by the file's bytes, not its name: an .npz
+    named data.csv and CSV text named data.npz fit to the same fits.npy."""
+    npz_chain, csv_chain = tmp_path / "npz", tmp_path / "csv"
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    for stage in STAGES:
+        assert run_command([stage, "--config", config, "--out", str(npz_chain)]) == 0, stage
+    text = csv_of_dataset(config, npz_chain / "dataset.npz", tmp_path / "data.csv")
+    assert run_command(["gen-data", "--config", config, "--out", str(csv_chain)]) == 0
+    (csv_chain / "dataset.npz").unlink()  # fit reads the CSV text or nothing
+    assert run_command(["fit", "--config", config, "--out", str(csv_chain),
+                        "--data", str(text)]) == 0
+    for stage in STAGES[2:]:
+        assert run_command([stage, "--config", config, "--out", str(csv_chain)]) == 0, stage
+    for name in ("fits.npy", "sinogram.npz", *DGF_FILES):
+        assert (csv_chain / name).read_bytes() == (npz_chain / name).read_bytes(), name
+    assert comparable_report(csv_chain) == comparable_report(npz_chain)
+    renamed = {"data.csv": (npz_chain / "dataset.npz").read_bytes(), "data.npz": text.read_bytes()}
+    for name, data in renamed.items():
+        out = tmp_path / f"renamed-{name}"
+        (out / name).parent.mkdir()
+        (out / name).write_bytes(data)
+        assert run_command(["fit", "--config", config, "--out", str(out),
+                            "--data", str(out / name)]) == 0, name
+        assert (out / "fits.npy").read_bytes() == (npz_chain / "fits.npy").read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def gen_data_npz(tmp_path_factory):
+    """A config and its gen-data dataset.npz."""
+    base = tmp_path_factory.mktemp("gen-data")
+    config = write_config(base / "config.json", small_disc_config())
+    assert run_command(["gen-data", "--config", config, "--out", str(base)]) == 0
+    return config, base / "dataset.npz"
+
+
+@pytest.mark.parametrize("case", DATASET_MALFORMED)
+def test_damaged_dataset_npz_exits_3(tmp_path, capsys, gen_data_npz, case):
+    """Each refusal of tests/test_csv.py's damaged dataset.npz files, fed to
+    fit, is one data error line naming the file, and no fits.npy."""
+    config, npz = gen_data_npz
+    bad = tmp_path / "dataset.npz"
+    bad.write_bytes(DATASET_MALFORMED[case](npz.read_bytes()))
+    capsys.readouterr()
+    assert run_command(["fit", "--config", config, "--out", str(tmp_path),
+                        "--data", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: [stage fit] {bad}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and not (tmp_path / "fits.npy").exists()
 
 
 # one CLI stage in a fresh interpreter; its last stdout line says whether
@@ -475,7 +546,7 @@ def test_python_m_driftscope_runs_the_cli(tmp_path):
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "dataset.csv").is_file()
+    assert (tmp_path / "out" / "dataset.npz").is_file()
 
 
 def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
@@ -493,7 +564,7 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
         assert proc.returncode == 0, (stage, proc.stderr)
         loaded[stage] = proc.stdout.splitlines()[-1]
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
-    for name in DGF_FILES + ("dataset.csv", "fits.npy", "sinogram.npz"):
+    for name in DGF_FILES + ("dataset.npz", "fits.npy", "sinogram.npz"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     assert comparable_report(chain) == comparable_report(whole)
     assert loaded == {stage: "scipy,scipy.sparse" if stage == "solve" else "" for stage in STAGES}
@@ -506,6 +577,9 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
     ("invert --sinogram big.csv", 3, "data error: [stage invert] {input}:"),
     ("invert --sinogram big.npz", 3, "data error: [stage invert] {input}:"),
     ("solve --vhat short.dgf", 3, "data error: [stage solve] {input}:"),
+    ("fit --data fits.npy", 3, "data error: [stage fit] {input}: missing column 'angle_index'"),
+    ("fit --data long.csv", 3, "data error: [stage fit] {input}: field larger than field limit"),
+    ("fit --data long-row.csv", 3, "data error: [stage fit] {input}: rows must have 4 fields"),
     *((f"phantom {option} {value}", 2, f"config error: {option} must be at least {least}, got ")
       for option, value, least in (("--n", 1, 2), ("--n", -3, 2), ("--angles", 0, 1),
                                    ("--offsets", 0, 1))),
@@ -559,7 +633,7 @@ def test_failed_pipeline_leaves_the_files_the_chain_leaves(tmp_path, capsys):
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0
     assert run_command(["solve", "--config", config, "--out", str(chain)]) == 4
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 4
-    for name in ("dataset.csv", "fits.npy", "sinogram.npz", "V_hat.dgf"):
+    for name in ("dataset.npz", "fits.npy", "sinogram.npz", "V_hat.dgf"):
         assert (whole / name).read_bytes() == (chain / name).read_bytes(), name
     for name in ("u.dgf", "psi_hat.dgf", "c_hat_x.dgf"):
         assert not (whole / name).exists() and not (chain / name).exists(), name
@@ -632,19 +706,6 @@ HEADER_EDITS = [
 ]
 
 
-def npz_members(data: bytes) -> dict:
-    with zipfile.ZipFile(io.BytesIO(data)) as archive:
-        return {name: archive.read(name) for name in archive.namelist()}
-
-
-def npz_of(members: dict) -> bytes:
-    out = io.BytesIO()
-    with zipfile.ZipFile(out, "w") as archive:
-        for name, member in members.items():
-            archive.writestr(name, member)
-    return out.getvalue()
-
-
 def fuzzed(data: bytes, rng, header_edit) -> list:
     """Seeded damage to a file: cuts at random lengths, one to three random
     bytes flipped, and every header edit (`header_edit(data, pattern,
@@ -659,9 +720,9 @@ def fuzzed(data: bytes, rng, header_edit) -> list:
 
 
 def test_damaged_fits_and_sinogram_exit_0_or_3(tmp_path, capsys):
-    """Truncated, byte-flipped and header-edited fits.npy and sinogram.npz
-    files, fed to the stages that read them, end in exit 0 or 3, never in a
-    traceback."""
+    """Truncated, byte-flipped and header-edited fits.npy, sinogram.npz and
+    dataset.npz files, fed to the stages that read them, end in exit 0 or 3,
+    never in a traceback."""
     base, out = tmp_path / "base", str(tmp_path / "out")
     config = write_config(tmp_path / "config.json", small_disc_config(
         geometry={"n_angles": 12, "n_offsets": 13}))
@@ -670,15 +731,17 @@ def test_damaged_fits_and_sinogram_exit_0_or_3(tmp_path, capsys):
     rng = np.random.default_rng(20041108)
     fits = (base / "fits.npy").read_bytes()
     sinogram = (base / "sinogram.npz").read_bytes()
+    dataset = (base / "dataset.npz").read_bytes()
 
     def member_edit(data, pattern, new):
-        name = ("values.npy", "valid.npy", "radius.npy")[int(rng.integers(3))]
         members = npz_members(data)
+        name = list(members)[int(rng.integers(len(members)))]
         return npz_of({**members, name: edit_npy_header(members[name], pattern, new)})
 
     runs = [(stage, "--fits", case) for case in fuzzed(fits, rng, edit_npy_header)
             for stage in ("sinogram", "solve")]
     runs += [("invert", "--sinogram", case) for case in fuzzed(sinogram, rng, member_edit)]
+    runs += [("fit", "--data", case) for case in fuzzed(dataset, rng, member_edit)]
     codes = []
     for k, (stage, option, data) in enumerate(runs):
         bad = tmp_path / f"case{k}"

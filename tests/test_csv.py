@@ -1,16 +1,15 @@
-"""The dataset CSV file pinned to the csv-module code it replaced, and the
-binary fits.npy and sinogram.npz pinned to the tables that the CSV files
-they replaced read back as.
+"""The dataset CSV reader pinned to the csv-module code it replaced, and the
+binary dataset.npz, fits.npy and sinogram.npz pinned to the tables that the
+CSV files they replaced read back as.
 
 The oracles below are the column-wise `csv.writer` writers and the
-`csv.reader` + `float()` / `int()` readers as they stood before the writers
-cached `repr` per value and the readers moved to `np.loadtxt`: the dataset
-file must be the same bytes, and every file must read back the same bits
-as the oracles read from the CSV text of the same values.  The dataset
-oracles use its four-column layout, each row placed into the given chord
-table by a dict lookup on (angle_index, offset_index); the oracle writer
-also gives the two older layouts, with the chord endpoints and with the
-densities as well.
+`csv.reader` + `float()` / `int()` readers as they stood before the readers
+moved to `np.loadtxt`: every file must read back the same bits as the
+oracles read from the CSV text of the same values.  The dataset oracles use
+its four-column layout, each row placed into the given chord table by a
+dict lookup on (angle_index, offset_index); the oracle writer makes the
+dataset.csv text that observed data come in, and also the two older
+layouts, with the chord endpoints and with the densities as well.
 """
 
 import csv
@@ -38,7 +37,6 @@ from driftscope.smalltime import (
     write_fits_csv,
     chord_angles,
     chord_offsets,
-    _CHORDS_PER_WRITE,
 )
 from driftscope.xray import Sinogram, read_sinogram_csv, write_sinogram_csv
 
@@ -190,12 +188,15 @@ def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025), raster=(6, 5)):
                                   DiscDomain(g, 0.0, 0.0, 1.0), raster, ladder)
 
 
-def chunked_dataset():
-    """More chords than the dataset writer formats at once, in a last
-    partial chunk too."""
-    ds = small_dataset(raster=(70, 81))
-    assert 2 * _CHORDS_PER_WRITE < len(ds.chords.angle_index) < 3 * _CHORDS_PER_WRITE
-    return ds
+def raster_of(chords):
+    """The smallest (angle, offset) raster that holds the chords."""
+    return (int(chords.angle_index.max()) + 1, int(chords.offset_index.max()) + 1)
+
+
+def read_csv(path, chords):
+    """`read_dataset_csv` of a file against the smallest raster of its
+    chords: a CSV file names each row's raster cell itself."""
+    return read_dataset_csv(path, chords, raster_of(chords))
 
 
 def special_fits():
@@ -215,24 +216,6 @@ def fitted_fits():
     return ds.chords, fit_dataset(ds)[0], (6, 5)
 
 
-class TestWriters:
-    @pytest.mark.parametrize("make", [special_dataset, small_dataset, chunked_dataset])
-    def test_dataset_bytes_equal_csv_writer(self, tmp_path, make):
-        ds = make()
-        write_dataset_csv(tmp_path / "new.csv", ds)
-        oracle_write_dataset_csv(tmp_path / "old.csv", ds)
-        text = (tmp_path / "new.csv").read_bytes()
-        assert text == (tmp_path / "old.csv").read_bytes()
-        assert text.count(b"\r\n") == 1 + ds.log_ratios.size
-        assert text.startswith(b"angle_index,offset_index,t,log_ratio\r\n")
-
-    def test_special_values_are_written(self, tmp_path):
-        write_dataset_csv(tmp_path / "dataset.csv", special_dataset())
-        text = (tmp_path / "dataset.csv").read_text()
-        for token in ("nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05"):
-            assert re.search(rf"(^|,){re.escape(token)}(,|\r?$)", text, re.M), token
-
-
 def rewrite(path, edit):
     """Apply edit to the file's list of lines (header first) and write it back."""
     lines = path.read_text().splitlines()
@@ -245,7 +228,7 @@ class TestReaders:
         chords = make().chords
         path = tmp_path / "dataset.csv"
         oracle_write_dataset_csv(path, make())
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path, chords)),
+        assert_bits_equal(dataset_arrays(read_csv(path, chords)),
                           oracle_read_dataset_csv(path, chords))
 
     @pytest.mark.parametrize("make", [special_dataset, small_dataset])
@@ -254,33 +237,33 @@ class TestReaders:
         # chord's rows need not follow each other
         ds = make()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
+        oracle_write_dataset_csv(path, ds)
         order = np.random.default_rng(7).permutation(ds.log_ratios.size)
         rewrite(path, lambda lines: [lines[0], *(lines[1 + i] for i in order)])
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), dataset_arrays(ds))
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)),
+        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)), dataset_arrays(ds))
+        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)),
                           oracle_read_dataset_csv(path, ds.chords))
 
     def test_dataset_rows_without_a_chord_are_ignored(self, tmp_path):
         # a row off the chords' raster is left out, its time too
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
+        oracle_write_dataset_csv(path, ds)
         n_angles, n_offsets = ds.chords.angle_index.max() + 1, ds.chords.offset_index.max() + 1
         rewrite(path, lambda lines: lines + [f"{n_angles},0,0.02,1.0", f"0,{n_offsets},0.5,1.0",
                                              "-1,0,0.01,1.0", "0,-1,0.04,-inf"])
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), dataset_arrays(ds))
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)),
+        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)), dataset_arrays(ds))
+        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)),
                           oracle_read_dataset_csv(path, ds.chords))
 
     def test_chord_without_rows_is_nan(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
+        oracle_write_dataset_csv(path, ds)
         k = 7
         key = f"{ds.chords.angle_index[k]},{ds.chords.offset_index[k]},"
         rewrite(path, lambda lines: [line for line in lines if not line.startswith(key)])
-        back = read_dataset_csv(path, ds.chords)
+        back = read_csv(path, ds.chords)
         expected = ds.log_ratios.copy()
         expected[k] = np.nan
         assert_bits_equal(dataset_arrays(back), {**dataset_arrays(ds), "log_ratios": expected})
@@ -318,8 +301,8 @@ class TestReaders:
         for make in (special_dataset, small_dataset):
             ds = make()
             path = tmp_path / "dataset.csv"
-            write_dataset_csv(path, ds)
-            new = dataset_arrays(read_dataset_csv(path, ds.chords))
+            oracle_write_dataset_csv(path, ds)
+            new = dataset_arrays(read_csv(path, ds.chords))
             assert_bits_equal(new, dataset_arrays(ds))
             for densities, header in [
                 (False, b"angle_index,offset_index,x1,x2,y1,y2,t,log_ratio\r\n"),
@@ -329,14 +312,14 @@ class TestReaders:
                 with np.errstate(over="ignore"):
                     oracle_write_dataset_csv(older, ds, endpoints=True, densities=densities)
                 assert older.read_bytes().startswith(header)
-                assert_bits_equal(dataset_arrays(read_dataset_csv(older, ds.chords)), new)
+                assert_bits_equal(dataset_arrays(read_csv(older, ds.chords)), new)
 
     def test_dropped_observation_reads_back_as_nan(self, tmp_path):
         # a dropped observation (NaN log ratio) is written as nan and read
         # back as NaN
         path = tmp_path / "dropped.csv"
-        write_dataset_csv(path, special_dataset())
-        back = read_dataset_csv(path, special_dataset().chords)
+        oracle_write_dataset_csv(path, special_dataset())
+        back = read_csv(path, special_dataset().chords)
         assert b"\r\n0,3,0.01,nan\r\n" in path.read_bytes()
         assert np.isnan(back.log_ratios[1, 1])
         assert_bits_equal(dataset_arrays(back), dataset_arrays(special_dataset()))
@@ -362,10 +345,10 @@ class TestReaders:
     def test_blank_lines_are_skipped(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
-        expected = dataset_arrays(read_dataset_csv(path, ds.chords))
+        oracle_write_dataset_csv(path, ds)
+        expected = dataset_arrays(read_csv(path, ds.chords))
         rewrite(path, lambda lines: [lines[0], "", *lines[1:3], "", *lines[3:], ""])
-        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), expected)
+        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)), expected)
 
 
 def drop_column(name):
@@ -464,10 +447,10 @@ class TestMalformed:
     def test_dataset_data_error_names_path(self, tmp_path, case):
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
+        oracle_write_dataset_csv(path, ds)
         rewrite(path, MALFORMED[case])
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_dataset_csv(path, ds.chords)
+            read_csv(path, ds.chords)
 
     @pytest.mark.parametrize("case", FITS_MALFORMED)
     def test_fits_data_error_names_path(self, tmp_path, case):
@@ -520,12 +503,12 @@ class TestDuplicates:
     def test_dataset_row_listed_twice(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
+        oracle_write_dataset_csv(path, ds)
         rewrite(path, lambda lines: lines + [lines[6]])
         ia, io = lines_indices(path, 6)
         with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord angle={ia} "
                                             rf"offset={io} at t=.* listed more than once"):
-            read_dataset_csv(path, ds.chords)
+            read_csv(path, ds.chords)
 
 
 def npz_of(members: dict, compression=zipfile.ZIP_STORED) -> bytes:
@@ -640,6 +623,132 @@ class TestSinogramNpz:
         assert all(info.date_time == (1980, 1, 1, 0, 0, 0)
                    for info in zipfile.ZipFile(path).infolist())
 
+
+
+def npz_members(data: bytes) -> dict:
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def member_edit(name, edit):
+    """An edit of an .npz file that applies `edit` to the bytes of its
+    member name.npy."""
+    def apply(data):
+        members = npz_members(data)
+        return npz_of({**members, f"{name}.npy": edit(members[f"{name}.npy"])})
+    return apply
+
+
+def arrays_edit(edit):
+    """An edit of an .npz file that rewrites its arrays: `edit` maps the
+    arrays by name ({"log_ratios": ..., "times": ...}) to those to write."""
+    def apply(data):
+        arrays = {name[:-4]: cells_of(member) for name, member in npz_members(data).items()}
+        return npz_of({f"{name}.npy": npy_of(array) for name, array in edit(arrays).items()})
+    return apply
+
+
+def set_time(k, value):
+    def edit(arrays):
+        times = arrays["times"]
+        times[k] = times[0] if value == "repeat" else value
+        return arrays
+    return arrays_edit(edit)
+
+
+def shape_edit(shape):
+    """An edit of a .npy file's header that claims `shape`, whatever it held."""
+    def edit(data):
+        header = data[10:header_length(data)].decode("latin1")
+        return header_edit(re.search(r"'shape': \([^)]*\)", header).group(),
+                           f"'shape': {shape}")(data)
+    return edit
+
+
+# case -> edit of the bytes of dataset.npz, whatever its raster and ladder
+DATASET_MALFORMED = {
+    "float32 log_ratios": member_edit("log_ratios", lambda d: npy_of(cells_of(d).astype("<f4"))),
+    "integer times": member_edit("times", lambda d: npy_of(np.arange(len(cells_of(d)), 0, -1))),
+    "object log_ratios": member_edit("log_ratios", lambda d: npy_of(cells_of(d).astype(object))),
+    "fortran-order log_ratios": member_edit(
+        "log_ratios", header_edit("'fortran_order': False", "'fortran_order': True")),
+    "big-endian times": member_edit("times", lambda d: npy_of(cells_of(d).astype(">f8"))),
+    "another raster": arrays_edit(lambda a: {**a, "log_ratios": a["log_ratios"][:, 1:]}),
+    "another number of times": arrays_edit(lambda a: {**a, "log_ratios": a["log_ratios"][..., 1:]}),
+    "2-D log_ratios": arrays_edit(lambda a: {**a, "log_ratios": a["log_ratios"][..., 0]}),
+    "2-D times": arrays_edit(lambda a: {**a, "times": a["times"][None]}),
+    "scalar times": arrays_edit(lambda a: {**a, "times": a["times"][0]}),
+    "two times": arrays_edit(lambda a: {"log_ratios": a["log_ratios"][..., :2],
+                                        "times": a["times"][:2]}),
+    "nan time": set_time(1, np.nan),
+    "infinite time": set_time(0, np.inf),
+    "zero time": set_time(-1, 0.0),
+    "negative time": set_time(-1, -1e-3),
+    "repeated time": set_time(1, "repeat"),
+    "ascending times": arrays_edit(lambda a: {"log_ratios": a["log_ratios"][..., ::-1],
+                                              "times": a["times"][::-1]}),
+    "missing times": lambda data: npz_of(without(npz_members(data), "times.npy")),
+    "missing log_ratios": lambda data: npz_of(without(npz_members(data), "log_ratios.npy")),
+    "log_ratios cut short": member_edit("log_ratios", lambda d: d[:-8]),
+    "truncated archive": lambda data: data[:-40],
+    "bad crc": lambda data: patched(data, CENTRAL, 16, "<I", 0x12345678),
+    "huge shape in header": member_edit("log_ratios", shape_edit((10**9, 10**9, 4))),
+}
+
+
+class TestDatasetNpz:
+    @pytest.mark.parametrize("case", DATASET_MALFORMED)
+    def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
+        ds = small_dataset()
+        path = tmp_path / "dataset.npz"
+        write_dataset_csv(path, ds, (6, 5))
+        path.write_bytes(DATASET_MALFORMED[case](path.read_bytes()))
+        assert path.read_bytes().startswith(LOCAL)  # read as an .npz, not as CSV text
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            read_dataset_csv(path, ds.chords, (6, 5))
+
+    @pytest.mark.parametrize("make", [special_dataset, small_dataset])
+    def test_reads_back_the_bits_the_csv_text_reads(self, tmp_path, make):
+        ds = make()
+        raster = raster_of(ds.chords)
+        write_dataset_csv(tmp_path / "dataset.npz", ds, raster)
+        oracle_write_dataset_csv(tmp_path / "dataset.csv", ds)
+        back = dataset_arrays(read_dataset_csv(tmp_path / "dataset.npz", ds.chords, raster))
+        assert_bits_equal(back, dataset_arrays(ds))
+        assert_bits_equal(back, oracle_read_dataset_csv(tmp_path / "dataset.csv", ds.chords))
+
+    def test_format_is_told_by_the_bytes_not_the_name(self, tmp_path):
+        # an .npz named data.csv reads as an .npz, CSV text named data.npz as CSV
+        ds = small_dataset()
+        write_dataset_csv(tmp_path / "data.csv", ds, (6, 5))
+        oracle_write_dataset_csv(tmp_path / "data.npz", ds)
+        assert (tmp_path / "data.csv").read_bytes().startswith(LOCAL)
+        assert (tmp_path / "data.npz").read_bytes().startswith(b"angle_index,")
+        for name in ("data.csv", "data.npz"):
+            back = read_dataset_csv(tmp_path / name, ds.chords, (6, 5))
+            assert_bits_equal(dataset_arrays(back), dataset_arrays(ds))
+
+    def test_written_to_the_path_given_and_bytes_repeat(self, tmp_path):
+        # a path without the .npz suffix is written as it is, np.load reads
+        # the file, and writing it again, later, gives the same bytes
+        ds = special_dataset()
+        path = tmp_path / "dataset"
+        write_dataset_csv(path, ds, (3, 4))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["log_ratios", "times"]
+            cells, times = npz["log_ratios"], npz["times"]
+        assert cells.shape == (3, 4, 4) and cells.dtype == np.dtype("<f8")
+        assert times.dtype == np.dtype("<f8") and times.tobytes() == ds.times.tobytes()
+        # each chord's cell holds its log ratios, and the cells without a chord are all NaN
+        assert (cells[ds.chords.angle_index, ds.chords.offset_index].tobytes()
+                == ds.log_ratios.tobytes())
+        assert np.isnan(cells).all(axis=-1).sum() == 3 * 4 - 3
+        first = path.read_bytes()
+        write_dataset_csv(tmp_path / "again.npz", ds, (3, 4))
+        assert (tmp_path / "again.npz").read_bytes() == first
+        with zipfile.ZipFile(path) as archive:
+            assert all(info.date_time == (1980, 1, 1, 0, 0, 0) for info in archive.infolist())
 
 def test_fits_npy_written_to_the_path_given(tmp_path):
     # np.save would append .npy to a path without it

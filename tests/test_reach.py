@@ -436,8 +436,38 @@ def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
     for name in ("make_parallel_chords", "read_dataset_csv", "read_fits_csv"):
         monkeypatch.setattr(recover, name, counting(name))
     recover.run_stage("fit", cfg, recover.stage_context(cfg),
-                      {"dataset": tmp_path / "dataset.csv"})
+                      {"dataset": tmp_path / "dataset.npz"})
     recover.run_stage("sinogram", cfg, recover.stage_context(cfg),
                       {"fits": tmp_path / "fits.npy"})
     assert calls == {"make_parallel_chords": 2, "read_dataset_csv": 1, "read_fits_csv": 1}
-    assert paths == [tmp_path / "dataset.csv", tmp_path / "fits.npy"]
+    assert paths == [tmp_path / "dataset.npz", tmp_path / "fits.npy"]
+
+
+# the first bytes of every file the stage chain hands on: a DGF1 grid, an
+# .npy array or an .npz (zip) archive
+BINARY_MAGICS = (b"DGF1", b"\x93NUMPY", b"PK\x03\x04")
+
+
+def test_stage_chain_hands_on_binary_files_only(tmp_path):
+    """After the six stage subcommands, every file in <out> but report.json
+    is a DGF1 grid or a numpy binary: no intermediate goes back to text,
+    whose writing and parsing once took most of a stage chain's run."""
+    import json
+
+    from driftscope.cli import run_command
+    from driftscope.recover import STAGES
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "domain": {"kind": "disc", "radius": 1.0},
+        "grid": {"x0": -1.15, "y0": -1.15, "x1": 1.15, "y1": 1.15, "nx": 33, "ny": 33},
+        "geometry": {"n_angles": 12, "n_offsets": 13},
+        "kernels": {"observed": {"kind": "ou", "theta": 1.0}},
+    }))
+    out = tmp_path / "out"
+    for stage in STAGES:
+        assert run_command([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+    handed_on = sorted(p.name for p in out.iterdir() if p.name != "report.json")
+    assert "dataset.npz" in handed_on and len(handed_on) == 8, handed_on
+    text = [name for name in handed_on if not (out / name).read_bytes().startswith(BINARY_MAGICS)]
+    assert not text, text

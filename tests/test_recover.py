@@ -578,7 +578,7 @@ class TestPipeline:
     def test_artifact_layout(self, tmp_path):
         cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
         run_pipeline(cfg, out_dir=tmp_path / "out")
-        expected = {"dataset.csv", "fits.npy", "sinogram.npz", "V_hat.dgf", "u.dgf",
+        expected = {"dataset.npz", "fits.npy", "sinogram.npz", "V_hat.dgf", "u.dgf",
                     "psi_hat.dgf", "c_hat_x.dgf", "c_hat_y.dgf", "report.json"}
         assert expected.issubset({p.name for p in (tmp_path / "out").iterdir()})
         V = read_dgf(tmp_path / "out" / "V_hat.dgf")

@@ -238,9 +238,9 @@ class TestCsv:
         g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
         ds = build_boundary_dataset(OU, dom, (4, 3), [0.02, 0.01, 0.005, 0.0025])
-        path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, ds)
-        back = read_dataset_csv(path, ds.chords)
+        path = tmp_path / "dataset.npz"
+        write_dataset_csv(path, ds, (4, 3))
+        back = read_dataset_csv(path, ds.chords, (4, 3))
         assert np.array_equal(back.times, ds.times)
         assert np.array_equal(back.log_ratios, ds.log_ratios)
         fits1, _ = fit_dataset(ds)
