@@ -5,12 +5,11 @@ Monte Carlo reproducibility: all randomness comes from SFC64 streams, one
 per (seed, block index) over fixed-size path blocks, and block results are
 reduced in index order.  Outputs are therefore bit-identical across runs and
 across worker counts.  The bridge functional maps its blocks over the worker
-pool; the Feynman-Kac exit sampler steps all its blocks in lockstep in one
-thread, each block drawing from its own stream, so it uses no workers at
-all.  Once few of its paths are alive it draws their next steps ahead and
-takes all those before the first exit at once; it scores the paths that
-left the domain after the walk, one path block at a time.  Everything here
-runs on numpy alone.
+pool; the Feynman-Kac exit sampler walks all its blocks in lockstep in one
+thread, in windows of steps for which each block draws its live paths'
+normals from its own stream in one call, so it uses no workers at all.  It
+scores the paths that left the domain after the walk, one path block at a
+time.  Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -26,17 +25,19 @@ from .kernels import DRIFTLESS
 
 _MASK32 = (1 << 32) - 1
 
-# The walk's tail.  Once at most _LOOKAHEAD_PATHS paths are alive, a step
-# costs some 40 us of numpy call overhead whatever its size, and most of a
-# run's steps are taken there (on fk-exit, 13,745 of 21,431 at one seed).
-# The walk then draws up to `span` steps of the live paths at once and takes
-# those before the first exit in one batch of numpy calls.  span doubles
-# after a batch without an exit, up to _LOOKAHEAD_STEPS, and falls back to
-# the batch's gap to its exit after one, so a batch holds at most 128 x 128
-# points.  Above 128 paths an exit comes every one to three steps, and
-# thresholds of 192 and 256 paths ran fk-exit slower.
-_LOOKAHEAD_PATHS = 128
-_LOOKAHEAD_STEPS = 128
+# The walk's windows: with m paths alive it takes k = clamp(_WINDOW_POINTS
+# // m, 1, _WINDOW_STEPS) steps at once, so a window holds at most
+# max(_WINDOW_POINTS, m) points, and each window takes one draw per block,
+# one `contains` and one V call.  A numpy call costs some microseconds
+# whatever its size, and most of a run's steps have few paths alive.
+_WINDOW_POINTS = 16384
+_WINDOW_STEPS = 128
+# Prefix sums along a window's steps: one np.cumsum below this many live
+# paths, a row of np.add calls, one per step, from it on.  Both add in the
+# same order.  Along the step axis np.cumsum takes ~5 ns an element and a
+# row add ~2.5 us a call, so with k = 16384 // m steps the two cost the same
+# at some 300 paths.
+_CUMSUM_PATHS = 256
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -171,16 +172,14 @@ def density_via_representation(psi, V, x, y, t: float, cfg: McConfig) -> McEstim
 # ---------------------------------------------------------------------------
 
 
-def _draw_ahead(rng, queued: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
-    """One block's next standard normals, in stream order: first those of
-    `queued`, drawn before and not used, then fresh ones from rng.  Returns
-    the array of `shape` and what is left of `queued`."""
-    z = np.empty(shape)
-    flat = z.reshape(-1)
-    k = min(queued.size, flat.size)
-    flat[:k] = queued[:k]
-    rng.standard_normal(out=flat[k:])
-    return z, queued[k:]
+def _prefix_sum(rows: np.ndarray) -> None:
+    """rows[s] += rows[s - 1] for s = 1, 2, ... in place: the additions of
+    a step loop, in its order, whichever of the two forms runs."""
+    if rows.shape[1] < _CUMSUM_PATHS:
+        np.cumsum(rows, axis=0, out=rows)
+    else:
+        for s in range(1, len(rows)):
+            np.add(rows[s - 1], rows[s], out=rows[s])
 
 
 def feynman_kac_exit(
@@ -200,26 +199,22 @@ def feynman_kac_exit(
     beyond max_steps are capped (counted; more than 1% is an error) and
     scored at their projection onto the boundary.
 
-    All paths step in lockstep in one loop.  Path i belongs to block
-    i // parallel.MC_BLOCK, and at each step every block draws the normals
-    of its live paths, in index order, from its own stream
-    substream(seed, block).  A path that exits keeps, by its index, the two
-    ends of its exiting segment and its integral and V at the inside end;
-    after the walk the exited paths are scored one block at a time, so the
-    boundary crossing, V and f see at most MC_BLOCK points per call.  Each
-    score depends only on its own path, so the estimate is the same, bit for
-    bit, as stepping and scoring each block on its own, and no worker pool
-    is used: the worker count does not matter.
-
-    Once at most _LOOKAHEAD_PATHS paths are alive, each block draws the
-    normals of its live paths for up to `span` steps at once, as many as
-    those steps would draw one by one.  Cumulative sums form the positions
-    and, after one call of V on the steps before the first exit, the
-    integrals, with the additions of the step loop in its order.  The exit
-    step then runs as any other step, and the normals drawn for the steps
-    after it go back to their block's queue, to be drawn first next time.
-    So the lookahead computes the same normals, points, integrals and scores
-    as the step loop, and never evaluates V at a point past an exit.
+    All paths walk in lockstep, in windows of k steps: with m paths alive,
+    k = clamp(_WINDOW_POINTS // m, 1, _WINDOW_STEPS), capped by the steps
+    left.  Path i belongs to block i // parallel.MC_BLOCK, and at the start
+    of a window every block draws the (k, m_b, 2) normals of its m_b live
+    paths, step by step and in index order, from its own stream
+    substream(seed, block).  Prefix sums along the steps form the positions
+    and trapezoid integrals, with the additions of a step loop in its
+    order.  A path's first point outside ends it: it keeps, by its index,
+    the two ends of its exiting segment and its integral and V at the
+    inside end, and stands at its last point inside for the rest of the
+    window, so V sees no point outside the closed domain; the normals drawn
+    for it after its exit go unused.  After the walk the exited paths are
+    scored one block at a time, so the boundary crossing, V and f see at
+    most MC_BLOCK points per call.  k depends on how many paths of all
+    blocks are alive, so a block's draws depend on the others; no worker
+    pool is used, and the worker count does not matter.
     """
     x = np.asarray(x, dtype=float)
     if not bool(domain.contains(x[None, :])[0]):
@@ -233,86 +228,66 @@ def feynman_kac_exit(
 
     blocks = parallel.block_ranges(n, parallel.MC_BLOCK)
     streams = [substream(cfg.seed, bi) for bi in range(len(blocks))]
-    queued = [np.empty(0)] * len(blocks)  # per block: normals drawn ahead, not yet used
     starts = [lo for lo, _ in blocks] + [n]  # block bi: paths starts[bi]:starts[bi + 1]
-    # Two position buffers take turns: a step's normals are drawn into the
-    # one not holding the positions and turned into the new positions in
-    # place, so no (n, 2) array is allocated per step.
-    buffers = np.empty((2, n, 2))
-    held = 0  # the buffer holding pos
-    pos = buffers[held]
-    pos[:] = x
     alive = np.arange(n)  # live paths, ascending, so each block's are contiguous
     # each block that has live paths: its index and its live paths' span in alive
     draws = [(bi, lo, hi) for bi, (lo, hi) in enumerate(blocks)]
-    integ = np.zeros(n)
-    v_prev = _scalar_eval(V, pos)
-    trapezoid = np.empty(n)
+    # Buffers, reused for the whole walk: the live paths' positions, integrals
+    # and V in alive's order, and a window's positions and integrals, of at
+    # most max(_WINDOW_POINTS, n) points.  Fresh arrays for each window, of
+    # sizes that change from window to window, fragment the heap: fk-exit's
+    # peak RSS read ~1 MB higher with them.
+    pos_buf, integ_buf, v_buf = np.empty((n, 2)), np.zeros(n), np.empty(n)
+    walk_buf, sums_buf = np.empty(2 * max(_WINDOW_POINTS, n)), np.empty(max(_WINDOW_POINTS, n))
+    pos, integ, v_prev = pos_buf, integ_buf, v_buf
+    pos[:] = x
+    v_prev[:] = _scalar_eval(V, pos)
     # How each exited path left, by path id: its last point inside, its
     # first point outside, and the integral and V at the point inside.
     last_in, first_out = np.empty((n, 2)), np.empty((n, 2))
     integ_in, v_in = np.empty(n), np.empty(n)
-    steps, span = 0, 1
+    steps = 0
     while steps < max_steps and alive.size:
         m = alive.size
-        if m > _LOOKAHEAD_PATHS:
-            new_pos = buffers[1 - held, :m]
-            for bi, lo, hi in draws:
-                streams[bi].standard_normal(out=new_pos[lo:hi])
-            new_pos *= sq_h  # then + pos: the same bits as pos + sq_h * normal
-            new_pos += pos
-            inside = domain.contains(new_pos)
-        else:
-            k = min(span, max_steps - steps)
-            walk = np.empty((k + 1, m, 2))  # walk[s]: the positions after s more steps
-            walk[0] = pos
-            drawn = []
-            for bi, lo, hi in draws:
-                z, queued[bi] = _draw_ahead(streams[bi], queued[bi], (k, hi - lo, 2))
-                walk[1:, lo:hi] = z
-                drawn.append(z)
-            walk[1:] *= sq_h
-            np.cumsum(walk, axis=0, out=walk)
-            inside_ahead = domain.contains(walk[1:])
-            clear = inside_ahead.all(axis=1)
-            free = k if clear.all() else int(clear.argmin())  # the steps before the first exit
-            if free:
-                v_ahead = _scalar_eval(V, walk[1:free + 1].reshape(-1, 2)).reshape(free, m)
-                sums = np.empty((free + 1, m))  # integ, then the trapezoid areas
-                sums[0] = integ
-                np.add(v_prev, v_ahead[0], out=sums[1])
-                np.add(v_ahead[:-1], v_ahead[1:], out=sums[2:])
-                sums[1:] *= half_h
-                np.cumsum(sums, axis=0, out=sums)
-                pos, integ, v_prev = walk[free], sums[free], v_ahead[free - 1]
-                steps += free
-            if free == k:
-                span = min(2 * span, _LOOKAHEAD_STEPS)
-                continue
-            span = free + 1
-            for (bi, _, _), z in zip(draws, drawn):
-                queued[bi] = np.concatenate([z[free + 1:].reshape(-1), queued[bi]])
-            new_pos, inside = walk[free + 1], inside_ahead[free]
-        steps += 1
-        if np.count_nonzero(inside) == m:
-            pos, held = new_pos, 1 - held
-        else:
-            gone = (~inside).nonzero()[0]
+        k = min(max(_WINDOW_POINTS // m, 1), _WINDOW_STEPS, max_steps - steps)
+        steps += k
+        walk = walk_buf[:2 * k * m].reshape(k, m, 2)  # walk[s]: the positions after s + 1 steps
+        for bi, lo, hi in draws:
+            np.multiply(streams[bi].standard_normal((k, hi - lo, 2)), sq_h, out=walk[:, lo:hi])
+        np.add(pos, walk[0], out=walk[0])
+        _prefix_sum(walk)
+        inside = domain.contains(walk)
+        stay = inside.all(axis=0)
+        gone = (~stay).nonzero()[0]
+        if gone.size:
+            out = inside[:, gone].argmin(axis=0)  # each leaving path's first step outside
+            first = out == 0  # the paths that leave on the window's first step
             ids = alive[gone]
-            last_in[ids], first_out[ids] = pos.take(gone, axis=0), new_pos.take(gone, axis=0)
-            integ_in[ids], v_in[ids] = integ[gone], v_prev[gone]
-            # before the compress below: V may return a view of its points
-            alive, integ, v_prev = alive[inside], integ[inside], v_prev[inside]
-            m = alive.size
-            # the survivors' new positions overwrite the old ones
-            pos = np.compress(inside, new_pos, axis=0, out=buffers[held, :m])
+            last_in[ids] = np.where(first[:, None], pos[gone], walk[out - 1, gone])
+            first_out[ids] = walk[out, gone]
+            # from its exit on a leaving path stands at its last point inside
+            tail = walk[:, gone]
+            np.copyto(tail, last_in[ids], where=(np.arange(k)[:, None] >= out)[..., None])
+            walk[:, gone] = tail
+        v = _scalar_eval(V, walk.reshape(-1, 2)).reshape(k, m)
+        sums = sums_buf[:k * m].reshape(k, m)  # the trapezoid areas, then the integrals
+        np.add(v_prev, v[0], out=sums[0])
+        np.add(v[:-1], v[1:], out=sums[1:])
+        sums *= half_h
+        sums[0] += integ
+        _prefix_sum(sums)
+        if gone.size:
+            integ_in[ids] = np.where(first, integ[gone], sums[out - 1, gone])
+            v_in[ids] = np.where(first, v_prev[gone], v[out - 1, gone])
+            keep = stay.nonzero()[0]
+            alive, m = alive.take(keep), keep.size
+            pos = walk[-1].take(keep, axis=0, out=pos_buf[:m])
+            integ = sums[-1].take(keep, out=integ_buf[:m])
+            v_prev = v[-1].take(keep, out=v_buf[:m])
             cuts = np.searchsorted(alive, starts).tolist()
             draws = [(bi, lo, hi) for bi, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if hi > lo]
-        v_new = _scalar_eval(V, pos)
-        area = np.add(v_prev, v_new, out=trapezoid[:m])
-        area *= half_h
-        integ += area
-        v_prev = v_new
+        else:
+            pos[:], integ[:], v_prev[:] = walk[-1], sums[-1], v[-1]
     n_capped = alive.size
     if n_capped > 0.01 * n:
         raise SimulationError(f"{n_capped} of {n} paths exceeded the {max_steps}-step cap")

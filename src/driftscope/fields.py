@@ -161,15 +161,22 @@ class Domain:
 
     @cached_property
     def _interior(self) -> np.ndarray:
-        inside = self._unknowns(np.arange(self.grid.nx), np.arange(self.grid.ny))
+        pts = np.stack(self.grid.nodes(), axis=-1)
+        inside = self.contains(pts)
+        # The domain is convex, so it holds the segment between two axis
+        # neighbours inside it: only a node with an axis neighbour outside
+        # can have a probe outside.  Nodes on the grid's edge lie outside.
+        near = inside.copy()
+        near[1:-1, 1:-1] &= ~(inside[:-2, 1:-1] & inside[2:, 1:-1]
+                              & inside[1:-1, :-2] & inside[1:-1, 2:])
+        inside[near] = self._unknowns(pts[near])
         inside.setflags(write=False)
         return inside
 
-    def _unknowns(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Mask (len(i), len(j)) of the grid nodes (i, j) inside the domain,
-        and inside still when moved `_SLIVER` grid steps along either axis."""
+    def _unknowns(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the grid nodes `pts` (..., 2) inside the domain, and inside
+        still when moved `_SLIVER` grid steps along either axis."""
         g = self.grid
-        pts = np.stack(np.meshgrid(g.x0 + g.dx * i, g.y0 + g.dy * j, indexing="ij"), axis=-1)
         inside = self.contains(pts)
         for step in _SLIVER * np.array([[-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]]):
             inside &= self.contains(pts + step)
@@ -183,7 +190,8 @@ class Domain:
         g = self.grid
         near = np.rint((self.center - (g.x0, g.y0)) / (g.dx, g.dy))
         i, j = (np.clip(k + np.arange(-2.0, 3.0), 0, n - 1) for k, n in zip(near, g.shape))
-        return bool(self._unknowns(i, j).any())
+        pts = np.stack(np.meshgrid(g.x0 + g.dx * i, g.y0 + g.dy * j, indexing="ij"), axis=-1)
+        return bool(self._unknowns(pts).any())
 
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
         """Map boundary points to arclength-like parameter in [0, param_length)."""

@@ -9,8 +9,9 @@ The pool's one user is `diffusion.bridge_functional`, where each 4096-path
 block draws and interpolates whole (paths, steps) arrays: on a 2-vCPU VM,
 20,000 bridges of 64 steps over a 129^2 potential take a median 0.28 s on
 one worker and 0.15 s on two.  Filtered back-projection, which back-projects
-only the nodes inside the domain, and the Feynman-Kac exit sampler run in
-one thread.
+only the nodes inside the domain, runs in one thread, and so does the
+Feynman-Kac exit sampler: the length of its windows of steps depends on how
+many paths of all blocks are alive, so its blocks walk in lockstep.
 """
 
 from __future__ import annotations

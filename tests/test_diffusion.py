@@ -416,6 +416,43 @@ class TestFeynmanKac:
         assert len(rows) <= -(-n // parallel.MC_BLOCK)
         assert max(rows) <= parallel.MC_BLOCK and sum(rows) == n - est.n_capped
 
+    def test_no_call_of_V_sees_more_than_a_window(self):
+        """A window holds at most max(_WINDOW_POINTS, live paths) points, so
+        the walk's memory does not grow with the window's steps."""
+        from driftscope.diffusion import _WINDOW_POINTS
+
+        sizes = []
+
+        def V(p):
+            sizes.append(len(p))
+            return np.zeros(p.shape[:-1])
+
+        n = 20000
+        est = feynman_kac_exit(V, lambda p: np.ones(len(p)), self.domain(), ORIGIN,
+                               McConfig(n, 1, seed=6), h=2e-3)
+        assert est.value == 1.0
+        assert max(sizes) <= max(_WINDOW_POINTS, n)
+
+    def test_near_edge_points_of_the_rectangle_benchmark(self):
+        """The fk-exit benchmark's setting: four start points near the edges
+        of the rectangle (-1, -0.7)-(1, 0.7) at h = 5e-4, where the exit-time
+        bias is largest; each estimate of the harmonic f meets the bound."""
+        from driftscope.fields import RectangleDomain
+
+        g = Grid.from_extent(-1.2, -0.9, 1.2, 0.9, 33, 25)
+        rect = RectangleDomain(g, -1.0, -0.7, 1.0, 0.7)
+        h = 5e-4
+
+        def f(p):
+            return p[..., 0] ** 2 - p[..., 1] ** 2
+
+        for i, x in enumerate([(0.93, 0.0), (-0.9, 0.45), (0.0, 0.63), (0.5, -0.62)]):
+            x = np.array(x)
+            est = feynman_kac_exit(lambda p: np.zeros(p.shape[:-1]), f, rect, x,
+                                   McConfig(4000, 1, seed=40 + i), h=h)
+            assert est.n_capped == 0
+            assert abs(est.value - f(x)) <= 3 * est.stderr + 1.5 * np.sqrt(h)
+
     def test_exit_sampler_runs_without_scipy(self):
         """The library path of the exit sampler never loads scipy; the first
         Dirichlet solve loads scipy.sparse but not the scipy linalg packages."""
@@ -452,54 +489,58 @@ print("scipy" in sys.modules, "scipy.sparse" in sys.modules,
         assert proc.stdout.split() == ["False", "True", "True", "False"]
 
 
-def per_block_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):
-    """Oracle: feynman_kac_exit as it stood when each path block ran its own
-    loop and scored its exits one at a time (blocks run here in order)."""
-    from driftscope.diffusion import McEstimate, _mean_stderr, _scalar_eval, substream
+def per_step_feynman_kac_exit(V, f, domain, x, cfg, h, max_steps=None):
+    """Oracle: feynman_kac_exit's window draw layout taken one step at a
+    time.  At the start of each window every block draws the (k, m_b, 2)
+    normals of its live paths; the walk then takes them step by step and
+    scores each exit on the spot with a one-row boundary crossing."""
+    from driftscope.diffusion import (
+        _WINDOW_POINTS, _WINDOW_STEPS, McEstimate, _mean_stderr, _scalar_eval,
+    )
 
     x = np.asarray(x, dtype=float)
+    n = cfg.n_paths
     if max_steps is None:
         max_steps = max(1000, int(50.0 * domain.circumradius**2 / h))
     sq_h = np.sqrt(h)
-
-    def run_block(bi, lo, hi):
-        m = hi - lo
-        rng = substream(cfg.seed, bi)
-        pos = np.tile(x, (m, 1))
-        integ = np.zeros(m)
-        v_prev = _scalar_eval(V, pos)
-        out_vals = np.empty(m)
-        alive_idx = np.arange(m)
-        capped = 0
-        for _ in range(max_steps):
-            if alive_idx.size == 0:
-                break
-            step = sq_h * rng.standard_normal((alive_idx.size, 2))
-            new_pos = pos + step
+    blocks = parallel.block_ranges(n, parallel.MC_BLOCK)
+    streams = [substream(cfg.seed, bi) for bi in range(len(blocks))]
+    alive = np.arange(n)
+    pos = np.tile(x, (n, 1))
+    integ = np.zeros(n)
+    v_prev = np.array(_scalar_eval(V, pos))  # V may return a view of pos
+    samples = np.empty(n)
+    steps = 0
+    while steps < max_steps and alive.size:
+        m = alive.size
+        k = min(max(_WINDOW_POINTS // m, 1), _WINDOW_STEPS, max_steps - steps)
+        z = np.empty((k, m, 2))
+        for bi in range(len(blocks)):
+            cols = np.flatnonzero(alive // parallel.MC_BLOCK == bi)
+            if cols.size:
+                z[:, cols] = streams[bi].standard_normal((k, cols.size, 2))
+        live = np.ones(m, dtype=bool)  # not yet exited in this window
+        for s in range(k):
+            rows = np.flatnonzero(live)
+            new_pos = pos[rows] + sq_h * z[s, rows]
             inside = domain.contains(new_pos)
-            for r in np.nonzero(~inside)[0]:
-                cross, theta = domain.boundary_crossing(pos[r], new_pos[r])
+            for r, q in zip(rows[~inside], new_pos[~inside]):
+                cross, theta = domain.boundary_crossing(pos[r], q)
                 v_cross = float(_scalar_eval(V, cross[None, :])[0])
                 itotal = integ[r] + 0.5 * theta * h * (v_prev[r] + v_cross)
-                out_vals[alive_idx[r]] = np.exp(-itotal) * float(f(cross[None, :])[0])
+                samples[alive[r]] = np.exp(-itotal) * float(f(cross[None, :])[0])
+            live[rows[~inside]] = False
+            rows, new_pos = rows[inside], new_pos[inside]
             v_new = _scalar_eval(V, new_pos)
-            integ = integ + 0.5 * h * (v_prev + v_new)
-            keep = np.nonzero(inside)[0]
-            alive_idx = alive_idx[keep]
-            pos = new_pos[keep]
-            integ = integ[keep]
-            v_prev = v_new[keep]
-        if alive_idx.size:
-            capped = alive_idx.size
-            proj = domain.project_to_boundary(pos)
-            out_vals[alive_idx] = np.exp(-integ) * np.asarray(f(proj), dtype=float)
-        return out_vals, capped
-
-    results = [run_block(bi, lo, hi)
-               for bi, (lo, hi) in enumerate(parallel.block_ranges(cfg.n_paths, parallel.MC_BLOCK))]
-    samples = np.concatenate([r[0] for r in results])
+            integ[rows] = integ[rows] + 0.5 * h * (v_prev[rows] + v_new)
+            pos[rows], v_prev[rows] = new_pos, v_new
+        steps += k
+        alive, pos, integ, v_prev = alive[live], pos[live], integ[live], v_prev[live]
+    if alive.size:
+        proj = domain.project_to_boundary(pos)
+        samples[alive] = np.exp(-integ) * np.asarray(f(proj), dtype=float)
     value, stderr = _mean_stderr(samples)
-    return McEstimate(value, stderr, len(samples), sum(r[1] for r in results))
+    return McEstimate(value, stderr, n, alive.size)
 
 
 class LockstepCase(NamedTuple):
@@ -528,7 +569,7 @@ def _closed_domain_only(V, domain):
 
 def _lockstep_case(name):
     """The LockstepCase of one lockstep-vs-oracle case."""
-    from driftscope.diffusion import _LOOKAHEAD_PATHS
+    from driftscope.diffusion import _CUMSUM_PATHS
     from driftscope.fields import RectangleDomain
 
     g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 33, 33)
@@ -554,11 +595,14 @@ def _lockstep_case(name):
         "rect-edge-start": LockstepCase(ramp, harmonic, rect, [0.899, 0.1], 5e-3),
         # V returns a view of the points it is given
         "disc-view-V": LockstepCase(lambda p: p[..., 1], harmonic, disc, [0.2, -0.3], 2e-3),
-        # few enough paths that every step is taken in the lookahead
-        "disc-lookahead-only": LockstepCase(ramp, harmonic, disc, [0.2, 0.1], 2e-3,
-                                            n_paths=_LOOKAHEAD_PATHS),
-        # 16 paths run to the cap, which cuts a lookahead batch of 16 steps to 3
+        # the live count falls through the row-add / np.cumsum switch
+        "disc-cumsum-switch": LockstepCase(ramp, harmonic, disc, [0.2, 0.1], 2e-3,
+                                           n_paths=2 * _CUMSUM_PATHS),
+        # 15 paths run to the cap, which cuts a window of 128 steps to 25
         "disc-capped-in-batch": LockstepCase(tilt, harmonic, disc, [0.1, 0.0], 2e-3, 1250),
+        # 128 paths walk in windows of 128 steps from the start; the cap cuts
+        # the eleventh window to 20 steps, with one path alive
+        "disc-window-cut": LockstepCase(tilt, harmonic, disc, [0.1, 0.0], 2e-3, 1300, n_paths=128),
         # V refuses points outside: the walk never evaluates it past an exit
         "rect-closed-V": LockstepCase(_closed_domain_only(tilt, rect), harmonic, rect, [0.3, 0.2],
                                       2e-3, oracle_V=tilt),
@@ -566,20 +610,21 @@ def _lockstep_case(name):
 
 
 class TestFeynmanKacLockstep:
-    """Lockstep stepping, the lookahead and batched scoring change no bit of
+    """Windows of steps, prefix sums and batched scoring change no bit of
     the estimate."""
 
     @pytest.mark.parametrize("case", ["disc-zero-V", "rect-field-V", "disc-callable-V",
                                       "disc-capped", "rect-capped", "rect-edge-start",
-                                      "disc-view-V", "disc-lookahead-only",
-                                      "disc-capped-in-batch", "rect-closed-V"])
+                                      "disc-view-V", "disc-cumsum-switch",
+                                      "disc-capped-in-batch", "disc-window-cut",
+                                      "rect-closed-V"])
     def test_bit_equal_to_per_block_oracle(self, case):
         c = _lockstep_case(case)
         cfg = McConfig(c.n_paths, 1, seed=31)
         got = feynman_kac_exit(c.V, c.f, c.domain, np.array(c.start), cfg, h=c.h,
                                max_steps=c.max_steps)
         oracle_V = c.V if c.oracle_V is None else c.oracle_V
-        want = per_block_feynman_kac_exit(oracle_V, c.f, c.domain, c.start, cfg, c.h, c.max_steps)
+        want = per_step_feynman_kac_exit(oracle_V, c.f, c.domain, c.start, cfg, c.h, c.max_steps)
         assert (got.value, got.stderr, got.n_paths, got.n_capped) == (
             want.value, want.stderr, want.n_paths, want.n_capped)
         if c.max_steps is not None:  # capped paths, under the 1% cap

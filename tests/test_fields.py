@@ -310,6 +310,32 @@ class TestDomains:
         dom = DiscDomain(g, 0.05, -0.1, 1.0)
         assert np.array_equal(dom.interior(g), dom.contains(g.node_points()).reshape(g.shape))
 
+    @pytest.mark.parametrize("make", [
+        lambda: DiscDomain(DiscDomain.default_grid(0.0, 0.0, 1.0, 33, 1.15), 0.0, 0.0, 1.0),
+        lambda: DiscDomain(DiscDomain.default_grid(0.0, 0.0, 1.0, 129, 1.15), 0.0, 0.0, 1.0),
+        lambda: DiscDomain(DiscDomain.default_grid(0.0, 0.0, 1.0, 257, 1.15), 0.0, 0.0, 1.0),
+        lambda: DiscDomain(grid_square(129, half=1.5), 0.237, -0.311, 0.9),
+        lambda: RectangleDomain(RectangleDomain.default_grid(-1.0, -0.7, 1.0, 0.7, 129, 1.15),
+                                -1.0, -0.7, 1.0, 0.7),
+        # the sliver rectangle of test_interior_drops_sliver_nodes (dx = 0.25),
+        # and its sliver along y: a node can have both x neighbours inside
+        lambda: RectangleDomain(grid_square(17), -1.0 - 1e-5 * 0.25, -1.1, 1.1, 1.1),
+        lambda: RectangleDomain(grid_square(17), -1.1, -1.0 - 1e-5 * 0.25, 1.1, 1.1),
+    ], ids=["disc-33", "disc-129", "disc-257", "disc-off-centre", "rectangle", "rect-sliver-x",
+            "rect-sliver-y"])
+    def test_interior_equals_the_five_probe_mask(self, make):
+        """Probing only the nodes next to an outside node gives the mask of
+        probing every node at the node and its four `_SLIVER` shifts."""
+        from driftscope.fields import _SLIVER
+
+        dom = make()
+        g = dom.grid
+        pts = np.stack(g.nodes(), axis=-1)
+        want = dom.contains(pts)
+        for step in _SLIVER * np.array([[-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]]):
+            want &= dom.contains(pts + step)
+        assert np.array_equal(dom.interior(g), want)
+
     def test_interior_on_another_grid_is_data_error(self):
         dom = DiscDomain(grid_square(17, half=1.5), 0.0, 0.0, 1.0)
         with pytest.raises(DataError, match="domain's grid"):
