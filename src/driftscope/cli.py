@@ -84,7 +84,7 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     import dataclasses
 
     updates = {}
-    if getattr(args, "out", None):
+    if args.out is not None:
         updates["output_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -182,7 +182,7 @@ def cmd_phantom(args) -> int:
     out = _make_output_dir(Path(args.out or "out"))
     grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, args.n, args.n)
     write_dgf(out / "phantom.dgf", make_field(grid, args.width, args.amplitude))
-    sino = Sinogram(angles, offsets, sino_vals, np.ones_like(sino_vals, dtype=bool), 1.0)
+    sino = Sinogram(sino_vals, np.ones_like(sino_vals, dtype=bool), 1.0)
     write_sinogram_csv(out / "phantom_sinogram.npz", sino)
     print(f"wrote {out / 'phantom.dgf'} and {out / 'phantom_sinogram.npz'}")
     return 0
@@ -254,6 +254,8 @@ def run_command(argv=None) -> int:
         if not getattr(args, "verbose", False):
             warnings.simplefilter("ignore")
         try:
+            if getattr(args, "out", None) == "":  # as "output_dir": "" is
+                raise ConfigError("--out must name a directory, got ''")
             if args.command == "phantom":
                 return cmd_phantom(args)
             if args.command == "check":

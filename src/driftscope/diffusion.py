@@ -123,8 +123,8 @@ def bridge_functional(V, x, y, t: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo estimate of E[exp(-int_0^t V(bridge_s) ds)] over Brownian
     bridges pinned at (x, 0) and (y, t); trapezoid time integral.
     """
-    if t <= 0:
-        raise DataError("bridge horizon t must be positive")
+    if not 0 < t < np.inf:
+        raise DataError(f"bridge horizon t must be positive and finite, got {t!r}")
     n_steps = cfg.n_steps
     times = np.linspace(0.0, t, n_steps + 1)
     dt = np.diff(times)
@@ -157,12 +157,12 @@ def density_via_representation(psi, V, x, y, t: float, cfg: McConfig) -> McEstim
     the OU kernel at theta = 0, whose bridges `bridge_functional` draws:
     p0(x,t,y) * exp(psi(y) - psi(x)) * E[exp(-int V)] over Brownian bridges.
     """
+    bridge = bridge_functional(V, x, y, t, cfg)  # first: it refuses a bad t
     p0 = float(DRIFTLESS.density(x, t, y))
     if isinstance(psi, ScalarField):
         dpsi = float(interp(psi, np.asarray(y, dtype=float)) - interp(psi, np.asarray(x, dtype=float)))
     else:
         dpsi = float(psi(np.asarray(y, dtype=float)) - psi(np.asarray(x, dtype=float)))
-    bridge = bridge_functional(V, x, y, t, cfg)
     scale = p0 * np.exp(dpsi)
     return McEstimate(scale * bridge.value, scale * bridge.stderr, bridge.n_paths)
 
@@ -219,8 +219,8 @@ def feynman_kac_exit(
     x = np.asarray(x, dtype=float)
     if not bool(domain.contains(x[None, :])[0]):
         raise DataError("start point must lie inside the domain")
-    if h <= 0:
-        raise DataError("step size h must be positive")
+    if not 0 < h < np.inf:
+        raise DataError(f"step size h must be positive and finite, got {h!r}")
     if max_steps is None:
         max_steps = max(1000, int(50.0 * domain.circumradius**2 / h))
     sq_h, half_h = np.sqrt(h), 0.5 * h

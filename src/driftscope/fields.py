@@ -404,24 +404,23 @@ class RectangleDomain(Domain):
 
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
         """Perimeter arclength from (xmin, ymin), counterclockwise."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
+        p = np.asarray(points, dtype=float)
         w = self.xmax - self.xmin
         h = self.ymax - self.ymin
-        x = np.clip(p[:, 0], self.xmin, self.xmax) - self.xmin
-        y = np.clip(p[:, 1], self.ymin, self.ymax) - self.ymin
+        x = np.clip(p[..., 0], self.xmin, self.xmax) - self.xmin
+        y = np.clip(p[..., 1], self.ymin, self.ymax) - self.ymin
         # distance to each edge decides which side the point belongs to
-        d_bottom = np.abs(p[:, 1] - self.ymin)
-        d_right = np.abs(p[:, 0] - self.xmax)
-        d_top = np.abs(p[:, 1] - self.ymax)
-        d_left = np.abs(p[:, 0] - self.xmin)
+        d_bottom = np.abs(p[..., 1] - self.ymin)
+        d_right = np.abs(p[..., 0] - self.xmax)
+        d_top = np.abs(p[..., 1] - self.ymax)
+        d_left = np.abs(p[..., 0] - self.xmin)
         side = np.argmin(np.stack([d_bottom, d_right, d_top, d_left]), axis=0)
         s = np.where(
             side == 0,
             x,
             np.where(side == 1, w + y, np.where(side == 2, w + h + (w - x), 2 * w + h + (h - y))),
         )
-        out = np.mod(s, self.param_length)
-        return out if np.asarray(points).ndim > 1 else out[0]
+        return np.mod(s, self.param_length)
 
     def boundary_point(self, s: np.ndarray) -> np.ndarray:
         s = np.mod(np.asarray(s, dtype=float), self.param_length)

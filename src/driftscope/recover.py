@@ -389,7 +389,8 @@ def stage_context(cfg: PipelineConfig, observed: Kernel | None = None) -> dict:
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
     dataset = v["dataset"] = build_boundary_dataset(
         v["observed"], v["domain"], (cfg.n_angles, cfg.n_offsets), cfg._ladder)
-    return {"n_chords": dataset.n_chords, "n_lines_skipped": len(dataset.skipped)}
+    return {"n_chords": dataset.n_chords,
+            "n_lines_skipped": cfg.n_angles * cfg.n_offsets - dataset.n_chords}
 
 
 def _fit(cfg: PipelineConfig, v: dict) -> dict:

@@ -17,12 +17,13 @@ underflow at small t where their log ratio is still finite.
 Chords and fits are tables of columns: a ChordTable of endpoints, raster
 indices and lengths, and a FitTable of the value columns of fits.npy
 (dpsi, F, the residual, the standard errors of dpsi and F, the number of
-times fitted) plus ok.  An integer index or iteration gives a row as a
-plain NamedTuple view of the checked columns.  A raster chord is fixed by
-its (angle_index, offset_index) and the domain: dataset.npz (the chain's
-handoff) and fits.npy hold its data in that cell, dataset.csv (observed
-data as text) names it by those indices, and their readers place the
-values into a chord table rebuilt from the config.
+times fitted) plus ok.  Code reads the columns; a slice, mask or index
+array gives a sub-table.  The raster is the config's: `chord_angles`,
+`chord_offsets` and `make_parallel_chords` are its one definition.  A
+raster chord is fixed by its (angle_index, offset_index) and the domain:
+dataset.npz (the chain's handoff) and fits.npy hold its data in that cell,
+dataset.csv (observed data as text) names it by those indices, and their
+readers place the values into the chord table rebuilt from the config.
 """
 
 from __future__ import annotations
@@ -48,17 +49,6 @@ from .kernels import DRIFTLESS, Kernel
 _CHORDS_PER_CHUNK = 8192
 
 
-class ChordRow(NamedTuple):
-    """One chord of a ChordTable: its endpoints as read-only (2,) views of
-    the table's columns, its raster indices and its length."""
-
-    x: np.ndarray
-    y: np.ndarray
-    angle_index: int
-    offset_index: int
-    length: float
-
-
 @dataclass(frozen=True, eq=False)
 class ChordTable:
     """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths (n,).
@@ -66,9 +56,8 @@ class ChordTable:
     The endpoint checks run once over the whole table: finite planar
     points, and no chord shorter than 1e-8 s + 1e-5 s, np.allclose's
     tolerance at coordinates of size s, for s half the table's longest
-    chord, at most 1: a small domain keeps its chords wherever it sits.  An
-    integer index, or iteration, gives a ChordRow built from the checked
-    columns; a slice, mask or index array gives a sub-table.
+    chord, at most 1: a small domain keeps its chords wherever it sits.  A
+    slice, mask or index array gives a sub-table.
     """
 
     x: np.ndarray
@@ -104,13 +93,7 @@ class ChordTable:
         return len(self.x)
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return next(iter(self[[i]]))
         return ChordTable(self.x[i], self.y[i], self.angle_index[i], self.offset_index[i])
-
-    def __iter__(self):
-        return map(ChordRow._make, zip(self.x, self.y, self.angle_index.tolist(),
-                                       self.offset_index.tolist(), self.length.tolist()))
 
 
 def chord_offsets(radius: float, n_offsets: int) -> np.ndarray:
@@ -127,11 +110,6 @@ def chord_angles(n_angles: int) -> np.ndarray:
     return np.pi * np.arange(n_angles) / n_angles
 
 
-def chord_directions(angles: np.ndarray) -> np.ndarray:
-    """Unit directions (cos, sin) of the given angles, shape (n, 2)."""
-    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
-
 def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     """Chord table of the domain on a parallel-beam (angle, offset) raster.
 
@@ -141,7 +119,8 @@ def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     domain, in angle-major raster order, and the (angle_index, offset_index)
     pairs of the lines that miss it, as an (n_missed, 2) int array.
     """
-    omega = chord_directions(chord_angles(n_angles))
+    angles = chord_angles(n_angles)
+    omega = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     offsets = chord_offsets(domain.circumradius, n_offsets)
     x, y, hit = domain.chord_endpoints(omega[:, None, :], offsets[None, :])
     ia, io = np.nonzero(hit)
@@ -173,6 +152,8 @@ class FitTable:
     residual and the standard errors are nonnegative.  An integer index, or
     iteration, gives a FitRow built from the checked columns, or None for a
     row that is not ok; a slice, mask or index array gives a sub-table.
+    The rows stay only because the benchmark's tracer (perfbench/tracing.py)
+    iterates a fit table to count its ok fits; the package reads columns.
     """
 
     delta_psi: np.ndarray
@@ -288,14 +269,12 @@ class BoundaryDataset:
     finite, positive, decreasing times.
 
     log_ratios has shape (n_chords, n_times); NaN marks a dropped
-    observation.  skipped holds the (angle_index, offset_index) pairs of the
-    raster lines that miss the domain, as an (n_missed, 2) int array.
+    observation.
     """
 
     chords: ChordTable
     times: np.ndarray
     log_ratios: np.ndarray
-    skipped: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -334,7 +313,7 @@ def build_boundary_dataset(
     times = np.asarray(sorted(ladder, reverse=True), dtype=float)
     if np.any(times <= 0):
         raise DataError("ladder times must be positive")
-    chords, skipped = make_parallel_chords(domain, n_angles, n_offsets)
+    chords, _ = make_parallel_chords(domain, n_angles, n_offsets)
     xs, ys = chords.x, chords.y
     log_ratios = np.empty((len(chords), len(times)))
     for k, t in enumerate(times):
@@ -344,7 +323,7 @@ def build_boundary_dataset(
         except DataError as exc:
             raise DataError(f"kernel evaluation failed at t={t}: {exc}") from exc
         log_ratios[:, k] = lo - lref
-    return BoundaryDataset(chords=chords, times=times, log_ratios=log_ratios, skipped=skipped)
+    return BoundaryDataset(chords=chords, times=times, log_ratios=log_ratios)
 
 
 def fit_dataset(dataset: BoundaryDataset):

@@ -8,6 +8,7 @@ from the domain's center along omega_i^perp.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from .smalltime import (
     FitTable,
     _read_npz,
     chord_angles,
-    chord_directions,
     chord_offsets,
     make_parallel_chords,
 )
@@ -33,33 +33,44 @@ _ANGLE_BLOCK = 16
 
 @dataclass(frozen=True)
 class Sinogram:
-    angles: np.ndarray
-    offsets: np.ndarray
+    """Line integrals on the config's parallel-beam raster, as sinogram.npz
+    holds them: values and mask (True = valid bin) of shape (n_angles,
+    n_offsets), and the radius R of the offsets.  The axes are not stored:
+    angles and offsets are `chord_angles(n_angles)` and `chord_offsets(R,
+    n_offsets)`, the raster every chord table is built on."""
+
     values: np.ndarray
-    mask: np.ndarray  # True = valid bin
+    mask: np.ndarray
     radius: float
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        z = np.asarray(self.offsets, dtype=float)
         v = np.asarray(self.values, dtype=float)
         m = np.asarray(self.mask, dtype=bool)
-        if v.shape != (len(a), len(z)) or m.shape != v.shape:
-            raise DataError("sinogram arrays must share the (n_angles, n_offsets) shape")
+        if v.ndim != 2 or not v.size or m.shape != v.shape:
+            raise DataError(f"sinogram values and mask must share one non-empty (n_angles, "
+                            f"n_offsets) shape, got {v.shape} and {m.shape}")
+        if not 0 < self.radius < np.inf:
+            raise DataError(f"sinogram radius must be positive and finite, got {self.radius!r}")
         if not np.all(np.isfinite(v[m])):
             raise DataError("sinogram has non-finite values on valid bins")
-        object.__setattr__(self, "angles", a)
-        object.__setattr__(self, "offsets", z)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mask", m)
 
     @property
     def n_angles(self) -> int:
-        return len(self.angles)
+        return self.values.shape[0]
 
     @property
     def n_offsets(self) -> int:
-        return len(self.offsets)
+        return self.values.shape[1]
+
+    @functools.cached_property
+    def angles(self) -> np.ndarray:
+        return chord_angles(self.n_angles)
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        return chord_offsets(self.radius, self.n_offsets)
 
 
 def _line_integrals(V, chords: ChordTable, n_quad: int) -> np.ndarray:
@@ -111,21 +122,16 @@ def sinogram_of_field(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = chords[lo:hi]
         values[block.angle_index, block.offset_index] = _line_integrals(V, block, n_quad)
-    return Sinogram(
-        chord_angles(n_angles),
-        chord_offsets(domain.circumradius, n_offsets),
-        values,
-        np.ones_like(values, dtype=bool),
-        domain.circumradius,
-    )
+    return Sinogram(values, np.ones_like(values, dtype=bool), domain.circumradius)
 
 
 def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Domain) -> Sinogram:
     """Scatter the line integrals F * |y - x| of a fit table into the raster.
 
-    fits and chords are row-aligned tables.  Bins whose line misses the
-    domain are known zeros; bins with a chord but no ok fit, and bins whose
-    line crosses the domain but has no chord, are masked.
+    chords is the whole chord table of the raster (`make_parallel_chords`
+    of the domain and geometry) and fits is row-aligned with it.  Bins
+    without a chord are lines that miss the domain: known zeros.  Bins
+    whose chord has no ok fit are masked.
     """
     n_angles, n_offsets = geometry
     if len(fits) != len(chords):
@@ -138,19 +144,10 @@ def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Dom
                         f"{n_offsets} raster")
     values = np.zeros((n_angles, n_offsets))
     mask = np.ones((n_angles, n_offsets), dtype=bool)
-    seen = np.zeros((n_angles, n_offsets), dtype=bool)
-    seen[ia, io] = True
     ok = fits.ok
     mask[ia[~ok], io[~ok]] = False
     values[ia[ok], io[ok]] = fits.F[ok] * chords.length[ok]
-    # raster cells without a chord: zero if the line misses the domain
-    angles = chord_angles(n_angles)
-    offsets = chord_offsets(domain.circumradius, n_offsets)
-    ua, uo = np.nonzero(~seen)
-    if len(ua):
-        _, _, hit = domain.chord_endpoints(chord_directions(angles[ua]), offsets[uo])
-        mask[ua[hit], uo[hit]] = False
-    return Sinogram(angles, offsets, values, mask, domain.circumradius)
+    return Sinogram(values, mask, domain.circumradius)
 
 
 def _ramp_kernel(n_pad: int, dz: float) -> np.ndarray:
@@ -275,17 +272,14 @@ def write_sinogram_csv(path, sino: Sinogram) -> None:
 
 
 def read_sinogram_csv(path) -> Sinogram:
-    """A sinogram from the sinogram.npz of `write_sinogram_csv`, its angles
-    and offsets rebuilt from the raster's shape and radius.  A damaged
+    """A sinogram from the sinogram.npz of `write_sinogram_csv`.  A damaged
     archive, a missing member or one refused by `smalltime._read_npz`, a
-    values and valid of different or not 2-D shapes, a radius that is not a
-    positive finite scalar and a non-finite valid bin are DataErrors."""
+    radius that is not a scalar and a sinogram that `Sinogram` refuses are
+    DataErrors naming the path."""
     values, valid, radius = _read_npz(path, _SINOGRAM_MEMBERS).values()
-    if values.ndim != 2 or radius.shape != () or not 0 < float(radius) < np.inf:
-        raise DataError(f"{path}: values must be 2-D and radius a positive finite scalar, got "
-                        f"shape {values.shape} and radius {radius!r}")
+    if radius.shape != ():
+        raise DataError(f"{path}: radius must be a scalar, got shape {radius.shape}")
     try:
-        return Sinogram(chord_angles(len(values)), chord_offsets(float(radius), values.shape[1]),
-                        values, valid, float(radius))
+        return Sinogram(values, valid, float(radius))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -301,6 +301,18 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, command,
         f"config error: cannot create output directory {tmp_path / out}: {reason}\n")
 
 
+@pytest.mark.parametrize("command", ["fit", "pipeline", "phantom"])
+def test_empty_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # --out '' is refused as "output_dir": "" is, not read as no --out
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", ""]
+    if command != "phantom":
+        argv += ["--config", write_config(tmp_path / "config.json",
+                                          small_disc_config(output_dir=str(tmp_path / "cfg")))]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == "config error: --out must name a directory, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"] * (command != "phantom")
+
 def csv_of_dataset(config, npz, path):
     """The dataset of a gen-data dataset.npz written to `path` as dataset.csv
     text, the format observed data come in."""
@@ -447,9 +459,17 @@ def comparable_report(out_dir):
     return report
 
 
-def test_stage_chain_matches_pipeline(tmp_path, capsys):
+# a rectangle on a 33 x 25 grid, whose raster has lines that miss it
+SMALL_RECTANGLE = {
+    "domain": {"kind": "rectangle", "corners": [[-1.0, -0.7], [1.0, 0.7]]},
+    "grid": {"x0": -1.15, "y0": -0.805, "x1": 1.15, "y1": 0.805, "nx": 33, "ny": 25},
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, SMALL_RECTANGLE], ids=["disc", "rectangle"])
+def test_stage_chain_matches_pipeline(tmp_path, capsys, overrides):
     chain, whole, by_option = tmp_path / "chain", tmp_path / "pipeline", tmp_path / "by-option"
-    config = write_config(tmp_path / "config.json", small_disc_config())
+    config = write_config(tmp_path / "config.json", small_disc_config(**overrides))
     for stage in STAGES:
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0, stage
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 0
@@ -457,6 +477,9 @@ def test_stage_chain_matches_pipeline(tmp_path, capsys):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     whole_report = comparable_report(whole)
     assert np.isfinite(whole_report["rel_l2"])
+    # 24 x 25 raster lines: every one crosses the disc, some miss the rectangle
+    assert whole_report["n_chords"] + whole_report["n_lines_skipped"] == 24 * 25
+    assert (whole_report["n_lines_skipped"] > 0) == bool(overrides)
     assert comparable_report(chain) == whole_report
     assert sorted(p.name for p in chain.iterdir()) == sorted(p.name for p in whole.iterdir())
     assert not (chain / "solve_diagnostics.csv").exists()

@@ -643,3 +643,23 @@ class TestPathAndConfig:
         with pytest.raises(DataError):
             McConfig(1, 0)
 
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("sampler", ["bridge_functional", "density_via_representation",
+                                     "feynman_kac_exit"])
+def test_step_and_horizon_must_be_positive_and_finite(sampler, bad):
+    """A step size or horizon that is not in (0, inf) is a DataError before
+    any path is drawn: not a bare ValueError from the step count, a
+    GeometryError from an infinite step or a NaN estimate."""
+    g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 17, 17)
+    zero = lambda p: np.zeros(np.shape(p)[:-1])  # noqa: E731
+    x, y, cfg = np.array([0.3, 0.1]), np.array([-0.2, 0.5]), McConfig(64, 8, seed=1)
+    calls = {
+        "bridge_functional": lambda: bridge_functional(zero, x, y, bad, cfg),
+        "density_via_representation": lambda: density_via_representation(zero, zero, x, y, bad, cfg),
+        "feynman_kac_exit": lambda: feynman_kac_exit(zero, zero, DiscDomain(g, 0.0, 0.0, 1.0),
+                                                     x, cfg, bad),
+    }
+    with pytest.raises(DataError, match="positive and finite"):
+        calls[sampler]()

@@ -519,6 +519,25 @@ class TestArrayGeometry:
         assert same_bits(domain.boundary_point(s[7]), oracle_boundary_point(domain, s[7])[0])
 
 
+    @pytest.mark.parametrize("name", list(GEOMETRY_DOMAINS))
+    def test_boundary_param_takes_any_leading_shape(self, name):
+        # a (2, 3, 2) batch of boundary points gives the 2-D call's values,
+        # reshaped, and one point the 2-D call's value
+        domain = GEOMETRY_DOMAINS[name]()
+        pts = domain.boundary_point(np.linspace(0.0, domain.param_length, 6, endpoint=False))
+        flat = domain.boundary_param(pts)
+        assert flat.shape == (6,)
+        assert same_bits(domain.boundary_param(pts.reshape(2, 3, 2)), flat.reshape(2, 3))
+        assert same_bits(domain.boundary_param(pts[4]), flat[4])
+
+    def test_rectangle_boundary_param_of_a_batch_of_edge_points(self):
+        # (1, 0), (0, 0.7) and (-1, 0) as a (1, 3, 2) array: one value each
+        domain = RectangleDomain(grid_square(17, half=1.5), -1.0, -0.7, 1.0, 0.7)
+        edge = np.array([[1.0, 0.0], [0.0, 0.7], [-1.0, 0.0]])
+        got = domain.boundary_param(edge[None])
+        assert got.shape == (1, 3) and same_bits(got[0], domain.boundary_param(edge))
+        assert got[0] == pytest.approx([2.7, 4.4, 6.1], abs=1e-12)
+
 class TestDgf:
     def test_roundtrip_bytes(self, tmp_path):
         g = Grid(-1.0, 0.5, 0.25, 0.125, 7, 9)

@@ -8,20 +8,28 @@ the name's own definition or assignment does not count.  Constants are the
 names bound by a top-level `NAME = ...` or `NAME: type = ...`; no constant
 may be a test oracle.
 
-A second scan keeps scipy off the import path: no module imports it outside
+A second scan does the same for the public methods and properties of the
+package's classes: each is read as an attribute somewhere under src/,
+outside its own definition, or is named here as a test oracle or as a hook
+that the benchmark reads, with the file under perfbench/ that reads it.
+The scan sees only names read as attributes: it cannot see dunder methods
+(`__iter__`, `__len__`, `__getitem__`), which syntax calls, and skips
+them; that is how `ChordTable.__iter__` outlived its last reader.
+
+A third scan keeps scipy off the import path: no module imports it outside
 a function body, so only the runs that assemble or solve a sparse system
 load it, and no module imports `scipy.sparse.linalg` or `scipy.linalg`
 anywhere: the Krylov loop is the package's own, and those two modules
 would add ~80 modules and LAPACK to every solving run.
 
-A third scan finds imports that nothing in their module uses.
+A fourth scan finds imports that nothing in their module uses.
 
-A fourth scan keeps every random draw keyed by (seed, block): no module
+A fifth scan keeps every random draw keyed by (seed, block): no module
 reaches numpy.random or the random module outside `diffusion.substream`, so
 no other generator or bit generator is built and no global state is drawn
 from.
 
-A fifth scan keeps the binary artifacts safe to read and written where
+A sixth scan keeps the binary artifacts safe to read and written where
 asked: every `np.load` passes `allow_pickle=False`, so no file can make a
 reader unpickle an object array, and every numpy writer of .npy / .npz data
 is given a file handle, bound by an enclosing `with ... open(...) as
@@ -34,6 +42,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "driftscope"
+BENCH = SRC.parent.parent / "perfbench"
 
 # Names that no program path reaches but tests use as independent oracles.
 TEST_ORACLES = {
@@ -95,6 +104,85 @@ def test_every_constant_is_reached():
     assert constants, "the scan found no module-level constants"
     assert not unreached, f"constants never referenced elsewhere under src/: {unreached}"
 
+
+# Public methods and properties that no program path reads but tests use as
+# independent oracles.
+METHOD_ORACLES = {
+    "boundary_point": "a boundary point from its parameter: the boundary-psi tests' oracle, "
+                      "and the exact boundary psi of ROADMAP item 9",
+}
+
+# Public methods and properties that only the benchmark reads: name -> (the
+# file under perfbench/ that reads it, what for).
+BENCHMARK_HOOKS = {
+    "dimension": ("tracing.py", "elliptic.unknowns of a traced solve"),
+    "symmetric": ("tracing.py", "one or two SpMVs per iteration in elliptic.spmv_bytes"),
+    "resolved_grid": ("workloads.py", "resolves the grid in the workloads' set-up"),
+    "resolved_domain": ("workloads.py", "the domain of the workloads' set-up"),
+    "resolved_ladder": ("workloads.py", "resolves the ladder in the workloads' set-up"),
+}
+
+
+def _attributes_read(tree: ast.AST, own=frozenset()) -> set[str]:
+    """Every name the code reads as an attribute (`x.name`), except inside a
+    method of the same name: a method's use of itself does not count."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                inner = own | {item.name} if isinstance(item, ast.FunctionDef) else own
+                found |= _attributes_read(item, inner)
+            continue
+        if isinstance(node, ast.Attribute) and node.attr not in own:
+            found.add(node.attr)
+        found |= _attributes_read(node, own)
+    return found
+
+
+def _methods_and_reached(paths):
+    """Public methods and properties of every class in the files (name ->
+    ["file:Class", ...]), and every name the files read as an attribute."""
+    methods: dict[str, list[str]] = {}
+    reached: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    methods.setdefault(item.name, []).append(f"{path.name}:{cls.name}")
+        reached |= _attributes_read(tree)
+    return methods, reached
+
+
+def test_every_method_is_reached_or_listed():
+    methods, reached = _methods_and_reached(sorted(SRC.glob("*.py")))
+    listed = METHOD_ORACLES.keys() | BENCHMARK_HOOKS.keys()
+    unreached = sorted(f"{owner}.{name}" for name, owners in methods.items()
+                       if name not in reached and name not in listed for owner in owners)
+    stale = sorted(name for name in listed if name not in methods or name in reached)
+    assert not unreached, f"methods never read under src/: {unreached}"
+    assert not stale, f"METHOD_ORACLES or BENCHMARK_HOOKS entries gone or now reached: {stale}"
+    unread = sorted(f"{file}:{name}" for name, (file, _) in BENCHMARK_HOOKS.items()
+                    if name not in _attributes_read(ast.parse((BENCH / file).read_text())))
+    assert not unread, f"BENCHMARK_HOOKS that their perfbench file no longer reads: {unread}"
+
+
+def test_method_scan_sees_unread_methods(tmp_path):
+    """The scan flags a public method or property read nowhere, or only by
+    itself, and passes one read elsewhere, private ones and dunders."""
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "class A:\n"
+        "    def used(self):\n        return self.prop\n"
+        "    @property\n    def prop(self):\n        return 1\n"
+        "    @functools.cached_property\n    def cached(self):\n        return 2\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n"
+        "    def _private(self):\n        return 0\n"
+        "    def __iter__(self):\n        return iter(())\n"
+        "def recursive(a):\n    return a.used()\n")
+    methods, reached = _methods_and_reached([tmp_path / "a.py"])
+    assert sorted(methods) == ["cached", "prop", "recursive", "used"]
+    assert sorted(name for name in methods if name not in reached) == ["cached", "recursive"]
 
 def _import_time_modules(tree: ast.Module):
     """The absolute modules a file imports outside every function body, that
@@ -296,7 +384,7 @@ def test_npy_scan_sees_pickling_loads_and_path_writes(tmp_path):
                      "e.py": (1, ["e.py:3"]), "ok.py": (3, [])}
 
 
-TRACER = SRC.parent.parent / "perfbench" / "tracing.py"
+TRACER = BENCH / "tracing.py"
 
 
 def _tracer_constant(name: str):

@@ -148,7 +148,7 @@ class TestGeometry:
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
         chords, skipped = make_parallel_chords(dom, 1, 3)
         assert skipped.shape == (0, 2)
-        lengths = sorted(c.length for c in chords)
+        lengths = sorted(chords.length)
         assert lengths == pytest.approx([np.sqrt(3), np.sqrt(3), 2.0], abs=1e-12)
 
     @pytest.mark.parametrize("shape", ["disc", "rectangle"])
@@ -170,15 +170,18 @@ class TestGeometry:
         assert np.abs(moved.y - c - chords.y).max() <= 1e-14
 
     def test_chord_fields(self):
-        table = ChordTable([[1.0, 0.0]], [[0.0, 1.0]], [3], [7])
-        c = table[0]
-        assert c.length == pytest.approx(np.sqrt(2))
-        assert (c.angle_index, c.offset_index) == (3, 7)
-        assert np.array_equal(c.x, [1.0, 0.0]) and np.array_equal(c.y, [0.0, 1.0])
-        (row,) = table  # iteration gives the same row
-        assert all(np.array_equal(a, b) for a, b in zip(row, c))
-        r = ChordTable([c.y], [c.x])[0]
-        assert r.length == c.length
+        table = ChordTable([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, -2.0]], [3, 4], [7, 8])
+        assert table.length.tolist() == pytest.approx([np.sqrt(2), 4.0])
+        assert table.angle_index.tolist() == [3, 4] and table.offset_index.tolist() == [7, 8]
+        assert np.array_equal(table.x, [[1.0, 0.0], [0.0, 2.0]])
+        assert not any(getattr(table, name).flags.writeable
+                       for name in ("x", "y", "angle_index", "offset_index", "length"))
+        # a slice, mask or index array gives a sub-table
+        for sub in (table[1:], table[np.array([False, True])], table[[1]]):
+            assert sub.angle_index.tolist() == [4] and sub.length.tolist() == [4.0]
+        reversed_ = ChordTable(table.y, table.x)
+        assert np.array_equal(reversed_.length, table.length)
+        assert reversed_.angle_index.tolist() == [-1, -1]  # off any raster
 
 
 class TestDataset:
@@ -208,8 +211,8 @@ class TestDataset:
         ds = build_boundary_dataset(OU, dom, (8, 7), [0.02, 0.01, 0.005, 0.0025])
         fits, excluded = fit_dataset(ds)
         assert not excluded
-        for c, f in zip(ds.chords, fits):
-            F_true, _ = quad(lambda s: float(ou_potential(c.x + s * (c.y - c.x))), 0, 1)
+        for x, y, f in zip(ds.chords.x, ds.chords.y, fits):
+            F_true, _ = quad(lambda s: float(ou_potential(x + s * (y - x))), 0, 1)
             assert abs(f.F - F_true) <= 0.01 * abs(F_true)
 
     def test_exact_log_evaluation_survives_underflow(self):
@@ -217,7 +220,7 @@ class TestDataset:
         # log-space path can use them
         dom = self.grid_domain()
         ds = build_boundary_dataset(OU, dom, (2, 3), [0.02, 0.01, 0.005, 0.0025])
-        diam = [i for i, c in enumerate(ds.chords) if abs(c.length - 2.0) < 1e-9]
+        diam = np.nonzero(np.abs(ds.chords.length - 2.0) < 1e-9)[0]
         assert np.all(np.isfinite(ds.log_ratios[diam]))
         c = ds.chords[diam]
         # the raw density underflows

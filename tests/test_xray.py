@@ -8,7 +8,13 @@ import pytest
 from driftscope import parallel, xray
 from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid, RectangleDomain, ScalarField, sample_scalar
-from driftscope.smalltime import FitTable, chord_angles, chord_offsets, make_parallel_chords
+from driftscope.smalltime import (
+    ChordTable,
+    FitTable,
+    chord_angles,
+    chord_offsets,
+    make_parallel_chords,
+)
 from driftscope.xray import (
     Sinogram,
     disc_indicator,
@@ -108,9 +114,9 @@ class TestForward:
         g, dom = unit_disc(n=129)
         V = sample_scalar(lambda x, y: np.exp(-(x - 0.2) ** 2 - 2 * (y + 0.1) ** 2), g)
         chords, _ = make_parallel_chords(dom, 6, 5)
-        for c in chords[:10]:
-            a = forward_xray(V, c.x, c.y, 200)
-            b = forward_xray(V, c.y, c.x, 200)
+        for x, y in zip(chords.x[:10], chords.y[:10]):
+            a = forward_xray(V, x, y, 200)
+            b = forward_xray(V, y, x, 200)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_chord_outside_grid(self):
@@ -147,7 +153,8 @@ class TestSinogramFromFits:
         g, dom = unit_disc(n=129)
         V = radial_gaussian(g, 0.5)
         chords, _ = make_parallel_chords(dom, 6, 9)
-        fits = fit_table([forward_xray(V, c.x, c.y, 300) / c.length for c in chords])
+        fits = fit_table([forward_xray(V, x, y, 300) / length
+                          for x, y, length in zip(chords.x, chords.y, chords.length)])
         sino = sinogram_from_fits(fits, chords, (6, 9), dom)
         direct = sinogram_of_field(V, dom, 6, 9, n_quad=300)
         assert np.abs(sino.values - direct.values).max() < 1e-12
@@ -162,18 +169,75 @@ class TestSinogramFromFits:
                         full.n_times, ok)
         assert fits[3] is None
         sino = sinogram_from_fits(fits, chords, (4, 5), dom)
-        ia, io = chords[3].angle_index, chords[3].offset_index
+        ia, io = chords.angle_index[3], chords.offset_index[3]
         assert not sino.mask[ia, io]
         assert sino.mask.sum() == sino.mask.size - 1
 
 
+    def test_rectangle_table_zero_off_chords_and_masks_failed_fits(self):
+        # on the rectangle's whole chord table, the raster cells without a
+        # chord (lines that miss it) are zero and valid, and the masked
+        # cells are exactly the chords whose fit is not ok
+        g = Grid.from_extent(-1.15, -0.805, 1.15, 0.805, 33, 25)
+        dom = RectangleDomain(g, -1.0, -0.7, 1.0, 0.7)
+        chords, _ = make_parallel_chords(dom, 12, 13)
+        has_chord = np.zeros((12, 13), dtype=bool)
+        has_chord[chords.angle_index, chords.offset_index] = True
+        assert 0 < has_chord.sum() < has_chord.size
+        ok = np.random.default_rng(3).random(len(chords)) > 0.1
+        full = fit_table(np.full(len(chords), 2.0))
+        fits = FitTable(full.delta_psi, full.F, full.residual, full.se_delta_psi, full.se_F,
+                        full.n_times, ok)
+        sino = sinogram_from_fits(fits, chords, (12, 13), dom)
+        failed = np.zeros((12, 13), dtype=bool)
+        failed[chords.angle_index[~ok], chords.offset_index[~ok]] = True
+        assert failed.any() and np.array_equal(sino.mask, ~failed)
+        assert np.all(sino.values[~has_chord] == 0.0) and np.all(sino.mask[~has_chord])
+        assert np.array_equal(sino.values[chords.angle_index[ok], chords.offset_index[ok]],
+                              2.0 * chords.length[ok])
+        assert np.all(sino.values[failed] == 0.0)
+
+    @pytest.mark.parametrize("index", [-1, 12])
+    def test_chord_off_the_raster_is_data_error(self, index):
+        # a -1 index would write into the raster's last row
+        _, dom = unit_disc()
+        chords, _ = make_parallel_chords(dom, 12, 13)
+        ia = chords.angle_index.copy()
+        ia[5] = index
+        moved = ChordTable(chords.x, chords.y, ia, chords.offset_index)
+        with pytest.raises(DataError, match="outside the 12 x 13 raster"):
+            sinogram_from_fits(fit_table(np.ones(len(chords))), moved, (12, 13), dom)
+
+
+class TestSinogram:
+    @pytest.mark.parametrize("shape, radius", [((1, 1), 1.0), ((12, 13), 1.25),
+                                               ((360, 361), 1.2206555615733703)])
+    def test_axes_are_the_chord_raster(self, shape, radius):
+        sino = Sinogram(np.zeros(shape), np.ones(shape, dtype=bool), radius)
+        assert sino.angles.tobytes() == chord_angles(shape[0]).tobytes()
+        assert sino.offsets.tobytes() == chord_offsets(radius, shape[1]).tobytes()
+        assert (sino.n_angles, sino.n_offsets) == shape
+
+    @pytest.mark.parametrize("values, mask, radius", [
+        (np.zeros((0, 4)), np.ones((0, 4), dtype=bool), 1.0),
+        (np.zeros((3, 0)), np.ones((3, 0), dtype=bool), 1.0),
+        (np.zeros(12), np.ones(12, dtype=bool), 1.0),
+        (np.zeros((2, 3, 2)), np.ones((2, 3, 2), dtype=bool), 1.0),
+        (np.zeros((3, 4)), np.ones((4, 3), dtype=bool), 1.0),
+        (np.zeros((3, 4)), np.ones((3, 4), dtype=bool), 0.0),
+        (np.zeros((3, 4)), np.ones((3, 4), dtype=bool), -1.0),
+        (np.zeros((3, 4)), np.ones((3, 4), dtype=bool), float("nan")),
+        (np.zeros((3, 4)), np.ones((3, 4), dtype=bool), float("inf")),
+    ], ids=["no-angles", "no-offsets", "1-D", "3-D", "mask-shape", "zero-radius",
+            "negative-radius", "nan-radius", "inf-radius"])
+    def test_off_raster_sinogram_is_data_error(self, values, mask, radius):
+        with pytest.raises(DataError, match="sinogram"):
+            Sinogram(values, mask, radius)
+
 class TestFbp:
     def test_zero_sinogram(self):
         g, dom = unit_disc()
-        angles = chord_angles(16)
-        offsets = chord_offsets(1.0, 17)
-        sino = Sinogram(angles, offsets, np.zeros((16, 17)),
-                        np.ones((16, 17), dtype=bool), 1.0)
+        sino = Sinogram(np.zeros((16, 17)), np.ones((16, 17), dtype=bool), 1.0)
         rec = fbp_invert(sino, g, "ram-lak", dom)
         assert np.all(rec.values == 0.0)
 
@@ -199,10 +263,8 @@ class TestFbp:
     def test_disc_phantom_plateau(self):
         g, dom = unit_disc(n=129)
         V = disc_indicator(g, 0.8)
-        angles = chord_angles(180)
-        offsets = chord_offsets(1.0, 181)
-        vals = disc_indicator_sinogram(offsets, angles, 0.8)
-        sino = Sinogram(angles, offsets, vals, np.ones_like(vals, dtype=bool), 1.0)
+        vals = disc_indicator_sinogram(chord_offsets(1.0, 181), chord_angles(180), 0.8)
+        sino = Sinogram(vals, np.ones_like(vals, dtype=bool), 1.0)
         rec = fbp_invert(sino, g, "ram-lak", dom)
         X, Y = g.nodes()
         plateau = X**2 + Y**2 < 0.55**2  # away from the jump at r = 0.8
@@ -228,28 +290,24 @@ class TestFbp:
         rng = np.random.default_rng(1)
         bad = rng.choice(mask.size, size=int(0.05 * mask.size), replace=False)
         mask.ravel()[bad] = False
-        damaged = Sinogram(sino.angles, sino.offsets, sino.values, mask, sino.radius)
+        damaged = Sinogram(sino.values, mask, sino.radius)
         with pytest.warns(UserWarning, match="in-filling"):
             rec = fbp_invert(damaged, g, "ram-lak", dom)
         assert np.all(np.isfinite(rec.values))
 
     def test_too_many_masked_is_error(self):
         g, dom = unit_disc(n=65)
-        angles = chord_angles(8)
-        offsets = chord_offsets(1.0, 9)
         mask = np.ones((8, 9), dtype=bool)
         mask[:, :2] = False  # 22% masked
-        sino = Sinogram(angles, offsets, np.zeros((8, 9)), mask, 1.0)
+        sino = Sinogram(np.zeros((8, 9)), mask, 1.0)
         with pytest.raises(DataError, match="90%"):
             fbp_invert(sino, g, "ram-lak", dom)
 
     def test_fully_masked_angle_is_error(self):
         g, dom = unit_disc(n=65)
-        angles = chord_angles(40)
-        offsets = chord_offsets(1.0, 9)
         mask = np.ones((40, 9), dtype=bool)
         mask[3, :] = False  # one dead angle, 2.5% masked overall
-        sino = Sinogram(angles, offsets, np.zeros((40, 9)), mask, 1.0)
+        sino = Sinogram(np.zeros((40, 9)), mask, 1.0)
         with pytest.warns(UserWarning):
             with pytest.raises(DataError, match="angle"):
                 fbp_invert(sino, g, "ram-lak", dom)
@@ -262,8 +320,7 @@ class TestFbp:
         errs = []
         for n_ang in (64, 128, 256):
             step = 256 // n_ang
-            sub = Sinogram(sino.angles[::step], sino.offsets, sino.values[::step],
-                           sino.mask[::step], sino.radius)
+            sub = Sinogram(sino.values[::step], sino.mask[::step], sino.radius)
             rec = fbp_invert(sub, g, "ram-lak", dom)
             errs.append(np.sqrt(np.sum((rec.values - V.values)[inside] ** 2)
                                 / np.sum(V.values[inside] ** 2)))
@@ -285,7 +342,7 @@ class TestFbp:
             bad = np.random.default_rng(5).choice(mask.size, int(masked * mask.size),
                                                   replace=False)
             mask.ravel()[bad] = False
-            sino = Sinogram(sino.angles, sino.offsets, sino.values, mask, sino.radius)
+            sino = Sinogram(sino.values, mask, sino.radius)
             want = all_node_pooled_fbp(sino, g, filter_name, dom)
             cases.append((g, dom, filter_name, sino, want))
 
@@ -382,7 +439,7 @@ class TestSinogramCsv:
         sino = sinogram_of_field(V, dom, 6, 7, n_quad=64)
         mask = sino.mask.copy()
         mask[2, 3] = False
-        sino = Sinogram(sino.angles, sino.offsets, sino.values, mask, sino.radius)
+        sino = Sinogram(sino.values, mask, sino.radius)
         path = tmp_path / "sino.npz"
         write_sinogram_csv(path, sino)
         back = read_sinogram_csv(path)
