@@ -2,20 +2,22 @@
 
 Each stage of the reconstruction (`recover.STAGES`: gen-data, fit, sinogram,
 invert, solve, recover) is a subcommand that reads its input artifacts from
-<out> (or from the file its option names), writes its outputs there and
-merges its diagnostics into <out>/report.json; gen-data starts a new report,
-so the chain's final report equals the one `pipeline` writes when it runs
-every stage in-process.  `pipeline` also writes each stage's outputs as soon
-as the stage ends, so a failing stage leaves the same files behind as the
-chain.  dataset.npz, fits.npy and sinogram.npz are numpy binaries on the
-(angle, offset) raster; `fit --data` also takes dataset.csv, observed data
-as CSV text naming each chord by its (angle_index, offset_index), told by
-its first bytes.  fit, sinogram and solve rebuild the chords from the
-config and read against them, ignoring rows and cells off its chords.
-Grids are DGF1 files.  Exit codes: 0 success, 2 config error (sizes too
-large for the memory, a domain too large or too small for floats and an
-output directory that cannot be created included), 3 data error (a
-missing input file included), 4 solver/simulation error.
+<out> (or from the file its option names) and <out>/report.json, and runs
+through `recover.run_stages`, as `pipeline` runs every stage: the runner
+writes the stage's outputs there and merges its diagnostics into
+report.json.  gen-data starts a new report, so the chain's final report
+equals the one `pipeline` writes.  `pipeline` writes each stage's outputs
+and the report as soon as the stage ends, so a failing stage leaves the
+same files behind as the chain, report.json included.  dataset.npz,
+fits.npy and sinogram.npz are numpy binaries on the (angle, offset) raster;
+`fit --data` also takes dataset.csv, observed data as CSV text naming each
+chord by its (angle_index, offset_index), told by its first bytes.  fit,
+sinogram and solve rebuild the chords from the config and read against
+them, ignoring rows and cells off its chords.  Grids are DGF1 files.  Exit
+codes: 0 success, 2 config error (sizes too large for the memory, a domain
+too large or too small for floats, an output directory that cannot be
+created and an output file that cannot be written included), 3 data error
+(a missing input file included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
 check), and of it only `scipy.sparse`: the Krylov loop is numpy, so no
@@ -33,20 +35,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel
 from .errors import ConfigError, DataError, DriftscopeError, SimulationError, SolverError
 from .fields import Grid, write_dgf
 from .recover import (
     ARTIFACTS,
-    METRIC_KEYS,
     STAGES,
     PipelineConfig,
     config_from_dict,
+    make_output_dir,
     run_pipeline,
-    run_stage,
-    stage_context,
-    write_artifacts,
-    write_report_json,
+    run_stages,
+    writing,
 )
 from .xray import Sinogram, write_sinogram_csv
 
@@ -55,7 +54,7 @@ def _json_object(path: Path, error: type[DriftscopeError]) -> dict:
     """The JSON object a file holds; `error` when it holds anything else."""
     try:
         raw = json.loads(path.read_text())
-    except ValueError as exc:  # not UTF-8 or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
         raise error(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise error(f"{path}: must hold a JSON object")
@@ -68,16 +67,6 @@ def parse_config(path) -> PipelineConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     return config_from_dict(_json_object(p, ConfigError))
-
-
-def _make_output_dir(path: Path) -> Path:
-    """Create the output directory (and its parents) before any stage runs;
-    a path that cannot be a directory is a config error."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
-    return path
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -96,26 +85,15 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
 
 
 def _run_stage(name: str, cfg: PipelineConfig, args) -> int:
-    """Read the stage's inputs, run it, write its outputs and merge its
-    diagnostics into <out>/report.json."""
+    """Run one stage on the files its options name (default <out>/<file>)
+    and on <out>/report.json, which gen-data, reading no input, starts anew."""
     out = Path(cfg.output_dir)
-    stage = STAGES[name]
-    inputs = {}
-    for artifact in stage.inputs:
-        option, file = ARTIFACTS[artifact].option, ARTIFACTS[artifact].files[0]
-        inputs[artifact] = Path(getattr(args, option.lstrip("-")) or out / file)
-    values = stage_context(cfg)
-    entries = run_stage(name, cfg, values, inputs)
-    # a stage without inputs (gen-data) starts the chain and a new report;
-    # write_report_json replaces the earlier report's config and meta
+    inputs = {artifact: Path(getattr(args, ARTIFACTS[artifact].option.lstrip("-"))
+                             or out / ARTIFACTS[artifact].files[0])
+              for artifact in STAGES[name].inputs}
     report_path = out / "report.json"
-    report = _json_object(report_path, DataError) if stage.inputs and report_path.is_file() else {}
-    if "metrics" in values:  # the stage recomputed the metrics, maybe as None
-        for key in METRIC_KEYS:
-            report.pop(key, None)
-    report.update(entries)
-    written = write_artifacts(out, stage.outputs, values) + [report_path]
-    write_report_json(report_path, report, values.get("metrics"), cfg.echo())
+    report = _json_object(report_path, DataError) if inputs and report_path.is_file() else {}
+    written = run_stages([name], cfg, {}, report, out, inputs)
     print("wrote " + ", ".join(map(str, written)))
     return 0
 
@@ -179,11 +157,12 @@ def cmd_phantom(args) -> int:
     if not np.all(np.isfinite(sino_vals)):
         raise ConfigError(f"--amplitude {args.amplitude!r} with --width {args.width!r} gives "
                           "line integrals beyond the float range")
-    out = _make_output_dir(Path(args.out or "out"))
+    out = make_output_dir(Path(args.out or "out"))
     grid = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, args.n, args.n)
-    write_dgf(out / "phantom.dgf", make_field(grid, args.width, args.amplitude))
     sino = Sinogram(sino_vals, np.ones_like(sino_vals, dtype=bool), 1.0)
-    write_sinogram_csv(out / "phantom_sinogram.npz", sino)
+    with writing(out):
+        write_dgf(out / "phantom.dgf", make_field(grid, args.width, args.amplitude))
+        write_sinogram_csv(out / "phantom_sinogram.npz", sino)
     print(f"wrote {out / 'phantom.dgf'} and {out / 'phantom_sinogram.npz'}")
     return 0
 
@@ -261,9 +240,6 @@ def run_command(argv=None) -> int:
             if args.command == "check":
                 return cmd_check(args)
             cfg = _apply_overrides(parse_config(args.config), args)
-            _make_output_dir(Path(cfg.output_dir))
-            if cfg.workers is not None:
-                parallel.set_workers(cfg.workers)
             return _STAGE_COMMANDS[args.command](cfg, args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -1,14 +1,17 @@
 """End-to-end drift recovery: the stage table (dataset -> chord fits ->
-sinogram -> filtered back-projection -> Dirichlet solve -> log -> gradient)
-that both `run_pipeline` and the CLI's stage subcommands run, the artifacts
-each stage reads and writes, and error metrics against an optional ground
-truth.
+sinogram -> filtered back-projection -> Dirichlet solve -> log -> gradient),
+the artifacts each stage reads and writes, the one runner, `run_stages`,
+that runs, writes and reports any run of consecutive stages for both
+`run_pipeline` (all of them) and the CLI's stage subcommands (one each),
+and error metrics against an optional ground truth.
 
 A config is parsed and resolved once (`config_from_dict`, `PipelineConfig`):
 its grid, domain, time ladder and observed kernel are built when it is made,
-and every stage reads those objects.  The keys each domain and kernel kind
-takes are declared in one table per section: `DOMAIN_KINDS` and
-`kernels.KERNEL_KINDS`.  The ground truth is the observed kernel's `drift`.
+and it is every stage's only context: a stage reads those objects from the
+config, and from its values only what earlier stages added.  The keys each
+domain and kernel kind takes are declared in one table per section:
+`DOMAIN_KINDS` and `kernels.KERNEL_KINDS`.  The ground truth is the
+observed kernel's `drift`.
 The reference kernel is not a setting: it is `kernels.DRIFTLESS`, the
 driftless kernel of the observed diffusion, which gen-data evaluates itself.
 """
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from contextlib import contextmanager
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -98,13 +102,6 @@ def _check_ground_truth(spec, observed: Kernel) -> None:
         raise ConfigError(f"ground_truth {truth} disagrees with kernels.observed {observed}; {hint}")
 
 
-def _check_reference(reference: Kernel) -> None:
-    """p0 of log(p / p0) = dpsi - t F is `DRIFTLESS`, the OU kernel at theta = 0."""
-    if reference != DRIFTLESS:
-        raise ConfigError("kernels.reference must be the driftless kernel of the observed "
-                          f'diffusion, {{"kind": "brownian"}}, or be left out; got {reference}')
-
-
 def default_grid(domain_spec: dict, n: int = 129, margin: float = 1.15) -> Grid:
     """The grid of a config that gives none: the domain's bounding box
     widened `margin` times about its center, with n nodes along x."""
@@ -181,8 +178,12 @@ class PipelineConfig:
             ladder.setflags(write=False)
             require_keys(self.kernels, ("observed", "reference"), ("observed",), "kernels")
             observed = kernel_from_config(self.kernels["observed"], "kernels.observed")
-            if "reference" in self.kernels:
-                _check_reference(kernel_from_config(self.kernels["reference"], "kernels.reference"))
+            # p0 of log(p / p0) = dpsi - t F is DRIFTLESS, the OU kernel at theta = 0
+            reference = kernel_from_config(self.kernels.get("reference", {"kind": "brownian"}),
+                                           "kernels.reference")
+            if reference != DRIFTLESS:
+                raise ConfigError("kernels.reference must be the driftless kernel of the observed "
+                                  f'diffusion, {{"kind": "brownian"}}, or be left out; got {reference}')
             _check_ground_truth(self.ground_truth, observed)
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
@@ -369,26 +370,20 @@ def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float
 # Stages and artifacts
 # ---------------------------------------------------------------------------
 #
-# A stage reads named values (artifacts and the stage_context) from a dict,
-# adds its outputs and returns its report.json entries.  Table entries, and
-# the artifact readers that rebuild the chords (`_config_chords`), call
+# A stage reads the config (its resolved grid, domain and observed kernel,
+# and its (n_angles, n_offsets) raster) and the values earlier stages added
+# to a dict, adds its outputs there and returns its report.json entries;
+# `run_stages` runs, writes and reports a run of stages, for `run_pipeline`
+# and for the CLI's stage subcommands alike.  Table entries, and the
+# artifact readers that rebuild the chords (`_config_chords`), call
 # functions by their module-level names at call time, with the file path
 # first, so wrappers installed on those names (the benchmark's tracer, which
 # reads the file size from that path) see every call.
 
 
-def stage_context(cfg: PipelineConfig, observed: Kernel | None = None) -> dict:
-    """Values every stage may read besides the artifacts: the config's
-    resolved grid, domain, observed kernel (observed, when given, instead)
-    and (n_angles, n_offsets) raster.  No stage reads a reference kernel:
-    gen-data evaluates the driftless one itself."""
-    return {"grid": cfg._grid, "domain": cfg._domain, "observed": observed or cfg._observed,
-            "raster": (cfg.n_angles, cfg.n_offsets)}
-
-
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
     dataset = v["dataset"] = build_boundary_dataset(
-        v["observed"], v["domain"], (cfg.n_angles, cfg.n_offsets), cfg._ladder)
+        cfg._observed, cfg._domain, (cfg.n_angles, cfg.n_offsets), cfg._ladder)
     return {"n_chords": dataset.n_chords,
             "n_lines_skipped": cfg.n_angles * cfg.n_offsets - dataset.n_chords}
 
@@ -403,12 +398,13 @@ def _fit(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _sinogram(cfg: PipelineConfig, v: dict) -> dict:
-    sino = v["sinogram"] = sinogram_from_fits(v["fits"], v["chords"], v["raster"], v["domain"])
+    sino = v["sinogram"] = sinogram_from_fits(v["fits"], v["chords"],
+                                              (cfg.n_angles, cfg.n_offsets), cfg._domain)
     return {"sinogram_masked_bins": int((~sino.mask).sum())}
 
 
 def _invert(cfg: PipelineConfig, v: dict) -> dict:
-    v["V_hat"] = fbp_invert(v["sinogram"], v["grid"], cfg.filter_name, v["domain"])
+    v["V_hat"] = fbp_invert(v["sinogram"], cfg._grid, cfg.filter_name, cfg._domain)
     return {}
 
 
@@ -416,11 +412,11 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
     """Dirichlet solve of 1/2 a:D2 u = V_hat u, u = exp(psi) on the boundary,
     for psi_hat = log(u); a = I, every kernel's, is constant, so
     div(a grad(u)) = a:D2 u and there is no first-order term."""
-    V_hat, domain = v["V_hat"], v["domain"]
+    domain = cfg._domain
     # no later step reads the chord and fit tables: free them once read
     bpsi = boundary_psi_from_fits(v.pop("chords"), v.pop("fits"), domain,
                                   n_knots=cfg.boundary_knots)
-    system = assemble_dirichlet_system(DiffusionField(), V_hat, domain,
+    system = assemble_dirichlet_system(DiffusionField(), v["V_hat"], domain,
                                        boundary_values_from_psi(bpsi))
     solution = solve_bvp(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     v["u"], v["psi_hat"] = solution.u, psi_from_u(solution.u, bpsi, domain)
@@ -433,13 +429,12 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
 def _recover(cfg: PipelineConfig, v: dict) -> dict:
     """Drift and its curl; error metrics (v["metrics"]) against the observed
     kernel's drift when the config asks for them, else None."""
-    psi_hat, domain = v["psi_hat"], v["domain"]
-    a = DiffusionField()
-    c_hat = v["c_hat"] = drift_from_psi(psi_hat, a, domain)
+    domain, a = cfg._domain, DiffusionField()
+    c_hat = v["c_hat"] = drift_from_psi(v["psi_hat"], a, domain)
     curl = gradient_consistency(c_hat, a, domain)
     v["metrics"] = None
     if cfg.ground_truth:
-        v["metrics"] = drift_metrics(c_hat, v["observed"].drift, domain, cfg.metric_fraction)
+        v["metrics"] = drift_metrics(c_hat, cfg._observed.drift, domain, cfg.metric_fraction)
         v["metrics"]["curl_norm"] = curl
     return {"curl_norm": curl}
 
@@ -461,18 +456,18 @@ STAGES = {
 }
 
 
-def _config_chords(cfg: PipelineConfig, v: dict):
+def _config_chords(cfg: PipelineConfig):
     """The chord table of the config's raster, on which dataset.npz (the
     chain's handoff), fits.npy and dataset.csv (--data's text) place chords."""
-    return make_parallel_chords(v["domain"], cfg.n_angles, cfg.n_offsets)[0]
+    return make_parallel_chords(cfg._domain, cfg.n_angles, cfg.n_offsets)[0]
 
 
-def _read_fits(cfg: PipelineConfig, v: dict, path) -> dict:
-    chords = _config_chords(cfg, v)
-    return {"chords": chords, "fits": read_fits_csv(path, chords, v["raster"])}
+def _read_fits(cfg: PipelineConfig, path) -> dict:
+    chords = _config_chords(cfg)
+    return {"chords": chords, "fits": read_fits_csv(path, chords, (cfg.n_angles, cfg.n_offsets))}
 
 
-def _write_c_hat(v: dict, path_x, path_y) -> None:
+def _write_c_hat(cfg: PipelineConfig, v: dict, path_x, path_y) -> None:
     c_hat = v["c_hat"]
     write_dgf(path_x, ScalarField(c_hat.grid, c_hat.values[..., 0]))
     write_dgf(path_y, ScalarField(c_hat.grid, c_hat.values[..., 1]))
@@ -481,45 +476,94 @@ def _write_c_hat(v: dict, path_x, path_y) -> None:
 class Artifact(NamedTuple):
     files: tuple[str, ...]
     option: str | None  # CLI option naming the file a stage reads; None: never read
-    read: Callable[[PipelineConfig, dict, Path], dict] | None  # -> values to add
-    write: Callable[..., None]  # (values, *paths)
+    read: Callable[[PipelineConfig, Path], dict] | None  # -> values to add
+    write: Callable[..., None]  # (cfg, values, *paths)
 
 
 ARTIFACTS = {
     "dataset": Artifact(
         ("dataset.npz",), "--data",
-        lambda cfg, v, p: {"dataset": read_dataset_csv(p, _config_chords(cfg, v), v["raster"])},
-        lambda v, p: write_dataset_csv(p, v["dataset"], v["raster"])),
+        lambda cfg, p: {"dataset": read_dataset_csv(p, _config_chords(cfg),
+                                                    (cfg.n_angles, cfg.n_offsets))},
+        lambda cfg, v, p: write_dataset_csv(p, v["dataset"], (cfg.n_angles, cfg.n_offsets))),
     "fits": Artifact(("fits.npy",), "--fits", _read_fits,
-                     lambda v, p: write_fits_csv(p, v["chords"], v["fits"], v["raster"])),
+                     lambda cfg, v, p: write_fits_csv(p, v["chords"], v["fits"],
+                                                      (cfg.n_angles, cfg.n_offsets))),
     "sinogram": Artifact(("sinogram.npz",), "--sinogram",
-                         lambda cfg, v, p: {"sinogram": read_sinogram_csv(p)},
-                         lambda v, p: write_sinogram_csv(p, v["sinogram"])),
-    "V_hat": Artifact(("V_hat.dgf",), "--vhat", lambda cfg, v, p: {"V_hat": read_dgf(p)},
-                      lambda v, p: write_dgf(p, v["V_hat"])),
-    "u": Artifact(("u.dgf",), None, None, lambda v, p: write_dgf(p, v["u"])),
-    "psi_hat": Artifact(("psi_hat.dgf",), "--psi", lambda cfg, v, p: {"psi_hat": read_dgf(p)},
-                        lambda v, p: write_dgf(p, v["psi_hat"])),
+                         lambda cfg, p: {"sinogram": read_sinogram_csv(p)},
+                         lambda cfg, v, p: write_sinogram_csv(p, v["sinogram"])),
+    "V_hat": Artifact(("V_hat.dgf",), "--vhat", lambda cfg, p: {"V_hat": read_dgf(p)},
+                      lambda cfg, v, p: write_dgf(p, v["V_hat"])),
+    "u": Artifact(("u.dgf",), None, None, lambda cfg, v, p: write_dgf(p, v["u"])),
+    "psi_hat": Artifact(("psi_hat.dgf",), "--psi", lambda cfg, p: {"psi_hat": read_dgf(p)},
+                        lambda cfg, v, p: write_dgf(p, v["psi_hat"])),
     "c_hat": Artifact(("c_hat_x.dgf", "c_hat_y.dgf"), None, None, _write_c_hat),
 }
 
 
-def run_stage(name: str, cfg: PipelineConfig, values: dict, inputs: dict | None = None) -> dict:
-    """Run one stage on `values`, which it extends; returns its report entries.
-
-    inputs (optional) maps the stage's input artifacts to the files to read
-    them from first; a missing file is a DataError.  A DriftscopeError from
-    reading or running is tagged `[stage <name>]`.
-    """
+def make_output_dir(path: Path) -> Path:
+    """Create the output directory (and its parents) before any stage runs;
+    a path that cannot be a directory is a config error."""
     try:
-        for artifact, path in (inputs or {}).items():
-            if not Path(path).is_file():
-                raise DataError(f"input file not found: {path}")
-            values.update(ARTIFACTS[artifact].read(cfg, values, path))
-        return STAGES[name].run(cfg, values)
-    except DriftscopeError as exc:
-        exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
-        raise
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    return path
+
+
+@contextmanager
+def writing(path):
+    """An OSError while writing output files is a config error naming the
+    file (`path` when the error names none)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
+def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
+               out: Path | None = None, inputs: dict | None = None) -> list[Path]:
+    """Run the consecutive stages `names` on `values`, which they extend,
+    after reading `inputs` (artifact -> file; a missing file is a DataError)
+    into it; a DriftscopeError from reading or running is tagged
+    `[stage <name>]`.  After each stage: its entries are merged into
+    `report`, report.json less config and meta (a stage that sets the
+    metrics, maybe to None, replaces every `METRIC_KEYS` entry); with `out`,
+    made first, its outputs and report.json are written there (an OSError
+    is a ConfigError naming the file); and every artifact that no later
+    stage reads and a ReconstructionReport does not return is dropped.
+    Returns the paths written."""
+    from . import parallel
+
+    if cfg.workers is not None:
+        parallel.set_workers(cfg.workers)
+    if out is not None:
+        make_output_dir(out)
+    names, written = list(names), []
+    for i, name in enumerate(names):
+        try:
+            for artifact, path in (inputs or {}).items():
+                if not Path(path).is_file():
+                    raise DataError(f"input file not found: {path}")
+                values.update(ARTIFACTS[artifact].read(cfg, path))
+            inputs = None  # read once, before the first stage
+            entries = STAGES[name].run(cfg, values)
+        except DriftscopeError as exc:
+            exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
+            raise
+        if "metrics" in values:  # the stage recomputed the metrics, maybe as None
+            for key in METRIC_KEYS:
+                report.pop(key, None)
+        report.update(entries)
+        if out is not None:
+            with writing(out):
+                written += write_artifacts(out, STAGES[name].outputs, values, cfg)
+                write_report_json(out / "report.json", report, values.get("metrics"), cfg.echo())
+        kept = {a for later in names[i + 1:] for a in STAGES[later].inputs}
+        kept |= {f.name for f in fields(ReconstructionReport)}  # V_hat, u, psi_hat, c_hat
+        for artifact in ARTIFACTS.keys() - kept:
+            values.pop(artifact, None)
+    return written if out is None else written + [out / "report.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -538,63 +582,40 @@ class ReconstructionReport:
     config: dict = dc_field(default_factory=dict)
 
 
-# the artifacts a ReconstructionReport returns, which run_pipeline keeps
-_REPORTED = ("V_hat", "u", "psi_hat", "c_hat")
-
-
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None, persist: bool = True,
                  kernels: tuple[Kernel, Kernel] | None = None) -> ReconstructionReport:
-    """Run every stage in memory, in chain order.
+    """Run every stage in memory, in chain order, through `run_stages`.
 
-    With persist, each stage's output artifacts are written into out_dir
-    (default cfg.output_dir) as soon as the stage finishes, as the CLI's
-    stage subcommands write them, and report.json after the last stage; a
-    stage that fails leaves the earlier stages' files behind.  After each
-    stage, every artifact that no later stage reads and the report does not
-    return is dropped (the dataset after fit, the sinogram after invert), so
-    the pipeline does not hold them to the end; solve frees the chord and
-    fit tables itself once boundary-psi has read them.
+    With persist, each stage's output artifacts and report.json are written
+    into out_dir (default cfg.output_dir) as soon as the stage finishes, as
+    the CLI's stage subcommands write them: a stage that fails leaves the
+    earlier stages' files and their report behind, as the chain does.  The
+    dataset and the sinogram are dropped once read, and solve frees the
+    chord and fit tables once boundary-psi has read them.
 
-    kernels (optional): an (observed, reference) pair of kernel objects, for
-    a caller that has built them already; the observed kernel takes
-    precedence over the config's.  The reference must be `DRIFTLESS`, the
-    OU kernel at theta = 0 that gen-data evaluates anyway, else a ConfigError.
+    kernels (optional): the (observed, reference) pair of kernel objects a
+    caller has built from the config.  The stages run the config's own
+    kernels, which report.json echoes, so any pair but (the config's
+    observed kernel, `DRIFTLESS`) is a ConfigError.
     """
-    from . import parallel
-
-    observed = None
-    if kernels is not None:
-        observed, reference = kernels
-        _check_reference(reference)
-    if cfg.workers is not None:
-        parallel.set_workers(cfg.workers)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    values = stage_context(cfg, observed)
-    diagnostics: dict = {}
-    names = list(STAGES)
-    for i, name in enumerate(names):
-        diagnostics.update(run_stage(name, cfg, values))
-        if persist:
-            write_artifacts(out, STAGES[name].outputs, values)
-        read_later = {a for later in names[i + 1:] for a in STAGES[later].inputs}
-        for artifact in ARTIFACTS.keys() - read_later - set(_REPORTED):
-            values.pop(artifact, None)
-    report = ReconstructionReport(
+    if kernels is not None and tuple(kernels) != (cfg._observed, DRIFTLESS):
+        raise ConfigError(f"kernels {tuple(kernels)} are not the config's own (observed, "
+                          f"reference) pair ({cfg._observed}, {DRIFTLESS})")
+    values, diagnostics = {}, {}
+    run_stages(STAGES, cfg, values, diagnostics,
+               Path(out_dir if out_dir is not None else cfg.output_dir) if persist else None)
+    return ReconstructionReport(
         psi_hat=values["psi_hat"], V_hat=values["V_hat"], c_hat=values["c_hat"],
         u=values["u"], metrics=values["metrics"], diagnostics=diagnostics, config=cfg.echo(),
     )
-    if persist:
-        write_report_json(out / "report.json", diagnostics, report.metrics, report.config)
-    return report
 
 
-def write_artifacts(out: Path, artifacts, values: dict) -> list[Path]:
+def write_artifacts(out: Path, artifacts, values: dict, cfg: PipelineConfig) -> list[Path]:
     """Write the named artifacts from `values` into `out`; returns the paths."""
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for name in artifacts:
         paths = [out / f for f in ARTIFACTS[name].files]
-        ARTIFACTS[name].write(values, *paths)
+        ARTIFACTS[name].write(cfg, values, *paths)
         written += paths
     return written
 

@@ -648,18 +648,66 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
 
 
 def test_failed_pipeline_leaves_the_files_the_chain_leaves(tmp_path, capsys):
-    """pipeline writes each stage's outputs when the stage ends: a solve that
-    fails leaves the files of the stages before it, as the stage chain does."""
+    """pipeline writes each stage's outputs and report.json when the stage
+    ends: a solve that fails leaves the files and the report of the stages
+    before it, as the stage chain does, also over an earlier run's files."""
     chain, whole = tmp_path / "chain", tmp_path / "pipeline"
+    earlier = write_config(tmp_path / "earlier.json", small_disc_config())
+    for out in (chain, whole):  # a run that succeeded, with its rel_l2
+        assert run_command(["pipeline", "--config", earlier, "--out", str(out)]) == 0
     config = write_config(tmp_path / "config.json", small_disc_config(solver={"max_iter": 1}))
     for stage in STAGES[:4]:
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0
     assert run_command(["solve", "--config", config, "--out", str(chain)]) == 4
     assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 4
-    for name in ("dataset.npz", "fits.npy", "sinogram.npz", "V_hat.dgf"):
-        assert (whole / name).read_bytes() == (chain / name).read_bytes(), name
-    for name in ("u.dgf", "psi_hat.dgf", "c_hat_x.dgf"):
-        assert not (whole / name).exists() and not (chain / name).exists(), name
+    names = sorted(p.name for p in chain.iterdir())
+    assert sorted(p.name for p in whole.iterdir()) == names
+    for name in names:
+        if name != "report.json":
+            assert (whole / name).read_bytes() == (chain / name).read_bytes(), name
+    report = comparable_report(whole)
+    assert report == comparable_report(chain)
+    assert "rel_l2" not in report and "solver_iterations" not in report
+    assert report["config"]["solver"]["max_iter"] == 1
+    # into a new directory, the files of the four stages that ran
+    fresh = tmp_path / "fresh"
+    assert run_command(["pipeline", "--config", config, "--out", str(fresh)]) == 4
+    assert sorted(p.name for p in fresh.iterdir()) == [
+        "V_hat.dgf", "dataset.npz", "fits.npy", "report.json", "sinogram.npz"]
+    assert comparable_report(fresh) == report
+
+
+@pytest.mark.parametrize("command, name", [
+    ("fit", "fits.npy"), ("fit", "report.json"), ("pipeline", "report.json"),
+    ("phantom", "phantom.dgf"),
+])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command, name):
+    # a directory where the command writes an output file
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command != "phantom":
+        argv += ["--config", write_config(tmp_path / "config.json", small_disc_config())]
+    if command == "fit":  # its input
+        assert run_command(["gen-data", *argv[1:]]) == 0
+        (out / "report.json").unlink()
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out / name}: Is a directory\n"
+
+
+@pytest.mark.parametrize("name, code, prefix", [
+    ("config.json", 2, "config error: "), ("report.json", 3, "data error: "),
+], ids=["config", "report"])
+def test_json_nested_past_the_recursion_limit_exits_cleanly(tmp_path, capsys, name, code, prefix):
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 0
+    (tmp_path / name).write_text("[" * 200000)
+    capsys.readouterr()
+    assert run_command(["fit", "--config", config, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}{tmp_path / name}: invalid JSON ("), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 # sizes no machine holds: a dense 100,000^2 normal matrix (74.5 GiB, but the

@@ -504,10 +504,7 @@ def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
         "geometry": {"n_angles": 12, "n_offsets": 13},
         "kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "brownian"}},
     })
-    values = recover.stage_context(cfg)
-    for name in ("gen-data", "fit"):
-        recover.run_stage(name, cfg, values)
-    recover.write_artifacts(tmp_path, ("dataset", "fits"), values)
+    recover.run_stages(("gen-data", "fit"), cfg, {}, {}, tmp_path)
     calls = Counter()
     paths = []
 
@@ -523,10 +520,8 @@ def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
 
     for name in ("make_parallel_chords", "read_dataset_csv", "read_fits_csv"):
         monkeypatch.setattr(recover, name, counting(name))
-    recover.run_stage("fit", cfg, recover.stage_context(cfg),
-                      {"dataset": tmp_path / "dataset.npz"})
-    recover.run_stage("sinogram", cfg, recover.stage_context(cfg),
-                      {"fits": tmp_path / "fits.npy"})
+    recover.run_stages(["fit"], cfg, {}, {}, inputs={"dataset": tmp_path / "dataset.npz"})
+    recover.run_stages(["sinogram"], cfg, {}, {}, inputs={"fits": tmp_path / "fits.npy"})
     assert calls == {"make_parallel_chords": 2, "read_dataset_csv": 1, "read_fits_csv": 1}
     assert paths == [tmp_path / "dataset.npz", tmp_path / "fits.npy"]
 

@@ -39,7 +39,7 @@ from driftscope.recover import (
     gradient_consistency,
     psi_from_u,
     run_pipeline,
-    stage_context,
+    run_stages,
 )
 
 
@@ -310,10 +310,15 @@ class TestConfig:
         assert config_from_dict(raw).resolved_grid() == want
 
     def test_stages_read_the_objects_the_config_resolved(self):
-        cfg = small_ou_config()
-        values = stage_context(cfg)
-        assert values["grid"] is cfg.resolved_grid()
-        assert values["domain"] is cfg.resolved_domain()
+        # the stages are given no values but their own: they read the grid
+        # from the config, and V_hat lies on it; the dataset and the
+        # sinogram, which no later stage of the run reads, are dropped
+        cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
+        values, report = {}, {}
+        assert run_stages(list(STAGES)[:4], cfg, values, report) == []
+        assert values["V_hat"].grid is cfg.resolved_grid()
+        assert sorted(values) == ["V_hat", "chords"]
+        assert report["n_chords"] == 24 * 25
 
     @pytest.mark.parametrize("truth", [False, True, {"kind": "ou", "theta": "1"}])
     def test_ground_truth_forms_accepted(self, truth):
@@ -610,21 +615,18 @@ class TestPipeline:
             assert "curl_norm" in rep.diagnostics
 
     def test_kernels_override_is_scored_against_the_kernel_it_ran(self):
-        # data from OU theta = 2 under a theta = 1 config score as the
-        # theta = 2 config does, not against the config's kernel
-        size = {"geometry": {"n_angles": 24, "n_offsets": 25}}
-        theta2 = small_ou_config(kernels={"observed": {"kind": "ou", "theta": 2.0},
-                                          "reference": {"kind": "brownian"}},
-                                 ground_truth=True, **size)
-        override = run_pipeline(small_ou_config(**size), persist=False,
-                                kernels=(OrnsteinUhlenbeckKernel(2.0), DRIFTLESS))
-        assert override.metrics == run_pipeline(theta2, persist=False).metrics
+        # the stages run the config's own kernels, which report.json echoes:
+        # an OU theta = 2 pair under a theta = 1 config is refused before a
+        # stage runs, not run and scored against theta = 2
+        cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
+        with pytest.raises(ConfigError, match="are not the config's own"):
+            run_pipeline(cfg, persist=False, kernels=(OrnsteinUhlenbeckKernel(2.0), DRIFTLESS))
 
     def test_kernels_override_takes_only_the_driftless_reference(self):
         # the pair the benchmark passes runs as the config does; any other
         # reference is refused before a stage runs
         cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
-        with pytest.raises(ConfigError, match="kernels.reference must be the driftless kernel"):
+        with pytest.raises(ConfigError, match="are not the config's own"):
             run_pipeline(cfg, persist=False,
                          kernels=(OrnsteinUhlenbeckKernel(1.0), OrnsteinUhlenbeckKernel(1.0)))
         pair = tuple(kernel_from_config(cfg.kernels[side]) for side in ("observed", "reference"))
