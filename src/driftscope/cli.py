@@ -1,23 +1,25 @@
 """Command-line front end.
 
 Each stage of the reconstruction (`recover.STAGES`: gen-data, fit, sinogram,
-invert, solve, recover) is a subcommand that reads its input artifacts from
-<out> (or from the file its option names) and <out>/report.json, and runs
-through `recover.run_stages`, as `pipeline` runs every stage: the runner
-writes the stage's outputs there and merges its diagnostics into
-report.json.  gen-data starts a new report, so the chain's final report
-equals the one `pipeline` writes.  `pipeline` writes each stage's outputs
-and the report as soon as the stage ends, so a failing stage leaves the
-same files behind as the chain, report.json included.  dataset.npz,
-fits.npy and sinogram.npz are numpy binaries on the (angle, offset) raster;
-`fit --data` also takes dataset.csv, observed data as CSV text naming each
-chord by its (angle_index, offset_index), told by its first bytes.  fit,
-sinogram and solve rebuild the chords from the config and read against
-them, ignoring rows and cells off its chords.  Grids are DGF1 files.  Exit
-codes: 0 success, 2 config error (sizes too large for the memory, a domain
-too large or too small for floats, an output directory that cannot be
-created and an output file that cannot be written included), 3 data error
-(a missing input file included), 4 solver/simulation error.
+invert, solve, recover) is a subcommand that takes --config, --out (in
+place of the config's output_dir), -v and an option per input file.  It
+reads its inputs from <out> (or the files its options name) and
+<out>/report.json, and runs through `recover.run_stages`, as `pipeline`
+runs every stage: the runner writes the stage's outputs there, removes
+later stages' files and merges its diagnostics into report.json in place
+of theirs.  gen-data starts a new report, so the chain's final report
+equals the one `pipeline` writes, and a failing `pipeline` leaves the
+chain's files.  dataset.npz, fits.npy and sinogram.npz are numpy binaries
+on the (angle, offset) raster; `fit --data` also takes dataset.csv,
+observed data as CSV text naming each chord by its (angle_index,
+offset_index), told by its first bytes.  fit, sinogram and solve rebuild
+the chords from the config and read against them, ignoring rows and cells
+off its chords.  Grids are DGF1 files.  Exit codes: 0 success, 2 config
+error (sizes too large for the memory, a domain too large or too small
+for floats, an output directory that cannot be created, an output file
+that cannot be written and a report.json of another config's run
+included), 3 data error (a missing input file included), 4
+solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
 check), and of it only `scipy.sparse`: the Krylov loop is numpy, so no
@@ -61,27 +63,12 @@ def _json_object(path: Path, error: type[DriftscopeError]) -> dict:
     return raw
 
 
-def parse_config(path) -> PipelineConfig:
-    """Load and strictly validate a JSON pipeline configuration."""
+def parse_config(path, output_dir: str | None = None) -> PipelineConfig:
+    """Load and strictly validate a JSON pipeline configuration (`config_from_dict`)."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return config_from_dict(_json_object(p, ConfigError))
-
-
-def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    import dataclasses
-
-    updates = {}
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        updates["workers"] = args.workers
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return config_from_dict(_json_object(p, ConfigError), output_dir)
 
 
 def _run_stage(name: str, cfg: PipelineConfig, args) -> int:
@@ -191,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--workers", type=int,
-                       help="threads for multi-block Monte Carlo bridge estimates, which no "
-                            "stage runs; accepted so existing configs and scripts still run")
         p.add_argument("-v", "--verbose", action="store_true")
         for artifact in STAGES[name].inputs if name in STAGES else ():
             option, file = ARTIFACTS[artifact].option, ARTIFACTS[artifact].files[0]
@@ -239,7 +222,7 @@ def run_command(argv=None) -> int:
                 return cmd_phantom(args)
             if args.command == "check":
                 return cmd_check(args)
-            cfg = _apply_overrides(parse_config(args.config), args)
+            cfg = parse_config(args.config, args.out)
             return _STAGE_COMMANDS[args.command](cfg, args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -91,10 +91,7 @@ class ScalarField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
-            if v.size == self.grid.nx * self.grid.ny:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise DataError(f"values shape {v.shape} does not match grid {self.grid.shape}")
+            raise DataError(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             bad = np.argwhere(~np.isfinite(v))[0]
             raise DataError(f"non-finite field value at node ({bad[0]}, {bad[1]})")

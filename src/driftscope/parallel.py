@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-_WORKER_ENV = "DRIFTSCOPE_WORKERS"
 _worker_override: int | None = None
 
 # Fixed block size; independent of the worker count by design.
@@ -27,21 +26,14 @@ MC_BLOCK = 4096
 
 
 def set_workers(n: int | None) -> None:
-    """Set the process-wide worker count (None restores env/default)."""
+    """Set the process-wide worker count (None restores the default)."""
     global _worker_override
     _worker_override = None if n is None else max(1, int(n))
 
 
 def worker_count() -> int:
-    if _worker_override is not None:
-        return _worker_override
-    env = os.environ.get(_WORKER_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """The count `set_workers` set, else one per CPU (no environment variable)."""
+    return _worker_override if _worker_override is not None else (os.cpu_count() or 1)
 
 
 def map_blocks(fn, items, workers: int | None = None) -> list:

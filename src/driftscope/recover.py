@@ -128,29 +128,29 @@ def default_ladder(radius: float, m: int = 4) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A pipeline config, resolved once: making it (and `dataclasses.replace`)
-    builds and stores the grid, the domain, the time ladder and the observed
-    kernel from the specs; a spec that cannot be built, a domain with no
-    unknown (`Domain.has_unknown`), a ground truth unequal to the observed
-    kernel, or a `kernels.reference` other than the driftless
-    `{"kind": "brownian"}`, is a ConfigError.  `kernels` stays the
-    section as given, the reference left out or not."""
+    """A pipeline config, resolved once: making it builds and stores the
+    grid, the domain, the time ladder and the observed kernel from the
+    specs; a spec that cannot be built, a domain with no unknown
+    (`Domain.has_unknown`), a ground truth unequal to the observed kernel,
+    or a `kernels.reference` other than the driftless `{"kind": "brownian"}`,
+    is a ConfigError.  `kernels` stays the section as given, the reference
+    left out or not.  The defaults are `config_from_dict`'s, its maker's."""
 
     domain_spec: dict
     kernels: dict
-    grid_spec: dict | None = None
-    n_angles: int = 180
-    n_offsets: int = 181
-    ladder: tuple | None = None
-    filter_name: str = "hann"
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 20000
-    seed: int = 0
-    boundary_knots: int = 256
-    metric_fraction: float = 0.8
-    output_dir: str = "out"
-    workers: int | None = None
-    ground_truth: bool | dict | None = None
+    grid_spec: dict | None
+    n_angles: int
+    n_offsets: int
+    ladder: tuple | None
+    filter_name: str
+    solver_tol: float
+    solver_max_iter: int
+    seed: int
+    boundary_knots: int
+    metric_fraction: float
+    output_dir: str
+    workers: int | None
+    ground_truth: bool | dict | None
     _grid: Grid = dc_field(init=False, repr=False, compare=False)
     _domain: Domain = dc_field(init=False, repr=False, compare=False)
     _ladder: np.ndarray = dc_field(init=False, repr=False, compare=False)
@@ -218,9 +218,10 @@ class PipelineConfig:
         }
 
 
-def config_from_dict(raw: dict) -> PipelineConfig:
+def config_from_dict(raw: dict, output_dir: str | None = None) -> PipelineConfig:
     """Strict parse: unknown keys are rejected, numbers are checked to be
-    integral or finite and in range, defaults are filled.
+    integral or finite and in range, defaults are filled, and `output_dir`
+    (--out), when given, replaces the checked `output_dir` of `raw`.
 
     The config is resolved once, when the PipelineConfig is made.  The keys
     each domain and kernel kind takes, and the checks of its numbers, are
@@ -254,9 +255,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if solver_tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {solver_tol!r}")
     workers = raw.pop("workers", None)
-    output_dir = raw.pop("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
+    own_dir = raw.pop("output_dir", "out")
+    if not isinstance(own_dir, str) or not own_dir:
+        raise ConfigError(f"output_dir must be a non-empty string, got {own_dir!r}")
     fields = dict(
         domain_spec=raw.pop("domain"),
         kernels=raw.pop("kernels"),
@@ -270,7 +271,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         seed=integer(raw.pop("seed", 0), "seed"),
         boundary_knots=integer(raw.pop("boundary_knots", 256), "boundary_knots", 1),
         metric_fraction=metric_fraction,
-        output_dir=output_dir,
+        output_dir=own_dir if output_dir is None else output_dir,
         workers=None if workers is None else integer(workers, "workers", 1),
         ground_truth=raw.pop("ground_truth", None),
     )
@@ -343,7 +344,7 @@ def gradient_consistency(c: VectorField, a: DiffusionField, domain: Domain) -> f
 
 
 # The report.json keys of the error metrics: drift_metrics' and the recover
-# stage's curl_norm.  A stage that sets the metrics replaces all of them.
+# stage's curl_norm.
 METRIC_KEYS = ("rel_l2", "max_abs", "n_metric_nodes", "curl_norm")
 
 
@@ -443,16 +444,21 @@ class Stage(NamedTuple):
     run: Callable[[PipelineConfig, dict], dict]
     inputs: tuple[str, ...]  # ARTIFACTS it reads
     outputs: tuple[str, ...]  # ARTIFACTS it adds
+    keys: tuple[str, ...]  # report.json entries it sets
+    settings: tuple[str, ...] = ()  # config keys that no earlier stage reads
 
 
 # In chain order: each stage's inputs are outputs of earlier ones.
 STAGES = {
-    "gen-data": Stage(_gen_data, (), ("dataset",)),
-    "fit": Stage(_fit, ("dataset",), ("fits",)),
-    "sinogram": Stage(_sinogram, ("fits",), ("sinogram",)),
-    "invert": Stage(_invert, ("sinogram",), ("V_hat",)),
-    "solve": Stage(_solve, ("V_hat", "fits"), ("u", "psi_hat")),
-    "recover": Stage(_recover, ("psi_hat",), ("c_hat",)),
+    "gen-data": Stage(_gen_data, (), ("dataset",), ("n_chords", "n_lines_skipped")),
+    "fit": Stage(_fit, ("dataset",), ("fits",),
+                 ("n_chords_excluded", "fit_residual_median", "fit_residual_max")),
+    "sinogram": Stage(_sinogram, ("fits",), ("sinogram",), ("sinogram_masked_bins",)),
+    "invert": Stage(_invert, ("sinogram",), ("V_hat",), (), ("filter",)),
+    "solve": Stage(_solve, ("V_hat", "fits"), ("u", "psi_hat"),
+                   ("solver_residual", "solver_iterations", "min_u", "boundary_knots_missing"),
+                   ("solver", "boundary_knots")),
+    "recover": Stage(_recover, ("psi_hat",), ("c_hat",), METRIC_KEYS, ("metric_fraction",)),
 }
 
 
@@ -526,13 +532,18 @@ def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
     """Run the consecutive stages `names` on `values`, which they extend,
     after reading `inputs` (artifact -> file; a missing file is a DataError)
     into it; a DriftscopeError from reading or running is tagged
-    `[stage <name>]`.  After each stage: its entries are merged into
-    `report`, report.json less config and meta (a stage that sets the
-    metrics, maybe to None, replaces every `METRIC_KEYS` entry); with `out`,
-    made first, its outputs and report.json are written there (an OSError
-    is a ConfigError naming the file); and every artifact that no later
-    stage reads and a ReconstructionReport does not return is dropped.
-    Returns the paths written."""
+    `[stage <name>]`.  A `report` that holds a `config` (an earlier run's
+    report.json) must hold `cfg.echo()` but for `output_dir` and the
+    settings of the first stage and later ones: else a ConfigError names
+    the first key that differs.  Domain and kernels compare as written, so
+    a kernels.reference left out differs from one given.  After
+    each stage: the entries of it and of every later stage are dropped from
+    `report`, report.json less config and meta, and its own merged in; with
+    `out`, made first, the files of every later stage's outputs are removed
+    and its outputs and report.json written there (an OSError is a
+    ConfigError naming the file); and every artifact that no later stage
+    reads and a ReconstructionReport does not return is dropped.  Returns
+    the paths written."""
     from . import parallel
 
     if cfg.workers is not None:
@@ -541,7 +552,16 @@ def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
         make_output_dir(out)
     names, written = list(names), []
     for i, name in enumerate(names):
+        later = list(STAGES)[list(STAGES).index(name):]  # this stage and every later one
         try:
+            if i == 0 and "config" in report:  # an earlier run's
+                old = report["config"] if isinstance(report["config"], dict) else {}
+                ignored = {"output_dir", *(key for stage in later for key in STAGES[stage].settings)}
+                for key, value in cfg.echo().items():
+                    if key not in ignored and old.get(key) != value:
+                        raise ConfigError(f"{out / 'report.json' if out else 'report.json'} holds a "
+                                          f"run of another config: {key!r} differs; gen-data "
+                                          "starts a new run")
             for artifact, path in (inputs or {}).items():
                 if not Path(path).is_file():
                     raise DataError(f"input file not found: {path}")
@@ -551,15 +571,17 @@ def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
         except DriftscopeError as exc:
             exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
             raise
-        if "metrics" in values:  # the stage recomputed the metrics, maybe as None
-            for key in METRIC_KEYS:
-                report.pop(key, None)
+        for key in (key for stage in later for key in STAGES[stage].keys):
+            report.pop(key, None)
         report.update(entries)
         if out is not None:
             with writing(out):
+                for artifact in (a for stage in later[1:] for a in STAGES[stage].outputs):
+                    for file in ARTIFACTS[artifact].files:
+                        (out / file).unlink(missing_ok=True)
                 written += write_artifacts(out, STAGES[name].outputs, values, cfg)
                 write_report_json(out / "report.json", report, values.get("metrics"), cfg.echo())
-        kept = {a for later in names[i + 1:] for a in STAGES[later].inputs}
+        kept = {a for stage in names[i + 1:] for a in STAGES[stage].inputs}
         kept |= {f.name for f in fields(ReconstructionReport)}  # V_hat, u, psi_hat, c_hat
         for artifact in ARTIFACTS.keys() - kept:
             values.pop(artifact, None)

@@ -649,9 +649,10 @@ def test_error_exit_codes(tmp_path, capsys, stage, code, prefix):
 
 def test_failed_pipeline_leaves_the_files_the_chain_leaves(tmp_path, capsys):
     """pipeline writes each stage's outputs and report.json when the stage
-    ends: a solve that fails leaves the files and the report of the stages
-    before it, as the stage chain does, also over an earlier run's files."""
-    chain, whole = tmp_path / "chain", tmp_path / "pipeline"
+    ends, and removes the files of the later stages: a solve that fails
+    leaves the files and the report of the stages before it, as the stage
+    chain does, and nothing of an earlier run into the same directory."""
+    chain, whole, fresh = tmp_path / "chain", tmp_path / "pipeline", tmp_path / "fresh"
     earlier = write_config(tmp_path / "earlier.json", small_disc_config())
     for out in (chain, whole):  # a run that succeeded, with its rel_l2
         assert run_command(["pipeline", "--config", earlier, "--out", str(out)]) == 0
@@ -659,22 +660,91 @@ def test_failed_pipeline_leaves_the_files_the_chain_leaves(tmp_path, capsys):
     for stage in STAGES[:4]:
         assert run_command([stage, "--config", config, "--out", str(chain)]) == 0
     assert run_command(["solve", "--config", config, "--out", str(chain)]) == 4
-    assert run_command(["pipeline", "--config", config, "--out", str(whole)]) == 4
-    names = sorted(p.name for p in chain.iterdir())
-    assert sorted(p.name for p in whole.iterdir()) == names
-    for name in names:
-        if name != "report.json":
-            assert (whole / name).read_bytes() == (chain / name).read_bytes(), name
-    report = comparable_report(whole)
-    assert report == comparable_report(chain)
+    for out in (whole, fresh):
+        assert run_command(["pipeline", "--config", config, "--out", str(out)]) == 4
+    names = ["V_hat.dgf", "dataset.npz", "fits.npy", "report.json", "sinogram.npz"]
+    report = comparable_report(fresh)
     assert "rel_l2" not in report and "solver_iterations" not in report
     assert report["config"]["solver"]["max_iter"] == 1
-    # into a new directory, the files of the four stages that ran
-    fresh = tmp_path / "fresh"
-    assert run_command(["pipeline", "--config", config, "--out", str(fresh)]) == 4
-    assert sorted(p.name for p in fresh.iterdir()) == [
-        "V_hat.dgf", "dataset.npz", "fits.npy", "report.json", "sinogram.npz"]
-    assert comparable_report(fresh) == report
+    for out in (chain, whole):
+        assert sorted(p.name for p in out.iterdir()) == names, out
+        for name in names:
+            if name != "report.json":
+                assert (out / name).read_bytes() == (fresh / name).read_bytes(), (out, name)
+        assert comparable_report(out) == report, out
+
+
+def test_stage_refuses_the_report_of_another_config(tmp_path, capsys):
+    """A stage continues only a run of its own config: fit under OU theta = 2
+    after gen-data under theta = 1 would score theta = 1 data against the
+    theta = 2 drift."""
+    config = write_config(tmp_path / "theta1.json", small_disc_config())
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 0
+    theta2 = {"kind": "ou", "theta": 2.0}
+    config = write_config(tmp_path / "theta2.json", small_disc_config(
+        kernels={"observed": theta2, "reference": {"kind": "brownian"}}, ground_truth=theta2))
+    capsys.readouterr()
+    for stage in STAGES[1:]:
+        assert run_command([stage, "--config", config, "--out", str(tmp_path)]) == 2, stage
+        assert capsys.readouterr().err == (
+            f"config error: [stage {stage}] {tmp_path / 'report.json'} holds a run of another "
+            "config: 'kernels' differs; gen-data starts a new run\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dataset.npz", "report.json", "theta1.json", "theta2.json"]
+
+
+def test_rerun_stage_may_change_only_its_own_settings(tmp_path, capsys):
+    """A stage re-run under a config that differs in its own settings only
+    (invert's filter) replaces its outputs and removes the later stages'
+    files and report entries; a later stage under the earlier config is then
+    refused, and the directory equals a fresh chain of the new config."""
+    chain, fresh = tmp_path / "chain", tmp_path / "fresh"
+    hann = write_config(tmp_path / "hann.json", small_disc_config())
+    ram_lak = write_config(tmp_path / "ram-lak.json", small_disc_config(filter="ram-lak"))
+    for stage in STAGES:
+        assert run_command([stage, "--config", hann, "--out", str(chain)]) == 0, stage
+    assert run_command(["invert", "--config", ram_lak, "--out", str(chain)]) == 0
+    for stage in STAGES[:4]:
+        assert run_command([stage, "--config", ram_lak, "--out", str(fresh)]) == 0, stage
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in chain.iterdir()) == names
+    for name in names:
+        if name != "report.json":
+            assert (chain / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert comparable_report(chain) == comparable_report(fresh)
+    capsys.readouterr()
+    assert run_command(["solve", "--config", hann, "--out", str(chain)]) == 2
+    assert "config: 'filter' differs; " in capsys.readouterr().err
+    # solve's own settings may change: the report then echoes the new ones
+    solver = write_config(tmp_path / "solver.json",
+                          small_disc_config(filter="ram-lak", solver={"tol": 1e-8}))
+    assert run_command(["solve", "--config", solver, "--out", str(chain)]) == 0
+    assert comparable_report(chain)["config"]["solver"]["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--workers", "2"]])
+@pytest.mark.parametrize("command", ["gen-data", "fit", "pipeline"])
+def test_seed_and_workers_are_not_options(tmp_path, capsys, command, option):
+    # no stage draws a random number or runs the worker pool; the config's
+    # seed and workers keys stay
+    config = write_config(tmp_path / "config.json", small_disc_config(seed=3, workers=2))
+    with pytest.raises(SystemExit) as exited:
+        run_command([command, "--config", config, "--out", str(tmp_path / "out"), *option])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "list"])
+def test_config_that_is_missing_or_not_an_object_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    if case == "list":
+        path.write_text(json.dumps([small_disc_config()]))
+    assert run_command(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == {
+        "missing": f"config error: config file not found: {path}\n",
+        "list": f"config error: {path}: must hold a JSON object\n"}[case]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, name", [

@@ -663,3 +663,14 @@ def test_step_and_horizon_must_be_positive_and_finite(sampler, bad):
     }
     with pytest.raises(DataError, match="positive and finite"):
         calls[sampler]()
+
+
+def test_worker_count_ignores_the_environment(monkeypatch):
+    # the count is the one set_workers set, else one per CPU: no environment
+    # variable sets it
+    monkeypatch.setattr(parallel, "_worker_override", None)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("DRIFTSCOPE_WORKERS", "7")
+    assert parallel.worker_count() == 3
+    parallel.set_workers(2)
+    assert parallel.worker_count() == 2

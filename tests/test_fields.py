@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -537,6 +539,17 @@ class TestArrayGeometry:
         got = domain.boundary_param(edge[None])
         assert got.shape == (1, 3) and same_bits(got[0], domain.boundary_param(edge))
         assert got[0] == pytest.approx([2.7, 4.4, 6.1], abs=1e-12)
+
+def test_scalar_field_refuses_values_of_another_shape():
+    # a (4, 3) array on a 3 x 4 grid has the grid's size, but reshaped, its
+    # first column [0, 3, 6, 9] would read as the row [0, 1, 2, 3]
+    g = Grid(0.0, 0.0, 1.0, 1.0, 3, 4)
+    for values in (np.arange(12.0).reshape(4, 3), np.arange(12.0)):
+        with pytest.raises(DataError, match=re.escape(f"values shape {values.shape} does not "
+                                                      "match grid (3, 4)")):
+            ScalarField(g, values)
+    assert ScalarField(g, np.arange(12.0).reshape(3, 4)).values[:, 0].tolist() == [0, 4, 8]
+
 
 class TestDgf:
     def test_roundtrip_bytes(self, tmp_path):

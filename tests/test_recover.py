@@ -614,6 +614,18 @@ class TestPipeline:
             assert rep.metrics is None
             assert "curl_norm" in rep.diagnostics
 
+    def test_each_stage_sets_only_the_report_keys_it_declares(self):
+        # the runner drops a re-run stage's entries, and every later stage's,
+        # by these keys: an entry no stage declares would outlive a re-run
+        cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
+        values = {}
+        for name, stage in STAGES.items():
+            assert set(stage.run(cfg, values)) <= set(stage.keys), name
+            assert set(stage.settings) <= set(cfg.echo()), name
+        assert set(values["metrics"]) == set(STAGES["recover"].keys)
+        keys = [key for stage in STAGES.values() for key in stage.keys]
+        assert len(keys) == len(set(keys))
+
     def test_kernels_override_is_scored_against_the_kernel_it_ran(self):
         # the stages run the config's own kernels, which report.json echoes:
         # an OU theta = 2 pair under a theta = 1 config is refused before a
