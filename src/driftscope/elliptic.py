@@ -438,11 +438,13 @@ def boundary_psi_from_fits(
         return idx, np.stack([1.0 - t[:, 0], t[:, 0], -(1.0 - t[:, 1]), -t[:, 1]], axis=1)
 
     parts = [slice(lo, lo + _CHORDS_PER_CHUNK) for lo in range(0, n_used, _CHORDS_PER_CHUNK)]
-    # coverage first: N is n_knots^2 floats
+    # coverage first: N is n_knots^2 floats.  An endpoint touches its knot
+    # k0, with coefficient 1 - t > 0, and k0 + 1 where t is not 0
     touched = np.zeros(n_knots, dtype=bool)
     for part in parts:
-        idx, coef = terms(part)
-        touched[idx[coef != 0.0]] = True
+        k0 = np.floor(pos[part])
+        touched[k0.astype(np.int64) % n_knots] = True
+        touched[(k0[pos[part] != k0].astype(np.int64) + 1) % n_knots] = True
     n_missing = int((~touched).sum())
     if n_missing > _MAX_MISSING_FRACTION * n_knots:
         raise DataError(

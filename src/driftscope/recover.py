@@ -120,6 +120,20 @@ def _grid_from_spec(spec: dict) -> Grid:
     return Grid.from_extent(x0, y0, x1, y1, nx, ny)
 
 
+def _domain_from_spec(spec, grid: Grid) -> Domain:
+    """The domain a config's `domain` section describes, on `grid`."""
+    cls, numbers = build(DOMAIN_KINDS, spec, "domain")
+    return cls(grid, *numbers)
+
+
+def _kernels_from_spec(spec) -> tuple[Kernel, Kernel]:
+    """The (observed, reference) kernels a config's `kernels` section
+    describes; a reference left out is the driftless `{"kind": "brownian"}`."""
+    require_keys(spec, ("observed", "reference"), ("observed",), "kernels")
+    return (kernel_from_config(spec["observed"], "kernels.observed"),
+            kernel_from_config(spec.get("reference", {"kind": "brownian"}), "kernels.reference"))
+
+
 def default_ladder(radius: float, m: int = 4) -> np.ndarray:
     """Geometric ladder t_k = t1 / 2^{k-1} with t1 = 0.02 * radius^2."""
     t1 = 0.02 * radius * radius
@@ -162,8 +176,7 @@ class PipelineConfig:
         try:
             grid = (default_grid(self.domain_spec) if self.grid_spec is None
                     else _grid_from_spec(self.grid_spec))
-            cls, numbers = build(DOMAIN_KINDS, self.domain_spec, "domain")
-            domain = cls(grid, *numbers)
+            domain = _domain_from_spec(self.domain_spec, grid)
             # the time ladder and the FBP filter scale with the circumradius
             # squared: outside the normal floats they overflow or divide by 0
             r = domain.circumradius
@@ -176,11 +189,8 @@ class PipelineConfig:
             ladder = (default_ladder(domain.circumradius) if self.ladder is None
                       else np.array(self.ladder, dtype=float))
             ladder.setflags(write=False)
-            require_keys(self.kernels, ("observed", "reference"), ("observed",), "kernels")
-            observed = kernel_from_config(self.kernels["observed"], "kernels.observed")
+            observed, reference = _kernels_from_spec(self.kernels)
             # p0 of log(p / p0) = dpsi - t F is DRIFTLESS, the OU kernel at theta = 0
-            reference = kernel_from_config(self.kernels.get("reference", {"kind": "brownian"}),
-                                           "kernels.reference")
             if reference != DRIFTLESS:
                 raise ConfigError("kernels.reference must be the driftless kernel of the observed "
                                   f'diffusion, {{"kind": "brownian"}}, or be left out; got {reference}')
@@ -527,6 +537,32 @@ def writing(path):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
+def _section_differs(cfg: PipelineConfig, key: str, old, new) -> bool:
+    """Whether an earlier run's config section `old` differs from this
+    config's `new`.  Domain and kernels compare by what they resolve to on
+    the config's grid, not as written; one that does not resolve differs."""
+    resolve = {"domain": lambda spec: _domain_from_spec(spec, cfg._grid),
+               "kernels": _kernels_from_spec}.get(key)
+    if resolve is None:
+        return old != new
+    try:
+        return resolve(old) != resolve(new)
+    except DriftscopeError:
+        return True
+
+
+def _earlier_stage_seconds(report: dict, first: str) -> dict:
+    """The stage times an earlier run's report.json holds for the stages
+    before `first`."""
+    meta = report.get("meta")
+    old = meta.get("stages") if isinstance(meta, dict) else None
+    if not isinstance(old, dict):
+        return {}
+    earlier = list(STAGES)[:list(STAGES).index(first)]
+    return {name: old[name] for name in earlier
+            if isinstance(old.get(name), (int, float)) and not isinstance(old[name], bool)}
+
+
 def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
                out: Path | None = None, inputs: dict | None = None) -> list[Path]:
     """Run the consecutive stages `names` on `values`, which they extend,
@@ -535,15 +571,19 @@ def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
     `[stage <name>]`.  A `report` that holds a `config` (an earlier run's
     report.json) must hold `cfg.echo()` but for `output_dir` and the
     settings of the first stage and later ones: else a ConfigError names
-    the first key that differs.  Domain and kernels compare as written, so
-    a kernels.reference left out differs from one given.  After
+    the first key that differs.  Domain and kernels compare by what they
+    resolve to (`_section_differs`), so a kernels.reference left out
+    equals the driftless one given, and a rate "1" equals 1.0.  After
     each stage: the entries of it and of every later stage are dropped from
     `report`, report.json less config and meta, and its own merged in; with
     `out`, made first, the files of every later stage's outputs are removed
     and its outputs and report.json written there (an OSError is a
-    ConfigError naming the file); and every artifact that no later stage
-    reads and a ReconstructionReport does not return is dropped.  Returns
-    the paths written."""
+    ConfigError naming the file), with the wall time of each stage so far,
+    reading its inputs to writing its outputs, under meta.stages (a stage
+    keeps the earlier stages' times of `report`'s meta and drops the later
+    ones'); and every artifact that no later stage reads and a
+    ReconstructionReport does not return is dropped.  Returns the paths
+    written."""
     from . import parallel
 
     if cfg.workers is not None:
@@ -551,14 +591,16 @@ def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
     if out is not None:
         make_output_dir(out)
     names, written = list(names), []
+    seconds = _earlier_stage_seconds(report, names[0])
     for i, name in enumerate(names):
         later = list(STAGES)[list(STAGES).index(name):]  # this stage and every later one
+        start = time.perf_counter()
         try:
             if i == 0 and "config" in report:  # an earlier run's
                 old = report["config"] if isinstance(report["config"], dict) else {}
                 ignored = {"output_dir", *(key for stage in later for key in STAGES[stage].settings)}
                 for key, value in cfg.echo().items():
-                    if key not in ignored and old.get(key) != value:
+                    if key not in ignored and _section_differs(cfg, key, old.get(key), value):
                         raise ConfigError(f"{out / 'report.json' if out else 'report.json'} holds a "
                                           f"run of another config: {key!r} differs; gen-data "
                                           "starts a new run")
@@ -580,7 +622,9 @@ def run_stages(names, cfg: PipelineConfig, values: dict, report: dict,
                     for file in ARTIFACTS[artifact].files:
                         (out / file).unlink(missing_ok=True)
                 written += write_artifacts(out, STAGES[name].outputs, values, cfg)
-                write_report_json(out / "report.json", report, values.get("metrics"), cfg.echo())
+                seconds[name] = time.perf_counter() - start
+                write_report_json(out / "report.json", report, values.get("metrics"), cfg.echo(),
+                                  seconds)
         kept = {a for stage in names[i + 1:] for a in STAGES[stage].inputs}
         kept |= {f.name for f in fields(ReconstructionReport)}  # V_hat, u, psi_hat, c_hat
         for artifact in ARTIFACTS.keys() - kept:
@@ -642,13 +686,14 @@ def write_artifacts(out: Path, artifacts, values: dict, cfg: PipelineConfig) -> 
     return written
 
 
-def write_report_json(path, diagnostics: dict, metrics: dict | None, config: dict) -> None:
+def write_report_json(path, diagnostics: dict, metrics: dict | None, config: dict,
+                      stage_seconds: dict) -> None:
     payload: dict = dict(diagnostics)
     if metrics is not None:
         payload.update(metrics)
     payload["config"] = config
     payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                       "version": __version__}
+                       "version": __version__, "stages": dict(stage_seconds)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

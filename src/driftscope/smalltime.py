@@ -29,6 +29,7 @@ readers place the values into the chord table rebuilt from the config.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import tokenize
@@ -195,6 +196,13 @@ class FitTable:
         return (FitRow._make(row) if ok else None for row, ok in zip(rows, self.ok.tolist()))
 
 
+def _row_sums(table, *start):
+    """Each row's sum, added column after column (after `start`, if given).
+    For up to 7 columns numpy's own `sum(axis=1)` adds a row in this order,
+    so the bits are equal; its reduction loop costs several times more."""
+    return functools.reduce(np.add, (table[:, j] for j in range(table.shape[1])), *start)
+
+
 def fit_ladder_batch(times, logratios) -> FitTable:
     """Masked weighted least squares of r(t) ~ dpsi - F t, weights 1/t, for
     many chords sharing one time ladder.
@@ -206,7 +214,13 @@ def fit_ladder_batch(times, logratios) -> FitTable:
     table is fitted `_CHORDS_PER_CHUNK` rows at a time into preallocated
     columns, so the temporaries do not grow with the table.  Every sum runs
     along one row, and no chunk of a longer table is a single row, so the
-    bits are those of fitting the whole table at once.
+    bits are those of fitting the whole table at once.  The weight sums add
+    a row's columns in ladder order (`_row_sums`), as numpy's `sum(axis=1)`
+    does for up to 7 columns, with the same bits; from 8 columns numpy
+    sums pairwise, so a ladder of 8 or more times may round its sums
+    differently in the last place, and its fits by up to ~1e-11 relative
+    (the slope's cancellation).  The products with the data (`r @ w`)
+    stay BLAS's.
     """
     t = np.asarray(times, dtype=float)
     table = np.asarray(logratios, dtype=float)
@@ -220,12 +234,12 @@ def fit_ladder_batch(times, logratios) -> FitTable:
         part = slice(lo, hi)
         r = table[part]
         seen = np.isfinite(r)
-        n = n_obs[part] = seen.sum(axis=1)
+        n = n_obs[part] = _row_sums(seen, 0)
         W = np.where(seen, w, 0.0)
         r = np.where(seen, r, 0.0)
-        s0 = W.sum(axis=1)
-        s1 = (W * t).sum(axis=1)
-        s2 = (W * t * t).sum(axis=1)
+        s0 = _row_sums(W)
+        s1 = _row_sums(W * t)
+        s2 = _row_sums(W * t * t)
         det = s0 * s2 - s1 * s1
         b0 = r @ w
         b1 = r @ (w * t)

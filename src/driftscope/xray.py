@@ -27,7 +27,9 @@ from .smalltime import (
 
 # Back-projection sums the angles in blocks of this many, then adds the block
 # sums in order.  The block size fixes the rounding of V_hat: changing it
-# changes the bits of every inversion.
+# changes the bits of every inversion.  The order in which a block visits
+# the nodes (x or y fastest, `fbp_invert`) does not: each node's sum over the
+# block's angles is the same.
 _ANGLE_BLOCK = 16
 
 
@@ -169,9 +171,17 @@ def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain)
     axis of at least twice the length; optional Hann apodization), then
     back-projected with linear interpolation in offset, in one thread, at
     those nodes only, each measured from the domain's center; the other
-    nodes are zero.  Masked bins are in-filled by linear interpolation along
-    the offset axis (with a warning); a fully masked angle or more than 10%
-    masked bins is an error.
+    nodes are zero.  Each `_ANGLE_BLOCK` of angles visits the nodes in the
+    C order of the grid (y fastest) or of its transpose (x fastest),
+    whichever moves the offset z = -sin(phi) x + cos(phi) y less from node
+    to node over the block: np.interp's bin search starts from the previous
+    query's bin, so the nearer the next bin, the cheaper the search.  Its
+    value depends only on the bin and z, each node's z and its sum over the
+    block's angles are the same in either order, and the block sums are
+    added in the same order, so V_hat keeps its bits.  Masked bins are
+    in-filled by linear interpolation along the offset axis (with a
+    warning); a fully masked angle or more than 10% masked bins is an
+    error.
     """
     if sino.n_angles < 2:
         raise DataError("need at least 2 angles to invert")
@@ -210,14 +220,27 @@ def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain)
     X, Y = out_grid.nodes()
     cx, cy = domain.center
     x, y = X[inside] - cx, Y[inside] - cy
+    # the unknowns in their C order (y fastest) and x fastest: the node
+    # x_first[k] of the C order is the k-th x fastest, and back[i] the place
+    # of C node i in the x-fastest order
+    rank = np.zeros(X.shape, dtype=np.intp)
+    rank[inside] = np.arange(len(x))
+    x_first = rank.T[inside.T]
+    back = np.empty_like(x_first)
+    back[x_first] = np.arange(len(x))
+    orders = {False: (x, y), True: (x[x_first], y[x_first])}
     total = np.zeros(len(x))
     for lo in range(0, sino.n_angles, _ANGLE_BLOCK):
+        phis = sino.angles[lo:lo + _ANGLE_BLOCK]
+        # x fastest moves z by |sin(phi)| dx per node, y fastest by |cos(phi)| dy
+        x_fastest = bool(np.abs(np.sin(phis)).sum() * out_grid.dx
+                         < np.abs(np.cos(phis)).sum() * out_grid.dy)
+        bx, by = orders[x_fastest]
         acc = np.zeros(len(x))
-        for ia in range(lo, min(lo + _ANGLE_BLOCK, sino.n_angles)):
-            phi = sino.angles[ia]
-            z = -np.sin(phi) * x + np.cos(phi) * y
+        for ia, phi in enumerate(phis, start=lo):
+            z = -np.sin(phi) * bx + np.cos(phi) * by
             acc += np.interp(z, sino.offsets, filtered[ia], left=0.0, right=0.0)
-        total += acc
+        total += acc[back] if x_fastest else acc
     out = np.zeros(X.shape)
     out[inside] = (np.pi / sino.n_angles) * total
     return ScalarField(out_grid, out)

@@ -693,6 +693,69 @@ def test_stage_refuses_the_report_of_another_config(tmp_path, capsys):
         "dataset.npz", "report.json", "theta1.json", "theta2.json"]
 
 
+@pytest.mark.parametrize("first, then", [
+    ({"kernels": {"observed": {"kind": "ou", "theta": 1.0}, "reference": {"kind": "brownian"}}},
+     {"kernels": {"observed": {"kind": "ou", "theta": 1.0}}}),
+    ({"kernels": {"observed": {"kind": "ou", "theta": "1"}}},
+     {"kernels": {"observed": {"kind": "ou", "theta": 1.0}}}),
+    ({"domain": {"kind": "disc", "radius": 1}},
+     {"domain": {"kind": "disc", "radius": 1.0, "center": [0, 0.0]}}),
+], ids=["reference left out", "rate as a string", "center left out"])
+def test_stage_continues_a_run_whose_sections_resolve_alike(tmp_path, first, then):
+    """Domain and kernels compare by what they resolve to: sections written
+    differently that build the same domain and kernels continue the run, and
+    the files equal those of a chain run under one config."""
+    chain, fresh = tmp_path / "chain", tmp_path / "fresh"
+    first = write_config(tmp_path / "first.json", small_disc_config(**first))
+    then = write_config(tmp_path / "then.json", small_disc_config(**then))
+    assert run_command(["gen-data", "--config", first, "--out", str(chain)]) == 0
+    for stage in STAGES:
+        if stage != "gen-data":
+            assert run_command([stage, "--config", then, "--out", str(chain)]) == 0, stage
+        assert run_command([stage, "--config", then, "--out", str(fresh)]) == 0, stage
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in chain.iterdir()) == names
+    for name in names:
+        if name != "report.json":
+            assert (chain / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert comparable_report(chain) == comparable_report(fresh)
+
+
+def test_a_section_that_does_not_resolve_differs(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", small_disc_config())
+    assert run_command(["gen-data", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    report["config"]["kernels"]["observed"] = {"kind": "ou", "theta": -1.0}
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run_command(["fit", "--config", config, "--out", str(tmp_path)]) == 2
+    assert "config: 'kernels' differs; " in capsys.readouterr().err
+
+
+def test_report_times_the_stages_of_the_run(tmp_path):
+    """meta.stages holds the wall time of each stage the run has: pipeline
+    and the chain list the same stages, and a re-run stage keeps the earlier
+    stages' times and drops the later ones'."""
+    pipe, chain = tmp_path / "pipe", tmp_path / "chain"
+    config = write_config(tmp_path / "config.json", small_disc_config())
+
+    def seconds(out):
+        return json.loads((out / "report.json").read_text())["meta"]["stages"]
+
+    assert run_command(["pipeline", "--config", config, "--out", str(pipe)]) == 0
+    for i, stage in enumerate(STAGES):
+        assert run_command([stage, "--config", config, "--out", str(chain)]) == 0, stage
+        assert sorted(seconds(chain)) == sorted(STAGES[:i + 1])
+    assert sorted(seconds(pipe)) == sorted(seconds(chain))
+    assert all(isinstance(s, float) and s > 0 for s in (*seconds(pipe).values(),
+                                                       *seconds(chain).values()))
+    before = seconds(chain)
+    assert run_command(["invert", "--config", config, "--out", str(chain)]) == 0
+    after = seconds(chain)
+    assert sorted(after) == sorted(STAGES[:4])
+    assert all(after[stage] == before[stage] for stage in STAGES[:3])
+
+
 def test_rerun_stage_may_change_only_its_own_settings(tmp_path, capsys):
     """A stage re-run under a config that differs in its own settings only
     (invert's filter) replaces its outputs and removes the later stages'

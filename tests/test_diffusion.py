@@ -110,6 +110,22 @@ class TestKernels:
                     + axis(theta2, x[:, 1] + offset[1], t, y[:, 1] + offset[1]))
             assert np.array_equal(kernel.log_density(x, t, y), want)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.3, 7.5])
+    def test_ou_is_the_closed_form_bit_for_bit(self, theta):
+        # the OU kernel's own expression with numpy's sum over the point axis,
+        # for a scalar time and for one time per point (decay[..., None])
+        rng = np.random.default_rng(5)
+        kernel = OrnsteinUhlenbeckKernel(theta)
+        for shape in ((50, 2), (3, 40, 2)):
+            x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+            for t in (0.37, 1e-4, rng.uniform(1e-3, 2.0, shape[:-1])):
+                decay = np.exp(-theta * np.asarray(t))
+                var = -np.expm1(-2.0 * theta * np.asarray(t)) / (2.0 * theta)
+                d = y - x * (decay[..., None] if np.ndim(t) else decay)
+                d2 = np.sum(d**2, axis=-1)
+                want = -0.5 * 2 * (LOG_2PI + np.log(var)) - d2 / (2.0 * var)
+                assert np.array_equal(kernel.log_density(x, t, y), want)
+
     def test_brownian_kind_is_driftless(self):
         assert kernel_from_config({"kind": "brownian"}) is DRIFTLESS
 

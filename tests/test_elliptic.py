@@ -704,6 +704,27 @@ class TestBoundaryPsi:
         with pytest.raises(DataError, match="coverage"):
             boundary_psi_from_fits(chords, fits, dom, n_knots=128)
 
+    @pytest.mark.parametrize("chunk", [5, 8192])
+    def test_missing_knots_are_those_no_term_touches(self, chunk, monkeypatch):
+        # an endpoint between knots touches both, one on a knot (t = 0: the
+        # points (1, 0) and (-1, 0)) that knot only
+        monkeypatch.setattr(elliptic, "_CHORDS_PER_CHUNK", chunk)
+        dom, n_knots = self.circle(), 64
+        rng = np.random.default_rng(8)
+        xs = [*dom.boundary_point(rng.uniform(0.0, 2 * np.pi, 12)), np.array([1.0, 0.0])]
+        ys = [*dom.boundary_point(rng.uniform(0.0, 2 * np.pi, 12)), np.array([-1.0, 0.0])]
+        touched = set()
+        for p in (*xs, *ys):
+            pos = float(dom.boundary_param(p)) / (2 * np.pi / n_knots)
+            t = pos - np.floor(pos)
+            touched |= {k % n_knots for k, coef in ((int(pos), 1.0 - t), (int(pos) + 1, t))
+                        if coef != 0.0}
+        assert [float(dom.boundary_param(p)) / (2 * np.pi / n_knots)
+                for p in (xs[-1], ys[-1])] == [0.0, 32.0]
+        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
+        with pytest.raises(DataError, match=f"^{n_knots - len(touched)} of {n_knots} boundary"):
+            boundary_psi_from_fits(chords, fits, dom, n_knots=n_knots)
+
     def test_few_missing_knots_interpolated(self):
         dom = self.circle()
         rng = np.random.default_rng(4)

@@ -116,6 +116,27 @@ def oracle_fit_ladder_batch(t, r):
     return dpsi, -slope, np.sqrt(sigma2), sigma2 * s2 / det, sigma2 * s0 / det
 
 
+def oracle_masked_fit_ladder_batch(t, table):
+    """fit_ladder_batch as it stood with numpy's row sums (`sum(axis=1)`),
+    on the whole table at once: (n_times, the five value columns)."""
+    w = 1.0 / t
+    seen = np.isfinite(table)
+    n = seen.sum(axis=1)
+    W = np.where(seen, w, 0.0)
+    r = np.where(seen, table, 0.0)
+    s0, s1, s2 = W.sum(axis=1), (W * t).sum(axis=1), (W * t * t).sum(axis=1)
+    det = s0 * s2 - s1 * s1
+    b0, b1 = r @ w, r @ (w * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpsi = (s2 * b0 - s1 * b1) / det
+        slope = (s0 * b1 - s1 * b0) / det
+        resid = np.where(seen, r - (dpsi[:, None] + slope[:, None] * t[None, :]), 0.0)
+        sigma2 = np.maximum((resid * resid) @ w, 0.0) / (n - 2)
+        cols = (dpsi, -slope, np.sqrt(sigma2), np.sqrt(np.maximum(sigma2 * s2 / det, 0.0)),
+                np.sqrt(np.maximum(sigma2 * s0 / det, 0.0)))
+    return n, np.where(n >= 3, cols, np.nan)
+
+
 def oracle_boundary_psi(chords, fits, domain, n_knots):
     L = domain.param_length
     N = np.zeros((n_knots, n_knots))
@@ -214,6 +235,41 @@ def test_fit_chunks_give_the_bits_of_one_batch(n, monkeypatch):
     chunked = fit_ladder_batch(times, lr)
     for name in columns:
         assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 8192, 8193])
+def test_masked_fits_match_the_row_sum_oracle(m, n):
+    # ladders of up to 7 times: the column sums add each row in numpy's own
+    # order, so the bits equal the row sums'; 8193 rows fit as one chunk
+    rng = np.random.default_rng(100 * m + n)
+    times = 0.04 * 0.5 ** np.arange(m) * rng.uniform(0.9, 1.1, m)
+    lr = rng.normal(0.3, 0.2, (n, 1)) - rng.normal(1.0, 0.5, (n, 1)) * times + \
+        rng.normal(0.0, 1e-3, (n, m)) * np.exp(rng.uniform(-20.0, 5.0, (n, m)))
+    lr[rng.random(lr.shape) < 0.15] = np.nan
+    fits = fit_ladder_batch(times, lr)
+    n_obs, want = oracle_masked_fit_ladder_batch(times, lr)
+    assert np.array_equal(fits.n_times, n_obs)
+    got = (fits.delta_psi, fits.F, fits.residual, fits.se_delta_psi, fits.se_F)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_long_ladder_fits_match_the_row_sum_oracle_closely(m):
+    # from 8 columns numpy sums a row pairwise: the sums differ in the last
+    # place, and the slope's cancellation carries that to ~1e-11
+    rng = np.random.default_rng(m)
+    times = 0.04 * 0.5 ** np.arange(m) * rng.uniform(0.9, 1.1, m)
+    lr = rng.normal(0.3, 0.2, (500, 1)) - rng.normal(1.0, 0.5, (500, 1)) * times + \
+        rng.normal(0.0, 1e-3, (500, m))
+    lr[rng.random(lr.shape) < 0.15] = np.nan
+    fits = fit_ladder_batch(times, lr)
+    n_obs, want = oracle_masked_fit_ladder_batch(times, lr)
+    assert np.array_equal(fits.n_times, n_obs)
+    got = (fits.delta_psi, fits.F, fits.residual, fits.se_delta_psi, fits.se_F)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-9, atol=0.0, equal_nan=True)
 
 
 def test_partial_ladder_fits_match_per_chord_fit():

@@ -354,6 +354,28 @@ class TestFbp:
             assert np.array_equal(fbp_invert(sino, g, filter_name, dom).values, want.values)
 
 
+@pytest.mark.parametrize("n_angles", [90, 45])
+def test_axis_aware_node_order_keeps_the_oracle_bits(n_angles):
+    """Each 16-angle block back-projects with x or y fastest, whichever moves
+    the offset least from node to node.  On grids with dx != dy and angle
+    counts that are no multiple of 16, so that blocks straddle 45 and 135
+    degrees, V_hat keeps the bits of the all-node oracle."""
+    disc_grid = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 97, 61)
+    rect_grid = Grid.from_extent(-1.15, -0.805, 1.15, 0.805, 61, 101)
+    cases = ((disc_grid, DiscDomain(disc_grid, 0.0, 0.0, 1.0)),
+             (rect_grid, RectangleDomain(rect_grid, -1.0, -0.7, 1.0, 0.7)))
+    rng = np.random.default_rng(n_angles)
+    for g, dom in cases:
+        assert g.dx != g.dy
+        values = rng.standard_normal((n_angles, 91))
+        sino = Sinogram(values, np.ones_like(values, dtype=bool), dom.circumradius)
+        inside = dom.interior(g)  # the oracle also fills nodes within a sliver of the edge
+        for filter_name in ("hann", "ram-lak"):
+            want = all_node_pooled_fbp(sino, g, filter_name, dom).values
+            got = fbp_invert(sino, g, filter_name, dom).values
+            assert np.array_equal(got[inside], want[inside]) and not got[~inside].any()
+
+
 def test_off_center_raster_is_measured_from_the_center():
     """V(. - c) on the unit disc centered at c has the sinogram of V on the
     centered disc, and its inversion is V_hat translated by c."""
