@@ -187,14 +187,18 @@ def assemble_dirichlet_system(
         center = center - a.a12 * wts.sum(axis=0)
     coef = np.stack(coefs)
 
+    # the unknowns are numbered in the C order of (i, j), so each row's
+    # entries in column order are its legs sorted by (di, dj), with the
+    # center at (0, 0): the CSR arrays are written in that order
+    steps = legs + ((0, 0),)
+    order = sorted(range(len(steps)), key=steps.__getitem__)
+    entries = np.concatenate([coef, center[None]])[order].T
+    columns = np.concatenate([nbr, np.arange(n)[None]])[order].T
+    kept = columns >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    A = sp.csr_matrix((entries[kept], columns[kept].astype(np.int32), indptr), shape=(n, n))
     stay = nbr >= 0
-    k = np.arange(n)
-    A = sp.coo_matrix(
-        (np.concatenate([center, coef[stay]]),
-         (np.concatenate([k, np.broadcast_to(k, nbr.shape)[stay]]),
-          np.concatenate([k, nbr[stay]]))),
-        shape=(n, n),
-    ).tocsr()
     g_cut = np.zeros(nbr.shape)
     g_cut[~stay] = g(bp)
     if not np.all(np.isfinite(g_cut)):
@@ -405,15 +409,33 @@ def boundary_psi_from_fits(
     chords (ChordTable) and fits (FitTable) are row-aligned tables.  Each ok
     fit contributes one equation psi(s_y) - psi(s_x) = dpsi in the knot
     values (piecewise-linear interpolation along the boundary parameter),
-    weighted by the fit's precision.  The equations' rows are built
-    `_CHORDS_PER_CHUNK` chords at a time, so the temporaries do not grow
-    with the table, and the normal equations N = A^T W A and the right-hand
-    side are accumulated with np.add.at chunk after chunk, chord by chord in
-    the order of the table: that order fixes every sum's bits, whatever the
-    chunk size.  Knots not touched by any chord are an error above
-    _MAX_MISSING_FRACTION, checked before N is allocated, otherwise
-    interpolated periodically with a warning.  The result is gauged to
-    vanish at knot 0.
+    weighted by the fit's precision w.  An endpoint in knot interval k at
+    fraction t (u = 1 - t) has coefficient u at knot k and t at knot k + 1,
+    signed + for y and - for x.
+
+    The normal equations N psi = b are built from sums per knot interval
+    rather than from the 16 products of each chord's row with itself:
+
+    - the y-y and x-x blocks are three sums over the endpoints in each
+      interval, S_uu = sum w*u*u, S_ut = sum w*u*t and S_tt = sum w*t*t,
+      which go on N's diagonal (S_uu[k] + S_tt[k - 1]) and on both periodic
+      off-diagonals (S_ut[k] at (k, k + 1) and (k + 1, k));
+    - b is two more such sums, of w*u*(+-dpsi) and w*t*(+-dpsi), at k and
+      k + 1;
+    - the y-x block C is the one scatter: 4 terms (w*c_y)*c_x per chord, at
+      (k_y + a, k_x + b), and N = bands - (C + C^T).
+
+    N is exactly symmetric: C + C^T is, and the bands put one sum on both
+    sides.  Each sum is accumulated with np.add.at, `_CHORDS_PER_CHUNK`
+    chords at a time (so the temporaries do not grow with the table), chord
+    by chord in the order of the table and, within a chord, y before x:
+    that order fixes every sum's bits, whatever the chunk size.
+
+    Knots not touched by any chord are an error above
+    _MAX_MISSING_FRACTION, checked before the n_knots^2 arrays are
+    allocated, otherwise interpolated periodically with a warning.  A
+    parameter s = L folds onto knot 0 through k mod n_knots.  The result is
+    gauged to vanish at knot 0.
     """
     L = domain.param_length
     knots = np.arange(n_knots) * (L / n_knots)
@@ -425,26 +447,28 @@ def boundary_psi_from_fits(
     w = 1.0 / (se * se)
     dpsi = fits.delta_psi[ok]
     # each used chord's endpoints in knot units along the boundary: y, then x
-    pos = np.stack([np.mod(domain.boundary_param(p[ok]), L) / (L / n_knots)
-                    for p in (chords.y, chords.x)], axis=1)
+    pos = np.stack([domain.boundary_param(p)[ok] / (L / n_knots) for p in (chords.y, chords.x)],
+                   axis=1)
 
-    def terms(part):
-        """The equations' four (knot, coefficient) terms per chord of the
-        part: y's two with +, then x's two with -."""
-        k0 = np.floor(pos[part]).astype(np.int64) % n_knots
-        t = pos[part] - np.floor(pos[part])
-        idx = np.stack([k0[:, 0], (k0[:, 0] + 1) % n_knots, k0[:, 1], (k0[:, 1] + 1) % n_knots],
-                       axis=1)
-        return idx, np.stack([1.0 - t[:, 0], t[:, 0], -(1.0 - t[:, 1]), -t[:, 1]], axis=1)
+    def intervals(part):
+        """Each endpoint's knot interval k, the next knot k + 1 and the
+        fraction t of the interval, (m, 2) arrays with y's column first.
+        The parameter lies in [0, L], so only s = L folds onto knot 0."""
+        k0 = np.floor(pos[part])
+        k = k0.astype(np.int64)
+        k[k == n_knots] = 0
+        nxt = k + 1
+        nxt[nxt == n_knots] = 0
+        return k, nxt, pos[part] - k0
 
     parts = [slice(lo, lo + _CHORDS_PER_CHUNK) for lo in range(0, n_used, _CHORDS_PER_CHUNK)]
-    # coverage first: N is n_knots^2 floats.  An endpoint touches its knot
-    # k0, with coefficient 1 - t > 0, and k0 + 1 where t is not 0
+    # coverage first: C and N are n_knots^2 floats.  An endpoint touches its
+    # knot k, with coefficient u > 0, and k + 1 where t is not 0
     touched = np.zeros(n_knots, dtype=bool)
     for part in parts:
-        k0 = np.floor(pos[part])
-        touched[k0.astype(np.int64) % n_knots] = True
-        touched[(k0[pos[part] != k0].astype(np.int64) + 1) % n_knots] = True
+        k, nxt, t = intervals(part)
+        touched[k] = True
+        touched[nxt[t != 0.0]] = True
     n_missing = int((~touched).sum())
     if n_missing > _MAX_MISSING_FRACTION * n_knots:
         raise DataError(
@@ -452,15 +476,37 @@ def boundary_psi_from_fits(
             f"(more than {_MAX_MISSING_FRACTION:.0%})"
         )
 
-    N = np.zeros((n_knots, n_knots))
-    rhs = np.zeros(n_knots)
-    flat = N.reshape(-1)
+    sums = np.zeros((5, n_knots))  # S_uu, S_ut, S_tt, and b's u and t parts
+    C = np.zeros((n_knots, n_knots))
     for part in parts:
-        idx, coef = terms(part)
-        wc = w[part, None] * coef
-        np.add.at(rhs, idx.ravel(), (wc * dpsi[part, None]).ravel())
-        cells = idx[:, :, None] * n_knots + idx[:, None, :]
-        np.add.at(flat, cells.ravel(), (wc[:, :, None] * coef[:, None, :]).ravel())
+        k, nxt, t = intervals(part)
+        m = len(t)
+        u = 1.0 - t
+        wp = np.repeat(w[part], 2).reshape(m, 2)
+        wu, wt = wp * u, wp * t
+        dp = np.repeat(dpsi[part], 2).reshape(m, 2)
+        np.negative(dp[:, 1], out=dp[:, 1])  # x's coefficients are negative
+        for row, value in zip(sums, (wu * u, wu * t, wt * t, wu * dp, wt * dp)):
+            np.add.at(row, k.ravel(), value.ravel())
+        # the y-x block: (w*c_y)*c_x at (k_y + a, k_x + b), in the C order of (a, b)
+        cells, values = np.empty((m, 4), dtype=np.int64), np.empty((m, 4))
+        ry, ry1 = k[:, 0] * n_knots, nxt[:, 0] * n_knots
+        for j, (r, wc_y, c, c_x) in enumerate([(ry, wu, k, u), (ry, wu, nxt, t),
+                                               (ry1, wt, k, u), (ry1, wt, nxt, t)]):
+            np.add(r, c[:, 1], out=cells[:, j])
+            np.multiply(wc_y[:, 0], c_x[:, 1], out=values[:, j])
+        np.add.at(C.reshape(-1), cells.ravel(), values.ravel())
+    N = C + C.T
+    del C
+    np.negative(N, out=N)
+    s_uu, s_ut, s_tt, b_u, b_t = sums
+    diag = np.arange(n_knots)
+    nxt = (diag + 1) % n_knots
+    # each S_ut on (k, k + 1) and then (k + 1, k), so both sides add alike
+    band = np.concatenate([diag * (n_knots + 1),
+                           np.stack([diag * n_knots + nxt, nxt * n_knots + diag], axis=1).ravel()])
+    np.add.at(N.reshape(-1), band, np.concatenate([s_uu + np.roll(s_tt, 1), np.repeat(s_ut, 2)]))
+    rhs = b_u + np.roll(b_t, 1)
 
     # gentle periodic-difference regularization fixes the gauge direction and
     # any untouched knots without biasing covered ones

@@ -191,7 +191,10 @@ class Domain:
         return bool(self._unknowns(pts).any())
 
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
-        """Map boundary points to arclength-like parameter in [0, param_length)."""
+        """Map boundary points (..., 2) to an arclength-like parameter in
+        [0, param_length]; param_length itself stands for 0, where rounding
+        lands a point just short of the start (a disc's tiny negative
+        angles)."""
         raise NotImplementedError
 
     def boundary_point(self, s: np.ndarray) -> np.ndarray:
@@ -247,12 +250,14 @@ class Domain:
 
 
 def _line_origins(omega, z, center):
-    """Broadcast directions (..., 2) against offsets (...); returns the
-    directions and the lines' feet center + z * omega_perp, both (..., 2)."""
+    """The lines through directions omega (..., 2) at offsets z (...): omega
+    as a float array, and the x and y columns of the lines' feet center +
+    z * omega_perp, omega_perp = (-omega_y, omega_x), each of the shape
+    omega[..., 0] and z broadcast to.  Column arithmetic, not (..., 2)
+    broadcasts: the bits are the same, in less time."""
     omega = np.asarray(omega, dtype=float)
-    perp = np.stack([-omega[..., 1], omega[..., 0]], axis=-1)
-    p0 = center + np.asarray(z, dtype=float)[..., None] * perp
-    return np.broadcast_to(omega, p0.shape), p0
+    z = np.asarray(z, dtype=float)
+    return omega, center[0] + z * -omega[..., 1], center[1] + z * omega[..., 0]
 
 
 @dataclass(frozen=True)
@@ -298,8 +303,13 @@ class DiscDomain(Domain):
         return d[..., 0] ** 2 + d[..., 1] ** 2 < self.radius**2
 
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=float) - self.center
-        return np.mod(np.arctan2(p[..., 1], p[..., 0]), 2.0 * np.pi)
+        """The polar angle about the center, in [0, 2 pi]: a tiny negative
+        angle rounds up to 2 pi, and -0.0 gives +0.0, as np.mod(angle, 2 pi)
+        does.  A point with a NaN coordinate gives NaN; an infinite one, the
+        angle arctan2 gives it."""
+        p = np.asarray(points, dtype=float)
+        a = np.arctan2(p[..., 1] - self.center_y, p[..., 0] - self.center_x)
+        return np.where(a < 0.0, a + 2.0 * np.pi, np.abs(a))
 
     def boundary_point(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -315,15 +325,18 @@ class DiscDomain(Domain):
         return self.center + d * (self.radius / r)[..., None]
 
     def chord_endpoints(self, omega: np.ndarray, z):
-        omega, p0 = _line_origins(omega, z, self.center)
+        omega, px, py = _line_origins(omega, z, self.center)
         # solve |p0 + s*omega - c|^2 = R^2 (vecdot rounds like a 2-vector dot)
-        d = p0 - self.center
+        d = np.stack([px - self.center_x, py - self.center_y], axis=-1)
         b = np.vecdot(d, omega)
         cterm = np.vecdot(d, d) - self.radius**2
         disc = b * b - cterm
         hit = disc > 0
         s = np.sqrt(np.where(hit, disc, np.nan))
-        return p0 + (-b - s)[..., None] * omega, p0 + (-b + s)[..., None] * omega, hit
+        # p0 + r * omega for r = -b -+ s, column by column
+        x, y = (np.stack([px + r * omega[..., 0], py + r * omega[..., 1]], axis=-1)
+                for r in (-b - s, -b + s))
+        return x, y, hit
 
     def boundary_crossing(self, p, q):
         p = np.asarray(p, dtype=float)
@@ -400,22 +413,28 @@ class RectangleDomain(Domain):
         )
 
     def boundary_param(self, points: np.ndarray) -> np.ndarray:
-        """Perimeter arclength from (xmin, ymin), counterclockwise."""
+        """Perimeter arclength from (xmin, ymin), counterclockwise, in
+        [0, param_length).  A point off the boundary takes the side of its
+        nearest edge, at its coordinate clipped to the rectangle.  A point
+        with a NaN coordinate has no nearest edge and is read on the left
+        edge: it gives NaN when y is NaN, else the left edge's value at y."""
         p = np.asarray(points, dtype=float)
         w = self.xmax - self.xmin
         h = self.ymax - self.ymin
         x = np.clip(p[..., 0], self.xmin, self.xmax) - self.xmin
         y = np.clip(p[..., 1], self.ymin, self.ymax) - self.ymin
-        # distance to each edge decides which side the point belongs to
+        # the nearest edge decides which side the point belongs to; on a tie
+        # the first of bottom, right, top, left wins, as argmin's first minimum
         d_bottom = np.abs(p[..., 1] - self.ymin)
         d_right = np.abs(p[..., 0] - self.xmax)
         d_top = np.abs(p[..., 1] - self.ymax)
         d_left = np.abs(p[..., 0] - self.xmin)
-        side = np.argmin(np.stack([d_bottom, d_right, d_top, d_left]), axis=0)
+        top_left = np.minimum(d_top, d_left)
         s = np.where(
-            side == 0,
+            d_bottom <= np.minimum(d_right, top_left),
             x,
-            np.where(side == 1, w + y, np.where(side == 2, w + h + (w - x), 2 * w + h + (h - y))),
+            np.where(d_right <= top_left, w + y,
+                     np.where(d_top <= d_left, w + h + (w - x), 2 * w + h + (h - y))),
         )
         return np.mod(s, self.param_length)
 
@@ -443,15 +462,15 @@ class RectangleDomain(Domain):
         return np.stack([x, y], axis=-1)
 
     def chord_endpoints(self, omega: np.ndarray, z):
-        omega, p0 = _line_origins(omega, z, self.center)
+        omega, px, py = _line_origins(omega, z, self.center)
         # Liang-Barsky clip of the infinite lines against the box
-        shape = p0.shape[:-1]
+        shape = px.shape
         t_lo = np.full(shape, -np.inf)
         t_hi = np.full(shape, np.inf)
         hit = np.ones(shape, dtype=bool)
-        for axis, (lo, hi) in enumerate([(self.xmin, self.xmax), (self.ymin, self.ymax)]):
-            d = np.broadcast_to(omega[..., axis], shape)
-            p = p0[..., axis]
+        for o, p, lo, hi in [(omega[..., 0], px, self.xmin, self.xmax),
+                             (omega[..., 1], py, self.ymin, self.ymax)]:
+            d = np.broadcast_to(o, shape)
             across = np.abs(d) >= 1e-15
             hit &= across | ((p > lo) & (p < hi))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,9 +481,9 @@ class RectangleDomain(Domain):
             t_lo = np.where(across & (near > t_lo), near, t_lo)
             t_hi = np.where(across & (far < t_hi), far, t_hi)
         hit &= t_hi - t_lo > 1e-12
-        t_lo = np.where(hit, t_lo, np.nan)[..., None]
-        t_hi = np.where(hit, t_hi, np.nan)[..., None]
-        return p0 + t_lo * omega, p0 + t_hi * omega, hit
+        x, y = (np.stack([px + t * omega[..., 0], py + t * omega[..., 1]], axis=-1)
+                for t in (np.where(hit, t_lo, np.nan), np.where(hit, t_hi, np.nan)))
+        return x, y, hit
 
     def boundary_crossing(self, p, q):
         p = np.asarray(p, dtype=float)

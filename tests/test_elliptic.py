@@ -310,9 +310,14 @@ def wavy_boundary(p):
 # a disc a few cells wide: rows with three and four crossing legs, whose
 # right-hand sides round by the order the legs are subtracted in
 SMALL_DISC = DiscDomain(LEG_DOMAINS[0].grid, 0.05, -0.1, 0.1)
+OFF_CENTRE_DISC = DiscDomain(DiscDomain.default_grid(0.3, -0.2, 0.8, 65, 1.3), 0.3, -0.2, 0.8)
 
 
-@pytest.mark.parametrize("domain", [*LEG_DOMAINS, SMALL_DISC], ids=["disc", "rectangle", "small-disc"])
+# the matrix is written straight into CSR arrays, each row's legs sorted by
+# (di, dj): its data, indices and indptr must be those of the oracle's COO
+# triplets after scipy's COO -> CSR conversion
+@pytest.mark.parametrize("domain", [*LEG_DOMAINS, SMALL_DISC, OFF_CENTRE_DISC],
+                         ids=["disc", "rectangle", "small-disc", "off-centre-disc"])
 def test_assembly_matches_two_path_oracle_bitwise_for_identity_a(domain):
     V = wavy_potential(domain.grid)
     system = assemble_dirichlet_system(DiffusionField(), V, domain, wavy_boundary)
@@ -322,7 +327,8 @@ def test_assembly_matches_two_path_oracle_bitwise_for_identity_a(domain):
     assert system.rhs.tobytes() == rhs.tobytes()
 
 
-@pytest.mark.parametrize("domain", LEG_DOMAINS, ids=["disc", "rectangle"])
+@pytest.mark.parametrize("domain", [*LEG_DOMAINS, OFF_CENTRE_DISC],
+                         ids=["disc", "rectangle", "off-centre-disc"])
 def test_assembly_matches_two_path_oracle_for_general_a(domain):
     a = DiffusionField(1.5, 0.3, 1.0)
     V = wavy_potential(domain.grid)
@@ -724,6 +730,37 @@ class TestBoundaryPsi:
         chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
         with pytest.raises(DataError, match=f"^{n_knots - len(touched)} of {n_knots} boundary"):
             boundary_psi_from_fits(chords, fits, dom, n_knots=n_knots)
+
+    def test_normal_matrix_is_exactly_symmetric(self, monkeypatch):
+        # C + C^T is symmetric, and each band sum goes on both sides of the
+        # diagonal; the regulariser and the mean pin keep it so
+        dom = self.circle()
+        chords, fits = self.synth_fits(dom, lambda p: float(p[0] - 0.5 * p[1] ** 2), n=800)
+        matrices = []
+        solve = np.linalg.solve
+
+        def keep(N, rhs):
+            matrices.append(N.copy())
+            return solve(N, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", keep)
+        boundary_psi_from_fits(chords, fits, dom, n_knots=48)
+        (N,) = matrices
+        assert N.tobytes() == N.T.copy().tobytes()
+
+    def test_parameter_L_folds_onto_knot_zero(self):
+        # (1, -1e-17) is at angle -1e-17, whose parameter rounds up to 2 pi:
+        # the same equation as at (1, 0), whose parameter is 0
+        dom = self.circle()
+        assert dom.boundary_param(np.array([1.0, -1e-17])) == 2 * np.pi
+        chords, fits = self.synth_fits(dom, lambda p: float(p[0] * p[1]), n=600, seed=5)
+        knots = []
+        for y in ([1.0, -1e-17], [1.0, 0.0]):
+            ys = chords.y.copy()
+            ys[:3] = y
+            bp = boundary_psi_from_fits(ChordTable(chords.x, ys), fits, dom, n_knots=32)
+            knots.append(bp.knot_values)
+        assert knots[0].tobytes() == knots[1].tobytes()
 
     def test_few_missing_knots_interpolated(self):
         dom = self.circle()

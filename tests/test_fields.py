@@ -421,6 +421,25 @@ def oracle_boundary_point(rect, s):
     return pts
 
 
+def oracle_boundary_param(domain, points):
+    """boundary_param as it stood: np.mod of the polar angle on a disc; on a
+    rectangle the side is the np.argmin of the four edge distances."""
+    p = np.asarray(points, dtype=float)
+    if isinstance(domain, DiscDomain):
+        d = p - domain.center
+        return np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
+    w = domain.xmax - domain.xmin
+    h = domain.ymax - domain.ymin
+    x = np.clip(p[..., 0], domain.xmin, domain.xmax) - domain.xmin
+    y = np.clip(p[..., 1], domain.ymin, domain.ymax) - domain.ymin
+    side = np.argmin(np.stack([np.abs(p[..., 1] - domain.ymin), np.abs(p[..., 0] - domain.xmax),
+                               np.abs(p[..., 1] - domain.ymax), np.abs(p[..., 0] - domain.xmin)]),
+                     axis=0)
+    s = np.where(side == 0, x, np.where(side == 1, w + y,
+                                        np.where(side == 2, w + h + (w - x), 2 * w + h + (h - y))))
+    return np.mod(s, domain.param_length)
+
+
 def same_bits(a, b):
     """Equal values with equal signs of zero, shape included."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -539,6 +558,38 @@ class TestArrayGeometry:
         got = domain.boundary_param(edge[None])
         assert got.shape == (1, 3) and same_bits(got[0], domain.boundary_param(edge))
         assert got[0] == pytest.approx([2.7, 4.4, 6.1], abs=1e-12)
+
+    @pytest.mark.parametrize("name", [*GEOMETRY_DOMAINS, "centred disc", "centred rectangle"])
+    def test_boundary_param_matches_the_argmin_and_mod_oracle(self, name):
+        domain = {**GEOMETRY_DOMAINS,
+                  "centred disc": lambda: DiscDomain(grid_square(17, half=1.5), 0.0, 0.0, 1.0),
+                  "centred rectangle": lambda: RectangleDomain(grid_square(17, half=1.5),
+                                                               -1.0, -0.5, 1.0, 0.5)}[name]()
+        rng = np.random.default_rng(14)
+        lo, hi = domain.bounds
+        c = domain.center
+        corners = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+        # equidistant from two edges: along the diagonals from the corners
+        along = np.array([0.0, 0.125, 0.25, 0.5])[:, None, None]
+        ties = (corners + along * (c - corners)).reshape(-1, 2)
+        zero = np.array([0.0, -0.0])
+        signed = np.array([[a, b] for a in (*zero, 1.0, -1.0, 0.5) for b in (*zero, 1.0, -1.0)])
+        # tiny negative angles round up to 2 pi
+        tiny = c + np.array([[1.0, -1e-17], [0.5, -1e-300], [0.75, -5e-324], [1.0, -1e-15]])
+        pts = np.vstack([rng.uniform(lo - 0.4, hi + 0.4, (500, 2)),
+                         domain.boundary_point(rng.uniform(0.0, domain.param_length, 200)),
+                         corners, ties, signed, c + signed, tiny])
+        got = domain.boundary_param(pts)
+        assert same_bits(got, oracle_boundary_param(domain, pts))
+        assert same_bits(domain.boundary_param(pts.reshape(-1, 2, 2)), got.reshape(-1, 2))
+        assert not np.any(np.signbit(got))
+        if name == "centred disc":  # off the origin, c + tiny rounds to c
+            assert np.count_nonzero(got == 2 * np.pi) >= 3
+        if isinstance(domain, RectangleDomain):
+            d = np.abs(np.stack([pts[:, 1] - lo[1], pts[:, 0] - hi[0], pts[:, 1] - hi[1],
+                                 pts[:, 0] - lo[0]]))
+            assert np.count_nonzero(np.sum(d == d.min(axis=0), axis=0) > 1) >= 8
+
 
 def test_scalar_field_refuses_values_of_another_shape():
     # a (4, 3) array on a 3 x 4 grid has the grid's size, but reshaped, its

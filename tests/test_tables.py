@@ -5,14 +5,16 @@ The oracles below are the per-line `chord_endpoints`, the per-chord
 `fit_ladder_batch`, and the double loop of `boundary_psi_from_fits`, as
 they stood before the tables; the array paths must reproduce them bit for
 bit (partial-ladder fits to 1e-12 relative, since those rows now share the
-batch's summation).
+batch's summation).  `boundary_psi_from_fits` now sums its normal equations
+per knot interval: its bits are pinned to a per-chord loop of those sums,
+and the double loop checks the least squares it solves.
 """
 
 import numpy as np
 import pytest
 
 from driftscope import elliptic, smalltime
-from driftscope.elliptic import boundary_psi_from_fits
+from driftscope.elliptic import BoundaryPsi, boundary_psi_from_fits
 from driftscope.errors import DataError, GeometryError
 from driftscope.fields import DiscDomain, Grid, RectangleDomain, sample_scalar
 from driftscope.kernels import OrnsteinUhlenbeckKernel
@@ -162,6 +164,53 @@ def oracle_boundary_psi(chords, fits, domain, n_knots):
             rhs[k] += w * coef * f.delta_psi
             for k2, coef2 in row:
                 N[k, k2] += w * coef * coef2
+    return _regularised_solve(N, rhs, L, n_knots)
+
+
+def oracle_interval_sums_boundary_psi(chords, fits, domain, n_knots):
+    """boundary_psi_from_fits's summation, one chord at a time in table
+    order: each endpoint (y, then x) adds w*u*u, w*u*t, w*t*t, w*u*dp and
+    w*t*dp to the sums of its knot interval k (u = 1 - t, dp = +-dpsi), and
+    the chord adds (w*c_y)*c_x to C at (k_y + a, k_x + b); then
+    N = bands - (C + C^T) and b = b_u + b_t shifted one knot on."""
+    L = domain.param_length
+    s_uu, s_ut, s_tt, b_u, b_t = (np.zeros(n_knots) for _ in range(5))
+    C = np.zeros((n_knots, n_knots))
+
+    def interval(p):
+        pos = float(domain.boundary_param(p)) / (L / n_knots)
+        return int(np.floor(pos)) % n_knots, pos - np.floor(pos)
+
+    for x, y, f in zip(chords.x, chords.y, fits):
+        if f is None:
+            continue
+        se = max(f.se_delta_psi, 1e-9)
+        w = 1.0 / (se * se)
+        (ky, ty), (kx, tx) = interval(y), interval(x)
+        for k, t, dp in ((ky, ty, f.delta_psi), (kx, tx, -f.delta_psi)):
+            u = 1.0 - t
+            s_uu[k] += w * u * u
+            s_ut[k] += w * u * t
+            s_tt[k] += w * t * t
+            b_u[k] += w * u * dp
+            b_t[k] += w * t * dp
+        for a, c_y in enumerate((1.0 - ty, ty)):
+            for b, c_x in enumerate((1.0 - tx, tx)):
+                C[(ky + a) % n_knots, (kx + b) % n_knots] += w * c_y * c_x
+    N = -(C + C.T)
+    rhs = np.zeros(n_knots)
+    for k in range(n_knots):
+        k2 = (k + 1) % n_knots
+        N[k, k] += s_uu[k] + s_tt[k - 1]
+        N[k, k2] += s_ut[k]
+        N[k2, k] += s_ut[k]
+        rhs[k] = b_u[k] + b_t[k - 1]
+    return _regularised_solve(N, rhs, L, n_knots)
+
+
+def _regularised_solve(N, rhs, L, n_knots):
+    """The knot values from the normal equations, as boundary_psi_from_fits
+    regularises, pins and gauges them."""
     scale = max(np.trace(N) / n_knots, 1.0)
     lam = 1e-9 * scale
     for k in range(n_knots):
@@ -197,14 +246,26 @@ def test_chord_table_matches_per_line_loop(name, geometry):
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 @pytest.mark.parametrize("chunk", [37, 8192])
 def test_knot_values_match_double_loop(name, chunk, monkeypatch):
-    # small chunks: the normal equations sum across chunks in chord order
+    # small chunks: the interval sums and C add up across chunks in chord order
     monkeypatch.setattr(elliptic, "_CHORDS_PER_CHUNK", chunk)
     domain = DOMAINS[name]()
     ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0), domain, (16, 17), LADDER)
     fits, _ = fit_dataset(ds)
+    used = fits.ok
+    dpsi_max = np.abs(fits.delta_psi[used]).max()
     for n_knots in (32, 64):
         bp = boundary_psi_from_fits(ds.chords, fits, domain, n_knots=n_knots)
-        assert np.array_equal(bp.knot_values, oracle_boundary_psi(ds.chords, fits, domain, n_knots))
+        want = oracle_interval_sums_boundary_psi(ds.chords, fits, domain, n_knots)
+        assert np.array_equal(bp.knot_values, want)
+        # the 16-term double loop solves the same least squares: the fitted
+        # chord differences agree to rounding.  Its knot values may move
+        # further along the direction only the 1e-9 regulariser fixes
+        double_loop = BoundaryPsi(domain, bp.knot_params,
+                                  oracle_boundary_psi(ds.chords, fits, domain, n_knots))
+        y, x = ds.chords.y[used], ds.chords.x[used]
+        got = bp.value_at(y) - bp.value_at(x)
+        assert np.abs(got - (double_loop.value_at(y) - double_loop.value_at(x))).max() \
+            <= 1e-12 * dpsi_max
 
 
 def test_full_ladder_fits_match_batch_oracle():
