@@ -13,13 +13,13 @@ chain's files.  dataset.npz, fits.npy and sinogram.npz are numpy binaries
 on the (angle, offset) raster; `fit --data` also takes dataset.csv,
 observed data as CSV text naming each chord by its (angle_index,
 offset_index), told by its first bytes.  fit, sinogram and solve rebuild
-the chords from the config and read against them, ignoring rows and cells
-off its chords.  Grids are DGF1 files.  Exit codes: 0 success, 2 config
-error (sizes too large for the memory, a domain too large or too small
-for floats, an output directory that cannot be created, an output file
-that cannot be written and a report.json of another config's run
-included), 3 data error (a missing input file included), 4
-solver/simulation error.
+the config's chord table, which knows its raster, and read their files
+against it, ignoring rows and cells off its chords.  Grids are DGF1
+files.  Exit codes: 0 success, 2 config error (sizes too large for the
+memory, a domain too large or too small for floats, an output directory
+that cannot be created, an output file that cannot be written and a
+report.json of another config's run included), 3 data error (a missing
+input file included), 4 solver/simulation error.
 
 scipy is loaded only by the subcommands that solve (solve, pipeline and
 check), and of it only `scipy.sparse`: the Krylov loop is numpy, so no
@@ -30,6 +30,7 @@ sinogram, invert, recover and phantom start without scipy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -169,6 +170,7 @@ def cmd_check(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # built once per process, however many commands it runs
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="driftscope",
                                  description="Drift reconstruction from exterior transition densities.")

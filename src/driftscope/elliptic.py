@@ -398,15 +398,10 @@ class BoundaryPsi:
 _MAX_MISSING_FRACTION = 0.05
 
 
-def boundary_psi_from_fits(
-    chords,
-    fits,
-    domain: Domain,
-    n_knots: int = 256,
-) -> BoundaryPsi:
+def boundary_psi_from_fits(fits, domain: Domain, n_knots: int = 256) -> BoundaryPsi:
     """Least-squares boundary potential from pairwise differences.
 
-    chords (ChordTable) and fits (FitTable) are row-aligned tables.  Each ok
+    fits is a FitTable, whose rows fit the chords of fits.chords.  Each ok
     fit contributes one equation psi(s_y) - psi(s_x) = dpsi in the knot
     values (piecewise-linear interpolation along the boundary parameter),
     weighted by the fit's precision w.  An endpoint in knot interval k at
@@ -447,8 +442,8 @@ def boundary_psi_from_fits(
     w = 1.0 / (se * se)
     dpsi = fits.delta_psi[ok]
     # each used chord's endpoints in knot units along the boundary: y, then x
-    pos = np.stack([domain.boundary_param(p)[ok] / (L / n_knots) for p in (chords.y, chords.x)],
-                   axis=1)
+    pos = np.stack([domain.boundary_param(p)[ok] / (L / n_knots)
+                    for p in (fits.chords.y, fits.chords.x)], axis=1)
 
     def intervals(part):
         """Each endpoint's knot interval k, the next knot k + 1 and the
@@ -509,17 +504,16 @@ def boundary_psi_from_fits(
     rhs = b_u + np.roll(b_t, 1)
 
     # gentle periodic-difference regularization fixes the gauge direction and
-    # any untouched knots without biasing covered ones
+    # any untouched knots without biasing covered ones: lam on both ends of
+    # each knot interval's diagonal, -lam on its two off-diagonal entries
     scale = max(np.trace(N) / n_knots, 1.0)
     lam = 1e-9 * scale
-    for k in range(n_knots):
-        k2 = (k + 1) % n_knots
-        N[k, k] += lam
-        N[k2, k2] += lam
-        N[k, k2] -= lam
-        N[k2, k] -= lam
+    N[diag, diag] += lam
+    N[nxt, nxt] += lam
+    N[diag, nxt] -= lam
+    N[nxt, diag] -= lam
     # pin the mean to make N definite
-    N += (1e-9 * scale / n_knots) * np.ones((n_knots, n_knots))
+    N += 1e-9 * scale / n_knots
 
     psi = np.linalg.solve(N, rhs)
     if n_missing:

@@ -436,7 +436,9 @@ class RectangleDomain(Domain):
             np.where(d_right <= top_left, w + y,
                      np.where(d_top <= d_left, w + h + (w - x), 2 * w + h + (h - y))),
         )
-        return np.mod(s, self.param_length)
+        # np.mod's bits: s lies in [0, L] up to a rounding, so s - L is exact
+        # (Sterbenz), and adding 0.0 makes -0.0 +0.0
+        return s + np.where(s >= self.param_length, -self.param_length, 0.0)
 
     def boundary_point(self, s: np.ndarray) -> np.ndarray:
         s = np.mod(np.asarray(s, dtype=float), self.param_length)

@@ -381,27 +381,34 @@ def drift_metrics(c_hat: VectorField, c_true_fn, domain: Domain, fraction: float
 # Stages and artifacts
 # ---------------------------------------------------------------------------
 #
-# A stage reads the config (its resolved grid, domain and observed kernel,
-# and its (n_angles, n_offsets) raster) and the values earlier stages added
-# to a dict, adds its outputs there and returns its report.json entries;
+# A stage reads the config (its resolved grid, domain and observed kernel)
+# and the values earlier stages added to a dict, adds its outputs there and
+# returns its report.json entries; the dataset and the fits carry their
+# chords, and the chords their raster, so no stage passes either beside them.
 # `run_stages` runs, writes and reports a run of stages, for `run_pipeline`
-# and for the CLI's stage subcommands alike.  Table entries, and the
-# artifact readers that rebuild the chords (`_config_chords`), call
-# functions by their module-level names at call time, with the file path
-# first, so wrappers installed on those names (the benchmark's tracer, which
-# reads the file size from that path) see every call.
+# and for the CLI's stage subcommands alike.  Table entries, and
+# `_config_chords`, call functions by their module-level names at call time,
+# with the file path first, so wrappers installed on those names (the
+# benchmark's tracer, which reads the file size from that path) see every call.
+
+
+def _config_chords(cfg: PipelineConfig):
+    """The chord table of the config's raster: gen-data's chords, and those
+    on which dataset.npz (the chain's handoff), fits.npy and dataset.csv
+    (--data's text) place their rows."""
+    return make_parallel_chords(cfg._domain, cfg.n_angles, cfg.n_offsets)[0]
 
 
 def _gen_data(cfg: PipelineConfig, v: dict) -> dict:
-    dataset = v["dataset"] = build_boundary_dataset(
-        cfg._observed, cfg._domain, (cfg.n_angles, cfg.n_offsets), cfg._ladder)
+    dataset = v["dataset"] = build_boundary_dataset(cfg._observed, _config_chords(cfg),
+                                                    cfg._ladder)
     return {"n_chords": dataset.n_chords,
             "n_lines_skipped": cfg.n_angles * cfg.n_offsets - dataset.n_chords}
 
 
 def _fit(cfg: PipelineConfig, v: dict) -> dict:
     fits, excluded = fit_dataset(v["dataset"])
-    v["fits"], v["chords"] = fits, v["dataset"].chords
+    v["fits"] = fits
     residuals = fits.residual[fits.ok]
     return {"n_chords_excluded": len(excluded),
             "fit_residual_median": float(np.median(residuals)) if len(residuals) else 0.0,
@@ -409,8 +416,7 @@ def _fit(cfg: PipelineConfig, v: dict) -> dict:
 
 
 def _sinogram(cfg: PipelineConfig, v: dict) -> dict:
-    sino = v["sinogram"] = sinogram_from_fits(v["fits"], v["chords"],
-                                              (cfg.n_angles, cfg.n_offsets), cfg._domain)
+    sino = v["sinogram"] = sinogram_from_fits(v["fits"], cfg._domain)
     return {"sinogram_masked_bins": int((~sino.mask).sum())}
 
 
@@ -424,9 +430,8 @@ def _solve(cfg: PipelineConfig, v: dict) -> dict:
     for psi_hat = log(u); a = I, every kernel's, is constant, so
     div(a grad(u)) = a:D2 u and there is no first-order term."""
     domain = cfg._domain
-    # no later step reads the chord and fit tables: free them once read
-    bpsi = boundary_psi_from_fits(v.pop("chords"), v.pop("fits"), domain,
-                                  n_knots=cfg.boundary_knots)
+    # no later step reads the fit table and its chords: free them once read
+    bpsi = boundary_psi_from_fits(v.pop("fits"), domain, n_knots=cfg.boundary_knots)
     system = assemble_dirichlet_system(DiffusionField(), v["V_hat"], domain,
                                        boundary_values_from_psi(bpsi))
     solution = solve_bvp(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
@@ -472,17 +477,6 @@ STAGES = {
 }
 
 
-def _config_chords(cfg: PipelineConfig):
-    """The chord table of the config's raster, on which dataset.npz (the
-    chain's handoff), fits.npy and dataset.csv (--data's text) place chords."""
-    return make_parallel_chords(cfg._domain, cfg.n_angles, cfg.n_offsets)[0]
-
-
-def _read_fits(cfg: PipelineConfig, path) -> dict:
-    chords = _config_chords(cfg)
-    return {"chords": chords, "fits": read_fits_csv(path, chords, (cfg.n_angles, cfg.n_offsets))}
-
-
 def _write_c_hat(cfg: PipelineConfig, v: dict, path_x, path_y) -> None:
     c_hat = v["c_hat"]
     write_dgf(path_x, ScalarField(c_hat.grid, c_hat.values[..., 0]))
@@ -499,12 +493,11 @@ class Artifact(NamedTuple):
 ARTIFACTS = {
     "dataset": Artifact(
         ("dataset.npz",), "--data",
-        lambda cfg, p: {"dataset": read_dataset_csv(p, _config_chords(cfg),
-                                                    (cfg.n_angles, cfg.n_offsets))},
-        lambda cfg, v, p: write_dataset_csv(p, v["dataset"], (cfg.n_angles, cfg.n_offsets))),
-    "fits": Artifact(("fits.npy",), "--fits", _read_fits,
-                     lambda cfg, v, p: write_fits_csv(p, v["chords"], v["fits"],
-                                                      (cfg.n_angles, cfg.n_offsets))),
+        lambda cfg, p: {"dataset": read_dataset_csv(p, _config_chords(cfg))},
+        lambda cfg, v, p: write_dataset_csv(p, v["dataset"])),
+    "fits": Artifact(("fits.npy",), "--fits",
+                     lambda cfg, p: {"fits": read_fits_csv(p, _config_chords(cfg))},
+                     lambda cfg, v, p: write_fits_csv(p, v["fits"])),
     "sinogram": Artifact(("sinogram.npz",), "--sinogram",
                          lambda cfg, p: {"sinogram": read_sinogram_csv(p)},
                          lambda cfg, v, p: write_sinogram_csv(p, v["sinogram"])),
@@ -657,7 +650,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None, persist
     the CLI's stage subcommands write them: a stage that fails leaves the
     earlier stages' files and their report behind, as the chain does.  The
     dataset and the sinogram are dropped once read, and solve frees the
-    chord and fit tables once boundary-psi has read them.
+    fit table, and with it the chord table, once boundary-psi has read it.
 
     kernels (optional): the (observed, reference) pair of kernel objects a
     caller has built from the config.  The stages run the config's own

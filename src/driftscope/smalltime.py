@@ -14,16 +14,18 @@ potential of any drift.  The log ratio is the only datum kept per
 (chord, time): the fit reads nothing else, and the densities themselves
 underflow at small t where their log ratio is still finite.
 
-Chords and fits are tables of columns: a ChordTable of endpoints, raster
-indices and lengths, and a FitTable of the value columns of fits.npy
-(dpsi, F, the residual, the standard errors of dpsi and F, the number of
-times fitted) plus ok.  Code reads the columns; a slice, mask or index
-array gives a sub-table.  The raster is the config's: `chord_angles`,
-`chord_offsets` and `make_parallel_chords` are its one definition.  A
-raster chord is fixed by its (angle_index, offset_index) and the domain:
+Chords and fits are tables of columns that carry their context: a
+ChordTable of endpoints, lengths and raster indices knows its (n_angles,
+n_offsets) raster, and a FitTable (the value columns of fits.npy: dpsi, F,
+the residual, the standard errors of dpsi and F, the number of times
+fitted, plus ok) and a BoundaryDataset know their ChordTable, so no
+function takes either beside the data.  Code reads the columns; a slice,
+mask or index array gives a sub-table.  `chord_angles`, `chord_offsets`
+and `make_parallel_chords` are the raster's one definition.  A raster
+chord is fixed by its (angle_index, offset_index) and the domain:
 dataset.npz (the chain's handoff) and fits.npy hold its data in that cell,
 dataset.csv (observed data as text) names it by those indices, and their
-readers place the values into the chord table rebuilt from the config.
+readers place the values into the chord table they are given.
 """
 
 from __future__ import annotations
@@ -52,19 +54,23 @@ _CHORDS_PER_CHUNK = 8192
 
 @dataclass(frozen=True, eq=False)
 class ChordTable:
-    """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths (n,).
+    """Chords as arrays: endpoints x, y (n, 2), raster indices and lengths
+    (n,), and the (n_angles, n_offsets) raster the indices address, which
+    `make_parallel_chords` sets; bare endpoints are the (n, 1) raster of
+    the table's own rows.  A slice, mask or index array gives a sub-table.
 
-    The endpoint checks run once over the whole table: finite planar
-    points, and no chord shorter than 1e-8 s + 1e-5 s, np.allclose's
-    tolerance at coordinates of size s, for s half the table's longest
-    chord, at most 1: a small domain keeps its chords wherever it sits.  A
-    slice, mask or index array gives a sub-table.
+    The checks run once over the whole table: each row's cell lies inside
+    the raster and is its own; finite planar endpoints, and no chord
+    shorter than 1e-8 s + 1e-5 s, np.allclose's tolerance at coordinates
+    of size s, for s half the table's longest chord, at most 1: a small
+    domain keeps its chords wherever it sits.
     """
 
     x: np.ndarray
     y: np.ndarray
     angle_index: np.ndarray | None = None
     offset_index: np.ndarray | None = None
+    raster: tuple[int, int] | None = None
     length: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
@@ -78,14 +84,24 @@ class ChordTable:
         length = np.hypot(d[:, 0], d[:, 1])
         if np.any(length <= (1e-8 + 1e-5) * min(1.0, 0.5 * length.max(initial=0.0))):
             raise GeometryError("chord endpoints coincide")
-        columns = {"x": x, "y": y, "length": length}
-        for name in ("angle_index", "offset_index"):
-            v = getattr(self, name)
-            v = np.full(len(x), -1) if v is None else np.asarray(v, dtype=np.int64)
-            if v.shape != (len(x),):
-                raise DataError(f"{name} must hold one entry per chord")
-            columns[name] = v
-        for name, v in columns.items():
+        bare = self.raster is None
+        if {bare, self.angle_index is None, self.offset_index is None} != {bare}:
+            raise DataError("a chord table's raster indices come with its raster")
+        ia, io = ((np.arange(len(x)), np.zeros(len(x), dtype=np.int64)) if bare else
+                  (np.asarray(v, dtype=np.int64) for v in (self.angle_index, self.offset_index)))
+        if ia.shape != (len(x),) or io.shape != (len(x),):
+            raise DataError("raster indices must hold one entry per chord")
+        n_angles, n_offsets = raster = (len(x), 1) if bare else tuple(map(int, self.raster))
+        outside = (ia < 0) | (ia >= n_angles) | (io < 0) | (io >= n_offsets)
+        if np.any(outside):
+            k = np.argmax(outside)
+            raise DataError(f"chord indices ({ia[k]}, {io[k]}) outside the {n_angles} x "
+                            f"{n_offsets} raster")
+        if (k := _first_repeat(ia * n_offsets + io)) is not None:
+            raise DataError(f"two chords share the raster cell ({ia[k]}, {io[k]})")
+        object.__setattr__(self, "raster", raster)
+        for name, v in {"x": x, "y": y, "length": length, "angle_index": ia,
+                        "offset_index": io}.items():
             v = np.ascontiguousarray(v)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -94,7 +110,8 @@ class ChordTable:
         return len(self.x)
 
     def __getitem__(self, i):
-        return ChordTable(self.x[i], self.y[i], self.angle_index[i], self.offset_index[i])
+        return ChordTable(self.x[i], self.y[i], self.angle_index[i], self.offset_index[i],
+                          self.raster)
 
 
 def chord_offsets(radius: float, n_offsets: int) -> np.ndarray:
@@ -125,7 +142,7 @@ def make_parallel_chords(domain: Domain, n_angles: int, n_offsets: int):
     offsets = chord_offsets(domain.circumradius, n_offsets)
     x, y, hit = domain.chord_endpoints(omega[:, None, :], offsets[None, :])
     ia, io = np.nonzero(hit)
-    return ChordTable(x[ia, io], y[ia, io], ia, io), np.argwhere(~hit)
+    return ChordTable(x[ia, io], y[ia, io], ia, io, (n_angles, n_offsets)), np.argwhere(~hit)
 
 
 class FitRow(NamedTuple):
@@ -145,8 +162,8 @@ _FIT_FLOATS = FitRow._fields[:-1]
 
 @dataclass(frozen=True, eq=False)
 class FitTable:
-    """Per-chord affine fits as arrays, row-aligned with a ChordTable: the
-    value columns of fits.npy (the fields of FitRow) and ok.
+    """Per-chord affine fits as arrays: the ChordTable `chords` they fit,
+    and per chord the value columns of fits.npy (FitRow's fields) and ok.
 
     Rows with ok False (fewer than 3 surviving observations) hold NaN, as
     their cells of fits.npy do.  On ok rows every value is finite, and the
@@ -157,6 +174,7 @@ class FitTable:
     iterates a fit table to count its ok fits; the package reads columns.
     """
 
+    chords: ChordTable
     delta_psi: np.ndarray
     F: np.ndarray
     residual: np.ndarray
@@ -171,6 +189,8 @@ class FitTable:
         cols["ok"] = np.asarray(self.ok, dtype=bool)
         if any(v.shape != cols["ok"].shape or v.ndim != 1 for v in cols.values()):
             raise DataError("fit table columns must be 1-D arrays of equal length")
+        if len(cols["ok"]) != len(self.chords):
+            raise DataError(f"{len(cols['ok'])} fits for {len(self.chords)} chords")
         ok = cols["ok"]
         finite = all(np.all(np.isfinite(cols[name]) | ~ok) for name in _FIT_FLOATS)
         if not finite or any(np.any(cols[name][ok] < 0)
@@ -187,7 +207,8 @@ class FitTable:
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
             return next(iter(self[[i]]))
-        return FitTable(*(getattr(self, name)[i] for name in (*FitRow._fields, "ok")))
+        return FitTable(self.chords[i],
+                        *(getattr(self, name)[i] for name in (*FitRow._fields, "ok")))
 
     def __iter__(self):
         # the benchmark's tracer counts the ok fits as the rows that are not
@@ -203,11 +224,11 @@ def _row_sums(table, *start):
     return functools.reduce(np.add, (table[:, j] for j in range(table.shape[1])), *start)
 
 
-def fit_ladder_batch(times, logratios) -> FitTable:
+def fit_ladder_batch(chords: ChordTable, times, logratios) -> FitTable:
     """Masked weighted least squares of r(t) ~ dpsi - F t, weights 1/t, for
-    many chords sharing one time ladder.
+    the chords of a table sharing one time ladder.
 
-    logratios has shape (n_chords, m); a non-finite entry is a dropped
+    logratios has shape (len(chords), m); a non-finite entry is a dropped
     observation and gets weight zero.  Each row yields the intercept dpsi,
     the slope magnitude F, the weighted RMS residual and the standard errors
     of dpsi and F; rows with fewer than 3 observations are marked not ok.  The
@@ -252,11 +273,12 @@ def fit_ladder_batch(times, logratios) -> FitTable:
             chunk = (dpsi, -slope, np.sqrt(sigma2), np.sqrt(np.maximum(sigma2 * s2 / det, 0.0)),
                      np.sqrt(np.maximum(sigma2 * s0 / det, 0.0)))
         cols[:, part] = np.where(n >= 3, chunk, np.nan)
-    return FitTable(*cols, n_obs, n_obs >= 3)
+    return FitTable(chords, *cols, n_obs, n_obs >= 3)
 
 
 def fit_small_time(times, logratios) -> FitRow:
-    """One chord's fit through `fit_ladder_batch` on a one-row table.
+    """One chord's fit through `fit_ladder_batch` on a one-row table, whose
+    chord is a stand-in: the endpoints do not enter the fit.
 
     Returns the table's FitRow: the intercept dpsi, the slope magnitude F,
     the weighted RMS residual, the standard errors of dpsi and F and the
@@ -274,7 +296,7 @@ def fit_small_time(times, logratios) -> FitRow:
         raise DataError("times must be finite and positive, and log ratios finite")
     if np.ptp(t) <= 1e-15 * t.max():
         raise DataError("time ladder is rank deficient (all times equal)")
-    return fit_ladder_batch(t, r[None, :])[0]
+    return fit_ladder_batch(ChordTable([[0.0, 0.0]], [[1.0, 0.0]]), t, r[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -310,24 +332,17 @@ class BoundaryDataset:
         return len(self.chords)
 
 
-def build_boundary_dataset(
-    observed: Kernel,
-    domain: Domain,
-    geometry: tuple[int, int],
-    ladder,
-) -> BoundaryDataset:
+def build_boundary_dataset(observed: Kernel, chords: ChordTable, ladder) -> BoundaryDataset:
     """Tabulate log density ratios log(p / p0) of the observed kernel p
     against the driftless one p0, `DRIFTLESS` (the OU kernel at theta = 0),
-    for every chord of a parallel-beam raster.
+    for every chord of a table (`make_parallel_chords` of a raster).
 
     Both kernels are evaluated in log space, so a ratio stays finite where
     the densities themselves underflow.
     """
-    n_angles, n_offsets = geometry
     times = np.asarray(sorted(ladder, reverse=True), dtype=float)
     if np.any(times <= 0):
         raise DataError("ladder times must be positive")
-    chords, _ = make_parallel_chords(domain, n_angles, n_offsets)
     xs, ys = chords.x, chords.y
     log_ratios = np.empty((len(chords), len(times)))
     for k, t in enumerate(times):
@@ -343,11 +358,11 @@ def build_boundary_dataset(
 def fit_dataset(dataset: BoundaryDataset):
     """Fit every chord in one masked batch (`fit_ladder_batch`).
 
-    Returns (fits, excluded): the FitTable row-aligned with dataset.chords,
-    and the indices of the chords with fewer than 3 surviving observations,
-    whose rows are not ok (None when indexed or iterated).
+    Returns (fits, excluded): the FitTable of dataset.chords, and the
+    indices of the chords with fewer than 3 surviving observations, whose
+    rows are not ok (None when indexed or iterated).
     """
-    fits = fit_ladder_batch(dataset.times, dataset.log_ratios)
+    fits = fit_ladder_batch(dataset.chords, dataset.times, dataset.log_ratios)
     return fits, np.nonzero(~fits.ok)[0].tolist()
 
 
@@ -414,15 +429,14 @@ def _first_repeat(keys):
 
 
 def _chord_rows(path, cols, chords: ChordTable):
-    """Each row's chord, looked up on the (angle, offset) raster of `chords`:
-    (hit, target), where hit marks the rows whose (angle_index,
-    offset_index) names a chord and target holds those rows' chord indices.
-    An index that is not an integer is a DataError naming the path."""
+    """Each row's chord, looked up on the raster of `chords`: (hit, target),
+    where hit marks the rows whose (angle_index, offset_index) names a
+    chord and target holds those rows' chord indices.  An index that is not
+    an integer is a DataError naming the path."""
     ia, io = _integers(path, cols, "angle_index", "offset_index")
-    shape = (chords.angle_index.max(initial=-1) + 1, chords.offset_index.max(initial=-1) + 1)
-    slot = np.full(shape, -1)
+    slot = np.full(chords.raster, -1)
     slot[chords.angle_index, chords.offset_index] = np.arange(len(chords))
-    hit = (ia >= 0) & (ia < shape[0]) & (io >= 0) & (io < shape[1])
+    hit = (ia >= 0) & (ia < slot.shape[0]) & (io >= 0) & (io < slot.shape[1])
     hit[hit] = slot[ia[hit], io[hit]] >= 0
     return hit, slot[ia[hit], io[hit]]
 
@@ -431,33 +445,34 @@ def _chord_name(chords: ChordTable, k) -> str:
     return f"chord angle={chords.angle_index[k]} offset={chords.offset_index[k]}"
 
 
-def write_dataset_csv(path, dataset: BoundaryDataset, raster: tuple[int, int]) -> None:
+def write_dataset_csv(path, dataset: BoundaryDataset) -> None:
     """dataset.npz (binary, whatever the name says; the benchmark traces this
     name until ROADMAP item 4) at exactly `path`, as equal bytes for equal
-    datasets: times, descending, and a float64 (*raster, n_times) log_ratios."""
-    cells = np.full((*raster, len(dataset.times)), np.nan)
+    datasets: times, descending, and a float64 (*raster, n_times) log_ratios
+    on the raster of dataset.chords."""
+    cells = np.full((*dataset.chords.raster, len(dataset.times)), np.nan)
     cells[dataset.chords.angle_index, dataset.chords.offset_index] = dataset.log_ratios
     with open(path, "wb") as fh:  # np.savez on a path would append .npz
         np.savez(fh, log_ratios=cells, times=dataset.times, allow_pickle=False)
 
 
-def read_dataset_csv(path, chords: ChordTable, raster: tuple[int, int]) -> BoundaryDataset:
-    """A dataset row-aligned with `chords`, a table of `raster`: gathered
-    in one step from the dataset.npz of `write_dataset_csv` (`_read_npz`) if
-    the file starts with the zip magic, else from CSV text as `_read_table`
-    reads it.  The CSV times are the distinct times of the rows that name a
-    chord, descending; a chord without a row at some time holds NaN there (a
+def read_dataset_csv(path, chords: ChordTable) -> BoundaryDataset:
+    """The dataset of `chords`, gathered from their raster in one step: from
+    the dataset.npz of `write_dataset_csv` (`_read_npz`) if the file starts
+    with the zip magic, else from CSV text as `_read_table` reads it.  The
+    CSV times are the distinct times of the rows that name a chord,
+    descending; a chord without a row at some time holds NaN there (a
     dropped observation); other rows, and other columns, are ignored.  A
-    log_ratios raster other than (*raster, n_times), times not 1-D, finite,
-    positive and decreasing, an index not integral and a (chord, time)
-    listed twice are DataErrors naming the path."""
+    log_ratios array other than (*chords.raster, n_times), times not 1-D,
+    finite, positive and decreasing, an index not integral and a (chord,
+    time) listed twice are DataErrors naming the path."""
     with open(path, "rb") as fh:
         binary = fh.read(4) == b"PK\x03\x04"  # the zip magic
     if binary:
         times, cells = _read_npz(path, {"times": "<f8", "log_ratios": "<f8"}).values()
-        if times.ndim != 1 or cells.shape != (*raster, len(times)):
+        if times.ndim != 1 or cells.shape != (*chords.raster, len(times)):
             raise DataError(f"{path}: times of shape {times.shape} and log_ratios of shape "
-                            f"{cells.shape}, not 1-D and of shape {raster} + (n_times,)")
+                            f"{cells.shape}, not 1-D and of shape {chords.raster} + (n_times,)")
         log_ratios = cells[chords.angle_index, chords.offset_index]
     else:
         cols = _read_table(path, DATASET_COLUMNS)
@@ -524,12 +539,14 @@ def _read_npz(path, members: dict) -> dict:
     return arrays
 
 
-def write_fits_csv(path, chords: ChordTable, fits: FitTable, raster: tuple[int, int]) -> None:
+def write_fits_csv(path, fits: FitTable) -> None:
     """fits.npy (binary, whatever the name says; the benchmark traces this
     name until ROADMAP item 4) at exactly `path`: a float64 (n_angles,
-    n_offsets, 6) raster, each chord's cell holding its FitRow and every
-    other cell, a not-ok fit's or one without a chord, all NaN."""
-    cells = np.full((*raster, len(FitRow._fields)), np.nan)
+    n_offsets, 6) array on the raster of fits.chords, each chord's cell
+    holding its FitRow and every other cell, a not-ok fit's or one without
+    a chord, all NaN."""
+    chords = fits.chords
+    cells = np.full((*chords.raster, len(FitRow._fields)), np.nan)
     ok = fits.ok
     cells[chords.angle_index[ok], chords.offset_index[ok]] = np.column_stack(
         [getattr(fits, name)[ok] for name in FitRow._fields])
@@ -537,14 +554,14 @@ def write_fits_csv(path, chords: ChordTable, fits: FitTable, raster: tuple[int, 
         np.save(fh, cells, allow_pickle=False)
 
 
-def read_fits_csv(path, chords: ChordTable, raster: tuple[int, int]) -> FitTable:
-    """Fits from the fits.npy of `write_fits_csv`, row-aligned with `chords`
-    (a table of `raster`) by one gather; an all-NaN cell is a fit that is
-    not ok.  Another shape or dtype, a truncated file, a cell NaN in some
-    columns only, a non-integral n_times and an ok fit that FitTable refuses
-    are DataErrors naming the path."""
+def read_fits_csv(path, chords: ChordTable) -> FitTable:
+    """The fits of `chords` from the fits.npy of `write_fits_csv`, gathered
+    from their raster in one step; an all-NaN cell is a fit that is not ok.
+    Another shape or dtype, a truncated file, a cell NaN in some columns
+    only, a non-integral n_times and an ok fit that FitTable refuses are
+    DataErrors naming the path."""
     with open(path, "rb") as fh:
-        cells = _read_npy(fh, str(path), "<f8", (*raster, len(FitRow._fields)))
+        cells = _read_npy(fh, str(path), "<f8", (*chords.raster, len(FitRow._fields)))
     columns = cells[chords.angle_index, chords.offset_index].T.copy()
     nan = np.isnan(columns)
     ok = ~nan.any(axis=0)
@@ -553,6 +570,6 @@ def read_fits_csv(path, chords: ChordTable, raster: tuple[int, int]) -> FitTable
                         "columns only")
     (n_times,) = _integers(path, {"n_times": np.where(ok, columns[-1], 0.0)}, "n_times")
     try:
-        return FitTable(*columns[:-1], n_times, ok)
+        return FitTable(chords, *columns[:-1], n_times, ok)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

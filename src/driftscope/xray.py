@@ -127,26 +127,16 @@ def sinogram_of_field(
     return Sinogram(values, np.ones_like(values, dtype=bool), domain.circumradius)
 
 
-def sinogram_from_fits(fits: FitTable, chords: ChordTable, geometry, domain: Domain) -> Sinogram:
-    """Scatter the line integrals F * |y - x| of a fit table into the raster.
-
-    chords is the whole chord table of the raster (`make_parallel_chords`
-    of the domain and geometry) and fits is row-aligned with it.  Bins
-    without a chord are lines that miss the domain: known zeros.  Bins
-    whose chord has no ok fit are masked.
+def sinogram_from_fits(fits: FitTable, domain: Domain) -> Sinogram:
+    """Scatter the line integrals F * |y - x| of a fit table into the raster
+    of its chords, the whole chord table of the raster (`make_parallel_chords`
+    of the domain).  Bins without a chord are lines that miss the domain:
+    known zeros.  Bins whose chord has no ok fit are masked.
     """
-    n_angles, n_offsets = geometry
-    if len(fits) != len(chords):
-        raise DataError("fits and chords are misaligned")
+    chords, ok = fits.chords, fits.ok
     ia, io = chords.angle_index, chords.offset_index
-    outside = (ia < 0) | (ia >= n_angles) | (io < 0) | (io >= n_offsets)
-    if np.any(outside):
-        k = np.argmax(outside)
-        raise DataError(f"chord indices ({ia[k]}, {io[k]}) outside the {n_angles} x "
-                        f"{n_offsets} raster")
-    values = np.zeros((n_angles, n_offsets))
-    mask = np.ones((n_angles, n_offsets), dtype=bool)
-    ok = fits.ok
+    values = np.zeros(chords.raster)
+    mask = np.ones(chords.raster, dtype=bool)
     mask[ia[~ok], io[~ok]] = False
     values[ia[ok], io[ok]] = fits.F[ok] * chords.length[ok]
     return Sinogram(values, mask, domain.circumradius)

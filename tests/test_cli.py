@@ -318,7 +318,7 @@ def csv_of_dataset(config, npz, path):
     text, the format observed data come in."""
     cfg = parse_config(config)
     chords = make_parallel_chords(cfg.resolved_domain(), cfg.n_angles, cfg.n_offsets)[0]
-    oracle_write_dataset_csv(path, read_dataset_csv(npz, chords, (cfg.n_angles, cfg.n_offsets)))
+    oracle_write_dataset_csv(path, read_dataset_csv(npz, chords))
     return path
 
 

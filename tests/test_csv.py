@@ -37,6 +37,7 @@ from driftscope.smalltime import (
     write_fits_csv,
     chord_angles,
     chord_offsets,
+    make_parallel_chords,
 )
 from driftscope.xray import Sinogram, read_sinogram_csv, write_sinogram_csv
 
@@ -174,7 +175,7 @@ def special_dataset():
     """Three chords holding NaN, +-inf, -0.0, 5e-324, 1e16 and 1e-5; chord 1
     has a dropped observation (NaN log ratio)."""
     chords = ChordTable([[-0.0, 5e-324], [1e-5, 1e16], [0.5, -0.5]],
-                        [[1.0, 0.0], [-1e16, 0.25], [-0.5, 0.5]], [0, 0, 2], [1, 3, 0])
+                        [[1.0, 0.0], [-1e16, 0.25], [-0.5, 0.5]], [0, 0, 2], [1, 3, 0], (3, 4))
     times = np.array([0.02, 0.01, 1e-5, 5e-324])
     log_ratios = np.array([[np.log(2.0), SPECIAL[1], SPECIAL[0], -0.0],
                            [5e-324, np.nan, 1e16, 1e-5],
@@ -184,36 +185,25 @@ def special_dataset():
 
 def small_dataset(ladder=(0.02, 0.01, 0.005, 0.0025), raster=(6, 5)):
     g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
-    return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0),
-                                  DiscDomain(g, 0.0, 0.0, 1.0), raster, ladder)
-
-
-def raster_of(chords):
-    """The smallest (angle, offset) raster that holds the chords."""
-    return (int(chords.angle_index.max()) + 1, int(chords.offset_index.max()) + 1)
-
-
-def read_csv(path, chords):
-    """`read_dataset_csv` of a file against the smallest raster of its
-    chords: a CSV file names each row's raster cell itself."""
-    return read_dataset_csv(path, chords, raster_of(chords))
+    chords, _ = make_parallel_chords(DiscDomain(g, 0.0, 0.0, 1.0), *raster)
+    return build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0), chords, ladder)
 
 
 def special_fits():
     """Four fits holding -0.0, 5e-324, 1e16 and 1e-5 on a 4 x 3 raster; the
-    third is not ok.  Returns (chords, fits, raster)."""
-    chords = ChordTable([[-1.0, 0.0]] * 4, [[1.0, 0.0]] * 4, [0, 0, 1, 3], [0, 2, 1, 0])
+    third is not ok.  Returns (chords, fits)."""
+    chords = ChordTable([[-1.0, 0.0]] * 4, [[1.0, 0.0]] * 4, [0, 0, 1, 3], [0, 2, 1, 0], (4, 3))
     nan = float("nan")
-    fits = FitTable(delta_psi=[-0.0, 1e16, nan, 5e-324], F=[1e-5, -0.0, nan, -1e16],
+    fits = FitTable(chords=chords, delta_psi=[-0.0, 1e16, nan, 5e-324], F=[1e-5, -0.0, nan, -1e16],
                     residual=[5e-324, 0.0, nan, 1e16], se_delta_psi=[1e-5, 0.0, nan, 5e-324],
                     se_F=[1e16, 2.0, nan, -0.0],
                     n_times=[4, 3, 2, 4], ok=[True, True, False, True])
-    return chords, fits, (4, 3)
+    return chords, fits
 
 
 def fitted_fits():
     ds = small_dataset()
-    return ds.chords, fit_dataset(ds)[0], (6, 5)
+    return ds.chords, fit_dataset(ds)[0]
 
 
 def rewrite(path, edit):
@@ -228,7 +218,7 @@ class TestReaders:
         chords = make().chords
         path = tmp_path / "dataset.csv"
         oracle_write_dataset_csv(path, make())
-        assert_bits_equal(dataset_arrays(read_csv(path, chords)),
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, chords)),
                           oracle_read_dataset_csv(path, chords))
 
     @pytest.mark.parametrize("make", [special_dataset, small_dataset])
@@ -240,8 +230,8 @@ class TestReaders:
         oracle_write_dataset_csv(path, ds)
         order = np.random.default_rng(7).permutation(ds.log_ratios.size)
         rewrite(path, lambda lines: [lines[0], *(lines[1 + i] for i in order)])
-        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)), dataset_arrays(ds))
-        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)),
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), dataset_arrays(ds))
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)),
                           oracle_read_dataset_csv(path, ds.chords))
 
     def test_dataset_rows_without_a_chord_are_ignored(self, tmp_path):
@@ -249,11 +239,11 @@ class TestReaders:
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
         oracle_write_dataset_csv(path, ds)
-        n_angles, n_offsets = ds.chords.angle_index.max() + 1, ds.chords.offset_index.max() + 1
+        n_angles, n_offsets = ds.chords.raster
         rewrite(path, lambda lines: lines + [f"{n_angles},0,0.02,1.0", f"0,{n_offsets},0.5,1.0",
                                              "-1,0,0.01,1.0", "0,-1,0.04,-inf"])
-        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)), dataset_arrays(ds))
-        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)),
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), dataset_arrays(ds))
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)),
                           oracle_read_dataset_csv(path, ds.chords))
 
     def test_chord_without_rows_is_nan(self, tmp_path):
@@ -263,7 +253,7 @@ class TestReaders:
         k = 7
         key = f"{ds.chords.angle_index[k]},{ds.chords.offset_index[k]},"
         rewrite(path, lambda lines: [line for line in lines if not line.startswith(key)])
-        back = read_csv(path, ds.chords)
+        back = read_dataset_csv(path, ds.chords)
         expected = ds.log_ratios.copy()
         expected[k] = np.nan
         assert_bits_equal(dataset_arrays(back), {**dataset_arrays(ds), "log_ratios": expected})
@@ -273,26 +263,26 @@ class TestReaders:
     @pytest.mark.parametrize("make", [special_fits, fitted_fits])
     def test_fits_bits_equal_csv_reader(self, tmp_path, make):
         # fits.npy reads back the bits the CSV reader read from the same fits
-        chords, fits, raster = make()
+        chords, fits = make()
         oracle_write_fits_csv(tmp_path / "fits.csv", chords, fits)
-        write_fits_csv(tmp_path / "fits.npy", chords, fits, raster)
-        assert_bits_equal(read_fits_csv(tmp_path / "fits.npy", chords, raster),
+        write_fits_csv(tmp_path / "fits.npy", fits)
+        assert_bits_equal(read_fits_csv(tmp_path / "fits.npy", chords),
                           oracle_read_fits_csv(tmp_path / "fits.csv", chords))
 
     def test_fits_rows_without_a_chord_are_ignored(self, tmp_path):
         # a raster cell that names no chord is not read, whatever it holds
-        chords, fits, raster = special_fits()
+        chords, fits = special_fits()
         path = tmp_path / "fits.npy"
-        write_fits_csv(path, chords, fits, raster)
-        expected = {name: getattr(read_fits_csv(path, chords, raster), name)
+        write_fits_csv(path, fits)
+        expected = {name: getattr(read_fits_csv(path, chords), name)
                     for name in (*FitRow._fields, "ok")}
         cells = np.load(path, allow_pickle=False)
-        seen = np.zeros(raster, dtype=bool)
+        seen = np.zeros(chords.raster, dtype=bool)
         seen[chords.angle_index, chords.offset_index] = True
         assert (~seen).sum() == 8
         cells[~seen] = [1.0, np.inf, -1.0, np.nan, -0.0, 2.5]
         np.save(path, cells)
-        assert_bits_equal(read_fits_csv(path, chords, raster), expected)
+        assert_bits_equal(read_fits_csv(path, chords), expected)
 
     def test_older_layout_reads_the_same(self, tmp_path):
         # a file that also holds the chord endpoints (8 columns), or the
@@ -302,7 +292,7 @@ class TestReaders:
             ds = make()
             path = tmp_path / "dataset.csv"
             oracle_write_dataset_csv(path, ds)
-            new = dataset_arrays(read_csv(path, ds.chords))
+            new = dataset_arrays(read_dataset_csv(path, ds.chords))
             assert_bits_equal(new, dataset_arrays(ds))
             for densities, header in [
                 (False, b"angle_index,offset_index,x1,x2,y1,y2,t,log_ratio\r\n"),
@@ -312,14 +302,14 @@ class TestReaders:
                 with np.errstate(over="ignore"):
                     oracle_write_dataset_csv(older, ds, endpoints=True, densities=densities)
                 assert older.read_bytes().startswith(header)
-                assert_bits_equal(dataset_arrays(read_csv(older, ds.chords)), new)
+                assert_bits_equal(dataset_arrays(read_dataset_csv(older, ds.chords)), new)
 
     def test_dropped_observation_reads_back_as_nan(self, tmp_path):
         # a dropped observation (NaN log ratio) is written as nan and read
         # back as NaN
         path = tmp_path / "dropped.csv"
         oracle_write_dataset_csv(path, special_dataset())
-        back = read_csv(path, special_dataset().chords)
+        back = read_dataset_csv(path, special_dataset().chords)
         assert b"\r\n0,3,0.01,nan\r\n" in path.read_bytes()
         assert np.isnan(back.log_ratios[1, 1])
         assert_bits_equal(dataset_arrays(back), dataset_arrays(special_dataset()))
@@ -346,9 +336,9 @@ class TestReaders:
         ds = small_dataset()
         path = tmp_path / "dataset.csv"
         oracle_write_dataset_csv(path, ds)
-        expected = dataset_arrays(read_csv(path, ds.chords))
+        expected = dataset_arrays(read_dataset_csv(path, ds.chords))
         rewrite(path, lambda lines: [lines[0], "", *lines[1:3], "", *lines[3:], ""])
-        assert_bits_equal(dataset_arrays(read_csv(path, ds.chords)), expected)
+        assert_bits_equal(dataset_arrays(read_dataset_csv(path, ds.chords)), expected)
 
 
 def drop_column(name):
@@ -450,49 +440,50 @@ class TestMalformed:
         oracle_write_dataset_csv(path, ds)
         rewrite(path, MALFORMED[case])
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_csv(path, ds.chords)
+            read_dataset_csv(path, ds.chords)
 
     @pytest.mark.parametrize("case", FITS_MALFORMED)
     def test_fits_data_error_names_path(self, tmp_path, case):
-        chords, fits, raster = fitted_fits()
+        chords, fits = fitted_fits()
         path = tmp_path / "fits.npy"
-        write_fits_csv(path, chords, fits, raster)
+        write_fits_csv(path, fits)
         path.write_bytes(FITS_MALFORMED[case](path.read_bytes()))
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_fits_csv(path, chords, raster)
+            read_fits_csv(path, chords)
 
     @pytest.mark.parametrize("name, value", [("delta_psi", "nan"), ("F", "inf"),
                                              ("residual", "-inf"), ("residual", "-1e-3"),
                                              ("se_F", "nan"), ("se_delta_psi", "-1e-3")])
     def test_fits_non_finite_row_is_data_error(self, tmp_path, name, value):
-        chords, fits, raster = fitted_fits()
+        chords, fits = fitted_fits()
         path = tmp_path / "fits.npy"
-        write_fits_csv(path, chords, fits, raster)
+        write_fits_csv(path, fits)
         k = 2
         cell = (chords.angle_index[k], chords.offset_index[k], FitRow._fields.index(name))
         path.write_bytes(set_cell(cell, float(value))(path.read_bytes()))
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read_fits_csv(path, chords, raster)
+            read_fits_csv(path, chords)
 
     def test_non_finite_ok_fit_rejected_by_table(self):
+        chord = ChordTable([[-1.0, 0.0]], [[1.0, 0.0]])
         with pytest.raises(DataError, match="finite"):
-            FitTable([np.nan], [1.0], [0.0], [1.0], [1.0], [3], [True])
+            FitTable(chord, [np.nan], [1.0], [0.0], [1.0], [1.0], [3], [True])
         with pytest.raises(DataError, match="nonnegative"):
-            FitTable([0.0], [1.0], [0.0], [1.0], [-1e-3], [3], [True])
-        table = FitTable([np.nan], [np.nan], [np.nan], [np.nan], [np.nan], [2], [False])
+            FitTable(chord, [0.0], [1.0], [0.0], [1.0], [-1e-3], [3], [True])
+        table = FitTable(chord, [np.nan], [np.nan], [np.nan], [np.nan], [np.nan], [2], [False])
         assert table[0] is None
 
     def test_partly_nan_cell_names_its_chord(self, tmp_path):
-        chords, fits, raster = fitted_fits()
+        chords, fits = fitted_fits()
         path = tmp_path / "fits.npy"
-        write_fits_csv(path, chords, fits, raster)
+        write_fits_csv(path, fits)
         k = 7
         ia, io = chords.angle_index[k], chords.offset_index[k]
         path.write_bytes(set_cell((ia, io, FitRow._fields.index("n_times")), np.nan)(
             path.read_bytes()))
         with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord angle={ia} "
                                             rf"offset={io} is NaN in some columns only"):
-            read_fits_csv(path, chords, raster)
+            read_fits_csv(path, chords)
 
 
 def lines_indices(path, row):
@@ -508,7 +499,7 @@ class TestDuplicates:
         ia, io = lines_indices(path, 6)
         with pytest.raises(DataError, match=rf"{re.escape(str(path))}: chord angle={ia} "
                                             rf"offset={io} at t=.* listed more than once"):
-            read_csv(path, ds.chords)
+            read_dataset_csv(path, ds.chords)
 
 
 def npz_of(members: dict, compression=zipfile.ZIP_STORED) -> bytes:
@@ -700,31 +691,30 @@ class TestDatasetNpz:
     def test_malformed_file_is_data_error_naming_path(self, tmp_path, case):
         ds = small_dataset()
         path = tmp_path / "dataset.npz"
-        write_dataset_csv(path, ds, (6, 5))
+        write_dataset_csv(path, ds)
         path.write_bytes(DATASET_MALFORMED[case](path.read_bytes()))
         assert path.read_bytes().startswith(LOCAL)  # read as an .npz, not as CSV text
         with pytest.raises(DataError, match=re.escape(f"{path}: ")):
-            read_dataset_csv(path, ds.chords, (6, 5))
+            read_dataset_csv(path, ds.chords)
 
     @pytest.mark.parametrize("make", [special_dataset, small_dataset])
     def test_reads_back_the_bits_the_csv_text_reads(self, tmp_path, make):
         ds = make()
-        raster = raster_of(ds.chords)
-        write_dataset_csv(tmp_path / "dataset.npz", ds, raster)
+        write_dataset_csv(tmp_path / "dataset.npz", ds)
         oracle_write_dataset_csv(tmp_path / "dataset.csv", ds)
-        back = dataset_arrays(read_dataset_csv(tmp_path / "dataset.npz", ds.chords, raster))
+        back = dataset_arrays(read_dataset_csv(tmp_path / "dataset.npz", ds.chords))
         assert_bits_equal(back, dataset_arrays(ds))
         assert_bits_equal(back, oracle_read_dataset_csv(tmp_path / "dataset.csv", ds.chords))
 
     def test_format_is_told_by_the_bytes_not_the_name(self, tmp_path):
         # an .npz named data.csv reads as an .npz, CSV text named data.npz as CSV
         ds = small_dataset()
-        write_dataset_csv(tmp_path / "data.csv", ds, (6, 5))
+        write_dataset_csv(tmp_path / "data.csv", ds)
         oracle_write_dataset_csv(tmp_path / "data.npz", ds)
         assert (tmp_path / "data.csv").read_bytes().startswith(LOCAL)
         assert (tmp_path / "data.npz").read_bytes().startswith(b"angle_index,")
         for name in ("data.csv", "data.npz"):
-            back = read_dataset_csv(tmp_path / name, ds.chords, (6, 5))
+            back = read_dataset_csv(tmp_path / name, ds.chords)
             assert_bits_equal(dataset_arrays(back), dataset_arrays(ds))
 
     def test_written_to_the_path_given_and_bytes_repeat(self, tmp_path):
@@ -732,7 +722,7 @@ class TestDatasetNpz:
         # the file, and writing it again, later, gives the same bytes
         ds = special_dataset()
         path = tmp_path / "dataset"
-        write_dataset_csv(path, ds, (3, 4))
+        write_dataset_csv(path, ds)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
         with np.load(path, allow_pickle=False) as npz:
             assert npz.files == ["log_ratios", "times"]
@@ -744,16 +734,16 @@ class TestDatasetNpz:
                 == ds.log_ratios.tobytes())
         assert np.isnan(cells).all(axis=-1).sum() == 3 * 4 - 3
         first = path.read_bytes()
-        write_dataset_csv(tmp_path / "again.npz", ds, (3, 4))
+        write_dataset_csv(tmp_path / "again.npz", ds)
         assert (tmp_path / "again.npz").read_bytes() == first
         with zipfile.ZipFile(path) as archive:
             assert all(info.date_time == (1980, 1, 1, 0, 0, 0) for info in archive.infolist())
 
 def test_fits_npy_written_to_the_path_given(tmp_path):
     # np.save would append .npy to a path without it
-    chords, fits, raster = special_fits()
+    chords, fits = special_fits()
     path = tmp_path / "fits"
-    write_fits_csv(path, chords, fits, raster)
+    write_fits_csv(path, fits)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fits"]
     cells = np.load(path, allow_pickle=False)
     assert cells.shape == (4, 3, 6) and cells.dtype == np.dtype("<f8")

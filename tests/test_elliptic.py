@@ -1,3 +1,4 @@
+import dataclasses
 import typing
 
 import numpy as np
@@ -27,13 +28,14 @@ from driftscope.fields import (
 from driftscope.smalltime import ChordTable, FitTable
 
 
-def chord_fit_tables(xs, ys, delta_psi, se_delta_psi):
-    """Chord and fit tables for synthetic boundary-psi equations."""
+def chord_fit_table(xs, ys, delta_psi, se_delta_psi):
+    """The fit table, on a table of the chords xs -> ys, of synthetic
+    boundary-psi equations."""
     n = len(xs)
     zero = np.zeros(n)
-    fits = FitTable(np.asarray(delta_psi, dtype=float), zero, zero, np.full(n, se_delta_psi),
-                    np.full(n, 1e-4), np.full(n, 4), np.ones(n, dtype=bool))
-    return ChordTable(np.array(xs), np.array(ys)), fits
+    return FitTable(ChordTable(np.array(xs), np.array(ys)), np.asarray(delta_psi, dtype=float),
+                    zero, zero, np.full(n, se_delta_psi), np.full(n, 1e-4), np.full(n, 4),
+                    np.ones(n, dtype=bool))
 
 
 def disc_setup(n, half=1.2, radius=1.0):
@@ -662,12 +664,12 @@ class TestBoundaryPsi:
             xs.append(x)
             ys.append(y)
             dpsi.append(float(psi_fn(y) - psi_fn(x)))
-        return chord_fit_tables(xs, ys, dpsi, se)
+        return chord_fit_table(xs, ys, dpsi, se)
 
     def test_constant_psi_gives_unit_g(self):
         dom = self.circle()
-        chords, fits = self.synth_fits(dom, lambda p: 1.7, n=500)
-        bp = boundary_psi_from_fits(chords, fits, dom, n_knots=64)
+        fits = self.synth_fits(dom, lambda p: 1.7, n=500)
+        bp = boundary_psi_from_fits(fits, dom, n_knots=64)
         gfun = boundary_values_from_psi(bp)
         pts = dom.boundary_point(np.linspace(0, 2 * np.pi, 50, endpoint=False))
         assert gfun(pts) == pytest.approx(np.ones(50), abs=1e-9)
@@ -675,8 +677,8 @@ class TestBoundaryPsi:
     def test_quadratic_psi_on_circle_gives_unit_g(self):
         # psi = -|x|^2/2 is constant on the unit circle
         dom = self.circle()
-        chords, fits = self.synth_fits(dom, lambda p: -0.5 * float(p @ p), n=500)
-        bp = boundary_psi_from_fits(chords, fits, dom, n_knots=64)
+        fits = self.synth_fits(dom, lambda p: -0.5 * float(p @ p), n=500)
+        bp = boundary_psi_from_fits(fits, dom, n_knots=64)
         gfun = boundary_values_from_psi(bp)
         pts = dom.boundary_point(np.linspace(0, 2 * np.pi, 50, endpoint=False))
         assert gfun(pts) == pytest.approx(np.ones(50), abs=1e-9)
@@ -688,8 +690,8 @@ class TestBoundaryPsi:
             p = np.asarray(p)
             return 0.4 * np.exp(-((p[..., 0] - 0.3) ** 2 + (p[..., 1] + 0.2) ** 2) / 0.5)
 
-        chords, fits = self.synth_fits(dom, lambda p: float(psi_fn(p)), n=4000, seed=1)
-        bp = boundary_psi_from_fits(chords, fits, dom, n_knots=256)
+        fits = self.synth_fits(dom, lambda p: float(psi_fn(p)), n=4000, seed=1)
+        bp = boundary_psi_from_fits(fits, dom, n_knots=256)
         gfun = boundary_values_from_psi(bp)
         s = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         pts = dom.boundary_point(s)
@@ -706,9 +708,9 @@ class TestBoundaryPsi:
                 continue
             xs.append(dom.boundary_point(t1))
             ys.append(dom.boundary_point(t2))
-        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
+        fits = chord_fit_table(xs, ys, np.zeros(len(xs)), 1e-6)
         with pytest.raises(DataError, match="coverage"):
-            boundary_psi_from_fits(chords, fits, dom, n_knots=128)
+            boundary_psi_from_fits(fits, dom, n_knots=128)
 
     @pytest.mark.parametrize("chunk", [5, 8192])
     def test_missing_knots_are_those_no_term_touches(self, chunk, monkeypatch):
@@ -727,15 +729,15 @@ class TestBoundaryPsi:
                         if coef != 0.0}
         assert [float(dom.boundary_param(p)) / (2 * np.pi / n_knots)
                 for p in (xs[-1], ys[-1])] == [0.0, 32.0]
-        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
+        fits = chord_fit_table(xs, ys, np.zeros(len(xs)), 1e-6)
         with pytest.raises(DataError, match=f"^{n_knots - len(touched)} of {n_knots} boundary"):
-            boundary_psi_from_fits(chords, fits, dom, n_knots=n_knots)
+            boundary_psi_from_fits(fits, dom, n_knots=n_knots)
 
     def test_normal_matrix_is_exactly_symmetric(self, monkeypatch):
         # C + C^T is symmetric, and each band sum goes on both sides of the
         # diagonal; the regulariser and the mean pin keep it so
         dom = self.circle()
-        chords, fits = self.synth_fits(dom, lambda p: float(p[0] - 0.5 * p[1] ** 2), n=800)
+        fits = self.synth_fits(dom, lambda p: float(p[0] - 0.5 * p[1] ** 2), n=800)
         matrices = []
         solve = np.linalg.solve
 
@@ -744,7 +746,7 @@ class TestBoundaryPsi:
             return solve(N, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", keep)
-        boundary_psi_from_fits(chords, fits, dom, n_knots=48)
+        boundary_psi_from_fits(fits, dom, n_knots=48)
         (N,) = matrices
         assert N.tobytes() == N.T.copy().tobytes()
 
@@ -753,12 +755,13 @@ class TestBoundaryPsi:
         # the same equation as at (1, 0), whose parameter is 0
         dom = self.circle()
         assert dom.boundary_param(np.array([1.0, -1e-17])) == 2 * np.pi
-        chords, fits = self.synth_fits(dom, lambda p: float(p[0] * p[1]), n=600, seed=5)
+        fits = self.synth_fits(dom, lambda p: float(p[0] * p[1]), n=600, seed=5)
         knots = []
         for y in ([1.0, -1e-17], [1.0, 0.0]):
-            ys = chords.y.copy()
+            ys = fits.chords.y.copy()
             ys[:3] = y
-            bp = boundary_psi_from_fits(ChordTable(chords.x, ys), fits, dom, n_knots=32)
+            moved = dataclasses.replace(fits, chords=ChordTable(fits.chords.x, ys))
+            bp = boundary_psi_from_fits(moved, dom, n_knots=32)
             knots.append(bp.knot_values)
         assert knots[0].tobytes() == knots[1].tobytes()
 
@@ -773,7 +776,7 @@ class TestBoundaryPsi:
                 continue
             xs.append(dom.boundary_point(t1))
             ys.append(dom.boundary_point(t2))
-        chords, fits = chord_fit_tables(xs, ys, np.zeros(len(xs)), 1e-6)
+        fits = chord_fit_table(xs, ys, np.zeros(len(xs)), 1e-6)
         with pytest.warns(UserWarning, match="interpolated"):
-            bp = boundary_psi_from_fits(chords, fits, dom, n_knots=256)
+            bp = boundary_psi_from_fits(fits, dom, n_knots=256)
         assert np.all(np.isfinite(bp.knot_values))

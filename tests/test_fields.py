@@ -559,12 +559,31 @@ class TestArrayGeometry:
         assert got.shape == (1, 3) and same_bits(got[0], domain.boundary_param(edge))
         assert got[0] == pytest.approx([2.7, 4.4, 6.1], abs=1e-12)
 
-    @pytest.mark.parametrize("name", [*GEOMETRY_DOMAINS, "centred disc", "centred rectangle"])
+    @pytest.mark.parametrize("corners, want", [
+        ((-1.0, -1.0, 1.0, 1.0), 0.0),
+        ((-1.0, -0.5, 1.0, 0.5), 0.0),
+        # the left edge's 2w + h + h rounds to one ulp above L = 6.8
+        ((-1.0, -0.7, 1.0, 0.7), 6.800000000000001 - 6.8),
+    ])
+    def test_rectangle_boundary_param_folds_L_onto_0(self, corners, want):
+        # below the bottom-left corner but nearest the left edge: the left
+        # edge's value at y = ymin is L, or L and a rounding, which folds
+        # onto 0 as np.mod folds it
+        domain = RectangleDomain(grid_square(17, half=1.5), *corners)
+        got = domain.boundary_param(np.array([[corners[0] - 0.1, corners[1] - 1.0]]))
+        assert got.tolist() == [want] and not np.signbit(got[0])
+
+    @pytest.mark.parametrize("name", [*GEOMETRY_DOMAINS, "centred disc", "centred rectangle",
+                                      "rectangle at the origin"])
     def test_boundary_param_matches_the_argmin_and_mod_oracle(self, name):
+        # at the origin, x = -0.0 clips to -0.0 on the bottom edge, which np.mod
+        # turns into +0.0
         domain = {**GEOMETRY_DOMAINS,
                   "centred disc": lambda: DiscDomain(grid_square(17, half=1.5), 0.0, 0.0, 1.0),
                   "centred rectangle": lambda: RectangleDomain(grid_square(17, half=1.5),
-                                                               -1.0, -0.5, 1.0, 0.5)}[name]()
+                                                               -1.0, -0.5, 1.0, 0.5),
+                  "rectangle at the origin": lambda: RectangleDomain(grid_square(17, half=1.5),
+                                                                     0.0, 0.0, 1.0, 1.0)}[name]()
         rng = np.random.default_rng(14)
         lo, hi = domain.bounds
         c = domain.center

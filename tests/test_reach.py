@@ -490,10 +490,15 @@ def test_benchmark_tracer_counts_a_solve(monkeypatch):
 def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
     """The fit and sinogram stages read their files through
     `recover.make_parallel_chords`, `recover.read_dataset_csv` and
-    `recover.read_fits_csv`, looked up when called and with the file path
-    first: the benchmark's tracer swaps those names and reads the file size
-    from that path, so a reader that held a function object of its own would
-    drop the `--trace 1` reader spans and `cli.bytes_read` unnoticed."""
+    `recover.read_fits_csv`, and every stage writes its files through
+    `recover.write_dataset_csv`, `recover.write_fits_csv`,
+    `recover.write_sinogram_csv` and `recover.write_dgf`, looked up when
+    called and with the file path first: the benchmark's tracer swaps those
+    names and reads the file size from that path, so a reader or writer
+    that held a function object of its own, or took the path later, would
+    drop the `--trace 1` spans and `cli.bytes_read` or `cli.bytes_written`
+    unnoticed."""
+    import warnings
     from collections import Counter
 
     from driftscope import recover
@@ -518,12 +523,25 @@ def test_artifact_readers_call_the_traced_names(tmp_path, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("make_parallel_chords", "read_dataset_csv", "read_fits_csv"):
+    for name in ("make_parallel_chords", "read_dataset_csv", "read_fits_csv",
+                 "write_dataset_csv", "write_fits_csv", "write_sinogram_csv", "write_dgf"):
         monkeypatch.setattr(recover, name, counting(name))
     recover.run_stages(["fit"], cfg, {}, {}, inputs={"dataset": tmp_path / "dataset.npz"})
     recover.run_stages(["sinogram"], cfg, {}, {}, inputs={"fits": tmp_path / "fits.npy"})
     assert calls == {"make_parallel_chords": 2, "read_dataset_csv": 1, "read_fits_csv": 1}
     assert paths == [tmp_path / "dataset.npz", tmp_path / "fits.npy"]
+    calls.clear()
+    paths.clear()
+    out = tmp_path / "run"
+    with warnings.catch_warnings():  # the OU potential is negative in places
+        warnings.simplefilter("ignore")
+        recover.run_stages(recover.STAGES, cfg, {}, {}, out)
+    assert calls == {"make_parallel_chords": 1, "write_dataset_csv": 1, "write_fits_csv": 1,
+                     "write_sinogram_csv": 1, "write_dgf": 5}
+    assert paths == [out / name for name in ("dataset.npz", "fits.npy", "sinogram.npz",
+                                             "V_hat.dgf", "u.dgf", "psi_hat.dgf",
+                                             "c_hat_x.dgf", "c_hat_y.dgf")]
+    assert all(path.is_file() for path in paths)
 
 
 # the first bytes of every file the stage chain hands on: a DGF1 grid, an

@@ -312,12 +312,13 @@ class TestConfig:
     def test_stages_read_the_objects_the_config_resolved(self):
         # the stages are given no values but their own: they read the grid
         # from the config, and V_hat lies on it; the dataset and the
-        # sinogram, which no later stage of the run reads, are dropped
+        # sinogram, which no later stage of the run reads, are dropped, and
+        # so are the fits, which hold the chords, as no later stage reads them
         cfg = small_ou_config(geometry={"n_angles": 24, "n_offsets": 25})
         values, report = {}, {}
         assert run_stages(list(STAGES)[:4], cfg, values, report) == []
         assert values["V_hat"].grid is cfg.resolved_grid()
-        assert sorted(values) == ["V_hat", "chords"]
+        assert sorted(values) == ["V_hat"]
         assert report["n_chords"] == 24 * 25
 
     @pytest.mark.parametrize("truth", [False, True, {"kind": "ou", "theta": "1"}])

@@ -8,6 +8,7 @@ from driftscope.kernels import DRIFTLESS, OrnsteinUhlenbeckKernel
 from driftscope.smalltime import (
     BoundaryDataset,
     ChordTable,
+    FitTable,
     build_boundary_dataset,
     chord_offsets,
     fit_dataset,
@@ -170,18 +171,46 @@ class TestGeometry:
         assert np.abs(moved.y - c - chords.y).max() <= 1e-14
 
     def test_chord_fields(self):
-        table = ChordTable([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, -2.0]], [3, 4], [7, 8])
+        table = ChordTable([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, -2.0]], [3, 4], [7, 8],
+                           (5, 9))
         assert table.length.tolist() == pytest.approx([np.sqrt(2), 4.0])
         assert table.angle_index.tolist() == [3, 4] and table.offset_index.tolist() == [7, 8]
+        assert table.raster == (5, 9)
         assert np.array_equal(table.x, [[1.0, 0.0], [0.0, 2.0]])
         assert not any(getattr(table, name).flags.writeable
                        for name in ("x", "y", "angle_index", "offset_index", "length"))
-        # a slice, mask or index array gives a sub-table
+        # a slice, mask or index array gives a sub-table on the same raster
         for sub in (table[1:], table[np.array([False, True])], table[[1]]):
             assert sub.angle_index.tolist() == [4] and sub.length.tolist() == [4.0]
+            assert sub.raster == (5, 9)
+        # bare endpoints: the (n, 1) raster of the table's own rows
         reversed_ = ChordTable(table.y, table.x)
         assert np.array_equal(reversed_.length, table.length)
-        assert reversed_.angle_index.tolist() == [-1, -1]  # off any raster
+        assert reversed_.raster == (2, 1)
+        assert reversed_.angle_index.tolist() == [0, 1]
+        assert reversed_.offset_index.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("cell, message", [
+        ((-1, 0), r"\(-1, 0\) outside the 3 x 4 raster"),
+        ((3, 0), r"\(3, 0\) outside the 3 x 4 raster"),
+        ((0, -1), r"\(0, -1\) outside the 3 x 4 raster"),
+        ((0, 4), r"\(0, 4\) outside the 3 x 4 raster"),
+        ((1, 2), r"two chords share the raster cell \(1, 2\)"),
+    ], ids=["angle -1", "angle past the end", "offset -1", "offset past the end", "shared cell"])
+    def test_cell_off_the_raster_or_shared_is_data_error(self, cell, message):
+        # a -1 index once wrote into the raster's last row; two rows in one
+        # cell once wrote one fit over the other
+        x = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+        y = [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        with pytest.raises(DataError, match=message):
+            ChordTable(x, y, [0, 1, cell[0]], [0, 2, cell[1]], (3, 4))
+        assert ChordTable(x, y, [0, 1, 2], [0, 2, 3], (3, 4)).raster == (3, 4)
+
+    def test_indices_come_with_their_raster(self):
+        x, y = [[1.0, 0.0]], [[0.0, 1.0]]
+        for given in ([[0], [0], None], [[0], None, (1, 1)], [None, None, (1, 1)]):
+            with pytest.raises(DataError, match="raster indices come with its raster"):
+                ChordTable(x, y, *given)
 
 
 class TestDataset:
@@ -191,7 +220,7 @@ class TestDataset:
 
     def test_equal_kernels_all_zero(self):
         dom = self.grid_domain()
-        ds = build_boundary_dataset(BM, dom, (6, 5), [0.02, 0.01, 0.005])
+        ds = build_boundary_dataset(BM, make_parallel_chords(dom, 6, 5)[0], [0.02, 0.01, 0.005])
         assert np.all(ds.log_ratios == 0.0)
         fits, excluded = fit_dataset(ds)
         assert not excluded
@@ -200,7 +229,8 @@ class TestDataset:
 
     def test_reference_is_driftless(self):
         # gen-data's p0 is DRIFTLESS, bit for bit, at every time of the ladder
-        ds = build_boundary_dataset(OU, self.grid_domain(), (6, 5), [0.02, 0.01, 0.005])
+        chords = make_parallel_chords(self.grid_domain(), 6, 5)[0]
+        ds = build_boundary_dataset(OU, chords, [0.02, 0.01, 0.005])
         x, y = ds.chords.x, ds.chords.y
         for k, t in enumerate(ds.times):
             want = OU.log_density(x, float(t), y) - DRIFTLESS.log_density(x, float(t), y)
@@ -208,7 +238,8 @@ class TestDataset:
 
     def test_ou_dataset_fits(self):
         dom = self.grid_domain()
-        ds = build_boundary_dataset(OU, dom, (8, 7), [0.02, 0.01, 0.005, 0.0025])
+        ds = build_boundary_dataset(OU, make_parallel_chords(dom, 8, 7)[0],
+                                    [0.02, 0.01, 0.005, 0.0025])
         fits, excluded = fit_dataset(ds)
         assert not excluded
         for x, y, f in zip(ds.chords.x, ds.chords.y, fits):
@@ -219,7 +250,8 @@ class TestDataset:
         # diameter chords at t = 0.0025 have densities ~ exp(-800): only the
         # log-space path can use them
         dom = self.grid_domain()
-        ds = build_boundary_dataset(OU, dom, (2, 3), [0.02, 0.01, 0.005, 0.0025])
+        ds = build_boundary_dataset(OU, make_parallel_chords(dom, 2, 3)[0],
+                                    [0.02, 0.01, 0.005, 0.0025])
         diam = np.nonzero(np.abs(ds.chords.length - 2.0) < 1e-9)[0]
         assert np.all(np.isfinite(ds.log_ratios[diam]))
         c = ds.chords[diam]
@@ -240,10 +272,11 @@ class TestCsv:
     def test_dataset_roundtrip_exact(self, tmp_path):
         g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        ds = build_boundary_dataset(OU, dom, (4, 3), [0.02, 0.01, 0.005, 0.0025])
+        ds = build_boundary_dataset(OU, make_parallel_chords(dom, 4, 3)[0],
+                                    [0.02, 0.01, 0.005, 0.0025])
         path = tmp_path / "dataset.npz"
-        write_dataset_csv(path, ds, (4, 3))
-        back = read_dataset_csv(path, ds.chords, (4, 3))
+        write_dataset_csv(path, ds)
+        back = read_dataset_csv(path, ds.chords)
         assert np.array_equal(back.times, ds.times)
         assert np.array_equal(back.log_ratios, ds.log_ratios)
         fits1, _ = fit_dataset(ds)
@@ -254,10 +287,29 @@ class TestCsv:
     def test_fits_roundtrip(self, tmp_path):
         g = Grid.from_extent(-1.3, -1.3, 1.3, 1.3, 17, 17)
         dom = DiscDomain(g, 0.0, 0.0, 1.0)
-        ds = build_boundary_dataset(OU, dom, (4, 3), [0.02, 0.01, 0.005])
+        ds = build_boundary_dataset(OU, make_parallel_chords(dom, 4, 3)[0], [0.02, 0.01, 0.005])
         fits, _ = fit_dataset(ds)
         path = tmp_path / "fits.npy"
-        write_fits_csv(path, ds.chords, fits, (4, 3))
-        table = read_fits_csv(path, ds.chords, (4, 3))
+        write_fits_csv(path, fits)
+        table = read_fits_csv(path, ds.chords)
+        assert table.chords is ds.chords
         for f, back in zip(fits, table):
             assert back == f
+
+    def test_bare_endpoint_fits_roundtrip_row_by_row(self, tmp_path):
+        # a table of bare endpoints is the (n, 1) raster of its own rows, so
+        # each row keeps its own cell of fits.npy; with a -1 index for every
+        # row, both once went to the last cell and read back as 0.1
+        chords = ChordTable([[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]])
+        fits = FitTable(chords, [0.7, 0.1], [1.0, 2.0], [0.0, 0.0], [1e-3, 2e-3], [1e-2, 2e-2],
+                        [4, 4], [True, True])
+        path = tmp_path / "fits.npy"
+        write_fits_csv(path, fits)
+        back = read_fits_csv(path, chords)
+        assert back.delta_psi.tolist() == [0.7, 0.1] and back.F.tolist() == [1.0, 2.0]
+        assert list(back) == list(fits)
+
+    def test_fit_table_holds_one_row_per_chord(self):
+        chords = ChordTable([[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(DataError, match="3 fits for 2 chords"):
+            FitTable(chords, *np.zeros((5, 3)), [4, 4, 4], [True, True, True])

@@ -45,6 +45,12 @@ def rectangle(hx=1.0, hy=0.7, n=33):
 DOMAINS = {"disc": disc, "rectangle": rectangle, "square": lambda: rectangle(1.0, 1.0)}
 
 
+def bare_chords(n):
+    """n chords of bare endpoints, (1, 0) -> (-1, 0): the (n, 1) raster of
+    a table's own rows, for fits whose endpoints do not enter."""
+    return ChordTable(np.tile([1.0, 0.0], (n, 1)), np.tile([-1.0, 0.0], (n, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the per-object code before the tables
 # ---------------------------------------------------------------------------
@@ -249,12 +255,13 @@ def test_knot_values_match_double_loop(name, chunk, monkeypatch):
     # small chunks: the interval sums and C add up across chunks in chord order
     monkeypatch.setattr(elliptic, "_CHORDS_PER_CHUNK", chunk)
     domain = DOMAINS[name]()
-    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0), domain, (16, 17), LADDER)
+    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0),
+                                make_parallel_chords(domain, 16, 17)[0], LADDER)
     fits, _ = fit_dataset(ds)
     used = fits.ok
     dpsi_max = np.abs(fits.delta_psi[used]).max()
     for n_knots in (32, 64):
-        bp = boundary_psi_from_fits(ds.chords, fits, domain, n_knots=n_knots)
+        bp = boundary_psi_from_fits(fits, domain, n_knots=n_knots)
         want = oracle_interval_sums_boundary_psi(ds.chords, fits, domain, n_knots)
         assert np.array_equal(bp.knot_values, want)
         # the 16-term double loop solves the same least squares: the fitted
@@ -269,7 +276,8 @@ def test_knot_values_match_double_loop(name, chunk, monkeypatch):
 
 
 def test_full_ladder_fits_match_batch_oracle():
-    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0), disc(), (12, 13), LADDER)
+    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0),
+                                make_parallel_chords(disc(), 12, 13)[0], LADDER)
     fits, excluded = fit_dataset(ds)
     assert not excluded and fits.ok.all()
     dpsi, F, resid, var_dpsi, var_F = oracle_fit_ladder_batch(ds.times, ds.log_ratios)
@@ -291,9 +299,9 @@ def test_fit_chunks_give_the_bits_of_one_batch(n, monkeypatch):
     lr[rng.random(lr.shape) < 0.2] = np.nan
     columns = ("delta_psi", "F", "residual", "se_delta_psi", "se_F", "n_times", "ok")
     monkeypatch.setattr(smalltime, "_CHORDS_PER_CHUNK", 10**6)
-    whole = fit_ladder_batch(times, lr)
+    whole = fit_ladder_batch(bare_chords(n), times, lr)
     monkeypatch.setattr(smalltime, "_CHORDS_PER_CHUNK", 37)
-    chunked = fit_ladder_batch(times, lr)
+    chunked = fit_ladder_batch(bare_chords(n), times, lr)
     for name in columns:
         assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
 
@@ -308,7 +316,7 @@ def test_masked_fits_match_the_row_sum_oracle(m, n):
     lr = rng.normal(0.3, 0.2, (n, 1)) - rng.normal(1.0, 0.5, (n, 1)) * times + \
         rng.normal(0.0, 1e-3, (n, m)) * np.exp(rng.uniform(-20.0, 5.0, (n, m)))
     lr[rng.random(lr.shape) < 0.15] = np.nan
-    fits = fit_ladder_batch(times, lr)
+    fits = fit_ladder_batch(bare_chords(n), times, lr)
     n_obs, want = oracle_masked_fit_ladder_batch(times, lr)
     assert np.array_equal(fits.n_times, n_obs)
     got = (fits.delta_psi, fits.F, fits.residual, fits.se_delta_psi, fits.se_F)
@@ -325,7 +333,7 @@ def test_long_ladder_fits_match_the_row_sum_oracle_closely(m):
     lr = rng.normal(0.3, 0.2, (500, 1)) - rng.normal(1.0, 0.5, (500, 1)) * times + \
         rng.normal(0.0, 1e-3, (500, m))
     lr[rng.random(lr.shape) < 0.15] = np.nan
-    fits = fit_ladder_batch(times, lr)
+    fits = fit_ladder_batch(bare_chords(500), times, lr)
     n_obs, want = oracle_masked_fit_ladder_batch(times, lr)
     assert np.array_equal(fits.n_times, n_obs)
     got = (fits.delta_psi, fits.F, fits.residual, fits.se_delta_psi, fits.se_F)
@@ -340,8 +348,7 @@ def test_partial_ladder_fits_match_per_chord_fit():
     lr = rng.normal(0.3, 0.2, (n, 1)) - rng.normal(1.0, 0.5, (n, 1)) * times + \
         rng.normal(0.0, 1e-3, (n, len(times)))
     lr[rng.random(lr.shape) < 0.3] = np.nan
-    chords = ChordTable(np.tile([1.0, 0.0], (n, 1)), np.tile([-1.0, 0.0], (n, 1)))
-    ds = BoundaryDataset(chords, times, lr)
+    ds = BoundaryDataset(bare_chords(n), times, lr)
     fits, excluded = fit_dataset(ds)
     n_obs = np.isfinite(lr).sum(axis=1)
     assert excluded == np.nonzero(n_obs < 3)[0].tolist() and excluded

@@ -9,7 +9,6 @@ from driftscope import parallel, xray
 from driftscope.errors import DataError
 from driftscope.fields import DiscDomain, Grid, RectangleDomain, ScalarField, sample_scalar
 from driftscope.smalltime import (
-    ChordTable,
     FitTable,
     chord_angles,
     chord_offsets,
@@ -35,11 +34,13 @@ def unit_disc(n=65, half=1.15):
     return g, DiscDomain(g, 0.0, 0.0, 1.0)
 
 
-def fit_table(F):
-    """Ok fits with chord averages F and zero intercepts and standard errors."""
+def fit_table(chords, F, ok=None):
+    """Ok fits (or those `ok` marks) of the chords with chord averages F and
+    zero intercepts and standard errors."""
     F = np.asarray(F, dtype=float)
     zero = np.zeros_like(F)
-    return FitTable(zero, F, zero, zero, zero, np.full(F.shape, 4), np.ones(F.shape, dtype=bool))
+    ok = np.ones(F.shape, dtype=bool) if ok is None else ok
+    return FitTable(chords, zero, F, zero, zero, zero, np.full(F.shape, 4), ok)
 
 
 class TestForward:
@@ -137,14 +138,14 @@ class TestSinogramFromFits:
     def test_zero_fits(self):
         g, dom = unit_disc()
         chords, _ = make_parallel_chords(dom, 4, 5)
-        sino = sinogram_from_fits(fit_table(np.zeros(len(chords))), chords, (4, 5), dom)
+        sino = sinogram_from_fits(fit_table(chords, np.zeros(len(chords))), dom)
         assert np.all(sino.values == 0.0)
         assert np.all(sino.mask)
 
     def test_unit_average_gives_chord_length(self):
         g, dom = unit_disc()
         chords, _ = make_parallel_chords(dom, 3, 7)
-        sino = sinogram_from_fits(fit_table(np.ones(len(chords))), chords, (3, 7), dom)
+        sino = sinogram_from_fits(fit_table(chords, np.ones(len(chords))), dom)
         want = 2.0 * np.sqrt(1.0 - sino.offsets**2)
         for row in sino.values:
             assert row == pytest.approx(want, rel=1e-12)
@@ -153,9 +154,9 @@ class TestSinogramFromFits:
         g, dom = unit_disc(n=129)
         V = radial_gaussian(g, 0.5)
         chords, _ = make_parallel_chords(dom, 6, 9)
-        fits = fit_table([forward_xray(V, x, y, 300) / length
-                          for x, y, length in zip(chords.x, chords.y, chords.length)])
-        sino = sinogram_from_fits(fits, chords, (6, 9), dom)
+        fits = fit_table(chords, [forward_xray(V, x, y, 300) / length
+                                  for x, y, length in zip(chords.x, chords.y, chords.length)])
+        sino = sinogram_from_fits(fits, dom)
         direct = sinogram_of_field(V, dom, 6, 9, n_quad=300)
         assert np.abs(sino.values - direct.values).max() < 1e-12
 
@@ -164,11 +165,9 @@ class TestSinogramFromFits:
         chords, _ = make_parallel_chords(dom, 4, 5)
         ok = np.ones(len(chords), dtype=bool)
         ok[3] = False
-        full = fit_table(np.ones(len(chords)))
-        fits = FitTable(full.delta_psi, full.F, full.residual, full.se_delta_psi, full.se_F,
-                        full.n_times, ok)
+        fits = fit_table(chords, np.ones(len(chords)), ok)
         assert fits[3] is None
-        sino = sinogram_from_fits(fits, chords, (4, 5), dom)
+        sino = sinogram_from_fits(fits, dom)
         ia, io = chords.angle_index[3], chords.offset_index[3]
         assert not sino.mask[ia, io]
         assert sino.mask.sum() == sino.mask.size - 1
@@ -185,10 +184,8 @@ class TestSinogramFromFits:
         has_chord[chords.angle_index, chords.offset_index] = True
         assert 0 < has_chord.sum() < has_chord.size
         ok = np.random.default_rng(3).random(len(chords)) > 0.1
-        full = fit_table(np.full(len(chords), 2.0))
-        fits = FitTable(full.delta_psi, full.F, full.residual, full.se_delta_psi, full.se_F,
-                        full.n_times, ok)
-        sino = sinogram_from_fits(fits, chords, (12, 13), dom)
+        fits = fit_table(chords, np.full(len(chords), 2.0), ok)
+        sino = sinogram_from_fits(fits, dom)
         failed = np.zeros((12, 13), dtype=bool)
         failed[chords.angle_index[~ok], chords.offset_index[~ok]] = True
         assert failed.any() and np.array_equal(sino.mask, ~failed)
@@ -196,17 +193,6 @@ class TestSinogramFromFits:
         assert np.array_equal(sino.values[chords.angle_index[ok], chords.offset_index[ok]],
                               2.0 * chords.length[ok])
         assert np.all(sino.values[failed] == 0.0)
-
-    @pytest.mark.parametrize("index", [-1, 12])
-    def test_chord_off_the_raster_is_data_error(self, index):
-        # a -1 index would write into the raster's last row
-        _, dom = unit_disc()
-        chords, _ = make_parallel_chords(dom, 12, 13)
-        ia = chords.angle_index.copy()
-        ia[5] = index
-        moved = ChordTable(chords.x, chords.y, ia, chords.offset_index)
-        with pytest.raises(DataError, match="outside the 12 x 13 raster"):
-            sinogram_from_fits(fit_table(np.ones(len(chords))), moved, (12, 13), dom)
 
 
 class TestSinogram:
