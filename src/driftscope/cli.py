@@ -21,10 +21,8 @@ that cannot be created, an output file that cannot be written and a
 report.json of another config's run included), 3 data error (a missing
 input file included), 4 solver/simulation error.
 
-scipy is loaded only by the subcommands that solve (solve, pipeline and
-check), and of it only `scipy.sparse`: the Krylov loop is numpy, so no
-subcommand loads `scipy.sparse.linalg` or `scipy.linalg`.  gen-data, fit,
-sinogram, invert, recover and phantom start without scipy.
+No subcommand loads scipy: the Dirichlet solve's matrix, multigrid and
+Krylov loop are numpy.
 """
 
 from __future__ import annotations

@@ -13,20 +13,14 @@ the boundary along an axis is a boundary node instead, the usual remedy for
 an arm that rounding shrinks to nothing: a leg to it ends there, with arm 1
 and the Dirichlet data taken at the node.
 
-Every system is solved by BiCGStab, preconditioned by one
-smoothed-aggregation multigrid V-cycle per application: the cut arms make
-the rows next to a curved or off-grid boundary unequal, so the matrices the
-pipeline builds are not symmetric.  The aggregates are 2x2 blocks of the
-grid nodes, so the iteration count stays nearly flat as the grid is
-refined.  The Krylov loop (`_bicgstab`) is plain numpy and repeats
-`scipy.sparse.linalg.bicgstab` step for step, so it gives the same bits
-without loading `scipy.sparse.linalg` and the LAPACK of `scipy.linalg` that
-it imports.
-
-scipy is imported on first use, not with this module: `scipy.sparse`, and
-nothing else of scipy, by `assemble_dirichlet_system` and `_sa_hierarchy`.
-Runs that never assemble a system (the exit sampler, the stages before
-solve) do not load it.
+Every system is solved by BiCGStab, preconditioned by one geometric
+multigrid V-cycle per application (`multigrid`): the cut arms make the rows
+next to a curved or off-grid boundary unequal, so the matrices the pipeline
+builds are not symmetric.  The levels are the grid's own stencils on ever
+coarser grids, so the iteration count stays nearly flat as the grid is
+refined.  The Krylov loop (`_bicgstab`) repeats
+`scipy.sparse.linalg.bicgstab` step for step, and the matrix is a numpy CSR
+(`CsrMatrix`): no module of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -41,13 +35,39 @@ from .fields import DiffusionField, Domain, ScalarField
 from .smalltime import _CHORDS_PER_CHUNK
 
 _ARM_FLOOR = 1e-10
-_COARSEST_SIZE = 200  # unknowns at or below which the multigrid inverts densely
-_SMOOTHER_WEIGHT = 2.0 / 3.0  # damped-Jacobi sweep weight in the V-cycle
+
+
+class CsrMatrix:
+    """A square sparse matrix in compressed sparse row form: row k holds
+    data[indptr[k]:indptr[k + 1]] in the columns indices[indptr[k]:indptr[k + 1]],
+    which ascend.  A plain class: a frozen dataclass would add ~0.7 ms to
+    every run's import of this module, solving or not."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple[int, int]):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self._rows(), weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    matrix: object  # scipy.sparse.csr_matrix, imported only where it is built
+    """A Dirichlet system A x = rhs; node_index numbers the grid nodes that
+    are unknowns, and every entry of A couples a node to itself or to one of
+    its eight grid neighbours."""
+
+    matrix: CsrMatrix
     rhs: np.ndarray
     node_index: np.ndarray  # (nx, ny) -> unknown index or -1
     grid: object
@@ -59,9 +79,13 @@ class LinearSystem:
     @property
     def symmetric(self) -> bool:
         # the benchmark's tracer (perfbench/tracing.py) reads it; the solver
-        # takes one path whatever the matrix
-        diff = self.matrix - self.matrix.T
-        return diff.nnz == 0 or float(abs(diff).max()) == 0.0
+        # takes one path whatever the matrix.  A's entries sorted by column,
+        # then row, are A^T's in its CSR order
+        m = self.matrix
+        rows = m._rows()
+        order = np.lexsort((rows, m.indices))
+        return (np.array_equal(m.indices[order], rows) and np.array_equal(rows[order], m.indices)
+                and np.array_equal(m.data[order], m.data))
 
 
 @dataclass(frozen=True)
@@ -156,8 +180,6 @@ def assemble_dirichlet_system(
     subtracted in one fixed order, W, E, S, N, then the diagonals: that
     fixes how each row's right-hand side rounds.
     """
-    import scipy.sparse as sp
-
     grid = domain.grid
     if V.grid != grid:
         raise DataError("fields must live on the domain's grid")
@@ -197,7 +219,7 @@ def assemble_dirichlet_system(
     kept = columns >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(kept.sum(axis=1), out=indptr[1:])
-    A = sp.csr_matrix((entries[kept], columns[kept].astype(np.int32), indptr), shape=(n, n))
+    A = CsrMatrix(entries[kept], columns[kept].astype(np.int32), indptr, (n, n))
     stay = nbr >= 0
     g_cut = np.zeros(nbr.shape)
     g_cut[~stay] = g(bp)
@@ -219,65 +241,19 @@ def assemble_dirichlet_system(
     return LinearSystem(matrix=A, rhs=rhs, node_index=node_index, grid=grid)
 
 
-def _sa_hierarchy(A, node_index: np.ndarray):
-    """Smoothed-aggregation levels [(A, 1/diag A, P, R = P^T), ...] down to
-    at most `_COARSEST_SIZE` unknowns, and the coarsest operator's dense
-    inverse.
-
-    Each aggregate is a 2x2 block of grid nodes, keyed (i//2, j//2); the keys
-    are the next level's nodes.  The tentative 0/1 prolongator T is smoothed
-    by one damped-Jacobi step, P = (I - omega D^-1 A) T with omega = 4/(3 rho)
-    and rho the Gershgorin bound of D^-1 A, and the coarse operator is
-    R A P (Vanek, Mandel & Brezina 1996).
-    """
-    import scipy.sparse as sp
-
-    nodes = np.argwhere(node_index >= 0)  # unknown order
-    levels = []
-    while A.shape[0] > _COARSEST_SIZE:
-        n = A.shape[0]
-        dinv = 1.0 / A.diagonal()
-        rho = float(np.max(np.abs(dinv) * (abs(A) @ np.ones(n))))
-        width = int(nodes[:, 1].max()) // 2 + 1
-        keys, agg = np.unique((nodes[:, 0] // 2) * width + nodes[:, 1] // 2, return_inverse=True)
-        T = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, len(keys)))
-        P = T - sp.diags((4.0 / (3.0 * rho)) * dinv) @ (A @ T)
-        R = P.T.tocsr()
-        levels.append((A, dinv, P, R))
-        A = R @ (A @ P)
-        nodes = np.column_stack(np.divmod(keys, width))
-    try:
-        coarsest_inverse = np.linalg.inv(A.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"coarsest multigrid level is singular ({exc})") from exc
-    return levels, coarsest_inverse
-
-
-def _v_cycle(levels, coarsest_inverse: np.ndarray, b: np.ndarray, depth: int = 0) -> np.ndarray:
-    """One V-cycle from a zero guess: a damped-Jacobi pre-sweep, the coarse
-    correction, and a damped-Jacobi post-sweep.  The same sweep on both sides
-    and the restriction R = P^T keep the cycle symmetric when A is."""
-    if depth == len(levels):
-        return coarsest_inverse @ b
-    A, dinv, P, R = levels[depth]
-    x = _SMOOTHER_WEIGHT * dinv * b
-    x += P @ _v_cycle(levels, coarsest_inverse, R @ (b - A @ x), depth + 1)
-    x += _SMOOTHER_WEIGHT * dinv * (b - A @ x)
-    return x
-
-
-def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int):
+def _bicgstab(matvec, b: np.ndarray, psolve, tol: float, max_iter: int):
     """Preconditioned BiCGStab (van der Vorst 1992) for A x = b from x = 0,
-    stopping once |r| < tol |b|.  Returns (x, info, iterations): info 0 on
-    convergence, max_iter when the iterations run out, -10 (rho) or -11
-    (omega, or rtilde . v = 0) on breakdown; iterations counts the full
-    iterations done, so a half step that converges is not counted.  A
-    non-finite iterate after a full iteration raises SolverError.
+    with matvec(v) = A v, stopping once |r| < tol |b|.  Returns (x, info,
+    iterations): info 0 on convergence, max_iter when the iterations run
+    out, -10 (rho) or -11 (omega, or rtilde . v = 0) on breakdown;
+    iterations counts the full iterations done, so a half step that
+    converges is not counted.  A non-finite iterate after a full iteration
+    raises SolverError.
 
     The steps, products, in-place updates and breakdown tests are those of
-    scipy 1.17's `scipy.sparse.linalg.bicgstab` with rtol=tol, atol=0, so x
-    has its bits, and iterations is the number of times scipy calls its
-    callback."""
+    scipy 1.17's `scipy.sparse.linalg.bicgstab` with rtol=tol, atol=0, so,
+    given the same matvec, x has its bits, and iterations is the number of
+    times scipy calls its callback."""
     x = np.zeros_like(b)
     r = b.copy()
     atol = max(0.0, tol * float(np.linalg.norm(b)))
@@ -300,7 +276,7 @@ def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int):
             s = np.empty_like(r)
             p = r.copy()
         phat = psolve(p)
-        v = A @ phat
+        v = matvec(phat)
         rv = np.dot(rtilde, v)
         if rv == 0:
             return x, -11, iteration
@@ -311,7 +287,7 @@ def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int):
             x += alpha * phat
             return x, 0, iteration
         shat = psolve(s)
-        t = A @ shat
+        t = matvec(shat)
         omega = np.dot(t, s) / np.dot(t, t)
         x += alpha * phat
         x += omega * shat
@@ -323,25 +299,33 @@ def _bicgstab(A, b: np.ndarray, psolve, tol: float, max_iter: int):
 
 
 def solve_bvp(system: LinearSystem, tol: float = 1e-10, max_iter: int = 20000) -> BvpSolution:
-    """Krylov solve by BiCGStab (`_bicgstab`), preconditioned by one
-    smoothed-aggregation multigrid V-cycle (`_sa_hierarchy`, `_v_cycle`).
+    """Krylov solve by BiCGStab (`_bicgstab`) on the finest level's padded
+    vectors, preconditioned by one geometric multigrid V-cycle
+    (`multigrid`).  The residual it reports and
+    checks is that of the CSR matrix itself.
 
-    A singular coarsest level, a Krylov breakdown, a non-finite iterate or a
-    residual above `tol` ends in `SolverError`.
+    A matrix entry outside a node's 3x3 neighbourhood, a zero diagonal
+    entry, a singular coarsest level, a Krylov breakdown, a non-finite
+    iterate or a residual above `tol` ends in `SolverError`.
     """
     if tol <= 0:
         raise DataError("tol must be positive")
     A, rhs = system.matrix, system.rhs
     n = A.shape[0]
-    if np.any(A.diagonal() == 0.0):
-        raise SolverError("zero diagonal entry; the Jacobi smoother needs a nonzero diagonal")
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         x, info, iterations = np.zeros(n), 0, 0
     else:
-        levels, coarsest_inverse = _sa_hierarchy(A, system.node_index)
-        x, info, iterations = _bicgstab(A, rhs, lambda v: _v_cycle(levels, coarsest_inverse, v),
+        from . import multigrid
+
+        fine, pos = multigrid.fine_level(A, system.node_index)
+        levels, coarsest = multigrid.hierarchy(fine)
+        b = np.zeros(fine.coefs.shape[1])
+        b[pos] = rhs
+        x, info, iterations = _bicgstab(lambda v: multigrid.product(fine, v), b,
+                                        lambda v: multigrid.v_cycle(levels, coarsest, v),
                                         tol, max_iter)
+        x = x[pos]
     if info < 0:
         raise SolverError(f"Krylov breakdown (info={info})")
     resid = float(np.linalg.norm(A @ x - rhs)) / max(rhs_norm, 1e-300)
@@ -382,15 +366,14 @@ class BoundaryPsi:
     knot_values: np.ndarray
     n_missing: int = 0
 
-    def value_at_param(self, s) -> np.ndarray:
+    def value_at(self, points) -> np.ndarray:
+        """psi at boundary points.  Their parameters from
+        `Domain.boundary_param` lie in [0, L], and np.interp reads s = L on
+        the closing knot, which holds knot 0's value: no fold is needed."""
         L = self.domain.param_length
-        s = np.mod(np.asarray(s, dtype=float), L)
         params = np.concatenate([self.knot_params, [L]])
         vals = np.concatenate([self.knot_values, [self.knot_values[0]]])
-        return np.interp(s, params, vals)
-
-    def value_at(self, points) -> np.ndarray:
-        return self.value_at_param(self.domain.boundary_param(points))
+        return np.interp(self.domain.boundary_param(points), params, vals)
 
 
 # largest share of boundary knots with no chord that boundary_psi_from_fits

@@ -574,8 +574,8 @@ def test_python_m_driftscope_runs_the_cli(tmp_path):
 
 def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
     """Each stage in its own interpreter, as a user runs the chain: no stage
-    leans on module state an earlier stage left behind, and only solve loads
-    scipy, and of it only scipy.sparse, not its linalg packages."""
+    leans on module state an earlier stage left behind, and no stage loads
+    scipy."""
     chain, whole = tmp_path / "chain", tmp_path / "pipeline"
     config = write_config(tmp_path / "config.json", small_disc_config())
     env = fresh_env()
@@ -590,7 +590,7 @@ def test_fresh_process_stage_chain_matches_pipeline(tmp_path):
     for name in DGF_FILES + ("dataset.npz", "fits.npy", "sinogram.npz"):
         assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
     assert comparable_report(chain) == comparable_report(whole)
-    assert loaded == {stage: "scipy,scipy.sparse" if stage == "solve" else "" for stage in STAGES}
+    assert loaded == {stage: "" for stage in STAGES}
 
 
 @pytest.mark.parametrize("stage, code, prefix", [

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import typing
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from driftscope import elliptic
+from driftscope import elliptic, multigrid
 from driftscope.diffusion import McConfig, feynman_kac_exit
 from driftscope.elliptic import (
+    CsrMatrix,
     LinearSystem,
     assemble_dirichlet_system,
     boundary_psi_from_fits,
@@ -36,6 +38,16 @@ def chord_fit_table(xs, ys, delta_psi, se_delta_psi):
     return FitTable(ChordTable(np.array(xs), np.array(ys)), np.asarray(delta_psi, dtype=float),
                     zero, zero, np.full(n, se_delta_psi), np.full(n, 1e-4), np.full(n, 4),
                     np.ones(n, dtype=bool))
+
+
+def fine_level(system):
+    """The system's finest multigrid level and its unknowns' positions."""
+    return multigrid.fine_level(system.matrix, system.node_index)
+
+
+def to_scipy(matrix):
+    """The system's CSR arrays as a scipy matrix, for the oracles."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def disc_setup(n, half=1.2, radius=1.0):
@@ -105,7 +117,8 @@ class TestAssembly:
         system = assemble_dirichlet_system(DiffusionField(2.0, 0.0, 2.0), ones(g), dom,
                                            lambda p: np.ones(len(p)))
         assert system.symmetric
-        assert (system.matrix != system.matrix.T).nnz == 0
+        A = to_scipy(system.matrix)
+        assert (A != A.T).nnz == 0
 
     def test_negative_potential_warns(self):
         g, dom = disc_setup(17)
@@ -375,7 +388,7 @@ def sliver_disc_system(boundary=wavy_boundary):
 
 def direct_u(system):
     """u on the inside nodes, in grid order, from a sparse direct solve."""
-    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    x = spla.spsolve(to_scipy(system.matrix).tocsc(), system.rhs)
     return x[system.node_index[system.node_index >= 0]]
 
 
@@ -498,19 +511,28 @@ class TestSolve:
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
     def test_v_cycle_symmetric_for_symmetric_matrix(self):
-        system = aligned_rectangle_system()
-        levels, coarsest_inverse = elliptic._sa_hierarchy(system.matrix, system.node_index)
-        assert levels
-        x, y = np.random.default_rng(7).standard_normal((2, system.dimension))
-        xMy = x @ elliptic._v_cycle(levels, coarsest_inverse, y)
-        Mxy = elliptic._v_cycle(levels, coarsest_inverse, x) @ y
+        # the hand-built symmetric part of the wavy disc's matrix: a system
+        # assembly never makes, on the same grid
+        system = symmetric_disc_system()
+        assert system.symmetric
+        sol = solve_bvp(system)
+        A = to_scipy(system.matrix)
+        x = sol.u.values[system.node_index >= 0][np.argsort(system.node_index[system.node_index >= 0])]
+        assert np.linalg.norm(A @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
+        fine, pos = fine_level(system)
+        levels, coarsest = multigrid.hierarchy(fine)
+        assert len(levels) > 1
+        x, y = np.zeros((2, fine.coefs.shape[1]))
+        x[pos], y[pos] = np.random.default_rng(7).standard_normal((2, system.dimension))
+        xMy = x @ multigrid.v_cycle(levels, coarsest, y)
+        Mxy = multigrid.v_cycle(levels, coarsest, x) @ y
         assert abs(xMy - Mxy) <= 1e-13 * abs(xMy)
 
     def test_coarsest_size_system_solved_directly(self):
         system = aligned_rectangle_system(29)  # 13^2 unknowns
-        assert system.dimension <= elliptic._COARSEST_SIZE
-        levels, _ = elliptic._sa_hierarchy(system.matrix, system.node_index)
-        assert levels == []
+        assert system.dimension <= multigrid._COARSEST_SIZE
+        levels, _ = multigrid.hierarchy(fine_level(system)[0])
+        assert len(levels) == 1
         sol = solve_bvp(system)
         # the exact preconditioner converges at BiCGStab's first half step,
         # which counts no full iteration
@@ -524,8 +546,9 @@ class TestSolve:
 
     def test_singular_system_raises_solver_error(self):
         g = Grid.from_extent(0.0, 0.0, 1.0, 1.0, 2, 2)
-        system = LinearSystem(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, 2.0]),
-                              np.array([[0, 1], [-1, -1]]), g)
+        ones = CsrMatrix(np.ones(4), np.array([0, 1, 0, 1], dtype=np.int32),
+                         np.array([0, 2, 4], dtype=np.int32), (2, 2))
+        system = LinearSystem(ones, np.array([1.0, 2.0]), np.array([[0, 1], [-1, -1]]), g)
         with pytest.raises(SolverError, match="singular"):
             solve_bvp(system)
 
@@ -542,18 +565,141 @@ class TestSolve:
         g, dom = disc_setup(33)
         system = assemble_dirichlet_system(DiffusionField(), ones(g), dom,
                                            lambda p: np.exp(p[:, 0]))
-        A = system.matrix.copy()
-        A.data[5] = np.nan
-        bad = LinearSystem(A, system.rhs, system.node_index, g)
+        A = system.matrix
+        data = A.data.copy()
+        data[5] = np.nan
+        bad = LinearSystem(CsrMatrix(data, A.indices, A.indptr, A.shape), system.rhs,
+                           system.node_index, g)
         with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
             solve_bvp(bad)
+
+
+def level_matrix(level):
+    """A level's operator on its padded vectors, from its stencil arrays."""
+    width, size = level.shape[1], level.coefs.shape[1]
+    rows, cols, vals = [], [], []
+    for (di, dj), c in zip(level.legs, level.coefs):
+        row = np.flatnonzero(c)
+        rows.append(row)
+        cols.append(row + di * width + dj)
+        vals.append(c[row])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size))
+
+
+def bilinear_prolongation(fine, coarse):
+    """Oracle: P from a coarse level's padded vectors to the fine level's,
+    entry by entry: coarse node K to fine node 2K + a with weight
+    w(a0) w(a1), w(0) = 1 and w(+-1) = 1/2, where 2K + a is a fine unknown."""
+    (mx, my), wf, wc = fine.unknown.shape, fine.shape[1], coarse.shape[1]
+    rows, cols, vals = [], [], []
+    for I in range((mx + 1) // 2):
+        for J in range((my + 1) // 2):
+            for ai in (-1, 0, 1):
+                for aj in (-1, 0, 1):
+                    i, j = 2 * I + ai, 2 * J + aj
+                    if 0 <= i < mx and 0 <= j < my and fine.unknown[i, j]:
+                        rows.append((i + 1) * wf + j + 1)
+                        cols.append((I + 1) * wc + J + 1)
+                        vals.append((1.0 if ai == 0 else 0.5) * (1.0 if aj == 0 else 0.5))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(fine.coefs.shape[1], coarse.coefs.shape[1]))
+
+
+def even_box_system(n=65):
+    """A rectangle whose unknowns, grid nodes 17..47 x 17..46 of 65^2, lie in
+    a box of 32 x 31 nodes from the even node 16: the finest level adds a
+    node past its even x side, and the next one (16 nodes along y) one past
+    its y side, as a grid of 91 nodes coarsens to 46 + 1 and then 24."""
+    g = Grid.from_extent(-2.0, -2.0, 2.0, 2.0, n, n)
+    dom = RectangleDomain(g, -1.0, -1.0, 1.0, 0.9)
+    return assemble_dirichlet_system(DiffusionField(), wavy_potential(g), dom, wavy_boundary)
+
+
+def strip_system():
+    """Probe A's strip [0, 1] x [-3, 3] on a 65 x 257 grid, 1.15 times its
+    box: cells 0.018 by 0.027."""
+    g = Grid.from_extent(-0.075, -3.45, 1.075, 3.45, 65, 257)
+    dom = RectangleDomain(g, 0.0, -3.0, 1.0, 3.0)
+    return assemble_dirichlet_system(DiffusionField(), wavy_potential(g), dom, wavy_boundary)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("build", [lambda: wavy_disc_system(65), lambda: general_disc_system(65),
+                                       even_box_system],
+                             ids=["5-point", "9-point", "even-box"])
+    def test_levels_are_bilinear_galerkin_products(self, build):
+        # every pair of levels against an entry-by-entry P: restriction is
+        # P^T / 4, prolongation is P, the coarse unknowns are P's nonzero
+        # columns and the coarse stencil is R A P
+        fine, _ = fine_level(build())
+        levels, _ = multigrid.hierarchy(fine)
+        assert len(levels) >= 3
+        rng = np.random.default_rng(3)
+        for fine, coarse in zip(levels, levels[1:]):
+            P = bilinear_prolongation(fine, coarse)
+            assert all(side % 2 == 1 for side in fine.unknown.shape + coarse.unknown.shape)
+            active = np.zeros(coarse.coefs.shape[1], dtype=bool)
+            active[np.unique(P.indices)] = True
+            assert np.array_equal(active.reshape(coarse.shape)[1:-1, 1:-1], coarse.unknown)
+            r = rng.standard_normal(fine.coefs.shape[1]) * (fine.sweep != 0.0)
+            e = rng.standard_normal(coarse.coefs.shape[1]) * (coarse.sweep != 0.0)
+            assert np.allclose(multigrid._restrict(fine, coarse, r), P.T @ r / 4, rtol=0, atol=1e-14)
+            x = np.zeros(fine.coefs.shape[1])
+            multigrid._prolong_add(fine, coarse, e, x)
+            assert np.allclose(x, P @ e, rtol=0, atol=1e-14)
+            want = (P.T @ level_matrix(fine) @ P / 4).toarray()
+            got = level_matrix(coarse).toarray()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_even_box_side_gains_a_node(self):
+        system = even_box_system()
+        ii, jj = np.nonzero(system.node_index >= 0)
+        assert (ii.min(), ii.max(), jj.min(), jj.max()) == (17, 47, 17, 46)
+        fine, _ = fine_level(system)
+        levels, _ = multigrid.hierarchy(fine)
+        assert [level.unknown.shape for level in levels] == [(33, 31), (17, 17), (9, 9)]
+        # the added nodes are no unknowns
+        assert not levels[0].unknown[-1].any() and not levels[1].unknown[:, -1].any()
+        sol = solve_bvp(system)
+        want = direct_u(system)
+        assert np.abs(sol.u.values[system.node_index >= 0] - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_strip_grid(self):
+        system = strip_system()
+        sol = solve_bvp(system)
+        assert sol.iterations <= 10
+        want = direct_u(system)
+        assert np.abs(sol.u.values[system.node_index >= 0] - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_solve_creates_no_reference_cycles(self):
+        # a cycle among the levels would hold their arrays until a full
+        # collection, and the process's peak memory would creep
+        system = general_disc_system(65)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_bvp(system)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_entry_beyond_the_neighbourhood_is_solver_error(self):
+        # unknowns 0, 1, 2 on one grid line: 0 and 2 are two nodes apart
+        g = Grid.from_extent(0.0, 0.0, 1.0, 1.0, 2, 3)
+        matrix = CsrMatrix(np.array([-4.0, 1.0, -4.0, -4.0]), np.array([0, 2, 1, 2], dtype=np.int32),
+                           np.array([0, 2, 3, 4], dtype=np.int32), (3, 3))
+        system = LinearSystem(matrix, np.ones(3), np.array([[0, 1, 2], [-1, -1, -1]]), g)
+        with pytest.raises(SolverError, match="outside its 3x3 neighbourhood"):
+            solve_bvp(system)
 
 
 def symmetric_disc_system(n=65):
     """The symmetric part of the wavy disc's matrix, with its right-hand side."""
     system = wavy_disc_system(n)
-    A = system.matrix
-    return LinearSystem(((A + A.T) * 0.5).tocsr(), system.rhs, system.node_index, system.grid)
+    A = to_scipy(system.matrix)
+    S = ((A + A.T) * 0.5).tocsr()
+    return LinearSystem(CsrMatrix(S.data, S.indices, S.indptr, S.shape), system.rhs,
+                        system.node_index, system.grid)
 
 
 def general_rectangle_system(n=65):
@@ -565,11 +711,14 @@ def general_rectangle_system(n=65):
                                      wavy_boundary)
 
 
-def scipy_bicgstab(A, b, psolve, tol, max_iter):
+def scipy_bicgstab(matvec, b, psolve, tol, max_iter):
     """Oracle: x, info and the number of callbacks of
-    scipy.sparse.linalg.bicgstab with the preconditioner psolve."""
+    scipy.sparse.linalg.bicgstab for the operator matvec with the
+    preconditioner psolve."""
     calls = []
-    M = spla.LinearOperator(A.shape, matvec=psolve)
+    shape = (len(b), len(b))
+    A = spla.LinearOperator(shape, matvec=matvec, dtype=float)
+    M = spla.LinearOperator(shape, matvec=psolve, dtype=float)
     x, info = spla.bicgstab(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M,
                             callback=calls.append)
     return x, info, len(calls)
@@ -591,13 +740,19 @@ class TestKrylovMatchesScipy:
     def test_v_cycle_preconditioned(self, build, symmetric, max_iter):
         system = build()
         assert system.symmetric == symmetric
-        levels, coarsest_inverse = elliptic._sa_hierarchy(system.matrix, system.node_index)
-        assert levels
+        fine, pos = fine_level(system)
+        levels, coarsest = multigrid.hierarchy(fine)
+        assert len(levels) > 1
+        b = np.zeros(fine.coefs.shape[1])
+        b[pos] = system.rhs
+
+        def matvec(v):
+            return multigrid.product(fine, v)
 
         def psolve(v):
-            return elliptic._v_cycle(levels, coarsest_inverse, v)
+            return multigrid.v_cycle(levels, coarsest, v)
 
-        args = (system.matrix, system.rhs, psolve, 1e-10, max_iter)
+        args = (matvec, b, psolve, 1e-10, max_iter)
         x, info, iterations = elliptic._bicgstab(*args)
         want_x, want_info, want_calls = scipy_bicgstab(*args)
         assert (info, iterations) == (want_info, want_calls)
@@ -609,10 +764,10 @@ class TestKrylovMatchesScipy:
 
     def test_bicgstab_breakdown_on_skew_matrix(self):
         # rtilde . A rtilde = 0 for a skew A: scipy returns info -11
-        A = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         b = np.array([1.0, 0.0])
-        got = elliptic._bicgstab(A, b, lambda v: v, 1e-10, 100)
-        want = scipy_bicgstab(A, b, lambda v: v, 1e-10, 100)
+        got = elliptic._bicgstab(lambda v: A @ v, b, lambda v: v, 1e-10, 100)
+        want = scipy_bicgstab(lambda v: A @ v, b, lambda v: v, 1e-10, 100)
         assert got[1:] == want[1:] == (-11, 0)
         assert got[0].tobytes() == want[0].tobytes()
 
@@ -627,7 +782,7 @@ class TestSliverNode:
         system = sliver_disc_system()
         assert system.node_index[16, 64] == -1 and system.node_index[17, 64] >= 0
         # its floored arm gave a row diagonal of -4.5e15 before
-        assert np.abs(system.matrix.diagonal()).max() < 1e6
+        assert np.abs(to_scipy(system.matrix).diagonal()).max() < 1e6
 
     def test_leg_toward_it_ends_there_with_g_at_it(self):
         dom = sliver_disc()
@@ -764,6 +919,29 @@ class TestBoundaryPsi:
             bp = boundary_psi_from_fits(moved, dom, n_knots=32)
             knots.append(bp.knot_values)
         assert knots[0].tobytes() == knots[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["disc", "rectangle"])
+    def test_value_at_matches_folded_parameter(self, kind):
+        # boundary_param lies in [0, L] and np.interp reads s = L on the
+        # closing knot: the same bits as folding s with np.mod first
+        if kind == "disc":
+            dom = self.circle()
+            extra = np.array([[1.0, -1e-17], [1.0, 0.0]])  # s = L and s = 0
+        else:
+            dom = RectangleDomain(Grid.from_extent(-1.3, -1.0, 1.3, 1.0, 33, 25), -1.0, -0.7, 1.0, 0.7)
+            extra = np.array([[-1.0, -0.7], [1.0, 0.7]])  # s = 0 and a corner
+        L = dom.param_length
+        rng = np.random.default_rng(9)
+        x, y = (dom.boundary_point(rng.uniform(0.0, L, 800)) for _ in range(2))
+        fits = chord_fit_table(x, y, np.sin(y[:, 0]) - np.sin(x[:, 0]) + y[:, 1] - x[:, 1], 1e-6)
+        bp = boundary_psi_from_fits(fits, dom, n_knots=64)
+        points = np.concatenate([dom.boundary_point(rng.uniform(0.0, L, 500)),
+                                 dom.project_to_boundary(rng.uniform(-1.5, 1.5, (500, 2))), extra])
+        s = dom.boundary_param(points)
+        assert s.min() == 0.0 and (kind == "rectangle" or s.max() == L)
+        want = np.interp(np.mod(s, L), np.append(bp.knot_params, L),
+                         np.append(bp.knot_values, bp.knot_values[0]))
+        assert bp.value_at(points).tobytes() == want.tobytes()
 
     def test_few_missing_knots_interpolated(self):
         dom = self.circle()
