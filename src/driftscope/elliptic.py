@@ -379,6 +379,10 @@ class BoundaryPsi:
 # largest share of boundary knots with no chord that boundary_psi_from_fits
 # fills in by interpolation rather than refusing
 _MAX_MISSING_FRACTION = 0.05
+# above this many boundary knots, the n_knots^2 arrays of
+# boundary_psi_from_fits (8 MB each at 1024) wait for a coverage pass of
+# their own; below it, the one pass over the chords also checks coverage
+_KNOTS_COVERED_FIRST = 1024
 
 
 def boundary_psi_from_fits(fits, domain: Domain, n_knots: int = 256) -> BoundaryPsi:
@@ -404,68 +408,80 @@ def boundary_psi_from_fits(fits, domain: Domain, n_knots: int = 256) -> Boundary
       (k_y + a, k_x + b), and N = bands - (C + C^T).
 
     N is exactly symmetric: C + C^T is, and the bands put one sum on both
-    sides.  Each sum is accumulated with np.add.at, `_CHORDS_PER_CHUNK`
-    chords at a time (so the temporaries do not grow with the table), chord
-    by chord in the order of the table and, within a chord, y before x:
-    that order fixes every sum's bits, whatever the chunk size.
+    sides.  The table is read `_CHORDS_PER_CHUNK` rows at a time, and each
+    chunk computes its ok fits' endpoint parameters, weights and dpsi
+    itself, so no temporary grows with the table.  Each sum is accumulated
+    with np.add.at chord by chord in the order of the table and, within a
+    chord, y before x: that order fixes every sum's bits, whatever the chunk
+    size.
 
     Knots not touched by any chord are an error above
-    _MAX_MISSING_FRACTION, checked before the n_knots^2 arrays are
-    allocated, otherwise interpolated periodically with a warning.  A
-    parameter s = L folds onto knot 0 through k mod n_knots.  The result is
-    gauged to vanish at knot 0.
+    _MAX_MISSING_FRACTION, otherwise interpolated periodically with a
+    warning.  Above `_KNOTS_COVERED_FIRST` knots a pass of its own over the
+    chunks checks the coverage before the n_knots^2 arrays are allocated;
+    below it, the one pass that builds them also collects it.  A parameter
+    s = L folds onto knot 0 through k mod n_knots.  The result is gauged to
+    vanish at knot 0.
     """
     L = domain.param_length
     knots = np.arange(n_knots) * (L / n_knots)
-    ok = fits.ok
-    n_used = int(ok.sum())
-    if n_used == 0:
+    ok, chords = fits.ok, fits.chords
+    if not ok.any():
         raise DataError("no usable chord fits for the boundary potential")
-    se = np.maximum(fits.se_delta_psi[ok], 1e-9)
-    w = 1.0 / (se * se)
-    dpsi = fits.delta_psi[ok]
-    # each used chord's endpoints in knot units along the boundary: y, then x
-    pos = np.stack([domain.boundary_param(p)[ok] / (L / n_knots)
-                    for p in (fits.chords.y, fits.chords.x)], axis=1)
+    parts = [slice(lo, lo + _CHORDS_PER_CHUNK) for lo in range(0, len(ok), _CHORDS_PER_CHUNK)]
 
     def intervals(part):
-        """Each endpoint's knot interval k, the next knot k + 1 and the
-        fraction t of the interval, (m, 2) arrays with y's column first.
-        The parameter lies in [0, L], so only s = L folds onto knot 0."""
-        k0 = np.floor(pos[part])
+        """The ok rows' endpoints among the table's rows `part`: each one's
+        knot interval k, the next knot k + 1 and the fraction t of the
+        interval, (m, 2) arrays with y's column first.  The parameter lies in
+        [0, L], so only s = L folds onto knot 0."""
+        pos = np.stack([domain.boundary_param(p[part])[ok[part]] for p in (chords.y, chords.x)],
+                       axis=1)
+        pos /= L / n_knots  # in knot units
+        k0 = np.floor(pos)
         k = k0.astype(np.int64)
         k[k == n_knots] = 0
         nxt = k + 1
         nxt[nxt == n_knots] = 0
-        return k, nxt, pos[part] - k0
+        return k, nxt, pos - k0
 
-    parts = [slice(lo, lo + _CHORDS_PER_CHUNK) for lo in range(0, n_used, _CHORDS_PER_CHUNK)]
-    # coverage first: C and N are n_knots^2 floats.  An endpoint touches its
-    # knot k, with coefficient u > 0, and k + 1 where t is not 0
+    # an endpoint touches its knot k, with coefficient u > 0, and k + 1
+    # where t is not 0
     touched = np.zeros(n_knots, dtype=bool)
-    for part in parts:
-        k, nxt, t = intervals(part)
+
+    def cover(k, nxt, t) -> None:
         touched[k] = True
         touched[nxt[t != 0.0]] = True
-    n_missing = int((~touched).sum())
-    if n_missing > _MAX_MISSING_FRACTION * n_knots:
-        raise DataError(
-            f"{n_missing} of {n_knots} boundary knots have no chord coverage "
-            f"(more than {_MAX_MISSING_FRACTION:.0%})"
-        )
 
+    def n_missing() -> int:
+        missing = int((~touched).sum())
+        if missing > _MAX_MISSING_FRACTION * n_knots:
+            raise DataError(
+                f"{missing} of {n_knots} boundary knots have no chord coverage "
+                f"(more than {_MAX_MISSING_FRACTION:.0%})"
+            )
+        return missing
+
+    if n_knots > _KNOTS_COVERED_FIRST:  # C and N are n_knots^2 floats
+        for part in parts:
+            cover(*intervals(part))
+        n_missing()
     sums = np.zeros((5, n_knots))  # S_uu, S_ut, S_tt, and b's u and t parts
     C = np.zeros((n_knots, n_knots))
-    for part in parts:
+
+    def accumulate(part) -> None:
+        """Add the sums and C terms of the ok rows among the rows `part`."""
         k, nxt, t = intervals(part)
-        m = len(t)
+        cover(k, nxt, t)
+        m, used = len(t), ok[part]
         u = 1.0 - t
-        wp = np.repeat(w[part], 2).reshape(m, 2)
-        wu, wt = wp * u, wp * t
-        dp = np.repeat(dpsi[part], 2).reshape(m, 2)
+        se = np.maximum(fits.se_delta_psi[part][used], 1e-9)
+        w = (1.0 / (se * se))[:, None]
+        wu, wt = w * u, w * t
+        dp = np.repeat(fits.delta_psi[part][used], 2).reshape(m, 2)
         np.negative(dp[:, 1], out=dp[:, 1])  # x's coefficients are negative
-        for row, value in zip(sums, (wu * u, wu * t, wt * t, wu * dp, wt * dp)):
-            np.add.at(row, k.ravel(), value.ravel())
+        for row, (a, b) in zip(sums, [(wu, u), (wu, t), (wt, t), (wu, dp), (wt, dp)]):
+            np.add.at(row, k.ravel(), (a * b).ravel())
         # the y-x block: (w*c_y)*c_x at (k_y + a, k_x + b), in the C order of (a, b)
         cells, values = np.empty((m, 4), dtype=np.int64), np.empty((m, 4))
         ry, ry1 = k[:, 0] * n_knots, nxt[:, 0] * n_knots
@@ -474,6 +490,10 @@ def boundary_psi_from_fits(fits, domain: Domain, n_knots: int = 256) -> Boundary
             np.add(r, c[:, 1], out=cells[:, j])
             np.multiply(wc_y[:, 0], c_x[:, 1], out=values[:, j])
         np.add.at(C.reshape(-1), cells.ravel(), values.ravel())
+
+    for part in parts:
+        accumulate(part)
+    missing = n_missing()
     N = C + C.T
     del C
     np.negative(N, out=N)
@@ -499,10 +519,10 @@ def boundary_psi_from_fits(fits, domain: Domain, n_knots: int = 256) -> Boundary
     N += 1e-9 * scale / n_knots
 
     psi = np.linalg.solve(N, rhs)
-    if n_missing:
-        warnings.warn(f"interpolated {n_missing} uncovered boundary knots", stacklevel=2)
+    if missing:
+        warnings.warn(f"interpolated {missing} uncovered boundary knots", stacklevel=2)
 
-    return BoundaryPsi(domain, knots, psi - psi[0], n_missing)
+    return BoundaryPsi(domain, knots, psi - psi[0], missing)
 
 
 def boundary_values_from_psi(boundary_psi: BoundaryPsi):

@@ -25,11 +25,13 @@ from .smalltime import (
     make_parallel_chords,
 )
 
-# Back-projection sums the angles in blocks of this many, then adds the block
-# sums in order.  The block size fixes the rounding of V_hat: changing it
-# changes the bits of every inversion.  The order in which a block visits
-# the nodes (x or y fastest, `fbp_invert`) does not: each node's sum over the
-# block's angles is the same.
+# `fbp_invert` filters and back-projects the profiles of this many angles at
+# a time, in buffers of this many rows, then adds the block sums in order.
+# The block size fixes the rounding of V_hat: changing it changes the bits
+# of every inversion.  The filtered profiles keep their bits whatever the
+# block size (the FFTs transform each row alone), and the order in which a
+# block visits the nodes (x or y fastest) changes no bit of V_hat: each
+# node's sum over the block's angles is the same.
 _ANGLE_BLOCK = 16
 
 
@@ -142,6 +144,14 @@ def sinogram_from_fits(fits: FitTable, domain: Domain) -> Sinogram:
     return Sinogram(values, mask, domain.circumradius)
 
 
+def _filtered(padded: np.ndarray, H: np.ndarray, n: int, dz: float) -> np.ndarray:
+    """The profiles in the rows of `padded`, zero-padded to its width,
+    convolved with the filter of spectrum H and cut back to n offsets.  The
+    FFTs transform each row alone, so a block of rows gives the bits that
+    the whole sinogram gives."""
+    return np.fft.irfft(np.fft.rfft(padded, axis=1) * H, axis=1)[:, :n] * dz
+
+
 def _ramp_kernel(n_pad: int, dz: float) -> np.ndarray:
     """Band-limited ramp filter sampled in the signal domain (wraparound)."""
     k = np.arange(n_pad)
@@ -158,20 +168,34 @@ def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain)
     of out_grid, which must be the domain's grid.
 
     Offset profiles are convolved with the ramp filter (FFT on a zero-padded
-    axis of at least twice the length; optional Hann apodization), then
-    back-projected with linear interpolation in offset, in one thread, at
-    those nodes only, each measured from the domain's center; the other
-    nodes are zero.  Each `_ANGLE_BLOCK` of angles visits the nodes in the
-    C order of the grid (y fastest) or of its transpose (x fastest),
-    whichever moves the offset z = -sin(phi) x + cos(phi) y less from node
-    to node over the block: np.interp's bin search starts from the previous
-    query's bin, so the nearer the next bin, the cheaper the search.  Its
-    value depends only on the bin and z, each node's z and its sum over the
-    block's angles are the same in either order, and the block sums are
-    added in the same order, so V_hat keeps its bits.  Masked bins are
-    in-filled by linear interpolation along the offset axis (with a
-    warning); a fully masked angle or more than 10% masked bins is an
-    error.
+    axis of at least twice the length; optional Hann apodization), one
+    `_ANGLE_BLOCK` of angles at a time, which gives the bits of filtering the
+    whole sinogram at once.  They are then back-projected with linear
+    interpolation in offset, in one thread, at those nodes only, each
+    measured from the domain's center; the other nodes are zero.  Masked
+    bins are in-filled by linear interpolation along the offset axis (with a
+    warning); a fully masked angle or more than 10% masked bins is an error.
+
+    Parallel-beam profiles satisfy p_{phi + pi}(z) = p_phi(-z), so on a grid
+    symmetric about the center (to within 1e-12 of a cell) a node (i, j)
+    and its mirror (nx - 1 - i, ny - 1 - j) read one profile at z and -z.
+    Where both are unknowns, one complex np.interp of p + 1j * p reversed,
+    at the node's z, gives the node's term (real part) and its mirror's
+    (imaginary part).  The center node, edge nodes whose mirror rounding
+    leaves out of the unknowns, and every node of a grid not centered on the
+    domain have no pair and take a real np.interp at their own z.  Pairs
+    round otherwise than that, by about 1e-14 of max|V_hat|: the complex
+    np.interp forms its slopes as dp * (1/dz), and a mirror reads -z rather
+    than its own z.
+
+    Each block visits its nodes in the C order of the grid (y fastest) or of
+    its transpose (x fastest), whichever moves the offset
+    z = -sin(phi) x + cos(phi) y less from node to node over the block:
+    np.interp's bin search starts from the previous query's bin, so the
+    nearer the next bin, the cheaper the search.  Its value depends only on
+    the bin and z, each node's z and its sum over the block's angles are
+    the same in either order, and the block sums are added in the same
+    order, so the order does not change V_hat.
     """
     if sino.n_angles < 2:
         raise DataError("need at least 2 angles to invert")
@@ -182,9 +206,10 @@ def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain)
         raise DataError(
             f"{n_masked} of {sino.mask.size} sinogram bins masked; inversion needs >= 90% valid"
         )
-    values = sino.values.copy()
+    values = sino.values
     if n_masked:
         warnings.warn(f"in-filling {n_masked} masked sinogram bins", stacklevel=2)
+        values = values.copy()
         for ia in range(sino.n_angles):
             bad = ~sino.mask[ia]
             if bad.all():
@@ -202,38 +227,80 @@ def fbp_invert(sino: Sinogram, out_grid: Grid, filter_name: str, domain: Domain)
         freqs = np.fft.rfftfreq(n_pad, d=dz)
         nyq = 0.5 / dz
         H = H * 0.5 * (1.0 + np.cos(np.pi * freqs / nyq))
-    padded = np.zeros((sino.n_angles, n_pad))
-    padded[:, :n] = values
-    filtered = np.fft.irfft(np.fft.rfft(padded, axis=1) * H[None, :], axis=1)[:, :n] * dz
 
-    inside = domain.interior(out_grid)
-    X, Y = out_grid.nodes()
-    cx, cy = domain.center
-    x, y = X[inside] - cx, Y[inside] - cy
-    # the unknowns in their C order (y fastest) and x fastest: the node
-    # x_first[k] of the C order is the k-th x fastest, and back[i] the place
-    # of C node i in the x-fastest order
-    rank = np.zeros(X.shape, dtype=np.intp)
-    rank[inside] = np.arange(len(x))
-    x_first = rank.T[inside.T]
-    back = np.empty_like(x_first)
-    back[x_first] = np.arange(len(x))
-    orders = {False: (x, y), True: (x[x_first], y[x_first])}
-    total = np.zeros(len(x))
+    dest, n_pairs, queries, back = _node_layouts(domain, out_grid)
+    # one block's buffers: its zero-padded profiles, its complex profiles
+    # p(z) + 1j p(-z), the pairs' sums, and all its sums in its layout
+    padded = np.zeros((_ANGLE_BLOCK, n_pad))
+    profiles = np.empty((_ANGLE_BLOCK, n), dtype=complex)
+    acc = np.empty(n_pairs, dtype=complex)
+    block = np.empty(len(back))
+    solo = block[2 * n_pairs:]  # the single nodes' sums
+    total = np.zeros(len(back))
     for lo in range(0, sino.n_angles, _ANGLE_BLOCK):
         phis = sino.angles[lo:lo + _ANGLE_BLOCK]
-        # x fastest moves z by |sin(phi)| dx per node, y fastest by |cos(phi)| dy
-        x_fastest = bool(np.abs(np.sin(phis)).sum() * out_grid.dx
-                         < np.abs(np.cos(phis)).sum() * out_grid.dy)
-        bx, by = orders[x_fastest]
-        acc = np.zeros(len(x))
-        for ia, phi in enumerate(phis, start=lo):
+        m = len(phis)
+        padded[:m, :n] = values[lo:lo + m]
+        filtered = _filtered(padded[:m], H, n, dz)
+        profiles.real[:m] = filtered
+        profiles.imag[:m] = filtered[:, ::-1]  # p_phi(-z) at z: offsets are symmetric
+        x_fastest = _x_fastest(phis, out_grid)
+        bx, by = queries[x_fastest]
+        acc.fill(0.0)
+        solo.fill(0.0)
+        for k, phi in enumerate(phis):
             z = -np.sin(phi) * bx + np.cos(phi) * by
-            acc += np.interp(z, sino.offsets, filtered[ia], left=0.0, right=0.0)
-        total += acc[back] if x_fastest else acc
-    out = np.zeros(X.shape)
-    out[inside] = (np.pi / sino.n_angles) * total
+            acc += np.interp(z[:n_pairs], sino.offsets, profiles[k], left=0.0, right=0.0)
+            solo += np.interp(z[n_pairs:], sino.offsets, filtered[k], left=0.0, right=0.0)
+        block[:n_pairs] = acc.real
+        block[n_pairs:2 * n_pairs] = acc.imag
+        total += block[back] if x_fastest else block
+    total *= np.pi / sino.n_angles
+    out = np.zeros(out_grid.shape)
+    out.reshape(-1)[dest] = total
     return ScalarField(out_grid, out)
+
+
+def _x_fastest(phis: np.ndarray, grid: Grid) -> bool:
+    """Whether a block of angles back-projects x fastest: that moves z by
+    |sin(phi)| dx from node to node, y fastest by |cos(phi)| dy."""
+    return bool(np.abs(np.sin(phis)).sum() * grid.dx < np.abs(np.cos(phis)).sum() * grid.dy)
+
+
+def _node_layouts(domain: Domain, grid: Grid):
+    """The unknowns of `fbp_invert` in its two node orders.  Each unknown is
+    a pair node (before its mirror in the C order of the grid, the mirror an
+    unknown too; only on a grid centered on the domain), the mirror of one,
+    or single.  The layout of an order holds the pair nodes in that order,
+    their mirrors in the same sequence, then the single nodes in that order.
+
+    Returns dest, the flat node index at each place of the C order's layout
+    (y fastest); the number of pairs; per order (x_fastest False or True)
+    the coordinates (x, y), from the domain's center, of its pair nodes and
+    then its single nodes, which are np.interp's queries; and back, the
+    place in the x-fastest layout of the node at each place of C's."""
+    inside = domain.interior(grid)
+    cx, cy = domain.center
+    pair = np.zeros_like(inside)
+    if (abs(grid.x0 + grid.x1 - 2.0 * cx) <= 1e-12 * grid.dx
+            and abs(grid.y0 + grid.y1 - 2.0 * cy) <= 1e-12 * grid.dy):
+        # the mirror of flat node f is inside.size - 1 - f: before it, f is
+        # in the first half
+        pair.reshape(-1)[:inside.size // 2] = True
+        pair &= inside & inside[::-1, ::-1]
+    single = inside & ~pair & ~pair[::-1, ::-1]
+    xs, ys = grid.xs() - cx, grid.ys() - cy
+    dest, queries = {}, {}
+    for x_fastest in (False, True):
+        # (i, j) of the pair nodes and of the single nodes in this order
+        (i, j), (si, sj) = (np.nonzero(m.T)[::-1] if x_fastest else np.nonzero(m)
+                            for m in (pair, single))
+        f = i * grid.ny + j
+        dest[x_fastest] = np.concatenate([f, inside.size - 1 - f, si * grid.ny + sj])
+        queries[x_fastest] = (xs[np.concatenate([i, si])], ys[np.concatenate([j, sj])])
+    place = np.empty(inside.size, dtype=np.intp)
+    place[dest[True]] = np.arange(len(dest[True]))
+    return dest[False], int(pair.sum()), queries, place[dest[False]]
 
 
 # ---------------------------------------------------------------------------

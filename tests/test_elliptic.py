@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import typing
 
 import numpy as np
@@ -27,7 +28,7 @@ from driftscope.fields import (
     interp,
     sample_scalar,
 )
-from driftscope.smalltime import ChordTable, FitTable
+from driftscope.smalltime import ChordTable, FitTable, make_parallel_chords
 
 
 def chord_fit_table(xs, ys, delta_psi, se_delta_psi):
@@ -942,6 +943,51 @@ class TestBoundaryPsi:
         want = np.interp(np.mod(s, L), np.append(bp.knot_params, L),
                          np.append(bp.knot_values, bp.knot_values[0]))
         assert bp.value_at(points).tobytes() == want.tobytes()
+
+    def test_coverage_checked_before_large_arrays(self, monkeypatch):
+        """Above `_KNOTS_COVERED_FIRST` knots the coverage pass runs before
+        the n_knots^2 arrays exist (4096 knots: 134 MB each); below it, the
+        one pass gives the same error."""
+        dom = self.circle()
+        rng = np.random.default_rng(3)
+        t1, t2 = rng.uniform(0.0, np.pi / 2, (2, 300))  # only a quarter of the circle
+        fits = chord_fit_table(dom.boundary_point(t1), dom.boundary_point(t2),
+                               np.zeros(300), 1e-6)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(DataError, match="coverage") as big:
+                boundary_psi_from_fits(fits, dom, n_knots=4096)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        monkeypatch.setattr(elliptic, "_KNOTS_COVERED_FIRST", 10**6)
+        with pytest.raises(DataError, match="coverage") as one_pass:
+            boundary_psi_from_fits(fits, dom, n_knots=4096)
+        assert str(one_pass.value) == str(big.value)
+
+    def test_temporaries_do_not_grow_with_the_table(self):
+        """360 x 361 chords of the unit disc (129,960 fits): ~2.3 MB of
+        traced memory above the inputs, bounded by one chunk of chords; ~8.6
+        MB when the endpoint parameters, weights and dpsi of the whole table
+        were arrays."""
+        g = Grid.from_extent(-1.15, -1.15, 1.15, 1.15, 65, 65)
+        dom = DiscDomain(g, 0.0, 0.0, 1.0)
+        chords, _ = make_parallel_chords(dom, 360, 361)
+        n = len(chords)
+        assert n > 125_000
+        dpsi = np.sin(3.0 * chords.y[:, 0]) - np.sin(3.0 * chords.x[:, 0])
+        fits = FitTable(chords, dpsi, np.zeros(n), np.zeros(n), np.full(n, 1e-3),
+                        np.full(n, 1e-4), np.full(n, 4), np.ones(n, dtype=bool))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bp = boundary_psi_from_fits(fits, dom, n_knots=256)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(bp.knot_values)) and peak <= 3e6
 
     def test_few_missing_knots_interpolated(self):
         dom = self.circle()

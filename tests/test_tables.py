@@ -10,6 +10,8 @@ per knot interval: its bits are pinned to a per-chord loop of those sums,
 and the double loop checks the least squares it solves.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,28 @@ def test_knot_values_match_double_loop(name, chunk, monkeypatch):
         got = bp.value_at(y) - bp.value_at(x)
         assert np.abs(got - (double_loop.value_at(y) - double_loop.value_at(x))).max() \
             <= 1e-12 * dpsi_max
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+@pytest.mark.parametrize("covered_first", [0, 1024])
+def test_knot_values_skip_fits_that_are_not_ok(name, covered_first, monkeypatch):
+    # chunks of 37 table rows hold from 0 to 37 ok fits; with covered_first
+    # 0 a coverage pass of its own runs first and changes no bit
+    monkeypatch.setattr(elliptic, "_CHORDS_PER_CHUNK", 37)
+    monkeypatch.setattr(elliptic, "_KNOTS_COVERED_FIRST", covered_first)
+    domain = DOMAINS[name]()
+    ds = build_boundary_dataset(OrnsteinUhlenbeckKernel(1.0),
+                                make_parallel_chords(domain, 16, 17)[0], LADDER)
+    fits, _ = fit_dataset(ds)
+    ok = fits.ok & (np.random.default_rng(6).random(len(fits)) < 0.7)
+    ok[37:74] = False  # one chunk without an ok fit
+    columns = {f: np.where(ok, getattr(fits, f), np.nan)
+               for f in ("delta_psi", "F", "residual", "se_delta_psi", "se_F")}
+    fits = dataclasses.replace(fits, ok=ok, **columns)
+    for n_knots in (32, 64):
+        bp = boundary_psi_from_fits(fits, domain, n_knots=n_knots)
+        want = oracle_interval_sums_boundary_psi(ds.chords, fits, domain, n_knots)
+        assert np.array_equal(bp.knot_values, want)
 
 
 def test_full_ladder_fits_match_batch_oracle():

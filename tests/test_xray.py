@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -314,9 +315,10 @@ class TestFbp:
 
     @pytest.mark.filterwarnings("ignore:in-filling")
     def test_matches_all_node_pooled_oracle(self, monkeypatch):
-        """Inside nodes only, in one thread, give the bits of the all-node,
-        block-pooled back-projection, on a disc grid the pool once took and
-        on a rectangle grid it did not; one sinogram has in-filled bins."""
+        """Inside nodes only, in one thread, match the all-node, block-pooled
+        back-projection to rounding (`assert_matches_oracle`), on a disc grid
+        the pool once took and on a rectangle grid it did not; one sinogram
+        has in-filled bins."""
         disc_grid, disc = unit_disc(n=182)  # 33,124 nodes: above the old pool switch
         rect_grid = Grid.from_extent(-1.15, -0.805, 1.15, 0.805, 129, 91)
         rect = RectangleDomain(rect_grid, -1.0, -0.7, 1.0, 0.7)
@@ -337,7 +339,7 @@ class TestFbp:
 
         monkeypatch.setattr(parallel, "map_blocks", refuse)
         for g, dom, filter_name, sino, want in cases:
-            assert np.array_equal(fbp_invert(sino, g, filter_name, dom).values, want.values)
+            assert_matches_oracle(fbp_invert(sino, g, filter_name, dom), want, dom)
 
 
 @pytest.mark.parametrize("n_angles", [90, 45])
@@ -345,7 +347,9 @@ def test_axis_aware_node_order_keeps_the_oracle_bits(n_angles):
     """Each 16-angle block back-projects with x or y fastest, whichever moves
     the offset least from node to node.  On grids with dx != dy and angle
     counts that are no multiple of 16, so that blocks straddle 45 and 135
-    degrees, V_hat keeps the bits of the all-node oracle."""
+    degrees, V_hat matches the all-node oracle to rounding: node pairs
+    round otherwise (`assert_matches_oracle`), and the order changes no
+    bit (`test_node_order_changes_no_bit`)."""
     disc_grid = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 97, 61)
     rect_grid = Grid.from_extent(-1.15, -0.805, 1.15, 0.805, 61, 101)
     cases = ((disc_grid, DiscDomain(disc_grid, 0.0, 0.0, 1.0)),
@@ -355,11 +359,120 @@ def test_axis_aware_node_order_keeps_the_oracle_bits(n_angles):
         assert g.dx != g.dy
         values = rng.standard_normal((n_angles, 91))
         sino = Sinogram(values, np.ones_like(values, dtype=bool), dom.circumradius)
-        inside = dom.interior(g)  # the oracle also fills nodes within a sliver of the edge
         for filter_name in ("hann", "ram-lak"):
-            want = all_node_pooled_fbp(sino, g, filter_name, dom).values
-            got = fbp_invert(sino, g, filter_name, dom).values
-            assert np.array_equal(got[inside], want[inside]) and not got[~inside].any()
+            want = all_node_pooled_fbp(sino, g, filter_name, dom)
+            assert_matches_oracle(fbp_invert(sino, g, filter_name, dom), want, dom)
+
+
+def masked_sinogram(n_angles, n_offsets, radius, seed, masked=0.05):
+    """Standard normal values with a share `masked` of the bins masked."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_angles, n_offsets))
+    mask = np.ones(values.shape, dtype=bool)
+    mask.ravel()[rng.choice(mask.size, int(masked * mask.size), replace=False)] = False
+    return Sinogram(values, mask, radius)
+
+
+@pytest.mark.parametrize("n_angles, n_offsets", [(360, 361), (180, 181), (120, 121)])
+@pytest.mark.parametrize("block", [1, 7, 16])
+def test_per_block_filter_gives_the_whole_sinograms_bits(n_angles, n_offsets, block):
+    # n_pad is 1024, 512 and 256; the last block of 7 or 16 angles is short
+    sino = masked_sinogram(n_angles, n_offsets, 1.0, n_angles, masked=0.0)
+    dz = float(sino.offsets[1] - sino.offsets[0])
+    n_pad = 1 << int(np.ceil(np.log2(2 * n_offsets)))
+    padded = np.zeros((n_angles, n_pad))
+    padded[:, :n_offsets] = sino.values
+    H = np.fft.rfft(xray._ramp_kernel(n_pad, dz))
+    hann = 0.5 * (1.0 + np.cos(np.pi * np.fft.rfftfreq(n_pad, d=dz) / (0.5 / dz)))
+    for spectrum in (H, H * hann):
+        whole = xray._filtered(padded, spectrum, n_offsets, dz)
+        blocks = [xray._filtered(padded[lo:lo + block], spectrum, n_offsets, dz)
+                  for lo in range(0, n_angles, block)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:in-filling")
+@pytest.mark.parametrize("filter_name", ["hann", "ram-lak"])
+def test_grid_not_centered_on_the_domain_has_no_pairs(filter_name):
+    """An off-center disc on a grid centered elsewhere: no node has a mirror,
+    every node takes a real np.interp at its own z, and V_hat keeps the
+    bits of the all-node oracle.  Pairs by index alone would miss here."""
+    g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 81, 73)
+    dom = DiscDomain(g, 0.15, -0.1, 0.95)
+    assert xray._node_layouts(dom, g)[1] == 0
+    sino = masked_sinogram(45, 61, dom.circumradius, 3)
+    with pytest.warns(UserWarning, match="in-filling"):
+        got = fbp_invert(sino, g, filter_name, dom).values
+    want = all_node_pooled_fbp(sino, g, filter_name, dom).values
+    inside = dom.interior(g)
+    assert np.array_equal(got[inside], want[inside]) and not got[~inside].any()
+
+
+def test_center_node_has_no_pair():
+    """On a centered disc grid with odd node counts, the center node is its
+    own mirror: it keeps the oracle's bits, and every other unknown is a pair
+    node or the mirror of one."""
+    g, dom = unit_disc(n=65)
+    inside = dom.interior(g)
+    assert inside[32, 32]
+    dest, n_pairs, _, back = xray._node_layouts(dom, g)
+    assert 2 * n_pairs + 1 == inside.sum() == len(dest) == len(back)
+    assert np.array_equal(np.sort(dest), np.flatnonzero(inside))
+    assert dest[-1] == 32 * 65 + 32  # the one single node
+    assert np.array_equal(dest[n_pairs:2 * n_pairs], g.nx * g.ny - 1 - dest[:n_pairs])
+    sino = masked_sinogram(60, 61, 1.0, 7, masked=0.0)
+    for filter_name in ("hann", "ram-lak"):
+        got = fbp_invert(sino, g, filter_name, dom)
+        want = all_node_pooled_fbp(sino, g, filter_name, dom)
+        assert_matches_oracle(got, want, dom)
+        assert got.values[32, 32] == want.values[32, 32]
+
+
+@pytest.mark.filterwarnings("ignore:in-filling")
+@pytest.mark.parametrize("n_angles", [90, 45])
+@pytest.mark.parametrize("filter_name", ["hann", "ram-lak"])
+def test_pairs_match_the_oracle_with_in_filled_bins(n_angles, filter_name):
+    # a centered disc grid and a centered rectangle grid, dx != dy
+    disc_grid = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 97, 61)
+    rect_grid = Grid.from_extent(-1.15, -0.805, 1.15, 0.805, 60, 101)
+    for g, dom in ((disc_grid, DiscDomain(disc_grid, 0.0, 0.0, 1.0)),
+                   (rect_grid, RectangleDomain(rect_grid, -1.0, -0.7, 1.0, 0.7))):
+        assert xray._node_layouts(dom, g)[1] > 0.45 * dom.interior(g).sum()
+        sino = masked_sinogram(n_angles, 91, dom.circumradius, n_angles)
+        with pytest.warns(UserWarning, match="in-filling"):
+            got = fbp_invert(sino, g, filter_name, dom)
+        assert_matches_oracle(got, all_node_pooled_fbp(sino, g, filter_name, dom), dom)
+
+
+def test_node_order_changes_no_bit(monkeypatch):
+    """Every block x fastest, every block y fastest, or each its own way:
+    pair nodes, mirrors and single nodes keep their bits."""
+    g = Grid.from_extent(-1.2, -1.2, 1.2, 1.2, 97, 61)
+    dom = DiscDomain(g, 0.0, 0.0, 1.0)
+    sino = masked_sinogram(45, 91, 1.0, 11, masked=0.0)
+    want = fbp_invert(sino, g, "hann", dom).values
+    for x_fastest in (False, True):
+        monkeypatch.setattr(xray, "_x_fastest", lambda phis, grid: x_fastest)
+        assert fbp_invert(sino, g, "hann", dom).values.tobytes() == want.tobytes()
+
+
+def test_fbp_temporaries_do_not_hold_the_whole_sinogram():
+    """360 x 361 bins onto a 257^2 disc grid: ~3.4 MB of traced memory above
+    the inputs; ~10 MB when the padded, spectral and filtered sinograms were
+    whole arrays."""
+    g, dom = unit_disc(n=257)
+    sino = masked_sinogram(360, 361, 1.0, 2, masked=0.0)
+    # the mask of unknowns, the angles and the offsets are cached on the
+    # inputs, as the pipeline's are
+    _ = dom.interior(g), sino.angles, sino.offsets
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rec = fbp_invert(sino, g, "hann", dom)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rec.values.any() and peak <= 5e6
 
 
 def test_off_center_raster_is_measured_from_the_center():
@@ -381,10 +494,21 @@ def test_off_center_raster_is_measured_from_the_center():
     assert np.abs(rec_c.values - rec.values).max() <= 1e-12 * np.abs(rec.values).max()
 
 
+def assert_matches_oracle(got, want, domain):
+    """got is `all_node_pooled_fbp`'s want to 1e-13 of max|want| on the
+    unknowns, and exactly 0 elsewhere.  A node and its mirror take one
+    complex np.interp, which forms its slopes as dp * (1/dz), and the mirror
+    reads -z rather than its own z: both round otherwise."""
+    inside = domain.interior(got.grid)  # the oracle also fills nodes within a sliver of the edge
+    assert np.abs(got.values - want.values)[inside].max() <= 1e-13 * np.abs(want.values).max()
+    assert not got.values[~inside].any()
+
+
 def all_node_pooled_fbp(sino, out_grid, filter_name, domain):
-    """Oracle: fbp_invert as it stood when it back-projected every grid node
-    in 16-angle blocks on a two-thread pool, summed the blocks in order and
-    then zeroed the nodes outside the domain."""
+    """Oracle: fbp_invert as it stood when it back-projected every grid node,
+    measured from the domain's center, in 16-angle blocks on a two-thread
+    pool, summed the blocks in order and then zeroed the nodes outside the
+    domain."""
     values = sino.values.copy()
     for ia in range(sino.n_angles):
         bad = ~sino.mask[ia]
@@ -402,7 +526,7 @@ def all_node_pooled_fbp(sino, out_grid, filter_name, domain):
     filtered = np.fft.irfft(np.fft.rfft(padded, axis=1) * H[None, :], axis=1)[:, :n] * dz
 
     X, Y = out_grid.nodes()
-    Xf, Yf = X.ravel(), Y.ravel()
+    Xf, Yf = X.ravel() - domain.center[0], Y.ravel() - domain.center[1]
 
     def backproject(block):
         lo, hi = block
